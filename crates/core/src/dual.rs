@@ -275,9 +275,15 @@ impl<B: GraphBackend> DualStore<B> {
 
     /// Insert an encoded triple into `T_R` (and the graph mirror if
     /// resident).
+    ///
+    /// All or nothing: the graph side is asked first because it is the
+    /// one that can refuse (a resident partition with no budget headroom
+    /// returns [`CoreError::Storage`]) and it refuses before mutating;
+    /// `T_R` then takes the row unconditionally. A failed insert leaves
+    /// both stores as they were, so the routes keep agreeing.
     pub fn insert(&mut self, t: Triple) -> Result<(), CoreError> {
-        self.rel.insert(t);
         self.graph.insert_edge(t)?;
+        self.rel.insert(t);
         Ok(())
     }
 
@@ -398,6 +404,62 @@ mod tests {
             dual.migrate_partition(born),
             Err(CoreError::Storage(_))
         ));
+    }
+
+    /// A refused insert (resident partition, zero headroom) must leave
+    /// both stores untouched, or graph-route queries silently return fewer
+    /// rows than relational-route ones.
+    fn refused_insert_changes_nothing<B: GraphBackend>() {
+        use crate::processor::{process_relational, process_shared};
+        use kgdual_graphstore::GraphStoreError;
+        use kgdual_relstore::TempSpace;
+
+        let mut dual = DualStore::<B>::from_dataset_in(dataset(), 15);
+        let born = dual.dict().pred_id("y:wasBornIn").unwrap();
+        let advisor = dual.dict().pred_id("y:hasAcademicAdvisor").unwrap();
+        dual.migrate_partition(born).unwrap();
+        dual.migrate_partition(advisor).unwrap();
+        assert_eq!(dual.graph().available(), 0);
+
+        // p0's advisor p5 born where p0 was: a row of the query below, had
+        // only `T_R` taken it.
+        let err = dual
+            .insert_terms(&Term::iri("y:p5"), "y:wasBornIn", &Term::iri("y:c0"))
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::Storage(GraphStoreError::BudgetExceeded {
+                needed: 1,
+                available: 0,
+                ..
+            })
+        ));
+        assert_eq!(dual.rel().partition_len(born), 10);
+        assert_eq!(dual.graph().partition_len(born), 10);
+
+        let query = kgdual_sparql::parse(
+            "SELECT ?a ?b WHERE { ?a y:wasBornIn ?c . ?b y:wasBornIn ?c . ?a y:hasAcademicAdvisor ?b }",
+        )
+        .unwrap();
+        let shared = process_shared(&dual, &mut TempSpace::new(), &query).unwrap();
+        let relational = process_relational(&dual, &query).unwrap();
+        assert_eq!(shared.route, crate::processor::Route::Graph);
+        let sorted_rows = |o: &crate::processor::QueryOutcome| {
+            let mut rows: Vec<_> = o.results.rows().map(<[_]>::to_vec).collect();
+            rows.sort();
+            rows
+        };
+        assert_eq!(sorted_rows(&shared), sorted_rows(&relational));
+
+        // A non-resident predicate has nothing to refuse.
+        dual.insert_terms(&Term::iri("y:new"), "y:livesIn", &Term::iri("y:c0"))
+            .unwrap();
+    }
+
+    #[test]
+    fn refused_insert_changes_nothing_on_either_backend() {
+        refused_insert_changes_nothing::<AdjacencyBackend>();
+        refused_insert_changes_nothing::<kgdual_graphstore::CsrBackend>();
     }
 
     #[test]

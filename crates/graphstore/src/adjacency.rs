@@ -9,7 +9,7 @@
 
 use crate::topology::Topology;
 use kgdual_model::fx::{FxHashMap, FxHashSet};
-use kgdual_model::{NodeId, PredId};
+use kgdual_model::{sorted, NodeId, PredId};
 use std::borrow::Cow;
 
 pub use crate::topology::PartitionStats;
@@ -19,6 +19,13 @@ pub use crate::topology::PartitionStats;
 struct NodeAdj {
     out: Vec<(PredId, NodeId)>,
     inc: Vec<(PredId, NodeId)>,
+}
+
+impl NodeAdj {
+    /// No edge in either direction: the node map drops such nodes.
+    fn is_empty(&self) -> bool {
+        self.out.is_empty() && self.inc.is_empty()
+    }
 }
 
 /// The adjacency index plus per-predicate edge seed lists.
@@ -57,7 +64,8 @@ impl AdjacencyIndex {
         self.stats.get(&pred).copied().unwrap_or_default()
     }
 
-    /// Recompute a partition's distinct counts from its seed list.
+    /// Recompute a partition's distinct counts from its seed list (bulk
+    /// load only; single-edge writes adjust them in place).
     fn refresh_stats(&mut self, pred: PredId) {
         let Some(seed) = self.seeds.get(&pred) else {
             self.stats.remove(&pred);
@@ -105,41 +113,53 @@ impl AdjacencyIndex {
         self.refresh_stats(pred);
     }
 
-    /// Insert a single edge, keeping adjacency lists and the seed list
-    /// sorted.
+    /// Insert a single edge, keeping adjacency lists, the seed list and
+    /// the partition's statistics exact. Three binary-searched splices
+    /// ([`kgdual_model::sorted`]); the distinct counts move only when `s`
+    /// gains its first `pred` out-edge or `o` its first `pred` in-edge,
+    /// which the splice into that node's own list reports. The cost left
+    /// is the `memmove` behind the seed position (bounded in the
+    /// [`sorted`] module docs).
     pub fn insert_edge(&mut self, s: NodeId, pred: PredId, o: NodeId) {
-        let out = &mut self.nodes.entry(s).or_default().out;
-        let pos = out.partition_point(|&e| e < (pred, o));
-        out.insert(pos, (pred, o));
-        let inc = &mut self.nodes.entry(o).or_default().inc;
-        let pos = inc.partition_point(|&e| e < (pred, s));
-        inc.insert(pos, (pred, s));
-        let seed = self.seeds.entry(pred).or_default();
-        let pos = seed.partition_point(|&e| e < (s, o));
-        seed.insert(pos, (s, o));
+        let new_s = sorted::splice_in(&mut self.nodes.entry(s).or_default().out, (pred, o));
+        let new_o = sorted::splice_in(&mut self.nodes.entry(o).or_default().inc, (pred, s));
+        sorted::splice_in(self.seeds.entry(pred).or_default(), (s, o));
         self.edges += 1;
-        self.refresh_stats(pred);
+        let st = self.stats.entry(pred).or_default();
+        st.edges += 1;
+        st.distinct_s += usize::from(new_s);
+        st.distinct_o += usize::from(new_o);
     }
 
-    /// Remove every copy of one edge; returns how many were removed.
+    /// Remove every copy of one edge; returns how many were removed. The
+    /// mirror of [`insert_edge`](Self::insert_edge): an equal range is
+    /// drained from each of the three sorted lists, the distinct counts
+    /// drop only when a node lost its last `pred` edge on that side, and a
+    /// node left with no edges at all leaves the node map. An absent edge
+    /// costs two binary searches.
     pub fn remove_edge(&mut self, s: NodeId, pred: PredId, o: NodeId) -> usize {
         let Some(seed) = self.seeds.get_mut(&pred) else {
             return 0;
         };
-        let before = seed.len();
-        seed.retain(|&(es, eo)| !(es == s && eo == o));
-        let removed = before - seed.len();
+        let (removed, _) = sorted::splice_out(seed, (s, o));
         if removed == 0 {
             return 0;
         }
-        if let Some(adj) = self.nodes.get_mut(&s) {
-            adj.out.retain(|&(p, n)| !(p == pred && n == o));
+        let adj = self.nodes.get_mut(&s).expect("seed edges have nodes");
+        let (_, gone_s) = sorted::splice_out(&mut adj.out, (pred, o));
+        if adj.is_empty() {
+            self.nodes.remove(&s);
         }
-        if let Some(adj) = self.nodes.get_mut(&o) {
-            adj.inc.retain(|&(p, n)| !(p == pred && n == s));
+        let adj = self.nodes.get_mut(&o).expect("seed edges have nodes");
+        let (_, gone_o) = sorted::splice_out(&mut adj.inc, (pred, s));
+        if adj.is_empty() {
+            self.nodes.remove(&o);
         }
         self.edges -= removed;
-        self.refresh_stats(pred);
+        let st = self.stats.get_mut(&pred).expect("seeds imply stats");
+        st.edges -= removed;
+        st.distinct_s -= usize::from(gone_s);
+        st.distinct_o -= usize::from(gone_o);
         removed
     }
 
@@ -157,7 +177,7 @@ impl AdjacencyIndex {
             if let Some(adj) = self.nodes.get_mut(&n) {
                 adj.out.retain(|&(p, _)| p != pred);
                 adj.inc.retain(|&(p, _)| p != pred);
-                if adj.out.is_empty() && adj.inc.is_empty() {
+                if adj.is_empty() {
                     self.nodes.remove(&n);
                 }
             }
@@ -396,6 +416,58 @@ mod tests {
         idx.remove_partition(p(0));
         assert_eq!(idx.partition_stats(p(0)), PartitionStats::default());
         assert_eq!(PartitionStats::default().out_degree(), 0.0);
+    }
+
+    #[test]
+    fn single_edge_writes_adjust_stats_without_recounting() {
+        let mut idx = sample();
+        let base = idx.partition_stats(p(0));
+        idx.insert_edge(n(1), p(0), n(2)); // duplicate: no key is new
+        idx.insert_edge(n(7), p(0), n(7)); // self-loop: new on both sides
+        idx.insert_edge(n(2), p(0), n(5)); // both nodes known, but not under p(0)
+        assert_eq!(
+            idx.partition_stats(p(0)),
+            PartitionStats {
+                edges: 6,
+                distinct_s: 4,
+                distinct_o: 4
+            }
+        );
+        assert_eq!(idx.remove_edge(n(1), p(0), n(2)), 2);
+        assert_eq!(idx.partition_stats(p(0)).distinct_s, 4, "1 still has 1→3");
+        assert_eq!(idx.partition_stats(p(0)).distinct_o, 4, "2 still has 4→2");
+        assert_eq!(idx.remove_edge(n(7), p(0), n(7)), 1);
+        assert_eq!(idx.remove_edge(n(2), p(0), n(5)), 1);
+        idx.insert_edge(n(1), p(0), n(2));
+        assert_eq!(idx.partition_stats(p(0)), base);
+        assert_eq!(idx.partition_stats(p(1)).edges, 1, "p(1) untouched");
+        assert_eq!(
+            idx.seed_edges(p(0)),
+            [(n(1), n(2)), (n(1), n(3)), (n(4), n(2))]
+        );
+    }
+
+    #[test]
+    fn insert_delete_churn_leaves_no_empty_nodes() {
+        let mut idx = sample();
+        let nodes = idx.nodes.len();
+        for i in 100..200 {
+            idx.insert_edge(n(i), p(0), n(i + 1000));
+            idx.insert_edge(n(i), p(0), n(i)); // self-loop
+            idx.insert_edge(n(i), p(1), n(2)); // onto a node that stays
+        }
+        assert_eq!(idx.nodes.len(), nodes + 200);
+        for i in 100..200 {
+            assert_eq!(idx.remove_edge(n(i), p(0), n(i + 1000)), 1);
+            assert_eq!(idx.remove_edge(n(i), p(0), n(i)), 1);
+            assert_eq!(idx.remove_edge(n(i), p(1), n(2)), 1);
+        }
+        assert_eq!(idx.nodes.len(), nodes, "churned nodes are pruned");
+        assert_eq!(idx.edge_count(), 4);
+        assert!(
+            idx.has_edge(n(2), p(1), n(5)),
+            "surviving nodes keep their edges"
+        );
     }
 
     #[test]

@@ -136,8 +136,10 @@ impl RelStore {
         self.sharded.insert_batch(pred, pairs);
     }
 
-    /// Insert a single triple (cheap append — the relational store's
-    /// headline strength in the paper).
+    /// Insert a single triple: an append, plus a sorted splice into each
+    /// index the partition has already built (see [`PredTable::insert`])
+    /// — cheap updates are the relational store's headline strength in
+    /// the paper.
     pub fn insert(&mut self, t: Triple) {
         self.sharded.insert(t.p, t.s, t.o);
     }
@@ -1517,15 +1519,34 @@ mod tests {
         assert_eq!(cold, warm);
         assert_eq!(cold_ctx.stats, warm_ctx.stats);
 
-        // Writes re-cool the touched partition only.
+        // Single-row writes keep a warm table warm: its indexes and
+        // statistics are spliced in place, not dropped.
         let mut sharded = sharded;
         let pred = sharded.preds().next().unwrap();
-        sharded.insert(Triple {
+        let t = Triple {
             s: NodeId(9000),
             p: pred,
             o: NodeId(9001),
-        });
-        assert_eq!(sharded.warm_indexes(), 1, "only the written table re-warms");
+        };
+        sharded.insert(t);
+        assert_eq!(
+            sharded.warm_indexes(),
+            0,
+            "an insert leaves nothing to re-warm"
+        );
+        assert_eq!(sharded.delete(t), 1);
+        assert_eq!(
+            sharded.warm_indexes(),
+            0,
+            "a delete leaves nothing to re-warm"
+        );
+        // Only a bulk append re-cools, and only the table it touched.
+        sharded.load_partition(pred, &[(t.s, t.o)]);
+        assert_eq!(
+            sharded.warm_indexes(),
+            1,
+            "only the bulk-loaded table re-warms"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Per-predicate two-column tables (vertical partitioning).
 
-use kgdual_model::NodeId;
+use kgdual_model::{sorted, NodeId};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -36,7 +36,7 @@ impl TableStats {
     }
 }
 
-/// A key-sorted copy of the pairs, shared with readers while valid.
+/// A key-sorted copy of the pairs, shared with readers; `None` until built.
 type SortedIndex = RwLock<Option<Arc<Vec<(NodeId, NodeId)>>>>;
 
 /// One predicate's `(subject, object)` table.
@@ -44,8 +44,19 @@ type SortedIndex = RwLock<Option<Arc<Vec<(NodeId, NodeId)>>>>;
 /// The base storage is an append-ordered pair vector (cheap inserts — the
 /// paper's relational store must be "convenient in updating knowledge").
 /// Two sorted permutation indexes (`by subject`, `by object`) and the stats
-/// are built lazily behind locks and invalidated by writes, mimicking a
-/// real RDBMS's secondary indexes without penalising the write path.
+/// are built lazily behind locks on first use, like a real RDBMS's
+/// secondary indexes, and from then on **single-row writes keep them
+/// valid**: [`insert`](Self::insert) and [`delete`](Self::delete)
+/// binary-search each built index and splice the row in or out
+/// ([`kgdual_model::sorted`]), and move `distinct_s` / `distinct_o` only
+/// when that splice took the key's row count across 0 ↔ 1 — the same rule
+/// the graph store's adjacency index writes by. A write never builds an
+/// index that is not there (a cold table stays cold and pays only the
+/// append), and never recounts or re-sorts one that is; what it pays on a
+/// warm table is one `memmove` per index behind the splice position
+/// (bounded in the [`sorted`] module docs). Only the bulk append
+/// ([`insert_batch`](Self::insert_batch)) drops the indexes, to be rebuilt
+/// by the next lookup or [`warm`](Self::warm).
 #[derive(Debug, Default)]
 pub struct PredTable {
     pairs: Vec<(NodeId, NodeId)>,
@@ -81,39 +92,68 @@ impl PredTable {
         self.pairs.is_empty()
     }
 
-    /// The base rows in insertion order (full-scan access path).
+    /// The base rows in insertion order (full-scan access path). Deletes
+    /// close the gap and keep the order of the surviving rows: it is part
+    /// of the LIMIT row-order contract.
     #[inline]
     pub fn scan(&self) -> &[(NodeId, NodeId)] {
         &self.pairs
     }
 
-    /// Append a row; invalidates indexes and stats.
+    /// Append a row. Built indexes take it at its sorted position and the
+    /// statistics follow; unbuilt ones stay unbuilt.
     pub fn insert(&mut self, s: NodeId, o: NodeId) {
         self.pairs.push((s, o));
-        self.invalidate();
+        let new_s = built(&mut self.by_s).map(|idx| sorted::splice_in(idx, (s, o)));
+        let new_o = built(&mut self.by_o).map(|idx| sorted::splice_in(idx, (o, s)));
+        // Statistics survive only while both indexes vouch for them.
+        let stats = self.stats.get_mut();
+        *stats = match (*stats, new_s, new_o) {
+            (Some(st), Some(new_s), Some(new_o)) => Some(TableStats {
+                rows: st.rows + 1,
+                distinct_s: st.distinct_s + usize::from(new_s),
+                distinct_o: st.distinct_o + usize::from(new_o),
+            }),
+            _ => None,
+        };
     }
 
-    /// Append many rows; invalidates indexes and stats once.
+    /// Append many rows; drops indexes and stats once (the next lookup or
+    /// [`warm`](Self::warm) rebuilds them with one sort each).
     pub fn insert_batch(&mut self, rows: &[(NodeId, NodeId)]) {
         self.pairs.extend_from_slice(rows);
-        self.invalidate();
-    }
-
-    /// Delete every `(s, o)` row; returns the number removed.
-    pub fn delete(&mut self, s: NodeId, o: NodeId) -> usize {
-        let before = self.pairs.len();
-        self.pairs.retain(|&(ps, po)| !(ps == s && po == o));
-        let removed = before - self.pairs.len();
-        if removed > 0 {
-            self.invalidate();
-        }
-        removed
-    }
-
-    fn invalidate(&mut self) {
         *self.by_s.get_mut() = None;
         *self.by_o.get_mut() = None;
         *self.stats.get_mut() = None;
+    }
+
+    /// Delete every `(s, o)` row; returns the number removed. The
+    /// surviving rows keep their order. A built subject index is asked
+    /// first, so deleting an absent row is two binary searches and no
+    /// scan; a present row costs one pass over the base rows plus the
+    /// splice in each built index.
+    pub fn delete(&mut self, s: NodeId, o: NodeId) -> usize {
+        let gone_s = built(&mut self.by_s).map(|idx| sorted::splice_out(idx, (s, o)));
+        if matches!(gone_s, Some((0, _))) {
+            return 0;
+        }
+        let before = self.pairs.len();
+        self.pairs.retain(|&(ps, po)| !(ps == s && po == o));
+        let removed = before - self.pairs.len();
+        if removed == 0 {
+            return 0;
+        }
+        let gone_o = built(&mut self.by_o).map(|idx| sorted::splice_out(idx, (o, s)));
+        let stats = self.stats.get_mut();
+        *stats = match (*stats, gone_s, gone_o) {
+            (Some(st), Some((_, gone_s)), Some((_, gone_o))) => Some(TableStats {
+                rows: st.rows - removed,
+                distinct_s: st.distinct_s - usize::from(gone_s),
+                distinct_o: st.distinct_o - usize::from(gone_o),
+            }),
+            _ => None,
+        };
+        removed
     }
 
     /// The subject-sorted permutation index, building it on first use.
@@ -201,6 +241,13 @@ impl PredTable {
     }
 }
 
+/// A built index, writable in place: unique under the table's `&mut self`
+/// unless a reader still holds the `Arc` from before, who then keeps that
+/// version while the table moves on with a copy.
+fn built(index: &mut SortedIndex) -> Option<&mut Vec<(NodeId, NodeId)>> {
+    index.get_mut().as_mut().map(Arc::make_mut)
+}
+
 /// Contiguous slice of a key-sorted pair vector whose `.0` equals `key`.
 fn range_of(sorted: &[(NodeId, NodeId)], key: NodeId) -> &[(NodeId, NodeId)] {
     let lo = sorted.partition_point(|&(k, _)| k < key);
@@ -267,7 +314,7 @@ mod tests {
     }
 
     #[test]
-    fn writes_invalidate_indexes_and_stats() {
+    fn writes_keep_indexes_and_stats_valid() {
         let mut t = table();
         let _ = t.stats();
         t.insert(n(7), n(7));
@@ -277,6 +324,60 @@ mod tests {
         assert_eq!(removed, 1);
         assert_eq!(t.stats().rows, 4);
         assert!(t.lookup_s(n(7)).is_empty());
+        assert!(!t.warm(), "single-row writes leave a warm table warm");
+    }
+
+    #[test]
+    fn distinct_counts_move_only_on_a_key_crossing_zero() {
+        let mut t = table();
+        let base = t.stats();
+        t.insert(n(5), n(2)); // both keys already present
+        assert_eq!((t.stats().distinct_s, t.stats().distinct_o), (3, 3));
+        t.insert(n(9), n(2)); // new subject, known object
+        assert_eq!((t.stats().distinct_s, t.stats().distinct_o), (4, 3));
+        t.insert(n(9), n(9)); // self-loop on a known subject, new object
+        t.insert(n(9), n(9)); // and a duplicate of it
+        assert_eq!((t.stats().distinct_s, t.stats().distinct_o), (4, 4));
+        assert_eq!(t.delete(n(9), n(9)), 2, "every copy goes");
+        assert_eq!((t.stats().distinct_s, t.stats().distinct_o), (4, 3));
+        assert_eq!(t.delete(n(9), n(2)), 1);
+        assert_eq!(t.delete(n(5), n(2)), 1);
+        assert_eq!(t.stats(), base);
+        assert_eq!(*t.s_index(), {
+            let mut sorted = t.scan().to_vec();
+            sorted.sort_unstable();
+            sorted
+        });
+    }
+
+    #[test]
+    fn writes_never_build_an_index() {
+        let mut t = table();
+        t.insert(n(7), n(7));
+        assert_eq!(t.delete(n(5), n(1)), 1);
+        assert_eq!(t.delete(n(5), n(1)), 0);
+        assert!(t.by_s.get_mut().is_none() && t.by_o.get_mut().is_none());
+        assert!(t.stats.get_mut().is_none());
+        // A lookup builds one index; stats stay unbuilt until both exist.
+        assert_eq!(t.lookup_s(n(7)), vec![(n(7), n(7))]);
+        t.insert(n(7), n(8));
+        assert_eq!(t.lookup_s(n(7)).len(), 2);
+        assert!(t.by_o.get_mut().is_none() && t.stats.get_mut().is_none());
+        assert_eq!(t.stats().rows, 5);
+    }
+
+    #[test]
+    fn a_reader_keeps_the_version_it_took() {
+        let mut t = table();
+        let before = t.s_index();
+        t.insert(n(0), n(0));
+        assert_eq!(before.len(), 4, "the reader's copy is untouched");
+        assert_eq!(t.s_index()[0], (n(0), n(0)));
+        drop(before);
+        // With no reader left the index is spliced where it lies.
+        let at = Arc::as_ptr(&t.s_index());
+        t.delete(n(0), n(0));
+        assert_eq!(Arc::as_ptr(&t.s_index()), at);
     }
 
     #[test]

@@ -222,6 +222,11 @@ fn shutdown_while_queued_drains_inflight_and_refuses_new() {
 
         // Client 2 connects while the server still accepts...
         let mut late = ServeClient::connect(addr, "late").unwrap();
+        // connect() returns once the kernel has the connection, which may
+        // still sit in the listen backlog; shutdown drops those unserved,
+        // and the unwrap below would then panic with the gate shut and
+        // hang the scope. A round trip proves a handler owns the socket.
+        assert_eq!(late.health().unwrap().0, 200);
 
         // ...then shutdown starts; it blocks draining client 1.
         let shutter = ts.spawn(|| handle.shutdown());

@@ -47,6 +47,37 @@ fn fingerprint(b: &Bindings) -> Vec<String> {
     rows
 }
 
+/// `(rows, distinct_s, distinct_o)` of a pair multiset, recounted.
+fn recount(rows: &[(NodeId, NodeId)]) -> (usize, usize, usize) {
+    use std::collections::BTreeSet;
+    let subjects: BTreeSet<NodeId> = rows.iter().map(|&(s, _)| s).collect();
+    let objects: BTreeSet<NodeId> = rows.iter().map(|&(_, o)| o).collect();
+    (rows.len(), subjects.len(), objects.len())
+}
+
+/// A graph substrate's view of `pred` must equal what the surviving
+/// `rows` imply: statistics, ascending seed list, per-node neighbours.
+fn check_topology<T: kgdual::graphstore::Topology>(
+    topo: &T,
+    pred: PredId,
+    rows: &[(NodeId, NodeId)],
+    nodes: u32,
+) -> Result<(), TestCaseError> {
+    let st = topo.partition_stats(pred);
+    prop_assert_eq!((st.edges, st.distinct_s, st.distinct_o), recount(rows));
+    let mut sorted = rows.to_vec();
+    sorted.sort_unstable();
+    prop_assert_eq!(topo.seed_edges(pred).collect::<Vec<_>>(), sorted.clone());
+    for n in (0..nodes).map(NodeId) {
+        let out: Vec<NodeId> = sorted.iter().filter(|e| e.0 == n).map(|e| e.1).collect();
+        prop_assert_eq!(topo.out_neighbours(n, pred).collect::<Vec<_>>(), out);
+        let mut inc: Vec<NodeId> = sorted.iter().filter(|e| e.1 == n).map(|e| e.0).collect();
+        inc.sort_unstable();
+        prop_assert_eq!(topo.in_neighbours(n, pred).collect::<Vec<_>>(), inc);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -309,6 +340,106 @@ proptest! {
             src
         );
         prop_assert_eq!(a.total_work(), c.total_work(), "work diverged on {}", src);
+    }
+
+    /// Incremental == from-scratch on all three substrates. A single-row
+    /// write splices each sorted structure in place and moves a distinct
+    /// count only on a key's 0 ↔ 1 crossing; after every step of a random
+    /// interleaving (duplicates, self-loops, deletes of absent rows,
+    /// deletes that empty a partition, two predicates sharing every node,
+    /// writes onto cold, half-built and warm tables) each substrate must
+    /// equal a brute-force recount of the surviving rows, and so each
+    /// other. The relational checks read only what is already built, so
+    /// they never warm a table the op stream left cold.
+    #[test]
+    fn incremental_writes_equal_a_recount_on_every_substrate(
+        initial in prop::collection::vec((0u32..2, 0u32..5, 0u32..5), 0..6),
+        steps in prop::collection::vec((0u8..10, 0u32..2, 0u32..5, 0u32..5), 1..48),
+    ) {
+        use kgdual::graphstore::AdjacencyIndex;
+        use kgdual::relstore::PredTable;
+        const NODES: u32 = 5;
+
+        let mut model: [Vec<(NodeId, NodeId)>; 2] = Default::default();
+        for &(p, s, o) in &initial {
+            model[p as usize].push((NodeId(s), NodeId(o)));
+        }
+        let mut tables = [PredTable::new(), PredTable::new()];
+        let mut adj = AdjacencyIndex::new();
+        let mut csr = CsrBackend::with_budget(initial.len() + steps.len());
+        for p in 0..2 {
+            tables[p].insert_batch(&model[p]);
+            adj.insert_partition(PredId(p as u32), &model[p]);
+            csr.load_partition(PredId(p as u32), &model[p]).unwrap();
+        }
+        // What the op stream has built so far, per table.
+        let mut s_built = [false; 2];
+        let mut warm = [false; 2];
+
+        for &(kind, p, s, o) in &steps {
+            let (pi, pred) = (p as usize, PredId(p));
+            let row = (NodeId(s), NodeId(o));
+            let t = Triple::new(row.0, pred, row.1);
+            match kind {
+                0 => {
+                    tables[pi].warm();
+                    (s_built[pi], warm[pi]) = (true, true);
+                }
+                1 => {
+                    let hits = model[pi].iter().filter(|r| r.0 == row.0).count();
+                    prop_assert_eq!(tables[pi].lookup_s(row.0).len(), hits);
+                    s_built[pi] = true;
+                }
+                2..=6 => {
+                    if kind == 2 {
+                        // Bulk append: the one write that re-cools a table.
+                        tables[pi].insert_batch(&[row]);
+                        (s_built[pi], warm[pi]) = (false, false);
+                    } else {
+                        tables[pi].insert(row.0, row.1);
+                    }
+                    adj.insert_edge(row.0, pred, row.1);
+                    prop_assert!(csr.insert_edge(t).unwrap());
+                    model[pi].push(row);
+                }
+                _ => {
+                    let copies = model[pi].iter().filter(|&&r| r == row).count();
+                    prop_assert_eq!(tables[pi].delete(row.0, row.1), copies);
+                    prop_assert_eq!(adj.remove_edge(row.0, pred, row.1), copies);
+                    prop_assert_eq!(csr.delete_edge(t), copies);
+                    model[pi].retain(|&r| r != row);
+                }
+            }
+
+            for q in 0..2 {
+                let (rows, table) = (&model[q], &tables[q]);
+                prop_assert_eq!(table.scan(), rows.as_slice(), "scan() is insertion order minus deletes");
+                let mut by_s = rows.clone();
+                by_s.sort_unstable();
+                if s_built[q] {
+                    prop_assert_eq!(&*table.s_index(), &by_s);
+                }
+                if warm[q] {
+                    prop_assert!(!table.warm(), "a single-row write left something to rebuild");
+                    let mut by_o: Vec<_> = rows.iter().map(|&(s, o)| (o, s)).collect();
+                    by_o.sort_unstable();
+                    prop_assert_eq!(&*table.o_index(), &by_o);
+                    let st = table.stats();
+                    prop_assert_eq!((st.rows, st.distinct_s, st.distinct_o), recount(rows));
+                }
+                check_topology(&adj, PredId(q as u32), rows, NODES)?;
+                check_topology(&csr, PredId(q as u32), rows, NODES)?;
+            }
+            prop_assert_eq!(adj.edge_count(), model[0].len() + model[1].len());
+            prop_assert_eq!(csr.used(), adj.edge_count());
+        }
+
+        // Whatever state the stream left a table in, building the rest
+        // lazily lands on the same numbers.
+        for q in 0..2 {
+            let st = tables[q].stats();
+            prop_assert_eq!((st.rows, st.distinct_s, st.distinct_o), recount(&model[q]));
+        }
     }
 
     /// Snapshot encode/decode round-trips arbitrary datasets exactly.
