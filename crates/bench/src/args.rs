@@ -70,12 +70,6 @@ pub struct BenchArgs {
     /// (see [`crate::obs::write_obs_profile`]). `None` leaves recording
     /// at whatever `KGDUAL_OBS` selected.
     pub obs_out: Option<String>,
-    /// `--vec {on,off}`: force the vectorized execution paths on or off
-    /// for the run (applied via [`crate::obs::init_vec`]). `None` (the
-    /// default) leaves the switch at whatever `KGDUAL_VEC` selected.
-    /// Deterministic metrics are vec-invariant by construction — the
-    /// flag moves wall clock only.
-    pub vec: Option<bool>,
     /// Remaining free-form flags (`--key value`).
     pub extra: Vec<(String, String)>,
 }
@@ -93,7 +87,6 @@ impl Default for BenchArgs {
             port: 0,
             clients: 8,
             obs_out: None,
-            vec: None,
             extra: Vec::new(),
         }
     }
@@ -143,11 +136,6 @@ impl BenchArgs {
                 "port" => out.port = value.parse().unwrap_or(out.port),
                 "clients" => out.clients = value.parse().unwrap_or(out.clients).max(1),
                 "obs-out" => out.obs_out = Some(value),
-                "vec" => match value.as_str() {
-                    "on" => out.vec = Some(true),
-                    "off" => out.vec = Some(false),
-                    _ => eprintln!("unknown --vec `{value}` (want on|off)"),
-                },
                 _ => out.extra.push((key.to_owned(), value)),
             }
         }
@@ -253,16 +241,6 @@ mod tests {
         assert_eq!(parse("").obs_out, None);
         let a = parse("--obs-out /tmp/profile.json");
         assert_eq!(a.obs_out.as_deref(), Some("/tmp/profile.json"));
-    }
-
-    #[test]
-    fn vec_flag_parses_tristate() {
-        // Absent means "inherit whatever KGDUAL_VEC selected".
-        assert_eq!(parse("").vec, None);
-        assert_eq!(parse("--vec on").vec, Some(true));
-        assert_eq!(parse("--vec off").vec, Some(false));
-        // Unknown values keep the inherited state rather than aborting.
-        assert_eq!(parse("--vec bogus").vec, None);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! The `plan_digest` field is an FNV-1a hash over every query's
 //! *deterministic* plan and profile JSON (route, operator sequence,
 //! estimates, actual rows, work units) — byte-identical across backends
-//! × shards × threads × vec legs, so the baseline drift check pins the
+//! × shards × threads, so the baseline drift check pins the
 //! planner's decisions without pinning machine-dependent timings.
 
 use kgdual_bench::{build_batches, build_dataset, build_workload, BackendKind, BenchArgs};
@@ -136,7 +136,6 @@ fn run<B: GraphBackend>(args: &BenchArgs) {
 fn main() {
     let args = BenchArgs::parse();
     kgdual_bench::init_obs(&args);
-    kgdual_bench::init_vec(&args);
     match args.backend {
         BackendKind::Adjacency => run::<AdjacencyBackend>(&args),
         BackendKind::Csr => run::<CsrBackend>(&args),

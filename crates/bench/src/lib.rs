@@ -14,7 +14,6 @@
 //! | `fig7_resource_consumption` | Figure 7 — IO/CPU consumed over time |
 //! | `fig8_tuner_comparison` | Figure 8 — DOTIL vs one-off vs LRU vs ideal |
 //! | `bench_sched` | `BENCH_sched.json` — scheduler sweep: wall TTI and tuning-epoch wall across threads × shards |
-//! | `bench_vec` | `BENCH_vec.json` — vectorized-execution gate: wall TTI with batch kernels off and on, per backend |
 //!
 //! Every binary accepts `--scale <fraction-of-paper-size>`, `--seed <u64>`
 //! and `--reps <n>`; paper-scale runs are possible but the defaults are
@@ -41,6 +40,6 @@ pub use experiments::{
     run_variant_comparison_in, ParallelTti, RestartColumn, SchedSweepPoint, SharedDotil,
     VariantKind, WorkloadKind,
 };
-pub use obs::{init_obs, init_vec, write_obs_profile};
+pub use obs::{init_obs, write_obs_profile};
 pub use setup::{build_batches, build_dataset, build_workload};
 pub use table::TablePrinter;

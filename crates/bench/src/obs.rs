@@ -16,16 +16,6 @@ pub fn init_obs(args: &BenchArgs) {
     }
 }
 
-/// Apply an explicit `--vec on|off` to the vectorized-execution switch.
-/// Without the flag the switch keeps its `KGDUAL_VEC` env default, so CI
-/// matrices select the mode without touching every invocation — the same
-/// one-path precedence as `KGDUAL_SHARDS`/`--shards`.
-pub fn init_vec(args: &BenchArgs) {
-    if let Some(on) = args.vec {
-        kgdual_vec::set_enabled(on);
-    }
-}
-
 /// Write the global metrics snapshot (JSON form) to the `--obs-out`
 /// path, if one was given. Returns whether a profile was written; I/O
 /// failures warn and return `false` rather than failing the benchmark
@@ -56,19 +46,6 @@ mod tests {
         let args = BenchArgs::default();
         init_obs(&args);
         assert!(!write_obs_profile(&args));
-    }
-
-    #[test]
-    fn init_vec_applies_only_explicit_flags() {
-        let before = kgdual_vec::enabled();
-        init_vec(&BenchArgs::default());
-        assert_eq!(kgdual_vec::enabled(), before, "absent flag inherits");
-        init_vec(&BenchArgs {
-            vec: Some(!before),
-            ..Default::default()
-        });
-        assert_eq!(kgdual_vec::enabled(), !before);
-        kgdual_vec::set_enabled(before);
     }
 
     #[test]

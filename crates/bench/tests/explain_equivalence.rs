@@ -6,10 +6,9 @@
 //! `QueryProfile::deterministic_json()` (per-operator actual rows and
 //! work units + total work) must be **byte-identical** across the full
 //! configuration grid: graph substrates {adjacency, csr} × shard counts
-//! {1, 4} × worker counts {1, 4, `KGDUAL_THREADS`} × vectorized
-//! execution {on, off}. Wall time, batch counts, and the `vec`/`shards`
-//! fields are observational/config and deliberately excluded — that
-//! split is what this suite pins.
+//! {1, 4} × worker counts {1, 4, `KGDUAL_THREADS`}. Wall time, batch
+//! counts, and the `shards` field are observational/config and
+//! deliberately excluded — that split is what this suite pins.
 //!
 //! A second test drives the same plans over the serve wire
 //! (`"explain": "analyze"`) and requires the wire JSON to agree with
@@ -22,13 +21,7 @@ use kgdual_dotil::{Dotil, DotilConfig};
 use kgdual_exec::{BatchExecutor, SchedShardDispatch, Scheduler, SharedStore};
 use kgdual_graphstore::{AdjacencyBackend, CsrBackend, GraphBackend};
 use kgdual_relstore::TempSpace;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// The vec toggle is process-global; tests that flip it serialize here.
-fn vec_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::Arc;
 
 fn env_threads() -> Option<usize> {
     std::env::var("KGDUAL_THREADS")
@@ -42,9 +35,7 @@ fn env_threads() -> Option<usize> {
 fn cell_canonical<B: GraphBackend + Send + Sync + 'static>(
     shards: usize,
     threads: usize,
-    vec_on: bool,
 ) -> Vec<String> {
-    kgdual_vec::set_enabled(vec_on);
     let args = BenchArgs {
         scale: 0.002,
         shards,
@@ -98,8 +89,7 @@ fn cell_canonical<B: GraphBackend + Send + Sync + 'static>(
 
 #[test]
 fn deterministic_plan_fields_are_identical_across_grid() {
-    let _g = vec_lock();
-    let reference = cell_canonical::<AdjacencyBackend>(1, 1, true);
+    let reference = cell_canonical::<AdjacencyBackend>(1, 1);
     assert!(!reference.is_empty(), "pool must be non-empty");
     assert!(
         reference.iter().any(|c| c.contains("\"route\":\"graph\""))
@@ -116,30 +106,24 @@ fn deterministic_plan_fields_are_identical_across_grid() {
     let mut cells = 0usize;
     for shards in [1usize, 4] {
         for &threads in &thread_counts {
-            for vec_on in [true, false] {
-                for backend in ["adjacency", "csr"] {
-                    let got = match backend {
-                        "adjacency" => cell_canonical::<AdjacencyBackend>(shards, threads, vec_on),
-                        _ => cell_canonical::<CsrBackend>(shards, threads, vec_on),
-                    };
-                    let label = format!("{backend}/{shards} shards/{threads} threads/vec={vec_on}");
-                    assert_eq!(got.len(), reference.len(), "{label}: pool size");
-                    for (i, (g, r)) in got.iter().zip(&reference).enumerate() {
-                        assert_eq!(
-                            g, r,
-                            "{label}: query {i} deterministic plan/profile fields diverged"
-                        );
-                    }
-                    cells += 1;
+            for backend in ["adjacency", "csr"] {
+                let got = match backend {
+                    "adjacency" => cell_canonical::<AdjacencyBackend>(shards, threads),
+                    _ => cell_canonical::<CsrBackend>(shards, threads),
+                };
+                let label = format!("{backend}/{shards} shards/{threads} threads");
+                assert_eq!(got.len(), reference.len(), "{label}: pool size");
+                for (i, (g, r)) in got.iter().zip(&reference).enumerate() {
+                    assert_eq!(
+                        g, r,
+                        "{label}: query {i} deterministic plan/profile fields diverged"
+                    );
                 }
+                cells += 1;
             }
         }
     }
-    assert!(
-        cells >= 16,
-        "grid must sweep at least 16 cells, got {cells}"
-    );
-    kgdual_vec::set_enabled(kgdual_vec::env_enabled());
+    assert!(cells >= 8, "grid must sweep at least 8 cells, got {cells}");
 }
 
 /// The wire exposure must agree with the in-process plan: same route,
@@ -149,8 +133,6 @@ fn served_explain_analyze_matches_in_process_plan() {
     use kgdual_serve::json::Json;
     use kgdual_serve::{ServeClient, ServeConfig, Server};
 
-    let _g = vec_lock();
-    kgdual_vec::set_enabled(true);
     let args = BenchArgs {
         scale: 0.002,
         shards: 4,
@@ -237,5 +219,4 @@ fn served_explain_analyze_matches_in_process_plan() {
     }
     drop(guard);
     server.shutdown();
-    kgdual_vec::set_enabled(kgdual_vec::env_enabled());
 }

@@ -1,8 +1,8 @@
 //! Cross-task request tracing: one `POST /query` must leave one rooted
 //! span tree.
 //!
-//! A seeded served run (4 worker threads, 4 shards, vectorized
-//! execution on) replays the workload pool plus variable-predicate
+//! A seeded served run (4 worker threads, 4 shards) replays the
+//! workload pool plus variable-predicate
 //! queries that fan out across shards. Afterwards the drained trace
 //! must show, for every request, a single root `request` span whose
 //! descendants cover admission and the `query`-class scheduler task —
@@ -39,7 +39,6 @@ fn subtree(root: u64, children: &HashMap<u64, Vec<&SpanRecord>>) -> Vec<SpanReco
 fn served_request_spans_form_one_rooted_tree_across_task_classes() {
     let obs = kgdual_obs::global();
     obs.set_enabled(true);
-    kgdual_vec::set_enabled(true);
 
     let args = BenchArgs {
         scale: 0.002,
@@ -126,5 +125,4 @@ fn served_request_spans_form_one_rooted_tree_across_task_classes() {
     );
 
     obs.set_enabled(kgdual_obs::env_enabled());
-    kgdual_vec::set_enabled(kgdual_vec::env_enabled());
 }

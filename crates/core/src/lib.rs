@@ -52,9 +52,7 @@ pub use tuner::{NoopTuner, PhysicalTuner, TuningOutcome};
 pub use kgdual_sched::{Scheduler, TaskClass};
 pub use variant::StoreVariant;
 
-// The vectorized-execution switch (both executors consult it on every
-// scan/join): re-exported so embedders flip one knob through
-// `kgdual_core::vec` instead of depending on the kernel crate directly.
-// `KGDUAL_VEC={on,off}` sets the initial state; outputs are byte-identical
-// either way — only the wall clock moves.
+// The batch-kernel crate both executors run on, re-exported so embedders
+// can name the `EXPLAIN` types a `QueryOutcome` carries
+// (`vec::PlanDesc`, `vec::QueryProfile`) through `kgdual_core`.
 pub use kgdual_vec as vec;

@@ -203,8 +203,8 @@ fn slot_value(slot: Slot, assignment: &[Option<NodeId>]) -> Option<NodeId> {
 
 /// Seed-scan chunk size: cost is charged per chunk, and a satisfied LIMIT
 /// is noticed at chunk boundaries — identical accounting on every
-/// substrate. Shared with the vectorized kernels so the batched and
-/// row-at-a-time paths charge at the same granularity.
+/// substrate. Shared with the batch kernels so the tail gather and the
+/// general seed scan charge at the same granularity.
 const CHUNK: usize = BATCH;
 
 /// Vectorized tail seed scan: when the *last* pattern in the join order is
@@ -216,15 +216,15 @@ const CHUNK: usize = BATCH;
 /// object column, or the already-bound constant for every other
 /// projection variable. LIMIT pushes into the gather's row cap.
 ///
-/// Work parity with the row path is exact: each chunk charges its full
-/// scan length up front (the row path charges whole chunks even when a
-/// LIMIT is satisfied mid-chunk), and one join unit is charged per emitted
-/// row. The path is skipped under a work limit so DOTIL's λ-cutoff
-/// observes the row path's per-charge interleaving unchanged.
+/// Work matches what [`scan_seed`]'s general recursion would charge for
+/// the same shape: each chunk charges its full scan length up front (the
+/// recursion charges whole chunks even when a LIMIT is satisfied
+/// mid-chunk), and one join unit is charged per emitted row.
 ///
-/// Returns `Ok(false)` when the shape is unsupported (predicate variable,
-/// constant endpoint, non-final depth, unbound non-endpoint projection);
-/// the caller then falls back to the row-at-a-time scan.
+/// Selection is by query shape alone. Returns `Ok(false)` when the shape
+/// is unsupported (predicate variable, constant endpoint, non-final depth,
+/// unbound non-endpoint projection); the caller then takes the
+/// tuple-at-a-time recursion, the matcher's general implementation.
 #[allow(clippy::too_many_arguments)]
 fn try_vec_seed_tail<T: Topology>(
     index: &T,
@@ -237,7 +237,7 @@ fn try_vec_seed_tail<T: Topology>(
     ctx: &mut ExecContext,
     p: PredId,
 ) -> Result<bool, GraphExecError> {
-    if !kgdual_vec::enabled() || ctx.work_limit.is_some() || depth + 1 != order.len() {
+    if depth + 1 != order.len() {
         return Ok(false);
     }
     let pat = &q.patterns[order[depth]];
@@ -266,7 +266,7 @@ fn try_vec_seed_tail<T: Topology>(
         }
     }
     let _span = kgdual_obs::span!("vec_scan", pred = p.0);
-    // `?x p ?x`: the row path's duplicate-variable bind check keeps only
+    // `?x p ?x`: the recursion's duplicate-variable bind check keeps only
     // self-loop edges — the kernel's `s == o` restriction.
     let require_s_eq_o = sv == ov;
     let mut s_col: Vec<NodeId> = Vec::with_capacity(BATCH);

@@ -215,7 +215,7 @@ impl RelStore {
         // arithmetic the greedy order just used, and record its actuals
         // (output rows, work-unit delta) as it executes. Estimates and
         // per-operator work are deterministic across backends × shards ×
-        // threads × vec; batch counts and wall time are observational.
+        // threads; batch counts and wall time are observational.
         let capturing = plan::capturing();
         let mut bound: Vec<VarId> = seed_vars.clone();
 
@@ -423,7 +423,7 @@ impl RelStore {
                 } else {
                     // Full scan — the path complex queries take, and the
                     // reason relational latency grows with data size.
-                    scan_partition(table.scan(), pat, &schema, self_loop, p, ctx, &mut out)?;
+                    scan_partition(table.scan(), pat, self_loop, p, ctx, &mut out)?;
                 }
             }
             PredSlot::Var(_) => {
@@ -436,7 +436,7 @@ impl RelStore {
                 } else {
                     for (p, table) in self.sharded.tables_canonical() {
                         ctx.stats.tables_touched += 1;
-                        scan_partition(table.scan(), pat, &schema, self_loop, p, ctx, &mut out)?;
+                        scan_partition(table.scan(), pat, self_loop, p, ctx, &mut out)?;
                     }
                 }
             }
@@ -445,11 +445,12 @@ impl RelStore {
     }
 
     /// The dispatcher to fan a union scan out with, when installed and
-    /// safe: more than one shard and no work limit. A work-limited
-    /// context (DOTIL's λ cutoff) stops at a bound on *sequentially
-    /// accumulated* work, so counterfactual runs keep the serial path;
-    /// unlimited contexts observe only the final sums, which the parallel
-    /// merge reproduces exactly.
+    /// safe: more than one shard and no work limit. The parallel merge
+    /// sums the jobs' stats without polling, so a work-limited context
+    /// (DOTIL's λ cutoff) fanned out could finish at or above its limit
+    /// and still report "not truncated"; it keeps the serial path, which
+    /// polls after every charge. Unlimited contexts observe only the
+    /// final sums, which the merge reproduces exactly.
     fn union_dispatch(&self, ctx: &ExecContext) -> Option<Arc<dyn ShardDispatch>> {
         if self.sharded.shard_count() > 1 && ctx.work_limit.is_none() {
             self.dispatch.clone()
@@ -458,11 +459,11 @@ impl RelStore {
         }
     }
 
-    /// The dispatcher for parallel hash-join probes: the vectorized probe
-    /// splits its input into ranges and rides them as `ShardScan`-class
-    /// jobs (the PR 2 intra-query-parallelism follow-up). Same safety
-    /// rule as [`Self::union_dispatch`]: work-limited (DOTIL λ-cutoff)
-    /// contexts keep the sequential path.
+    /// The dispatcher for parallel hash-join probes: the probe splits its
+    /// input into ranges and rides them as `ShardScan`-class jobs. Same
+    /// safety rule as [`Self::union_dispatch`]: the merge sums job stats
+    /// without polling, so work-limited (DOTIL λ-cutoff) contexts keep
+    /// the serial probe.
     fn join_dispatch(&self, ctx: &ExecContext) -> Option<Arc<dyn ShardDispatch>> {
         if ctx.work_limit.is_none() {
             self.dispatch.clone()
@@ -506,16 +507,7 @@ impl RelStore {
                 }
                 local.stats.tables_touched += 1;
                 let mut block = Bindings::new(schema.to_vec());
-                let scanned = scan_partition(
-                    table.scan(),
-                    pat,
-                    schema,
-                    self_loop,
-                    p,
-                    &mut local,
-                    &mut block,
-                );
-                match scanned {
+                match scan_partition(table.scan(), pat, self_loop, p, &mut local, &mut block) {
                     Ok(()) => part.per_pred.push((p, block)),
                     Err(ExecError::Cancelled { .. }) => {
                         // The partial work stays visible through the
@@ -612,95 +604,65 @@ impl RelStore {
         let o_index = table.o_index();
         let mut row_buf: Vec<NodeId> = Vec::with_capacity(acc.width() + new_vars);
 
-        // One probe row: append its index matches to `out`, returning
-        // (index rows touched, rows joined). With `charge` the original
-        // row path's exact per-row charge interleaving is kept (probe
-        // per match set, one join charge before each emitted row — the
-        // sequence DOTIL's λ-cutoff partial-work accounting observes);
-        // without it the batched caller sums identical totals per batch.
-        let mut probe_row = |row: &[NodeId],
-                             out: &mut Bindings,
-                             mut charge: Option<&mut ExecContext>|
-         -> Result<(u64, u64), ExecError> {
-            let s_val = match s_src {
-                Src::Const(c) => Some(c),
-                Src::AccCol(c) => Some(row[c]),
-                Src::New => None,
-            };
-            let o_val = match o_src {
-                Src::Const(c) => Some(c),
-                Src::AccCol(c) => Some(row[c]),
-                Src::New => None,
-            };
-            let matches: &[(NodeId, NodeId)] = match (s_val, o_val) {
-                (Some(s), _) => range_of(&s_index, s),
-                (None, Some(o)) => range_of(&o_index, o),
-                (None, None) => unreachable!("INL requires a bound endpoint"),
-            };
-            if let Some(ctx) = charge.as_deref_mut() {
-                ctx.charge_probe(matches.len() as u64)?;
-            }
+        // Charged per 4096-row batch: one probe per input row up front,
+        // then the index rows the batch touched and the rows it joined.
+        for start in (0..acc.len()).step_by(BATCH) {
+            let end = (start + BATCH).min(acc.len());
+            ctx.charge_probe((end - start) as u64)?;
+            let mut probed = 0u64;
             let mut joined = 0u64;
-            for &(k, v) in matches {
-                // `s_index` yields (s, o); `o_index` yields (o, s).
-                let (ms, mo) = if s_val.is_some() { (k, v) } else { (v, k) };
-                if let Some(s) = s_val {
-                    if ms != s {
-                        continue;
+            for row in (start..end).map(|i| acc.row(i)) {
+                let s_val = match s_src {
+                    Src::Const(c) => Some(c),
+                    Src::AccCol(c) => Some(row[c]),
+                    Src::New => None,
+                };
+                let o_val = match o_src {
+                    Src::Const(c) => Some(c),
+                    Src::AccCol(c) => Some(row[c]),
+                    Src::New => None,
+                };
+                let matches: &[(NodeId, NodeId)] = match (s_val, o_val) {
+                    (Some(s), _) => range_of(&s_index, s),
+                    (None, Some(o)) => range_of(&o_index, o),
+                    (None, None) => unreachable!("INL requires a bound endpoint"),
+                };
+                probed += matches.len() as u64;
+                for &(k, v) in matches {
+                    // `s_index` yields (s, o); `o_index` yields (o, s).
+                    let (ms, mo) = if s_val.is_some() { (k, v) } else { (v, k) };
+                    if let Some(s) = s_val {
+                        if ms != s {
+                            continue;
+                        }
                     }
-                }
-                if let Some(o) = o_val {
-                    if mo != o {
-                        continue;
+                    if let Some(o) = o_val {
+                        if mo != o {
+                            continue;
+                        }
                     }
+                    row_buf.clear();
+                    row_buf.extend_from_slice(row);
+                    if matches!((pat.s, s_src), (Slot::Var(_), Src::New)) {
+                        row_buf.push(ms);
+                    }
+                    if matches!((pat.o, o_src), (Slot::Var(_), Src::New)) {
+                        row_buf.push(mo);
+                    }
+                    joined += 1;
+                    out.push_row(&row_buf);
                 }
-                row_buf.clear();
-                row_buf.extend_from_slice(row);
-                if matches!((pat.s, s_src), (Slot::Var(_), Src::New)) {
-                    row_buf.push(ms);
-                }
-                if matches!((pat.o, o_src), (Slot::Var(_), Src::New)) {
-                    row_buf.push(mo);
-                }
-                if let Some(ctx) = charge.as_deref_mut() {
-                    ctx.charge_join(1)?;
-                }
-                joined += 1;
-                out.push_row(&row_buf);
             }
-            Ok((matches.len() as u64, joined))
-        };
-
-        if use_vec(ctx) {
-            // Batched charging: sum the per-row probe/join charges over a
-            // 4096-row batch (identical totals, 4096× fewer governor and
-            // cancellation touches).
-            for start in (0..acc.len()).step_by(BATCH) {
-                let end = (start + BATCH).min(acc.len());
-                ctx.charge_probe((end - start) as u64)?;
-                let mut probed = 0u64;
-                let mut joined = 0u64;
-                for i in start..end {
-                    let (p, j) = probe_row(acc.row(i), &mut out, None)?;
-                    probed += p;
-                    joined += j;
-                }
-                ctx.charge_probe(probed)?;
-                ctx.charge_join(joined)?;
-                kgdual_vec::note_join_batch(joined as usize);
-            }
-        } else {
-            for i in 0..acc.len() {
-                ctx.charge_probe(1)?;
-                probe_row(acc.row(i), &mut out, Some(&mut *ctx))?;
-            }
+            ctx.charge_probe(probed)?;
+            ctx.charge_join(joined)?;
+            kgdual_vec::note_join_batch(joined as usize);
         }
         Ok(out)
     }
 }
 
-/// Emit one `(s, pred, o)` candidate row of a scanned partition into
-/// `out`, applying the pattern's constant and self-loop filters. `schema`
+/// Emit one `(s, pred, o)` candidate row of an index lookup into `out`,
+/// applying the pattern's constant and self-loop filters. `schema`
 /// is the pattern's deduplicated variable schema in first-occurrence
 /// order (subject, predicate, object); predicate bindings are carried as
 /// raw ids in node space.
@@ -748,34 +710,9 @@ fn emit_match(
     out.push_row(&row[..w]);
 }
 
-/// Scan a slice in cancellation-polling chunks, charging IO per row.
-fn scan_chunked<T>(
-    rows: &[T],
-    ctx: &mut ExecContext,
-    mut f: impl FnMut(&T),
-) -> Result<(), ExecError> {
-    for chunk in rows.chunks(BATCH) {
-        ctx.charge_scan(chunk.len() as u64)?;
-        for item in chunk {
-            f(item);
-        }
-    }
-    Ok(())
-}
-
-/// Whether this execution takes the vectorized operators: the process
-/// switch is on and the context carries no work limit. Work-limited
-/// contexts (DOTIL's λ cutoff) keep the row-at-a-time path because their
-/// partial-work accounting observes the per-row charge interleaving; for
-/// everything else the batched twin charges identical totals and emits
-/// identical rows, so the choice is invisible in deterministic outputs.
-fn use_vec(ctx: &ExecContext) -> bool {
-    kgdual_vec::enabled() && ctx.work_limit.is_none()
-}
-
 /// The gather template mirroring [`emit_match`]'s per-row projection: one
 /// [`EmitSrc`] per output column in first-occurrence variable order,
-/// duplicate variables (self-loops) collapsed exactly as the row path
+/// duplicate variables (self-loops) collapsed exactly as [`emit_match`]
 /// collapses them.
 fn scan_template(pat: &EncPattern, pred: PredId) -> Vec<EmitSrc> {
     let mut seen: Vec<VarId> = Vec::with_capacity(3);
@@ -798,24 +735,18 @@ fn scan_template(pat: &EncPattern, pred: PredId) -> Vec<EmitSrc> {
     template
 }
 
-/// Scan one partition's pair run into `out`: the vectorized path gathers
-/// each 4096-row chunk through [`kgdual_vec::gather_pairs`] (one scan
-/// charge and one bulk append per chunk); the row path walks the same
-/// chunks through [`emit_match`]. Identical rows, row order, and charges.
+/// Scan one partition's pair run into `out`, gathering each 4096-row
+/// chunk through [`kgdual_vec::gather_pairs`]: one scan charge (and
+/// cancellation / work-limit poll) and one bulk append per chunk, rows in
+/// `scan()` order.
 fn scan_partition(
     rows: &[(NodeId, NodeId)],
     pat: &EncPattern,
-    schema: &[VarId],
     self_loop: bool,
     pred: PredId,
     ctx: &mut ExecContext,
     out: &mut Bindings,
 ) -> Result<(), ExecError> {
-    if !use_vec(ctx) {
-        return scan_chunked(rows, ctx, |&(s, o)| {
-            emit_match(pat, schema, self_loop, s, pred, o, out);
-        });
-    }
     let _span = kgdual_obs::span!("vec_scan");
     let template = scan_template(pat, pred);
     let s_filter = match pat.s {
@@ -914,7 +845,7 @@ fn probe_range(
 }
 
 /// Hash join of two binding tables on their shared variables (cartesian
-/// product when they share none), with an optional dispatcher: the
+/// product when they share none), with an optional dispatcher that
 /// splits large probe inputs into contiguous ranges and runs them as
 /// `ShardScan`-class jobs on the unified scheduler, merging the output
 /// blocks back in range order — identical rows, row order, and charge
@@ -975,27 +906,16 @@ pub(crate) fn hash_join_dispatch(
     let build_key_cols: Vec<usize> = shared.iter().map(|&v| build.col_of(v).unwrap()).collect();
     let probe_key_cols: Vec<usize> = shared.iter().map(|&v| probe.col_of(v).unwrap()).collect();
 
-    let vectorized = use_vec(ctx);
+    // Build: one hash charge per 4096-row batch; candidate lists keep
+    // build-row order.
     let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
     let mut key_buf: Vec<NodeId> = Vec::with_capacity(build_key_cols.len());
-
-    if vectorized {
-        // Batched build: one hash charge per 4096-row batch, identical
-        // insertion order (candidate lists match the row path's).
-        for start in (0..build.len()).step_by(BATCH) {
-            let end = (start + BATCH).min(build.len());
-            ctx.charge_hash((end - start) as u64)?;
-            for i in start..end {
-                key_buf.clear();
-                key_buf.extend(build_key_cols.iter().map(|&c| build.row(i)[c]));
-                table.entry(mix_key(&key_buf)).or_default().push(i as u32);
-            }
-        }
-    } else {
-        for (i, row) in build.rows().enumerate() {
-            ctx.charge_hash(1)?;
+    for start in (0..build.len()).step_by(BATCH) {
+        let end = (start + BATCH).min(build.len());
+        ctx.charge_hash((end - start) as u64)?;
+        for i in start..end {
             key_buf.clear();
-            key_buf.extend(build_key_cols.iter().map(|&c| row[c]));
+            key_buf.extend(build_key_cols.iter().map(|&c| build.row(i)[c]));
             table.entry(mix_key(&key_buf)).or_default().push(i as u32);
         }
     }
@@ -1005,7 +925,7 @@ pub(crate) fn hash_join_dispatch(
     // order) is deterministic.
     const PROBE_JOB_ROWS: usize = 4 * BATCH;
     let par_jobs = probe.len().div_ceil(PROBE_JOB_ROWS);
-    if vectorized && par_jobs > 1 {
+    if par_jobs > 1 {
         if let Some(dispatch) = dispatch {
             kgdual_vec::vec_obs().probe_dispatches.inc();
             let job = |j: usize| -> ShardScanPart {
@@ -1067,60 +987,25 @@ pub(crate) fn hash_join_dispatch(
         }
     }
 
-    if vectorized {
-        // Serial batched probe: per batch, one probe charge up front and
-        // one join charge for the batch's outputs — same totals as the
-        // row path's per-row charges.
-        for start in (0..probe.len()).step_by(BATCH) {
-            let end = (start + BATCH).min(probe.len());
-            ctx.charge_probe((end - start) as u64)?;
-            let joined = probe_range(
-                build,
-                probe,
-                &table,
-                &build_key_cols,
-                &probe_key_cols,
-                &right_new_cols,
-                build_left,
-                start,
-                end,
-                &mut out,
-            );
-            kgdual_vec::note_join_batch(joined as usize);
-            ctx.charge_join(joined)?;
-        }
-        return Ok(out);
-    }
-
-    let mut row_buf = Vec::with_capacity(left.width() + right_new_cols.len());
-    for prow in probe.rows() {
-        ctx.charge_probe(1)?;
-        key_buf.clear();
-        key_buf.extend(probe_key_cols.iter().map(|&c| prow[c]));
-        let Some(cands) = table.get(&mix_key(&key_buf)) else {
-            continue;
-        };
-        'cand: for &bi in cands {
-            let brow = build.row(bi as usize);
-            // Exact key equality (guards against 64-bit mix collisions).
-            for (bc, pc) in build_key_cols.iter().zip(&probe_key_cols) {
-                if brow[*bc] != prow[*pc] {
-                    continue 'cand;
-                }
-            }
-            let (lrow, rrow) = if build_left {
-                (brow, prow)
-            } else {
-                (prow, brow)
-            };
-            ctx.charge_join(1)?;
-            row_buf.clear();
-            row_buf.extend_from_slice(lrow);
-            for &c in &right_new_cols {
-                row_buf.push(rrow[c]);
-            }
-            out.push_row(&row_buf);
-        }
+    // Serial probe: per batch, one probe charge up front and one join
+    // charge for the batch's outputs.
+    for start in (0..probe.len()).step_by(BATCH) {
+        let end = (start + BATCH).min(probe.len());
+        ctx.charge_probe((end - start) as u64)?;
+        let joined = probe_range(
+            build,
+            probe,
+            &table,
+            &build_key_cols,
+            &probe_key_cols,
+            &right_new_cols,
+            build_left,
+            start,
+            end,
+            &mut out,
+        );
+        kgdual_vec::note_join_batch(joined as usize);
+        ctx.charge_join(joined)?;
     }
     Ok(out)
 }
@@ -1574,6 +1459,24 @@ mod tests {
             panic!("limit of {limit} must cancel")
         };
         assert_eq!(a, b, "λ-cutoff accounting must be shard-invariant");
+    }
+
+    #[test]
+    fn work_limited_scans_take_the_batched_path() {
+        // There is one executor: a λ-cutoff run gathers through the same
+        // batch kernels as every other run.
+        let (store, dict) = academic_store();
+        let q = parse("SELECT ?p WHERE { ?p y:wasBornIn ?c }").unwrap();
+        let Compiled::Query(eq) = compile(&q, &dict).unwrap() else {
+            panic!()
+        };
+        let before = kgdual_vec::batches_emitted();
+        let mut ctx = ExecContext::with_work_limit(1_000);
+        assert_eq!(store.execute(&eq, &mut ctx).unwrap().len(), 4);
+        assert!(
+            kgdual_vec::batches_emitted() > before,
+            "a work-limited scan must emit batches"
+        );
     }
 
     #[test]

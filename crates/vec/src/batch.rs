@@ -4,25 +4,25 @@
 //! Both substrates keep a predicate's edges as sorted pair runs — the
 //! relational [`PredTable`]'s insertion-ordered pair vector and sorted
 //! permutation indexes, and `CsrBackend`'s packed offset/neighbour
-//! arrays. The row-at-a-time path walks those runs calling a per-row
-//! emit closure (binding checks, per-row pushes); the kernels here do
-//! the same selection + projection over a whole 4096-row chunk in one
-//! tight loop, appending finished rows to a flat cell buffer.
+//! arrays. The kernels here apply selection + projection over a whole
+//! 4096-row chunk of those runs in one tight loop, appending finished
+//! rows to a flat cell buffer instead of calling a per-row emit closure
+//! (binding checks, per-row pushes).
 //!
 //! The projection is described by an [`EmitSrc`] template — one entry
 //! per output column, naming where the cell comes from (the subject
 //! column, the object column, or a constant such as an already-bound
 //! variable or the scanned predicate id). Templates are built once per
-//! scan by mirroring the row path's per-row duplicate-variable skipping,
-//! so a kernel emits byte-identical rows in byte-identical order.
+//! scan with duplicate variables collapsed to their first occurrence,
+//! the same schema a per-row emit produces, and rows come out in chunk
+//! order.
 //!
 //! [`PredTable`]: https://docs.rs/kgdual-relstore
 
 use kgdual_model::NodeId;
 
-/// Rows per batch. Matches the 4096-row chunking the row-at-a-time scan
-/// paths already charge work at, so batched operators charge identical
-/// work-unit totals at identical granularity.
+/// Rows per batch: the granularity at which operators charge work and
+/// poll for cancellation or the work limit.
 pub const BATCH: usize = 4096;
 
 /// Source of one output column in a gathered row.

@@ -4,7 +4,7 @@
 //! move from row-at-a-time operators to fixed-size column batches, plus
 //! the small Selinger-style cost model both substrates plan with.
 //!
-//! Three things live here, deliberately below every store crate so both
+//! These live here, deliberately below every store crate so both
 //! `kgdual-relstore` and `kgdual-graphstore` can share them:
 //!
 //! * [`batch`] — the batch kernels: tight gather loops that turn a chunk
@@ -18,25 +18,24 @@
 //!   [`Topology`]/`TableStats` already report. The store planners
 //!   delegate here, so the relational and graph substrates price
 //!   patterns with one shared formula set.
-//! * the **mode switch** — one process-wide flag, on by default,
-//!   initialized from `KGDUAL_VEC` (`off`/`0`/`false` disable) and
-//!   flippable at runtime with [`set_enabled`] so equivalence suites can
-//!   compare both paths in one process.
+//! * [`plan`] — the `EXPLAIN` plan and profile types both planners fill.
 //!
 //! ## The determinism contract
 //!
-//! Vectorization is a *physical* change only. Every batched operator
-//! charges the exact work units its row-at-a-time twin charges (scan
-//! charges per 4096-row chunk, probe/hash/join charges summed per batch
-//! from the same reported sizes), and emits rows in the exact same
+//! The batched operators are the relational store's only executor. They
+//! charge work from reported sizes (scan charges per 4096-row chunk,
+//! probe/hash/join charges summed per batch) and emit rows in a fixed
 //! order, so digests, row order under LIMIT, work units, simulated TTI,
-//! routes, and DOTIL trails are byte-identical with the switch on or
-//! off. `crates/bench/tests/vec_equivalence.rs` pins this across
-//! backends × shards × threads.
+//! routes, and DOTIL trails are identical across backends × shards ×
+//! threads. Every charge polls the work limit, and work only grows, so a
+//! λ-cutoff run (DOTIL's counterfactual, `ExecContext::work_limit`) is
+//! cut off if and only if the work it charges while executing reaches
+//! the limit (the result-row charge lands after the last poll); where
+//! inside a batch it stops is never read.
 //!
 //! Batched paths additionally bump an always-on relaxed counter
 //! ([`batches_emitted`]) — one atomic add per 4096-row batch — so tests
-//! can assert the vectorized code actually ran; the distributional view
+//! and `kgbench` can see the batch kernels ran; the distributional view
 //! (per-operator batch-size histograms) is obs-gated in [`obs`].
 //!
 //! [`Topology`]: https://docs.rs/kgdual-graphstore
@@ -50,43 +49,15 @@ pub use batch::{gather_columns, gather_pairs, EmitSrc, BATCH};
 pub use obs::{vec_obs, VecObs};
 pub use plan::{OpKind, OpProfile, PlanDesc, PlanStep, QueryProfile};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
-
-/// The `KGDUAL_VEC` selection: vectorization is **on by default** and
-/// only `off`, `0`, or `false` disable it.
-pub fn env_enabled() -> bool {
-    !matches!(
-        std::env::var("KGDUAL_VEC").as_deref(),
-        Ok("off") | Ok("0") | Ok("false")
-    )
-}
-
-fn flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| AtomicBool::new(env_enabled()))
-}
-
-/// Whether batched operators are currently selected. Callers must treat
-/// this as a pure performance hint: both answers produce byte-identical
-/// deterministic outputs.
-pub fn enabled() -> bool {
-    flag().load(Ordering::Relaxed)
-}
-
-/// Flip the process-wide mode at runtime (tests and `bench_vec` compare
-/// both paths in one process).
-pub fn set_enabled(on: bool) {
-    flag().store(on, Ordering::Relaxed)
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 static SCAN_BATCHES: AtomicU64 = AtomicU64::new(0);
 static JOIN_BATCHES: AtomicU64 = AtomicU64::new(0);
 
 /// Total batches emitted by vectorized operators since process start
 /// (scan gathers + join build/probe batches). Always counted — one
-/// relaxed add per ~4096 rows — so equivalence tests can assert the
-/// vectorized path really executed. Monotonic; never reset.
+/// relaxed add per ~4096 rows — so tests can assert the batch kernels
+/// really executed. Monotonic; never reset.
 pub fn batches_emitted() -> u64 {
     SCAN_BATCHES.load(Ordering::Relaxed) + JOIN_BATCHES.load(Ordering::Relaxed)
 }
@@ -109,18 +80,6 @@ pub fn note_join_batch(rows: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_mode_is_on_and_flippable() {
-        // The test process may have KGDUAL_VEC set by a CI leg; only the
-        // runtime flip is asserted unconditionally.
-        let before = enabled();
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(before);
-    }
 
     #[test]
     fn batch_counter_is_monotonic() {

@@ -1,7 +1,7 @@
 //! kgdual-obs handles for the vectorized operators, registered once per
 //! process. Observational only: the deterministic work accounting stays
-//! in the stores' `ExecStats`, and the always-on batch counter used by
-//! equivalence tests lives in [`crate::batches_emitted`].
+//! in the stores' `ExecStats`, and the always-on batch counter lives in
+//! [`crate::batches_emitted`].
 
 use std::sync::OnceLock;
 

@@ -15,11 +15,11 @@
 //! ## Determinism
 //!
 //! [`PlanDesc::deterministic_json`] covers the fields the equivalence
-//! suites pin byte-identical across backends × shards × threads × vec
-//! legs: the route, the operator sequence, per-operator estimates, and
-//! (on the profile side, [`QueryProfile::deterministic_json`]) actual
-//! row counts and work units. The `vec` flag and shard fan-out vary by
-//! configuration and wall-ns/batch counts by machine, so the full
+//! suites pin byte-identical across backends × shards × threads: the
+//! route, the operator sequence, per-operator estimates, and (on the
+//! profile side, [`QueryProfile::deterministic_json`]) actual row counts
+//! and work units. Shard fan-out varies by configuration and
+//! wall-ns/batch counts by machine, so the full
 //! [`PlanDesc::to_json`]/[`QueryProfile::to_json`] forms carry them but
 //! the deterministic forms exclude them.
 //!
@@ -74,14 +74,15 @@ pub struct PlanStep {
 }
 
 /// Per-operator actuals accumulated during execution, parallel to the
-/// plan's step list. Rows and work units are deterministic; batches are
-/// vec-leg-dependent and wall-ns machine-dependent (observational only).
+/// plan's step list. Rows and work units are deterministic; batches and
+/// wall-ns are observational only.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct OpProfile {
     /// Rows this operator actually produced.
     pub actual_rows: u64,
-    /// Vectorized batches the operator emitted (0 on the row-at-a-time
-    /// leg; approximate when concurrent queries share the process).
+    /// Vectorized batches the operator emitted (0 for the graph
+    /// matcher's tuple-at-a-time steps; approximate when concurrent
+    /// queries share the process).
     pub batches: u64,
     /// Deterministic work units charged while the operator ran.
     pub work: u64,
@@ -95,9 +96,6 @@ pub struct OpProfile {
 pub struct PlanDesc {
     /// Which store(s) the router chose (`route_name` spelling).
     pub route: &'static str,
-    /// Whether vectorized operators were selected (configuration, not
-    /// part of the deterministic form).
-    pub vec: bool,
     /// Relational shard fan-out (configuration, not deterministic).
     pub shards: usize,
     /// Operators in execution order.
@@ -106,7 +104,7 @@ pub struct PlanDesc {
 
 impl PlanDesc {
     /// The deterministic fields only — byte-identical across backends ×
-    /// shards × threads × vec legs by the equivalence contract.
+    /// shards × threads by the equivalence contract.
     pub fn deterministic_json(&self) -> String {
         let mut out = format!("{{\"route\":\"{}\",\"steps\":[", self.route);
         for (i, s) in self.steps.iter().enumerate() {
@@ -128,15 +126,14 @@ impl PlanDesc {
     /// The full JSON form (adds the configuration fields).
     pub fn to_json(&self) -> String {
         let det = self.deterministic_json();
-        // Splice the config fields after "route" so consumers see one
-        // flat object: {"route":..,"vec":..,"shards":..,"steps":[..]}.
+        // Splice the config field after "route" so consumers see one
+        // flat object: {"route":..,"shards":..,"steps":[..]}.
         let steps_at = det
             .find(",\"steps\"")
             .expect("deterministic form has steps");
         format!(
-            "{},\"vec\":{},\"shards\":{}{}",
+            "{},\"shards\":{}{}",
             &det[..steps_at],
-            self.vec,
             self.shards,
             &det[steps_at..]
         )
@@ -145,10 +142,7 @@ impl PlanDesc {
     /// Indented text rendering (the `kgdual-explain` output). With a
     /// profile, each line carries estimate vs actual and timing.
     pub fn render_text(&self, profile: Option<&QueryProfile>) -> String {
-        let mut out = format!(
-            "route={} vec={} shards={}\n",
-            self.route, self.vec, self.shards
-        );
+        let mut out = format!("route={} shards={}\n", self.route, self.shards);
         for (i, s) in self.steps.iter().enumerate() {
             out.push_str(&"  ".repeat(i + 1));
             out.push_str(&format!(
@@ -348,7 +342,6 @@ mod tests {
     fn sample_plan() -> PlanDesc {
         PlanDesc {
             route: "graph",
-            vec: true,
             shards: 4,
             steps: vec![
                 PlanStep {
@@ -377,12 +370,11 @@ mod tests {
              {\"op\":\"graph_seed\",\"kind\":\"scan\",\"pattern\":1,\"est_rows\":120},\
              {\"op\":\"graph_extend\",\"kind\":\"join\",\"pattern\":0,\"est_rows\":1.5}]}"
         );
-        assert!(!det.contains("vec"), "vec leg is configuration");
         assert!(!det.contains("shards"), "fan-out is configuration");
-        // The full form carries them, with the deterministic fields
+        // The full form carries it, with the deterministic fields
         // verbatim.
         let full = plan.to_json();
-        assert!(full.contains("\"vec\":true,\"shards\":4"));
+        assert!(full.contains("\"route\":\"graph\",\"shards\":4,\"steps\""));
         assert!(full.contains("\"est_rows\":120"));
     }
 
@@ -404,7 +396,7 @@ mod tests {
             "{\"ops\":[{\"actual_rows\":100,\"work\":7}],\"total_work\":7}"
         );
         assert!(!det.contains("wall"), "wall clock is machine-dependent");
-        assert!(!det.contains("batches"), "batches are vec-leg-dependent");
+        assert!(!det.contains("batches"), "batch counts are observational");
         assert!(prof.to_json().contains("\"wall_ns\":12345"));
     }
 
@@ -451,7 +443,7 @@ mod tests {
     fn render_text_indents_the_pipeline() {
         let plan = sample_plan();
         let text = plan.render_text(None);
-        assert!(text.starts_with("route=graph vec=true shards=4\n"));
+        assert!(text.starts_with("route=graph shards=4\n"));
         assert!(text.contains("  -> graph_seed pattern#1 est=120\n"));
         assert!(text.contains("    -> graph_extend pattern#0 est=1.5\n"));
         let prof = QueryProfile {

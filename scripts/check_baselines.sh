@@ -13,9 +13,7 @@
 # yago/rdb_gdb_dotil: sim_tti_ns 123 -> 456", not a bare unified diff.
 #
 # CHECK_ONLY selects a comma-separated subset of the sections
-# ({deterministic,sched,serve,explain,vec}); unset runs everything. CI's
-# perf-smoke job runs `CHECK_ONLY=vec scripts/check_baselines.sh` to get
-# the vectorization gate without re-running the whole battery.
+# ({deterministic,sched,serve,explain}); unset runs everything.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -112,8 +110,7 @@ fi
 # committed capture and compare the deterministic fields (work units,
 # simulated TTI, result rows, OfflineTuning task counts per cell). Wall
 # clocks and host_parallelism are machine-dependent and stripped. The
-# re-run also re-asserts the determinism grid in-binary, and on hosts
-# with >1 CPU the multi-threaded tuning-epoch speedup.
+# re-run also re-asserts the determinism grid in-binary.
 if want sched; then
   SCHED=docs/baselines/BENCH_sched.json
   [ -f "$SCHED" ] || { echo "missing $SCHED — run scripts/capture_baselines.sh first"; exit 1; }
@@ -124,8 +121,7 @@ if want sched; then
 
   fresh_sched=$(mktmp)
   cargo run --release -q -p kgdual-bench --bin bench_sched -- \
-    --scale "$sched_scale" --seed "$sched_seed" --reps "$sched_reps" \
-    --assert-speedup true > "$fresh_sched"
+    --scale "$sched_scale" --seed "$sched_seed" --reps "$sched_reps" > "$fresh_sched"
 
   # Flatten each sweep cell into a keyed TSV row (threads/shards key,
   # deterministic columns only) so compare_rows can name what moved.
@@ -248,54 +244,6 @@ if want explain; then
       echo "  $EXPLAIN: plan_digest $base_digest -> $fresh_digest (deterministic plan/profile fields drifted)"
     echo
     echo "EXPLAIN DRIFT: deterministic plan fields differ from $EXPLAIN (named rows above)."
-    echo "If intended, regenerate with scripts/capture_baselines.sh and commit."
-    exit 1
-  fi
-fi
-
-# The vectorization gate: re-run bench_vec at the parameters pinned in
-# the committed capture and compare the deterministic totals per backend
-# (work units, result rows, simulated TTI — identical with the kernels
-# off and on by the equivalence contract, so one set of columns covers
-# both modes). Wall clocks and the speedup ratio are trajectory data and
-# stripped; the re-run re-asserts the off/on equivalence in-binary, and
-# on hosts with >1 CPU the vectorized speedup.
-if want vec; then
-  VEC=docs/baselines/BENCH_vec.json
-  [ -f "$VEC" ] || { echo "missing $VEC — run scripts/capture_baselines.sh first"; exit 1; }
-
-  vec_scale=$(sed -nE 's/.*"scale": ([0-9.]+).*/\1/p' "$VEC" | head -1)
-  vec_seed=$(sed -nE 's/.*"seed": ([0-9]+).*/\1/p' "$VEC" | head -1)
-  vec_reps=$(sed -nE 's/.*"reps": ([0-9]+).*/\1/p' "$VEC" | head -1)
-  vec_threads=$(sed -nE 's/.*"threads": ([0-9]+).*/\1/p' "$VEC" | head -1)
-  vec_shards=$(sed -nE 's/.*"shards": ([0-9]+).*/\1/p' "$VEC" | head -1)
-
-  fresh_vec=$(mktmp)
-  cargo run --release -q -p kgdual-bench --bin bench_vec -- \
-    --scale "$vec_scale" --seed "$vec_seed" --reps "$vec_reps" \
-    --threads "$vec_threads" --shards "$vec_shards" \
-    --assert-speedup true > "$fresh_vec"
-
-  # Flatten each backend into one keyed TSV row (backend/workload key,
-  # deterministic columns only) so compare_rows can name what moved.
-  vec_rows() {
-    {
-      printf '# backend\tworkload\ttotal_work\tresult_rows\tsim_tti_ns\n'
-      sed -nE 's/.*"backend": "([a-z]+)", "workload": "([a-z]+)", "total_work": ([0-9]+), "result_rows": ([0-9]+), "sim_tti_ns": ([0-9]+).*/\1\t\2\t\3\t\4\t\5/p' "$1"
-    }
-  }
-
-  vec_base=$(mktmp)
-  vec_fresh_rows=$(mktmp)
-  vec_rows "$VEC" > "$vec_base"
-  vec_rows "$fresh_vec" > "$vec_fresh_rows"
-  [ "$(grep -c . "$vec_base")" -gt 1 ] || { echo "could not parse backend rows from $VEC"; exit 1; }
-
-  if compare_rows "$VEC" "$vec_base" "$vec_fresh_rows"; then
-    echo "OK: BENCH_vec deterministic totals unchanged"
-  else
-    echo
-    echo "VEC DRIFT: per-backend totals differ from $VEC (named rows above)."
     echo "If intended, regenerate with scripts/capture_baselines.sh and commit."
     exit 1
   fi

@@ -19,11 +19,13 @@ fn dataset_from(raw: &[(u8, u8, u8)]) -> Dataset {
 }
 
 /// Render a random BGP: patterns pick subject/object from a tiny pool of
-/// variables and constants, predicates are always bound (every pattern
-/// must map to a partition for graph execution).
+/// variables and constants. A pattern whose last field is 1 gets a
+/// variable predicate; every other predicate is bound. Tests that run the
+/// graph store generate 0 there (every pattern must map to a partition
+/// for graph execution).
 fn render_query(patterns: &[(u8, bool, u8, u8, bool, u8)]) -> String {
     let mut out = String::from("SELECT * WHERE { ");
-    for &(s, s_is_var, p, o, o_is_var, _) in patterns {
+    for &(s, s_is_var, p, o, o_is_var, var_pred) in patterns {
         let subj = if s_is_var {
             format!("?v{}", s % 4)
         } else {
@@ -34,7 +36,12 @@ fn render_query(patterns: &[(u8, bool, u8, u8, bool, u8)]) -> String {
         } else {
             format!("n:{}", o % 8)
         };
-        out.push_str(&format!("{subj} p:{} {obj} . ", p % 4));
+        let pred = if var_pred == 1 {
+            format!("?q{}", p % 2)
+        } else {
+            format!("p:{}", p % 4)
+        };
+        out.push_str(&format!("{subj} {pred} {obj} . "));
     }
     out.push('}');
     out
@@ -76,6 +83,66 @@ fn check_topology<T: kgdual::graphstore::Topology>(
         prop_assert_eq!(topo.in_neighbours(n, pred).collect::<Vec<_>>(), inc);
     }
     Ok(())
+}
+
+/// LIMIT keeps a prefix of each executor's enumeration order, checked
+/// against a brute-force expectation on one partition spanning three
+/// 4096-row chunks, cut mid-chunk: the relational store emits rows in
+/// load order (`scan()` is append-ordered), both graph substrates in
+/// ascending `(s, o)` order with duplicates kept (`Topology::seed_edges`'
+/// canonical order), and the two graph substrates charge identical work.
+#[test]
+fn limit_keeps_each_executors_enumeration_prefix() {
+    use kgdual::sparql::{EncPattern, PredSlot, Slot};
+    let p0 = PredId(0);
+    // Edge i and edge i + 4096 coincide, so the partition has duplicates.
+    let edges: Vec<(NodeId, NodeId)> = (0..10_000u32)
+        .map(|i| (NodeId(i % 512), NodeId(20_000 + (i * 7) % 4096)))
+        .collect();
+    let mut rel = RelStore::new();
+    rel.load_partition(p0, &edges);
+    let mut adj = AdjacencyBackend::new(edges.len());
+    adj.load_partition(p0, &edges).unwrap();
+    let mut csr = CsrBackend::new(edges.len());
+    csr.load_partition(p0, &edges).unwrap();
+
+    let q = EncodedQuery {
+        vars: vec![Var::new("s"), Var::new("o")],
+        patterns: vec![EncPattern {
+            s: Slot::Var(0),
+            p: PredSlot::Const(p0),
+            o: Slot::Var(1),
+        }],
+        projection: vec![0, 1],
+        distinct: false,
+        limit: Some(5_000),
+    };
+    let rows_of = |pairs: &[(NodeId, NodeId)]| {
+        let mut b = Bindings::new(vec![0, 1]);
+        for &(s, o) in pairs {
+            b.push_row(&[s, o]);
+        }
+        b
+    };
+
+    let mut ctx = ExecContext::new();
+    let got = rel.execute(&q, &mut ctx).unwrap();
+    assert_eq!(got, rows_of(&edges[..5_000]), "relational: load order");
+
+    let mut canonical = edges.clone();
+    canonical.sort_unstable();
+    let expected = rows_of(&canonical[..5_000]);
+    let mut adj_ctx = ExecContext::new();
+    let got = GraphBackend::execute(&adj, &q, &mut adj_ctx).unwrap();
+    assert_eq!(got, expected, "adjacency: ascending (s, o)");
+    let mut csr_ctx = ExecContext::new();
+    let got = GraphBackend::execute(&csr, &q, &mut csr_ctx).unwrap();
+    assert_eq!(got, expected, "csr: ascending (s, o)");
+    assert_eq!(
+        adj_ctx.stats.work_units(),
+        csr_ctx.stats.work_units(),
+        "graph substrates charge identical work"
+    );
 }
 
 proptest! {
@@ -269,6 +336,71 @@ proptest! {
         let mut b = ExecContext::new();
         let rb = forced.rel().execute(&eq, &mut b).unwrap();
         prop_assert_eq!(fingerprint(&ra), fingerprint(&rb), "query: {}", src);
+    }
+
+    /// The contract DOTIL's λ cutoff relies on: `counterfactual::measure`
+    /// reads only whether a work-limited run was cut off and, if not, its
+    /// work. A run under `work_limit = L` must be cancelled if and only
+    /// if the work it charges while executing reaches `L`, and otherwise
+    /// return the unlimited run's rows and work exactly. The result-row
+    /// charge lands after the last poll, so that threshold is the total
+    /// work `W` minus `rows_output`. Checked on one shard and on four
+    /// shards with a dispatcher installed, which a limited run must not
+    /// fan out on (variable predicates make union scans).
+    #[test]
+    fn work_limit_cuts_off_iff_charged_work_reaches_it(
+        triples in prop::collection::vec((0u8..12, 0u8..4, 0u8..12), 1..60),
+        patterns in prop::collection::vec(
+            (0u8..8, any::<bool>(), 0u8..4, 0u8..8, any::<bool>(), 0u8..2),
+            1..4
+        ),
+    ) {
+        use kgdual::relstore::{ExecError, SerialDispatch};
+        let dual = DualStore::from_dataset(dataset_from(&triples), 0);
+        let src = render_query(&patterns);
+        let Compiled::Query(eq) = compile(&parse(&src).unwrap(), dual.dict()).unwrap() else {
+            return Ok(());
+        };
+        let mut sharded = RelStore::with_shards(4);
+        for p in dual.rel().preds() {
+            sharded.load_partition(p, dual.rel().table(p).unwrap().scan());
+        }
+        sharded.set_shard_dispatch(std::sync::Arc::new(SerialDispatch));
+
+        let mut unlimited = ExecContext::new();
+        let rows = dual.rel().execute(&eq, &mut unlimited).unwrap();
+        let w = unlimited.stats.work_units();
+        let charged = w - unlimited.stats.rows_output;
+        for store in [dual.rel(), &sharded] {
+            let mut ctx = ExecContext::new();
+            prop_assert_eq!(&store.execute(&eq, &mut ctx).unwrap(), &rows, "query: {}", src);
+            prop_assert_eq!(ctx.stats.work_units(), w, "query: {}", src);
+            for limit in [1, w / 2, w, w + 1, charged, charged + 1] {
+                if limit == 0 {
+                    continue;
+                }
+                let mut ctx = ExecContext::with_work_limit(limit);
+                match store.execute(&eq, &mut ctx) {
+                    Err(ExecError::Cancelled { partial_work }) => {
+                        prop_assert!(
+                            charged >= limit,
+                            "cut off at limit {} with only {} charged on {}",
+                            limit, charged, src
+                        );
+                        prop_assert!(
+                            (limit..=charged).contains(&partial_work),
+                            "partial work {} outside [{}, {}] on {}",
+                            partial_work, limit, charged, src
+                        );
+                    }
+                    Ok(got) => {
+                        prop_assert!(charged < limit, "ran past {} on {}", limit, src);
+                        prop_assert_eq!(&got, &rows, "query: {}", src);
+                        prop_assert_eq!(ctx.stats.work_units(), w, "query: {}", src);
+                    }
+                }
+            }
+        }
     }
 
     /// The graph substrates are interchangeable: identical partition
