@@ -518,11 +518,13 @@ pub struct SchedSweepPoint {
     pub sim_tti_ns: u128,
     /// Total result rows (thread- and shard-invariant).
     pub result_rows: u64,
-    /// `OfflineTuning` tasks the pool executed. Thread-invariant: DOTIL
-    /// routes every covered-wave measurement through
-    /// `Scheduler::run_indexed`, whose inline fast path (serial cells,
-    /// single-element waves) counts in the same per-class stats as the
-    /// pooled path.
+    /// `OfflineTuning` tasks the pool executed: the covered-wave cost
+    /// pairs DOTIL actually measured, i.e. those its cost-pair memo
+    /// missed. Pairs replayed from the memo execute nothing. Thread- and
+    /// shard-invariant: the memo's hits depend only on the shapes and the
+    /// writes, and every miss goes through `Scheduler::run_indexed`, whose
+    /// inline fast path (serial cells, single-element waves) counts in the
+    /// same per-class stats as the pooled path.
     pub tuning_tasks: u64,
 }
 

@@ -13,7 +13,14 @@ use crate::error::CoreError;
 use kgdual_graphstore::{AdjacencyBackend, GraphBackend};
 use kgdual_model::{Dataset, Dictionary, PredId, Term, Triple};
 use kgdual_relstore::{PlannerConfig, RelStore, ResourceGovernor, ShardDispatch, ShardRouter};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// A fresh data version, unique across every store in the process.
+fn next_data_version() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
 
 /// A snapshot of the current physical design.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -48,6 +55,7 @@ pub struct DualStore<B: GraphBackend = AdjacencyBackend> {
     graph: B,
     governor: Arc<ResourceGovernor>,
     case2_guard: bool,
+    data_version: u64,
 }
 
 /// Default-backend constructors. These live on the concrete type so that
@@ -142,7 +150,20 @@ impl<B: GraphBackend> DualStore<B> {
             graph: B::with_budget(budget),
             governor: Arc::new(governor),
             case2_guard: true,
+            data_version: next_data_version(),
         }
+    }
+
+    /// Identifies the triples this store holds: drawn from a process-wide
+    /// counter at construction and redrawn after every successful
+    /// [`insert`](Self::insert) and every [`delete`](Self::delete) that
+    /// removed a row, so two stores never share a version. Migration,
+    /// eviction, design restore, governor and index warm-up change
+    /// residency or caches, not triples, and keep it. Anything that is a
+    /// pure function of the triples (DOTIL's counterfactual cost pairs)
+    /// stays valid for as long as this value does.
+    pub fn data_version(&self) -> u64 {
+        self.data_version
     }
 
     /// Whether the Case-2 blowup guard is active (DESIGN.md D6; on by
@@ -284,6 +305,7 @@ impl<B: GraphBackend> DualStore<B> {
     pub fn insert(&mut self, t: Triple) -> Result<(), CoreError> {
         self.graph.insert_edge(t)?;
         self.rel.insert(t);
+        self.data_version = next_data_version();
         Ok(())
     }
 
@@ -292,6 +314,9 @@ impl<B: GraphBackend> DualStore<B> {
     pub fn delete(&mut self, t: Triple) -> usize {
         let removed = self.rel.delete(t);
         self.graph.delete_edge(t);
+        if removed > 0 {
+            self.data_version = next_data_version();
+        }
         removed
     }
 
@@ -423,6 +448,7 @@ mod tests {
 
         // p0's advisor p5 born where p0 was: a row of the query below, had
         // only `T_R` taken it.
+        let version = dual.data_version();
         let err = dual
             .insert_terms(&Term::iri("y:p5"), "y:wasBornIn", &Term::iri("y:c0"))
             .unwrap_err();
@@ -436,6 +462,11 @@ mod tests {
         ));
         assert_eq!(dual.rel().partition_len(born), 10);
         assert_eq!(dual.graph().partition_len(born), 10);
+        assert_eq!(
+            dual.data_version(),
+            version,
+            "a refused insert keeps the version"
+        );
 
         let query = kgdual_sparql::parse(
             "SELECT ?a ?b WHERE { ?a y:wasBornIn ?c . ?b y:wasBornIn ?c . ?a y:hasAcademicAdvisor ?b }",
@@ -482,5 +513,39 @@ mod tests {
         assert_eq!(dual.delete(t), 1);
         assert_eq!(dual.rel().partition_len(born), 10);
         assert_eq!(dual.graph().partition_len(born), 10);
+    }
+
+    #[test]
+    fn data_version_moves_with_triples_only() {
+        let mut dual = DualStore::from_dataset(dataset(), 100);
+        let other = DualStore::from_dataset(dataset(), 100);
+        assert_ne!(dual.data_version(), other.data_version(), "one per store");
+
+        // Residency and caches: same triples, same version.
+        let v0 = dual.data_version();
+        let born = dual.dict().pred_id("y:wasBornIn").unwrap();
+        dual.migrate_partition(born).unwrap();
+        assert_eq!(dual.data_version(), v0, "migrate");
+        let snapshot = dual.save_design();
+        assert_eq!(dual.evict_partition(born), 10);
+        assert_eq!(dual.data_version(), v0, "evict");
+        dual.restore_design(&snapshot).unwrap();
+        assert!(dual.graph().is_loaded(born));
+        assert_eq!(dual.data_version(), v0, "restore_design");
+        dual.set_governor(ResourceGovernor::unlimited());
+        dual.warm_rel_indexes();
+        assert_eq!(dual.data_version(), v0, "governor and index warm-up");
+
+        // Writes that change the triples draw a fresh version.
+        let t = dual
+            .insert_terms(&Term::iri("y:new"), "y:wasBornIn", &Term::iri("y:c0"))
+            .unwrap();
+        let v1 = dual.data_version();
+        assert_ne!(v1, v0, "insert");
+        assert_eq!(dual.delete(Triple::new(t.o, t.p, t.s)), 0);
+        assert_eq!(dual.data_version(), v1, "a delete that removed nothing");
+        assert_eq!(dual.delete(t), 1);
+        let v2 = dual.data_version();
+        assert!(v2 != v1 && v2 != v0, "a delete that removed a row");
     }
 }

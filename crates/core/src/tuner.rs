@@ -25,7 +25,10 @@ pub struct TuningOutcome {
     /// Triples moved out.
     pub triples_out: u64,
     /// Offline work units spent (training + migration), excluded from TTI
-    /// per the paper's offline-tuning model.
+    /// per the paper's offline-tuning model. This is Algorithm 2's
+    /// accounting: every cost pair a Q-update uses bills its `c1 + c2`,
+    /// even when a tuner served the pair from a memo instead of executing
+    /// it again.
     pub offline_work: u64,
 }
 

@@ -16,6 +16,13 @@
 //! contention the paper studies in §6.3.3 are real there — both runs
 //! charge the dual store's shared governor exactly like the online query
 //! path — while the measured work units stay scheduling-invariant.
+//!
+//! A [`CostPair`] depends only on the subquery's encoded patterns, λ and
+//! the triples of the partitions it reads: complex subqueries have
+//! constant predicates, `T_R` is always complete and `T_G` holds copies,
+//! so residency never enters it. `Dotil` memoises pairs per shape for one
+//! `DualStore::data_version` and calls [`measure`] only on a miss — a
+//! shape that recurs between writes runs Algorithm 2 once.
 
 use kgdual_core::DualStore;
 use kgdual_graphstore::GraphBackend;

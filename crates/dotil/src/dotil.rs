@@ -9,9 +9,10 @@ use kgdual_model::design::{FieldReader, FieldWriter};
 use kgdual_model::fx::FxHashMap;
 use kgdual_model::{DesignError, PredId};
 use kgdual_sched::{Scheduler, TaskClass};
-use kgdual_sparql::{compile, Compiled, EncodedQuery, Query, Selection, TriplePattern};
+use kgdual_sparql::{compile, Compiled, EncPattern, EncodedQuery, Query, Selection, TriplePattern};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 /// Version byte of DOTIL's persisted-state payload (inside the design
 /// snapshot's tuner section).
@@ -27,6 +28,10 @@ struct DotilObs {
     wave_measure_wall: kgdual_obs::Histogram,
     /// Q-matrix cell updates applied.
     q_updates: kgdual_obs::Counter,
+    /// Cost pairs served from the memo without running Algorithm 2.
+    cost_memo_hits: kgdual_obs::Counter,
+    /// Cost pairs the memo lacked, so Algorithm 2 ran.
+    cost_memo_misses: kgdual_obs::Counter,
     /// Partitions evicted from the graph store.
     evictions: kgdual_obs::Counter,
     /// Partitions migrated into the graph store.
@@ -41,6 +46,8 @@ fn dotil_obs() -> &'static DotilObs {
             tune_wall: m.histogram("dotil_tune_wall_ns"),
             wave_measure_wall: m.histogram("dotil_wave_measure_wall_ns"),
             q_updates: m.counter("dotil_q_updates"),
+            cost_memo_hits: m.counter("dotil_cost_memo_hits"),
+            cost_memo_misses: m.counter("dotil_cost_memo_misses"),
             evictions: m.counter("dotil_evictions"),
             migrations: m.counter("dotil_migrations"),
         }
@@ -63,9 +70,24 @@ type RoleGroup<'a> = (&'a [(PredId, usize, usize)], usize);
 /// which would execute the same subquery twice; we measure the cost pair
 /// once and apply both updates from it — the same rewards at half the
 /// training cost.
+///
+/// A second one: a cost pair is a pure function of the subquery's encoded
+/// patterns, λ and the triples of the partitions it reads — complex
+/// subqueries have constant predicates only, `T_R` is always complete and
+/// `T_G` holds copies, so residency never enters it. Pairs are therefore
+/// memoised per shape for one [`DualStore::data_version`]: a shape that
+/// recurs across tuning passes with no write in between is measured once,
+/// however often the design migrates or evicts in the meantime. The memo
+/// is not persisted; [`import_state_bytes`](Self::import_state_bytes)
+/// clears it.
 pub struct Dotil {
     cfg: DotilConfig,
     q: FxHashMap<PredId, QMatrix>,
+    /// Measured cost pairs by complex-subquery patterns, valid while the
+    /// store's data version equals `memo_version`. The keys come from
+    /// workload queries, so the map keeps std's collision-resistant hasher.
+    memo: HashMap<Vec<EncPattern>, CostPair>,
+    memo_version: u64,
     /// Consecutive tuning passes each resident partition has gone without
     /// its complex subqueries appearing in the batch; at
     /// `cfg.keep_equity_ttl` its keep equity stops shielding it from
@@ -90,6 +112,8 @@ impl Dotil {
     pub fn with_config(cfg: DotilConfig) -> Self {
         Dotil {
             q: FxHashMap::default(),
+            memo: HashMap::new(),
+            memo_version: 0,
             stale: FxHashMap::default(),
             rng: StdRng::seed_from_u64(cfg.seed),
             cfg,
@@ -168,7 +192,9 @@ impl Dotil {
     /// a corrupt blob leaves the tuner untouched. The RNG is re-seeded
     /// from the restored config and fast-forwarded past the recorded
     /// coin flips, so the restored tuner's future decisions are
-    /// draw-for-draw identical to an uninterrupted run's.
+    /// draw-for-draw identical to an uninterrupted run's. The cost-pair
+    /// memo is cleared: the restored λ may differ from the one its pairs
+    /// were measured under.
     pub fn import_state_bytes(&mut self, state: &[u8]) -> Result<(), DesignError> {
         let mut r = FieldReader::new(state);
         let version = r.get_u8()?;
@@ -238,6 +264,7 @@ impl Dotil {
         self.trainings = trainings;
         self.coin_flips = coin_flips;
         self.rng = rng;
+        self.memo.clear();
         Ok(())
     }
 
@@ -281,7 +308,42 @@ impl Dotil {
         Some((eq, props))
     }
 
-    /// Measure the cost pair once and update partition matrices for each
+    /// Algorithm 2's cost pair for each of `qcs`, in order (`None` where
+    /// the measurement failed). Pairs come from the memo where it has
+    /// them; the misses are measured — as [`TaskClass::OfflineTuning`]
+    /// tasks on `sched` when one is handed in, inline otherwise — and
+    /// remembered. `tune_with` has already checked the memo against the
+    /// store's data version.
+    fn cost_pairs<B: GraphBackend>(
+        &mut self,
+        dual: &DualStore<B>,
+        qcs: &[&EncodedQuery],
+        sched: Option<&Scheduler>,
+    ) -> Vec<Option<CostPair>> {
+        let mut pairs: Vec<Option<CostPair>> = qcs
+            .iter()
+            .map(|qc| self.memo.get(qc.patterns.as_slice()).copied())
+            .collect();
+        let misses: Vec<usize> = (0..qcs.len()).filter(|&k| pairs[k].is_none()).collect();
+        let lambda = self.cfg.lambda;
+        let measure = |m: usize| counterfactual::measure(dual, qcs[misses[m]], lambda).ok();
+        let measured: Vec<Option<CostPair>> = match sched {
+            Some(s) => s.run_indexed(TaskClass::OfflineTuning, misses.len(), measure),
+            None => (0..misses.len()).map(measure).collect(),
+        };
+        for (&k, pair) in misses.iter().zip(measured) {
+            if let Some(pair) = pair {
+                self.memo.insert(qcs[k].patterns.clone(), pair);
+            }
+            pairs[k] = pair;
+        }
+        let o = dotil_obs();
+        o.cost_memo_hits.add((qcs.len() - misses.len()) as u64);
+        o.cost_memo_misses.add(misses.len() as u64);
+        pairs
+    }
+
+    /// Take the cost pair once and update partition matrices for each
     /// `(roles, repeats)` group. Repeats replay the update for the
     /// additional identical subqueries of the batch (the paper's Algorithm
     /// 1 would re-measure each copy; the costs are identical, so replaying
@@ -295,17 +357,18 @@ impl Dotil {
         groups: &[RoleGroup<'_>],
         outcome: &mut TuningOutcome,
     ) {
-        let Ok(pair) = counterfactual::measure(dual, qc, self.cfg.lambda) else {
+        let [Some(pair)] = self.cost_pairs(dual, &[qc], None)[..] else {
             return;
         };
         self.apply_pair(pair, proportions, groups, outcome);
     }
 
-    /// The Q-update half of [`learn`](Self::learn): fold one measured cost
-    /// pair into the matrices. Split out so wave-parallel tuning can
-    /// measure many shapes concurrently and still replay the updates in
-    /// strict shape order — the replay, not the measurement, is what the
-    /// learning dynamics observe.
+    /// The Q-update half of [`learn`](Self::learn): fold one cost pair
+    /// into the matrices. Split out so wave-parallel tuning can measure
+    /// many shapes concurrently and still replay the updates in strict
+    /// shape order — the replay, not the measurement, is what the learning
+    /// dynamics observe. `offline_work` bills `c1 + c2` whether the pair
+    /// was measured now or taken from the memo.
     fn apply_pair(
         &mut self,
         pair: CostPair,
@@ -373,7 +436,8 @@ impl<B: GraphBackend> PhysicalTuner<B> for Dotil {
     /// randomness, so they run strictly serially between waves. Learned
     /// state, decisions, outcome, and exported trails are therefore
     /// byte-identical to the serial [`tune`](PhysicalTuner::tune) at every
-    /// worker count — only the offline phase's wall clock changes.
+    /// worker count — only the offline phase's wall clock changes. Only
+    /// the wave members the cost-pair memo misses become tasks.
     fn tune_with(
         &mut self,
         dual: &mut DualStore<B>,
@@ -384,6 +448,13 @@ impl<B: GraphBackend> PhysicalTuner<B> for Dotil {
         let tune_wall = kgdual_obs::timer();
         let _span = kgdual_obs::span!("tune", batch = batch.len());
         let trainings_before = self.trainings;
+
+        // Pairs measured under another data version (a write since, or
+        // another store) are stale.
+        if self.memo_version != dual.data_version() {
+            self.memo.clear();
+            self.memo_version = dual.data_version();
+        }
 
         // Group the batch by complex-subquery shape: a template and its
         // isomorphic mutations train the same Q-matrices on the same
@@ -441,30 +512,19 @@ impl<B: GraphBackend> PhysicalTuner<B> for Dotil {
                 }
             }
 
-            // Measure the wave — in parallel as OfflineTuning tasks when a
-            // multi-worker pool is handed in, inline otherwise — then
-            // replay the Q-updates in shape order. measure() is read-only
-            // and deterministic in work units, so both paths fold exactly
-            // the same rewards in exactly the same order.
-            let lambda = self.cfg.lambda;
-            let measure_wall = kgdual_obs::timer();
-            // Always route through the scheduler when one is handed in
-            // (run_indexed falls back to inline execution for single
-            // workers or single-element waves): the per-class task
+            // Measure the wave's memo misses — in parallel as
+            // OfflineTuning tasks when a multi-worker pool is handed in,
+            // inline otherwise — then replay the Q-updates in shape order.
+            // measure() is read-only and deterministic in work units, so
+            // both paths fold exactly the same rewards in exactly the same
+            // order. Misses always route through the scheduler when one is
+            // handed in (run_indexed falls back to inline execution for
+            // single workers or single-element waves): the per-class task
             // accounting in `SchedStats` then attributes every covered
             // measurement identically at every thread count.
-            let pairs: Vec<Option<CostPair>> = match sched {
-                Some(s) => {
-                    let dual_ref: &DualStore<B> = dual;
-                    s.run_indexed(TaskClass::OfflineTuning, wave.len(), |k| {
-                        counterfactual::measure(dual_ref, &wave[k].0, lambda).ok()
-                    })
-                }
-                None => wave
-                    .iter()
-                    .map(|w| counterfactual::measure(dual, &w.0, lambda).ok())
-                    .collect(),
-            };
+            let measure_wall = kgdual_obs::timer();
+            let qcs: Vec<&EncodedQuery> = wave.iter().map(|w| &w.0).collect();
+            let pairs = self.cost_pairs(dual, &qcs, sched);
             if let Some(ns) = measure_wall.elapsed_ns() {
                 dotil_obs().wave_measure_wall.record(ns);
             }
@@ -954,9 +1014,10 @@ mod tests {
     fn scheduled_tuning_is_decision_identical_to_serial() {
         use kgdual_sched::{Scheduler, TaskClass};
 
-        // Two distinct covered shapes per pass make a measurable wave;
-        // after the first pass everything is resident, so later passes are
-        // pure wave work.
+        // Two distinct covered shapes per pass make a measurable wave.
+        // Their partitions are resident from the start, so the first pass
+        // is a wave measured on an empty memo; later passes replay it from
+        // the memo.
         let batch: Vec<Query> = vec![
             complex_query(),
             parse("SELECT ?x WHERE { ?x y:likes ?y . ?y y:likes ?x }").unwrap(),
@@ -966,8 +1027,16 @@ mod tests {
             prob: 1.0,
             ..Default::default()
         };
+        let resident = || {
+            let mut d = dual(1000);
+            for pred in ["y:bornIn", "y:advisor", "y:likes"] {
+                let p = d.dict().pred_id(pred).unwrap();
+                d.migrate_partition(p).unwrap();
+            }
+            d
+        };
 
-        let mut d_serial = dual(1000);
+        let mut d_serial = resident();
         let mut serial = Dotil::with_config(cfg);
         let mut serial_out = Vec::new();
         for _ in 0..3 {
@@ -975,7 +1044,7 @@ mod tests {
         }
 
         let sched = Scheduler::new(4);
-        let mut d_sched = dual(1000);
+        let mut d_sched = resident();
         let mut scheduled = Dotil::with_config(cfg);
         let mut sched_out = Vec::new();
         for _ in 0..3 {
@@ -992,6 +1061,140 @@ mod tests {
             sched.stats().executed.get(TaskClass::OfflineTuning) > 0,
             "covered waves must run as OfflineTuning tasks"
         );
+    }
+
+    /// One side of the memo lockstep: a store, a tuner and its own pool.
+    /// `remeasure` rebuilds the tuner from its exported state before every
+    /// pass, so it starts each pass with an empty memo.
+    struct Side {
+        d: DualStore,
+        tuner: Dotil,
+        sched: Scheduler,
+        remeasure: bool,
+    }
+
+    impl Side {
+        fn new(remeasure: bool) -> Self {
+            // Budget 400 fits bornIn + advisor (380) only once the
+            // preloaded likes (150) is evicted.
+            let mut d = dual(400);
+            let likes = d.dict().pred_id("y:likes").unwrap();
+            d.migrate_partition(likes).unwrap();
+            Side {
+                d,
+                tuner: Dotil::with_config(DotilConfig {
+                    prob: 1.0,
+                    ..Default::default()
+                }),
+                sched: Scheduler::new(2),
+                remeasure,
+            }
+        }
+
+        /// One tuning pass; returns its outcome and the `OfflineTuning`
+        /// tasks it executed.
+        fn tune(&mut self, batch: &[Query]) -> (TuningOutcome, u64) {
+            if self.remeasure {
+                let mut fresh = Dotil::new();
+                fresh
+                    .import_state_bytes(&self.tuner.export_state_bytes())
+                    .unwrap();
+                self.tuner = fresh;
+            }
+            let tasks = || self.sched.stats().executed.get(TaskClass::OfflineTuning);
+            let before = tasks();
+            let out = self.tuner.tune_with(&mut self.d, batch, Some(&self.sched));
+            (out, tasks() - before)
+        }
+    }
+
+    #[test]
+    fn memo_changes_nothing_dotil_learns() {
+        let likes = parse("SELECT ?x WHERE { ?x y:likes ?y . ?y y:likes ?x }").unwrap();
+        let complex = || vec![complex_query(), complex_query()];
+        let mixed = || vec![complex_query(), likes.clone()];
+        let mut memo = Side::new(false);
+        let mut twin = Side::new(true);
+        let (mut memo_tasks, mut twin_tasks) = (0, 0);
+        let (mut migrated, mut evicted) = (0, 0);
+        let mut pass = |memo: &mut Side, twin: &mut Side, batch: &[Query]| {
+            let (m_out, m_tasks) = memo.tune(batch);
+            let (t_out, t_tasks) = twin.tune(batch);
+            assert_eq!(m_out, t_out, "outcome");
+            assert_eq!(memo.d.design(), twin.d.design(), "design");
+            assert_eq!(
+                memo.tuner.export_state_bytes(),
+                twin.tuner.export_state_bytes(),
+                "learned state"
+            );
+            memo_tasks += m_tasks;
+            twin_tasks += t_tasks;
+            migrated += m_out.migrated;
+            evicted += m_out.evicted;
+            (m_tasks, t_tasks)
+        };
+
+        pass(&mut memo, &mut twin, &complex()); // evicts likes, migrates
+        pass(&mut memo, &mut twin, &mixed());
+        pass(&mut memo, &mut twin, &complex());
+        let birth = [&mut memo, &mut twin].map(|side| {
+            side.d
+                .insert_terms(&Term::iri("y:p0"), "y:bornIn", &Term::iri("y:c7"))
+                .unwrap()
+        });
+        let (m, t) = pass(&mut memo, &mut twin, &complex());
+        assert!(m > 0 && m == t, "after an insert: {m} vs {t} tasks");
+        pass(&mut memo, &mut twin, &mixed());
+        for (side, birth) in [&mut memo, &mut twin].into_iter().zip(birth) {
+            assert_eq!(side.d.delete(birth), 1);
+        }
+        let (m, t) = pass(&mut memo, &mut twin, &mixed());
+        assert!(m > 0 && m == t, "after a delete: {m} vs {t} tasks");
+        // Evicted by hand: the next pass re-migrates and takes the pair
+        // from the memo, since residency does not enter it.
+        for side in [&mut memo, &mut twin] {
+            let advisor = side.d.dict().pred_id("y:advisor").unwrap();
+            side.d.evict_partition(advisor);
+        }
+        pass(&mut memo, &mut twin, &complex());
+        pass(&mut memo, &mut twin, &mixed());
+
+        assert!(migrated > 0 && evicted > 0, "{migrated} in, {evicted} out");
+        assert!(
+            memo_tasks < twin_tasks,
+            "the memo must save measurements: {memo_tasks} vs {twin_tasks}"
+        );
+    }
+
+    #[test]
+    fn import_state_clears_the_memo() {
+        let resident = || {
+            let mut d = dual(1000);
+            for pred in ["y:bornIn", "y:advisor"] {
+                let p = d.dict().pred_id(pred).unwrap();
+                d.migrate_partition(p).unwrap();
+            }
+            d
+        };
+        let batch = [complex_query()];
+        let mut d = resident();
+        let mut tuner = Dotil::new();
+        let before = tuner.tune(&mut d, &batch); // fills the memo at λ = 4.5
+
+        let state = Dotil::with_config(DotilConfig {
+            lambda: 0.01,
+            ..Default::default()
+        })
+        .export_state_bytes();
+        tuner.import_state_bytes(&state).unwrap();
+        let mut fresh = Dotil::new();
+        fresh.import_state_bytes(&state).unwrap();
+
+        let after = tuner.tune(&mut d, &batch);
+        let expected = fresh.tune(&mut resident(), &batch);
+        assert_ne!(before, expected, "λ must move the cost pair");
+        assert_eq!(after, expected);
+        assert_eq!(tuner.export_state_bytes(), fresh.export_state_bytes());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! populate the serving-layer per-query latency histogram.
 
 use kgdual_core::DualStore;
-use kgdual_dotil::{Dotil, DotilConfig};
+use kgdual_dotil::Dotil;
 use kgdual_exec::{BatchExecutor, SchedShardDispatch, SharedStore};
 use kgdual_model::{DatasetBuilder, Term};
 use kgdual_sparql::parse;
@@ -19,8 +19,9 @@ fn obs_lock() -> MutexGuard<'static, ()> {
 }
 
 /// Graph with two disjoint complex motifs (so DOTIL sees two shapes and
-/// measures them as one covered wave on the second pass) plus enough
-/// spread for 4-shard union scans.
+/// measures them as one covered wave) plus enough spread for 4-shard
+/// union scans. Both motifs start graph-resident, so the first tuning
+/// pass is that wave, measured on an empty cost-pair memo.
 fn dual(shards: usize) -> DualStore {
     let mut b = DatasetBuilder::new();
     for i in 0..120 {
@@ -58,7 +59,18 @@ fn dual(shards: usize) -> DualStore {
             &Term::iri(format!("y:c{}", i % 10)),
         );
     }
-    DualStore::from_dataset_sharded(b.build(), 100_000, shards)
+    let mut d = DualStore::from_dataset_sharded(b.build(), 100_000, shards);
+    for pred in [
+        "y:bornIn",
+        "y:advisor",
+        "y:worksAt",
+        "y:locatedIn",
+        "y:livesIn",
+    ] {
+        let p = d.dict().pred_id(pred).unwrap();
+        d.migrate_partition(p).unwrap();
+    }
+    d
 }
 
 #[test]
@@ -73,20 +85,17 @@ fn seeded_run_traces_all_four_task_classes() {
     let sched = Arc::clone(exec.scheduler());
     store.install_shard_dispatch(Arc::new(SchedShardDispatch::new(Arc::clone(&sched))));
 
-    // Two distinct complex shapes (wave of 2 on the covered pass) plus
-    // variable-predicate queries (multi-shard union scans).
+    // Two distinct complex shapes (a wave of 2) plus variable-predicate
+    // queries (multi-shard union scans).
     let batch = vec![
         parse("SELECT ?p WHERE { ?p y:bornIn ?c . ?p y:advisor ?a . ?a y:bornIn ?c }").unwrap(),
         parse("SELECT ?w WHERE { ?w y:worksAt ?u . ?u y:locatedIn ?c . ?w y:livesIn ?c }").unwrap(),
         parse("SELECT ?s ?o WHERE { ?s ?p ?o } LIMIT 50").unwrap(),
         parse("SELECT ?s WHERE { ?s ?p y:c0 }").unwrap(),
     ];
-    // prob 1.0: the cold-start coin flip always transfers, so the second
-    // pass finds both shapes covered and measures them as one wave.
-    let mut tuner = Dotil::with_config(DotilConfig {
-        prob: 1.0,
-        ..DotilConfig::default()
-    });
+    // The first pass measures the wave as OfflineTuning tasks; the second
+    // takes both cost pairs from the memo.
+    let mut tuner = Dotil::new();
     for _ in 0..2 {
         let report = exec.execute_batch(&store, &batch);
         assert_eq!(report.errors, 0);
