@@ -10,9 +10,10 @@
 //! the CI matrix's `KGDUAL_THREADS` folded in so release-stress legs
 //! extend the sweep.
 //!
-//! Server and executor share one scheduler per cell: served queries are
-//! `Query`-class tasks on the same pool the batch path uses, so any
-//! scheduling-order sensitivity would surface here.
+//! Server and executor share one scheduler per cell: served queries run
+//! on their connection thread and fan their shard scans out on the same
+//! pool the batch path uses, so any scheduling-order sensitivity would
+//! surface here.
 
 use kgdual_bench::serve_load::{query_pool, serial_replay};
 use kgdual_bench::{build_dataset, BenchArgs, WorkloadKind};

@@ -5,12 +5,12 @@
 //! workload pool plus variable-predicate
 //! queries that fan out across shards. Afterwards the drained trace
 //! must show, for every request, a single root `request` span whose
-//! descendants cover admission and the `query`-class scheduler task —
-//! and, for the fan-out queries, `shard_scan`-class tasks as well. No
-//! span may reference a parent that is not in the trace: the explicit
-//! cross-task parent ids the scheduler carries (captured at submission,
-//! installed on the executing worker) are what keep the tree connected
-//! across threads.
+//! descendants cover admission and the `query`-class execution on the
+//! connection thread — and, for the fan-out queries, `shard_scan`-class
+//! tasks as well. No span may reference a parent that is not in the
+//! trace: the explicit cross-task parent ids the scheduler carries
+//! (captured at submission, installed on the executing worker) are what
+//! keep the tree connected across threads.
 
 use kgdual_bench::serve_load::query_pool;
 use kgdual_bench::{build_dataset, BenchArgs, WorkloadKind};
@@ -111,7 +111,7 @@ fn served_request_spans_form_one_rooted_tree_across_task_classes() {
         );
         assert!(
             classes.contains("query"),
-            "request {} tree must reach the query-class task (classes: {classes:?})",
+            "request {} tree must reach the query-class execution (classes: {classes:?})",
             req.id
         );
         if classes.contains("shard_scan") {

@@ -8,7 +8,7 @@
 
 use crate::json::{self, Json};
 use crate::proto::{self, ProtoError};
-use std::io;
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 
 /// The parsed reply to one `/query` request.
@@ -88,7 +88,10 @@ impl std::fmt::Display for ClientError {
 
 /// One blocking keep-alive connection to a serve front-end.
 pub struct ServeClient {
-    stream: TcpStream,
+    /// The socket, read through one buffer for the connection's life so
+    /// a reply costs one `read(2)`, not one per byte; requests are
+    /// written to the socket underneath it.
+    reader: BufReader<TcpStream>,
     client_id: String,
 }
 
@@ -100,7 +103,7 @@ impl ServeClient {
         // ~40 ms stall per round trip.
         stream.set_nodelay(true)?;
         Ok(ServeClient {
-            stream,
+            reader: BufReader::new(stream),
             client_id: client_id.to_owned(),
         })
     }
@@ -116,7 +119,6 @@ impl ServeClient {
         path: &str,
         body: Option<&str>,
     ) -> Result<proto::Response, ClientError> {
-        use std::io::Write;
         let body = body.unwrap_or("");
         let mut wire = format!(
             "{method} {path} HTTP/1.1\r\nHost: kgdual\r\nContent-Length: {}\r\n\r\n",
@@ -124,9 +126,10 @@ impl ServeClient {
         )
         .into_bytes();
         wire.extend_from_slice(body.as_bytes());
-        self.stream.write_all(&wire)?;
-        self.stream.flush()?;
-        Ok(proto::read_response(&mut self.stream)?)
+        let mut stream = self.reader.get_ref();
+        stream.write_all(&wire)?;
+        stream.flush()?;
+        Ok(proto::read_response(&mut self.reader)?)
     }
 
     /// Submit one query; `deadline_ms` of `None` means no deadline.

@@ -6,9 +6,9 @@
 //! closes that gap: a std-TCP front-end with a minimal HTTP/1.1 shim
 //! (no crates.io access in this environment — see `shims/README.md`)
 //! that accepts a continuous stream of queries from many concurrent
-//! clients and submits each one as a `Query`-class task on the shared
-//! work-stealing scheduler, with no whole-batch barrier on the serving
-//! path.
+//! clients and executes each one on its connection's thread under a
+//! shared read guard, with no whole-batch barrier on the serving path;
+//! shard fan-out still runs on the shared work-stealing scheduler.
 //!
 //! The crate is organised as:
 //!

@@ -11,8 +11,14 @@
 //!
 //! Limits: request lines + headers are capped at 8 KiB and bodies at
 //! 1 MiB; anything larger is a 400/413, never an unbounded buffer.
+//!
+//! Framing reads from a [`BufRead`], never a raw socket: the head is
+//! found in whatever the buffer holds, so a request costs one `read(2)`
+//! rather than one per byte. The caller keeps one reader for the whole
+//! keep-alive connection — bytes buffered past one message are the start
+//! of the next (pipelining), and a fresh reader would drop them.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Maximum bytes of request line + headers.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -89,35 +95,91 @@ impl std::fmt::Display for ProtoError {
     }
 }
 
-/// Read one HTTP/1.1 request off a blocking stream.
-///
-/// Reads byte-wise state-free until the `\r\n\r\n` head terminator, then
-/// exactly `Content-Length` body bytes. Returns [`ProtoError::Closed`]
-/// on a clean EOF before any byte (keep-alive end-of-stream).
-pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, ProtoError> {
+/// Take bytes up to and including the `\r\n\r\n` head terminator, and no
+/// further: what follows stays buffered for the body or the next message.
+/// A head longer than [`MAX_HEAD_BYTES`] (terminator included) is
+/// `TooLarge`; EOF before any byte is `Closed`, inside the head
+/// `Malformed`.
+fn read_head<R: BufRead>(
+    stream: &mut R,
+    eof_inside: &'static str,
+    too_large: &'static str,
+) -> Result<Vec<u8>, ProtoError> {
     let mut head = Vec::with_capacity(256);
-    let mut byte = [0u8; 1];
     loop {
-        match stream.read(&mut byte) {
-            Ok(0) => {
-                return Err(if head.is_empty() {
-                    ProtoError::Closed
-                } else {
-                    ProtoError::Malformed("eof inside request head")
-                });
-            }
-            Ok(_) => head.push(byte[0]),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(ProtoError::Io(e)),
-        }
+        // Line by line, since the terminator always ends a line; `take`
+        // keeps the head bounded however much the buffer holds.
+        let room = (MAX_HEAD_BYTES - head.len()) as u64;
+        let n = stream.by_ref().take(room).read_until(b'\n', &mut head)?;
         if head.ends_with(b"\r\n\r\n") {
-            break;
+            return Ok(head);
         }
-        if head.len() > MAX_HEAD_BYTES {
-            return Err(ProtoError::TooLarge("request head over 8 KiB"));
+        if head.len() == MAX_HEAD_BYTES {
+            return Err(ProtoError::TooLarge(too_large));
+        }
+        if n == 0 {
+            return Err(if head.is_empty() {
+                ProtoError::Closed
+            } else {
+                ProtoError::Malformed(eof_inside)
+            });
         }
     }
+}
 
+/// Header `(name, value)` pairs from the lines after the start line.
+fn parse_headers<'a>(
+    lines: impl Iterator<Item = &'a str>,
+) -> Result<Vec<(String, String)>, ProtoError> {
+    let mut headers = Vec::new();
+    for line in lines {
+        if line.is_empty() {
+            continue;
+        }
+        let (name, value) = line
+            .split_once(':')
+            .ok_or(ProtoError::Malformed("header without colon"))?;
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
+    }
+    Ok(headers)
+}
+
+/// Exactly `Content-Length` body bytes (none without the header).
+fn read_body<R: BufRead>(
+    stream: &mut R,
+    headers: &[(String, String)],
+) -> Result<Vec<u8>, ProtoError> {
+    let content_length = headers
+        .iter()
+        .find(|(n, _)| n == "content-length")
+        .map(|(_, v)| {
+            v.parse::<usize>()
+                .map_err(|_| ProtoError::Malformed("bad content-length"))
+        })
+        .transpose()?
+        .unwrap_or(0);
+    if content_length > MAX_BODY_BYTES {
+        return Err(ProtoError::TooLarge("body over 1 MiB"));
+    }
+    let mut body = vec![0u8; content_length];
+    stream.read_exact(&mut body).map_err(|e| {
+        if e.kind() == io::ErrorKind::UnexpectedEof {
+            ProtoError::Malformed("eof inside body")
+        } else {
+            ProtoError::Io(e)
+        }
+    })?;
+    Ok(body)
+}
+
+/// Read one HTTP/1.1 request off a buffered stream.
+///
+/// Frames the head from the reader's buffer up to the `\r\n\r\n`
+/// terminator, then reads exactly `Content-Length` body bytes; anything
+/// after stays buffered. Returns [`ProtoError::Closed`] on a clean EOF
+/// before any byte (keep-alive end-of-stream).
+pub fn read_request<R: BufRead>(stream: &mut R) -> Result<Request, ProtoError> {
+    let head = read_head(stream, "eof inside request head", "request head over 8 KiB")?;
     let head = std::str::from_utf8(&head).map_err(|_| ProtoError::Malformed("non-UTF-8 head"))?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
@@ -141,38 +203,8 @@ pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, ProtoError> {
         None => (target.to_owned(), String::new()),
     };
 
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or(ProtoError::Malformed("header without colon"))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
-    }
-
-    let content_length = headers
-        .iter()
-        .find(|(n, _)| n == "content-length")
-        .map(|(_, v)| {
-            v.parse::<usize>()
-                .map_err(|_| ProtoError::Malformed("bad content-length"))
-        })
-        .transpose()?
-        .unwrap_or(0);
-    if content_length > MAX_BODY_BYTES {
-        return Err(ProtoError::TooLarge("body over 1 MiB"));
-    }
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            ProtoError::Malformed("eof inside body")
-        } else {
-            ProtoError::Io(e)
-        }
-    })?;
-
+    let headers = parse_headers(lines)?;
+    let body = read_body(stream, &headers)?;
     Ok(Request {
         method,
         path,
@@ -200,30 +232,13 @@ impl Response {
     }
 }
 
-/// Read one HTTP/1.1 response off a blocking stream (client side).
-pub fn read_response<R: Read>(stream: &mut R) -> Result<Response, ProtoError> {
-    let mut head = Vec::with_capacity(256);
-    let mut byte = [0u8; 1];
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => {
-                return Err(if head.is_empty() {
-                    ProtoError::Closed
-                } else {
-                    ProtoError::Malformed("eof inside response head")
-                });
-            }
-            Ok(_) => head.push(byte[0]),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(ProtoError::Io(e)),
-        }
-        if head.ends_with(b"\r\n\r\n") {
-            break;
-        }
-        if head.len() > MAX_HEAD_BYTES {
-            return Err(ProtoError::TooLarge("response head over 8 KiB"));
-        }
-    }
+/// Read one HTTP/1.1 response off a buffered stream (client side).
+pub fn read_response<R: BufRead>(stream: &mut R) -> Result<Response, ProtoError> {
+    let head = read_head(
+        stream,
+        "eof inside response head",
+        "response head over 8 KiB",
+    )?;
     let head = std::str::from_utf8(&head).map_err(|_| ProtoError::Malformed("non-UTF-8 head"))?;
     let mut lines = head.split("\r\n");
     let status_line = lines.next().unwrap_or("");
@@ -236,36 +251,8 @@ pub fn read_response<R: Read>(stream: &mut R) -> Result<Response, ProtoError> {
         .next()
         .and_then(|c| c.parse::<u16>().ok())
         .ok_or(ProtoError::Malformed("bad status code"))?;
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or(ProtoError::Malformed("header without colon"))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
-    }
-    let content_length = headers
-        .iter()
-        .find(|(n, _)| n == "content-length")
-        .map(|(_, v)| {
-            v.parse::<usize>()
-                .map_err(|_| ProtoError::Malformed("bad content-length"))
-        })
-        .transpose()?
-        .unwrap_or(0);
-    if content_length > MAX_BODY_BYTES {
-        return Err(ProtoError::TooLarge("body over 1 MiB"));
-    }
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            ProtoError::Malformed("eof inside body")
-        } else {
-            ProtoError::Io(e)
-        }
-    })?;
+    let headers = parse_headers(lines)?;
+    let body = read_body(stream, &headers)?;
     Ok(Response {
         status,
         headers,
@@ -435,6 +422,118 @@ mod tests {
             req("POST / HTTP/1.1\r\nContent-Length: nan\r\n\r\n"),
             Err(ProtoError::Malformed(_))
         ));
+    }
+
+    /// Every frame `reader` yields until it closes or errors, as Debug
+    /// text (the error included) so two readers compare verbatim.
+    fn frames(mut reader: impl BufRead) -> Vec<String> {
+        let mut out = Vec::new();
+        loop {
+            match read_request(&mut reader) {
+                Ok(r) => out.push(format!("{r:?}")),
+                Err(e) => {
+                    out.push(format!("{e:?}"));
+                    return out;
+                }
+            }
+        }
+    }
+
+    /// Two keep-alive requests and a third that the peer cut mid-body.
+    const PIPELINED: &str = "POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello\
+        GET /metrics?format=json HTTP/1.1\r\n\r\n\
+        POST /q HTTP/1.1\r\nContent-Length: 9\r\n\r\ncut";
+
+    #[test]
+    fn one_byte_buffer_frames_like_one_chunk() {
+        let whole = frames(PIPELINED.as_bytes());
+        assert_eq!(whole.len(), 3, "{whole:?}");
+        assert!(whole[0].contains("body: [104, 101, 108, 108, 111]"));
+        assert!(whole[1].contains("path: \"/metrics\""));
+        assert_eq!(whole[2], "Malformed(\"eof inside body\")");
+        let one = frames(io::BufReader::with_capacity(1, PIPELINED.as_bytes()));
+        assert_eq!(one, whole);
+
+        let mut wire = Vec::new();
+        write_json(&mut wire, Status::Ok, "{\"a\":1}", false).unwrap();
+        let whole = read_response(&mut wire.as_slice()).unwrap();
+        let one = read_response(&mut io::BufReader::with_capacity(1, wire.as_slice())).unwrap();
+        assert_eq!(format!("{one:?}"), format!("{whole:?}"));
+    }
+
+    #[test]
+    fn terminator_straddling_a_buffer_boundary_still_frames() {
+        // Every capacity up to the whole input: the buffer edge falls
+        // before, inside (after 1, 2 and 3 of its bytes) and after each
+        // `\r\n\r\n`.
+        let whole = frames(PIPELINED.as_bytes());
+        for cap in 1..=PIPELINED.len() {
+            let split = frames(io::BufReader::with_capacity(cap, PIPELINED.as_bytes()));
+            assert_eq!(split, whole, "capacity {cap}");
+        }
+    }
+
+    #[test]
+    fn limits_and_errors_hold_through_the_buffered_reader() {
+        let pad = |head_len: usize| {
+            let fixed = "GET / HTTP/1.1\r\nX-Pad: \r\n\r\n".len();
+            format!(
+                "GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+                "a".repeat(head_len - fixed)
+            )
+        };
+        let big_body = format!(
+            "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
+        for cap in [1, 3, 64, MAX_HEAD_BYTES, 64 * 1024] {
+            let read =
+                |raw: &str| read_request(&mut io::BufReader::with_capacity(cap, raw.as_bytes()));
+            assert!(read(&pad(MAX_HEAD_BYTES)).is_ok(), "capacity {cap}");
+            assert!(
+                matches!(read(&pad(MAX_HEAD_BYTES + 1)), Err(ProtoError::TooLarge(_))),
+                "capacity {cap}"
+            );
+            // No terminator at all: the limit, not EOF, ends the read.
+            assert!(
+                matches!(
+                    read(&"a".repeat(3 * MAX_HEAD_BYTES)),
+                    Err(ProtoError::TooLarge(_))
+                ),
+                "capacity {cap}"
+            );
+            assert!(matches!(read(&big_body), Err(ProtoError::TooLarge(_))));
+            assert!(matches!(read(""), Err(ProtoError::Closed)));
+            assert!(matches!(
+                read("GET / HTTP/1.1\r\n\r"),
+                Err(ProtoError::Malformed("eof inside request head"))
+            ));
+            assert!(matches!(
+                read("POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort"),
+                Err(ProtoError::Malformed("eof inside body"))
+            ));
+            let resp =
+                |raw: &str| read_response(&mut io::BufReader::with_capacity(cap, raw.as_bytes()));
+            assert!(matches!(resp(""), Err(ProtoError::Closed)));
+            assert!(matches!(
+                resp("HTTP/1.1 200 OK\r\n"),
+                Err(ProtoError::Malformed("eof inside response head"))
+            ));
+            assert!(matches!(
+                resp(&format!(
+                    "HTTP/1.1 200 OK\r\nX: {}\r\n\r\n",
+                    "a".repeat(MAX_HEAD_BYTES)
+                )),
+                Err(ProtoError::TooLarge("response head over 8 KiB"))
+            ));
+        }
+    }
+
+    #[test]
+    fn framing_leaves_the_next_message_buffered() {
+        let mut reader = io::BufReader::new(PIPELINED.as_bytes());
+        read_request(&mut reader).unwrap();
+        assert!(reader.buffer().starts_with(b"GET /metrics"));
     }
 
     #[test]

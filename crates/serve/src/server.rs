@@ -1,22 +1,30 @@
 //! The serving front-end: streaming query arrival over TCP.
 //!
-//! [`Server::start`] binds a listener and turns each incoming `/query`
-//! request into **one `Query`-class task** on the shared scheduler —
-//! there is no whole-batch barrier anywhere on this path, which is the
-//! point of the subsystem: queries from many concurrent clients
-//! interleave freely on the same work-stealing pool the batch executor
-//! uses, at the same priority.
+//! [`Server::start`] binds a listener and executes each incoming
+//! `/query` request on the thread that owns its connection — there is no
+//! whole-batch barrier anywhere on this path, which is the point of the
+//! subsystem: queries from many concurrent clients interleave freely
+//! under one shared read guard, and a query's shard fan-out still runs
+//! on the work-stealing pool the batch executor uses.
+//!
+//! A connection carries one request at a time, so handing its query to
+//! a pool worker and waiting for it would buy no concurrency, only a
+//! hand-off; the number of queries executing at once is bounded by the
+//! admission queue cap instead.
 //!
 //! Life of a request:
 //!
-//! 1. a connection-handler thread reads one HTTP request (keep-alive);
+//! 1. a connection-handler thread frames one HTTP request out of the
+//!    connection's read buffer (keep-alive; pipelined bytes stay
+//!    buffered for the next request);
 //! 2. `/query` bodies pass the deadline check, then buy an admission
 //!    ticket ([`crate::admission`]) — overload answers with a typed 429
-//!    before any parsing or scheduling happens, so rejected requests
+//!    before any parsing or execution happens, so rejected requests
 //!    cost O(1) and queue memory stays bounded;
 //! 3. the SPARQL text is parsed, a read guard on the [`SharedStore`] is
-//!    taken, and the execution runs as a `TaskClass::Query` task inside
-//!    a scheduler scope with a pooled [`TempSpace`];
+//!    taken, the deadline is checked once more, and the query runs on
+//!    the connection thread — tagged `query`-class, inside a `task`
+//!    span — with a pooled [`TempSpace`];
 //! 4. the response (rows + stats) is written, *then* the ticket is
 //!    released — so the drain barrier in [`ServeHandle::shutdown`]
 //!    also waits for the response bytes.
@@ -38,6 +46,7 @@ use kgdual_relstore::TempSpace;
 use kgdual_sched::{Scheduler, TaskClass};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -170,7 +179,8 @@ impl Server {
     /// Bind `config.addr` and start serving `store` on `sched`.
     ///
     /// Spawns one accept thread plus one (detached) handler thread per
-    /// connection; query execution itself happens on `sched`'s workers.
+    /// connection; a query executes on its connection's thread, and
+    /// `sched` runs its shard fan-out and `/checkpoint`.
     pub fn start<B>(
         store: Arc<SharedStore<B>>,
         sched: Arc<Scheduler>,
@@ -400,7 +410,7 @@ fn accept_loop<B>(
 }
 
 fn handle_connection<B>(
-    mut stream: TcpStream,
+    stream: TcpStream,
     inner: Arc<Inner>,
     store: Arc<SharedStore<B>>,
     sched: Arc<Scheduler>,
@@ -408,29 +418,26 @@ fn handle_connection<B>(
 ) where
     B: GraphBackend + Send + Sync + 'static,
 {
+    // One read buffer for the connection's whole life: bytes read past
+    // one request are the start of the next.
+    let mut reader = BufReader::new(&stream);
+    let mut out = &stream;
     loop {
-        let request = match proto::read_request(&mut stream) {
+        let request = match proto::read_request(&mut reader) {
             Ok(r) => r,
             Err(ProtoError::Closed) | Err(ProtoError::Io(_)) => return,
             Err(ProtoError::Malformed(what)) | Err(ProtoError::TooLarge(what)) => {
                 inner.stats.http_errors.fetch_add(1, Ordering::Relaxed);
                 serve_obs().http_errors.inc();
                 let body = format!("{{\"status\":\"error\",\"reason\":{}}}", json::escape(what));
-                let _ = proto::write_json(&mut stream, Status::BadRequest, &body, true);
+                let _ = proto::write_json(&mut out, Status::BadRequest, &body, true);
                 return;
             }
         };
         let arrival = Instant::now();
         let draining = inner.stopping.load(Ordering::Acquire) || inner.admission.draining();
         let keep_open = dispatch(
-            &mut stream,
-            &request,
-            arrival,
-            &inner,
-            &store,
-            &sched,
-            config,
-            draining,
+            &mut out, &request, arrival, &inner, &store, &sched, config, draining,
         );
         // Honour the client's `Connection: close` (one-shot scrapers):
         // responses carry a Content-Length, so closing after the write
@@ -447,7 +454,7 @@ fn handle_connection<B>(
 /// Route one request; returns whether the connection should stay open.
 #[allow(clippy::too_many_arguments)]
 fn dispatch<B>(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     request: &Request,
     arrival: Instant,
     inner: &Arc<Inner>,
@@ -460,9 +467,9 @@ where
     B: GraphBackend + Send + Sync + 'static,
 {
     match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/query") => handle_query(
-            stream, request, arrival, inner, store, sched, config, draining,
-        ),
+        ("POST", "/query") => {
+            handle_query(stream, request, arrival, inner, store, config, draining)
+        }
         ("GET", "/health") => {
             let body = format!(
                 "{{\"status\":{},\"epoch\":{},\"pending\":{},\"draining\":{}}}",
@@ -607,14 +614,12 @@ fn reject_body(reason: RejectReason) -> (&'static str, Status) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn handle_query<B>(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     request: &Request,
     arrival: Instant,
     inner: &Arc<Inner>,
     store: &Arc<SharedStore<B>>,
-    sched: &Arc<Scheduler>,
     config: &ServeConfig,
     draining: bool,
 ) -> bool
@@ -623,10 +628,10 @@ where
 {
     let wall = kgdual_obs::timer();
     // The request's root span: everything this request causes — the
-    // admission decision, the Query-class task (linked across the spawn
-    // via the scheduler's parent capture), and that task's ShardScan
-    // fan-out — hangs off this span id, so a drained trace reconstructs
-    // one rooted tree per request.
+    // admission decision, the query-class execution on this thread, and
+    // its ShardScan fan-out (linked across the spawn via the scheduler's
+    // parent capture) — hangs off this span id, so a drained trace
+    // reconstructs one rooted tree per request.
     let _req_span = kgdual_obs::span!("request");
     let parsed = request
         .body_str()
@@ -759,51 +764,38 @@ where
         }
     };
 
-    // Execute as one Query-class task. The read guard spans only the
-    // execution, so `/checkpoint`'s write acquire interleaves between
-    // requests, never inside one.
-    enum Exec {
-        Done(Box<Result<QueryOutcome, kgdual_core::CoreError>>),
-        Expired,
-    }
+    // Execute right here: the connection has no other request to serve
+    // meanwhile. The read guard spans only the execution, so
+    // `/checkpoint`'s write acquire interleaves between requests, never
+    // inside one.
     let queue_wait = kgdual_obs::timer();
     let outcome = {
         let guard = store.read();
-        let dual = &*guard;
-        let slot: Mutex<Option<Exec>> = Mutex::new(None);
-        sched.scope(|s| {
-            s.spawn(TaskClass::Query, || {
-                if let Some(ns) = queue_wait.elapsed_ns() {
-                    serve_obs().queue_wait_ns.record(ns);
-                }
-                // Deadline gate #2: queue time counts against the
-                // deadline; expired work is dropped before execution.
-                if expired(Instant::now()) {
-                    *slot.lock().unwrap() = Some(Exec::Expired);
-                    return;
-                }
+        if let Some(ns) = queue_wait.elapsed_ns() {
+            serve_obs().queue_wait_ns.record(ns);
+        }
+        // Deadline gate #2: the wait for the store counts against the
+        // deadline; expired work is dropped before execution.
+        if expired(Instant::now()) {
+            None
+        } else {
+            // Tag the thread as the scheduler tags a Query task, so the
+            // spans below and the fan-out they parent look the same.
+            let prev_class = kgdual_obs::set_task_class(Some(TaskClass::Query.name()));
+            let result = {
+                let _task = kgdual_obs::span!("task", class = TaskClass::Query as usize);
                 let mut temp = inner.temps.lock().pop().unwrap_or_default();
-                let result = process_shared_explain(dual, &mut temp, &query, explain.is_some());
+                let result = process_shared_explain(&guard, &mut temp, &query, explain.is_some());
                 inner.temps.lock().push(temp);
-                *slot.lock().unwrap() = Some(Exec::Done(Box::new(result)));
-            });
-        });
-        slot.into_inner().unwrap()
+                result
+            };
+            kgdual_obs::set_task_class(prev_class);
+            Some(result)
+        }
     };
 
     let keep_open = match outcome {
         None => {
-            // The scheduler dropped the task (it is shutting down).
-            inner.stats.failed.fetch_add(1, Ordering::Relaxed);
-            let _ = proto::write_json(
-                stream,
-                Status::Unavailable,
-                "{\"status\":\"rejected\",\"reason\":\"scheduler_stopped\"}",
-                true,
-            );
-            false
-        }
-        Some(Exec::Expired) => {
             inner
                 .stats
                 .rejected_deadline
@@ -817,22 +809,20 @@ where
             );
             true
         }
-        Some(Exec::Done(result)) => match *result {
-            Err(e) => {
-                inner.stats.failed.fetch_add(1, Ordering::Relaxed);
-                let msg = format!(
-                    "{{\"status\":\"error\",\"reason\":{}}}",
-                    json::escape(&format!("{e:?}"))
-                );
-                let _ = proto::write_json(stream, Status::InternalError, &msg, draining);
-                true
-            }
-            Ok(out) => {
-                inner.stats.completed.fetch_add(1, Ordering::Relaxed);
-                let body = outcome_json(&out, store.epoch(), explain);
-                proto::write_json(stream, Status::Ok, &body, draining).is_ok()
-            }
-        },
+        Some(Err(e)) => {
+            inner.stats.failed.fetch_add(1, Ordering::Relaxed);
+            let msg = format!(
+                "{{\"status\":\"error\",\"reason\":{}}}",
+                json::escape(&format!("{e:?}"))
+            );
+            let _ = proto::write_json(stream, Status::InternalError, &msg, draining);
+            true
+        }
+        Some(Ok(out)) => {
+            inner.stats.completed.fetch_add(1, Ordering::Relaxed);
+            let body = outcome_json(&out, store.epoch(), explain);
+            proto::write_json(stream, Status::Ok, &body, draining).is_ok()
+        }
     };
     drop(ticket);
     if let Some(ns) = wall.elapsed_ns() {

@@ -5,10 +5,14 @@
 use kgdual_core::{process_shared, DualStore};
 use kgdual_exec::SharedStore;
 use kgdual_relstore::TempSpace;
-use kgdual_sched::{Scheduler, TaskClass};
+use kgdual_sched::Scheduler;
+use kgdual_serve::proto::{self, Response};
 use kgdual_serve::{AdmissionConfig, ServeClient, ServeConfig, Server};
 use kgdual_workloads::YagoGen;
-use std::sync::{Arc, Condvar, Mutex};
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::time::Duration;
 
 const SEED: u64 = 42;
 const TRIPLES: usize = 3_000;
@@ -114,24 +118,103 @@ fn served_queries_match_direct_execution_and_ops_endpoints_answer() {
     assert_eq!(stats.rejected_queue_full, 0);
 }
 
+/// A hand-driven connection: raw bytes out, responses framed through one
+/// read buffer kept for the connection's life. The read timeout turns a
+/// server that lost buffered bytes into a failure instead of a hang.
+struct RawConn {
+    reader: BufReader<TcpStream>,
+}
+
+impl RawConn {
+    fn connect(addr: std::net::SocketAddr) -> Self {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        RawConn {
+            reader: BufReader::new(stream),
+        }
+    }
+
+    fn send(&mut self, wire: &[u8]) {
+        self.reader.get_ref().write_all(wire).unwrap();
+    }
+
+    fn read(&mut self) -> Response {
+        proto::read_response(&mut self.reader).expect("a framed response")
+    }
+
+    fn exchange(&mut self, wire: &[u8]) -> Response {
+        self.send(wire);
+        self.read()
+    }
+}
+
+#[test]
+fn pipelined_requests_in_one_write_answer_in_order() {
+    let store = small_store();
+    let (handle, _sched) = start(Arc::clone(&store), 1, AdmissionConfig::new(8, 2));
+    let texts = queries();
+    let query_wire = |text: &str| {
+        let body = format!(
+            "{{\"client\":\"pipe\",\"query\":{}}}",
+            kgdual_serve::json::escape(text)
+        );
+        format!(
+            "POST /query HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    };
+    // Two queries and a health check, all in a single write: the server
+    // reads them in one go, so the second and third requests exist only
+    // in the connection's read buffer when the first is answered.
+    let wire = format!(
+        "{}{}GET /health HTTP/1.1\r\n\r\n",
+        query_wire(&texts[0]),
+        query_wire(&texts[1])
+    );
+    let mut raw = RawConn::connect(handle.local_addr());
+    raw.send(wire.as_bytes());
+
+    let mut temp = TempSpace::new();
+    for text in &texts[..2] {
+        let r = raw.read();
+        assert_eq!(r.status, 200, "{}", r.body_str().unwrap());
+        let direct = process_shared(
+            &*store.read(),
+            &mut temp,
+            &kgdual_sparql::parse(text).unwrap(),
+        )
+        .unwrap();
+        let body = r.body_str().unwrap();
+        assert!(
+            body.contains(&format!("\"row_count\":{},", direct.results.len()))
+                && body.contains(&format!("\"work_units\":{},", direct.total_work())),
+            "reply out of order for {text}: {body}"
+        );
+    }
+    let r = raw.read();
+    assert_eq!(r.status, 200);
+    assert!(
+        r.body_str().unwrap().contains("\"pending\""),
+        "health reply last"
+    );
+
+    let stats = handle.shutdown();
+    assert_eq!(stats.completed, 2);
+}
+
 #[test]
 fn unknown_endpoints_bad_methods_and_bad_bodies_get_typed_errors() {
     let store = small_store();
     let (handle, _sched) = start(store, 1, AdmissionConfig::new(8, 2));
 
     // Unknown endpoint and wrong method keep the connection usable.
-    use std::io::Write;
-    let mut raw = std::net::TcpStream::connect(handle.local_addr()).unwrap();
-    raw.write_all(b"GET /nope HTTP/1.1\r\n\r\n").unwrap();
-    let r = kgdual_serve::proto::read_response(&mut raw).unwrap();
-    assert_eq!(r.status, 404);
-    raw.write_all(b"GET /query HTTP/1.1\r\n\r\n").unwrap();
-    let r = kgdual_serve::proto::read_response(&mut raw).unwrap();
-    assert_eq!(r.status, 405);
+    let mut raw = RawConn::connect(handle.local_addr());
+    assert_eq!(raw.exchange(b"GET /nope HTTP/1.1\r\n\r\n").status, 404);
+    assert_eq!(raw.exchange(b"GET /query HTTP/1.1\r\n\r\n").status, 405);
     // Bad JSON body is a 400.
-    raw.write_all(b"POST /query HTTP/1.1\r\nContent-Length: 8\r\n\r\nnot json")
-        .unwrap();
-    let r = kgdual_serve::proto::read_response(&mut raw).unwrap();
+    let r = raw.exchange(b"POST /query HTTP/1.1\r\nContent-Length: 8\r\n\r\nnot json");
     assert_eq!(r.status, 400);
     // Unparseable SPARQL is a 400 too (after admission).
     let mut client = ServeClient::connect(handle.local_addr(), "bad").unwrap();
@@ -179,39 +262,31 @@ fn zero_deadline_expires_before_execution() {
 #[test]
 fn shutdown_while_queued_drains_inflight_and_refuses_new() {
     let store = small_store();
-    // One worker, occupied by a gate task, so the client's query is
-    // genuinely queued when shutdown starts.
-    let sched = Arc::new(Scheduler::new(1));
-    let handle = Server::start(
-        Arc::clone(&store),
-        Arc::clone(&sched),
-        ServeConfig {
-            admission: AdmissionConfig::new(8, 2),
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
+    let (handle, _sched) = start(Arc::clone(&store), 1, AdmissionConfig::new(8, 2));
 
     let gate = Arc::new((Mutex::new(false), Condvar::new()));
     let query_text = queries()[0].clone();
 
     std::thread::scope(|ts| {
-        // Occupy the only worker until the gate opens.
-        let gate_task = Arc::clone(&gate);
-        let sched_ref = Arc::clone(&sched);
-        ts.spawn(move || {
-            sched_ref.scope(|s| {
-                s.spawn(TaskClass::Query, move || {
-                    let (lock, cv) = &*gate_task;
-                    let mut open = lock.lock().unwrap();
-                    while !*open {
-                        open = cv.wait(open).unwrap();
-                    }
-                });
-            });
+        // Hold the store's write lock until the gate opens, so the
+        // client's query is admitted and then genuinely queued on the
+        // read guard when shutdown starts.
+        let (held_tx, held) = mpsc::channel();
+        let gate_reconf = Arc::clone(&gate);
+        let store_ref = &store;
+        let reconf = ts.spawn(move || {
+            store_ref.reconfigure(|_| {
+                held_tx.send(()).unwrap();
+                let (lock, cv) = &*gate_reconf;
+                let mut open = lock.lock().unwrap();
+                while !*open {
+                    open = cv.wait(open).unwrap();
+                }
+            })
         });
+        held.recv().unwrap();
 
-        // Client 1: admitted, then queued behind the gate task.
+        // Client 1: admitted, then queued behind the reconfiguration.
         let addr = handle.local_addr();
         let q1 = query_text.clone();
         let inflight = ts.spawn(move || {
@@ -237,15 +312,17 @@ fn shutdown_while_queued_drains_inflight_and_refuses_new() {
         assert_eq!(refused.http_status, 503);
         assert_eq!(refused.reason.as_deref(), Some("draining"));
 
-        // Open the gate: the queued query executes and the drain
-        // completes with its response written.
+        // Open the gate: the reconfiguration finishes, the queued query
+        // executes and the drain completes with its response written.
         {
             let (lock, cv) = &*gate;
             *lock.lock().unwrap() = true;
             cv.notify_all();
         }
+        reconf.join().unwrap();
         let reply = inflight.join().unwrap();
         assert!(reply.is_ok(), "queued query must complete through drain");
+        assert_eq!(reply.epoch, 1, "the query ran after the reconfiguration");
         let stats = shutter.join().unwrap();
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.rejected_draining, 1);
@@ -270,8 +347,7 @@ fn connection_limit_answers_503_immediately() {
     let (code, _) = first.health().unwrap();
     assert_eq!(code, 200);
     // The second connection is turned away before any request is read.
-    let mut second = std::net::TcpStream::connect(handle.local_addr()).unwrap();
-    let r = kgdual_serve::proto::read_response(&mut second).unwrap();
+    let r = RawConn::connect(handle.local_addr()).read();
     assert_eq!(r.status, 503);
     assert!(r.body_str().unwrap().contains("connection_limit"));
     handle.shutdown();
