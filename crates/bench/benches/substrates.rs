@@ -5,6 +5,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use kgdual_core::DualStore;
+use kgdual_graphstore::GraphBackend;
 use kgdual_model::{Dictionary, Term};
 use kgdual_relstore::ExecContext;
 use kgdual_sparql::{compile, parse, Compiled, EncodedQuery};

@@ -1,34 +1,5 @@
 //! Minimal command-line argument parsing for the harness binaries.
 
-/// Which graph-store substrate the harness runs on (`--backend`).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum BackendKind {
-    /// Per-node sorted adjacency lists (the default).
-    #[default]
-    Adjacency,
-    /// Per-predicate compressed sparse rows.
-    Csr,
-}
-
-impl BackendKind {
-    /// Parse a `--backend` value.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "adjacency" => Some(BackendKind::Adjacency),
-            "csr" => Some(BackendKind::Csr),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling, for harness output.
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Adjacency => "adjacency",
-            BackendKind::Csr => "csr",
-        }
-    }
-}
-
 /// Common harness options.
 #[derive(Clone, Debug)]
 pub struct BenchArgs {
@@ -49,8 +20,6 @@ pub struct BenchArgs {
     /// binary resolves its worker count through this one field — the
     /// scheduler pool size is never hard-coded at a call site.
     pub threads: usize,
-    /// Graph-store substrate: `--backend {adjacency,csr}`.
-    pub backend: BackendKind,
     /// Relational shards: `--shards N` (default 1, the monolithic
     /// layout; the `KGDUAL_SHARDS` env var sets the default for test
     /// matrices). Deterministic metrics are shard-invariant by
@@ -82,7 +51,6 @@ impl Default for BenchArgs {
             reps: 2,
             order: "ordered".to_owned(),
             threads: 1,
-            backend: BackendKind::default(),
             shards: 1,
             port: 0,
             clients: 8,
@@ -128,10 +96,6 @@ impl BenchArgs {
                 "reps" => out.reps = value.parse().unwrap_or(out.reps).max(1),
                 "order" => out.order = value,
                 "threads" => out.threads = value.parse().unwrap_or(out.threads).max(1),
-                "backend" => match BackendKind::parse(&value) {
-                    Some(b) => out.backend = b,
-                    None => eprintln!("unknown --backend `{value}` (want adjacency|csr)"),
-                },
                 "shards" => out.shards = value.parse().unwrap_or(out.shards).max(1),
                 "port" => out.port = value.parse().unwrap_or(out.port),
                 "clients" => out.clients = value.parse().unwrap_or(out.clients).max(1),
@@ -156,15 +120,10 @@ impl BenchArgs {
     }
 
     /// The standard one-line run description every harness binary prints
-    /// in its header: scale, substrate, shard count, and (when parallel)
-    /// the worker-thread count.
+    /// in its header: scale, shard count, and (when parallel) the
+    /// worker-thread count.
     pub fn describe(&self) -> String {
-        let mut out = format!(
-            "scale {}, {} backend, {} shard(s)",
-            self.scale,
-            self.backend.name(),
-            self.shards
-        );
+        let mut out = format!("scale {}, {} shard(s)", self.scale, self.shards);
         if self.threads > 1 {
             out.push_str(&format!(", {} threads", self.threads));
         }
@@ -249,16 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_flag_parses_and_defaults() {
-        assert_eq!(parse("").backend, BackendKind::Adjacency);
-        assert_eq!(parse("--backend csr").backend, BackendKind::Csr);
-        assert_eq!(parse("--backend adjacency").backend, BackendKind::Adjacency);
-        // Unknown values keep the default rather than aborting a sweep.
-        assert_eq!(parse("--backend bogus").backend, BackendKind::Adjacency);
-        assert_eq!(BackendKind::Csr.name(), "csr");
-    }
-
-    #[test]
     fn free_form_flags_and_lookup() {
         let a = parse("--workload yago --foo bar --restart true --quick false");
         assert_eq!(a.get("workload"), Some("yago"));
@@ -278,8 +227,8 @@ mod tests {
 
     #[test]
     fn describe_names_the_run_configuration() {
-        let d = parse("--scale 0.002 --backend csr --shards 4").describe();
-        assert_eq!(d, "scale 0.002, csr backend, 4 shard(s)");
+        let d = parse("--scale 0.002 --shards 4").describe();
+        assert_eq!(d, "scale 0.002, 4 shard(s)");
         let d = parse("--threads 8").describe();
         assert!(d.ends_with("8 threads"), "{d}");
     }

@@ -21,21 +21,20 @@ use kgdual_bench::{build_batches, build_dataset, build_workload, BenchArgs, Work
 use kgdual_core::{DualStore, PhysicalTuner};
 use kgdual_dotil::{Dotil, DotilConfig};
 use kgdual_exec::{BatchExecutor, SchedShardDispatch, SharedStore};
-use kgdual_graphstore::{AdjacencyBackend, CsrBackend, GraphBackend};
 use kgdual_model::Dataset;
 use kgdual_sparql::Query;
 use std::sync::Arc;
 
 /// One full workload pass: every batch executed, a tuning epoch after
 /// each. Returns (wall seconds, deterministic fingerprint).
-fn run_once<B: GraphBackend>(
+fn run_once(
     dataset: &Dataset,
     batches: &[Vec<Query>],
     threads: usize,
     shards: usize,
 ) -> (f64, (u64, u64, u128)) {
     let budget = dataset.len() / 4;
-    let store = SharedStore::new(DualStore::<B>::from_dataset_sharded_in(
+    let store = SharedStore::new(DualStore::from_dataset_sharded(
         dataset.clone(),
         budget,
         shards,
@@ -60,7 +59,7 @@ fn run_once<B: GraphBackend>(
     (t0.elapsed().as_secs_f64(), (work, rows, sim))
 }
 
-fn sweep<B: GraphBackend>(args: &BenchArgs) -> (f64, f64) {
+fn sweep(args: &BenchArgs) -> (f64, f64) {
     let dataset = build_dataset(WorkloadKind::Yago, args);
     let workload = build_workload(WorkloadKind::Yago, args);
     let batches = build_batches(&workload, &args.order, args.seed);
@@ -70,16 +69,16 @@ fn sweep<B: GraphBackend>(args: &BenchArgs) -> (f64, f64) {
     // One untimed warm-up pass (allocator, caches), then interleaved
     // off/on reps so drift hits both modes equally; min-of-reps is the
     // overhead comparison (least-noise floor of each mode).
-    run_once::<B>(&dataset, &batches, args.threads, args.shards);
+    run_once(&dataset, &batches, args.threads, args.shards);
     let (mut noop_min, mut rec_min) = (f64::INFINITY, f64::INFINITY);
     let mut fingerprints = Vec::new();
     for _ in 0..args.reps {
         obs.set_enabled(false);
-        let (w, fp) = run_once::<B>(&dataset, &batches, args.threads, args.shards);
+        let (w, fp) = run_once(&dataset, &batches, args.threads, args.shards);
         noop_min = noop_min.min(w);
         fingerprints.push(fp);
         obs.set_enabled(true);
-        let (w, fp) = run_once::<B>(&dataset, &batches, args.threads, args.shards);
+        let (w, fp) = run_once(&dataset, &batches, args.threads, args.shards);
         rec_min = rec_min.min(w);
         fingerprints.push(fp);
     }
@@ -110,10 +109,7 @@ fn main() {
         args.describe()
     );
 
-    let (noop_min, rec_min) = match args.backend {
-        kgdual_bench::BackendKind::Adjacency => sweep::<AdjacencyBackend>(&args),
-        kgdual_bench::BackendKind::Csr => sweep::<CsrBackend>(&args),
-    };
+    let (noop_min, rec_min) = sweep(&args);
     let overhead_pct = (rec_min - noop_min) / noop_min * 100.0;
 
     // The recording runs must have fed the serving-layer latency
@@ -157,10 +153,8 @@ fn main() {
         args.scale, args.seed, args.reps
     );
     println!(
-        "    \"backend\": \"{}\", \"threads\": {}, \"shards\": {},",
-        args.backend.name(),
-        args.threads,
-        args.shards
+        "    \"threads\": {}, \"shards\": {},",
+        args.threads, args.shards
     );
     println!("    \"host_parallelism\": {host_parallelism}");
     println!("  }},");

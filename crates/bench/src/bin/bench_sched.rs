@@ -78,10 +78,7 @@ fn main() {
         "    \"workload\": \"YAGO\", \"scale\": {}, \"seed\": {}, \"reps\": {},",
         args.scale, args.seed, args.reps
     );
-    println!(
-        "    \"backend\": \"{}\", \"threads_swept\": [1, 2, 4, 8], \"shards_swept\": [1, 4],",
-        args.backend.name()
-    );
+    println!("    \"threads_swept\": [1, 2, 4, 8], \"shards_swept\": [1, 4],");
     println!("    \"host_parallelism\": {host_parallelism}");
     println!("  }},");
     println!("  \"points\": [");

@@ -33,18 +33,17 @@ use kgdual_bench::serve_load::{
     closed_admission, overload_admission, query_pool, run_closed, run_open, serial_replay,
     LoadConfig, RegimeResult,
 };
-use kgdual_bench::{build_dataset, BackendKind, BenchArgs, WorkloadKind};
+use kgdual_bench::{build_dataset, BenchArgs, WorkloadKind};
 use kgdual_core::DualStore;
 use kgdual_exec::{results_digest, BatchExecutor, SchedShardDispatch, Scheduler, SharedStore};
-use kgdual_graphstore::{AdjacencyBackend, CsrBackend, GraphBackend};
 use kgdual_serve::{route_name, ServeConfig, Server};
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-fn build_store<B: GraphBackend>(args: &BenchArgs) -> Arc<SharedStore<B>> {
+fn build_store(args: &BenchArgs) -> Arc<SharedStore> {
     let dataset = build_dataset(WorkloadKind::Yago, args);
     let budget = dataset.len() / 4;
-    Arc::new(SharedStore::new(DualStore::<B>::from_dataset_sharded_in(
+    Arc::new(SharedStore::new(DualStore::from_dataset_sharded(
         dataset,
         budget,
         args.shards,
@@ -53,9 +52,9 @@ fn build_store<B: GraphBackend>(args: &BenchArgs) -> Arc<SharedStore<B>> {
 
 /// Serial wire replay vs the batch executor on `store`: every
 /// deterministic field must match, per query and in digest form.
-fn assert_equivalence<B: GraphBackend + Send + Sync + 'static>(
+fn assert_equivalence(
     addr: SocketAddr,
-    store: &Arc<SharedStore<B>>,
+    store: &Arc<SharedStore>,
     sched: &Arc<Scheduler>,
     queries: &[String],
 ) {
@@ -119,7 +118,7 @@ fn regime_json(name: &str, r: &RegimeResult, queue_cap: usize, max_pending: usiz
     )
 }
 
-fn run<B: GraphBackend + Send + Sync + 'static>(args: &BenchArgs) {
+fn run(args: &BenchArgs) {
     let queries = query_pool(args);
     let cfg = LoadConfig {
         clients: args.clients,
@@ -135,7 +134,7 @@ fn run<B: GraphBackend + Send + Sync + 'static>(args: &BenchArgs) {
     if let Some(addr) = args.get("connect") {
         let addr: SocketAddr = addr.parse().expect("--connect host:port");
         if assert_eq_flag {
-            let store = build_store::<B>(args);
+            let store = build_store(args);
             let sched = Arc::new(Scheduler::new(args.threads));
             if args.threads > 1 {
                 store.install_shard_dispatch(Arc::new(SchedShardDispatch::new(Arc::clone(&sched))));
@@ -164,7 +163,7 @@ fn run<B: GraphBackend + Send + Sync + 'static>(args: &BenchArgs) {
 
     // In-process mode: one store, one scheduler shared by the server
     // and the batch-equivalence executor.
-    let store = build_store::<B>(args);
+    let store = build_store(args);
     let sched = Arc::new(Scheduler::new(args.threads));
     if args.threads > 1 {
         store.install_shard_dispatch(Arc::new(SchedShardDispatch::new(Arc::clone(&sched))));
@@ -257,7 +256,7 @@ fn run<B: GraphBackend + Send + Sync + 'static>(args: &BenchArgs) {
     println!("  \"bench\": \"serve\",");
     println!(
         "  \"meta\": {{\"scale\": {}, \"seed\": {}, \"clients\": {}, \"requests_per_client\": {}, \
-         \"threads\": {}, \"shards\": {}, \"backend\": \"{}\", \"distinct_queries\": {}, \
+         \"threads\": {}, \"shards\": {}, \"distinct_queries\": {}, \
          \"open_rate_rps\": {:.2}, \"equivalence_checked\": {}, \"host_parallelism\": {}}},",
         args.scale,
         args.seed,
@@ -265,7 +264,6 @@ fn run<B: GraphBackend + Send + Sync + 'static>(args: &BenchArgs) {
         cfg.requests_per_client,
         args.threads,
         args.shards,
-        args.backend.name(),
         queries.len(),
         rate,
         assert_eq_flag,
@@ -287,8 +285,5 @@ fn run<B: GraphBackend + Send + Sync + 'static>(args: &BenchArgs) {
 fn main() {
     let args = BenchArgs::parse();
     eprintln!("bench_serve: {}", args.describe());
-    match args.backend {
-        BackendKind::Adjacency => run::<AdjacencyBackend>(&args),
-        BackendKind::Csr => run::<CsrBackend>(&args),
-    }
+    run(&args);
 }

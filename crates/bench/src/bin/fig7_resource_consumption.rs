@@ -6,10 +6,9 @@
 //! are dense), stabilising to a lower steady rate — the paper's
 //! "fluctuates widely in the beginning, then stabilizes" observation.
 
-use kgdual_bench::{BackendKind, BenchArgs, TablePrinter};
+use kgdual_bench::{BenchArgs, TablePrinter};
 use kgdual_core::processor::process;
 use kgdual_core::DualStore;
-use kgdual_graphstore::{AdjacencyBackend, CsrBackend, GraphBackend};
 use kgdual_relstore::{GovernorSample, ResourceGovernor};
 use kgdual_sparql::parse;
 use kgdual_workloads::YagoGen;
@@ -23,17 +22,14 @@ fn main() {
         "Figure 7: IO/CPU consumed by the graph store over time (40% spare IO), {}\n",
         args.describe()
     );
-    match args.backend {
-        BackendKind::Adjacency => run::<AdjacencyBackend>(&args),
-        BackendKind::Csr => run::<CsrBackend>(&args),
-    }
+    run(&args);
 }
 
-fn run<B: GraphBackend>(args: &BenchArgs) {
+fn run(args: &BenchArgs) {
     let triples = args.triples(16_418_085);
     let dataset = YagoGen::with_target_triples(triples, args.seed).generate();
     let total = dataset.len();
-    let mut dual = DualStore::<B>::from_dataset_sharded_in(dataset, total, args.shards);
+    let mut dual = DualStore::from_dataset_sharded(dataset, total, args.shards);
     for pred in ["y:wasBornIn", "y:hasAcademicAdvisor", "y:isMarriedTo"] {
         let p = dual.dict().pred_id(pred).expect("predicate exists");
         dual.migrate_partition(p).expect("partitions fit");

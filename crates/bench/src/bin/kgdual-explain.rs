@@ -14,16 +14,15 @@
 //!
 //! The `plan_digest` field is an FNV-1a hash over every query's
 //! *deterministic* plan and profile JSON (route, operator sequence,
-//! estimates, actual rows, work units) — byte-identical across backends
-//! × shards × threads, so the baseline drift check pins the
-//! planner's decisions without pinning machine-dependent timings.
+//! estimates, actual rows, work units) — byte-identical across shards ×
+//! threads, so the baseline drift check pins the planner's decisions
+//! without pinning machine-dependent timings.
 
-use kgdual_bench::{build_batches, build_dataset, build_workload, BackendKind, BenchArgs};
+use kgdual_bench::{build_batches, build_dataset, build_workload, BenchArgs};
 use kgdual_bench::{experiments::WorkloadKind, serve_load::query_pool};
 use kgdual_core::{process_shared_explain, DualStore, PhysicalTuner};
 use kgdual_dotil::{Dotil, DotilConfig};
 use kgdual_exec::{BatchExecutor, SchedShardDispatch, SharedStore};
-use kgdual_graphstore::{AdjacencyBackend, CsrBackend, GraphBackend};
 use kgdual_relstore::TempSpace;
 use std::sync::Arc;
 
@@ -56,7 +55,7 @@ fn escape(s: &str) -> String {
     out
 }
 
-fn run<B: GraphBackend>(args: &BenchArgs) {
+fn run(args: &BenchArgs) {
     let dataset = build_dataset(WorkloadKind::Yago, args);
     let workload = build_workload(WorkloadKind::Yago, args);
     let batches = build_batches(&workload, &args.order, args.seed);
@@ -69,7 +68,7 @@ fn run<B: GraphBackend>(args: &BenchArgs) {
 
     // Settle residency first: one tuned workload pass, so the explained
     // routes reflect the store DOTIL actually builds, not the cold one.
-    let store = SharedStore::new(DualStore::<B>::from_dataset_sharded_in(
+    let store = SharedStore::new(DualStore::from_dataset_sharded(
         dataset,
         budget,
         args.shards,
@@ -136,8 +135,5 @@ fn run<B: GraphBackend>(args: &BenchArgs) {
 fn main() {
     let args = BenchArgs::parse();
     kgdual_bench::init_obs(&args);
-    match args.backend {
-        BackendKind::Adjacency => run::<AdjacencyBackend>(&args),
-        BackendKind::Csr => run::<CsrBackend>(&args),
-    }
+    run(&args);
 }

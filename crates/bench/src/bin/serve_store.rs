@@ -18,10 +18,9 @@
 //! sender count to force rejections).
 
 use kgdual_bench::serve_load::query_pool;
-use kgdual_bench::{build_dataset, BackendKind, BenchArgs, WorkloadKind};
+use kgdual_bench::{build_dataset, BenchArgs, WorkloadKind};
 use kgdual_core::DualStore;
 use kgdual_exec::{SchedShardDispatch, Scheduler, SharedStore};
-use kgdual_graphstore::{AdjacencyBackend, CsrBackend, GraphBackend};
 use kgdual_serve::{AdmissionConfig, ServeConfig, Server};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -56,7 +55,7 @@ mod sig {
     }
 }
 
-fn run<B: GraphBackend + Send + Sync + 'static>(args: &BenchArgs) {
+fn run(args: &BenchArgs) {
     let dataset = build_dataset(WorkloadKind::Yago, args);
     let budget = dataset.len() / 4;
     eprintln!(
@@ -64,7 +63,7 @@ fn run<B: GraphBackend + Send + Sync + 'static>(args: &BenchArgs) {
         dataset.len(),
         args.describe()
     );
-    let store = Arc::new(SharedStore::new(DualStore::<B>::from_dataset_sharded_in(
+    let store = Arc::new(SharedStore::new(DualStore::from_dataset_sharded(
         dataset,
         budget,
         args.shards,
@@ -121,8 +120,5 @@ fn main() {
     #[cfg(unix)]
     sig::install();
     let args = BenchArgs::parse();
-    match args.backend {
-        BackendKind::Adjacency => run::<AdjacencyBackend>(&args),
-        BackendKind::Csr => run::<CsrBackend>(&args),
-    }
+    run(&args);
 }

@@ -5,13 +5,9 @@
 //! Expected shape: relational latency grows steeply with data size
 //! (scan + hash join), graph latency grows slowly (traversal bounded by
 //! candidate edges), with a roughly constant 10–25× gap — matching the
-//! paper's MySQL/Neo4j contrast. The graph side is measured on **both**
-//! native substrates — the adjacency-list backend and the CSR backend —
-//! so the paper's multi-store comparison has a second native column; their
-//! simulated latencies coincide by the cost-parity contract, while the
-//! wall-clock columns expose the layout difference.
+//! paper's MySQL/Neo4j contrast.
 //!
-//! The relational side is likewise measured on both of its layouts: the
+//! The relational side is measured on both of its layouts: the
 //! monolithic store and the predicate-sharded store (`rel-shard(s)`,
 //! shard count from `--shards` when > 1, else 4 — a 1-shard column would
 //! be the same layout as `relational(s)` and measure nothing). Their
@@ -21,7 +17,7 @@
 use kgdual_bench::table::secs;
 use kgdual_bench::{BenchArgs, TablePrinter};
 use kgdual_core::DualStore;
-use kgdual_graphstore::{CsrBackend, GraphBackend};
+use kgdual_graphstore::GraphBackend;
 use kgdual_relstore::ExecContext;
 use kgdual_sparql::{compile, parse, Compiled, EncodedQuery};
 use kgdual_workloads::YagoGen;
@@ -45,11 +41,11 @@ fn measure(reps: usize, f: &dyn Fn() -> (u64, u64)) -> (Duration, u64, u64) {
     (best, rows, work)
 }
 
-/// A fully mirrored dual store on backend `B` (Table 1 loads the *entire*
-/// graph into both stores), with `shards` relational shards.
-fn mirrored<B: GraphBackend>(dataset: kgdual_model::Dataset, shards: usize) -> DualStore<B> {
+/// A fully mirrored dual store (Table 1 loads the *entire* graph into
+/// both stores), with `shards` relational shards.
+fn mirrored(dataset: kgdual_model::Dataset, shards: usize) -> DualStore {
     let budget = dataset.len();
-    let mut dual = DualStore::<B>::from_dataset_sharded_in(dataset, budget, shards);
+    let mut dual = DualStore::from_dataset_sharded(dataset, budget, shards);
     let preds: Vec<_> = dual.rel().preds().collect();
     for p in preds {
         dual.migrate_partition(p)
@@ -73,15 +69,13 @@ fn main() {
 
     println!("Table 1: latency (s) of the advisor-same-city query by store and data size");
     println!("(paper: MySQL vs Neo4j, 500k..5M triples; here scaled by {scale};");
-    println!(" graph side on both native substrates: adjacency lists and CSR;");
     println!(" relational side monolithic and predicate-sharded {shards} ways)\n");
 
     let mut table = TablePrinter::new(vec![
         "#triples",
         "relational(s)",
         "rel-shard(s)",
-        "adjacency(s)",
-        "csr(s)",
+        "graph(s)",
         "rel/graph",
         "sim-rel(s)",
         "sim-graph(s)",
@@ -92,9 +86,8 @@ fn main() {
     for &target in &sizes {
         let dataset = YagoGen::with_target_triples(target, args.seed).generate();
         let actual = dataset.len();
-        let dual = mirrored::<kgdual_graphstore::AdjacencyBackend>(dataset.clone(), 1);
-        let sharded = mirrored::<kgdual_graphstore::AdjacencyBackend>(dataset.clone(), shards);
-        let csr = mirrored::<CsrBackend>(dataset, 1);
+        let dual = mirrored(dataset.clone(), 1);
+        let sharded = mirrored(dataset, shards);
 
         let query = parse(QUERY).unwrap();
         let compiled = compile(&query, dual.dict()).unwrap();
@@ -118,17 +111,7 @@ fn main() {
             let rows = dual.graph().execute(eq, &mut ctx).unwrap().len() as u64;
             (rows, ctx.stats.work_units())
         });
-        let (csr_t, csr_rows, csr_work) = measure(args.reps, &|| {
-            let mut ctx = ExecContext::new();
-            let rows = csr.graph().execute(eq, &mut ctx).unwrap().len() as u64;
-            (rows, ctx.stats.work_units())
-        });
         assert_eq!(rel_rows, graph_rows, "engines must agree");
-        assert_eq!(graph_rows, csr_rows, "substrates must agree on rows");
-        assert_eq!(
-            graph_work, csr_work,
-            "substrates must charge identical traversal work"
-        );
         assert_eq!(rel_rows, shard_rows, "shard layouts must agree on rows");
         assert_eq!(
             rel_work, shard_work,
@@ -137,8 +120,6 @@ fn main() {
 
         // Calibrated simulated latencies (see DESIGN.md: wall-clock on two
         // embedded engines compresses the disk/IPC gap Table 1 measured).
-        // The graph-side simulated latency is substrate-independent — the
-        // work units agree — so one column covers both backends.
         use kgdual_relstore::exec::context::{GRAPH_NANOS_PER_WORK_UNIT, REL_NANOS_PER_WORK_UNIT};
         let sim_rel = Duration::from_nanos((rel_work as f64 * REL_NANOS_PER_WORK_UNIT) as u64);
         let sim_graph =
@@ -149,7 +130,6 @@ fn main() {
             secs(rel_t),
             secs(shard_t),
             secs(graph_t),
-            secs(csr_t),
             format!(
                 "{:.1}x",
                 rel_t.as_secs_f64() / graph_t.as_secs_f64().max(1e-9)

@@ -4,23 +4,21 @@
 //!
 //! Expected shape: IO limits barely matter (traversal is probe-dominated),
 //! CPU limits matter more, and 20% spare hurts more than 40% — the
-//! ordering in the paper's Table 6, on either graph substrate
-//! (`--backend {adjacency,csr}`).
+//! ordering in the paper's Table 6.
 
-use kgdual_bench::{BackendKind, BenchArgs, TablePrinter};
+use kgdual_bench::{BenchArgs, TablePrinter};
 use kgdual_core::processor::process;
 use kgdual_core::DualStore;
-use kgdual_graphstore::{AdjacencyBackend, CsrBackend, GraphBackend};
 use kgdual_relstore::ResourceGovernor;
 use kgdual_sparql::parse;
 use kgdual_workloads::YagoGen;
 use std::time::{Duration, Instant};
 
-fn run<B: GraphBackend>(args: &BenchArgs) {
+fn run(args: &BenchArgs) {
     let triples = args.triples(16_418_085);
     let dataset = YagoGen::with_target_triples(triples, args.seed).generate();
     let total = dataset.len();
-    let mut dual = DualStore::<B>::from_dataset_sharded_in(dataset, total, args.shards);
+    let mut dual = DualStore::from_dataset_sharded(dataset, total, args.shards);
     for pred in ["y:wasBornIn", "y:hasAcademicAdvisor", "y:isMarriedTo"] {
         let p = dual.dict().pred_id(pred).expect("predicate exists");
         dual.migrate_partition(p).expect("partitions fit");
@@ -30,7 +28,7 @@ fn run<B: GraphBackend>(args: &BenchArgs) {
         parse("SELECT ?p WHERE { ?p y:wasBornIn ?c . ?p y:isMarriedTo ?m . ?m y:wasBornIn ?c }").unwrap(),
     ];
 
-    let run_batch = |dual: &mut DualStore<B>| -> Duration {
+    let run_batch = |dual: &mut DualStore| -> Duration {
         let mut best = Duration::MAX;
         for _ in 0..args.reps.max(2) {
             let t0 = Instant::now();
@@ -74,9 +72,6 @@ fn main() {
         "Table 6: graph-store slowdown with limited spare resources, {}\n",
         args.describe()
     );
-    match args.backend {
-        BackendKind::Adjacency => run::<AdjacencyBackend>(&args),
-        BackendKind::Csr => run::<CsrBackend>(&args),
-    }
+    run(&args);
     kgdual_bench::write_obs_profile(&args);
 }

@@ -8,7 +8,7 @@ use kgdual_core::{
 };
 use kgdual_dotil::{Dotil, DotilConfig, FrequencyTuner, IdealTuner, OneOffTuner};
 use kgdual_exec::{BatchExecutor, ExecMode, ParallelRunner, SharedStore};
-use kgdual_graphstore::{AdjacencyBackend, CsrBackend, GraphBackend};
+use kgdual_graphstore::GraphBackend;
 use kgdual_sparql::Query;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -135,16 +135,16 @@ impl<B: GraphBackend> PhysicalTuner<B> for SharedDotil {
 }
 
 /// Build a fresh store variant over (a clone of) `dataset` with graph/view
-/// budget `budget` triples, on the chosen graph-store backend, with the
-/// relational store sharded `shards` ways.
-pub fn build_variant<B: GraphBackend>(
+/// budget `budget` triples, with the relational store sharded `shards`
+/// ways.
+pub fn build_variant(
     kind: VariantKind,
     dataset: kgdual_model::Dataset,
     budget: usize,
     dotil_cfg: DotilConfig,
     shards: usize,
-) -> StoreVariant<B> {
-    let dual = DualStore::from_dataset_sharded_in(dataset, budget, shards);
+) -> StoreVariant {
+    let dual = DualStore::from_dataset_sharded(dataset, budget, shards);
     match kind {
         VariantKind::RdbOnly => StoreVariant::rdb_only(dual),
         VariantKind::RdbViews => StoreVariant::rdb_views(dual),
@@ -186,22 +186,6 @@ pub fn run_variant_comparison(
     variants: &[VariantKind],
     args: &BenchArgs,
 ) -> Vec<VariantResult> {
-    match args.backend {
-        crate::args::BackendKind::Adjacency => {
-            run_variant_comparison_in::<AdjacencyBackend>(kind, variants, args)
-        }
-        crate::args::BackendKind::Csr => {
-            run_variant_comparison_in::<CsrBackend>(kind, variants, args)
-        }
-    }
-}
-
-/// [`run_variant_comparison`] on an explicit graph-store backend.
-pub fn run_variant_comparison_in<B: GraphBackend>(
-    kind: WorkloadKind,
-    variants: &[VariantKind],
-    args: &BenchArgs,
-) -> Vec<VariantResult> {
     let dataset = build_dataset(kind, args);
     let workload = build_workload(kind, args);
     let batches = build_batches(&workload, &args.order, args.seed);
@@ -209,7 +193,7 @@ pub fn run_variant_comparison_in<B: GraphBackend>(
 
     let mut out = Vec::with_capacity(variants.len());
     for &vk in variants {
-        let mut variant = build_variant::<B>(
+        let mut variant = build_variant(
             vk,
             dataset.clone(),
             budget,
@@ -296,19 +280,6 @@ fn restart_column(name: &'static str, reports: Vec<BatchReport>) -> RestartColum
 /// matches it on every deterministic metric: a restored process is
 /// indistinguishable from one that never exited.
 pub fn run_restart_comparison(kind: WorkloadKind, args: &BenchArgs) -> Vec<RestartColumn> {
-    match args.backend {
-        crate::args::BackendKind::Adjacency => {
-            run_restart_comparison_in::<AdjacencyBackend>(kind, args)
-        }
-        crate::args::BackendKind::Csr => run_restart_comparison_in::<CsrBackend>(kind, args),
-    }
-}
-
-/// [`run_restart_comparison`] on an explicit graph-store backend.
-pub fn run_restart_comparison_in<B: GraphBackend>(
-    kind: WorkloadKind,
-    args: &BenchArgs,
-) -> Vec<RestartColumn> {
     let dataset = build_dataset(kind, args);
     let workload = build_workload(kind, args);
     let batches = build_batches(&workload, &args.order, args.seed);
@@ -316,7 +287,7 @@ pub fn run_restart_comparison_in<B: GraphBackend>(
     let runner = WorkloadRunner::new(TuningSchedule::AfterEachBatch);
 
     // Cold start: one pass from nothing, learning as it goes.
-    let mut cold = build_variant::<B>(
+    let mut cold = build_variant(
         VariantKind::RdbGdbDotil,
         dataset.clone(),
         budget,
@@ -328,7 +299,7 @@ pub fn run_restart_comparison_in<B: GraphBackend>(
     // Persist the learned design + DOTIL state, then restart: a fresh
     // store over the same dataset, a fresh tuner, state rehydrated.
     let snapshot = kgdual_core::persist::save_checkpoint(cold.dual(), cold.tuner(), 0);
-    let mut warm = build_variant::<B>(
+    let mut warm = build_variant(
         VariantKind::RdbGdbDotil,
         dataset.clone(),
         budget,
@@ -337,7 +308,7 @@ pub fn run_restart_comparison_in<B: GraphBackend>(
     );
     {
         let (dual, tuner) = warm.dual_and_tuner_mut();
-        let tuner = tuner.map(|t| t as &mut dyn PhysicalTuner<B>);
+        let tuner = tuner.map(|t| t as &mut dyn PhysicalTuner);
         kgdual_core::persist::restore_checkpoint(dual, tuner, &snapshot)
             .expect("restart restore must succeed on the same dataset");
     }
@@ -359,7 +330,7 @@ pub fn run_restart_comparison_in<B: GraphBackend>(
     }
 
     // Oracle: the ideal mode, for the floor column.
-    let mut oracle = build_variant::<B>(
+    let mut oracle = build_variant(
         VariantKind::RdbGdbIdeal,
         dataset,
         budget,
@@ -418,19 +389,6 @@ impl ParallelTti {
 /// follow the harness convention: `args.reps` runs over a persistent
 /// store, the first dropped as warm-up when more than one.
 pub fn run_parallel_comparison(kind: WorkloadKind, args: &BenchArgs) -> Vec<ParallelTti> {
-    match args.backend {
-        crate::args::BackendKind::Adjacency => {
-            run_parallel_comparison_in::<AdjacencyBackend>(kind, args)
-        }
-        crate::args::BackendKind::Csr => run_parallel_comparison_in::<CsrBackend>(kind, args),
-    }
-}
-
-/// [`run_parallel_comparison`] on an explicit graph-store backend.
-pub fn run_parallel_comparison_in<B: GraphBackend>(
-    kind: WorkloadKind,
-    args: &BenchArgs,
-) -> Vec<ParallelTti> {
     let dataset = build_dataset(kind, args);
     let workload = build_workload(kind, args);
     let batches = build_batches(&workload, &args.order, args.seed);
@@ -443,12 +401,12 @@ pub fn run_parallel_comparison_in<B: GraphBackend>(
     let mut out = Vec::with_capacity(configs.len());
     for (name, mode) in configs {
         let measure = |threads: usize| -> (u64, u64, f64, f64) {
-            let store = SharedStore::new(DualStore::<B>::from_dataset_sharded_in(
+            let store = SharedStore::new(DualStore::from_dataset_sharded(
                 dataset.clone(),
                 budget,
                 args.shards,
             ));
-            let mut tuner: Box<dyn PhysicalTuner<B>> = match mode {
+            let mut tuner: Box<dyn PhysicalTuner> = match mode {
                 ExecMode::Routed => Box::new(Dotil::with_config(DotilConfig::default())),
                 ExecMode::RelationalOnly => Box::new(kgdual_core::NoopTuner),
             };
@@ -537,10 +495,7 @@ pub struct SchedSweepPoint {
 /// units, simulated TTI, and result rows must not move on either axis —
 /// so a committed capture is simultaneously a wall-clock baseline and an
 /// equivalence proof.
-pub fn run_sched_sweep_in<B: GraphBackend>(
-    kind: WorkloadKind,
-    args: &BenchArgs,
-) -> Vec<SchedSweepPoint> {
+pub fn run_sched_sweep(kind: WorkloadKind, args: &BenchArgs) -> Vec<SchedSweepPoint> {
     use kgdual_exec::{SchedShardDispatch, TaskClass};
     use std::time::{Duration, Instant};
 
@@ -557,7 +512,7 @@ pub fn run_sched_sweep_in<B: GraphBackend>(
             let (mut work, mut rows, mut sim) = (0u64, 0u64, 0u128);
             let mut tuning_tasks = 0u64;
             for rep in 0..args.reps {
-                let store = SharedStore::new(DualStore::<B>::from_dataset_sharded_in(
+                let store = SharedStore::new(DualStore::from_dataset_sharded(
                     dataset.clone(),
                     budget,
                     shards,
@@ -629,14 +584,6 @@ pub fn run_sched_sweep_in<B: GraphBackend>(
         );
     }
     out
-}
-
-/// [`run_sched_sweep_in`] on the `--backend` substrate from `args`.
-pub fn run_sched_sweep(kind: WorkloadKind, args: &BenchArgs) -> Vec<SchedSweepPoint> {
-    match args.backend {
-        crate::args::BackendKind::Adjacency => run_sched_sweep_in::<AdjacencyBackend>(kind, args),
-        crate::args::BackendKind::Csr => run_sched_sweep_in::<CsrBackend>(kind, args),
-    }
 }
 
 #[cfg(test)]

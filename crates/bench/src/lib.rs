@@ -18,11 +18,9 @@
 //! Every binary accepts `--scale <fraction-of-paper-size>`, `--seed <u64>`
 //! and `--reps <n>`; paper-scale runs are possible but the defaults are
 //! sized for minutes, not hours. The workload binaries additionally take
-//! `--backend {adjacency,csr}` to select the graph-store substrate and
 //! `--shards <n>` (env default `KGDUAL_SHARDS`) to shard the relational
-//! store by predicate. Both axes are invisible in the deterministic
-//! metrics by construction — backend changes wall clock and the import
-//! cost model, sharding changes wall clock and intra-query parallelism.
+//! store by predicate, which is invisible in the deterministic metrics by
+//! construction — it changes wall clock and intra-query parallelism only.
 //! All common flags are parsed once, in [`args::BenchArgs`]; binaries
 //! print their configuration through [`args::BenchArgs::describe`].
 
@@ -33,12 +31,10 @@ pub mod serve_load;
 pub mod setup;
 pub mod table;
 
-pub use args::{BackendKind, BenchArgs};
+pub use args::BenchArgs;
 pub use experiments::{
-    run_parallel_comparison, run_parallel_comparison_in, run_restart_comparison,
-    run_restart_comparison_in, run_sched_sweep, run_sched_sweep_in, run_variant_comparison,
-    run_variant_comparison_in, ParallelTti, RestartColumn, SchedSweepPoint, SharedDotil,
-    VariantKind, WorkloadKind,
+    run_parallel_comparison, run_restart_comparison, run_sched_sweep, run_variant_comparison,
+    ParallelTti, RestartColumn, SchedSweepPoint, SharedDotil, VariantKind, WorkloadKind,
 };
 pub use obs::{init_obs, write_obs_profile};
 pub use setup::{build_batches, build_dataset, build_workload};

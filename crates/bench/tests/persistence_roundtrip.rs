@@ -1,5 +1,5 @@
-//! Acceptance: the design-persistence round trip is lossless on both
-//! graph substrates, serial and concurrent.
+//! Acceptance: the design-persistence round trip is lossless, serial and
+//! concurrent.
 //!
 //! Save → restore onto a fresh process image must yield deterministic
 //! metrics (result digests, routes, work units, simulated TTI, and the
@@ -12,7 +12,6 @@ use kgdual_core::batch::TuningSchedule;
 use kgdual_core::{persist, DualStore, PhysicalTuner, StoreVariant, WorkloadRunner};
 use kgdual_dotil::{Dotil, DotilConfig};
 use kgdual_exec::{BatchExecutor, ParallelRunner, SharedStore};
-use kgdual_graphstore::{AdjacencyBackend, CsrBackend, GraphBackend};
 use kgdual_sparql::Query;
 
 fn small_args() -> BenchArgs {
@@ -35,13 +34,14 @@ fn setup(args: &BenchArgs) -> (kgdual_model::Dataset, Vec<Vec<Query>>, usize) {
 /// accessors, restart into a fresh variant, finish — then compare every
 /// deterministic per-batch metric and the tuner's final Q-state with the
 /// uninterrupted run.
-fn serial_roundtrip<B: GraphBackend>() {
+#[test]
+fn serial_roundtrip_is_lossless_on_adjacency() {
     let args = small_args();
     let (dataset, batches, budget) = setup(&args);
     let runner = WorkloadRunner::new(TuningSchedule::AfterEachBatch);
     let fresh_variant = || {
-        StoreVariant::<B>::rdb_gdb(
-            DualStore::<B>::from_dataset_in(dataset.clone(), budget),
+        StoreVariant::rdb_gdb(
+            DualStore::from_dataset(dataset.clone(), budget),
             Box::new(Dotil::with_config(DotilConfig::default())),
         )
     };
@@ -73,7 +73,7 @@ fn serial_roundtrip<B: GraphBackend>() {
         let (dual, tuner) = second_life.dual_and_tuner_mut();
         let report = persist::restore_checkpoint(
             dual,
-            tuner.map(|t| t as &mut dyn PhysicalTuner<B>),
+            tuner.map(|t| t as &mut dyn PhysicalTuner),
             &snapshot,
         )
         .expect("restore onto the same dataset must succeed");
@@ -90,24 +90,15 @@ fn serial_roundtrip<B: GraphBackend>() {
     );
 }
 
-#[test]
-fn serial_roundtrip_is_lossless_on_adjacency() {
-    serial_roundtrip::<AdjacencyBackend>();
-}
-
-#[test]
-fn serial_roundtrip_is_lossless_on_csr() {
-    serial_roundtrip::<CsrBackend>();
-}
-
 /// Concurrent path: same property through `SharedStore::checkpoint` /
 /// `restore` with a multi-threaded executor, comparing the per-batch
 /// result digests too.
-fn concurrent_roundtrip<B: GraphBackend>() {
+#[test]
+fn concurrent_roundtrip_is_lossless_on_adjacency() {
     let args = small_args();
     let (dataset, batches, budget) = setup(&args);
     let runner = ParallelRunner::new(TuningSchedule::AfterEachBatch, BatchExecutor::new(4));
-    let fresh_store = || SharedStore::new(DualStore::<B>::from_dataset_in(dataset.clone(), budget));
+    let fresh_store = || SharedStore::new(DualStore::from_dataset(dataset.clone(), budget));
 
     let store = fresh_store();
     let mut tuner = Dotil::with_config(DotilConfig::default());
@@ -122,7 +113,7 @@ fn concurrent_roundtrip<B: GraphBackend>() {
     let store = fresh_store();
     let mut tuner = Dotil::new();
     store
-        .restore(Some(&mut tuner as &mut dyn PhysicalTuner<B>), &snapshot)
+        .restore(Some(&mut tuner as &mut dyn PhysicalTuner), &snapshot)
         .expect("restore must succeed");
     let tail = runner.run(&store, &mut tuner, &batches[cut..]);
 
@@ -137,14 +128,4 @@ fn concurrent_roundtrip<B: GraphBackend>() {
             "DOTIL trail must survive the restart"
         );
     }
-}
-
-#[test]
-fn concurrent_roundtrip_is_lossless_on_adjacency() {
-    concurrent_roundtrip::<AdjacencyBackend>();
-}
-
-#[test]
-fn concurrent_roundtrip_is_lossless_on_csr() {
-    concurrent_roundtrip::<CsrBackend>();
 }

@@ -7,20 +7,17 @@
 //! seeded workloads must produce identical result digests, rows, work
 //! units, simulated TTI, route counts, and DOTIL tuning trails (exported
 //! learned state included, byte for byte) across worker counts {1,2,8}
-//! × shard counts {1,4} × graph substrates {adjacency,csr}. Only wall
-//! clock may change with the pool size.
+//! × shard counts {1,4}. Only wall clock may change with the pool size.
 //!
 //! CI runs this suite in the release-stress matrix with
-//! `KGDUAL_THREADS={1,8}` composed with `KGDUAL_BACKEND` and
-//! `KGDUAL_SHARDS`; the tests below sweep the axes explicitly so every
-//! leg checks the full set.
+//! `KGDUAL_THREADS={1,8}` composed with `KGDUAL_SHARDS`; the tests below
+//! sweep the axes explicitly so every leg checks the full set.
 
 use kgdual_bench::{build_batches, build_dataset, build_workload, BenchArgs, WorkloadKind};
 use kgdual_core::batch::{RouteCounts, TuningSchedule};
 use kgdual_core::DualStore;
 use kgdual_dotil::{Dotil, DotilConfig};
 use kgdual_exec::{BatchExecutor, ParallelRunner, SchedStats, SharedStore, TaskClass};
-use kgdual_graphstore::{AdjacencyBackend, CsrBackend, GraphBackend};
 
 /// The committed-baseline parameters plus a shard count.
 fn args_with_shards(shards: usize) -> BenchArgs {
@@ -57,18 +54,13 @@ struct Fingerprint {
     rows: u64,
 }
 
-fn scheduled_fingerprint<B: GraphBackend>(
-    shards: usize,
-    threads: usize,
-) -> (Fingerprint, SchedStats) {
+fn scheduled_fingerprint(shards: usize, threads: usize) -> (Fingerprint, SchedStats) {
     let args = args_with_shards(shards);
     let dataset = build_dataset(WorkloadKind::Yago, &args);
     let workload = build_workload(WorkloadKind::Yago, &args);
     let batches = build_batches(&workload, &args.order, args.seed);
     let budget = dataset.len() / 4;
-    let store = SharedStore::new(DualStore::<B>::from_dataset_sharded_in(
-        dataset, budget, shards,
-    ));
+    let store = SharedStore::new(DualStore::from_dataset_sharded(dataset, budget, shards));
     let mut tuner = Dotil::with_config(DotilConfig::default());
     let executor = BatchExecutor::new(threads);
     let runner = ParallelRunner::new(TuningSchedule::AfterEachBatch, executor);
@@ -106,8 +98,9 @@ fn scheduled_fingerprint<B: GraphBackend>(
     (out, runner.executor.scheduler().stats())
 }
 
-fn matrix_identical<B: GraphBackend>(label: &str) {
-    let (reference, _) = scheduled_fingerprint::<B>(1, 1);
+#[test]
+fn scheduled_runs_identical_across_threads_shards_adjacency() {
+    let (reference, _) = scheduled_fingerprint(1, 1);
     assert!(reference.work > 0 && reference.rows > 0, "healthy run");
     assert!(
         reference.residency_trail.iter().any(|d| !d.is_empty()),
@@ -121,10 +114,10 @@ fn matrix_identical<B: GraphBackend>(label: &str) {
     }
     for shards in [1, 4] {
         for &threads in &thread_counts {
-            let (got, stats) = scheduled_fingerprint::<B>(shards, threads);
+            let (got, stats) = scheduled_fingerprint(shards, threads);
             assert_eq!(
                 reference, got,
-                "{label}: {threads} threads / {shards} shards must be \
+                "{threads} threads / {shards} shards must be \
                  deterministically identical to 1 thread / 1 shard"
             );
             if threads > 1 {
@@ -134,26 +127,21 @@ fn matrix_identical<B: GraphBackend>(label: &str) {
                 assert_eq!(stats.threads, threads);
                 assert!(
                     stats.executed.get(TaskClass::Query) > 0,
-                    "{label}: queries must run as Query-class tasks"
+                    "queries must run as Query-class tasks"
                 );
                 assert!(
                     stats.executed.get(TaskClass::OfflineTuning) > 0,
-                    "{label}: covered waves must run as OfflineTuning tasks"
+                    "covered waves must run as OfflineTuning tasks"
                 );
                 if shards > 1 {
                     assert!(
                         stats.executed.get(TaskClass::ShardScan) > 0,
-                        "{label}: union scans must fan out as ShardScan tasks"
+                        "union scans must fan out as ShardScan tasks"
                     );
                 }
             }
         }
     }
-}
-
-#[test]
-fn scheduled_runs_identical_across_threads_shards_adjacency() {
-    matrix_identical::<AdjacencyBackend>("adjacency");
 }
 
 /// Observability must be purely observational: the same seeded parallel
@@ -165,18 +153,13 @@ fn observability_on_does_not_perturb_determinism() {
     let obs = kgdual_obs::global();
     let before = obs.enabled();
     obs.set_enabled(false);
-    let (off, _) = scheduled_fingerprint::<AdjacencyBackend>(4, 4);
+    let (off, _) = scheduled_fingerprint(4, 4);
     obs.set_enabled(true);
-    let (on, _) = scheduled_fingerprint::<AdjacencyBackend>(4, 4);
+    let (on, _) = scheduled_fingerprint(4, 4);
     obs.set_enabled(before);
     assert!(off.work > 0 && off.rows > 0, "healthy run");
     assert_eq!(
         off, on,
         "recording on must be byte-identical to recording off"
     );
-}
-
-#[test]
-fn scheduled_runs_identical_across_threads_shards_csr() {
-    matrix_identical::<CsrBackend>("csr");
 }

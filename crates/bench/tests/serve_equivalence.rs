@@ -5,10 +5,9 @@
 //! produce — per query — the same rows (order included), work units,
 //! simulated latency, and route as `BatchExecutor` on an identical
 //! store, and the wire-side digest must be byte-identical to the batch
-//! path's `results_digest`. The grid sweeps graph substrates
-//! {adjacency, csr} × shard counts {1, 4} × worker counts {1, 4}, with
-//! the CI matrix's `KGDUAL_THREADS` folded in so release-stress legs
-//! extend the sweep.
+//! path's `results_digest`. The grid sweeps shard counts {1, 4} × worker
+//! counts {1, 4}, with the CI matrix's `KGDUAL_THREADS` folded in so
+//! release-stress legs extend the sweep.
 //!
 //! Server and executor share one scheduler per cell: served queries run
 //! on their connection thread and fan their shard scans out on the same
@@ -19,7 +18,6 @@ use kgdual_bench::serve_load::{query_pool, serial_replay};
 use kgdual_bench::{build_dataset, BenchArgs, WorkloadKind};
 use kgdual_core::DualStore;
 use kgdual_exec::{results_digest, BatchExecutor, SchedShardDispatch, Scheduler, SharedStore};
-use kgdual_graphstore::{AdjacencyBackend, CsrBackend, GraphBackend};
 use kgdual_serve::{route_name, ServeConfig, Server};
 use std::sync::Arc;
 
@@ -43,11 +41,7 @@ fn env_threads() -> Option<usize> {
 /// One grid cell: identical store + shared scheduler, serve the pool
 /// serially over the wire, and require field-level and digest-level
 /// identity with the batch executor.
-fn cell_equivalent<B: GraphBackend + Send + Sync + 'static>(
-    label: &str,
-    shards: usize,
-    threads: usize,
-) {
+fn cell_equivalent(label: &str, shards: usize, threads: usize) {
     let args = args_with_shards(shards);
     let queries = query_pool(&args);
     assert!(
@@ -56,7 +50,7 @@ fn cell_equivalent<B: GraphBackend + Send + Sync + 'static>(
     );
     let dataset = build_dataset(WorkloadKind::Yago, &args);
     let budget = dataset.len() / 4;
-    let store = Arc::new(SharedStore::new(DualStore::<B>::from_dataset_sharded_in(
+    let store = Arc::new(SharedStore::new(DualStore::from_dataset_sharded(
         dataset, budget, shards,
     )));
     let sched = Arc::new(Scheduler::new(threads));
@@ -121,7 +115,8 @@ fn cell_equivalent<B: GraphBackend + Send + Sync + 'static>(
     assert!(rows_served > 0, "{label}: replay must produce result rows");
 }
 
-fn grid<B: GraphBackend + Send + Sync + 'static>(label: &str) {
+#[test]
+fn served_replies_match_batch_execution_adjacency() {
     let mut thread_counts = vec![1, 4];
     if let Some(extra) = env_threads() {
         if !thread_counts.contains(&extra) {
@@ -130,21 +125,11 @@ fn grid<B: GraphBackend + Send + Sync + 'static>(label: &str) {
     }
     for shards in [1, 4] {
         for &threads in &thread_counts {
-            cell_equivalent::<B>(
-                &format!("{label}/{shards} shards/{threads} threads"),
+            cell_equivalent(
+                &format!("{shards} shards/{threads} threads"),
                 shards,
                 threads,
             );
         }
     }
-}
-
-#[test]
-fn served_replies_match_batch_execution_adjacency() {
-    grid::<AdjacencyBackend>("adjacency");
-}
-
-#[test]
-fn served_replies_match_batch_execution_csr() {
-    grid::<CsrBackend>("csr");
 }

@@ -6,25 +6,21 @@
 //! seeded workloads at the baseline parameters must produce identical
 //! sorted result digests, work units, simulated TTI, routing decisions,
 //! and DOTIL tuning trails for every shard count — serial and through the
-//! concurrent executor, on both graph substrates. Unlike the backend
-//! axis, *nothing* is allowed to differ here, not even `offline_work`:
-//! migration pricing depends on the graph substrate, never on the
-//! relational shard layout.
+//! concurrent executor. *Nothing* is allowed to differ here, not even
+//! `offline_work`.
 //!
 //! CI runs this suite in the release-stress matrix with
-//! `KGDUAL_SHARDS={1,4}` composed with `KGDUAL_BACKEND={adjacency,csr}`;
-//! the tests below sweep shard counts explicitly so every leg checks the
-//! full set.
+//! `KGDUAL_SHARDS={1,4}`; the tests below sweep shard counts explicitly
+//! so every leg checks the full set.
 
 use kgdual_bench::{
-    build_batches, build_dataset, build_workload, run_variant_comparison_in, BenchArgs,
-    VariantKind, WorkloadKind,
+    build_batches, build_dataset, build_workload, run_variant_comparison, BenchArgs, VariantKind,
+    WorkloadKind,
 };
 use kgdual_core::batch::{RouteCounts, TuningSchedule};
 use kgdual_core::{DualStore, PhysicalTuner, TuningOutcome};
 use kgdual_dotil::{Dotil, DotilConfig};
 use kgdual_exec::{BatchExecutor, ParallelRunner, SchedShardDispatch, SharedStore};
-use kgdual_graphstore::{AdjacencyBackend, CsrBackend, GraphBackend};
 use kgdual_model::PredId;
 use kgdual_relstore::ShardRouter;
 use proptest::prelude::*;
@@ -41,7 +37,7 @@ fn args_with_shards(shards: usize) -> BenchArgs {
 
 /// Everything deterministic one serial workload run produces, tuning
 /// trail included verbatim (`offline_work` and all — shard layout must
-/// not perturb even the substrate-priced offline numbers).
+/// not perturb even the offline numbers).
 #[derive(Debug, PartialEq)]
 struct SerialFingerprint {
     routes: Vec<RouteCounts>,
@@ -51,9 +47,9 @@ struct SerialFingerprint {
     total_work: u64,
 }
 
-fn serial_fingerprint<B: GraphBackend>(shards: usize, variant: VariantKind) -> SerialFingerprint {
+fn serial_fingerprint(shards: usize, variant: VariantKind) -> SerialFingerprint {
     let args = args_with_shards(shards);
-    let results = run_variant_comparison_in::<B>(WorkloadKind::Yago, &[variant], &args);
+    let results = run_variant_comparison(WorkloadKind::Yago, &[variant], &args);
     let r = &results[0];
     SerialFingerprint {
         routes: r.reports.iter().map(|b| b.routes).collect(),
@@ -67,25 +63,16 @@ fn serial_fingerprint<B: GraphBackend>(shards: usize, variant: VariantKind) -> S
 #[test]
 fn serial_workloads_identical_across_shard_counts() {
     for variant in [VariantKind::RdbOnly, VariantKind::RdbGdbDotil] {
-        let mono = serial_fingerprint::<AdjacencyBackend>(1, variant);
+        let mono = serial_fingerprint(1, variant);
         assert!(mono.total_work > 0, "healthy run");
         for shards in [2, 8] {
-            let sharded = serial_fingerprint::<AdjacencyBackend>(shards, variant);
+            let sharded = serial_fingerprint(shards, variant);
             assert_eq!(
                 mono, sharded,
                 "{variant:?}: {shards} shards must be deterministically \
                  indistinguishable from the monolithic store"
             );
         }
-    }
-}
-
-#[test]
-fn serial_shard_equivalence_holds_on_csr_too() {
-    let mono = serial_fingerprint::<CsrBackend>(1, VariantKind::RdbGdbDotil);
-    for shards in [2, 8] {
-        let sharded = serial_fingerprint::<CsrBackend>(shards, VariantKind::RdbGdbDotil);
-        assert_eq!(mono, sharded, "CSR backend, {shards} shards");
     }
 }
 
@@ -100,15 +87,13 @@ struct ParallelFingerprint {
     rows: u64,
 }
 
-fn parallel_fingerprint<B: GraphBackend>(shards: usize, threads: usize) -> ParallelFingerprint {
+fn parallel_fingerprint(shards: usize, threads: usize) -> ParallelFingerprint {
     let args = args_with_shards(shards);
     let dataset = build_dataset(WorkloadKind::Yago, &args);
     let workload = build_workload(WorkloadKind::Yago, &args);
     let batches = build_batches(&workload, &args.order, args.seed);
     let budget = dataset.len() / 4;
-    let store = SharedStore::new(DualStore::<B>::from_dataset_sharded_in(
-        dataset, budget, shards,
-    ));
+    let store = SharedStore::new(DualStore::from_dataset_sharded(dataset, budget, shards));
     let mut tuner = Dotil::with_config(DotilConfig::default());
     let runner = ParallelRunner::new(TuningSchedule::AfterEachBatch, BatchExecutor::new(threads));
 
@@ -142,7 +127,7 @@ fn parallel_fingerprint<B: GraphBackend>(shards: usize, threads: usize) -> Paral
 
 #[test]
 fn concurrent_digests_and_tuning_trail_identical_across_shard_counts() {
-    let mono = parallel_fingerprint::<AdjacencyBackend>(1, 1);
+    let mono = parallel_fingerprint(1, 1);
     assert!(mono.work > 0 && mono.rows > 0, "healthy run");
     assert!(
         mono.residency_trail.iter().any(|d| !d.is_empty()),
@@ -150,17 +135,13 @@ fn concurrent_digests_and_tuning_trail_identical_across_shard_counts() {
     );
     for shards in [2, 8] {
         for threads in [1, 4] {
-            let sharded = parallel_fingerprint::<AdjacencyBackend>(shards, threads);
+            let sharded = parallel_fingerprint(shards, threads);
             assert_eq!(
                 mono, sharded,
                 "{shards} shards / {threads} threads must match 1 shard / 1 thread"
             );
         }
     }
-    // And the CSR substrate composed with the shard axis.
-    let csr_mono = parallel_fingerprint::<CsrBackend>(1, 1);
-    let csr_sharded = parallel_fingerprint::<CsrBackend>(4, 2);
-    assert_eq!(csr_mono, csr_sharded, "CSR, 4 shards, 2 threads");
 }
 
 /// Multi-thread multi-shard runs must actually dispatch per-shard scans
@@ -180,16 +161,11 @@ fn parallel_shard_scans_dispatch_through_exec_and_match() {
     ];
     let exec = BatchExecutor::new(4);
 
-    let mono = SharedStore::new(DualStore::<AdjacencyBackend>::from_dataset_in(
-        dataset.clone(),
-        budget,
-    ));
+    let mono = SharedStore::new(DualStore::from_dataset(dataset.clone(), budget));
     let reference = exec.execute_batch(&mono, &queries);
     assert_eq!(reference.errors, 0);
 
-    let sharded = SharedStore::new(DualStore::<AdjacencyBackend>::from_dataset_sharded_in(
-        dataset, budget, 8,
-    ));
+    let sharded = SharedStore::new(DualStore::from_dataset_sharded(dataset, budget, 8));
     let pool = Arc::new(SchedShardDispatch::new(Arc::clone(exec.scheduler())));
     sharded.install_shard_dispatch(pool.clone());
     let got = exec.execute_batch(&sharded, &queries);
@@ -205,57 +181,42 @@ fn parallel_shard_scans_dispatch_through_exec_and_match() {
     assert_eq!(pool.jobs_run(), pool.dispatches() * 8, "one job per shard");
 }
 
-/// Checkpoint/restore round-trips the shard layout on both backends, and
-/// refuses to restore across layouts.
+/// Checkpoint/restore round-trips the shard layout, and refuses to
+/// restore across layouts.
 #[test]
-fn checkpoint_roundtrips_shard_layout_on_both_backends() {
-    fn scenario<B: GraphBackend>() {
-        let args = args_with_shards(4);
-        let dataset = build_dataset(WorkloadKind::Yago, &args);
-        let workload = build_workload(WorkloadKind::Yago, &args);
-        let batches = build_batches(&workload, &args.order, args.seed);
-        let budget = dataset.len() / 4;
+fn checkpoint_roundtrips_shard_layout() {
+    let args = args_with_shards(4);
+    let dataset = build_dataset(WorkloadKind::Yago, &args);
+    let workload = build_workload(WorkloadKind::Yago, &args);
+    let batches = build_batches(&workload, &args.order, args.seed);
+    let budget = dataset.len() / 4;
 
-        let store = SharedStore::new(DualStore::<B>::from_dataset_sharded_in(
-            dataset.clone(),
-            budget,
-            4,
-        ));
-        let mut tuner = Dotil::with_config(DotilConfig::default());
-        let runner = ParallelRunner::new(TuningSchedule::AfterEachBatch, BatchExecutor::new(2));
-        let head = runner.run(&store, &mut tuner, &batches[..2]);
-        assert_eq!(head.iter().map(|r| r.errors).sum::<usize>(), 0);
-        let snapshot = store.checkpoint(Some(&tuner));
+    let store = SharedStore::new(DualStore::from_dataset_sharded(dataset.clone(), budget, 4));
+    let mut tuner = Dotil::with_config(DotilConfig::default());
+    let runner = ParallelRunner::new(TuningSchedule::AfterEachBatch, BatchExecutor::new(2));
+    let head = runner.run(&store, &mut tuner, &batches[..2]);
+    assert_eq!(head.iter().map(|r| r.errors).sum::<usize>(), 0);
+    let snapshot = store.checkpoint(Some(&tuner));
 
-        // Same layout: restores and continues identically.
-        let restored = SharedStore::new(DualStore::<B>::from_dataset_sharded_in(
-            dataset.clone(),
-            budget,
-            4,
-        ));
-        let mut fresh_tuner = Dotil::new();
-        restored
-            .restore(
-                Some(&mut fresh_tuner as &mut dyn PhysicalTuner<B>),
-                &snapshot,
-            )
-            .expect("same shard layout must restore");
-        assert_eq!(restored.read().design(), store.read().design());
-        let tail_restored = runner.run(&restored, &mut fresh_tuner, &batches[2..]);
-        let tail_original = runner.run(&store, &mut tuner, &batches[2..]);
-        for (a, b) in tail_restored.iter().zip(&tail_original) {
-            assert_eq!(a.results_digest, b.results_digest);
-            assert_eq!(a.total_work(), b.total_work());
-        }
-
-        // Different shard count: typed refusal, no mutation.
-        let wrong = SharedStore::new(DualStore::<B>::from_dataset_sharded_in(dataset, budget, 2));
-        let before = wrong.read().design();
-        assert!(wrong.restore(None, &snapshot).is_err());
-        assert_eq!(wrong.read().design(), before);
+    // Same layout: restores and continues identically.
+    let restored = SharedStore::new(DualStore::from_dataset_sharded(dataset.clone(), budget, 4));
+    let mut fresh_tuner = Dotil::new();
+    restored
+        .restore(Some(&mut fresh_tuner as &mut dyn PhysicalTuner), &snapshot)
+        .expect("same shard layout must restore");
+    assert_eq!(restored.read().design(), store.read().design());
+    let tail_restored = runner.run(&restored, &mut fresh_tuner, &batches[2..]);
+    let tail_original = runner.run(&store, &mut tuner, &batches[2..]);
+    for (a, b) in tail_restored.iter().zip(&tail_original) {
+        assert_eq!(a.results_digest, b.results_digest);
+        assert_eq!(a.total_work(), b.total_work());
     }
-    scenario::<AdjacencyBackend>();
-    scenario::<CsrBackend>();
+
+    // Different shard count: typed refusal, no mutation.
+    let wrong = SharedStore::new(DualStore::from_dataset_sharded(dataset, budget, 2));
+    let before = wrong.read().design();
+    assert!(wrong.restore(None, &snapshot).is_err());
+    assert_eq!(wrong.read().design(), before);
 }
 
 proptest! {

@@ -1,15 +1,13 @@
 //! The dual-store manager: physical design `D = ⟨T_R, T_G⟩`.
 //!
-//! The graph side is pluggable: [`DualStore<B>`] is generic over any
-//! [`GraphBackend`] (default: the adjacency-list [`AdjacencyBackend`]),
-//! so alternative substrates — e.g. the CSR backend, or an adapter to a
-//! real native store — slot under the same query processor and tuner
-//! loop. The `B = AdjacencyBackend` default keeps every pre-existing call
-//! site (`DualStore::from_dataset(ds, 100)`) source-compatible; generic
-//! construction goes through the `*_in` constructors
-//! (`DualStore::<CsrBackend>::from_dataset_in(ds, 100)`).
+//! The graph side is written against [`GraphBackend`]: [`DualStore<B>`]
+//! is generic over it, and its default `B` is [`AdjacencyBackend`], the
+//! graph store of `kgdual-graphstore`, so `DualStore::from_dataset(ds,
+//! 100)` needs no annotation. Generic code constructs through the `*_in`
+//! constructors (`DualStore::<B>::from_dataset_in(ds, 100)`).
 
 use crate::error::CoreError;
+use kgdual_graphstore::store::BULK_IMPORT_COST_PER_TRIPLE;
 use kgdual_graphstore::{AdjacencyBackend, GraphBackend};
 use kgdual_model::{Dataset, Dictionary, PredId, Term, Triple};
 use kgdual_relstore::{PlannerConfig, RelStore, ResourceGovernor, ShardDispatch, ShardRouter};
@@ -60,8 +58,8 @@ pub struct DualStore<B: GraphBackend = AdjacencyBackend> {
 
 /// Default-backend constructors. These live on the concrete type so that
 /// `DualStore::from_dataset(ds, 100)` keeps inferring
-/// `B = AdjacencyBackend` at every pre-existing call site; the generic
-/// `*_in` equivalents below serve alternative backends.
+/// `B = AdjacencyBackend` at every call site; the generic `*_in`
+/// equivalents below serve generic code.
 impl DualStore<AdjacencyBackend> {
     /// Build from a dataset with graph budget `B_G` given in triples.
     pub fn from_dataset(ds: Dataset, budget: usize) -> Self {
@@ -93,7 +91,7 @@ impl DualStore<AdjacencyBackend> {
 
 impl<B: GraphBackend> DualStore<B> {
     /// Build from a dataset with graph budget `B_G` given in triples, on
-    /// the chosen backend: `DualStore::<CsrBackend>::from_dataset_in(..)`.
+    /// the chosen backend: `DualStore::<B>::from_dataset_in(..)`.
     pub fn from_dataset_in(ds: Dataset, budget: usize) -> Self {
         Self::from_dataset_with_in(
             ds,
@@ -219,7 +217,7 @@ impl<B: GraphBackend> DualStore<B> {
 
     /// Current physical design. Partitions come back ascending by
     /// predicate id — the `GraphBackend::resident_partitions` contract —
-    /// so designs compare byte for byte across substrates.
+    /// so designs compare byte for byte.
     pub fn design(&self) -> DualDesign {
         DualDesign {
             graph_partitions: self.graph.resident_partitions(),
@@ -238,12 +236,11 @@ impl<B: GraphBackend> DualStore<B> {
         self.rel.set_shard_dispatch(dispatch);
     }
 
-    /// Work units the graph backend bills to bulk-import `triples`
-    /// triples during a migration — the tuner-facing cost hook for
-    /// pricing `offline_work` in the substrate's own currency
-    /// ([`GraphBackend::bulk_import_cost_per_triple`]).
+    /// Work units a migration bills to bulk-import `triples` triples
+    /// ([`BULK_IMPORT_COST_PER_TRIPLE`] each) — the tuner-facing cost
+    /// hook for pricing `offline_work`.
     pub fn bulk_import_units(&self, triples: u64) -> u64 {
-        triples * self.graph.bulk_import_cost_per_triple()
+        triples * BULK_IMPORT_COST_PER_TRIPLE
     }
 
     /// The relational shard that serves a migration's export read of
@@ -340,8 +337,8 @@ impl<B: GraphBackend> DualStore<B> {
     /// truncation, and future versions all return a typed
     /// [`DesignError`](kgdual_model::DesignError) without mutating
     /// anything — then residency is replayed partition by partition
-    /// through the backend, which rebuilds its native index and bills its
-    /// own bulk-import price.
+    /// through the backend, which rebuilds its index and bills the
+    /// bulk-import price.
     pub fn restore_design(
         &mut self,
         snapshot: &[u8],
@@ -434,12 +431,13 @@ mod tests {
     /// A refused insert (resident partition, zero headroom) must leave
     /// both stores untouched, or graph-route queries silently return fewer
     /// rows than relational-route ones.
-    fn refused_insert_changes_nothing<B: GraphBackend>() {
+    #[test]
+    fn refused_insert_changes_nothing() {
         use crate::processor::{process_relational, process_shared};
         use kgdual_graphstore::GraphStoreError;
         use kgdual_relstore::TempSpace;
 
-        let mut dual = DualStore::<B>::from_dataset_in(dataset(), 15);
+        let mut dual = DualStore::from_dataset(dataset(), 15);
         let born = dual.dict().pred_id("y:wasBornIn").unwrap();
         let advisor = dual.dict().pred_id("y:hasAcademicAdvisor").unwrap();
         dual.migrate_partition(born).unwrap();
@@ -485,12 +483,6 @@ mod tests {
         // A non-resident predicate has nothing to refuse.
         dual.insert_terms(&Term::iri("y:new"), "y:livesIn", &Term::iri("y:c0"))
             .unwrap();
-    }
-
-    #[test]
-    fn refused_insert_changes_nothing_on_either_backend() {
-        refused_insert_changes_nothing::<AdjacencyBackend>();
-        refused_insert_changes_nothing::<kgdual_graphstore::CsrBackend>();
     }
 
     #[test]

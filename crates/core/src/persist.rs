@@ -18,12 +18,10 @@
 //!
 //! Restore **replays** residency through the live backend rather than
 //! deserializing backend memory: each persisted partition is re-migrated
-//! from `T_R` via [`DualStore::migrate_partition`], so an adjacency
-//! backend rebuilds its adjacency lists, a CSR backend rebuilds its row
-//! offsets, and each bills its own
-//! [`bulk_import_cost_per_triple`](kgdual_graphstore::GraphBackend::bulk_import_cost_per_triple)
-//! into its import stats — restart cost stays visible in the substrate's
-//! own currency.
+//! from `T_R` via [`DualStore::migrate_partition`], so the graph store
+//! rebuilds its rows and bills the bulk-import price
+//! ([`BULK_IMPORT_COST_PER_TRIPLE`](kgdual_graphstore::store::BULK_IMPORT_COST_PER_TRIPLE))
+//! into its import stats — restart cost stays visible.
 //!
 //! Failure atomicity: every decode/validation error is surfaced *before*
 //! the store or tuner is touched. A truncated, corrupt, wrong-version, or
@@ -84,7 +82,7 @@ pub struct RestoreReport {
     /// Triples replayed through the backend.
     pub triples_loaded: u64,
     /// Work units the backend billed for the replay (its bulk-import
-    /// price; differs per substrate by design).
+    /// price).
     pub import_work: u64,
     /// Whether tuner state was present and imported.
     pub tuner_restored: bool,
@@ -370,16 +368,15 @@ fn plan_restore<B: GraphBackend>(
 /// wrong dataset or budget, a foreign tuner — is returned before the
 /// store or tuner is touched. On success the graph side is reset and the
 /// persisted residency set is replayed through the backend (fresh index
-/// build + import billing per substrate).
+/// build + import billing).
 ///
-/// Atomicity note: validation makes the replay infallible for the
-/// in-tree backends, but a custom [`GraphBackend`] may still fail
-/// natively mid-replay (`GraphStoreError::Backend`). That path cannot
-/// resurrect the pre-restore design (it was already evicted); instead
-/// the graph side is reset to the consistent empty (cold) design before
-/// the error returns — never a half-loaded residency set — the Case-2
-/// guard keeps its pre-restore setting, and the tuner keeps its imported
-/// state.
+/// Atomicity note: validation proves every replayed migration fits, but
+/// [`DualStore::migrate_partition`] still returns a `Result`. Should it
+/// fail mid-replay, the pre-restore design cannot be resurrected (it was
+/// already evicted); instead the graph side is reset to the consistent
+/// empty (cold) design before the error returns — never a half-loaded
+/// residency set — the Case-2 guard keeps its pre-restore setting, and
+/// the tuner keeps its imported state.
 pub fn restore_checkpoint<B: GraphBackend>(
     dual: &mut DualStore<B>,
     tuner: Option<&mut dyn PhysicalTuner<B>>,
@@ -398,12 +395,10 @@ pub fn restore_checkpoint<B: GraphBackend>(
         tuner_restored = true;
     }
 
-    // Apply the design. For the in-tree backends plan_restore proved
-    // every migrate below succeeds; a custom backend can still fail
-    // natively (`GraphStoreError::Backend`, e.g. I/O on a disk-backed
-    // substrate). In that case the graph side is reset to the consistent
-    // empty (cold) design rather than left half-loaded — see the
-    // atomicity note on [`restore_checkpoint`].
+    // Apply the design. plan_restore proved every migrate below fits the
+    // budget; should one fail anyway, the graph side is reset to the
+    // consistent empty (cold) design rather than left half-loaded — see
+    // the atomicity note on [`restore_checkpoint`].
     let work_before = dual.graph().import_stats().work_units;
     dual.graph_mut().evict_all();
     let mut report = RestoreReport {
@@ -422,7 +417,7 @@ pub fn restore_checkpoint<B: GraphBackend>(
         report.triples_loaded += size;
     }
     // Replay doesn't consult the guard, so applying it last keeps it
-    // untouched on the backend-failure path above.
+    // untouched on the replay-failure path above.
     dual.set_case2_guard(plan.case2_guard);
     report.import_work = dual.graph().import_stats().work_units - work_before;
     persist_obs().restore_bytes.add(bytes.len() as u64);

@@ -4,16 +4,14 @@
 //! work units, simulated TTI, routes, and the DOTIL tuning trail) must be
 //! byte-identical to the uninterrupted run.
 //!
-//! Like `stress.rs`, these run in CI's release-mode job once per graph
-//! substrate (`KGDUAL_BACKEND={adjacency,csr}`), where optimized codegen
-//! is most likely to expose an unsound checkpoint taken against a store
-//! that was not actually quiesced.
+//! Like `stress.rs`, these run in CI's release-mode job, where optimized
+//! codegen is most likely to expose an unsound checkpoint taken against a
+//! store that was not actually quiesced.
 
 use kgdual_core::batch::TuningSchedule;
 use kgdual_core::{DualStore, PhysicalTuner};
 use kgdual_dotil::{Dotil, DotilConfig};
 use kgdual_exec::{BatchExecutor, ParallelBatchReport, ParallelRunner, SharedStore};
-use kgdual_graphstore::{AdjacencyBackend, CsrBackend, GraphBackend};
 use kgdual_model::DesignError;
 use kgdual_sparql::Query;
 use kgdual_workloads::{Workload, YagoGen};
@@ -34,27 +32,10 @@ fn env_shards() -> usize {
         .unwrap_or(1)
 }
 
-fn on_selected_backend(run: impl Fn(&str)) {
-    match std::env::var("KGDUAL_BACKEND").as_deref() {
-        Ok("csr") => run("csr"),
-        Ok("adjacency") | Err(_) => run("adjacency"),
-        Ok(other) => panic!("unknown KGDUAL_BACKEND `{other}` (want adjacency|csr)"),
-    }
-}
-
-macro_rules! dispatch {
-    ($backend:expr, $scenario:ident) => {
-        match $backend {
-            "csr" => $scenario::<CsrBackend>(),
-            _ => $scenario::<AdjacencyBackend>(),
-        }
-    };
-}
-
-fn fresh_store<B: GraphBackend>() -> SharedStore<B> {
+fn fresh_store() -> SharedStore {
     let dataset = YagoGen::with_target_triples(TRIPLES, SEED).generate();
     let budget = dataset.len() / 4;
-    SharedStore::new(DualStore::<B>::from_dataset_sharded_in(
+    SharedStore::new(DualStore::from_dataset_sharded(
         dataset,
         budget,
         env_shards(),
@@ -80,29 +61,30 @@ fn fingerprint(r: &ParallelBatchReport) -> (Vec<u8>, u64, u128, u64, String) {
 
 /// Checkpoint after `cut` batches, restore into a fresh process image, and
 /// run the rest; compare batch by batch with the uninterrupted run.
-fn restart_matches_uninterrupted<B: GraphBackend>() {
+#[test]
+fn restart_at_every_batch_boundary_matches_uninterrupted() {
     let all = batches();
     let runner = ParallelRunner::new(TuningSchedule::AfterEachBatch, BatchExecutor::new(THREADS));
 
     // Uninterrupted reference run.
-    let store = fresh_store::<B>();
+    let store = fresh_store();
     let mut tuner = Dotil::with_config(DotilConfig::default());
     let uninterrupted = runner.run(&store, &mut tuner, &all);
     assert_eq!(uninterrupted.iter().map(|r| r.errors).sum::<usize>(), 0);
 
     for cut in 1..all.len() {
         // First process lifetime: batches [0, cut), then checkpoint.
-        let store = fresh_store::<B>();
+        let store = fresh_store();
         let mut tuner = Dotil::with_config(DotilConfig::default());
         let head = runner.run(&store, &mut tuner, &all[..cut]);
         let snapshot = store.checkpoint(Some(&tuner));
 
         // "Restart": fresh store over the same dataset, fresh tuner,
         // state rehydrated from the snapshot.
-        let store = fresh_store::<B>();
+        let store = fresh_store();
         let mut tuner = Dotil::new();
         let report = store
-            .restore(Some(&mut tuner as &mut dyn PhysicalTuner<B>), &snapshot)
+            .restore(Some(&mut tuner as &mut dyn PhysicalTuner), &snapshot)
             .expect("checkpoint must restore onto the same dataset");
         assert!(report.tuner_restored, "DOTIL state must ride along");
         assert_eq!(
@@ -121,15 +103,11 @@ fn restart_matches_uninterrupted<B: GraphBackend>() {
     }
 }
 
-#[test]
-fn restart_at_every_batch_boundary_matches_uninterrupted() {
-    on_selected_backend(|b| dispatch!(b, restart_matches_uninterrupted));
-}
-
 /// A checkpoint taken while readers are in flight must wait for them (the
 /// quiesce contract) and still capture a consistent design.
-fn checkpoint_quiesces_under_concurrency<B: GraphBackend>() {
-    let store = fresh_store::<B>();
+#[test]
+fn checkpoints_quiesce_and_stay_restorable_under_concurrency() {
+    let store = fresh_store();
     let mut tuner = Dotil::with_config(DotilConfig::default());
     let runner = ParallelRunner::new(TuningSchedule::AfterEachBatch, BatchExecutor::new(THREADS));
     let all = batches();
@@ -156,37 +134,27 @@ fn checkpoint_quiesces_under_concurrency<B: GraphBackend>() {
     });
 
     for snapshot in snapshots {
-        let fresh = fresh_store::<B>();
+        let fresh = fresh_store();
         fresh
             .restore(None, &snapshot)
             .expect("every concurrently captured snapshot must restore");
     }
 }
 
+/// Misuse: a snapshot is dataset-bound, so restoring onto a *different
+/// dataset* must fail typed.
 #[test]
-fn checkpoints_quiesce_and_stay_restorable_under_concurrency() {
-    on_selected_backend(|b| dispatch!(b, checkpoint_quiesces_under_concurrency));
-}
-
-/// Cross-substrate misuse: a snapshot is dataset-bound, not
-/// substrate-bound (residency replays through whichever backend restores
-/// it), but restoring onto a *different dataset* must fail typed.
-fn wrong_dataset_rejected<B: GraphBackend>() {
-    let store = fresh_store::<B>();
+fn restoring_onto_a_different_dataset_is_a_typed_mismatch() {
+    let store = fresh_store();
     let snapshot = store.checkpoint(None);
 
     let other_data = YagoGen::with_target_triples(TRIPLES / 2, SEED + 1).generate();
     let budget = other_data.len() / 4;
-    let other = SharedStore::new(DualStore::<B>::from_dataset_in(other_data, budget));
+    let other = SharedStore::new(DualStore::from_dataset(other_data, budget));
     let before_epoch = other.epoch();
     match other.restore(None, &snapshot) {
         Err(DesignError::Mismatch(_)) => {}
         other => panic!("expected Mismatch, got {other:?}"),
     }
     assert_eq!(other.epoch(), before_epoch, "failed restore moves nothing");
-}
-
-#[test]
-fn restoring_onto_a_different_dataset_is_a_typed_mismatch() {
-    on_selected_backend(|b| dispatch!(b, wrong_dataset_rejected));
 }

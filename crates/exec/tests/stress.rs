@@ -4,16 +4,12 @@
 //!
 //! These run in CI's release-mode job too (`cargo test --release -p
 //! kgdual-exec`), where the optimizer is most likely to surface a data
-//! race the debug build happens to mask. CI runs the job once per graph
-//! substrate: set `KGDUAL_BACKEND=csr` to drive every test below through
-//! [`CsrBackend`] instead of the default adjacency-list backend, so both
-//! substrates stay green under the concurrency path.
+//! race the debug build happens to mask.
 
 use kgdual_core::batch::TuningSchedule;
 use kgdual_core::DualStore;
 use kgdual_dotil::{Dotil, DotilConfig};
 use kgdual_exec::{BatchExecutor, ExecMode, ParallelRunner, SharedStore};
-use kgdual_graphstore::{AdjacencyBackend, CsrBackend, GraphBackend};
 use kgdual_sparql::Query;
 use kgdual_workloads::{Workload, YagoGen};
 
@@ -32,30 +28,10 @@ fn env_shards() -> usize {
         .unwrap_or(1)
 }
 
-/// Dispatch a generic stress scenario to the substrate CI selected via
-/// `KGDUAL_BACKEND` (default: adjacency).
-fn on_selected_backend(run: impl Fn(&str)) {
-    match std::env::var("KGDUAL_BACKEND").as_deref() {
-        Ok("csr") => run("csr"),
-        Ok("adjacency") | Err(_) => run("adjacency"),
-        Ok(other) => panic!("unknown KGDUAL_BACKEND `{other}` (want adjacency|csr)"),
-    }
-}
-
-/// Run `scenario` monomorphized for the named backend.
-macro_rules! dispatch {
-    ($backend:expr, $scenario:ident) => {
-        match $backend {
-            "csr" => $scenario::<CsrBackend>(),
-            _ => $scenario::<AdjacencyBackend>(),
-        }
-    };
-}
-
-fn fresh_store<B: GraphBackend>() -> SharedStore<B> {
+fn fresh_store() -> SharedStore {
     let dataset = YagoGen::with_target_triples(TRIPLES, SEED).generate();
     let budget = dataset.len() / 4;
-    SharedStore::new(DualStore::<B>::from_dataset_sharded_in(
+    SharedStore::new(DualStore::from_dataset_sharded(
         dataset,
         budget,
         env_shards(),
@@ -70,11 +46,8 @@ fn batches() -> Vec<Vec<Query>> {
 /// Run the full workload through the parallel runner with a fresh,
 /// identically seeded store + DOTIL tuner, returning the per-batch digest
 /// of sorted results and the deterministic totals.
-fn run_at<B: GraphBackend>(
-    threads: usize,
-    mode: ExecMode,
-) -> (Vec<Vec<u8>>, u64, u128, u64, usize) {
-    let store = fresh_store::<B>();
+fn run_at(threads: usize, mode: ExecMode) -> (Vec<Vec<u8>>, u64, u128, u64, usize) {
+    let store = fresh_store();
     let mut tuner = Dotil::with_config(DotilConfig::default());
     let runner = ParallelRunner::new(
         TuningSchedule::AfterEachBatch,
@@ -89,12 +62,13 @@ fn run_at<B: GraphBackend>(
     (digests, work, sim, rows, errors)
 }
 
-fn routed_batches_identical<B: GraphBackend>() {
-    let (d1, w1, s1, r1, e1) = run_at::<B>(1, ExecMode::Routed);
+#[test]
+fn routed_batches_identical_across_1_2_8_threads() {
+    let (d1, w1, s1, r1, e1) = run_at(1, ExecMode::Routed);
     assert_eq!(e1, 0, "healthy run");
     assert!(w1 > 0 && r1 > 0);
     for threads in [2, 8] {
-        let (dn, wn, sn, rn, en) = run_at::<B>(threads, ExecMode::Routed);
+        let (dn, wn, sn, rn, en) = run_at(threads, ExecMode::Routed);
         assert_eq!(en, 0, "{threads} threads: no errors");
         assert_eq!(
             d1, dn,
@@ -110,13 +84,9 @@ fn routed_batches_identical<B: GraphBackend>() {
 }
 
 #[test]
-fn routed_batches_identical_across_1_2_8_threads() {
-    on_selected_backend(|b| dispatch!(b, routed_batches_identical));
-}
-
-fn relational_only_batches_identical<B: GraphBackend>() {
-    let (d1, w1, s1, r1, _) = run_at::<B>(1, ExecMode::RelationalOnly);
-    let (d8, w8, s8, r8, e8) = run_at::<B>(8, ExecMode::RelationalOnly);
+fn relational_only_batches_identical_across_thread_counts() {
+    let (d1, w1, s1, r1, _) = run_at(1, ExecMode::RelationalOnly);
+    let (d8, w8, s8, r8, e8) = run_at(8, ExecMode::RelationalOnly);
     assert_eq!(e8, 0);
     assert_eq!(d1, d8);
     assert_eq!(w1, w8);
@@ -125,11 +95,7 @@ fn relational_only_batches_identical<B: GraphBackend>() {
 }
 
 #[test]
-fn relational_only_batches_identical_across_thread_counts() {
-    on_selected_backend(|b| dispatch!(b, relational_only_batches_identical));
-}
-
-fn parallel_run_matches_serial<B: GraphBackend>() {
+fn parallel_run_matches_serial_workload_runner() {
     // The concurrent executor against the serial WorkloadRunner over a
     // StoreVariant: same workload, same seed, same tuner config — the
     // deterministic totals DOTIL trains on must agree exactly.
@@ -137,15 +103,15 @@ fn parallel_run_matches_serial<B: GraphBackend>() {
 
     let dataset = YagoGen::with_target_triples(TRIPLES, SEED).generate();
     let budget = dataset.len() / 4;
-    let mut variant = StoreVariant::<B>::rdb_gdb(
-        DualStore::<B>::from_dataset_sharded_in(dataset, budget, env_shards()),
+    let mut variant = StoreVariant::rdb_gdb(
+        DualStore::from_dataset_sharded(dataset, budget, env_shards()),
         Box::new(Dotil::with_config(DotilConfig::default())),
     );
     let serial = WorkloadRunner::default()
         .run(&mut variant, &batches())
         .unwrap();
 
-    let (_, work, sim, rows, errors) = run_at::<B>(8, ExecMode::Routed);
+    let (_, work, sim, rows, errors) = run_at(8, ExecMode::Routed);
     assert_eq!(errors, 0);
     assert_eq!(WorkloadRunner::total_work(&serial), work);
     assert_eq!(WorkloadRunner::total_sim_tti(&serial).as_nanos(), sim);
@@ -153,15 +119,11 @@ fn parallel_run_matches_serial<B: GraphBackend>() {
 }
 
 #[test]
-fn parallel_run_matches_serial_workload_runner() {
-    on_selected_backend(|b| dispatch!(b, parallel_run_matches_serial));
-}
-
-fn tuning_thread_count_invariant<B: GraphBackend>() {
+fn tuning_decisions_are_thread_count_invariant() {
     // The migration trail (graph-store residency after every batch) must
     // not depend on how many workers executed the online phase.
     let residency = |threads: usize| -> Vec<Vec<(u32, usize)>> {
-        let store = fresh_store::<B>();
+        let store = fresh_store();
         let mut tuner = Dotil::with_config(DotilConfig::default());
         let runner =
             ParallelRunner::new(TuningSchedule::AfterEachBatch, BatchExecutor::new(threads));
@@ -180,9 +142,4 @@ fn tuning_thread_count_invariant<B: GraphBackend>() {
         trail
     };
     assert_eq!(residency(1), residency(8));
-}
-
-#[test]
-fn tuning_decisions_are_thread_count_invariant() {
-    on_selected_backend(|b| dispatch!(b, tuning_thread_count_invariant));
 }

@@ -1,55 +1,29 @@
-//! The pluggable graph-store backend contract.
+//! The graph-store contract the rest of the system uses.
 //!
 //! The dual store treats its native graph side as an abstract
 //! budget-constrained accelerator: the query processor only ever asks
 //! *"do you cover these predicates?"* and *"execute this subquery"*, the
 //! tuner only ever loads and evicts whole partitions under a triple
 //! budget, and update propagation only ever mirrors single edges into
-//! resident partitions. [`GraphBackend`] captures exactly that contract,
-//! so `DualStore<B>`, the query processor, `PhysicalTuner`s (DOTIL and the
-//! baselines), and the concurrent executor of `kgdual-exec` are all
-//! generic over the substrate.
-//!
-//! Two backends ship in this crate:
-//!
-//! * [`AdjacencyBackend`](crate::AdjacencyBackend) (the default) — per-node
-//!   sorted adjacency lists; cheap single-edge updates, pointer-chasing
-//!   traversal. The stand-in for the paper's Neo4j deployment.
-//! * [`CsrBackend`](crate::CsrBackend) — compact per-predicate sorted
-//!   offset arrays rebuilt on partition load; cache-friendly sequential
-//!   scans, costlier single-edge updates.
-//!
-//! # Implementing a custom backend
-//!
-//! 1. Implement [`Topology`](crate::Topology) for your index so the shared
-//!    backtracking matcher ([`crate::matcher::execute`]) can traverse it —
-//!    or bring your own pattern executor and skip the matcher entirely.
-//! 2. Implement [`GraphBackend`]: budget accounting, partition
-//!    load/evict, single-edge insert/delete, and [`GraphBackend::execute`].
-//!    Map native failures into [`GraphStoreError::Backend`] — the shared
-//!    error vocabulary covers budget violations and double loads; the
-//!    `Backend` variant boxes everything substrate-specific so
-//!    `CoreError` stays backend-agnostic.
-//! 3. Build stores with `DualStore::<YourBackend>::from_dataset_in(..)`;
-//!    everything downstream (routing, tuning, concurrent batches) works
-//!    unchanged.
+//! resident partitions. [`GraphBackend`] captures exactly that contract;
+//! `DualStore<B>`, the query processor, `PhysicalTuner`s (DOTIL and the
+//! baselines), and the concurrent executor of `kgdual-exec` are written
+//! against it. [`GraphStore`](crate::GraphStore) is its one
+//! implementation.
 //!
 //! # Determinism contract
 //!
 //! All deterministic harness metrics (work units, simulated TTI, result
-//! digests, DOTIL's tuning trail) must be functions of the *logical* store
-//! content, not of backend memory layout. Backends holding the same edge
-//! multiset must report identical partition statistics, charge identical
-//! work for the same query, and enumerate in the canonical order the
+//! digests, DOTIL's tuning trail) are functions of the *logical* store
+//! content, not of memory layout: the matcher charges work from reported
+//! sizes only, and enumeration follows the canonical order the
 //! [`Topology`](crate::Topology) contract fixes (ascending ids), so even
-//! LIMIT-truncated queries pick the same rows on every substrate. The
-//! backend-equivalence suite (`crates/bench/tests/backend_equivalence.rs`
-//! and the `graph_backends_are_equivalent` property in the facade's
-//! `tests/property.rs`) holds every in-tree backend to this. The one
-//! metric that is *supposed* to differ is the import cost model:
-//! [`GraphBackend::bulk_import_cost_per_triple`] prices migrations in the
-//! substrate's own currency, and `TuningOutcome::offline_work` reflects
-//! it.
+//! LIMIT-truncated queries pick the same rows whatever the layout.
+//! Import effort is billed at
+//! [`BULK_IMPORT_COST_PER_TRIPLE`](crate::store::BULK_IMPORT_COST_PER_TRIPLE)
+//! per bulk-loaded triple and
+//! [`SINGLE_UPDATE_COST`](crate::store::SINGLE_UPDATE_COST) per online
+//! edge write.
 
 use crate::store::{GraphExecError, GraphStoreError, ImportStats};
 use kgdual_model::{NodeId, PredId, Triple};
@@ -69,10 +43,6 @@ pub trait GraphBackend: Send + Sync + std::fmt::Debug {
     fn with_budget(budget: usize) -> Self
     where
         Self: Sized;
-
-    /// Short substrate name (`"adjacency"`, `"csr"`, …) used in harness
-    /// output and error reports.
-    fn backend_name(&self) -> &'static str;
 
     /// The configured budget in triples.
     fn budget(&self) -> usize;
@@ -95,23 +65,14 @@ pub trait GraphBackend: Send + Sync + std::fmt::Debug {
 
     /// Resident partitions and their sizes, ascending by predicate id
     /// (canonical order, like every [`Topology`](crate::Topology)
-    /// enumeration — callers must be able to compare designs across
-    /// substrates byte for byte).
+    /// enumeration — callers compare designs byte for byte).
     fn resident_partitions(&self) -> Vec<(PredId, usize)>;
 
     /// Size of one resident partition (0 if absent).
     fn partition_len(&self, pred: PredId) -> usize;
 
-    /// Import/update effort spent so far, in the backend's own cost model.
+    /// Import/update effort spent so far.
     fn import_stats(&self) -> ImportStats;
-
-    /// Work-unit price this backend charges per triple of a bulk
-    /// partition load — what [`load_partition`](GraphBackend::load_partition)
-    /// adds to [`import_stats`](GraphBackend::import_stats) per triple.
-    /// Tuners use it to bill `TuningOutcome::offline_work` for migrations
-    /// in the substrate's own currency rather than assuming any
-    /// particular backend's cost model.
-    fn bulk_import_cost_per_triple(&self) -> u64;
 
     /// Bulk-load a whole partition (the tuner's `migrate` operation),
     /// enforcing the budget.
@@ -126,8 +87,7 @@ pub trait GraphBackend: Send + Sync + std::fmt::Debug {
 
     /// Evict every resident partition, returning the number of triples
     /// dropped. Design restore uses this to reset `T_G` before replaying a
-    /// persisted residency set; backends with a cheaper wholesale-clear
-    /// path may override the partition-by-partition default.
+    /// persisted residency set.
     fn evict_all(&mut self) -> usize {
         let resident = self.resident_partitions();
         let mut dropped = 0;

@@ -6,13 +6,15 @@
 //! Three properties of Neo4j carry the paper's argument, and all three are
 //! reproduced here:
 //!
-//! 1. **Index-free adjacency** ([`adjacency`]): every node holds its own
-//!    out/in edge lists, so traversal cost is proportional to the traversal
-//!    range (candidate edges × degrees), not to the total graph size.
-//!    Complex queries are answered by a backtracking matcher
-//!    ([`matcher`]) that extends one binding at a time through adjacency
+//! 1. **Adjacency lookups cost the traversal range** ([`store`]): every
+//!    resident partition is held as forward and reverse compressed sparse
+//!    rows, so a node's neighbours under one predicate are a binary
+//!    search plus a slice, and traversal cost is proportional to the
+//!    traversal range (candidate edges × degrees), not to the total graph
+//!    size. Complex queries are answered by a backtracking matcher
+//!    ([`matcher`]) that extends one binding at a time through those
 //!    lookups — no intermediate-result materialization.
-//! 2. **A hard storage budget** (`B_G`): every backend refuses to load a
+//! 2. **A hard storage budget** (`B_G`): the store refuses to load a
 //!    partition that would exceed its configured triple budget, mirroring
 //!    the storage constraints the paper cites for native graph databases.
 //! 3. **Costly imports**: bulk-loading a partition and single-edge updates
@@ -20,35 +22,20 @@
 //!    importing process. The dual store performs migrations in the offline
 //!    tuning phase precisely because of this.
 //!
-//! # Pluggable backends
-//!
-//! The substrate itself is pluggable: [`backend::GraphBackend`] captures
-//! the contract the rest of the system uses (budget accounting, partition
-//! load/evict, edge insert/delete, pattern execution), and the matcher is
-//! generic over [`topology::Topology`], the neighbour/seed/statistics view
-//! it traverses. Two backends ship here:
-//!
-//! * [`AdjacencyBackend`] (= [`GraphStore`], the default) — per-node
-//!   sorted adjacency lists; cheap single-edge updates.
-//! * [`CsrBackend`] ([`csr`]) — compact per-predicate sorted offset
-//!   arrays, rebuilt on partition load; cheap sequential scans, costly
-//!   single-edge updates.
-//!
-//! Both charge identical query work for identical store content (the
-//! matcher derives every charge from reported sizes), so DOTIL's learned
-//! designs — and every deterministic harness metric — are
-//! substrate-independent. See [`backend`] for how to implement a custom
-//! backend.
+//! [`GraphStore`] (alias [`AdjacencyBackend`]) implements
+//! [`backend::GraphBackend`], the contract the rest of the system uses
+//! (budget accounting, partition load/evict, edge insert/delete, pattern
+//! execution), and [`topology::Topology`], the neighbour/seed/statistics
+//! view the matcher traverses. The matcher derives every work charge from
+//! reported sizes, so work units — and with them DOTIL's learned designs
+//! and every deterministic harness metric — depend on the logical store
+//! content only.
 
-pub mod adjacency;
 pub mod backend;
-pub mod csr;
 pub mod matcher;
 pub mod store;
 pub mod topology;
 
-pub use adjacency::AdjacencyIndex;
 pub use backend::GraphBackend;
-pub use csr::CsrBackend;
 pub use store::{AdjacencyBackend, GraphExecError, GraphStore, GraphStoreError, ImportStats};
 pub use topology::{PartitionStats, Topology};

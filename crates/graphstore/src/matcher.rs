@@ -7,11 +7,10 @@
 //! bounded by candidate edges of the seed predicate times the degrees along
 //! the traversal — independent of how large the rest of the graph is.
 //!
-//! The matcher is generic over [`Topology`], the substrate-agnostic
-//! neighbour/seed/statistics contract: the adjacency-list and CSR backends
-//! share this one implementation, and because every work-unit charge is
-//! derived from reported *sizes* (not substrate internals), two substrates
-//! holding the same edges charge identical work for the same query.
+//! The matcher is generic over [`Topology`], the neighbour/seed/statistics
+//! contract, and every work-unit charge is derived from reported *sizes*
+//! (not layout internals), so the work a query is charged depends on the
+//! edges held, never on how they are laid out.
 
 use crate::store::GraphExecError;
 use crate::topology::{PartitionStats, Topology};
@@ -202,16 +201,15 @@ fn slot_value(slot: Slot, assignment: &[Option<NodeId>]) -> Option<NodeId> {
 }
 
 /// Seed-scan chunk size: cost is charged per chunk, and a satisfied LIMIT
-/// is noticed at chunk boundaries — identical accounting on every
-/// substrate. Shared with the batch kernels so the tail gather and the
-/// general seed scan charge at the same granularity.
+/// is noticed at chunk boundaries. Shared with the batch kernels so the
+/// tail gather and the general seed scan charge at the same granularity.
 const CHUNK: usize = BATCH;
 
 /// Vectorized tail seed scan: when the *last* pattern in the join order is
 /// an unbound-variable seed scan over one predicate, every surviving edge
 /// emits exactly one output row, so the per-edge bind/recurse/unbind dance
 /// collapses into a column gather. Chunks are staged through
-/// [`Topology::seed_chunk`] (a slice copy on packed substrates) and
+/// [`Topology::seed_chunk`] (a slice copy of the packed rows) and
 /// projected by an [`EmitSrc`] template built once — subject column,
 /// object column, or the already-bound constant for every other
 /// projection variable. LIMIT pushes into the gather's row cap.
@@ -537,6 +535,7 @@ fn charge(r: Result<(), ExecError>) -> Result<(), GraphExecError> {
 #[cfg(test)]
 mod order_tests {
     use crate::store::GraphStore;
+    use crate::GraphBackend;
     use kgdual_model::{NodeId, PredId};
     use kgdual_relstore::ExecContext;
     use kgdual_sparql::{EncPattern, EncodedQuery, PredSlot, Slot, Var};
@@ -550,7 +549,7 @@ mod order_tests {
     /// far less work than the hub's fan-in would imply.
     #[test]
     fn ordering_defers_hub_predicates() {
-        let mut store = GraphStore::new(100_000);
+        let mut store = GraphStore::with_budget(100_000);
         // Hub: 500 people all won prize n(9000).
         let prize = PredId(0);
         let winners: Vec<(NodeId, NodeId)> = (0..500).map(|i| (n(i), n(9000))).collect();
@@ -607,7 +606,7 @@ mod order_tests {
     /// long before enumerating every seed edge.
     #[test]
     fn limit_stops_enumeration_early() {
-        let mut store = GraphStore::new(100_000);
+        let mut store = GraphStore::with_budget(100_000);
         let p = PredId(0);
         let edges: Vec<(NodeId, NodeId)> = (0..10_000).map(|i| (n(i), n(i + 20_000))).collect();
         store.load_partition(p, &edges).unwrap();

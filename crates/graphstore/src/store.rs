@@ -1,20 +1,33 @@
-//! The graph store: budgeted partition residency + query execution.
+//! The graph store: budgeted partition residency + traversal over
+//! per-predicate compressed sparse rows.
+//!
+//! Every resident partition is held as two **compressed sparse rows** — a
+//! forward CSR keyed by subject and a reverse CSR keyed by object, each a
+//! sorted key array, an offset array and one packed, sorted neighbour
+//! array. A neighbour lookup is a binary search over the partition's
+//! distinct keys plus a slice, `O(log keys + matches)` however large the
+//! rest of the graph is — the property the paper leans on ("the time
+//! complexity of graph traversal \[is\] positively related to the
+//! traversal range but irrelevant to the entire graph size"). A partition
+//! load builds both directions with one sort and one linear pass; a
+//! single-edge write splices into them in place.
 
-use crate::adjacency::AdjacencyIndex;
 use crate::backend::GraphBackend;
 use crate::matcher;
+use crate::topology::{PartitionStats, Topology};
 use kgdual_model::fx::FxHashMap;
 use kgdual_model::{NodeId, PredId, Triple};
 use kgdual_relstore::{Bindings, ExecContext, ExecError};
 use kgdual_sparql::EncodedQuery;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Work-unit cost to import one triple during a bulk partition load.
 /// Deliberately high relative to a relational append (cost 1): Neo4j-style
 /// stores pay for node/relationship materialization and index maintenance.
 pub const BULK_IMPORT_COST_PER_TRIPLE: u64 = 8;
-/// Work-unit cost of a single online edge insert/delete (dominated by the
-/// sorted-adjacency maintenance; worse than bulk).
+/// Work-unit cost of a single online edge insert/delete (a splice into
+/// both sorted directions; worse than bulk).
 pub const SINGLE_UPDATE_COST: u64 = 24;
 
 /// Cumulative import/update effort spent by this store (the "cumbersome
@@ -45,15 +58,6 @@ pub enum GraphStoreError {
     },
     /// The partition is already resident (loads are whole-partition).
     AlreadyLoaded(PredId),
-    /// A backend-specific failure outside the shared vocabulary. Custom
-    /// [`GraphBackend`] implementations box their
-    /// native errors here so `CoreError` stays backend-agnostic.
-    Backend {
-        /// The backend that failed (its `backend_name()`).
-        backend: &'static str,
-        /// Substrate-specific detail, already rendered.
-        detail: String,
-    },
 }
 
 impl std::fmt::Display for GraphStoreError {
@@ -69,9 +73,6 @@ impl std::fmt::Display for GraphStoreError {
             ),
             GraphStoreError::AlreadyLoaded(pred) => {
                 write!(f, "partition {pred} is already loaded")
-            }
-            GraphStoreError::Backend { backend, detail } => {
-                write!(f, "{backend} backend: {detail}")
             }
         }
     }
@@ -118,74 +119,287 @@ impl std::fmt::Display for GraphExecError {
 
 impl std::error::Error for GraphExecError {}
 
+/// One compressed-sparse-rows direction: `keys` are the sorted distinct
+/// row nodes, `offsets[i]..offsets[i+1]` delimits row `i`'s slice of the
+/// packed (sorted) neighbour array. Duplicate edges are kept adjacent
+/// (bag semantics, like the relational store).
+#[derive(Debug, Clone)]
+struct Csr {
+    keys: Vec<NodeId>,
+    offsets: Vec<usize>,
+    nbrs: Vec<NodeId>,
+}
+
+impl Default for Csr {
+    fn default() -> Self {
+        Csr {
+            keys: Vec::new(),
+            offsets: vec![0],
+            nbrs: Vec::new(),
+        }
+    }
+}
+
+impl Csr {
+    /// Build from `(row, neighbour)` pairs: one sort, one linear pass.
+    fn build(mut pairs: Vec<(NodeId, NodeId)>) -> Self {
+        pairs.sort_unstable();
+        let mut csr = Csr::default();
+        for (k, v) in pairs {
+            if csr.keys.last() != Some(&k) {
+                csr.keys.push(k);
+                csr.offsets.push(csr.nbrs.len());
+            }
+            csr.nbrs.push(v);
+            // The open row's end offset tracks the packed length.
+            *csr.offsets.last_mut().expect("offsets nonempty") += 1;
+        }
+        debug_assert_eq!(csr.offsets.len(), csr.keys.len() + 1);
+        csr
+    }
+
+    /// Packed edge count.
+    fn len(&self) -> usize {
+        self.nbrs.len()
+    }
+
+    /// Row slice of `k` (empty if absent).
+    fn row(&self, k: NodeId) -> &[NodeId] {
+        match self.keys.binary_search(&k) {
+            Ok(i) => &self.nbrs[self.offsets[i]..self.offsets[i + 1]],
+            Err(_) => &[],
+        }
+    }
+
+    /// Splice one neighbour into `k`'s row, keeping every array sorted:
+    /// a `memmove` behind the position plus one increment per later row.
+    fn insert(&mut self, k: NodeId, v: NodeId) {
+        let i = match self.keys.binary_search(&k) {
+            Ok(i) => i,
+            Err(i) => {
+                self.keys.insert(i, k);
+                self.offsets.insert(i + 1, self.offsets[i]);
+                i
+            }
+        };
+        let row_start = self.offsets[i];
+        let pos = row_start + self.nbrs[row_start..self.offsets[i + 1]].partition_point(|&n| n < v);
+        self.nbrs.insert(pos, v);
+        for off in &mut self.offsets[i + 1..] {
+            *off += 1;
+        }
+    }
+
+    /// Remove every copy of `v` from `k`'s row; returns how many were
+    /// removed. An emptied row drops its key, so distinct counts stay
+    /// exact without a recount.
+    fn remove_all(&mut self, k: NodeId, v: NodeId) -> usize {
+        let Ok(i) = self.keys.binary_search(&k) else {
+            return 0;
+        };
+        let (start, end) = (self.offsets[i], self.offsets[i + 1]);
+        let lo = start + self.nbrs[start..end].partition_point(|&n| n < v);
+        let hi = start + self.nbrs[start..end].partition_point(|&n| n <= v);
+        let removed = hi - lo;
+        if removed == 0 {
+            return 0;
+        }
+        self.nbrs.drain(lo..hi);
+        for off in &mut self.offsets[i + 1..] {
+            *off -= removed;
+        }
+        if self.offsets[i] == self.offsets[i + 1] {
+            self.keys.remove(i);
+            self.offsets.remove(i + 1);
+        }
+        removed
+    }
+
+    /// All `(row, neighbour)` pairs in ascending order.
+    fn iter_edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        self.keys.iter().enumerate().flat_map(move |(i, &k)| {
+            self.nbrs[self.offsets[i]..self.offsets[i + 1]]
+                .iter()
+                .map(move |&v| (k, v))
+        })
+    }
+}
+
+/// One resident partition: forward (subject-keyed) and reverse
+/// (object-keyed) CSR over the same edge multiset.
+#[derive(Debug, Clone)]
+struct CsrPartition {
+    fwd: Csr,
+    rev: Csr,
+}
+
+impl CsrPartition {
+    fn build(pairs: &[(NodeId, NodeId)]) -> Self {
+        CsrPartition {
+            fwd: Csr::build(pairs.to_vec()),
+            rev: Csr::build(pairs.iter().map(|&(s, o)| (o, s)).collect()),
+        }
+    }
+
+    fn stats(&self) -> PartitionStats {
+        PartitionStats {
+            edges: self.fwd.len(),
+            distinct_s: self.fwd.keys.len(),
+            distinct_o: self.rev.keys.len(),
+        }
+    }
+}
+
 /// The native graph store: holds a budget-constrained subset of the
 /// knowledge graph's triple partitions (`T_G` in the paper) and answers
-/// complex subqueries over them by traversal.
-///
-/// This is the **adjacency-list backend** — the default substrate behind
-/// `DualStore<B>`, aliased as [`AdjacencyBackend`]. Its inherent methods
-/// are mirrored one-for-one by its [`GraphBackend`] implementation, so
-/// concrete call sites keep working without the trait in scope.
+/// complex subqueries over them by traversal. Its whole interface is its
+/// [`GraphBackend`] and [`Topology`] implementations.
 #[derive(Debug, Default)]
 pub struct GraphStore {
-    index: AdjacencyIndex,
     budget: usize,
-    resident: FxHashMap<PredId, usize>,
+    parts: FxHashMap<PredId, CsrPartition>,
+    /// Resident predicates in ascending order, maintained on load/evict:
+    /// [`Topology::preds`] and the variable-predicate probes walk it, so
+    /// it is never re-sorted per lookup.
+    preds: Vec<PredId>,
+    edges: usize,
     import_stats: ImportStats,
 }
 
+/// The graph substrate of `DualStore<B>` (its default `B`), the stand-in
+/// for the paper's Neo4j deployment.
+pub type AdjacencyBackend = GraphStore;
+
 impl GraphStore {
-    /// An empty store with triple budget `B_G`.
-    pub fn new(budget: usize) -> Self {
+    fn fwd_row(&self, s: NodeId, pred: PredId) -> &[NodeId] {
+        self.parts.get(&pred).map_or(&[], |cp| cp.fwd.row(s))
+    }
+
+    fn rev_row(&self, o: NodeId, pred: PredId) -> &[NodeId] {
+        self.parts.get(&pred).map_or(&[], |cp| cp.rev.row(o))
+    }
+}
+
+impl Topology for GraphStore {
+    fn edge_count(&self) -> usize {
+        self.edges
+    }
+
+    fn partition_stats(&self, pred: PredId) -> PartitionStats {
+        self.parts
+            .get(&pred)
+            .map_or_else(PartitionStats::default, CsrPartition::stats)
+    }
+
+    fn preds(&self) -> Vec<PredId> {
+        self.preds.clone()
+    }
+
+    fn out_neighbours(
+        &self,
+        s: NodeId,
+        pred: PredId,
+    ) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.fwd_row(s, pred).iter().copied()
+    }
+
+    fn in_neighbours(&self, o: NodeId, pred: PredId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.rev_row(o, pred).iter().copied()
+    }
+
+    fn out_all(&self, s: NodeId) -> Cow<'_, [(PredId, NodeId)]> {
+        let mut all = Vec::new();
+        for &p in &self.preds {
+            all.extend(self.fwd_row(s, p).iter().map(|&o| (p, o)));
+        }
+        Cow::Owned(all)
+    }
+
+    fn in_all(&self, o: NodeId) -> Cow<'_, [(PredId, NodeId)]> {
+        let mut all = Vec::new();
+        for &p in &self.preds {
+            all.extend(self.rev_row(o, p).iter().map(|&s| (p, s)));
+        }
+        Cow::Owned(all)
+    }
+
+    fn seed_len(&self, pred: PredId) -> usize {
+        self.parts.get(&pred).map_or(0, |cp| cp.fwd.len())
+    }
+
+    fn seed_edges(&self, pred: PredId) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        self.parts
+            .get(&pred)
+            .into_iter()
+            .flat_map(|cp| cp.fwd.iter_edges())
+    }
+
+    fn seed_chunk(
+        &self,
+        pred: PredId,
+        start: usize,
+        cap: usize,
+        s_out: &mut Vec<NodeId>,
+        o_out: &mut Vec<NodeId>,
+    ) -> usize {
+        // The forward CSR *is* the seed order: `nbrs[i]` is edge `i`'s
+        // object, and its subject is the key of the row whose
+        // `offsets[row]..offsets[row+1]` range contains `i`. Objects copy
+        // as one slice; subjects replicate each key across its row span.
+        let Some(cp) = self.parts.get(&pred) else {
+            return 0;
+        };
+        let fwd = &cp.fwd;
+        let end = fwd.nbrs.len().min(start.saturating_add(cap));
+        if start >= end {
+            return 0;
+        }
+        o_out.extend_from_slice(&fwd.nbrs[start..end]);
+        let mut row = fwd.offsets.partition_point(|&off| off <= start) - 1;
+        let mut idx = start;
+        while idx < end {
+            let row_end = fwd.offsets[row + 1].min(end);
+            s_out.extend(std::iter::repeat(fwd.keys[row]).take(row_end - idx));
+            idx = row_end;
+            row += 1;
+        }
+        end - start
+    }
+}
+
+impl GraphBackend for GraphStore {
+    fn with_budget(budget: usize) -> Self {
         GraphStore {
             budget,
             ..Self::default()
         }
     }
 
-    /// The configured budget in triples.
-    pub fn budget(&self) -> usize {
+    fn budget(&self) -> usize {
         self.budget
     }
 
-    /// Triples currently resident.
-    pub fn used(&self) -> usize {
-        self.index.edge_count()
+    fn used(&self) -> usize {
+        self.edges
     }
 
-    /// Budget headroom in triples.
-    pub fn available(&self) -> usize {
-        self.budget.saturating_sub(self.used())
+    fn is_loaded(&self, pred: PredId) -> bool {
+        self.parts.contains_key(&pred)
     }
 
-    /// Residency check for one partition.
-    pub fn is_loaded(&self, pred: PredId) -> bool {
-        self.resident.contains_key(&pred)
+    fn resident_partitions(&self) -> Vec<(PredId, usize)> {
+        self.preds.iter().map(|&p| (p, self.seed_len(p))).collect()
     }
 
-    /// Residency check for a predicate set (`T_c ⊆ T_G` in Algorithm 1).
-    pub fn covers(&self, preds: &[PredId]) -> bool {
-        preds.iter().all(|p| self.is_loaded(*p))
+    fn partition_len(&self, pred: PredId) -> usize {
+        self.seed_len(pred)
     }
 
-    /// Resident partitions and their sizes.
-    pub fn resident_partitions(&self) -> impl Iterator<Item = (PredId, usize)> + '_ {
-        self.resident.iter().map(|(&p, &n)| (p, n))
-    }
-
-    /// Size of one resident partition (0 if absent).
-    pub fn partition_len(&self, pred: PredId) -> usize {
-        self.resident.get(&pred).copied().unwrap_or(0)
-    }
-
-    /// Import/update effort spent so far.
-    pub fn import_stats(&self) -> ImportStats {
+    fn import_stats(&self) -> ImportStats {
         self.import_stats
     }
 
-    /// Bulk-load a whole partition (the tuner's `migrate` operation),
-    /// enforcing the budget.
-    pub fn load_partition(
+    fn load_partition(
         &mut self,
         pred: PredId,
         pairs: &[(NodeId, NodeId)],
@@ -200,25 +414,29 @@ impl GraphStore {
                 available: self.available(),
             });
         }
-        self.index.insert_partition(pred, pairs);
-        self.resident.insert(pred, pairs.len());
+        self.parts.insert(pred, CsrPartition::build(pairs));
+        let pos = self.preds.partition_point(|&p| p < pred);
+        self.preds.insert(pos, pred);
+        self.edges += pairs.len();
         self.import_stats.triples_imported += pairs.len() as u64;
         self.import_stats.work_units += pairs.len() as u64 * BULK_IMPORT_COST_PER_TRIPLE;
         Ok(())
     }
 
-    /// Evict a partition (the tuner's `evict` operation); returns its size.
-    pub fn evict_partition(&mut self, pred: PredId) -> usize {
-        let removed = self.index.remove_partition(pred);
-        self.resident.remove(&pred);
+    fn evict_partition(&mut self, pred: PredId) -> usize {
+        let Some(cp) = self.parts.remove(&pred) else {
+            return 0;
+        };
+        if let Ok(pos) = self.preds.binary_search(&pred) {
+            self.preds.remove(pos);
+        }
+        let removed = cp.fwd.len();
+        self.edges -= removed;
         self.import_stats.triples_evicted += removed as u64;
         removed
     }
 
-    /// Online single-edge insert, only meaningful for partitions that are
-    /// resident (update propagation keeps mirrored partitions fresh).
-    /// Returns `false` if the partition is not resident.
-    pub fn insert_edge(&mut self, t: Triple) -> Result<bool, GraphStoreError> {
+    fn insert_edge(&mut self, t: Triple) -> Result<bool, GraphStoreError> {
         if !self.is_loaded(t.p) {
             return Ok(false);
         }
@@ -229,126 +447,38 @@ impl GraphStore {
                 available: 0,
             });
         }
-        self.index.insert_edge(t.s, t.p, t.o);
-        *self.resident.get_mut(&t.p).expect("resident") += 1;
+        let cp = self.parts.get_mut(&t.p).expect("resident");
+        cp.fwd.insert(t.s, t.o);
+        cp.rev.insert(t.o, t.s);
+        self.edges += 1;
         self.import_stats.single_updates += 1;
         self.import_stats.work_units += SINGLE_UPDATE_COST;
         Ok(true)
     }
 
-    /// Online single-edge delete; returns removed count (0 when the
-    /// partition is not resident).
-    pub fn delete_edge(&mut self, t: Triple) -> usize {
-        if !self.is_loaded(t.p) {
+    fn delete_edge(&mut self, t: Triple) -> usize {
+        let Some(cp) = self.parts.get_mut(&t.p) else {
+            return 0;
+        };
+        let removed = cp.fwd.remove_all(t.s, t.o);
+        if removed == 0 {
             return 0;
         }
-        let removed = self.index.remove_edge(t.s, t.p, t.o);
-        if removed > 0 {
-            *self.resident.get_mut(&t.p).expect("resident") -= removed;
-            self.import_stats.single_updates += 1;
-            self.import_stats.work_units += SINGLE_UPDATE_COST;
-        }
+        let rev_removed = cp.rev.remove_all(t.o, t.s);
+        debug_assert_eq!(removed, rev_removed, "fwd/rev must stay mirrored");
+        self.edges -= removed;
+        self.import_stats.single_updates += 1;
+        self.import_stats.work_units += SINGLE_UPDATE_COST;
         removed
     }
 
-    /// The underlying adjacency index (read-only).
-    pub fn index(&self) -> &AdjacencyIndex {
-        &self.index
-    }
-
-    /// Execute a compiled query by traversal.
-    ///
-    /// Every bound predicate must be resident; otherwise the result would
-    /// silently miss data, so a [`GraphExecError::MissingPartition`] is
-    /// returned instead.
-    pub fn execute(
-        &self,
-        q: &EncodedQuery,
-        ctx: &mut ExecContext,
-    ) -> Result<Bindings, GraphExecError> {
+    fn execute(&self, q: &EncodedQuery, ctx: &mut ExecContext) -> Result<Bindings, GraphExecError> {
         for p in q.predicate_set() {
             if !self.is_loaded(p) {
                 return Err(GraphExecError::MissingPartition(p));
             }
         }
-        matcher::execute(&self.index, q, ctx)
-    }
-}
-
-/// The default graph substrate of `DualStore<B>`: per-node sorted
-/// adjacency lists (index-free adjacency), the stand-in for the paper's
-/// Neo4j deployment.
-pub type AdjacencyBackend = GraphStore;
-
-impl GraphBackend for GraphStore {
-    fn with_budget(budget: usize) -> Self {
-        GraphStore::new(budget)
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "adjacency"
-    }
-
-    fn budget(&self) -> usize {
-        GraphStore::budget(self)
-    }
-
-    fn used(&self) -> usize {
-        GraphStore::used(self)
-    }
-
-    fn available(&self) -> usize {
-        GraphStore::available(self)
-    }
-
-    fn is_loaded(&self, pred: PredId) -> bool {
-        GraphStore::is_loaded(self, pred)
-    }
-
-    fn covers(&self, preds: &[PredId]) -> bool {
-        GraphStore::covers(self, preds)
-    }
-
-    fn resident_partitions(&self) -> Vec<(PredId, usize)> {
-        let mut parts: Vec<(PredId, usize)> = GraphStore::resident_partitions(self).collect();
-        parts.sort_unstable_by_key(|&(p, _)| p);
-        parts
-    }
-
-    fn partition_len(&self, pred: PredId) -> usize {
-        GraphStore::partition_len(self, pred)
-    }
-
-    fn import_stats(&self) -> ImportStats {
-        GraphStore::import_stats(self)
-    }
-
-    fn bulk_import_cost_per_triple(&self) -> u64 {
-        BULK_IMPORT_COST_PER_TRIPLE
-    }
-
-    fn load_partition(
-        &mut self,
-        pred: PredId,
-        pairs: &[(NodeId, NodeId)],
-    ) -> Result<(), GraphStoreError> {
-        GraphStore::load_partition(self, pred, pairs)
-    }
-
-    fn evict_partition(&mut self, pred: PredId) -> usize {
-        GraphStore::evict_partition(self, pred)
-    }
-
-    fn insert_edge(&mut self, t: Triple) -> Result<bool, GraphStoreError> {
-        GraphStore::insert_edge(self, t)
-    }
-
-    fn delete_edge(&mut self, t: Triple) -> usize {
-        GraphStore::delete_edge(self, t)
-    }
-
-    fn execute(&self, q: &EncodedQuery, ctx: &mut ExecContext) -> Result<Bindings, GraphExecError> {
-        GraphStore::execute(self, q, ctx)
+        matcher::execute(self, q, ctx)
     }
 }
 
@@ -407,7 +537,7 @@ mod tests {
             "y:Wheeler",
         );
 
-        let mut store = GraphStore::new(1000);
+        let mut store = GraphStore::with_budget(1000);
         // Group by predicate and load as partitions.
         let mut by_pred: FxHashMap<PredId, Vec<(NodeId, NodeId)>> = FxHashMap::default();
         for t in &triples {
@@ -430,7 +560,7 @@ mod tests {
 
     #[test]
     fn budget_enforced_on_load() {
-        let mut store = GraphStore::new(2);
+        let mut store = GraphStore::with_budget(2);
         let err = store
             .load_partition(p(0), &[(n(1), n(2)), (n(3), n(4)), (n(5), n(6))])
             .unwrap_err();
@@ -449,7 +579,7 @@ mod tests {
 
     #[test]
     fn double_load_rejected() {
-        let mut store = GraphStore::new(10);
+        let mut store = GraphStore::with_budget(10);
         store.load_partition(p(0), &[(n(1), n(2))]).unwrap();
         assert!(matches!(
             store.load_partition(p(0), &[(n(3), n(4))]),
@@ -459,7 +589,7 @@ mod tests {
 
     #[test]
     fn evict_frees_budget() {
-        let mut store = GraphStore::new(2);
+        let mut store = GraphStore::with_budget(2);
         store
             .load_partition(p(0), &[(n(1), n(2)), (n(3), n(4))])
             .unwrap();
@@ -472,7 +602,7 @@ mod tests {
 
     #[test]
     fn import_stats_accumulate() {
-        let mut store = GraphStore::new(100);
+        let mut store = GraphStore::with_budget(100);
         store
             .load_partition(p(0), &[(n(1), n(2)), (n(3), n(4))])
             .unwrap();
@@ -481,12 +611,15 @@ mod tests {
         assert_eq!(st.work_units, 2 * BULK_IMPORT_COST_PER_TRIPLE);
         store.insert_edge(Triple::new(n(5), p(0), n(6))).unwrap();
         assert_eq!(store.import_stats().single_updates, 1);
-        assert!(store.import_stats().work_units > st.work_units);
+        assert_eq!(
+            store.import_stats().work_units,
+            2 * BULK_IMPORT_COST_PER_TRIPLE + SINGLE_UPDATE_COST
+        );
     }
 
     #[test]
     fn online_updates_only_touch_resident_partitions() {
-        let mut store = GraphStore::new(100);
+        let mut store = GraphStore::with_budget(100);
         store.load_partition(p(0), &[(n(1), n(2))]).unwrap();
         // Non-resident partition: no-op, reported as false/0.
         assert!(!store.insert_edge(Triple::new(n(1), p(9), n(2))).unwrap());
@@ -500,7 +633,7 @@ mod tests {
 
     #[test]
     fn covers_checks_residency() {
-        let mut store = GraphStore::new(100);
+        let mut store = GraphStore::with_budget(100);
         store.load_partition(p(0), &[(n(1), n(2))]).unwrap();
         store.load_partition(p(1), &[(n(1), n(2))]).unwrap();
         assert!(store.covers(&[p(0), p(1)]));
@@ -599,7 +732,7 @@ mod tests {
 
     #[test]
     fn self_loop_traversal() {
-        let mut store = GraphStore::new(10);
+        let mut store = GraphStore::with_budget(10);
         store
             .load_partition(p(0), &[(n(1), n(1)), (n(2), n(3))])
             .unwrap();
@@ -630,7 +763,7 @@ mod tests {
         // The same bound query must do (nearly) the same work on both —
         // the index-free-adjacency property.
         let build = |extra: usize| {
-            let mut store = GraphStore::new(1_000_000);
+            let mut store = GraphStore::with_budget(1_000_000);
             store
                 .load_partition(p(0), &[(n(1), n(2)), (n(3), n(4))])
                 .unwrap();
@@ -664,5 +797,309 @@ mod tests {
             ctx_huge.stats.work_units(),
             "bound traversal work must not depend on total graph size"
         );
+    }
+
+    #[test]
+    fn build_and_row_lookup() {
+        let mut store = GraphStore::with_budget(100);
+        store
+            .load_partition(p(0), &[(n(1), n(3)), (n(1), n(2)), (n(4), n(2))])
+            .unwrap();
+        store.load_partition(p(1), &[(n(2), n(5))]).unwrap();
+        assert_eq!(store.fwd_row(n(1), p(0)), &[n(2), n(3)], "rows are sorted");
+        assert_eq!(store.rev_row(n(2), p(0)), &[n(1), n(4)]);
+        assert!(store.fwd_row(n(9), p(0)).is_empty());
+        assert!(store.fwd_row(n(1), p(9)).is_empty());
+        assert!(
+            store.fwd_row(n(1), p(1)).is_empty(),
+            "rows are per predicate"
+        );
+        assert_eq!(store.used(), 4);
+        assert_eq!(store.edge_count(), 4);
+        assert_eq!(store.preds(), vec![p(0), p(1)]);
+        assert_eq!(store.resident_partitions(), vec![(p(0), 3), (p(1), 1)]);
+        assert_eq!(
+            store.partition_stats(p(0)),
+            PartitionStats {
+                edges: 3,
+                distinct_s: 2,
+                distinct_o: 2
+            }
+        );
+    }
+
+    #[test]
+    fn all_edges_for_var_pred() {
+        let mut store = GraphStore::with_budget(100);
+        store.load_partition(p(3), &[(n(2), n(7))]).unwrap();
+        store
+            .load_partition(p(1), &[(n(2), n(9)), (n(2), n(4)), (n(4), n(2))])
+            .unwrap();
+        assert_eq!(
+            &*store.out_all(n(2)),
+            &[(p(1), n(4)), (p(1), n(9)), (p(3), n(7))],
+            "ascending by (pred, node)"
+        );
+        assert_eq!(&*store.in_all(n(2)), &[(p(1), n(4))]);
+        assert!(store.out_all(n(99)).is_empty());
+        store.evict_partition(p(1));
+        assert_eq!(&*store.out_all(n(2)), &[(p(3), n(7))]);
+    }
+
+    #[test]
+    fn online_splice_keeps_arrays_sorted() {
+        let mut store = GraphStore::with_budget(100);
+        store
+            .load_partition(p(0), &[(n(5), n(1)), (n(2), n(9))])
+            .unwrap();
+        store.insert_edge(Triple::new(n(2), p(0), n(3))).unwrap();
+        store.insert_edge(Triple::new(n(1), p(0), n(9))).unwrap();
+        assert_eq!(store.fwd_row(n(2), p(0)), &[n(3), n(9)]);
+        assert_eq!(store.rev_row(n(9), p(0)), &[n(1), n(2)]);
+        assert_eq!(store.partition_len(p(0)), 4);
+        assert_eq!(
+            store.seed_edges(p(0)).collect::<Vec<_>>(),
+            [(n(1), n(9)), (n(2), n(3)), (n(2), n(9)), (n(5), n(1))]
+        );
+        // Deletes update both directions and drop empty rows.
+        assert_eq!(store.delete_edge(Triple::new(n(5), p(0), n(1))), 1);
+        assert!(store.fwd_row(n(5), p(0)).is_empty());
+        assert!(store.rev_row(n(1), p(0)).is_empty());
+        assert_eq!(store.partition_stats(p(0)).distinct_s, 2);
+        assert_eq!(store.partition_stats(p(0)).distinct_o, 2);
+        assert_eq!(
+            store.delete_edge(Triple::new(n(5), p(0), n(1))),
+            0,
+            "already gone"
+        );
+    }
+
+    #[test]
+    fn single_edge_writes_adjust_stats_without_recounting() {
+        let mut store = GraphStore::with_budget(100);
+        store
+            .load_partition(p(0), &[(n(1), n(2)), (n(1), n(3)), (n(4), n(2))])
+            .unwrap();
+        store.load_partition(p(1), &[(n(2), n(5))]).unwrap();
+        let base = store.partition_stats(p(0));
+        let edge = |s, o| Triple::new(n(s), p(0), n(o));
+        store.insert_edge(edge(1, 2)).unwrap(); // duplicate: no key is new
+        store.insert_edge(edge(7, 7)).unwrap(); // self-loop: new on both sides
+        store.insert_edge(edge(2, 5)).unwrap(); // both nodes known, but not under p(0)
+        assert_eq!(
+            store.partition_stats(p(0)),
+            PartitionStats {
+                edges: 6,
+                distinct_s: 4,
+                distinct_o: 4
+            }
+        );
+        assert_eq!(store.delete_edge(edge(1, 2)), 2);
+        assert_eq!(store.partition_stats(p(0)).distinct_s, 4, "1 still has 1→3");
+        assert_eq!(store.partition_stats(p(0)).distinct_o, 4, "2 still has 4→2");
+        assert_eq!(store.delete_edge(edge(7, 7)), 1);
+        assert_eq!(store.delete_edge(edge(2, 5)), 1);
+        store.insert_edge(edge(1, 2)).unwrap();
+        assert_eq!(store.partition_stats(p(0)), base);
+        assert_eq!(store.partition_stats(p(1)).edges, 1, "p(1) untouched");
+        assert_eq!(
+            store.seed_edges(p(0)).collect::<Vec<_>>(),
+            [(n(1), n(2)), (n(1), n(3)), (n(4), n(2))]
+        );
+    }
+
+    #[test]
+    fn duplicate_edges_both_counted_and_removed() {
+        let mut store = GraphStore::with_budget(100);
+        store
+            .load_partition(p(0), &[(n(1), n(2)), (n(1), n(2))])
+            .unwrap();
+        assert_eq!(store.fwd_row(n(1), p(0)), &[n(2), n(2)]);
+        store.insert_edge(Triple::new(n(1), p(0), n(2))).unwrap();
+        assert_eq!(store.used(), 3);
+        assert_eq!(store.delete_edge(Triple::new(n(1), p(0), n(2))), 3);
+        assert_eq!(store.used(), 0);
+        assert!(store.is_loaded(p(0)), "partition stays resident when empty");
+        assert_eq!(store.partition_stats(p(0)), PartitionStats::default());
+    }
+
+    #[test]
+    fn single_update_budget_enforced() {
+        let mut store = GraphStore::with_budget(1);
+        store.load_partition(p(0), &[(n(1), n(2))]).unwrap();
+        assert!(matches!(
+            store.insert_edge(Triple::new(n(3), p(0), n(4))),
+            Err(GraphStoreError::BudgetExceeded { .. })
+        ));
+        assert_eq!(
+            store.partition_len(p(0)),
+            1,
+            "a refused insert changes nothing"
+        );
+        assert_eq!(store.import_stats().single_updates, 0);
+    }
+
+    /// Two partitions: `p(0)` = {1→2, 1→3, 4→2}, `p(1)` = {2→5}.
+    fn sample() -> GraphStore {
+        let mut store = GraphStore::with_budget(100);
+        store
+            .load_partition(p(0), &[(n(1), n(2)), (n(1), n(3)), (n(4), n(2))])
+            .unwrap();
+        store.load_partition(p(1), &[(n(2), n(5))]).unwrap();
+        store
+    }
+
+    fn outs(store: &GraphStore, s: u32, pred: PredId) -> Vec<u32> {
+        store.out_neighbours(n(s), pred).map(|o| o.0).collect()
+    }
+
+    fn ins(store: &GraphStore, o: u32, pred: PredId) -> Vec<u32> {
+        store.in_neighbours(n(o), pred).map(|s| s.0).collect()
+    }
+
+    #[test]
+    fn bulk_load_counts_edges() {
+        let store = sample();
+        assert_eq!(store.edge_count(), 4);
+        assert_eq!(store.seed_len(p(0)), 3);
+        assert_eq!(store.seed_edges(p(0)).count(), 3);
+        assert_eq!(store.seed_len(p(9)), 0);
+        assert_eq!(store.seed_edges(p(9)).count(), 0);
+        assert_eq!(store.preds(), vec![p(0), p(1)]);
+    }
+
+    #[test]
+    fn out_and_in_neighbours() {
+        let store = sample();
+        assert_eq!(outs(&store, 1, p(0)), vec![2, 3]);
+        assert_eq!(ins(&store, 2, p(0)), vec![1, 4]);
+        assert_eq!(store.out_neighbours(n(1), p(0)).len(), 2);
+        assert!(outs(&store, 1, p(1)).is_empty());
+        assert!(outs(&store, 99, p(0)).is_empty());
+        assert!(ins(&store, 2, p(9)).is_empty());
+    }
+
+    #[test]
+    fn single_edge_insert_keeps_sorted_order() {
+        let mut store = sample();
+        assert!(store.insert_edge(Triple::new(n(1), p(0), n(0))).unwrap());
+        assert_eq!(outs(&store, 1, p(0)), vec![0, 2, 3]);
+        assert_eq!(ins(&store, 0, p(0)), vec![1]);
+        assert_eq!(store.edge_count(), 5);
+    }
+
+    #[test]
+    fn remove_edge_updates_both_directions() {
+        let mut store = sample();
+        assert_eq!(store.delete_edge(Triple::new(n(1), p(0), n(2))), 1);
+        assert_eq!(outs(&store, 1, p(0)), vec![3]);
+        assert_eq!(ins(&store, 2, p(0)), vec![4]);
+        assert_eq!(store.edge_count(), 3);
+        assert_eq!(
+            store.delete_edge(Triple::new(n(1), p(0), n(2))),
+            0,
+            "already gone"
+        );
+    }
+
+    #[test]
+    fn evict_partition_clears_everything() {
+        let mut store = sample();
+        assert_eq!(store.evict_partition(p(0)), 3);
+        assert_eq!(store.edge_count(), 1);
+        assert_eq!(store.seed_edges(p(0)).count(), 0);
+        assert!(outs(&store, 1, p(0)).is_empty());
+        assert!(ins(&store, 2, p(0)).is_empty());
+        assert_eq!(store.partition_stats(p(0)), PartitionStats::default());
+        assert_eq!(store.preds(), vec![p(1)]);
+        // p(1) untouched.
+        assert_eq!(outs(&store, 2, p(1)), vec![5]);
+        assert_eq!(store.evict_partition(p(0)), 0);
+    }
+
+    #[test]
+    fn partition_stats_track_mutations() {
+        let mut store = sample();
+        let st = store.partition_stats(p(0));
+        assert_eq!(
+            st,
+            PartitionStats {
+                edges: 3,
+                distinct_s: 2,
+                distinct_o: 2
+            }
+        );
+        assert!((st.out_degree() - 1.5).abs() < 1e-9);
+        assert!((st.in_degree() - 1.5).abs() < 1e-9);
+        store.insert_edge(Triple::new(n(1), p(0), n(9))).unwrap();
+        assert_eq!(store.partition_stats(p(0)).distinct_o, 3);
+        store.evict_partition(p(0));
+        assert_eq!(store.partition_stats(p(0)), PartitionStats::default());
+        assert_eq!(PartitionStats::default().out_degree(), 0.0);
+    }
+
+    #[test]
+    fn duplicate_single_edge_inserts_both_counted_and_removed() {
+        let mut store = GraphStore::with_budget(100);
+        store.load_partition(p(0), &[]).unwrap();
+        store.insert_edge(Triple::new(n(1), p(0), n(2))).unwrap();
+        store.insert_edge(Triple::new(n(1), p(0), n(2))).unwrap();
+        assert_eq!(store.edge_count(), 2);
+        assert_eq!(ins(&store, 2, p(0)), vec![1, 1]);
+        assert_eq!(store.delete_edge(Triple::new(n(1), p(0), n(2))), 2);
+        assert_eq!(store.edge_count(), 0);
+    }
+
+    #[test]
+    fn budget_and_double_load_enforced() {
+        let mut store = GraphStore::with_budget(2);
+        assert!(matches!(
+            store.load_partition(p(0), &[(n(1), n(2)), (n(3), n(4)), (n(5), n(6))]),
+            Err(GraphStoreError::BudgetExceeded {
+                needed: 3,
+                available: 2,
+                ..
+            })
+        ));
+        store.load_partition(p(0), &[(n(1), n(2))]).unwrap();
+        assert!(matches!(
+            store.load_partition(p(0), &[(n(3), n(4))]),
+            Err(GraphStoreError::AlreadyLoaded(_))
+        ));
+        assert_eq!(store.available(), 1);
+        assert_eq!(
+            store.partition_len(p(0)),
+            1,
+            "a refused load changes nothing"
+        );
+    }
+
+    #[test]
+    fn evict_twice_frees_and_bills_once() {
+        let mut store = GraphStore::with_budget(2);
+        store
+            .load_partition(p(0), &[(n(1), n(2)), (n(3), n(4))])
+            .unwrap();
+        assert_eq!(store.evict_partition(p(0)), 2);
+        assert_eq!(store.evict_partition(p(0)), 0, "already gone");
+        assert_eq!(store.available(), 2);
+        assert!(!store.is_loaded(p(0)));
+        assert_eq!(store.import_stats().triples_evicted, 2);
+    }
+
+    #[test]
+    fn missing_partition_is_an_error_on_an_empty_store() {
+        let store = GraphStore::with_budget(10);
+        let mut dict = Dictionary::new();
+        dict.encode_pred("y:never").unwrap();
+        let q = parse("SELECT ?s WHERE { ?s y:never ?o }").unwrap();
+        let Compiled::Query(eq) = compile(&q, &dict).unwrap() else {
+            panic!()
+        };
+        let mut ctx = ExecContext::new();
+        assert!(matches!(
+            store.execute(&eq, &mut ctx),
+            Err(GraphExecError::MissingPartition(_))
+        ));
     }
 }

@@ -3,20 +3,17 @@
 //! The backtracking matcher ([`crate::matcher`]) needs exactly four things
 //! from a substrate: neighbour lookups from a bound node, per-predicate
 //! seed enumeration, cardinality statistics for its degree-aware pattern
-//! ordering, and the total edge count. [`Topology`] captures that contract
-//! so the one matcher serves every [`crate::GraphBackend`] — the
-//! adjacency-list index ([`crate::AdjacencyIndex`]) and the CSR index
-//! ([`crate::CsrBackend`]) plug in the same traversal semantics over very
-//! different memory layouts.
+//! ordering, and the total edge count. [`Topology`] captures that contract;
+//! [`crate::GraphStore`]'s compressed sparse rows implement it.
 //!
 //! # Cost-parity contract
 //!
 //! The matcher charges work units from the *sizes* the topology reports
 //! (neighbour-list lengths, seed lengths), never from how the substrate
-//! computes them. Two topologies holding the same edge multiset therefore
-//! produce **identical work units** for the same query — the property the
-//! backend-equivalence suite pins down, and the reason DOTIL's learned
-//! designs are substrate-independent.
+//! computes them. Any layout holding the same edge multiset therefore
+//! produces **identical work units** for the same query, so a change of
+//! memory layout never moves DOTIL's learned designs or a work-unit
+//! figure.
 
 use kgdual_model::{NodeId, PredId};
 
@@ -57,10 +54,10 @@ impl PartitionStats {
 /// Neighbour iterators are [`ExactSizeIterator`]s because the matcher
 /// charges a lookup's cost (`len + 1` probes) *before* enumerating it,
 /// mirroring how a real store pays for the whole adjacency page. The
-/// `*_all` variants (variable-predicate patterns) may have to stitch
-/// per-predicate rows together, so they return a [`std::borrow::Cow`]:
-/// borrowed when the substrate holds the pairs contiguously, owned when it
-/// must assemble them.
+/// `*_all` variants (variable-predicate patterns) stitch per-predicate
+/// rows together, so they return a [`std::borrow::Cow`]: borrowed when a
+/// substrate holds the pairs contiguously, owned when it must assemble
+/// them.
 ///
 /// # Enumeration-order contract
 ///
@@ -68,10 +65,10 @@ impl PartitionStats {
 /// ascends by predicate id, [`seed_edges`] ascends by `(s, o)` (duplicate
 /// edges adjacent), neighbour lists ascend by node id, and the `*_all`
 /// variants ascend by `(pred, node)`. LIMIT queries exit mid-enumeration,
-/// so two substrates enumerating in different orders would return
+/// so two layouts enumerating in different orders would return
 /// different (individually correct) result subsets and charge different
-/// work — canonical order is what makes *every* deterministic metric
-/// backend-invariant, truncated queries included.
+/// work — canonical order is what keeps *every* deterministic metric
+/// layout-invariant, truncated queries included.
 ///
 /// [`preds`]: Topology::preds
 /// [`seed_edges`]: Topology::seed_edges
@@ -111,10 +108,8 @@ pub trait Topology {
     /// `start` of the canonical [`seed_edges`] order, into the two column
     /// buffers; returns how many edges were copied. The vectorized tail
     /// scan stages chunks through this instead of driving the pair
-    /// iterator row by row. The default walks [`seed_edges`]; substrates
-    /// holding edges in packed arrays override it with slice copies.
-    /// Overrides must preserve the enumeration-order contract exactly —
-    /// `seed_chunk(p, k, c)` yields the same edges as
+    /// iterator row by row. It must preserve the enumeration-order
+    /// contract exactly — `seed_chunk(p, k, c)` yields the same edges as
     /// `seed_edges(p).skip(k).take(c)`.
     ///
     /// [`seed_edges`]: Topology::seed_edges
@@ -125,15 +120,7 @@ pub trait Topology {
         cap: usize,
         s_out: &mut Vec<NodeId>,
         o_out: &mut Vec<NodeId>,
-    ) -> usize {
-        let mut n = 0usize;
-        for (s, o) in self.seed_edges(pred).skip(start).take(cap) {
-            s_out.push(s);
-            o_out.push(o);
-            n += 1;
-        }
-        n
-    }
+    ) -> usize;
 }
 
 #[cfg(test)]

@@ -1,13 +1,12 @@
 //! Search-and-splice maintenance of `(key, value)`-sorted pair vectors.
 //!
-//! Every sorted structure a single-row write touches — the relational
-//! store's two permutation indexes, the graph store's per-node adjacency
-//! lists and per-predicate seed lists — is a `Vec<(K, V)>` in ascending
-//! order, duplicates allowed. A write binary-searches its position and
-//! splices there; whether the write took its key's row count across
-//! 0 ↔ 1 is read off the neighbours of that position, which is all a
-//! partition's distinct counts ever need: they move only on that crossing,
-//! so no store recounts anything on a write.
+//! The relational store's two permutation indexes — the sorted
+//! structures a single-row write touches — are each a `Vec<(K, V)>` in
+//! ascending order, duplicates allowed. A write binary-searches its
+//! position and splices there; whether the write took its key's row
+//! count across 0 ↔ 1 is read off the neighbours of that position, which
+//! is all a partition's distinct counts ever need: they move only on that
+//! crossing, so no store recounts anything on a write.
 //!
 //! The cost that remains is the `memmove` behind the splice position — at
 //! worst a few hundred kB on the largest written partition of the

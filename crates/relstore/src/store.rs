@@ -214,8 +214,8 @@ impl RelStore {
         // describe each physical operator with the same bound-estimate
         // arithmetic the greedy order just used, and record its actuals
         // (output rows, work-unit delta) as it executes. Estimates and
-        // per-operator work are deterministic across backends × shards ×
-        // threads; batch counts and wall time are observational.
+        // per-operator work are deterministic across shards × threads;
+        // batch counts and wall time are observational.
         let capturing = plan::capturing();
         let mut bound: Vec<VarId> = seed_vars.clone();
 

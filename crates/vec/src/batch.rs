@@ -3,7 +3,7 @@
 //!
 //! Both substrates keep a predicate's edges as sorted pair runs — the
 //! relational [`PredTable`]'s insertion-ordered pair vector and sorted
-//! permutation indexes, and `CsrBackend`'s packed offset/neighbour
+//! permutation indexes, and the graph store's packed offset/neighbour
 //! arrays. The kernels here apply selection + projection over a whole
 //! 4096-row chunk of those runs in one tight loop, appending finished
 //! rows to a flat cell buffer instead of calling a per-row emit closure

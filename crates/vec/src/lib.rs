@@ -9,7 +9,7 @@
 //!
 //! * [`batch`] — the batch kernels: tight gather loops that turn a chunk
 //!   of `(subject, object)` pairs (the relational shards' sorted-by-pred
-//!   vectors, `CsrBackend`'s packed per-predicate rows) into contiguous
+//!   vectors, the graph store's packed per-predicate rows) into contiguous
 //!   binding cells in one pass, with selection (constant filters,
 //!   self-loop equality) and LIMIT pushdown applied inside the loop.
 //! * [`cost`] — the cost model: bound-pattern cardinalities, the
@@ -26,8 +26,7 @@
 //! charge work from reported sizes (scan charges per 4096-row chunk,
 //! probe/hash/join charges summed per batch) and emit rows in a fixed
 //! order, so digests, row order under LIMIT, work units, simulated TTI,
-//! routes, and DOTIL trails are identical across backends × shards ×
-//! threads. Every charge polls the work limit, and work only grows, so a
+//! routes, and DOTIL trails are identical across shards × threads. Every charge polls the work limit, and work only grows, so a
 //! λ-cutoff run (DOTIL's counterfactual, `ExecContext::work_limit`) is
 //! cut off if and only if the work it charges while executing reaches
 //! the limit (the result-row charge lands after the last poll); where

@@ -15,7 +15,7 @@
 //! ## Determinism
 //!
 //! [`PlanDesc::deterministic_json`] covers the fields the equivalence
-//! suites pin byte-identical across backends × shards × threads: the
+//! suites pin byte-identical across shards × threads: the
 //! route, the operator sequence, per-operator estimates, and (on the
 //! profile side, [`QueryProfile::deterministic_json`]) actual row counts
 //! and work units. Shard fan-out varies by configuration and
@@ -103,8 +103,8 @@ pub struct PlanDesc {
 }
 
 impl PlanDesc {
-    /// The deterministic fields only — byte-identical across backends ×
-    /// shards × threads by the equivalence contract.
+    /// The deterministic fields only — byte-identical across shards ×
+    /// threads by the equivalence contract.
     pub fn deterministic_json(&self) -> String {
         let mut out = format!("{{\"route\":\"{}\",\"steps\":[", self.route);
         for (i, s) in self.steps.iter().enumerate() {

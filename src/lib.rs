@@ -8,10 +8,10 @@
 //! storage, cheap updates); a budget-constrained native graph store with
 //! index-free adjacency accelerates *complex subqueries*; and **DOTIL**, a
 //! Q-learning physical-design tuner, decides which triple partitions to
-//! mirror into the graph store as the workload drifts. The graph substrate
-//! is pluggable: [`DualStore`](prelude::DualStore) is generic over
-//! [`GraphBackend`](prelude::GraphBackend) (adjacency lists by default,
-//! CSR via [`CsrBackend`](prelude::CsrBackend)).
+//! mirror into the graph store as the workload drifts. The graph store
+//! ([`GraphStore`](prelude::GraphStore), alias
+//! [`AdjacencyBackend`](prelude::AdjacencyBackend)) keeps each resident
+//! partition as forward and reverse compressed sparse rows.
 //!
 //! ```
 //! use kgdual::prelude::*;
@@ -48,7 +48,7 @@
 //! | [`model`] | terms, dictionary encoding, triples, partitions |
 //! | [`sparql`] | SPARQL-subset parser, AST, query analysis, encoded IR |
 //! | [`relstore`] | vertically-partitioned relational store + views |
-//! | [`graphstore`] | pluggable graph backends (adjacency lists, CSR) with budget |
+//! | [`graphstore`] | budgeted graph store (per-predicate compressed sparse rows) + matcher |
 //! | [`core`] | identifier, query processor, dual-store manager |
 //! | [`dotil`] | the Q-learning tuner and baseline tuners |
 //! | [`workloads`] | synthetic YAGO/WatDiv/Bio2RDF-like generators |
@@ -74,7 +74,7 @@ pub mod prelude {
     pub use kgdual_dotil::{Dotil, DotilConfig, FrequencyTuner, IdealTuner, OneOffTuner};
     pub use kgdual_exec::{BatchExecutor, ParallelRunner, SharedStore};
     pub use kgdual_graphstore::{
-        AdjacencyBackend, CsrBackend, GraphBackend, GraphStore, PartitionStats, Topology,
+        AdjacencyBackend, GraphBackend, GraphStore, PartitionStats, Topology,
     };
     pub use kgdual_model::{Dataset, DatasetBuilder, Dictionary, NodeId, PredId, Term, Triple};
     pub use kgdual_relstore::{Bindings, ExecContext, RelStore, ViewCatalog};

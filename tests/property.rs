@@ -88,9 +88,9 @@ fn check_topology<T: kgdual::graphstore::Topology>(
 /// LIMIT keeps a prefix of each executor's enumeration order, checked
 /// against a brute-force expectation on one partition spanning three
 /// 4096-row chunks, cut mid-chunk: the relational store emits rows in
-/// load order (`scan()` is append-ordered), both graph substrates in
-/// ascending `(s, o)` order with duplicates kept (`Topology::seed_edges`'
-/// canonical order), and the two graph substrates charge identical work.
+/// load order (`scan()` is append-ordered), the graph store in ascending
+/// `(s, o)` order with duplicates kept (`Topology::seed_edges`' canonical
+/// order).
 #[test]
 fn limit_keeps_each_executors_enumeration_prefix() {
     use kgdual::sparql::{EncPattern, PredSlot, Slot};
@@ -101,10 +101,8 @@ fn limit_keeps_each_executors_enumeration_prefix() {
         .collect();
     let mut rel = RelStore::new();
     rel.load_partition(p0, &edges);
-    let mut adj = AdjacencyBackend::new(edges.len());
-    adj.load_partition(p0, &edges).unwrap();
-    let mut csr = CsrBackend::new(edges.len());
-    csr.load_partition(p0, &edges).unwrap();
+    let mut graph = GraphStore::with_budget(edges.len());
+    graph.load_partition(p0, &edges).unwrap();
 
     let q = EncodedQuery {
         vars: vec![Var::new("s"), Var::new("o")],
@@ -132,17 +130,9 @@ fn limit_keeps_each_executors_enumeration_prefix() {
     let mut canonical = edges.clone();
     canonical.sort_unstable();
     let expected = rows_of(&canonical[..5_000]);
-    let mut adj_ctx = ExecContext::new();
-    let got = GraphBackend::execute(&adj, &q, &mut adj_ctx).unwrap();
-    assert_eq!(got, expected, "adjacency: ascending (s, o)");
-    let mut csr_ctx = ExecContext::new();
-    let got = GraphBackend::execute(&csr, &q, &mut csr_ctx).unwrap();
-    assert_eq!(got, expected, "csr: ascending (s, o)");
-    assert_eq!(
-        adj_ctx.stats.work_units(),
-        csr_ctx.stats.work_units(),
-        "graph substrates charge identical work"
-    );
+    let mut ctx = ExecContext::new();
+    let got = graph.execute(&q, &mut ctx).unwrap();
+    assert_eq!(got, expected, "graph: ascending (s, o)");
 }
 
 proptest! {
@@ -403,14 +393,16 @@ proptest! {
         }
     }
 
-    /// The graph substrates are interchangeable: identical partition
-    /// loads and online updates on an adjacency-list store and a CSR
-    /// store yield identical designs, routes, rows, and work units for
-    /// every random query — the equivalence the [`GraphBackend`] contract
-    /// promises (backend memory layout must never leak into deterministic
-    /// metrics).
+    /// Graph-side write maintenance agrees with the relational store: a
+    /// random residency mask, then a random insert/delete stream applied
+    /// to one dual store, then a random query routed by the processor
+    /// (graph, dual or relational) against the same query answered by the
+    /// relational store alone. Resident partitions must mirror the
+    /// relational sizes. Without LIMIT the row multisets are equal; with
+    /// LIMIT both return `min(limit, full)` rows, each row drawn from the
+    /// full result (a sub-multiset of it).
     #[test]
-    fn graph_backends_are_equivalent(
+    fn graph_route_agrees_with_relational_after_writes(
         triples in prop::collection::vec((0u8..12, 0u8..4, 0u8..12), 1..50),
         updates in prop::collection::vec(
             (any::<bool>(), 0u8..12, 0u8..4, 0u8..12),
@@ -425,70 +417,88 @@ proptest! {
     ) {
         let dataset = dataset_from(&triples);
         let budget = dataset.len() + updates.len();
-        let mut adj = DualStore::from_dataset(dataset.clone(), budget);
-        let mut csr = DualStore::<CsrBackend>::from_dataset_in(dataset, budget);
-        let preds: Vec<_> = adj.rel().preds().collect();
+        let mut dual = DualStore::from_dataset(dataset, budget);
+        let preds: Vec<_> = dual.rel().preds().collect();
         for (i, p) in preds.into_iter().enumerate() {
             if coverage_mask & (1 << (i % 4)) != 0 {
-                adj.migrate_partition(p).unwrap();
-                csr.migrate_partition(p).unwrap();
+                dual.migrate_partition(p).unwrap();
             }
         }
 
-        // Mirror the same online update stream into both stores.
         for &(insert, s, p, o) in &updates {
             let s = Term::iri(format!("n:{}", s % 8));
             let p = format!("p:{}", p % 4);
             let o = Term::iri(format!("n:{}", o % 8));
             if insert {
-                let ta = adj.insert_terms(&s, &p, &o).unwrap();
-                let tc = csr.insert_terms(&s, &p, &o).unwrap();
-                prop_assert_eq!(ta, tc, "identically grown dictionaries assign identical ids");
+                dual.insert_terms(&s, &p, &o).unwrap();
             } else if let (Some(s), Some(p), Some(o)) =
-                (adj.dict().node_id(&s), adj.dict().pred_id(&p), adj.dict().node_id(&o))
+                (dual.dict().node_id(&s), dual.dict().pred_id(&p), dual.dict().node_id(&o))
             {
-                let t = Triple::new(s, p, o);
-                prop_assert_eq!(adj.delete(t), csr.delete(t));
+                dual.delete(Triple::new(s, p, o));
             }
         }
-
-        prop_assert_eq!(adj.design(), csr.design(), "physical designs agree");
-
-        // LIMIT exercises the enumeration-order contract: truncated
-        // queries exit mid-scan, so they only agree across substrates
-        // because every Topology enumerates in canonical order.
-        let mut src = render_query(&patterns);
-        if limit > 0 {
-            src.push_str(&format!(" LIMIT {limit}"));
+        for (p, len) in dual.design().graph_partitions {
+            prop_assert_eq!(len, dual.rel().partition_len(p), "mirrored partition sizes");
         }
+
+        let src = render_query(&patterns);
         let query = parse(&src).unwrap();
-        let a = kgdual::processor::process(&adj, &query).unwrap();
-        let c = kgdual::processor::process(&csr, &query).unwrap();
-        prop_assert_eq!(a.route, c.route, "route diverged on {}", src);
-        prop_assert_eq!(
-            fingerprint(&a.results),
-            fingerprint(&c.results),
-            "rows diverged on {}",
-            src
-        );
-        prop_assert_eq!(a.total_work(), c.total_work(), "work diverged on {}", src);
+        let full = kgdual::processor::process_relational(&dual, &query).unwrap();
+        if limit == 0 {
+            let routed = kgdual::processor::process(&dual, &query).unwrap();
+            prop_assert_eq!(
+                fingerprint(&routed.results),
+                fingerprint(&full.results),
+                "route {:?} diverged on {}",
+                routed.route,
+                src
+            );
+            return Ok(());
+        }
+        let limited_src = format!("{src} LIMIT {limit}");
+        let limited = parse(&limited_src).unwrap();
+        let want = full.results.len().min(limit);
+        for out in [
+            kgdual::processor::process(&dual, &limited).unwrap(),
+            kgdual::processor::process_relational(&dual, &limited).unwrap(),
+        ] {
+            prop_assert_eq!(
+                out.results.len(),
+                want,
+                "route {:?} on {}",
+                out.route,
+                limited_src
+            );
+            let mut pool = fingerprint(&full.results);
+            for row in fingerprint(&out.results) {
+                let at = pool.iter().position(|r| *r == row);
+                prop_assert!(
+                    at.is_some(),
+                    "route {:?}: row {} not in the full result of {}",
+                    out.route,
+                    row,
+                    src
+                );
+                pool.swap_remove(at.unwrap());
+            }
+        }
     }
 
-    /// Incremental == from-scratch on all three substrates. A single-row
-    /// write splices each sorted structure in place and moves a distinct
-    /// count only on a key's 0 ↔ 1 crossing; after every step of a random
+    /// Incremental == from-scratch in both stores. A single-row write
+    /// splices each sorted structure in place and moves a distinct count
+    /// only on a key's 0 ↔ 1 crossing; after every step of a random
     /// interleaving (duplicates, self-loops, deletes of absent rows,
     /// deletes that empty a partition, two predicates sharing every node,
-    /// writes onto cold, half-built and warm tables) each substrate must
-    /// equal a brute-force recount of the surviving rows, and so each
-    /// other. The relational checks read only what is already built, so
-    /// they never warm a table the op stream left cold.
+    /// writes onto cold, half-built and warm tables) the relational tables
+    /// and the graph store must equal a brute-force recount of the
+    /// surviving rows, and so each other. The relational checks read only
+    /// what is already built, so they never warm a table the op stream
+    /// left cold.
     #[test]
     fn incremental_writes_equal_a_recount_on_every_substrate(
         initial in prop::collection::vec((0u32..2, 0u32..5, 0u32..5), 0..6),
         steps in prop::collection::vec((0u8..10, 0u32..2, 0u32..5, 0u32..5), 1..48),
     ) {
-        use kgdual::graphstore::AdjacencyIndex;
         use kgdual::relstore::PredTable;
         const NODES: u32 = 5;
 
@@ -497,12 +507,10 @@ proptest! {
             model[p as usize].push((NodeId(s), NodeId(o)));
         }
         let mut tables = [PredTable::new(), PredTable::new()];
-        let mut adj = AdjacencyIndex::new();
-        let mut csr = CsrBackend::with_budget(initial.len() + steps.len());
+        let mut graph = GraphStore::with_budget(initial.len() + steps.len());
         for p in 0..2 {
             tables[p].insert_batch(&model[p]);
-            adj.insert_partition(PredId(p as u32), &model[p]);
-            csr.load_partition(PredId(p as u32), &model[p]).unwrap();
+            graph.load_partition(PredId(p as u32), &model[p]).unwrap();
         }
         // What the op stream has built so far, per table.
         let mut s_built = [false; 2];
@@ -530,15 +538,13 @@ proptest! {
                     } else {
                         tables[pi].insert(row.0, row.1);
                     }
-                    adj.insert_edge(row.0, pred, row.1);
-                    prop_assert!(csr.insert_edge(t).unwrap());
+                    prop_assert!(graph.insert_edge(t).unwrap());
                     model[pi].push(row);
                 }
                 _ => {
                     let copies = model[pi].iter().filter(|&&r| r == row).count();
                     prop_assert_eq!(tables[pi].delete(row.0, row.1), copies);
-                    prop_assert_eq!(adj.remove_edge(row.0, pred, row.1), copies);
-                    prop_assert_eq!(csr.delete_edge(t), copies);
+                    prop_assert_eq!(graph.delete_edge(t), copies);
                     model[pi].retain(|&r| r != row);
                 }
             }
@@ -559,11 +565,10 @@ proptest! {
                     let st = table.stats();
                     prop_assert_eq!((st.rows, st.distinct_s, st.distinct_o), recount(rows));
                 }
-                check_topology(&adj, PredId(q as u32), rows, NODES)?;
-                check_topology(&csr, PredId(q as u32), rows, NODES)?;
+                check_topology(&graph, PredId(q as u32), rows, NODES)?;
             }
-            prop_assert_eq!(adj.edge_count(), model[0].len() + model[1].len());
-            prop_assert_eq!(csr.used(), adj.edge_count());
+            prop_assert_eq!(graph.used(), model[0].len() + model[1].len());
+            prop_assert_eq!(graph.edge_count(), graph.used());
         }
 
         // Whatever state the stream left a table in, building the rest
