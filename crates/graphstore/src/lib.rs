@@ -11,9 +11,10 @@
 //!    rows, so a node's neighbours under one predicate are a binary
 //!    search plus a slice, and traversal cost is proportional to the
 //!    traversal range (candidate edges × degrees), not to the total graph
-//!    size. Complex queries are answered by a backtracking matcher
-//!    ([`matcher`]) that extends one binding at a time through those
-//!    lookups — no intermediate-result materialization.
+//!    size. Complex queries are answered by a frontier matcher
+//!    ([`matcher`]) that extends bindings a bounded morsel at a time
+//!    through those rows and closes cycles by intersecting sorted rows —
+//!    no whole intermediate relation is ever materialized.
 //! 2. **A hard storage budget** (`B_G`): the store refuses to load a
 //!    partition that would exceed its configured triple budget, mirroring
 //!    the storage constraints the paper cites for native graph databases.
@@ -25,7 +26,7 @@
 //! [`GraphStore`] (alias [`AdjacencyBackend`]) implements
 //! [`backend::GraphBackend`], the contract the rest of the system uses
 //! (budget accounting, partition load/evict, edge insert/delete, pattern
-//! execution), and [`topology::Topology`], the neighbour/seed/statistics
+//! execution), and [`topology::Topology`], the sorted-rows/statistics
 //! view the matcher traverses. The matcher derives every work charge from
 //! reported sizes, so work units — and with them DOTIL's learned designs
 //! and every deterministic harness metric — depend on the logical store
@@ -38,4 +39,4 @@ pub mod topology;
 
 pub use backend::GraphBackend;
 pub use store::{AdjacencyBackend, GraphExecError, GraphStore, GraphStoreError, ImportStats};
-pub use topology::{PartitionStats, Topology};
+pub use topology::{CsrView, PartitionStats, Topology};

@@ -1,59 +1,35 @@
-//! Backtracking BGP matcher over any [`Topology`].
+//! Frontier BGP matcher over any [`Topology`].
 //!
 //! Where the relational executor materializes whole intermediate relations
-//! (scan → hash join), this matcher extends **one binding at a time**: pick
-//! the most selective pattern as the seed, then repeatedly extend partial
-//! assignments through adjacency lookups from already-bound nodes. Work is
-//! bounded by candidate edges of the seed predicate times the degrees along
-//! the traversal — independent of how large the rest of the graph is.
+//! (scan → hash join), this matcher seeds with the most selective pattern
+//! and extends partial assignments **a morsel at a time** through the
+//! partitions' sorted rows. Each depth expands one morsel of its input
+//! (about [`BATCH`] rows) into a reused buffer and hands it to the next
+//! depth before taking the next, so rows come out in depth-first order and
+//! memory stays bounded. Work follows the traversal range (seed edges
+//! times the degrees along the way), not the graph size. A depth resolves
+//! its partition and direction once per query; a row lookup whose key
+//! does not descend gallops forward from the previous key (a finger); and
+//! a cycle-closing edge whose candidates arrive as a sorted run against
+//! one anchor is checked by one galloping intersection with the anchor's
+//! row — Leapfrog Triejoin's step (Veldhuizen, ICDT 2014) — while a lone
+//! candidate is looked up in its own row.
 //!
-//! The matcher is generic over [`Topology`], the neighbour/seed/statistics
-//! contract, and every work-unit charge is derived from reported *sizes*
-//! (not layout internals), so the work a query is charged depends on the
-//! edges held, never on how they are laid out.
+//! Charges follow [`Topology`]'s cost-parity contract, summed per morsel:
+//! `len + 1` probes per row lookup, one probe per closing candidate, one
+//! scanned row per seed edge, one join per result row — what a
+//! binding-at-a-time traversal charges. Under LIMIT each morsel below the
+//! seed is one input row, so the limit is reached in depth-first order.
 
 use crate::store::GraphExecError;
-use crate::topology::{PartitionStats, Topology};
+use crate::topology::{CsrView, Topology};
 use kgdual_model::{NodeId, PredId};
 use kgdual_relstore::{Bindings, ExecContext, ExecError};
 use kgdual_sparql::{EncPattern, EncodedQuery, PredSlot, Slot, VarId};
 use kgdual_vec::{
     cost::{self, Card},
-    gather_columns, plan, EmitSrc, BATCH,
+    plan, BATCH,
 };
-use std::cell::Cell;
-
-/// Deepest query an EXPLAIN capture profiles per-operator (queries with
-/// more ordered patterns still capture their plan steps, just without
-/// per-depth actuals). Sized to the fixed counter array below; well
-/// above any workload query.
-const MAX_PROFILE_DEPTH: usize = 16;
-
-thread_local! {
-    /// Plan-step index of the in-flight captured query's *first* ordered
-    /// pattern (`usize::MAX` when no EXPLAIN capture is active). The
-    /// matcher's operators are one step per ordered pattern, created
-    /// contiguously in [`execute`], so depth `d` records to `BASE + d` —
-    /// one thread-local read on the traversal hot path instead of
-    /// re-deriving the step id per binding.
-    static STEP_BASE: Cell<usize> = const { Cell::new(usize::MAX) };
-    /// Rows produced per traversal depth during one captured query. Plain
-    /// `Cell` increments on the per-binding hot path (the matcher extends
-    /// one binding at a time, so anything heavier — like the collector's
-    /// `RefCell` — would show up in the obs overhead gate); [`execute`]
-    /// flushes them into the collector once per query.
-    static DEPTH_ROWS: [Cell<u64>; MAX_PROFILE_DEPTH] =
-        const { [const { Cell::new(0) }; MAX_PROFILE_DEPTH] };
-}
-
-/// Count one row produced at `depth` of the captured traversal.
-#[inline]
-fn count_depth_rows(depth: usize, rows: u64) {
-    DEPTH_ROWS.with(|r| {
-        let c = &r[depth];
-        c.set(c.get() + rows);
-    });
-}
 
 /// Execute a compiled BGP against a graph topology.
 pub fn execute<T: Topology>(
@@ -61,54 +37,20 @@ pub fn execute<T: Topology>(
     q: &EncodedQuery,
     ctx: &mut ExecContext,
 ) -> Result<Bindings, GraphExecError> {
-    let order = order_patterns(index, q);
-
-    // EXPLAIN capture: one plan step per ordered pattern, priced with the
-    // same bound-estimate the ordering used. The traversal is pipelined,
-    // so per-step actuals report *rows produced at that depth*; work is
-    // accounted at the query level only (operators are not separable).
-    if plan::capturing() {
-        let mut bound: Vec<VarId> = Vec::new();
-        for (d, &i) in order.iter().enumerate() {
-            let pat = &q.patterns[i];
-            let (op, kind) = if d == 0 {
-                ("graph_seed", plan::OpKind::Scan)
-            } else {
-                ("graph_extend", plan::OpKind::Join)
-            };
-            let step = plan::note_step(op, kind, i, bound_estimate(index, pat, &bound));
-            if d == 0 && order.len() <= MAX_PROFILE_DEPTH {
-                STEP_BASE.set(step);
-            }
-            for v in pat.vars() {
-                if !bound.contains(&v) {
-                    bound.push(v);
-                }
-            }
-        }
-        DEPTH_ROWS.with(|r| r.iter().for_each(|c| c.set(0)));
-    }
-
-    let mut assignment: Vec<Option<NodeId>> = vec![None; q.vars.len()];
-    let mut out = Bindings::new(q.projection.clone());
     let limit = q.limit.unwrap_or(usize::MAX);
     // With DISTINCT we cannot stop at `limit` raw matches.
     let stop_at = if q.distinct { usize::MAX } else { limit };
-
-    let r = extend(index, q, &order, 0, &mut assignment, &mut out, stop_at, ctx);
-    let base = STEP_BASE.get();
-    if base != usize::MAX {
-        // Flush the per-depth row counters into the collector (one pass
-        // here instead of a collector call per binding).
-        DEPTH_ROWS.with(|rows| {
-            for (d, c) in rows.iter().take(order.len()).enumerate() {
-                plan::note_actual(base + d, c.take(), 0, 0);
-            }
-        });
+    let mut frontier = Frontier::new(index, q, &order_patterns(index, q), stop_at);
+    let r = frontier.descend(0, ctx);
+    // EXPLAIN: the traversal is pipelined, so per-step actuals report
+    // *rows produced at that depth*; work is accounted per query only.
+    // (Without a capture the base is `NO_STEP`, which every step ignores.)
+    for (d, step) in frontier.steps.iter().enumerate() {
+        plan::note_actual(frontier.base_step.saturating_add(d), step.rows, 0, 0);
     }
-    STEP_BASE.set(usize::MAX);
     r?;
 
+    let mut out = frontier.out;
     if q.distinct {
         out.dedup_rows();
     }
@@ -119,40 +61,28 @@ pub fn execute<T: Topology>(
     Ok(out)
 }
 
-/// Pattern order: seed with the cheapest pattern, then repeatedly the
-/// connected pattern with the smallest **expected extension fan-out**
-/// given what is already bound — average out-degree when the subject is
-/// bound, average in-degree when the object is bound, full candidate-edge
-/// count when neither is. Hub predicates (a prize with hundreds of
-/// winners) are thereby deferred until both endpoints are pinned and they
-/// degrade to cheap existence probes.
-fn order_patterns<T: Topology>(index: &T, q: &EncodedQuery) -> Vec<usize> {
-    let estimate = |pat: &EncPattern, bound: &[VarId]| bound_estimate(index, pat, bound);
-
+/// Pattern order, each with the estimate that chose it: seed with the
+/// cheapest pattern, then repeatedly the connected pattern with the
+/// smallest **expected extension fan-out** given what is already bound —
+/// average out-degree when the subject is bound, average in-degree when the
+/// object is bound, all candidate edges when neither is. Hub predicates (a
+/// prize with hundreds of winners) are thereby deferred until both
+/// endpoints are pinned and they degrade to cheap existence probes.
+fn order_patterns<T: Topology>(index: &T, q: &EncodedQuery) -> Vec<(usize, f64)> {
     let mut remaining: Vec<usize> = (0..q.patterns.len()).collect();
     let mut order = Vec::with_capacity(remaining.len());
     let mut bound: Vec<VarId> = Vec::new();
 
     while !remaining.is_empty() {
-        let connected: Vec<usize> = remaining
+        let connected = |i: usize| q.patterns[i].vars().any(|v| bound.contains(&v));
+        let any_connected = remaining.iter().any(|&i| connected(i));
+        let (best, est) = remaining
             .iter()
-            .copied()
-            .filter(|&i| q.patterns[i].vars().any(|v| bound.contains(&v)))
-            .collect();
-        let pool: &[usize] = if connected.is_empty() {
-            &remaining
-        } else {
-            &connected
-        };
-        let &best = pool
-            .iter()
-            .min_by(|&&a, &&b| {
-                estimate(&q.patterns[a], &bound)
-                    .total_cmp(&estimate(&q.patterns[b], &bound))
-                    .then(a.cmp(&b))
-            })
+            .filter(|&&i| !any_connected || connected(i))
+            .map(|&i| (i, bound_estimate(index, &q.patterns[i], &bound)))
+            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
             .expect("pool nonempty");
-        order.push(best);
+        order.push((best, est));
         remaining.retain(|&i| i != best);
         for v in q.patterns[best].vars() {
             if !bound.contains(&v) {
@@ -173,358 +103,426 @@ fn bound_estimate<T: Topology>(index: &T, pat: &EncPattern, bound: &[VarId]) -> 
         matches!(pat.o, Slot::Const(_)) || pat.o.as_var().is_some_and(|v| bound.contains(&v));
     match pat.p {
         PredSlot::Const(p) => {
-            cost::bound_cardinality(card_of(&index.partition_stats(p)), s_bound, o_bound)
+            // The relational planner prices its tables with the same
+            // formulas, so the two planners agree value for value.
+            let st = index.partition_stats(p);
+            let card = Card {
+                rows: st.edges,
+                distinct_s: st.distinct_s,
+                distinct_o: st.distinct_o,
+            };
+            cost::bound_cardinality(card, s_bound, o_bound)
         }
         PredSlot::Var(_) => cost::var_pred_cardinality(index.edge_count(), s_bound || o_bound),
     }
 }
 
-/// The shared cost model's view of a partition's statistics. The matcher's
-/// degree estimates (`out_degree`/`in_degree`/edge count) and the relational
-/// planner's `TableStats` arithmetic are the same formulas; routing both
-/// through [`kgdual_vec::cost`] keeps the two planners value-identical by
-/// construction.
-fn card_of(st: &PartitionStats) -> Card {
-    Card {
-        rows: st.edges,
-        distinct_s: st.distinct_s,
-        distinct_o: st.distinct_o,
+/// Where a pattern's predicate comes from at its depth.
+#[derive(Copy, Clone)]
+enum Pred<'a> {
+    /// A constant predicate, both directions resolved once per query.
+    Const {
+        id: PredId,
+        fwd: CsrView<'a>,
+        rev: CsrView<'a>,
+    },
+    /// A variable bound at an earlier depth: its row column (predicate
+    /// variables carry the id in node-id space, as in the relational store).
+    Col(usize),
+    /// A variable this depth binds: every resident partition.
+    Free,
+}
+
+/// What an edge's subject, predicate or object does to the row: nothing
+/// (the lookup that found the edge fixed it), bind a column, or — for a
+/// variable the pattern repeats — check it against the value bound first.
+#[derive(Copy, Clone)]
+enum Put {
+    Keep,
+    Set(usize),
+    Check(usize),
+}
+
+/// `key`'s row. `at` is a finger: the previous lookup's position, which
+/// every key below the previous key precedes. A key that does not descend
+/// gallops forward from it, so ascending keys cost the distance between
+/// them; a descending key is searched from the start.
+fn find<'a>(rows: CsrView<'a>, at: &mut usize, key: NodeId) -> &'a [NodeId] {
+    let descends = *at > 0 && rows.keys[*at - 1] >= key;
+    *at = gallop(rows.keys, if descends { 0 } else { *at }, key);
+    match rows.keys.get(*at) == Some(&key) {
+        true => rows.row_at(*at),
+        false => &[],
     }
 }
 
-/// Value of a slot under the current assignment, if determined.
-fn slot_value(slot: Slot, assignment: &[Option<NodeId>]) -> Option<NodeId> {
-    match slot {
-        Slot::Const(c) => Some(c),
-        Slot::Var(v) => assignment[v as usize],
+/// First index at or after `from` whose value is not below `x`: doubling
+/// steps from `from`, then a binary search inside the last step.
+fn gallop(sorted: &[NodeId], from: usize, x: NodeId) -> usize {
+    let (mut lo, mut step) = (from, 1);
+    while lo + step <= sorted.len() && sorted[lo + step - 1] < x {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step).min(sorted.len());
+    lo + sorted[lo..hi].partition_point(|&v| v < x)
+}
+
+/// Copies of `x` in the ascending `row`.
+fn multiplicity(row: &[NodeId], x: NodeId) -> usize {
+    row.partition_point(|&v| v <= x) - row.partition_point(|&v| v < x)
+}
+
+/// Append `parent` with the edge `(s, p, o)` written in as `put` says, or
+/// nothing when a repeated variable disagrees with the edge.
+#[inline]
+fn push_edge(put: &[Put; 3], out: &mut Vec<NodeId>, parent: &[NodeId], edge: [NodeId; 3]) {
+    let at = out.len();
+    out.extend_from_slice(parent);
+    for (&put, v) in put.iter().zip(edge) {
+        match put {
+            Put::Keep => {}
+            Put::Set(c) => out[at + c] = v,
+            Put::Check(c) if out[at + c] == v => {}
+            Put::Check(_) => return out.truncate(at),
+        }
     }
 }
 
-/// Seed-scan chunk size: cost is charged per chunk, and a satisfied LIMIT
-/// is noticed at chunk boundaries. Shared with the batch kernels so the
-/// tail gather and the general seed scan charge at the same granularity.
-const CHUNK: usize = BATCH;
+/// One ordered pattern, resolved once per query.
+struct Step<'a> {
+    /// Cells per row.
+    width: usize,
+    /// Row columns of the subject and object (a constant endpoint has a
+    /// column of its own, filled in the root row), and whether an earlier
+    /// depth or a constant fixed them.
+    s: (usize, bool),
+    o: (usize, bool),
+    pred: Pred<'a>,
+    /// What an edge's subject, predicate and object do to the row.
+    put: [Put; 3],
+    /// Fingers into a constant predicate's forward and reverse keys.
+    fingers: [usize; 2],
+    /// For a closing edge: the object is the endpoint bound last, so runs
+    /// of input rows vary it under a fixed subject (else the reverse).
+    close_on_o: bool,
+    /// Rows this depth produced (EXPLAIN's `actual_rows`; the last depth
+    /// counts emitted rows).
+    rows: u64,
+}
 
-/// Vectorized tail seed scan: when the *last* pattern in the join order is
-/// an unbound-variable seed scan over one predicate, every surviving edge
-/// emits exactly one output row, so the per-edge bind/recurse/unbind dance
-/// collapses into a column gather. Chunks are staged through
-/// [`Topology::seed_chunk`] (a slice copy of the packed rows) and
-/// projected by an [`EmitSrc`] template built once — subject column,
-/// object column, or the already-bound constant for every other
-/// projection variable. LIMIT pushes into the gather's row cap.
-///
-/// Work matches what [`scan_seed`]'s general recursion would charge for
-/// the same shape: each chunk charges its full scan length up front (the
-/// recursion charges whole chunks even when a LIMIT is satisfied
-/// mid-chunk), and one join unit is charged per emitted row.
-///
-/// Selection is by query shape alone. Returns `Ok(false)` when the shape
-/// is unsupported (predicate variable, constant endpoint, non-final depth,
-/// unbound non-endpoint projection); the caller then takes the
-/// tuple-at-a-time recursion, the matcher's general implementation.
-#[allow(clippy::too_many_arguments)]
-fn try_vec_seed_tail<T: Topology>(
-    index: &T,
-    q: &EncodedQuery,
-    order: &[usize],
-    depth: usize,
-    assignment: &[Option<NodeId>],
-    out: &mut Bindings,
-    stop_at: usize,
-    ctx: &mut ExecContext,
-    p: PredId,
-) -> Result<bool, GraphExecError> {
-    if depth + 1 != order.len() {
-        return Ok(false);
+/// Resume point in a depth's input: the next row, and for seeds the
+/// partition and edge within it.
+#[derive(Default)]
+struct Cursor {
+    row: usize,
+    part: usize,
+    edge: usize,
+}
+
+impl<'a> Step<'a> {
+    fn row<'b>(&self, input: &'b [NodeId], i: usize) -> &'b [NodeId] {
+        &input[i * self.width..(i + 1) * self.width]
     }
-    let pat = &q.patterns[order[depth]];
-    if !matches!(pat.p, PredSlot::Const(_)) {
-        return Ok(false);
-    }
-    let (Slot::Var(sv), Slot::Var(ov)) = (pat.s, pat.o) else {
-        return Ok(false);
-    };
-    // The caller only reaches a seed scan with both endpoints undetermined,
-    // but the template below relies on it: stay defensive.
-    if assignment[sv as usize].is_some() || assignment[ov as usize].is_some() {
-        return Ok(false);
-    }
-    let mut template = Vec::with_capacity(q.projection.len());
-    for &v in &q.projection {
-        if v == sv {
-            template.push(EmitSrc::S);
-        } else if v == ov {
-            template.push(EmitSrc::O);
-        } else {
-            match assignment[v as usize] {
-                Some(c) => template.push(EmitSrc::Const(c)),
-                None => return Ok(false),
+
+    /// Expand the next morsel of `input` into `out`, charging what it read:
+    /// input rows until `out` holds [`BATCH`] rows, or just one.
+    fn expand<T: Topology>(
+        &mut self,
+        index: &'a T,
+        input: &[NodeId],
+        cur: &mut Cursor,
+        out: &mut Vec<NodeId>,
+        one_row: bool,
+        ctx: &mut ExecContext,
+    ) -> Result<(), GraphExecError> {
+        let views = match (self.s.1, self.o.1, self.pred) {
+            (false, false, _) => return self.seed(index, input, cur, out, ctx),
+            (true, true, Pred::Const { fwd, rev, .. }) => [fwd, rev],
+            _ => return self.lookups(index, input, cur, out, one_row, ctx),
+        };
+        // A closing edge. Input rows that share the anchor endpoint and
+        // ascend in the candidate endpoint are one sorted run: intersect it
+        // with the anchor's row. A lone candidate probes its own row.
+        let (anchor, cand, by_anchor, by_cand) = match self.close_on_o {
+            true => (self.s.0, self.o.0, 0, 1),
+            false => (self.o.0, self.s.0, 1, 0),
+        };
+        let (start, rows, width) = (cur.row, input.len() / self.width, self.width);
+        let value = |col: usize, i: usize| input[i * width + col];
+        while cur.row < rows {
+            let (first, a) = (cur.row, value(anchor, cur.row));
+            cur.row += 1;
+            while !one_row
+                && cur.row < rows
+                && value(anchor, cur.row) == a
+                && value(cand, cur.row) >= value(cand, cur.row - 1)
+            {
+                cur.row += 1;
             }
-        }
-    }
-    let _span = kgdual_obs::span!("vec_scan", pred = p.0);
-    // `?x p ?x`: the recursion's duplicate-variable bind check keeps only
-    // self-loop edges — the kernel's `s == o` restriction.
-    let require_s_eq_o = sv == ov;
-    let mut s_col: Vec<NodeId> = Vec::with_capacity(BATCH);
-    let mut o_col: Vec<NodeId> = Vec::with_capacity(BATCH);
-    let mut staging: Vec<NodeId> = Vec::with_capacity(BATCH * template.len());
-    let mut start = 0usize;
-    loop {
-        if out.len() >= stop_at {
-            return Ok(true);
-        }
-        s_col.clear();
-        o_col.clear();
-        let n = index.seed_chunk(p, start, BATCH, &mut s_col, &mut o_col);
-        if n == 0 {
-            return Ok(true);
-        }
-        start += n;
-        charge(ctx.charge_scan(n as u64))?;
-        staging.clear();
-        let emitted = gather_columns(
-            &s_col,
-            &o_col,
-            require_s_eq_o,
-            &template,
-            stop_at - out.len(),
-            &mut staging,
-        );
-        out.extend_cells(&staging);
-        charge(ctx.charge_join(emitted as u64))?;
-        let base = STEP_BASE.get();
-        if base != usize::MAX {
-            count_depth_rows(depth, emitted as u64);
-            plan::note_step_batches(base + depth, 1);
-        }
-    }
-}
-
-/// Enumerate one predicate's seed edges chunk by chunk, charging each
-/// chunk before recursing into it.
-#[allow(clippy::too_many_arguments)]
-fn scan_seed<T: Topology>(
-    index: &T,
-    q: &EncodedQuery,
-    order: &[usize],
-    depth: usize,
-    assignment: &mut Vec<Option<NodeId>>,
-    out: &mut Bindings,
-    stop_at: usize,
-    ctx: &mut ExecContext,
-    p: PredId,
-) -> Result<(), GraphExecError> {
-    if try_vec_seed_tail(index, q, order, depth, assignment, out, stop_at, ctx, p)? {
-        return Ok(());
-    }
-    let mut seed = index.seed_edges(p);
-    let mut buf: Vec<(NodeId, NodeId)> = Vec::with_capacity(CHUNK.min(index.seed_len(p)));
-    loop {
-        if out.len() >= stop_at {
-            return Ok(());
-        }
-        buf.clear();
-        buf.extend(seed.by_ref().take(CHUNK));
-        if buf.is_empty() {
-            return Ok(());
-        }
-        charge(ctx.charge_scan(buf.len() as u64))?;
-        for &(s, o) in &buf {
-            bind_and_recurse(
-                index, q, order, depth, assignment, out, stop_at, ctx, s, p, o,
-            )?;
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn extend<T: Topology>(
-    index: &T,
-    q: &EncodedQuery,
-    order: &[usize],
-    depth: usize,
-    assignment: &mut Vec<Option<NodeId>>,
-    out: &mut Bindings,
-    stop_at: usize,
-    ctx: &mut ExecContext,
-) -> Result<(), GraphExecError> {
-    if out.len() >= stop_at {
-        return Ok(());
-    }
-    if depth == order.len() {
-        let row: Vec<NodeId> = q
-            .projection
-            .iter()
-            .map(|&v| assignment[v as usize].expect("projection var bound at full depth"))
-            .collect();
-        charge(ctx.charge_join(1))?;
-        out.push_row(&row);
-        // The deepest operator's actual rows are counted at the push site
-        // (not at bind time) so a LIMIT satisfied mid-chunk reports the
-        // same count as the vectorized tail gather.
-        if STEP_BASE.get() != usize::MAX {
-            count_depth_rows(order.len() - 1, 1);
-        }
-        return Ok(());
-    }
-
-    let pat = &q.patterns[order[depth]];
-    let s_val = slot_value(pat.s, assignment);
-    let o_val = slot_value(pat.o, assignment);
-    let p_val: Option<PredId> = match pat.p {
-        PredSlot::Const(p) => Some(p),
-        // Predicate variables are carried in node-id space (documented in
-        // the relstore executor as well).
-        PredSlot::Var(v) => assignment[v as usize].map(|n| PredId(n.0)),
-    };
-
-    // Candidate enumeration, cheapest available direction first.
-    match (s_val, o_val, p_val) {
-        (Some(s), Some(o), Some(p)) => {
-            charge(ctx.charge_probe(1))?;
-            // Respect edge multiplicity (bag semantics must agree with the
-            // relational executor when parallel edges exist).
-            let count = index.out_neighbours(s, p).filter(|&n| n == o).count();
-            for _ in 0..count {
-                bind_and_recurse(
-                    index, q, order, depth, assignment, out, stop_at, ctx, s, p, o,
-                )?;
-            }
-        }
-        (Some(s), Some(o), None) => {
-            charge(ctx.charge_probe(1))?;
-            // Enumerate predicates between two bound nodes.
-            let all = index.out_all(s);
-            charge(ctx.charge_probe(all.len() as u64))?;
-            for &(p, n2) in all.iter() {
-                if n2 == o {
-                    bind_and_recurse(
-                        index, q, order, depth, assignment, out, stop_at, ctx, s, p, o,
-                    )?;
+            if cur.row - first == 1 {
+                let c = value(cand, first);
+                let own = find(views[by_cand], &mut self.fingers[by_cand], c);
+                for _ in 0..multiplicity(own, a) {
+                    out.extend_from_slice(self.row(input, first));
+                }
+            } else {
+                let run = find(views[by_anchor], &mut self.fingers[by_anchor], a);
+                let mut at = 0;
+                for i in first..cur.row {
+                    at = gallop(run, at, value(cand, i));
+                    for _ in run[at..].iter().take_while(|&&x| x == value(cand, i)) {
+                        out.extend_from_slice(self.row(input, i));
+                    }
                 }
             }
-        }
-        (Some(s), None, Some(p)) => {
-            let neigh = index.out_neighbours(s, p);
-            charge(ctx.charge_probe(neigh.len() as u64 + 1))?;
-            for o in neigh {
-                bind_and_recurse(
-                    index, q, order, depth, assignment, out, stop_at, ctx, s, p, o,
-                )?;
+            if one_row || out.len() >= BATCH * width {
+                break;
             }
         }
-        (None, Some(o), Some(p)) => {
-            let neigh = index.in_neighbours(o, p);
-            charge(ctx.charge_probe(neigh.len() as u64 + 1))?;
-            for s in neigh {
-                bind_and_recurse(
-                    index, q, order, depth, assignment, out, stop_at, ctx, s, p, o,
-                )?;
-            }
-        }
-        (Some(s), None, None) => {
-            let all = index.out_all(s);
-            charge(ctx.charge_probe(all.len() as u64 + 1))?;
-            for &(p, o) in all.iter() {
-                bind_and_recurse(
-                    index, q, order, depth, assignment, out, stop_at, ctx, s, p, o,
-                )?;
-            }
-        }
-        (None, Some(o), None) => {
-            let all = index.in_all(o);
-            charge(ctx.charge_probe(all.len() as u64 + 1))?;
-            for &(p, s) in all.iter() {
-                bind_and_recurse(
-                    index, q, order, depth, assignment, out, stop_at, ctx, s, p, o,
-                )?;
-            }
-        }
-        (None, None, Some(p)) => {
-            // Seed scan over the partition's edges; stops as soon as a
-            // LIMIT is satisfied.
-            scan_seed(index, q, order, depth, assignment, out, stop_at, ctx, p)?;
-        }
-        (None, None, None) => {
-            // Fully unbound with a variable predicate: union of all seeds.
-            for p in index.preds() {
-                scan_seed(index, q, order, depth, assignment, out, stop_at, ctx, p)?;
-            }
-        }
+        charge(ctx.charge_probe((cur.row - start) as u64))
     }
-    Ok(())
+
+    /// Expand input rows one neighbour lookup each. A lookup charges
+    /// `len + 1` probes; a closing edge with a bound predicate variable
+    /// charges 1, and with an unbound one the subject's rows are read
+    /// first, so it pays their lengths too.
+    fn lookups<T: Topology>(
+        &mut self,
+        index: &'a T,
+        input: &[NodeId],
+        cur: &mut Cursor,
+        out: &mut Vec<NodeId>,
+        one_row: bool,
+        ctx: &mut ExecContext,
+    ) -> Result<(), GraphExecError> {
+        let mut probes = 0;
+        while cur.row < input.len() / self.width {
+            let parent = self.row(input, cur.row);
+            cur.row += 1;
+            let bound = |(col, bound): (usize, bool)| bound.then(|| parent[col]);
+            let (s, o) = (bound(self.s), bound(self.o));
+            let one;
+            let ids: &[PredId] = match &self.pred {
+                Pred::Const { id, .. } => std::slice::from_ref(id),
+                Pred::Col(c) => {
+                    one = [PredId(parent[*c].0)];
+                    &one
+                }
+                Pred::Free => index.preds(),
+            };
+            let mut read = 0;
+            for &id in ids {
+                let row = match (self.pred, s, o) {
+                    (Pred::Const { fwd, .. }, Some(s), _) => find(fwd, &mut self.fingers[0], s),
+                    (Pred::Const { rev, .. }, None, Some(o)) => find(rev, &mut self.fingers[1], o),
+                    (_, Some(s), _) => index.forward(id).row(s),
+                    (_, None, Some(o)) => index.reverse(id).row(o),
+                    (_, None, None) => unreachable!("patterns with both endpoints free are seeds"),
+                };
+                read += row.len() as u64;
+                let p = NodeId(id.0);
+                let mut push = |s, o| push_edge(&self.put, out, parent, [s, p, o]);
+                match (s, o) {
+                    (Some(s), Some(o)) => (0..multiplicity(row, o)).for_each(|_| push(s, o)),
+                    (Some(s), None) => row.iter().for_each(|&x| push(s, x)),
+                    (None, Some(o)) => row.iter().for_each(|&x| push(x, o)),
+                    (None, None) => {}
+                }
+            }
+            probes += match (s, o, self.pred) {
+                (Some(_), Some(_), Pred::Col(_)) => 1,
+                _ => read + 1,
+            };
+            if one_row || out.len() >= BATCH * self.width {
+                break;
+            }
+        }
+        charge(ctx.charge_probe(probes))
+    }
+
+    /// Scan the next chunk of at most [`BATCH`] seed edges — ascending
+    /// `(s, o)` in the constant or bound predicate's partition, or in every
+    /// resident one in turn — charged before it is read.
+    fn seed<T: Topology>(
+        &self,
+        index: &'a T,
+        input: &[NodeId],
+        cur: &mut Cursor,
+        out: &mut Vec<NodeId>,
+        ctx: &mut ExecContext,
+    ) -> Result<(), GraphExecError> {
+        while cur.row < input.len() / self.width {
+            let parent = self.row(input, cur.row);
+            let id = match self.pred {
+                Pred::Const { .. } | Pred::Col(_) if cur.part > 0 => None,
+                Pred::Const { id, .. } => Some(id),
+                Pred::Col(c) => Some(PredId(parent[c].0)),
+                Pred::Free => index.preds().get(cur.part).copied(),
+            };
+            let Some(id) = id else {
+                (cur.row, cur.part, cur.edge) = (cur.row + 1, 0, 0);
+                continue;
+            };
+            let fwd = index.forward(id);
+            if cur.edge == fwd.len() {
+                (cur.part, cur.edge) = (cur.part + 1, 0);
+                continue;
+            }
+            let (start, end) = (cur.edge, fwd.len().min(cur.edge + BATCH));
+            charge(ctx.charge_scan((end - start) as u64))?;
+            let mut key = fwd.offsets.partition_point(|&off| off <= start) - 1;
+            for (e, &o) in (start..end).zip(&fwd.nbrs[start..end]) {
+                while fwd.offsets[key + 1] <= e {
+                    key += 1;
+                }
+                push_edge(&self.put, out, parent, [fwd.keys[key], NodeId(id.0), o]);
+            }
+            cur.edge = end;
+            return Ok(());
+        }
+        Ok(())
+    }
 }
 
-/// Bind this pattern's variables to `(s, p, o)` (checking self-consistency),
-/// recurse, then unbind what we bound.
-#[allow(clippy::too_many_arguments)]
-fn bind_and_recurse<T: Topology>(
-    index: &T,
-    q: &EncodedQuery,
-    order: &[usize],
-    depth: usize,
-    assignment: &mut Vec<Option<NodeId>>,
-    out: &mut Bindings,
+/// One query's traversal state.
+struct Frontier<'a, T> {
+    index: &'a T,
+    steps: Vec<Step<'a>>,
+    /// Cells per row: one per query variable, then one per constant
+    /// endpoint.
+    width: usize,
+    /// The EXPLAIN plan step of depth 0 (the steps are contiguous).
+    base_step: usize,
+    /// `bufs[0]` is the root row; `bufs[d + 1]` the current morsel of rows
+    /// bound through depth `d`.
+    bufs: Vec<Vec<NodeId>>,
+    /// The projected variables (a variable's row column is its id).
+    projection: &'a [VarId],
+    staging: Vec<NodeId>,
+    out: Bindings,
     stop_at: usize,
-    ctx: &mut ExecContext,
-    s: NodeId,
-    p: PredId,
-    o: NodeId,
-) -> Result<(), GraphExecError> {
-    let pat = &q.patterns[order[depth]];
-    let mut bound_here: [Option<VarId>; 3] = [None; 3];
-    let mut n_bound = 0usize;
+}
 
-    let mut try_bind = |var: VarId, val: NodeId, assignment: &mut Vec<Option<NodeId>>| -> bool {
-        match assignment[var as usize] {
-            Some(existing) => existing == val,
-            None => {
-                assignment[var as usize] = Some(val);
-                bound_here[n_bound] = Some(var);
-                n_bound += 1;
-                true
+impl<'a, T: Topology> Frontier<'a, T> {
+    fn new(index: &'a T, q: &'a EncodedQuery, order: &[(usize, f64)], stop_at: usize) -> Self {
+        // The root row: variable columns first, then the constants.
+        let mut root = vec![NodeId(0); q.vars.len()];
+        let mut steps = Vec::with_capacity(order.len());
+        let mut base_step = plan::NO_STEP;
+        for (d, &(i, est)) in order.iter().enumerate() {
+            // EXPLAIN: one plan step per depth, priced with the estimate
+            // that ordered it.
+            let (op, kind) = match d {
+                0 => ("graph_seed", plan::OpKind::Scan),
+                _ => ("graph_extend", plan::OpKind::Join),
+            };
+            base_step = base_step.min(plan::note_step(op, kind, i, est));
+            let pat = &q.patterns[i];
+            let pred_var = match pat.p {
+                PredSlot::Var(v) => Some(v),
+                PredSlot::Const(_) => None,
+            };
+            let slots = [pat.s.as_var(), pred_var, pat.o.as_var()];
+            // The depth that binds `v`: the first pattern it occurs in.
+            let bound_at = |v: VarId| {
+                let mut earlier = order[..d].iter().map(|&(j, _)| &q.patterns[j]);
+                earlier.position(|pat| pat.vars().any(|u| u == v))
+            };
+            let free = |v: VarId| bound_at(v).is_none();
+            let mut put = [Put::Keep; 3];
+            for (k, v) in slots.iter().enumerate() {
+                if let Some(v) = v.filter(|&v| free(v)) {
+                    put[k] = match slots[..k].contains(&Some(v)) {
+                        true => Put::Check(v as usize),
+                        false => Put::Set(v as usize),
+                    };
+                }
+            }
+            let mut end = |slot: Slot| match slot {
+                Slot::Var(v) => (v as usize, !free(v)),
+                Slot::Const(c) => {
+                    root.push(c);
+                    (root.len() - 1, true)
+                }
+            };
+            let (s, o) = (end(pat.s), end(pat.o));
+            let pred = match pat.p {
+                PredSlot::Const(id) => Pred::Const {
+                    id,
+                    fwd: index.forward(id),
+                    rev: index.reverse(id),
+                },
+                PredSlot::Var(v) if free(v) => Pred::Free,
+                PredSlot::Var(v) => Pred::Col(v as usize),
+            };
+            let depth = |slot: Slot| slot.as_var().and_then(bound_at);
+            steps.push(Step {
+                width: 0,
+                s,
+                o,
+                pred,
+                put,
+                fingers: [0; 2],
+                close_on_o: depth(pat.o) >= depth(pat.s),
+                rows: 0,
+            });
+        }
+        root.resize(root.len().max(1), NodeId(0));
+        let width = root.len();
+        steps.iter_mut().for_each(|step| step.width = width);
+        let bufs = std::iter::once(root).chain(order.iter().map(|_| Vec::new()));
+        Frontier {
+            index,
+            steps,
+            width,
+            base_step,
+            bufs: bufs.collect(),
+            projection: &q.projection,
+            staging: Vec::new(),
+            out: Bindings::new(q.projection.clone()),
+            stop_at,
+        }
+    }
+
+    /// Expand `bufs[d]` through depth `d` and below, a morsel at a time.
+    fn descend(&mut self, d: usize, ctx: &mut ExecContext) -> Result<(), GraphExecError> {
+        if d == self.steps.len() {
+            return self.emit(ctx);
+        }
+        let one_row = self.stop_at != usize::MAX;
+        let mut cur = Cursor::default();
+        while cur.row < self.bufs[d].len() / self.width && self.out.len() < self.stop_at {
+            let (done, todo) = self.bufs.split_at_mut(d + 1);
+            let out = &mut todo[0];
+            out.clear();
+            self.steps[d].expand(self.index, &done[d], &mut cur, out, one_row, ctx)?;
+            let produced = (out.len() / self.width) as u64;
+            if produced > 0 {
+                if d + 1 < self.steps.len() {
+                    self.steps[d].rows += produced;
+                }
+                self.descend(d + 1, ctx)?;
             }
         }
-    };
+        Ok(())
+    }
 
-    let mut ok = true;
-    if let Slot::Var(v) = pat.s {
-        ok &= try_bind(v, s, assignment);
-    }
-    if ok {
-        if let PredSlot::Var(v) = pat.p {
-            ok &= try_bind(v, NodeId(p.0), assignment);
+    /// Project the deepest morsel into the result, up to the stop point.
+    fn emit(&mut self, ctx: &mut ExecContext) -> Result<(), GraphExecError> {
+        let rows = &self.bufs[self.steps.len()];
+        let take = (rows.len() / self.width).min(self.stop_at - self.out.len());
+        self.staging.clear();
+        for row in rows.chunks_exact(self.width).take(take) {
+            self.staging
+                .extend(self.projection.iter().map(|&v| row[v as usize]));
         }
-    }
-    if ok {
-        if let Slot::Var(v) = pat.o {
-            ok &= try_bind(v, o, assignment);
+        self.out.extend_cells(&self.staging);
+        if let Some(last) = self.steps.last_mut() {
+            last.rows += take as u64;
         }
+        charge(ctx.charge_join(take as u64))
     }
-    if ok {
-        // Constants were already enforced by candidate enumeration except
-        // when both sides were enumerated from adjacency of the other.
-        if let Slot::Const(c) = pat.s {
-            ok &= c == s;
-        }
-        if let Slot::Const(c) = pat.o {
-            ok &= c == o;
-        }
-    }
-    if ok {
-        // Intermediate depths count each successful extension; the final
-        // depth is counted where its row is pushed (see `extend`).
-        if STEP_BASE.get() != usize::MAX && depth + 1 < order.len() {
-            count_depth_rows(depth, 1);
-        }
-        extend(index, q, order, depth + 1, assignment, out, stop_at, ctx)?;
-    }
-    for slot in bound_here.iter().flatten() {
-        assignment[*slot as usize] = None;
-    }
-    Ok(())
 }
 
 /// Adapt relstore's `ExecError` (cancellation) into the graph-store error.

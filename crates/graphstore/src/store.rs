@@ -14,13 +14,12 @@
 
 use crate::backend::GraphBackend;
 use crate::matcher;
-use crate::topology::{PartitionStats, Topology};
+use crate::topology::{CsrView, PartitionStats, Topology};
 use kgdual_model::fx::FxHashMap;
 use kgdual_model::{NodeId, PredId, Triple};
 use kgdual_relstore::{Bindings, ExecContext, ExecError};
 use kgdual_sparql::EncodedQuery;
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 
 /// Work-unit cost to import one triple during a bulk partition load.
 /// Deliberately high relative to a relational append (cost 1): Neo4j-style
@@ -163,11 +162,11 @@ impl Csr {
         self.nbrs.len()
     }
 
-    /// Row slice of `k` (empty if absent).
-    fn row(&self, k: NodeId) -> &[NodeId] {
-        match self.keys.binary_search(&k) {
-            Ok(i) => &self.nbrs[self.offsets[i]..self.offsets[i + 1]],
-            Err(_) => &[],
+    fn view(&self) -> CsrView<'_> {
+        CsrView {
+            keys: &self.keys,
+            offsets: &self.offsets,
+            nbrs: &self.nbrs,
         }
     }
 
@@ -214,15 +213,6 @@ impl Csr {
         }
         removed
     }
-
-    /// All `(row, neighbour)` pairs in ascending order.
-    fn iter_edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.keys.iter().enumerate().flat_map(move |(i, &k)| {
-            self.nbrs[self.offsets[i]..self.offsets[i + 1]]
-                .iter()
-                .map(move |&v| (k, v))
-        })
-    }
 }
 
 /// One resident partition: forward (subject-keyed) and reverse
@@ -259,8 +249,8 @@ pub struct GraphStore {
     budget: usize,
     parts: FxHashMap<PredId, CsrPartition>,
     /// Resident predicates in ascending order, maintained on load/evict:
-    /// [`Topology::preds`] and the variable-predicate probes walk it, so
-    /// it is never re-sorted per lookup.
+    /// [`Topology::preds`] hands it out, so it is never re-sorted per
+    /// lookup.
     preds: Vec<PredId>,
     edges: usize,
     import_stats: ImportStats,
@@ -269,16 +259,6 @@ pub struct GraphStore {
 /// The graph substrate of `DualStore<B>` (its default `B`), the stand-in
 /// for the paper's Neo4j deployment.
 pub type AdjacencyBackend = GraphStore;
-
-impl GraphStore {
-    fn fwd_row(&self, s: NodeId, pred: PredId) -> &[NodeId] {
-        self.parts.get(&pred).map_or(&[], |cp| cp.fwd.row(s))
-    }
-
-    fn rev_row(&self, o: NodeId, pred: PredId) -> &[NodeId] {
-        self.parts.get(&pred).map_or(&[], |cp| cp.rev.row(o))
-    }
-}
 
 impl Topology for GraphStore {
     fn edge_count(&self) -> usize {
@@ -291,79 +271,20 @@ impl Topology for GraphStore {
             .map_or_else(PartitionStats::default, CsrPartition::stats)
     }
 
-    fn preds(&self) -> Vec<PredId> {
-        self.preds.clone()
+    fn preds(&self) -> &[PredId] {
+        &self.preds
     }
 
-    fn out_neighbours(
-        &self,
-        s: NodeId,
-        pred: PredId,
-    ) -> impl ExactSizeIterator<Item = NodeId> + '_ {
-        self.fwd_row(s, pred).iter().copied()
-    }
-
-    fn in_neighbours(&self, o: NodeId, pred: PredId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
-        self.rev_row(o, pred).iter().copied()
-    }
-
-    fn out_all(&self, s: NodeId) -> Cow<'_, [(PredId, NodeId)]> {
-        let mut all = Vec::new();
-        for &p in &self.preds {
-            all.extend(self.fwd_row(s, p).iter().map(|&o| (p, o)));
-        }
-        Cow::Owned(all)
-    }
-
-    fn in_all(&self, o: NodeId) -> Cow<'_, [(PredId, NodeId)]> {
-        let mut all = Vec::new();
-        for &p in &self.preds {
-            all.extend(self.rev_row(o, p).iter().map(|&s| (p, s)));
-        }
-        Cow::Owned(all)
-    }
-
-    fn seed_len(&self, pred: PredId) -> usize {
-        self.parts.get(&pred).map_or(0, |cp| cp.fwd.len())
-    }
-
-    fn seed_edges(&self, pred: PredId) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+    fn forward(&self, pred: PredId) -> CsrView<'_> {
         self.parts
             .get(&pred)
-            .into_iter()
-            .flat_map(|cp| cp.fwd.iter_edges())
+            .map_or_else(CsrView::default, |cp| cp.fwd.view())
     }
 
-    fn seed_chunk(
-        &self,
-        pred: PredId,
-        start: usize,
-        cap: usize,
-        s_out: &mut Vec<NodeId>,
-        o_out: &mut Vec<NodeId>,
-    ) -> usize {
-        // The forward CSR *is* the seed order: `nbrs[i]` is edge `i`'s
-        // object, and its subject is the key of the row whose
-        // `offsets[row]..offsets[row+1]` range contains `i`. Objects copy
-        // as one slice; subjects replicate each key across its row span.
-        let Some(cp) = self.parts.get(&pred) else {
-            return 0;
-        };
-        let fwd = &cp.fwd;
-        let end = fwd.nbrs.len().min(start.saturating_add(cap));
-        if start >= end {
-            return 0;
-        }
-        o_out.extend_from_slice(&fwd.nbrs[start..end]);
-        let mut row = fwd.offsets.partition_point(|&off| off <= start) - 1;
-        let mut idx = start;
-        while idx < end {
-            let row_end = fwd.offsets[row + 1].min(end);
-            s_out.extend(std::iter::repeat(fwd.keys[row]).take(row_end - idx));
-            idx = row_end;
-            row += 1;
-        }
-        end - start
+    fn reverse(&self, pred: PredId) -> CsrView<'_> {
+        self.parts
+            .get(&pred)
+            .map_or_else(CsrView::default, |cp| cp.rev.view())
     }
 }
 
@@ -388,11 +309,14 @@ impl GraphBackend for GraphStore {
     }
 
     fn resident_partitions(&self) -> Vec<(PredId, usize)> {
-        self.preds.iter().map(|&p| (p, self.seed_len(p))).collect()
+        self.preds
+            .iter()
+            .map(|&p| (p, self.partition_len(p)))
+            .collect()
     }
 
     fn partition_len(&self, pred: PredId) -> usize {
-        self.seed_len(pred)
+        self.parts.get(&pred).map_or(0, |cp| cp.fwd.len())
     }
 
     fn import_stats(&self) -> ImportStats {
@@ -494,6 +418,24 @@ mod tests {
 
     fn p(i: u32) -> PredId {
         PredId(i)
+    }
+
+    impl GraphStore {
+        fn fwd_row(&self, s: NodeId, pred: PredId) -> &[NodeId] {
+            self.forward(pred).row(s)
+        }
+
+        fn rev_row(&self, o: NodeId, pred: PredId) -> &[NodeId] {
+            self.reverse(pred).row(o)
+        }
+
+        /// The partition's edges in seed order: forward rows in key order.
+        fn seed_edges(&self, pred: PredId) -> Vec<(NodeId, NodeId)> {
+            let fwd = self.forward(pred);
+            (0..fwd.keys.len())
+                .flat_map(|i| fwd.row_at(i).iter().map(move |&o| (fwd.keys[i], o)))
+                .collect()
+        }
     }
 
     /// Same academic mini-graph as the relstore tests.
@@ -816,7 +758,7 @@ mod tests {
         );
         assert_eq!(store.used(), 4);
         assert_eq!(store.edge_count(), 4);
-        assert_eq!(store.preds(), vec![p(0), p(1)]);
+        assert_eq!(store.preds(), [p(0), p(1)]);
         assert_eq!(store.resident_partitions(), vec![(p(0), 3), (p(1), 1)]);
         assert_eq!(
             store.partition_stats(p(0)),
@@ -835,15 +777,30 @@ mod tests {
         store
             .load_partition(p(1), &[(n(2), n(9)), (n(2), n(4)), (n(4), n(2))])
             .unwrap();
+        // A variable-predicate pattern walks `preds()` in ascending order
+        // and reads one row per partition.
+        let out_all = |store: &GraphStore, s: NodeId| -> Vec<(PredId, NodeId)> {
+            let preds = store.preds();
+            preds
+                .iter()
+                .flat_map(|&pr| store.fwd_row(s, pr).iter().map(move |&o| (pr, o)))
+                .collect()
+        };
         assert_eq!(
-            &*store.out_all(n(2)),
-            &[(p(1), n(4)), (p(1), n(9)), (p(3), n(7))],
+            store.preds(),
+            [p(1), p(3)],
+            "ascending whatever the load order"
+        );
+        assert_eq!(
+            out_all(&store, n(2)),
+            [(p(1), n(4)), (p(1), n(9)), (p(3), n(7))],
             "ascending by (pred, node)"
         );
-        assert_eq!(&*store.in_all(n(2)), &[(p(1), n(4))]);
-        assert!(store.out_all(n(99)).is_empty());
+        assert_eq!(store.rev_row(n(2), p(1)), [n(4)]);
+        assert!(store.rev_row(n(2), p(3)).is_empty());
+        assert!(out_all(&store, n(99)).is_empty());
         store.evict_partition(p(1));
-        assert_eq!(&*store.out_all(n(2)), &[(p(3), n(7))]);
+        assert_eq!(out_all(&store, n(2)), [(p(3), n(7))]);
     }
 
     #[test]
@@ -858,7 +815,7 @@ mod tests {
         assert_eq!(store.rev_row(n(9), p(0)), &[n(1), n(2)]);
         assert_eq!(store.partition_len(p(0)), 4);
         assert_eq!(
-            store.seed_edges(p(0)).collect::<Vec<_>>(),
+            store.seed_edges(p(0)),
             [(n(1), n(9)), (n(2), n(3)), (n(2), n(9)), (n(5), n(1))]
         );
         // Deletes update both directions and drop empty rows.
@@ -903,7 +860,7 @@ mod tests {
         assert_eq!(store.partition_stats(p(0)), base);
         assert_eq!(store.partition_stats(p(1)).edges, 1, "p(1) untouched");
         assert_eq!(
-            store.seed_edges(p(0)).collect::<Vec<_>>(),
+            store.seed_edges(p(0)),
             [(n(1), n(2)), (n(1), n(3)), (n(4), n(2))]
         );
     }
@@ -950,22 +907,22 @@ mod tests {
     }
 
     fn outs(store: &GraphStore, s: u32, pred: PredId) -> Vec<u32> {
-        store.out_neighbours(n(s), pred).map(|o| o.0).collect()
+        store.fwd_row(n(s), pred).iter().map(|o| o.0).collect()
     }
 
     fn ins(store: &GraphStore, o: u32, pred: PredId) -> Vec<u32> {
-        store.in_neighbours(n(o), pred).map(|s| s.0).collect()
+        store.rev_row(n(o), pred).iter().map(|s| s.0).collect()
     }
 
     #[test]
     fn bulk_load_counts_edges() {
         let store = sample();
         assert_eq!(store.edge_count(), 4);
-        assert_eq!(store.seed_len(p(0)), 3);
-        assert_eq!(store.seed_edges(p(0)).count(), 3);
-        assert_eq!(store.seed_len(p(9)), 0);
-        assert_eq!(store.seed_edges(p(9)).count(), 0);
-        assert_eq!(store.preds(), vec![p(0), p(1)]);
+        assert_eq!(store.forward(p(0)).len(), 3);
+        assert_eq!(store.seed_edges(p(0)).len(), 3);
+        assert!(store.forward(p(9)).is_empty());
+        assert!(store.seed_edges(p(9)).is_empty());
+        assert_eq!(store.preds(), [p(0), p(1)]);
     }
 
     #[test]
@@ -973,7 +930,7 @@ mod tests {
         let store = sample();
         assert_eq!(outs(&store, 1, p(0)), vec![2, 3]);
         assert_eq!(ins(&store, 2, p(0)), vec![1, 4]);
-        assert_eq!(store.out_neighbours(n(1), p(0)).len(), 2);
+        assert_eq!(store.forward(p(0)).row(n(1)).len(), 2);
         assert!(outs(&store, 1, p(1)).is_empty());
         assert!(outs(&store, 99, p(0)).is_empty());
         assert!(ins(&store, 2, p(9)).is_empty());
@@ -1007,11 +964,11 @@ mod tests {
         let mut store = sample();
         assert_eq!(store.evict_partition(p(0)), 3);
         assert_eq!(store.edge_count(), 1);
-        assert_eq!(store.seed_edges(p(0)).count(), 0);
+        assert!(store.seed_edges(p(0)).is_empty());
         assert!(outs(&store, 1, p(0)).is_empty());
         assert!(ins(&store, 2, p(0)).is_empty());
         assert_eq!(store.partition_stats(p(0)), PartitionStats::default());
-        assert_eq!(store.preds(), vec![p(1)]);
+        assert_eq!(store.preds(), [p(1)]);
         // p(1) untouched.
         assert_eq!(outs(&store, 2, p(1)), vec![5]);
         assert_eq!(store.evict_partition(p(0)), 0);

@@ -1,19 +1,20 @@
-//! The matcher's substrate-agnostic view of a graph store.
+//! The matcher's view of a graph store.
 //!
-//! The backtracking matcher ([`crate::matcher`]) needs exactly four things
-//! from a substrate: neighbour lookups from a bound node, per-predicate
-//! seed enumeration, cardinality statistics for its degree-aware pattern
-//! ordering, and the total edge count. [`Topology`] captures that contract;
-//! [`crate::GraphStore`]'s compressed sparse rows implement it.
+//! The frontier matcher ([`crate::matcher`]) needs exactly four things
+//! from a substrate: each partition's rows in both directions as sorted
+//! slices, the resident predicates, cardinality statistics for its
+//! degree-aware pattern ordering, and the total edge count. [`Topology`]
+//! captures that contract; [`crate::GraphStore`]'s compressed sparse rows
+//! implement it.
 //!
 //! # Cost-parity contract
 //!
-//! The matcher charges work units from the *sizes* the topology reports
-//! (neighbour-list lengths, seed lengths), never from how the substrate
-//! computes them. Any layout holding the same edge multiset therefore
-//! produces **identical work units** for the same query, so a change of
-//! memory layout never moves DOTIL's learned designs or a work-unit
-//! figure.
+//! The matcher charges work units from the *sizes* of the slices the
+//! topology hands out (row lengths, partition lengths), never from how it
+//! searched or merged them. Any layout holding the same edge multiset
+//! therefore produces **identical work units** for the same query, so a
+//! change of memory layout or of execution strategy never moves DOTIL's
+//! learned designs or a work-unit figure.
 
 use kgdual_model::{NodeId, PredId};
 
@@ -49,29 +50,63 @@ impl PartitionStats {
     }
 }
 
-/// What the backtracking matcher reads from a graph substrate.
-///
-/// Neighbour iterators are [`ExactSizeIterator`]s because the matcher
-/// charges a lookup's cost (`len + 1` probes) *before* enumerating it,
-/// mirroring how a real store pays for the whole adjacency page. The
-/// `*_all` variants (variable-predicate patterns) stitch per-predicate
-/// rows together, so they return a [`std::borrow::Cow`]: borrowed when a
-/// substrate holds the pairs contiguously, owned when it must assemble
-/// them.
+/// One direction of one partition as compressed sparse rows: `keys` are
+/// the distinct row nodes, ascending; `offsets[i]..offsets[i + 1]`
+/// delimits row `i` in `nbrs`; each row ascends, duplicate edges adjacent.
+/// Read in key order the rows are the partition's edges in ascending
+/// `(key, neighbour)` order. Only the store builds one, so the three
+/// slices always agree.
+#[derive(Copy, Clone, Debug, Default)]
+pub struct CsrView<'a> {
+    pub(crate) keys: &'a [NodeId],
+    /// `keys.len() + 1` entries (none when the view is empty).
+    pub(crate) offsets: &'a [usize],
+    pub(crate) nbrs: &'a [NodeId],
+}
+
+impl<'a> CsrView<'a> {
+    /// The distinct row nodes, ascending.
+    pub fn keys(&self) -> &'a [NodeId] {
+        self.keys
+    }
+
+    /// Edge count.
+    pub fn len(&self) -> usize {
+        self.nbrs.len()
+    }
+
+    /// True when the partition holds no edges.
+    pub fn is_empty(&self) -> bool {
+        self.nbrs.is_empty()
+    }
+
+    /// Row `i` (the neighbours of `keys[i]`).
+    pub fn row_at(&self, i: usize) -> &'a [NodeId] {
+        &self.nbrs[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// The neighbours of `key`, found by binary search (empty if absent).
+    pub fn row(&self, key: NodeId) -> &'a [NodeId] {
+        self.keys
+            .binary_search(&key)
+            .map_or(&[], |i| self.row_at(i))
+    }
+}
+
+/// What the frontier matcher reads from a graph substrate.
 ///
 /// # Enumeration-order contract
 ///
 /// Enumeration order is *canonical*, not substrate-defined: [`preds`]
-/// ascends by predicate id, [`seed_edges`] ascends by `(s, o)` (duplicate
-/// edges adjacent), neighbour lists ascend by node id, and the `*_all`
-/// variants ascend by `(pred, node)`. LIMIT queries exit mid-enumeration,
-/// so two layouts enumerating in different orders would return
-/// different (individually correct) result subsets and charge different
-/// work — canonical order is what keeps *every* deterministic metric
-/// layout-invariant, truncated queries included.
+/// ascends by predicate id, and every [`CsrView`] ascends by key and,
+/// within a row, by neighbour. LIMIT queries exit mid-enumeration, so two
+/// layouts enumerating in different orders would return different
+/// (individually correct) result subsets and charge different work —
+/// canonical order is what keeps *every* deterministic metric
+/// layout-invariant, truncated queries included. It is also what lets the
+/// matcher close a cycle by merging two sorted runs.
 ///
 /// [`preds`]: Topology::preds
-/// [`seed_edges`]: Topology::seed_edges
 pub trait Topology {
     /// Total edges currently stored.
     fn edge_count(&self) -> usize;
@@ -81,46 +116,13 @@ pub trait Topology {
     fn partition_stats(&self, pred: PredId) -> PartitionStats;
 
     /// Loaded predicates, in ascending id order.
-    fn preds(&self) -> Vec<PredId>;
+    fn preds(&self) -> &[PredId];
 
-    /// Out-neighbours of `s` via `pred`, ascending, with edge multiplicity.
-    fn out_neighbours(&self, s: NodeId, pred: PredId)
-        -> impl ExactSizeIterator<Item = NodeId> + '_;
+    /// `pred`'s edges keyed by subject (empty if not loaded).
+    fn forward(&self, pred: PredId) -> CsrView<'_>;
 
-    /// In-neighbours of `o` via `pred`, ascending, with edge multiplicity.
-    fn in_neighbours(&self, o: NodeId, pred: PredId) -> impl ExactSizeIterator<Item = NodeId> + '_;
-
-    /// All out-edges of `s` regardless of predicate (variable-predicate
-    /// patterns).
-    fn out_all(&self, s: NodeId) -> std::borrow::Cow<'_, [(PredId, NodeId)]>;
-
-    /// All in-edges of `o` regardless of predicate.
-    fn in_all(&self, o: NodeId) -> std::borrow::Cow<'_, [(PredId, NodeId)]>;
-
-    /// Number of edges in one predicate's partition (0 if not loaded).
-    fn seed_len(&self, pred: PredId) -> usize;
-
-    /// All `(s, o)` edges of one predicate in ascending `(s, o)` order
-    /// (duplicates adjacent) — the matcher's seed scan.
-    fn seed_edges(&self, pred: PredId) -> impl Iterator<Item = (NodeId, NodeId)> + '_;
-
-    /// Copy up to `cap` seed edges of `pred`, starting at edge index
-    /// `start` of the canonical [`seed_edges`] order, into the two column
-    /// buffers; returns how many edges were copied. The vectorized tail
-    /// scan stages chunks through this instead of driving the pair
-    /// iterator row by row. It must preserve the enumeration-order
-    /// contract exactly — `seed_chunk(p, k, c)` yields the same edges as
-    /// `seed_edges(p).skip(k).take(c)`.
-    ///
-    /// [`seed_edges`]: Topology::seed_edges
-    fn seed_chunk(
-        &self,
-        pred: PredId,
-        start: usize,
-        cap: usize,
-        s_out: &mut Vec<NodeId>,
-        o_out: &mut Vec<NodeId>,
-    ) -> usize;
+    /// `pred`'s edges keyed by object (empty if not loaded).
+    fn reverse(&self, pred: PredId) -> CsrView<'_>;
 }
 
 #[cfg(test)]

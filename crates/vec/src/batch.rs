@@ -1,13 +1,12 @@
 //! Batch kernels: one-pass gathers from packed `(subject, object)` edge
 //! storage into contiguous binding cells.
 //!
-//! Both substrates keep a predicate's edges as sorted pair runs — the
-//! relational [`PredTable`]'s insertion-ordered pair vector and sorted
-//! permutation indexes, and the graph store's packed offset/neighbour
-//! arrays. The kernels here apply selection + projection over a whole
-//! 4096-row chunk of those runs in one tight loop, appending finished
-//! rows to a flat cell buffer instead of calling a per-row emit closure
-//! (binding checks, per-row pushes).
+//! The relational [`PredTable`] keeps a predicate's edges as an
+//! insertion-ordered pair vector plus sorted permutation indexes. The
+//! kernel here applies selection + projection over a whole 4096-row chunk
+//! of those runs in one tight loop, appending finished rows to a flat cell
+//! buffer instead of calling a per-row emit closure (binding checks,
+//! per-row pushes).
 //!
 //! The projection is described by an [`EmitSrc`] template — one entry
 //! per output column, naming where the cell comes from (the subject
@@ -110,43 +109,6 @@ pub fn gather_pairs(
     emitted
 }
 
-/// Gather from two parallel columns (the graph matcher's staged seed
-/// chunk), emitting at most `max_rows` rows — the LIMIT pushdown: once
-/// the query's `stop_at` is covered the loop exits mid-chunk. Returns
-/// rows emitted; order follows column order exactly.
-pub fn gather_columns(
-    s_col: &[NodeId],
-    o_col: &[NodeId],
-    require_s_eq_o: bool,
-    template: &[EmitSrc],
-    max_rows: usize,
-    out: &mut Vec<NodeId>,
-) -> usize {
-    debug_assert_eq!(s_col.len(), o_col.len());
-    let emitted = if !require_s_eq_o && max_rows >= s_col.len() {
-        out.reserve(s_col.len() * template.len());
-        for (&s, &o) in s_col.iter().zip(o_col) {
-            emit_row(template, s, o, out);
-        }
-        s_col.len()
-    } else {
-        let mut n = 0usize;
-        for (&s, &o) in s_col.iter().zip(o_col) {
-            if n >= max_rows {
-                break;
-            }
-            if require_s_eq_o && s != o {
-                continue;
-            }
-            emit_row(template, s, o, out);
-            n += 1;
-        }
-        n
-    };
-    crate::note_scan_batch(emitted);
-    emitted
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,25 +156,5 @@ mod tests {
         let got = gather_pairs(&pairs, None, None, true, &[EmitSrc::S], &mut out);
         assert_eq!(got, 2);
         assert_eq!(out, vec![n(1), n(3)]);
-    }
-
-    #[test]
-    fn column_gather_honours_the_row_cap() {
-        let s = [n(1), n(2), n(3)];
-        let o = [n(4), n(5), n(6)];
-        let mut out = Vec::new();
-        let got = gather_columns(&s, &o, false, &[EmitSrc::S, EmitSrc::O], 2, &mut out);
-        assert_eq!(got, 2);
-        assert_eq!(out, vec![n(1), n(4), n(2), n(5)]);
-    }
-
-    #[test]
-    fn column_gather_filters_self_loops_before_capping() {
-        let s = [n(1), n(2), n(2), n(3)];
-        let o = [n(9), n(2), n(8), n(3)];
-        let mut out = Vec::new();
-        let got = gather_columns(&s, &o, true, &[EmitSrc::S], 1, &mut out);
-        assert_eq!(got, 1);
-        assert_eq!(out, vec![n(2)]);
     }
 }

@@ -7,11 +7,12 @@
 //! These live here, deliberately below every store crate so both
 //! `kgdual-relstore` and `kgdual-graphstore` can share them:
 //!
-//! * [`batch`] — the batch kernels: tight gather loops that turn a chunk
+//! * [`batch`] — the batch kernel: a tight gather loop that turns a chunk
 //!   of `(subject, object)` pairs (the relational shards' sorted-by-pred
-//!   vectors, the graph store's packed per-predicate rows) into contiguous
-//!   binding cells in one pass, with selection (constant filters,
-//!   self-loop equality) and LIMIT pushdown applied inside the loop.
+//!   vectors) into contiguous binding cells in one pass, with selection
+//!   (constant filters, self-loop equality) applied inside the loop, and
+//!   [`BATCH`], the chunk size both stores charge and poll at (the graph
+//!   matcher's morsels included).
 //! * [`cost`] — the cost model: bound-pattern cardinalities, the
 //!   index-vs-scan access-path rule, the index-nested-loop threshold and
 //!   the hash-join build-side choice, fed **only** from the statistics
@@ -44,7 +45,7 @@ pub mod cost;
 pub mod obs;
 pub mod plan;
 
-pub use batch::{gather_columns, gather_pairs, EmitSrc, BATCH};
+pub use batch::{gather_pairs, EmitSrc, BATCH};
 pub use obs::{vec_obs, VecObs};
 pub use plan::{OpKind, OpProfile, PlanDesc, PlanStep, QueryProfile};
 

@@ -81,8 +81,8 @@ pub struct OpProfile {
     /// Rows this operator actually produced.
     pub actual_rows: u64,
     /// Vectorized batches the operator emitted (0 for the graph
-    /// matcher's tuple-at-a-time steps; approximate when concurrent
-    /// queries share the process).
+    /// matcher's steps, whose morsels are not counted; approximate when
+    /// concurrent queries share the process).
     pub batches: u64,
     /// Deterministic work units charged while the operator ran.
     pub work: u64,

@@ -63,7 +63,8 @@ fn recount(rows: &[(NodeId, NodeId)]) -> (usize, usize, usize) {
 }
 
 /// A graph substrate's view of `pred` must equal what the surviving
-/// `rows` imply: statistics, ascending seed list, per-node neighbours.
+/// `rows` imply: statistics, both directions' sorted rows, and per-node
+/// neighbours.
 fn check_topology<T: kgdual::graphstore::Topology>(
     topo: &T,
     pred: PredId,
@@ -74,13 +75,70 @@ fn check_topology<T: kgdual::graphstore::Topology>(
     prop_assert_eq!((st.edges, st.distinct_s, st.distinct_o), recount(rows));
     let mut sorted = rows.to_vec();
     sorted.sort_unstable();
-    prop_assert_eq!(topo.seed_edges(pred).collect::<Vec<_>>(), sorted.clone());
+    let mut by_o: Vec<_> = rows.iter().map(|&(s, o)| (o, s)).collect();
+    by_o.sort_unstable();
+    for (view, want) in [(topo.forward(pred), &sorted), (topo.reverse(pred), &by_o)] {
+        let keys = view.keys();
+        prop_assert!(keys.windows(2).all(|k| k[0] < k[1]), "keys ascend");
+        let pairs: Vec<_> = (0..keys.len())
+            .flat_map(|i| view.row_at(i).iter().map(move |&n| (keys[i], n)))
+            .collect();
+        prop_assert_eq!(&pairs, want, "rows in key order are the sorted edges");
+    }
     for n in (0..nodes).map(NodeId) {
         let out: Vec<NodeId> = sorted.iter().filter(|e| e.0 == n).map(|e| e.1).collect();
-        prop_assert_eq!(topo.out_neighbours(n, pred).collect::<Vec<_>>(), out);
-        let mut inc: Vec<NodeId> = sorted.iter().filter(|e| e.1 == n).map(|e| e.0).collect();
-        inc.sort_unstable();
-        prop_assert_eq!(topo.in_neighbours(n, pred).collect::<Vec<_>>(), inc);
+        prop_assert_eq!(topo.forward(pred).row(n), out.as_slice());
+        let inc: Vec<NodeId> = by_o.iter().filter(|e| e.0 == n).map(|e| e.1).collect();
+        prop_assert_eq!(topo.reverse(pred).row(n), inc.as_slice());
+    }
+    Ok(())
+}
+
+/// One executor under `work_limit`s around the work it charges: `run`
+/// returns the rows, or the partial work when cancelled, and must match
+/// the unlimited run (`rows`, `unlimited`) unless cut off — which it must
+/// be exactly when the charged work (all but the result-row charge)
+/// reaches the limit, stopping between the limit and the charged work.
+fn check_work_limit(
+    src: &str,
+    rows: &Bindings,
+    unlimited: &ExecContext,
+    run: impl Fn(&mut ExecContext) -> Result<Bindings, u64>,
+) -> Result<(), TestCaseError> {
+    let w = unlimited.stats.work_units();
+    let charged = w - unlimited.stats.rows_output;
+    let mut ctx = ExecContext::new();
+    prop_assert_eq!(&run(&mut ctx).unwrap(), rows, "query: {}", src);
+    prop_assert_eq!(ctx.stats.work_units(), w, "query: {}", src);
+    for limit in [1, w / 2, w, w + 1, charged, charged + 1] {
+        if limit == 0 {
+            continue;
+        }
+        let mut ctx = ExecContext::with_work_limit(limit);
+        match run(&mut ctx) {
+            Err(partial_work) => {
+                prop_assert!(
+                    charged >= limit,
+                    "cut off at limit {} with only {} charged on {}",
+                    limit,
+                    charged,
+                    src
+                );
+                prop_assert!(
+                    (limit..=charged).contains(&partial_work),
+                    "partial work {} outside [{}, {}] on {}",
+                    partial_work,
+                    limit,
+                    charged,
+                    src
+                );
+            }
+            Ok(got) => {
+                prop_assert!(charged < limit, "ran past {} on {}", limit, src);
+                prop_assert_eq!(&got, rows, "query: {}", src);
+                prop_assert_eq!(ctx.stats.work_units(), w, "query: {}", src);
+            }
+        }
     }
     Ok(())
 }
@@ -89,7 +147,7 @@ fn check_topology<T: kgdual::graphstore::Topology>(
 /// against a brute-force expectation on one partition spanning three
 /// 4096-row chunks, cut mid-chunk: the relational store emits rows in
 /// load order (`scan()` is append-ordered), the graph store in ascending
-/// `(s, o)` order with duplicates kept (`Topology::seed_edges`' canonical
+/// `(s, o)` order with duplicates kept (the forward rows' canonical
 /// order).
 #[test]
 fn limit_keeps_each_executors_enumeration_prefix() {
@@ -133,6 +191,47 @@ fn limit_keeps_each_executors_enumeration_prefix() {
     let mut ctx = ExecContext::new();
     let got = graph.execute(&q, &mut ctx).unwrap();
     assert_eq!(got, expected, "graph: ascending (s, o)");
+
+    // A cycle: `?s p0 ?o . ?s p1 ?o`. The closing edge's candidates arrive
+    // as sorted runs under one subject, which the unlimited run intersects
+    // a morsel at a time; a LIMIT that cuts inside such a run must still
+    // return exactly the first rows of the unlimited run.
+    let p1 = PredId(1);
+    let closing: Vec<(NodeId, NodeId)> = edges
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| i % 3 != 0)
+        .flat_map(|(i, &e)| std::iter::repeat(e).take(1 + usize::from(i % 5 == 0)))
+        .collect();
+    rel.load_partition(p1, &closing);
+    let mut graph = GraphStore::with_budget(edges.len() + closing.len());
+    graph.load_partition(p0, &edges).unwrap();
+    graph.load_partition(p1, &closing).unwrap();
+    let mut cycle = q.clone();
+    cycle.patterns.push(EncPattern {
+        s: Slot::Var(0),
+        p: PredSlot::Const(p1),
+        o: Slot::Var(1),
+    });
+    cycle.limit = None;
+    let full = graph.execute(&cycle, &mut ExecContext::new()).unwrap();
+    let all = rel.execute(&cycle, &mut ExecContext::new()).unwrap();
+    assert_eq!(
+        fingerprint(&full),
+        fingerprint(&all),
+        "graph and relational agree"
+    );
+    assert!(full.len() > 2 * 4096, "several morsels");
+    let k = (5_000..full.len())
+        .find(|&k| full.row(k - 1)[0] == full.row(k)[0])
+        .expect("a cut inside one subject's run");
+    cycle.limit = Some(k);
+    let got = graph.execute(&cycle, &mut ExecContext::new()).unwrap();
+    assert_eq!(got.len(), k);
+    assert!(
+        got.rows().eq(full.rows().take(k)),
+        "graph: prefix of the unlimited run"
+    );
 }
 
 proptest! {
@@ -336,7 +435,9 @@ proptest! {
     /// charge lands after the last poll, so that threshold is the total
     /// work `W` minus `rows_output`. Checked on one shard and on four
     /// shards with a dispatcher installed, which a limited run must not
-    /// fan out on (variable predicates make union scans).
+    /// fan out on (variable predicates make union scans), and on the graph
+    /// store with every partition resident, which charges a morsel at a
+    /// time.
     #[test]
     fn work_limit_cuts_off_iff_charged_work_reaches_it(
         triples in prop::collection::vec((0u8..12, 0u8..4, 0u8..12), 1..60),
@@ -345,52 +446,40 @@ proptest! {
             1..4
         ),
     ) {
+        use kgdual::graphstore::GraphExecError;
         use kgdual::relstore::{ExecError, SerialDispatch};
-        let dual = DualStore::from_dataset(dataset_from(&triples), 0);
+        let dataset = dataset_from(&triples);
+        let total = dataset.len();
+        let mut dual = DualStore::from_dataset(dataset, total);
         let src = render_query(&patterns);
         let Compiled::Query(eq) = compile(&parse(&src).unwrap(), dual.dict()).unwrap() else {
             return Ok(());
         };
         let mut sharded = RelStore::with_shards(4);
-        for p in dual.rel().preds() {
+        let preds: Vec<_> = dual.rel().preds().collect();
+        for &p in &preds {
             sharded.load_partition(p, dual.rel().table(p).unwrap().scan());
+            dual.migrate_partition(p).unwrap();
         }
         sharded.set_shard_dispatch(std::sync::Arc::new(SerialDispatch));
 
+        let eq = &eq;
+        let rel = |store: &RelStore, ctx: &mut ExecContext| match store.execute(eq, ctx) {
+            Ok(rows) => Ok(rows),
+            Err(ExecError::Cancelled { partial_work }) => Err(partial_work),
+        };
+        let graph = |ctx: &mut ExecContext| match dual.graph().execute(eq, ctx) {
+            Ok(rows) => Ok(rows),
+            Err(GraphExecError::Cancelled { partial_work }) => Err(partial_work),
+            Err(e) => panic!("{e} on {src}"),
+        };
         let mut unlimited = ExecContext::new();
-        let rows = dual.rel().execute(&eq, &mut unlimited).unwrap();
-        let w = unlimited.stats.work_units();
-        let charged = w - unlimited.stats.rows_output;
-        for store in [dual.rel(), &sharded] {
-            let mut ctx = ExecContext::new();
-            prop_assert_eq!(&store.execute(&eq, &mut ctx).unwrap(), &rows, "query: {}", src);
-            prop_assert_eq!(ctx.stats.work_units(), w, "query: {}", src);
-            for limit in [1, w / 2, w, w + 1, charged, charged + 1] {
-                if limit == 0 {
-                    continue;
-                }
-                let mut ctx = ExecContext::with_work_limit(limit);
-                match store.execute(&eq, &mut ctx) {
-                    Err(ExecError::Cancelled { partial_work }) => {
-                        prop_assert!(
-                            charged >= limit,
-                            "cut off at limit {} with only {} charged on {}",
-                            limit, charged, src
-                        );
-                        prop_assert!(
-                            (limit..=charged).contains(&partial_work),
-                            "partial work {} outside [{}, {}] on {}",
-                            partial_work, limit, charged, src
-                        );
-                    }
-                    Ok(got) => {
-                        prop_assert!(charged < limit, "ran past {} on {}", limit, src);
-                        prop_assert_eq!(&got, &rows, "query: {}", src);
-                        prop_assert_eq!(ctx.stats.work_units(), w, "query: {}", src);
-                    }
-                }
-            }
-        }
+        let rows = rel(dual.rel(), &mut unlimited).unwrap();
+        check_work_limit(&src, &rows, &unlimited, |ctx| rel(dual.rel(), ctx))?;
+        check_work_limit(&src, &rows, &unlimited, |ctx| rel(&sharded, ctx))?;
+        let mut unlimited = ExecContext::new();
+        let rows = graph(&mut unlimited).unwrap();
+        check_work_limit(&src, &rows, &unlimited, graph)?;
     }
 
     /// Graph-side write maintenance agrees with the relational store: a
