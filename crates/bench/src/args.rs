@@ -13,16 +13,16 @@ pub struct BenchArgs {
     /// `ordered` or `random` workload version.
     pub order: String,
     /// Worker threads for the concurrent batch executor (`kgdual-exec`):
-    /// `--threads N` (the `KGDUAL_THREADS` env var sets the default for
-    /// test matrices, exactly like `KGDUAL_SHARDS` below). 1 (the
+    /// `--threads N` (the `KGDUAL_THREADS` env var sets the default,
+    /// exactly like `KGDUAL_SHARDS` below). 1 (the
     /// default) means serial; >1 makes the batch binaries report parallel
     /// wall-clock TTI alongside the serial measurement. Every harness
     /// binary resolves its worker count through this one field — the
     /// scheduler pool size is never hard-coded at a call site.
     pub threads: usize,
     /// Relational shards: `--shards N` (default 1, the monolithic
-    /// layout; the `KGDUAL_SHARDS` env var sets the default for test
-    /// matrices). Deterministic metrics are shard-invariant by
+    /// layout; the `KGDUAL_SHARDS` env var sets the default).
+    /// Deterministic metrics are shard-invariant by
     /// construction — the flag changes physical layout and intra-query
     /// parallelism only.
     pub shards: usize,
@@ -63,7 +63,7 @@ impl Default for BenchArgs {
 impl BenchArgs {
     /// Parse `--key value` pairs from `std::env::args`. The shard and
     /// worker-thread counts default from `KGDUAL_SHARDS` /
-    /// `KGDUAL_THREADS` (so CI matrices select them without touching
+    /// `KGDUAL_THREADS` (so a script can select them without touching
     /// every invocation); explicit `--shards` / `--threads` flags win.
     pub fn parse() -> Self {
         let mut base = Self::default();

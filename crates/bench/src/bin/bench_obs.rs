@@ -9,8 +9,8 @@
 //! an untaken branch. With `--assert-overhead true` (passed by
 //! `scripts/capture_baselines.sh`) the binary fails if enabled recording
 //! costs more than 3% wall clock; the assertion self-gates on
-//! `available_parallelism` like `bench_sched`'s speedup gate, since a
-//! loaded single-CPU host makes wall-clock ratios meaningless.
+//! `available_parallelism`, since a loaded single-CPU host makes
+//! wall-clock ratios meaningless.
 //!
 //! Both modes must do byte-identical deterministic work (work units,
 //! rows, simulated TTI) — recording is observational only — and the

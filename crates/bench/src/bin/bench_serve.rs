@@ -23,8 +23,8 @@
 //! workload through one serial connection and compares rows, work,
 //! route, simulated latency, and the results digest byte-for-byte
 //! against the batch executor on an identical store — the
-//! serve-equivalence contract, also enforced by the
-//! `serve_equivalence` test suite and the CI smoke script.
+//! serve-equivalence contract, also enforced by the wire cells of
+//! `crates/bench/tests/equivalence.rs` and the CI smoke script.
 //!
 //! `--connect <addr>` skips the in-process server and drives an
 //! already-running `serve_store` (the smoke script's mode).

@@ -454,138 +454,6 @@ pub fn run_parallel_comparison(kind: WorkloadKind, args: &BenchArgs) -> Vec<Para
     out
 }
 
-/// One cell of the scheduler sweep: a (worker count, shard count)
-/// configuration's wall clocks plus the deterministic totals that must
-/// be identical across every cell.
-#[derive(Clone, Debug)]
-pub struct SchedSweepPoint {
-    /// Scheduler worker count.
-    pub threads: usize,
-    /// Relational shard count.
-    pub shards: usize,
-    /// Online wall-clock TTI (sum over batches, averaged over measured
-    /// reps).
-    pub wall_tti_secs: f64,
-    /// Offline tuning-epoch wall clock (sum over epochs, averaged over
-    /// measured reps) — the number the parallel counterfactual waves
-    /// are supposed to shrink.
-    pub tuning_wall_secs: f64,
-    /// Total online work units (thread- and shard-invariant).
-    pub total_work: u64,
-    /// Simulated TTI in nanoseconds (thread- and shard-invariant).
-    pub sim_tti_ns: u128,
-    /// Total result rows (thread- and shard-invariant).
-    pub result_rows: u64,
-    /// `OfflineTuning` tasks the pool executed: the covered-wave cost
-    /// pairs DOTIL actually measured, i.e. those its cost-pair memo
-    /// missed. Pairs replayed from the memo execute nothing. Thread- and
-    /// shard-invariant: the memo's hits depend only on the shapes and the
-    /// writes, and every miss goes through `Scheduler::run_indexed`, whose
-    /// inline fast path (serial cells, single-element waves) counts in the
-    /// same per-class stats as the pooled path.
-    pub tuning_tasks: u64,
-}
-
-/// Sweep the unified scheduler across worker counts {1,2,4,8} × shard
-/// counts {1,4}: the longitudinal wall-clock trajectory (`BENCH_sched`).
-///
-/// Each cell runs the full workload with DOTIL tuning after every batch,
-/// timing the online phase and the tuning epochs separately. The driver
-/// asserts the scheduler determinism contract cell against cell — work
-/// units, simulated TTI, and result rows must not move on either axis —
-/// so a committed capture is simultaneously a wall-clock baseline and an
-/// equivalence proof.
-pub fn run_sched_sweep(kind: WorkloadKind, args: &BenchArgs) -> Vec<SchedSweepPoint> {
-    use kgdual_exec::{SchedShardDispatch, TaskClass};
-    use std::time::{Duration, Instant};
-
-    let dataset = build_dataset(kind, args);
-    let workload = build_workload(kind, args);
-    let batches = build_batches(&workload, &args.order, args.seed);
-    let budget = dataset.len() / 4;
-
-    let mut out = Vec::new();
-    for shards in [1usize, 4] {
-        for threads in [1usize, 2, 4, 8] {
-            let mut walls: Vec<f64> = Vec::new();
-            let mut tuning_walls: Vec<f64> = Vec::new();
-            let (mut work, mut rows, mut sim) = (0u64, 0u64, 0u128);
-            let mut tuning_tasks = 0u64;
-            for rep in 0..args.reps {
-                let store = SharedStore::new(DualStore::from_dataset_sharded(
-                    dataset.clone(),
-                    budget,
-                    shards,
-                ));
-                let mut tuner = Dotil::with_config(DotilConfig::default());
-                let executor = BatchExecutor::new(threads);
-                let sched = Arc::clone(executor.scheduler());
-                if threads > 1 {
-                    store.install_shard_dispatch(Arc::new(SchedShardDispatch::new(Arc::clone(
-                        &sched,
-                    ))));
-                    store.read().warm_rel_indexes();
-                }
-
-                let mut online = Duration::ZERO;
-                let mut offline = Duration::ZERO;
-                let (mut rep_work, mut rep_rows, mut rep_sim) = (0u64, 0u64, 0u128);
-                for batch in &batches {
-                    let report = executor.execute_batch(&store, batch);
-                    assert_eq!(report.errors, 0, "healthy sweep cell");
-                    online += report.wall;
-                    rep_work += report.total_work();
-                    rep_rows += report.result_rows;
-                    rep_sim += report.sim_tti.as_nanos();
-                    let t0 = Instant::now();
-                    store.reconfigure(|dual| tuner.tune_with(dual, batch, Some(&sched)));
-                    offline += t0.elapsed();
-                }
-                // The first rep warms allocator/caches and is dropped
-                // from the averages (run-6-keep-5, as everywhere else).
-                if rep > 0 || args.reps == 1 {
-                    walls.push(online.as_secs_f64());
-                    tuning_walls.push(offline.as_secs_f64());
-                }
-                (work, rows, sim) = (rep_work, rep_rows, rep_sim);
-                tuning_tasks = sched.stats().executed.get(TaskClass::OfflineTuning);
-            }
-            out.push(SchedSweepPoint {
-                threads,
-                shards,
-                wall_tti_secs: walls.iter().sum::<f64>() / walls.len() as f64,
-                tuning_wall_secs: tuning_walls.iter().sum::<f64>() / tuning_walls.len() as f64,
-                total_work: work,
-                sim_tti_ns: sim,
-                result_rows: rows,
-                tuning_tasks,
-            });
-        }
-    }
-
-    // The determinism contract across the whole grid: neither axis may
-    // move a deterministic metric.
-    let first = &out[0];
-    for p in &out[1..] {
-        assert_eq!(
-            (p.total_work, p.sim_tti_ns, p.result_rows, p.tuning_tasks),
-            (
-                first.total_work,
-                first.sim_tti_ns,
-                first.result_rows,
-                first.tuning_tasks
-            ),
-            "{} threads / {} shards must be deterministically identical to \
-             {} threads / {} shards",
-            p.threads,
-            p.shards,
-            first.threads,
-            first.shards,
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,8 +13,7 @@
 //! | `table6_resource_slowdown` | Table 6 — slowdown under limited spare IO/CPU |
 //! | `fig7_resource_consumption` | Figure 7 — IO/CPU consumed over time |
 //! | `fig8_tuner_comparison` | Figure 8 — DOTIL vs one-off vs LRU vs ideal |
-//! | `bench_sched` | `BENCH_sched.json` — scheduler sweep: wall TTI and tuning-epoch wall across threads × shards |
-//!
+//! //!
 //! Every binary accepts `--scale <fraction-of-paper-size>`, `--seed <u64>`
 //! and `--reps <n>`; paper-scale runs are possible but the defaults are
 //! sized for minutes, not hours. The workload binaries additionally take
@@ -33,8 +32,8 @@ pub mod table;
 
 pub use args::BenchArgs;
 pub use experiments::{
-    run_parallel_comparison, run_restart_comparison, run_sched_sweep, run_variant_comparison,
-    ParallelTti, RestartColumn, SchedSweepPoint, SharedDotil, VariantKind, WorkloadKind,
+    run_parallel_comparison, run_restart_comparison, run_variant_comparison, ParallelTti,
+    RestartColumn, SharedDotil, VariantKind, WorkloadKind,
 };
 pub use obs::{init_obs, write_obs_profile};
 pub use setup::{build_batches, build_dataset, build_workload};

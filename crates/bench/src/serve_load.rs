@@ -1,8 +1,8 @@
 //! Load generation against the serving front-end.
 //!
 //! Shared by the `bench_serve` binary (the tail-latency trajectory in
-//! `docs/baselines/BENCH_serve.json`), the serve-equivalence suite, and
-//! the CI smoke script. Two arrival regimes:
+//! `docs/baselines/BENCH_serve.json`), the equivalence suite's wire
+//! cells, and the CI smoke script. Two arrival regimes:
 //!
 //! - **closed** — `clients` threads, each a closed loop (send, wait for
 //!   the response, send the next). Offered load never exceeds the

@@ -1,0 +1,375 @@
+//! The equivalence suite: one fingerprint over one declared axis grid.
+//!
+//! The grid, the fingerprint and the runner of one cell live in
+//! [`grid`]; this file checks most of the grid's blocks, one `#[test]`
+//! each, and shows that the grid covers every axis value. The checks
+//! that are not grid checks follow at the end as plain tests: dispatch
+//! accounting, checkpoint misuse, concurrent checkpoints, wire EXPLAIN
+//! and the shard router.
+
+mod grid;
+
+use grid::*;
+use kgdual_bench::{build_dataset, BenchArgs, WorkloadKind};
+use kgdual_core::batch::TuningSchedule;
+use kgdual_core::{process_shared_explain, DualStore};
+use kgdual_dotil::Dotil;
+use kgdual_exec::{BatchExecutor, ParallelRunner, SchedShardDispatch, Scheduler, SharedStore};
+use kgdual_model::{DesignError, PredId};
+use kgdual_relstore::{ShardRouter, TempSpace};
+use kgdual_serve::{ServeConfig, Server};
+use proptest::prelude::*;
+use std::sync::Arc;
+
+#[test]
+fn relational_only_serial() {
+    check(&RELATIONAL_ONLY_SERIAL);
+}
+
+#[test]
+fn relational_only_pooled() {
+    check(&RELATIONAL_ONLY_POOLED);
+}
+
+#[test]
+fn wire_transport() {
+    check(&WIRE_TRANSPORT);
+}
+
+#[test]
+fn mid_run_restart_sharded() {
+    check(&MID_RUN_RESTART_SHARDED);
+}
+
+#[test]
+fn restart_at_every_batch_boundary() {
+    check(&RESTART_AT_EVERY_BATCH_BOUNDARY);
+}
+
+#[test]
+fn recording_on() {
+    check(&RECORDING_ON);
+}
+
+#[test]
+fn recording_on_across_a_restart() {
+    check(&RECORDING_ON_ACROSS_A_RESTART);
+}
+
+#[test]
+fn recording_on_served_and_restarted() {
+    check(&RECORDING_ON_SERVED_AND_RESTARTED);
+}
+
+#[test]
+fn recording_on_relational_only() {
+    check(&RECORDING_ON_RELATIONAL_ONLY);
+}
+
+/// Every value of every axis appears in some cell, both policies run
+/// serially and pooled, and the wire meets sharding and a restart.
+#[test]
+fn grid_covers_every_axis_value() {
+    let cells: Vec<Cell> = GRID.iter().flat_map(Block::cells).collect();
+    let covered = |pred: &dyn Fn(&Cell) -> bool| cells.iter().any(pred);
+    for &policy in POLICIES {
+        for runner in [Runner::Serial, Runner::Parallel(1), Runner::Parallel(8)] {
+            assert!(covered(&|c| c.policy == policy && c.runner == runner));
+        }
+    }
+    for &runner in RUNNERS {
+        assert!(covered(&|c| c.runner == runner), "{runner:?}");
+    }
+    for &shards in SHARDS {
+        assert!(covered(&|c| c.shards == shards), "{shards} shards");
+    }
+    for restart in EVERY_BOUNDARY {
+        assert!(covered(&|c| c.restart == *restart), "{restart:?}");
+    }
+    assert!(covered(&|c| c.obs && c.transport == Transport::Wire));
+    assert!(covered(&|c| c.obs && c.restart != Restart::No));
+    assert!(covered(&|c| c.transport == Transport::Wire && c.shards > 1));
+    assert!(covered(
+        &|c| c.transport == Transport::Wire && c.restart != Restart::No
+    ));
+}
+
+#[test]
+fn mismatch_names_the_field_and_the_axis() {
+    let reference = Fingerprint {
+        work: vec![10, 20],
+        ..Fingerprint::default()
+    };
+    let got = Fingerprint {
+        work: vec![10, 21],
+        ..Fingerprint::default()
+    };
+    assert_eq!(reference.first_difference(&reference.clone()), None);
+    let field = reference.first_difference(&got).expect("work differs");
+    let reference_cell = Cell::reference(Policy::Routed);
+    let cell = Cell {
+        shards: 8,
+        ..reference_cell
+    };
+    let message = mismatch(&reference_cell, &cell, field);
+    assert!(message.contains("`work`"), "{message}");
+    assert!(message.contains("shards 1 → 8"), "{message}");
+    assert!(
+        !message.contains("runner "),
+        "only differing axes: {message}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Plain tests.
+
+/// Multi-thread multi-shard runs really dispatch per-shard scans through
+/// the pool, and still match the monolithic store byte for byte.
+/// Variable-predicate queries are the union scans that fan out; a LIMIT
+/// case pins the canonical-order merge.
+#[test]
+fn parallel_shard_scans_dispatch_through_exec_and_match() {
+    use kgdual_sparql::parse;
+
+    let queries = vec![
+        parse("SELECT ?s ?o WHERE { ?s ?anypred ?o } LIMIT 50").unwrap(),
+        parse("SELECT ?s ?p2 WHERE { ?s ?p2 ?o }").unwrap(),
+    ];
+    let exec = BatchExecutor::new(4);
+
+    let mono = SharedStore::new(fresh_dual(1));
+    let reference = exec.execute_batch(&mono, &queries);
+    assert_eq!(reference.errors, 0);
+
+    let sharded = SharedStore::new(fresh_dual(8));
+    let pool = Arc::new(SchedShardDispatch::new(Arc::clone(exec.scheduler())));
+    sharded.install_shard_dispatch(pool.clone());
+    let got = exec.execute_batch(&sharded, &queries);
+    assert_eq!(got.errors, 0);
+    assert_eq!(reference.results_digest, got.results_digest);
+    assert_eq!(reference.total_work(), got.total_work());
+    assert_eq!(reference.sim_tti, got.sim_tti);
+    assert_eq!(reference.result_rows, got.result_rows);
+    assert!(
+        pool.dispatches() >= queries.len() as u64,
+        "union scans must fan out through the pooled dispatcher"
+    );
+    assert_eq!(pool.jobs_run(), pool.dispatches() * 8, "one job per shard");
+}
+
+/// A checkpoint is bound to its shard layout: restoring it onto another
+/// layout is refused and mutates nothing.
+#[test]
+fn restore_across_shard_layouts_is_refused() {
+    let store = SharedStore::new(fresh_dual(4));
+    let mut tuner = Dotil::new();
+    let runner = ParallelRunner::new(TuningSchedule::AfterEachBatch, BatchExecutor::new(2));
+    let head = runner.run(&store, &mut tuner, &workload().1[..2]);
+    assert_eq!(head.iter().map(|r| r.errors).sum::<usize>(), 0);
+    let snapshot = store.checkpoint(Some(&tuner));
+
+    let wrong = SharedStore::new(fresh_dual(2));
+    let before = wrong.read().design();
+    assert!(wrong.restore(None, &snapshot).is_err());
+    assert_eq!(wrong.read().design(), before);
+}
+
+/// A snapshot is dataset-bound: restoring onto a different dataset fails
+/// typed and moves nothing.
+#[test]
+fn restoring_onto_a_different_dataset_is_a_typed_mismatch() {
+    let store = SharedStore::new(fresh_dual(1));
+    let snapshot = store.checkpoint(None);
+
+    let args = BenchArgs {
+        scale: 0.001,
+        seed: 43,
+        ..BenchArgs::default()
+    };
+    let other_data = build_dataset(WorkloadKind::Yago, &args);
+    let budget = other_data.len() / 4;
+    let other = SharedStore::new(DualStore::from_dataset(other_data, budget));
+    let before_epoch = other.epoch();
+    match other.restore(None, &snapshot) {
+        Err(DesignError::Mismatch(_)) => {}
+        other => panic!("expected Mismatch, got {other:?}"),
+    }
+    assert_eq!(other.epoch(), before_epoch, "failed restore moves nothing");
+}
+
+/// A checkpoint taken while readers are in flight waits for them (the
+/// quiesce contract) and still captures a restorable design.
+#[test]
+fn checkpoints_quiesce_and_stay_restorable_under_concurrency() {
+    const THREADS: usize = 4;
+    let all = &workload().1;
+    let store = SharedStore::new(fresh_dual(1));
+    let mut tuner = Dotil::new();
+    let runner = ParallelRunner::new(TuningSchedule::AfterEachBatch, BatchExecutor::new(THREADS));
+    runner.run(&store, &mut tuner, &all[..2]);
+
+    // Hammer checkpoints from another thread while the online phase runs.
+    let snapshots = std::thread::scope(|scope| {
+        let store_ref = &store;
+        let grabber = scope.spawn(move || {
+            let mut grabbed = Vec::new();
+            for _ in 0..8 {
+                grabbed.push(store_ref.checkpoint(None));
+                std::thread::yield_now();
+            }
+            grabbed
+        });
+        let exec = BatchExecutor::new(THREADS);
+        for batch in &all[2..] {
+            let r = exec.execute_batch(store_ref, batch);
+            assert_eq!(r.errors, 0);
+        }
+        grabber.join().expect("checkpoint thread must not panic")
+    });
+
+    for snapshot in snapshots {
+        SharedStore::new(fresh_dual(1))
+            .restore(None, &snapshot)
+            .expect("every concurrently captured snapshot must restore");
+    }
+}
+
+/// The wire's `"explain": "analyze"` agrees with the in-process plan:
+/// same route, same operator sequence, same actual rows and work per
+/// operator.
+#[test]
+fn served_explain_analyze_matches_in_process_plan() {
+    use kgdual_serve::json::Json;
+    use kgdual_serve::ServeClient;
+
+    let queries: Vec<String> = workload()
+        .1
+        .iter()
+        .flatten()
+        .map(|q| q.to_string())
+        .collect();
+    let store = Arc::new(SharedStore::new(fresh_dual(4)));
+    let sched = Arc::new(Scheduler::new(4));
+    store.install_shard_dispatch(Arc::new(SchedShardDispatch::new(Arc::clone(&sched))));
+    store.read().warm_rel_indexes();
+
+    let server = Server::start(
+        Arc::clone(&store),
+        Arc::clone(&sched),
+        ServeConfig::default(),
+    )
+    .expect("bind explain server");
+    let mut client = ServeClient::connect(server.local_addr(), "explain-eq").expect("connect");
+
+    let guard = store.read();
+    let mut temp = TempSpace::new();
+    for (i, text) in queries.iter().enumerate() {
+        let reply = client
+            .query_explain(text, None, Some("analyze"))
+            .expect("wire explain");
+        assert!(reply.is_ok(), "query {i} must serve");
+        let plan = reply.plan.as_ref().expect("analyze reply carries a plan");
+        let profile = reply
+            .profile
+            .as_ref()
+            .expect("analyze reply carries a profile");
+
+        let query = kgdual_sparql::parse(text).expect("pool query parses");
+        let out = process_shared_explain(&guard, &mut temp, &query, true).expect("local run");
+        let local_plan = out.plan.expect("local plan");
+        let local_profile = out.profile.expect("local profile");
+
+        assert_eq!(
+            plan.get("route").and_then(Json::as_str),
+            Some(local_plan.route),
+            "query {i}: wire route"
+        );
+        assert_eq!(
+            reply.route, local_plan.route,
+            "query {i}: reply route field"
+        );
+        let steps = plan.get("steps").and_then(Json::as_arr).expect("steps");
+        assert_eq!(steps.len(), local_plan.steps.len(), "query {i}: step count");
+        for (j, (wire, local)) in steps.iter().zip(&local_plan.steps).enumerate() {
+            assert_eq!(
+                wire.get("op").and_then(Json::as_str),
+                Some(local.op),
+                "query {i} step {j}: op"
+            );
+            assert_eq!(
+                wire.get("pattern").and_then(Json::as_u64),
+                Some(local.pattern as u64),
+                "query {i} step {j}: pattern"
+            );
+        }
+        let ops = profile.get("ops").and_then(Json::as_arr).expect("ops");
+        assert_eq!(ops.len(), local_profile.ops.len(), "query {i}: op count");
+        for (j, (wire, local)) in ops.iter().zip(&local_profile.ops).enumerate() {
+            assert_eq!(
+                wire.get("actual_rows").and_then(Json::as_u64),
+                Some(local.actual_rows),
+                "query {i} op {j}: actual rows"
+            );
+            assert_eq!(
+                wire.get("work").and_then(Json::as_u64),
+                Some(local.work),
+                "query {i} op {j}: work units"
+            );
+        }
+        assert_eq!(
+            profile.get("total_work").and_then(Json::as_u64),
+            Some(reply.work_units),
+            "query {i}: profile total_work must equal the reply's work_units"
+        );
+    }
+    drop(guard);
+    server.shutdown();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Router assignment is total (< shard count), stable (pure function
+    /// of config), and the monolithic router maps everything to shard 0.
+    #[test]
+    fn router_assignment_is_total_and_stable(
+        shards in 1usize..32,
+        preds in prop::collection::vec(0u32..10_000, 1..64),
+    ) {
+        let router = ShardRouter::new(shards);
+        let twin = ShardRouter::new(shards);
+        for &p in &preds {
+            let a = router.assign(PredId(p));
+            prop_assert!(a < shards, "assignment must land in 0..{shards}");
+            prop_assert_eq!(a, router.assign(PredId(p)), "stable across calls");
+            prop_assert_eq!(a, twin.assign(PredId(p)), "stable across instances");
+            prop_assert_eq!(ShardRouter::new(1).assign(PredId(p)), 0);
+        }
+    }
+
+    /// Overrides always win; everything else keeps the hash assignment.
+    #[test]
+    fn router_respects_overrides(
+        shards in 2usize..16,
+        pins in prop::collection::vec((0u32..500, 0usize..16), 0..8),
+        probes in prop::collection::vec(0u32..500, 1..32),
+    ) {
+        // Deduplicate pins by predicate and clamp targets into range so
+        // the config is valid; the router itself rejects invalid ones.
+        let mut seen = Vec::new();
+        let pins: Vec<(PredId, usize)> = pins
+            .into_iter()
+            .filter(|&(p, _)| seen.iter().all(|&q| q != p) && { seen.push(p); true })
+            .map(|(p, s)| (PredId(p), s % shards))
+            .collect();
+        let router = ShardRouter::with_overrides(shards, pins.clone()).unwrap();
+        let plain = ShardRouter::new(shards);
+        for &p in &probes {
+            let pred = PredId(p);
+            match pins.iter().find(|&&(q, _)| q == pred) {
+                Some(&(_, shard)) => prop_assert_eq!(router.assign(pred), shard),
+                None => prop_assert_eq!(router.assign(pred), plain.assign(pred)),
+            }
+        }
+    }
+}

@@ -1,0 +1,29 @@
+//! Worker-count invariance: full workload batches on the serial runner
+//! and on 2 and 8 workers are indistinguishable from the 1-worker
+//! reference in everything but wall clock. The cells are blocks of the
+//! equivalence grid in [`grid`].
+
+mod grid;
+
+use grid::*;
+
+/// The serial `WorkloadRunner` and the pooled runner share one
+/// reference fingerprint.
+#[test]
+fn parallel_run_matches_serial_workload_runner() {
+    check(&SERIAL_MONOLITHIC);
+}
+
+/// Digests, rows, work and simulated TTI at 2 and 8 workers equal the
+/// 1-worker run.
+#[test]
+fn routed_batches_identical_across_1_2_8_threads() {
+    check(&TWO_AND_EIGHT_WORKERS_MONOLITHIC);
+}
+
+/// The residency trail and DOTIL's state, fingerprint fields of every
+/// cell, do not depend on the worker count, sharded or not.
+#[test]
+fn tuning_decisions_are_thread_count_invariant() {
+    check(&TWO_AND_EIGHT_WORKERS_SHARDED);
+}

@@ -84,8 +84,8 @@ pub struct ParallelBatchReport {
     /// A byte digest of every query's **sorted** result rows, in
     /// submission order (failed queries contribute a sentinel). Two runs
     /// of the same batch on the same design produce byte-identical
-    /// digests regardless of thread count; the stress tests and the
-    /// acceptance check compare exactly this.
+    /// digests regardless of thread count; the equivalence suite
+    /// compares exactly this.
     pub results_digest: Vec<u8>,
     /// Per-query outcomes in submission order (`None` for failed
     /// queries). Retaining every result set across batches is memory
@@ -292,8 +292,8 @@ impl BatchExecutor {
 ///
 /// Public because it defines the cross-path determinism fingerprint:
 /// `kgdual-serve`'s `DigestBuilder` reproduces this encoding from wire
-/// replies, and the serve-equivalence suite compares the two outputs
-/// byte for byte.
+/// replies, and the equivalence suite's wire cells compare the two
+/// outputs byte for byte.
 pub fn results_digest(outcomes: &[Option<QueryOutcome>]) -> Vec<u8> {
     let mut bytes = Vec::new();
     for outcome in outcomes {

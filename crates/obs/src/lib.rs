@@ -19,8 +19,8 @@
 //! Metrics and traces are **observational only**: no digest, route,
 //! work-unit count, or DOTIL decision ever reads them, and recording
 //! never perturbs execution order (everything is relaxed atomics and
-//! per-thread buffers). The scheduler-equivalence suite runs with
-//! recording on and off and requires byte-identical results.
+//! per-thread buffers). The equivalence suite in `kgdual-bench` runs
+//! with recording on and off and requires byte-identical results.
 //!
 //! ## On/off switch
 //!

@@ -792,56 +792,67 @@ fn mix_key(vals: &[NodeId]) -> u64 {
     h
 }
 
-/// Probe rows `[start, end)` of `probe` against the built hash table,
-/// appending output rows to `out` and returning the number joined.
-/// Shared by the serial probe loop and the dispatcher-parallel probe
-/// jobs; does not charge (callers own the charge discipline).
-#[allow(clippy::too_many_arguments)]
-fn probe_range(
-    build: &Bindings,
-    probe: &Bindings,
-    table: &FxHashMap<u64, Vec<u32>>,
-    build_key_cols: &[usize],
-    probe_key_cols: &[usize],
-    right_new_cols: &[usize],
+/// A built hash table and the probe side it joins, with the column maps
+/// both need.
+struct HashProbe<'a> {
+    build: &'a Bindings,
+    probe: &'a Bindings,
+    table: &'a FxHashMap<u64, Vec<u32>>,
+    build_key_cols: &'a [usize],
+    probe_key_cols: &'a [usize],
+    right_new_cols: &'a [usize],
     build_left: bool,
-    start: usize,
-    end: usize,
-    out: &mut Bindings,
-) -> u64 {
-    let mut key_buf: Vec<NodeId> = Vec::with_capacity(probe_key_cols.len());
-    let mut row_buf: Vec<NodeId> = Vec::with_capacity(out.width());
-    let mut joined = 0u64;
-    for pi in start..end {
-        let prow = probe.row(pi);
-        key_buf.clear();
-        key_buf.extend(probe_key_cols.iter().map(|&c| prow[c]));
-        let Some(cands) = table.get(&mix_key(&key_buf)) else {
-            continue;
-        };
-        'cand: for &bi in cands {
-            let brow = build.row(bi as usize);
-            // Exact key equality (guards against 64-bit mix collisions).
-            for (bc, pc) in build_key_cols.iter().zip(probe_key_cols) {
-                if brow[*bc] != prow[*pc] {
-                    continue 'cand;
-                }
-            }
-            let (lrow, rrow) = if build_left {
-                (brow, prow)
-            } else {
-                (prow, brow)
+}
+
+impl HashProbe<'_> {
+    /// Probe rows `[start, end)` of `probe` against the built hash table,
+    /// appending output rows to `out` and returning the number joined.
+    /// Shared by the serial probe loop and the dispatcher-parallel probe
+    /// jobs; does not charge (callers own the charge discipline).
+    fn probe_range(&self, start: usize, end: usize, out: &mut Bindings) -> u64 {
+        let HashProbe {
+            build,
+            probe,
+            table,
+            build_key_cols,
+            probe_key_cols,
+            right_new_cols,
+            build_left,
+        } = *self;
+        let mut key_buf: Vec<NodeId> = Vec::with_capacity(probe_key_cols.len());
+        let mut row_buf: Vec<NodeId> = Vec::with_capacity(out.width());
+        let mut joined = 0u64;
+        for pi in start..end {
+            let prow = probe.row(pi);
+            key_buf.clear();
+            key_buf.extend(probe_key_cols.iter().map(|&c| prow[c]));
+            let Some(cands) = table.get(&mix_key(&key_buf)) else {
+                continue;
             };
-            joined += 1;
-            row_buf.clear();
-            row_buf.extend_from_slice(lrow);
-            for &c in right_new_cols {
-                row_buf.push(rrow[c]);
+            'cand: for &bi in cands {
+                let brow = build.row(bi as usize);
+                // Exact key equality (guards against 64-bit mix collisions).
+                for (bc, pc) in build_key_cols.iter().zip(probe_key_cols) {
+                    if brow[*bc] != prow[*pc] {
+                        continue 'cand;
+                    }
+                }
+                let (lrow, rrow) = if build_left {
+                    (brow, prow)
+                } else {
+                    (prow, brow)
+                };
+                joined += 1;
+                row_buf.clear();
+                row_buf.extend_from_slice(lrow);
+                for &c in right_new_cols {
+                    row_buf.push(rrow[c]);
+                }
+                out.push_row(&row_buf);
             }
-            out.push_row(&row_buf);
         }
+        joined
     }
-    joined
 }
 
 /// Hash join of two binding tables on their shared variables (cartesian
@@ -920,6 +931,16 @@ pub(crate) fn hash_join_dispatch(
         }
     }
 
+    let joiner = HashProbe {
+        build,
+        probe,
+        table: &table,
+        build_key_cols: &build_key_cols,
+        probe_key_cols: &probe_key_cols,
+        right_new_cols: &right_new_cols,
+        build_left,
+    };
+
     // Probe ranges big enough to be worth a task each; the range split is
     // a pure function of the probe length, so the fan-out (and the merge
     // order) is deterministic.
@@ -946,18 +967,7 @@ pub(crate) fn hash_join_dispatch(
                         part.cancelled = true;
                         break;
                     }
-                    let joined = probe_range(
-                        build,
-                        probe,
-                        &table,
-                        &build_key_cols,
-                        &probe_key_cols,
-                        &right_new_cols,
-                        build_left,
-                        bstart,
-                        bend,
-                        &mut block,
-                    );
+                    let joined = joiner.probe_range(bstart, bend, &mut block);
                     kgdual_vec::note_join_batch(joined as usize);
                     if local.charge_join(joined).is_err() {
                         part.cancelled = true;
@@ -992,18 +1002,7 @@ pub(crate) fn hash_join_dispatch(
     for start in (0..probe.len()).step_by(BATCH) {
         let end = (start + BATCH).min(probe.len());
         ctx.charge_probe((end - start) as u64)?;
-        let joined = probe_range(
-            build,
-            probe,
-            &table,
-            &build_key_cols,
-            &probe_key_cols,
-            &right_new_cols,
-            build_left,
-            start,
-            end,
-            &mut out,
-        );
+        let joined = joiner.probe_range(start, end, &mut out);
         kgdual_vec::note_join_batch(joined as usize);
         ctx.charge_join(joined)?;
     }

@@ -55,8 +55,8 @@
 //! around every task body — tagging the thread with the task class so
 //! spans opened inside the task inherit it. All of it is observational
 //! only: recording never changes scheduling order, and the
-//! scheduler-equivalence suite verifies byte-identical results with
-//! recording on and off.
+//! equivalence suite in `kgdual-bench` verifies byte-identical results
+//! with recording on and off.
 //!
 //! ## Implementing a custom task class
 //!

@@ -44,8 +44,8 @@
 //! The serving path adds no nondeterminism on top of the executor: a
 //! seeded serial replay through a socket returns byte-identical rows,
 //! row order, work units, and simulated latency to the batch path. The
-//! `serve_equivalence` suite in `kgdual-bench` pins this across the
-//! full backends × shards × threads grid.
+//! wire cells of `kgdual-bench`'s equivalence suite pin this across
+//! shards × threads, with tuning between batches and across a restart.
 
 pub mod admission;
 pub mod client;

@@ -32,8 +32,8 @@
 //! Determinism: request handling introduces no new nondeterminism —
 //! rows, row order, work units, simulated latency, and route come
 //! straight from [`process_shared_explain`], so a serial replay through a
-//! socket is byte-identical to the batch path (pinned by the
-//! `serve_equivalence` suite in `kgdual-bench`).
+//! socket is byte-identical to the batch path (pinned by the wire cells
+//! of `kgdual-bench`'s equivalence suite).
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionController, RejectReason};
 use crate::json::{self, Json};
@@ -385,21 +385,17 @@ fn accept_loop<B>(
             inner: Arc::clone(&inner),
             id,
         };
-        let handler_inner = Arc::clone(&inner);
-        let handler_store = Arc::clone(&store);
-        let handler_sched = Arc::clone(&sched);
-        let handler_config = config.clone();
+        let served = Served {
+            inner: Arc::clone(&inner),
+            store: Arc::clone(&store),
+            sched: Arc::clone(&sched),
+            config: config.clone(),
+        };
         let spawned = std::thread::Builder::new()
             .name(format!("serve-conn-{id}"))
             .spawn(move || {
                 let _guard = guard;
-                handle_connection(
-                    stream,
-                    handler_inner,
-                    handler_store,
-                    handler_sched,
-                    &handler_config,
-                );
+                handle_connection(stream, &served);
             });
         // On spawn failure the unstarted closure is dropped, taking the
         // guard (and the connection accounting) with it.
@@ -409,15 +405,19 @@ fn accept_loop<B>(
     }
 }
 
-fn handle_connection<B>(
-    stream: TcpStream,
+/// What a connection's requests are served against.
+struct Served<B: GraphBackend> {
     inner: Arc<Inner>,
     store: Arc<SharedStore<B>>,
     sched: Arc<Scheduler>,
-    config: &ServeConfig,
-) where
+    config: ServeConfig,
+}
+
+fn handle_connection<B>(stream: TcpStream, served: &Served<B>)
+where
     B: GraphBackend + Send + Sync + 'static,
 {
+    let inner = &served.inner;
     // One read buffer for the connection's whole life: bytes read past
     // one request are the start of the next.
     let mut reader = BufReader::new(&stream);
@@ -436,9 +436,7 @@ fn handle_connection<B>(
         };
         let arrival = Instant::now();
         let draining = inner.stopping.load(Ordering::Acquire) || inner.admission.draining();
-        let keep_open = dispatch(
-            &mut out, &request, arrival, &inner, &store, &sched, config, draining,
-        );
+        let keep_open = dispatch(&mut out, &request, arrival, draining, served);
         // Honour the client's `Connection: close` (one-shot scrapers):
         // responses carry a Content-Length, so closing after the write
         // is unambiguous regardless of the advertised keep-alive.
@@ -452,20 +450,22 @@ fn handle_connection<B>(
 }
 
 /// Route one request; returns whether the connection should stay open.
-#[allow(clippy::too_many_arguments)]
 fn dispatch<B>(
     stream: &mut impl Write,
     request: &Request,
     arrival: Instant,
-    inner: &Arc<Inner>,
-    store: &Arc<SharedStore<B>>,
-    sched: &Arc<Scheduler>,
-    config: &ServeConfig,
     draining: bool,
+    served: &Served<B>,
 ) -> bool
 where
     B: GraphBackend + Send + Sync + 'static,
 {
+    let Served {
+        inner,
+        store,
+        sched,
+        config,
+    } = served;
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/query") => {
             handle_query(stream, request, arrival, inner, store, config, draining)

@@ -15,11 +15,11 @@ cd "$(dirname "$0")/.."
 SCALE="${SCALE:-0.002}"
 SEED="${SEED:-42}"
 REPS="${REPS:-2}"
-# The scheduler sweep needs a meatier tuning epoch than the figure
-# captures for its wall clocks to mean anything, so it gets its own
-# scale knob.
-SCHED_SCALE="${SCHED_SCALE:-0.01}"
-SCHED_REPS="${SCHED_REPS:-3}"
+# The observability overhead gate needs a meatier workload than the
+# figure captures for its wall clocks to mean anything, so it gets its
+# own scale knob.
+OBS_SCALE="${OBS_SCALE:-0.01}"
+OBS_REPS="${OBS_REPS:-3}"
 OUT=docs/baselines
 mkdir -p "$OUT"
 
@@ -47,22 +47,13 @@ for bin in "${BINS[@]}"; do
     > "$OUT/$bin.txt"
 done
 
-echo "== bench_sched (BENCH_sched.json) =="
-# The unified-scheduler sweep: threads {1,2,4,8} x shards {1,4}, online
-# wall TTI + tuning-epoch wall per cell. The binary asserts the
-# determinism grid (work units / simulated TTI / rows identical in every
-# cell) and prints the tuning-epoch speed-up to stderr.
-cargo run --release -q -p kgdual-bench --bin bench_sched -- \
-  --scale "$SCHED_SCALE" --seed "$SEED" --reps "$SCHED_REPS" \
-  > "$OUT/BENCH_sched.json"
-
 echo "== bench_obs (BENCH_obs.json) =="
 # The observability overhead gate: the YAGO workload with recording off
 # vs on, interleaved, min-of-reps. The binary asserts that both modes do
 # byte-identical deterministic work and — on hosts with >1 CPU — that
 # enabled recording costs <3% wall clock.
 cargo run --release -q -p kgdual-bench --bin bench_obs -- \
-  --scale "$SCHED_SCALE" --seed "$SEED" --reps "$SCHED_REPS" \
+  --scale "$OBS_SCALE" --seed "$SEED" --reps "$OBS_REPS" \
   --threads 4 --shards 4 --assert-overhead true \
   > "$OUT/BENCH_obs.json"
 

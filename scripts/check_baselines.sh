@@ -13,7 +13,7 @@
 # yago/rdb_gdb_dotil: sim_tti_ns 123 -> 456", not a bare unified diff.
 #
 # CHECK_ONLY selects a comma-separated subset of the sections
-# ({deterministic,sched,serve,explain}); unset runs everything.
+# ({deterministic,serve,explain}); unset runs everything.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -101,48 +101,6 @@ if want deterministic; then
   else
     echo
     echo "BASELINE DRIFT: deterministic totals differ from $BASE (named rows above)."
-    echo "If intended, regenerate with scripts/capture_baselines.sh and commit."
-    exit 1
-  fi
-fi
-
-# The scheduler sweep: re-run bench_sched at the parameters pinned in the
-# committed capture and compare the deterministic fields (work units,
-# simulated TTI, result rows, OfflineTuning task counts per cell). Wall
-# clocks and host_parallelism are machine-dependent and stripped. The
-# re-run also re-asserts the determinism grid in-binary.
-if want sched; then
-  SCHED=docs/baselines/BENCH_sched.json
-  [ -f "$SCHED" ] || { echo "missing $SCHED — run scripts/capture_baselines.sh first"; exit 1; }
-
-  sched_scale=$(sed -nE 's/.*"scale": ([0-9.]+).*/\1/p' "$SCHED" | head -1)
-  sched_seed=$(sed -nE 's/.*"seed": ([0-9]+).*/\1/p' "$SCHED" | head -1)
-  sched_reps=$(sed -nE 's/.*"reps": ([0-9]+).*/\1/p' "$SCHED" | head -1)
-
-  fresh_sched=$(mktmp)
-  cargo run --release -q -p kgdual-bench --bin bench_sched -- \
-    --scale "$sched_scale" --seed "$sched_seed" --reps "$sched_reps" > "$fresh_sched"
-
-  # Flatten each sweep cell into a keyed TSV row (threads/shards key,
-  # deterministic columns only) so compare_rows can name what moved.
-  deterministic_cells() {
-    {
-      printf '# threads\tshards\ttotal_work\tsim_tti_ns\tresult_rows\ttuning_tasks\n'
-      sed -nE 's/.*"threads": ([0-9]+), "shards": ([0-9]+),.*"total_work": ([0-9]+), "sim_tti_ns": ([0-9]+), "result_rows": ([0-9]+), "tuning_tasks": ([0-9]+).*/t\1\ts\2\t\3\t\4\t\5\t\6/p' "$1"
-    }
-  }
-
-  cells_base=$(mktmp)
-  cells_fresh=$(mktmp)
-  deterministic_cells "$SCHED" > "$cells_base"
-  deterministic_cells "$fresh_sched" > "$cells_fresh"
-  [ "$(grep -c . "$cells_base")" -gt 1 ] || { echo "could not parse sweep cells from $SCHED"; exit 1; }
-
-  if compare_rows "$SCHED" "$cells_base" "$cells_fresh"; then
-    echo "OK: BENCH_sched deterministic cells unchanged"
-  else
-    echo
-    echo "SCHED DRIFT: deterministic sweep cells differ from $SCHED (named cells above)."
     echo "If intended, regenerate with scripts/capture_baselines.sh and commit."
     exit 1
   fi
