@@ -6,8 +6,8 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use kgdual_core::DualStore;
 use kgdual_graphstore::GraphBackend;
-use kgdual_model::{Dictionary, Term};
-use kgdual_relstore::ExecContext;
+use kgdual_model::{Dictionary, NodeId, Term};
+use kgdual_relstore::{ExecContext, RelStore};
 use kgdual_sparql::{compile, parse, Compiled, EncodedQuery};
 use kgdual_workloads::YagoGen;
 
@@ -103,6 +103,38 @@ fn bench_executors(c: &mut Criterion) {
     g.finish();
 }
 
+/// One relational hash join shaped like DOTIL's counterfactual runs:
+/// a 64 k-row build side with distinct keys, probed by 160 k rows of
+/// which four in five find their key.
+fn bench_hash_join(c: &mut Criterion) {
+    const BUILD: u32 = 64_000;
+    const PROBE: u32 = 160_000;
+    let mut dict = Dictionary::new();
+    let build_pred = dict.encode_pred("y:build").unwrap();
+    let probe_pred = dict.encode_pred("y:probe").unwrap();
+    let key = |i: u32| NodeId(BUILD + i);
+    let build: Vec<_> = (0..BUILD).map(|i| (NodeId(i), key(i))).collect();
+    let probe: Vec<_> = (0..PROBE)
+        .map(|j| (key(j * 7_919 % (BUILD / 4 * 5)), NodeId(3 * PROBE + j)))
+        .collect();
+    let mut rel = RelStore::new();
+    rel.load_partition(build_pred, &build);
+    rel.load_partition(probe_pred, &probe);
+    let q = parse("SELECT ?a ?c WHERE { ?a y:build ?b . ?b y:probe ?c }").unwrap();
+    let Compiled::Query(eq) = compile(&q, &dict).unwrap() else {
+        unreachable!()
+    };
+    let mut g = c.benchmark_group("hash-join");
+    g.sample_size(10);
+    g.bench_function("64k-build-160k-probe", |b| {
+        b.iter(|| {
+            let mut ctx = ExecContext::new();
+            rel.execute(black_box(&eq), &mut ctx).unwrap().len()
+        })
+    });
+    g.finish();
+}
+
 fn bench_bound_lookup(c: &mut Criterion) {
     let (dual, _) = mirrored_dual(4_000);
     let q = parse("SELECT ?c WHERE { y:Person0 y:wasBornIn ?c }").unwrap();
@@ -133,6 +165,7 @@ criterion_group!(
     bench_parser,
     bench_dictionary,
     bench_executors,
+    bench_hash_join,
     bench_bound_lookup
 );
 criterion_main!(benches);

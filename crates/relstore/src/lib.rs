@@ -48,6 +48,6 @@ pub use planner::PlannerConfig;
 pub use router::{RouterError, ShardRouter};
 pub use shard::{RelShard, SerialDispatch, ShardDispatch, ShardScanPart, ShardedRelStore};
 pub use store::RelStore;
-pub use table::{PredTable, TableStats};
+pub use table::{IndexRange, PredTable, TableStats};
 pub use temp::TempSpace;
 pub use views::{MatView, ViewCatalog};

@@ -6,8 +6,7 @@ use crate::exec::{Bindings, ExecContext, ExecError, ExecStats};
 use crate::planner::{self, PlannerConfig};
 use crate::router::ShardRouter;
 use crate::shard::{ShardDispatch, ShardScanPart, ShardedRelStore};
-use crate::table::{PredTable, TableStats};
-use kgdual_model::fx::FxHashMap;
+use crate::table::{key_range, PredTable, TableStats};
 use kgdual_model::{NodeId, PartitionSet, PredId, Triple};
 use kgdual_sparql::{EncPattern, EncodedQuery, PredSlot, Slot, VarId};
 use kgdual_vec::{cost, plan, EmitSrc, BATCH};
@@ -411,13 +410,13 @@ impl RelStore {
                 if let (Slot::Const(cs), true) = (pat.s, use_s_index) {
                     let rows = table.lookup_s(cs);
                     ctx.charge_probe(rows.len() as u64 + 1)?;
-                    for (s, o) in rows {
+                    for &(s, o) in rows.iter() {
                         emit(s, p, o, &mut out);
                     }
                 } else if let (Slot::Const(co), true) = (pat.o, use_o_index) {
                     let rows = table.lookup_o(co);
                     ctx.charge_probe(rows.len() as u64 + 1)?;
-                    for (o, s) in rows {
+                    for &(o, s) in rows.iter() {
                         emit(s, p, o, &mut out);
                     }
                 } else {
@@ -623,8 +622,8 @@ impl RelStore {
                     Src::New => None,
                 };
                 let matches: &[(NodeId, NodeId)] = match (s_val, o_val) {
-                    (Some(s), _) => range_of(&s_index, s),
-                    (None, Some(o)) => range_of(&o_index, o),
+                    (Some(s), _) => &s_index[key_range(&s_index, s)],
+                    (None, Some(o)) => &o_index[key_range(&o_index, o)],
                     (None, None) => unreachable!("INL requires a bound endpoint"),
                 };
                 probed += matches.len() as u64;
@@ -774,22 +773,79 @@ fn scan_partition(
     Ok(())
 }
 
-/// Slice of a key-sorted pair vector whose `.0` equals `key`.
-fn range_of(sorted: &[(NodeId, NodeId)], key: NodeId) -> &[(NodeId, NodeId)] {
-    let lo = sorted.partition_point(|&(k, _)| k < key);
-    let hi = sorted.partition_point(|&(k, _)| k <= key);
-    &sorted[lo..hi]
+/// Multiplicative hash of a row's key columns. Only its top bits are
+/// used (they pick a bucket), and exact keys are re-checked on probe.
+#[inline]
+fn key_hash(row: &[NodeId], key_cols: &[usize]) -> u64 {
+    key_cols.iter().fold(0, |h, &c| {
+        (h ^ u64::from(row[c].0)).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    })
 }
 
-/// FNV-1a over a composite join key. Exact keys are re-checked on probe,
-/// so a 64-bit mixed key is safe.
-fn mix_key(vals: &[NodeId]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in vals {
-        h ^= v.0 as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// A hash join's build table: every build-row id, grouped by the bucket
+/// its key hashes to, in one flat array. Bucket `b` is
+/// `rows[starts[b]..starts[b + 1]]`, in build-row order, so the rows that
+/// share an exact key come out of a probe in build order.
+struct BuildTable {
+    /// `64 - log2(bucket count)`: a key hash's top bits pick its bucket.
+    shift: u32,
+    /// Bucket offsets into `rows`, one per bucket plus a closing `len`.
+    starts: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl BuildTable {
+    /// Hash every row of `build` once, one hash charge per 4096-row batch
+    /// before the batch is hashed, then count rows per bucket (about two
+    /// buckets per row, a power of two) and scatter the ids.
+    fn build(
+        build: &Bindings,
+        key_cols: &[usize],
+        ctx: &mut ExecContext,
+    ) -> Result<Self, ExecError> {
+        let n = build.len();
+        // At least two buckets, so the shift stays below 64.
+        let buckets = (2 * n).next_power_of_two().max(2);
+        let shift = 64 - buckets.trailing_zeros();
+        let mut starts = vec![0u32; buckets + 1];
+        let mut bucket_of: Vec<u32> = Vec::with_capacity(n);
+        for start in (0..n).step_by(BATCH) {
+            let end = (start + BATCH).min(n);
+            ctx.charge_hash((end - start) as u64)?;
+            for i in start..end {
+                let b = (key_hash(build.row(i), key_cols) >> shift) as u32;
+                starts[b as usize] += 1;
+                bucket_of.push(b);
+            }
+        }
+        // Inclusive prefix sums put each bucket's end in `starts[b]`;
+        // scattering back to front then walks it down to the bucket's
+        // first slot and leaves the ids in build order.
+        let mut end = 0;
+        for s in &mut starts {
+            end += *s;
+            *s = end;
+        }
+        let mut rows = vec![0u32; n];
+        for (i, &b) in bucket_of.iter().enumerate().rev() {
+            let slot = &mut starts[b as usize];
+            *slot -= 1;
+            rows[*slot as usize] = i as u32;
+        }
+        Ok(BuildTable {
+            shift,
+            starts,
+            rows,
+        })
     }
-    h
+
+    /// Build-row ids in the bucket of `row`'s key — a superset of the
+    /// rows with that exact key, in build order.
+    #[inline]
+    fn bucket(&self, row: &[NodeId], key_cols: &[usize]) -> &[u32] {
+        let b = (key_hash(row, key_cols) >> self.shift) as usize;
+        &self.rows[self.starts[b] as usize..self.starts[b + 1] as usize]
+    }
 }
 
 /// A built hash table and the probe side it joins, with the column maps
@@ -797,7 +853,7 @@ fn mix_key(vals: &[NodeId]) -> u64 {
 struct HashProbe<'a> {
     build: &'a Bindings,
     probe: &'a Bindings,
-    table: &'a FxHashMap<u64, Vec<u32>>,
+    table: &'a BuildTable,
     build_key_cols: &'a [usize],
     probe_key_cols: &'a [usize],
     right_new_cols: &'a [usize],
@@ -819,23 +875,19 @@ impl HashProbe<'_> {
             right_new_cols,
             build_left,
         } = *self;
-        let mut key_buf: Vec<NodeId> = Vec::with_capacity(probe_key_cols.len());
         let mut row_buf: Vec<NodeId> = Vec::with_capacity(out.width());
         let mut joined = 0u64;
         for pi in start..end {
             let prow = probe.row(pi);
-            key_buf.clear();
-            key_buf.extend(probe_key_cols.iter().map(|&c| prow[c]));
-            let Some(cands) = table.get(&mix_key(&key_buf)) else {
-                continue;
-            };
-            'cand: for &bi in cands {
+            for &bi in table.bucket(prow, probe_key_cols) {
                 let brow = build.row(bi as usize);
-                // Exact key equality (guards against 64-bit mix collisions).
-                for (bc, pc) in build_key_cols.iter().zip(probe_key_cols) {
-                    if brow[*bc] != prow[*pc] {
-                        continue 'cand;
-                    }
+                // Exact key equality: a bucket holds every key hashed to it.
+                if !build_key_cols
+                    .iter()
+                    .zip(probe_key_cols)
+                    .all(|(&bc, &pc)| brow[bc] == prow[pc])
+                {
+                    continue;
                 }
                 let (lrow, rrow) = if build_left {
                     (brow, prow)
@@ -917,19 +969,7 @@ pub(crate) fn hash_join_dispatch(
     let build_key_cols: Vec<usize> = shared.iter().map(|&v| build.col_of(v).unwrap()).collect();
     let probe_key_cols: Vec<usize> = shared.iter().map(|&v| probe.col_of(v).unwrap()).collect();
 
-    // Build: one hash charge per 4096-row batch; candidate lists keep
-    // build-row order.
-    let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    let mut key_buf: Vec<NodeId> = Vec::with_capacity(build_key_cols.len());
-    for start in (0..build.len()).step_by(BATCH) {
-        let end = (start + BATCH).min(build.len());
-        ctx.charge_hash((end - start) as u64)?;
-        for i in start..end {
-            key_buf.clear();
-            key_buf.extend(build_key_cols.iter().map(|&c| build.row(i)[c]));
-            table.entry(mix_key(&key_buf)).or_default().push(i as u32);
-        }
-    }
+    let table = BuildTable::build(build, &build_key_cols, ctx)?;
 
     let joiner = HashProbe {
         build,
@@ -1504,5 +1544,159 @@ mod tests {
         let j = hash_join_dispatch(&l, &r, &mut ctx, None).unwrap();
         assert_eq!(j.len(), 1);
         assert_eq!(j.row(0), &[NodeId(1), NodeId(2), NodeId(9)]);
+    }
+
+    /// `rows` rows over `vars`, every cell drawn from `0..keys` by a
+    /// seeded SplitMix64 stream.
+    fn keyed_rows(vars: Vec<VarId>, rows: usize, keys: u64, seed: u64) -> Bindings {
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            NodeId(((z ^ (z >> 31)) % keys) as u32)
+        };
+        let mut out = Bindings::new(vars);
+        let mut row = vec![NodeId(0); out.width()];
+        for _ in 0..rows {
+            row.iter_mut().for_each(|c| *c = next());
+            out.push_row(&row);
+        }
+        out
+    }
+
+    /// The join by definition: probe rows outer, build rows inner, each
+    /// pair whose shared columns agree emitted as left columns then
+    /// right's novel ones — with the charges a hash join owes: one hashed
+    /// row per build row, one probe per probe row, one per output row.
+    fn nested_loop_reference(left: &Bindings, right: &Bindings) -> (Bindings, ExecStats) {
+        let build_left = left.len() <= right.len();
+        let (build, probe) = if build_left {
+            (left, right)
+        } else {
+            (right, left)
+        };
+        let key_cols: Vec<(usize, usize)> = build
+            .vars()
+            .iter()
+            .enumerate()
+            .filter_map(|(bc, &v)| probe.col_of(v).map(|pc| (bc, pc)))
+            .collect();
+        let new_cols: Vec<usize> = (0..right.width())
+            .filter(|&c| left.col_of(right.vars()[c]).is_none())
+            .collect();
+        let mut schema = left.vars().to_vec();
+        schema.extend(new_cols.iter().map(|&c| right.vars()[c]));
+        let mut out = Bindings::new(schema);
+        for prow in probe.rows() {
+            for brow in build.rows() {
+                if key_cols.iter().all(|&(bc, pc)| brow[bc] == prow[pc]) {
+                    let (lrow, rrow) = if build_left {
+                        (brow, prow)
+                    } else {
+                        (prow, brow)
+                    };
+                    let mut row = lrow.to_vec();
+                    row.extend(new_cols.iter().map(|&c| rrow[c]));
+                    out.push_row(&row);
+                }
+            }
+        }
+        let stats = ExecStats {
+            rows_hashed: build.len() as u64,
+            index_probes: probe.len() as u64,
+            rows_joined: out.len() as u64,
+            ..ExecStats::default()
+        };
+        (out, stats)
+    }
+
+    /// Join `left` with `right` serially and through a dispatcher, and
+    /// check both against the nested-loop reference: same rows, same row
+    /// order, same charges.
+    fn assert_matches_reference(left: &Bindings, right: &Bindings, case: &str) {
+        let (want, want_stats) = nested_loop_reference(left, right);
+        let dispatch: Arc<dyn ShardDispatch> = Arc::new(crate::shard::SerialDispatch);
+        for dispatch in [None, Some(&dispatch)] {
+            let mut ctx = ExecContext::new();
+            let got = hash_join_dispatch(left, right, &mut ctx, dispatch).unwrap();
+            let path = if dispatch.is_some() {
+                "dispatched"
+            } else {
+                "serial"
+            };
+            assert_eq!(got, want, "{case}, {path} probe: rows or row order differ");
+            assert_eq!(
+                ctx.stats, want_stats,
+                "{case}, {path} probe: charges differ"
+            );
+        }
+    }
+
+    #[test]
+    fn hash_join_matches_nested_loop_order_and_charges() {
+        // Duplicate single-column keys, building left and then right.
+        let small = keyed_rows(vec![0, 1], 50, 10, 1);
+        let large = keyed_rows(vec![1, 2], 80, 10, 2);
+        assert_matches_reference(&small, &large, "build left");
+        assert_matches_reference(&large, &small, "build right");
+        // Two-column keys, listed in a different column order per side.
+        let l = keyed_rows(vec![0, 1, 2], 60, 4, 3);
+        let r = keyed_rows(vec![2, 3, 0], 90, 4, 4);
+        assert_matches_reference(&l, &r, "two-column key, build left");
+        assert_matches_reference(&r, &l, "two-column key, build right");
+        // An empty side, either way round.
+        let empty = Bindings::new(vec![1, 5]);
+        assert_matches_reference(&empty, &large, "empty left");
+        assert_matches_reference(&large, &empty, "empty right");
+        // Enough distinct keys, spread wide, that buckets are shared; the
+        // probe side reuses build keys so most of its rows find a match.
+        let build = keyed_rows(vec![0, 1], 3_000, 1 << 30, 5);
+        let mut probe = Bindings::new(vec![1, 2]);
+        for (i, row) in keyed_rows(vec![1, 2], 5_000, 1 << 30, 6).rows().enumerate() {
+            let key = build.row(i * 7 % build.len())[1];
+            probe.push_row(&[if i % 4 == 0 { row[0] } else { key }, row[1]]);
+        }
+        assert_matches_reference(&build, &probe, "shared buckets");
+        let table = BuildTable::build(&build, &[1], &mut ExecContext::new()).unwrap();
+        let shared = table.starts.windows(2).any(|w| {
+            let ids = &table.rows[w[0] as usize..w[1] as usize];
+            ids.iter()
+                .any(|&i| build.row(i as usize)[1] != build.row(ids[0] as usize)[1])
+        });
+        assert!(shared, "the case must put two distinct keys in one bucket");
+        // More probe rows than one dispatched probe job takes.
+        let build = keyed_rows(vec![0, 1], 500, 3_000, 7);
+        let probe = keyed_rows(vec![1, 2], 4 * BATCH + 100, 3_000, 8);
+        assert_matches_reference(&build, &probe, "dispatched probe jobs");
+    }
+
+    #[test]
+    fn a_work_limit_inside_the_build_cancels_at_its_batch_boundary() {
+        let build = keyed_rows(vec![0, 1], 3 * BATCH + 7, 1 << 20, 9);
+        let probe = keyed_rows(vec![1, 2], 4 * BATCH, 1 << 20, 10);
+        let cancelled_at = |limit: u64| {
+            let mut ctx = ExecContext::with_work_limit(limit);
+            match hash_join_dispatch(&build, &probe, &mut ctx, None) {
+                Err(ExecError::Cancelled { partial_work }) => (partial_work, ctx.stats),
+                Ok(_) => panic!("a limit of {limit} inside the build must cancel"),
+            }
+        };
+        // A hashed row is two work units, charged a batch at a time.
+        let mut prev = 0;
+        for k in 1..=build.len().div_ceil(BATCH) {
+            let boundary = 2 * (k * BATCH).min(build.len()) as u64;
+            let at_boundary = cancelled_at(boundary);
+            assert_eq!(at_boundary.0, boundary);
+            assert_eq!(
+                at_boundary.1.index_probes, 0,
+                "no probe before the build ends"
+            );
+            for limit in [prev + 1, (prev + boundary) / 2, boundary - 1] {
+                assert_eq!(cancelled_at(limit), at_boundary, "limit {limit}");
+            }
+            prev = boundary;
+        }
     }
 }

@@ -3,6 +3,7 @@
 use kgdual_model::{sorted, NodeId};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 /// Cardinality statistics for one partition table, used by the planner.
@@ -229,15 +230,36 @@ impl PredTable {
     }
 
     /// Rows with subject `s`, via the subject index (range binary search).
-    pub fn lookup_s(&self, s: NodeId) -> Vec<(NodeId, NodeId)> {
-        let idx = self.s_index();
-        range_of(&idx, s).to_vec()
+    pub fn lookup_s(&self, s: NodeId) -> IndexRange {
+        IndexRange::of(self.s_index(), s)
     }
 
     /// Rows with object `o`, returned as `(o, s)` pairs via the object index.
-    pub fn lookup_o(&self, o: NodeId) -> Vec<(NodeId, NodeId)> {
-        let idx = self.o_index();
-        range_of(&idx, o).to_vec()
+    pub fn lookup_o(&self, o: NodeId) -> IndexRange {
+        IndexRange::of(self.o_index(), o)
+    }
+}
+
+/// The rows of one key in a built index: a range of the shared index
+/// itself, not a copy. Dereferences to the key's pair slice.
+#[derive(Clone, Debug)]
+pub struct IndexRange {
+    index: Arc<Vec<(NodeId, NodeId)>>,
+    range: Range<usize>,
+}
+
+impl IndexRange {
+    fn of(index: Arc<Vec<(NodeId, NodeId)>>, key: NodeId) -> Self {
+        let range = key_range(&index, key);
+        IndexRange { index, range }
+    }
+}
+
+impl Deref for IndexRange {
+    type Target = [(NodeId, NodeId)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.index[self.range.clone()]
     }
 }
 
@@ -248,11 +270,11 @@ fn built(index: &mut SortedIndex) -> Option<&mut Vec<(NodeId, NodeId)>> {
     index.get_mut().as_mut().map(Arc::make_mut)
 }
 
-/// Contiguous slice of a key-sorted pair vector whose `.0` equals `key`.
-fn range_of(sorted: &[(NodeId, NodeId)], key: NodeId) -> &[(NodeId, NodeId)] {
+/// Index range of a key-sorted pair vector whose `.0` equals `key`.
+pub(crate) fn key_range(sorted: &[(NodeId, NodeId)], key: NodeId) -> Range<usize> {
     let lo = sorted.partition_point(|&(k, _)| k < key);
     let hi = sorted.partition_point(|&(k, _)| k <= key);
-    &sorted[lo..hi]
+    lo..hi
 }
 
 #[cfg(test)]
@@ -278,7 +300,7 @@ mod tests {
     fn lookup_by_subject() {
         let t = table();
         let rows = t.lookup_s(n(5));
-        assert_eq!(rows, vec![(n(5), n(1)), (n(5), n(3))]);
+        assert_eq!(*rows, [(n(5), n(1)), (n(5), n(3))]);
         assert!(t.lookup_s(n(99)).is_empty());
     }
 
@@ -286,7 +308,7 @@ mod tests {
     fn lookup_by_object_returns_o_s() {
         let t = table();
         let rows = t.lookup_o(n(2));
-        assert_eq!(rows, vec![(n(2), n(1)), (n(2), n(2))]);
+        assert_eq!(*rows, [(n(2), n(1)), (n(2), n(2))]);
     }
 
     #[test]
@@ -319,7 +341,7 @@ mod tests {
         let _ = t.stats();
         t.insert(n(7), n(7));
         assert_eq!(t.stats().rows, 5);
-        assert_eq!(t.lookup_s(n(7)), vec![(n(7), n(7))]);
+        assert_eq!(*t.lookup_s(n(7)), [(n(7), n(7))]);
         let removed = t.delete(n(7), n(7));
         assert_eq!(removed, 1);
         assert_eq!(t.stats().rows, 4);
@@ -359,7 +381,7 @@ mod tests {
         assert!(t.by_s.get_mut().is_none() && t.by_o.get_mut().is_none());
         assert!(t.stats.get_mut().is_none());
         // A lookup builds one index; stats stay unbuilt until both exist.
-        assert_eq!(t.lookup_s(n(7)), vec![(n(7), n(7))]);
+        assert_eq!(*t.lookup_s(n(7)), [(n(7), n(7))]);
         t.insert(n(7), n(8));
         assert_eq!(t.lookup_s(n(7)).len(), 2);
         assert!(t.by_o.get_mut().is_none() && t.stats.get_mut().is_none());
