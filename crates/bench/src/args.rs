@@ -1,5 +1,7 @@
 //! Minimal command-line argument parsing for the harness binaries.
 
+use std::str::FromStr;
+
 /// Common harness options.
 #[derive(Clone, Debug)]
 pub struct BenchArgs {
@@ -10,13 +12,11 @@ pub struct BenchArgs {
     /// Repetitions per measurement; the first warms caches/stores and is
     /// dropped from the average, mirroring the paper's run-6-keep-5 setup.
     pub reps: usize,
-    /// `ordered` or `random` workload version.
-    pub order: String,
     /// Worker threads for the concurrent batch executor (`kgdual-exec`):
     /// `--threads N` (the `KGDUAL_THREADS` env var sets the default,
     /// exactly like `KGDUAL_SHARDS` below). 1 (the
-    /// default) means serial; >1 makes the batch binaries report parallel
-    /// wall-clock TTI alongside the serial measurement. Every harness
+    /// default) means serial; >1 runs the pooled executor and serving
+    /// binaries on that many workers. Every harness
     /// binary resolves its worker count through this one field — the
     /// scheduler pool size is never hard-coded at a call site.
     pub threads: usize,
@@ -49,7 +49,6 @@ impl Default for BenchArgs {
             scale: 0.01,
             seed: 42,
             reps: 2,
-            order: "ordered".to_owned(),
             threads: 1,
             shards: 1,
             port: 0,
@@ -64,46 +63,50 @@ impl BenchArgs {
     /// Parse `--key value` pairs from `std::env::args`. The shard and
     /// worker-thread counts default from `KGDUAL_SHARDS` /
     /// `KGDUAL_THREADS` (so a script can select them without touching
-    /// every invocation); explicit `--shards` / `--threads` flags win.
+    /// every invocation); explicit `--shards` / `--threads` flags win. A
+    /// malformed flag value exits with status 2, naming the flag.
     pub fn parse() -> Self {
         let mut base = Self::default();
-        base.shards = env_shards().unwrap_or(base.shards);
-        base.threads = env_threads().unwrap_or(base.threads);
-        base.port = env_port().unwrap_or(base.port);
-        base.clients = env_clients().unwrap_or(base.clients);
-        Self::parse_into(base, std::env::args().skip(1))
+        // Counts need at least 1; port 0 means "any free port".
+        let count = |var| env(var).filter(|&n| n >= 1);
+        base.shards = count("KGDUAL_SHARDS").unwrap_or(base.shards);
+        base.threads = count("KGDUAL_THREADS").unwrap_or(base.threads);
+        base.port = env("KGDUAL_PORT").unwrap_or(base.port);
+        base.clients = count("KGDUAL_CLIENTS").unwrap_or(base.clients);
+        Self::parse_into(base, std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
     }
 
     /// Parse from an explicit iterator (testable; no env defaults).
-    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Self {
+    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         Self::parse_into(Self::default(), args)
     }
 
-    fn parse_into<I: IntoIterator<Item = String>>(mut out: Self, args: I) -> Self {
+    fn parse_into<I: IntoIterator<Item = String>>(mut out: Self, args: I) -> Result<Self, String> {
         let mut it = args.into_iter();
         while let Some(flag) = it.next() {
             let Some(key) = flag.strip_prefix("--") else {
                 eprintln!("ignoring positional argument `{flag}`");
                 continue;
             };
-            let Some(value) = it.next() else {
-                eprintln!("flag --{key} is missing a value");
-                break;
-            };
+            let value = it
+                .next()
+                .ok_or_else(|| format!("flag --{key} is missing a value"))?;
             match key {
-                "scale" => out.scale = value.parse().unwrap_or(out.scale),
-                "seed" => out.seed = value.parse().unwrap_or(out.seed),
-                "reps" => out.reps = value.parse().unwrap_or(out.reps).max(1),
-                "order" => out.order = value,
-                "threads" => out.threads = value.parse().unwrap_or(out.threads).max(1),
-                "shards" => out.shards = value.parse().unwrap_or(out.shards).max(1),
-                "port" => out.port = value.parse().unwrap_or(out.port),
-                "clients" => out.clients = value.parse().unwrap_or(out.clients).max(1),
+                "scale" => out.scale = value_of(key, &value)?,
+                "seed" => out.seed = value_of(key, &value)?,
+                "reps" => out.reps = value_of::<usize>(key, &value)?.max(1),
+                "threads" => out.threads = value_of::<usize>(key, &value)?.max(1),
+                "shards" => out.shards = value_of::<usize>(key, &value)?.max(1),
+                "port" => out.port = value_of(key, &value)?,
+                "clients" => out.clients = value_of::<usize>(key, &value)?.max(1),
                 "obs-out" => out.obs_out = Some(value),
                 _ => out.extra.push((key.to_owned(), value)),
             }
         }
-        out
+        Ok(out)
     }
 
     /// Look up a free-form flag.
@@ -137,34 +140,16 @@ impl BenchArgs {
     }
 }
 
-/// The `KGDUAL_SHARDS` env default (None when unset or unparsable).
-fn env_shards() -> Option<usize> {
-    env_count("KGDUAL_SHARDS")
+/// Parse one flag's value; a malformed value is an error naming the flag.
+fn value_of<T: FromStr>(key: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("flag --{key} has a malformed value `{value}`"))
 }
 
-/// The `KGDUAL_THREADS` env default (None when unset or unparsable).
-fn env_threads() -> Option<usize> {
-    env_count("KGDUAL_THREADS")
-}
-
-/// The `KGDUAL_PORT` env default. Unlike the count vars, 0 is a valid
-/// value here (it means "any free port"), so no minimum applies.
-fn env_port() -> Option<u16> {
-    std::env::var("KGDUAL_PORT")
-        .ok()
-        .and_then(|s| s.parse().ok())
-}
-
-/// The `KGDUAL_CLIENTS` env default (None when unset or unparsable).
-fn env_clients() -> Option<usize> {
-    env_count("KGDUAL_CLIENTS")
-}
-
-fn env_count(var: &str) -> Option<usize> {
-    std::env::var(var)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1)
+/// An env default (None when unset or unparsable).
+fn env<T: FromStr>(var: &str) -> Option<T> {
+    std::env::var(var).ok()?.parse().ok()
 }
 
 #[cfg(test)]
@@ -172,7 +157,7 @@ mod tests {
     use super::*;
 
     fn parse(s: &str) -> BenchArgs {
-        BenchArgs::parse_from(s.split_whitespace().map(str::to_owned))
+        BenchArgs::parse_from(s.split_whitespace().map(str::to_owned)).unwrap()
     }
 
     #[test]
@@ -181,18 +166,29 @@ mod tests {
         assert_eq!(a.scale, 0.01);
         assert_eq!(a.seed, 42);
         assert_eq!(a.reps, 2);
-        assert_eq!(a.order, "ordered");
         assert_eq!(a.threads, 1);
     }
 
     #[test]
     fn parses_known_flags() {
-        let a = parse("--scale 0.1 --seed 7 --reps 5 --order random --threads 8");
+        let a = parse("--scale 0.1 --seed 7 --reps 5 --threads 8");
         assert_eq!(a.scale, 0.1);
         assert_eq!(a.seed, 7);
         assert_eq!(a.reps, 5);
-        assert_eq!(a.order, "random");
         assert_eq!(a.threads, 8);
+    }
+
+    #[test]
+    fn malformed_values_are_errors_naming_the_flag() {
+        let err = |s: &str| BenchArgs::parse_from(s.split_whitespace().map(str::to_owned));
+        let e = err("--scale 0,002").unwrap_err();
+        assert!(e.contains("--scale") && e.contains("0,002"), "{e}");
+        let e = err("--seed 42 --reps two").unwrap_err();
+        assert!(e.contains("--reps"), "{e}");
+        let e = err("--port 70000").unwrap_err();
+        assert!(e.contains("--port"), "{e}");
+        let e = err("--shards").unwrap_err();
+        assert!(e.contains("--shards") && e.contains("missing"), "{e}");
     }
 
     #[test]
@@ -265,12 +261,13 @@ mod tests {
             clients: 16,
             ..Default::default()
         };
-        let kept = BenchArgs::parse_into(base.clone(), std::iter::empty());
+        let kept = BenchArgs::parse_into(base.clone(), std::iter::empty()).unwrap();
         assert_eq!((kept.port, kept.clients), (9100, 16));
         let overridden = BenchArgs::parse_into(
             base,
             ["--port", "7000", "--clients", "2"].map(str::to_owned),
-        );
+        )
+        .unwrap();
         assert_eq!((overridden.port, overridden.clients), (7000, 2));
     }
 
@@ -284,10 +281,11 @@ mod tests {
             shards: 4,
             ..Default::default()
         };
-        let kept = BenchArgs::parse_into(base.clone(), std::iter::empty());
+        let kept = BenchArgs::parse_into(base.clone(), std::iter::empty()).unwrap();
         assert_eq!((kept.threads, kept.shards), (8, 4));
         let overridden =
-            BenchArgs::parse_into(base, ["--threads", "2", "--shards", "1"].map(str::to_owned));
+            BenchArgs::parse_into(base, ["--threads", "2", "--shards", "1"].map(str::to_owned))
+                .unwrap();
         assert_eq!((overridden.threads, overridden.shards), (2, 1));
     }
 }

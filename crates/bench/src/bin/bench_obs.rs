@@ -17,7 +17,7 @@
 //! recording runs must actually populate the per-query latency
 //! histogram; both are asserted unconditionally.
 
-use kgdual_bench::{build_batches, build_dataset, build_workload, BenchArgs, WorkloadKind};
+use kgdual_bench::{build_batches, build_dataset, build_workload, BenchArgs, Order, WorkloadKind};
 use kgdual_core::{DualStore, PhysicalTuner};
 use kgdual_dotil::{Dotil, DotilConfig};
 use kgdual_exec::{BatchExecutor, SchedShardDispatch, SharedStore};
@@ -62,7 +62,7 @@ fn run_once(
 fn sweep(args: &BenchArgs) -> (f64, f64) {
     let dataset = build_dataset(WorkloadKind::Yago, args);
     let workload = build_workload(WorkloadKind::Yago, args);
-    let batches = build_batches(&workload, &args.order, args.seed);
+    let batches = build_batches(&workload, Order::Ordered, args.seed);
     let obs = kgdual_obs::global();
     let before = obs.enabled();
 

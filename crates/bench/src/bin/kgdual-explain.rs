@@ -18,7 +18,7 @@
 //! threads, so the baseline drift check pins the planner's decisions
 //! without pinning machine-dependent timings.
 
-use kgdual_bench::{build_batches, build_dataset, build_workload, BenchArgs};
+use kgdual_bench::{build_batches, build_dataset, build_workload, BenchArgs, Order};
 use kgdual_bench::{experiments::WorkloadKind, serve_load::query_pool};
 use kgdual_core::{process_shared_explain, DualStore, PhysicalTuner};
 use kgdual_dotil::{Dotil, DotilConfig};
@@ -58,7 +58,7 @@ fn escape(s: &str) -> String {
 fn run(args: &BenchArgs) {
     let dataset = build_dataset(WorkloadKind::Yago, args);
     let workload = build_workload(WorkloadKind::Yago, args);
-    let batches = build_batches(&workload, &args.order, args.seed);
+    let batches = build_batches(&workload, Order::Ordered, args.seed);
     let budget = dataset.len() / 4;
     eprintln!(
         "kgdual-explain: yago store, {} triples, {}",

@@ -57,16 +57,38 @@ fn watdiv(args: &BenchArgs) -> WatDivGen {
     WatDivGen::with_target_triples(args.triples(PAPER_WATDIV_TRIPLES), args.seed)
 }
 
-/// Produce the batched query list in the requested order ("ordered" or
-/// "random"), 5 batches as in the paper.
-pub fn build_batches(workload: &Workload, order: &str, seed: u64) -> Vec<Vec<Query>> {
-    let queries = if order == "random" {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-        workload.randomized(&mut rng)
-    } else {
-        workload.ordered()
-    };
-    Workload::batches(&queries, 5)
+/// Which version of a workload runs (§6.1): the templates in order, or
+/// the same queries in a seeded random order.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+pub enum Order {
+    /// Query templates in order.
+    Ordered,
+    /// The same queries, shuffled by the run's seed.
+    Random,
+}
+
+impl Order {
+    /// Display name matching the paper's figures.
+    pub fn name(self) -> &'static str {
+        match self {
+            Order::Ordered => "ordered",
+            Order::Random => "random",
+        }
+    }
+
+    /// The workload's queries in this order.
+    pub fn queries(self, workload: &Workload, seed: u64) -> Vec<Query> {
+        match self {
+            Order::Ordered => workload.ordered(),
+            Order::Random => workload.randomized(&mut StdRng::seed_from_u64(seed ^ 0x5eed)),
+        }
+    }
+}
+
+/// Produce the batched query list in the requested order, 5 batches as
+/// in the paper.
+pub fn build_batches(workload: &Workload, order: Order, seed: u64) -> Vec<Vec<Query>> {
+    Workload::batches(&order.queries(workload, seed), 5)
 }
 
 #[cfg(test)]
@@ -99,8 +121,8 @@ mod tests {
     fn batches_ordered_vs_random_are_permutations() {
         let args = tiny_args();
         let w = build_workload(WorkloadKind::Yago, &args);
-        let ordered = build_batches(&w, "ordered", 42);
-        let random = build_batches(&w, "random", 42);
+        let ordered = build_batches(&w, Order::Ordered, 42);
+        let random = build_batches(&w, Order::Random, 42);
         assert_eq!(ordered.len(), 5);
         assert_eq!(random.len(), 5);
         let mut a: Vec<String> = ordered.iter().flatten().map(|q| q.to_string()).collect();

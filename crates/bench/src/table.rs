@@ -1,6 +1,7 @@
-//! Aligned plain-text table rendering for harness output.
+//! Markdown table rendering for the paper report.
 
-/// Collects rows and prints them with aligned columns.
+/// Collects rows and renders them as a markdown table, cells padded so
+/// the source reads aligned too.
 #[derive(Default, Debug)]
 pub struct TablePrinter {
     header: Vec<String>,
@@ -23,44 +24,33 @@ impl TablePrinter {
         self.rows.push(cells);
     }
 
-    /// Render with aligned columns.
+    /// Render as a markdown table with aligned columns.
     pub fn render(&self) -> String {
-        let cols = self.header.len();
-        let mut widths = vec![0usize; cols];
-        for (i, h) in self.header.iter().enumerate() {
-            widths[i] = h.len();
-        }
+        let mut widths: Vec<usize> = self.header.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
+            for (w, c) in widths.iter_mut().zip(row) {
+                *w = (*w).max(c.chars().count());
             }
         }
-        let mut out = String::new();
-        let emit = |cells: &[String], widths: &[usize], out: &mut String| {
-            for (i, c) in cells.iter().enumerate() {
-                if i > 0 {
-                    out.push_str("  ");
-                }
-                out.push_str(c);
-                for _ in c.len()..widths[i] {
-                    out.push(' ');
-                }
+        let emit = |cells: &[String], out: &mut String| {
+            out.push('|');
+            for (c, &w) in cells.iter().zip(&widths) {
+                out.push_str(&format!(" {c:<w$} |"));
             }
             out.push('\n');
         };
-        emit(&self.header, &widths, &mut out);
-        let total: usize = widths.iter().sum::<usize>() + 2 * (cols - 1);
-        out.push_str(&"-".repeat(total));
+        let mut out = String::new();
+        emit(&self.header, &mut out);
+        out.push('|');
+        for &w in &widths {
+            out.push_str(&"-".repeat(w + 2));
+            out.push('|');
+        }
         out.push('\n');
         for row in &self.rows {
-            emit(row, &widths, &mut out);
+            emit(row, &mut out);
         }
         out
-    }
-
-    /// Print to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
     }
 }
 
@@ -87,11 +77,13 @@ mod tests {
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
-        assert!(lines[0].starts_with("name"));
-        assert!(lines[2].starts_with("RDB-only "));
+        assert_eq!(lines[0], "| name           | tti |");
+        assert_eq!(lines[1], "|----------------|-----|");
+        assert!(lines[2].starts_with("| RDB-only "));
         // Columns align: 'tti' column starts at the same offset everywhere.
         let off = lines[0].find("tti").unwrap();
         assert_eq!(&lines[2][off..off + 3], "1.5");
+        assert_eq!(&lines[3][off..off + 3], "0.9");
     }
 
     #[test]

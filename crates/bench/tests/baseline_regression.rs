@@ -1,98 +1,36 @@
 //! Regression check against the committed deterministic baselines.
 //!
-//! `docs/baselines/deterministic.tsv` (captured by
-//! `scripts/capture_baselines.sh`, verified in full by
-//! `scripts/check_baselines.sh`) pins the exact work units, simulated
+//! `docs/baselines/deterministic.tsv` (written by `kgdual-paper`, checked
+//! in full by `kgdual-paper check`) pins the exact work units, simulated
 //! TTI, and result rows of every workload/variant pair at a fixed
-//! scale/seed. This test re-derives the YAGO rows — the cheapest workload
-//! with all three variants exercising distinct code paths — inside the
-//! normal test run, so an accidental behaviour change in the planner,
-//! executor, router, or tuner flags immediately instead of waiting for
-//! someone to run the full script.
+//! scale/seed. This test re-derives the YAGO rows — the cheapest workload,
+//! with every store variant and tuner exercising distinct code paths —
+//! through the report's own memo, TSV parser and diff, so an accidental
+//! behaviour change in the planner, executor, router, or tuner flags on
+//! every `cargo test` instead of waiting for the full check.
 
-use kgdual_bench::{run_variant_comparison, BenchArgs, VariantKind, WorkloadKind};
+use kgdual_bench::report::{tsv::Tsv, Runs};
 
-struct BaselineRow {
-    workload: String,
-    variant: String,
-    total_work: u64,
-    sim_tti_ns: u128,
-    result_rows: u64,
-}
-
-fn load_baseline() -> (BenchArgs, Vec<BaselineRow>) {
+#[test]
+fn yago_totals_match_committed_baseline() {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../docs/baselines/deterministic.tsv"
     );
     let text = std::fs::read_to_string(path).expect("committed baseline TSV must exist");
-    let header = text.lines().next().expect("baseline has a header");
-    let field = |key: &str| -> String {
-        header
-            .split_whitespace()
-            .find_map(|tok| tok.strip_prefix(&format!("{key}=")))
-            .unwrap_or_else(|| panic!("baseline header must pin {key}"))
-            .to_owned()
-    };
-    let args = BenchArgs {
-        scale: field("scale").parse().unwrap(),
-        seed: field("seed").parse().unwrap(),
-        reps: field("reps").parse().unwrap(),
-        order: field("order"),
-        ..Default::default()
-    };
-    let rows = text
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
-        .map(|l| {
-            let f: Vec<&str> = l.split('\t').collect();
-            assert_eq!(f.len(), 5, "malformed baseline row: {l}");
-            BaselineRow {
-                workload: f[0].to_owned(),
-                variant: f[1].to_owned(),
-                total_work: f[2].parse().unwrap(),
-                sim_tti_ns: f[3].parse().unwrap(),
-                result_rows: f[4].parse().unwrap(),
-            }
-        })
-        .collect();
-    (args, rows)
-}
+    let mut committed = Tsv::parse(&text).expect("committed baseline TSV parses");
+    committed.rows.retain(|r| r[0] == "YAGO");
+    assert!(
+        committed.rows.len() >= 3,
+        "baseline must cover the three store variants on YAGO"
+    );
 
-#[test]
-fn yago_totals_match_committed_baseline() {
-    let (args, rows) = load_baseline();
-    let expected: Vec<&BaselineRow> = rows.iter().filter(|r| r.workload == "YAGO").collect();
-    assert_eq!(expected.len(), 3, "baseline must cover all three variants");
-
-    let variants = [
-        VariantKind::RdbOnly,
-        VariantKind::RdbViews,
-        VariantKind::RdbGdbDotil,
-    ];
-    let results = run_variant_comparison(WorkloadKind::Yago, &variants, &args);
-    for exp in expected {
-        let got = results
-            .iter()
-            .find(|r| r.variant == exp.variant)
-            .unwrap_or_else(|| panic!("missing variant {}", exp.variant));
-        let rows: u64 = got.reports.iter().map(|b| b.result_rows).sum();
-        let sim_ns: u128 = got.reports.iter().map(|b| b.sim_tti.as_nanos()).sum();
-        assert_eq!(
-            got.total_work, exp.total_work,
-            "{}: total work drifted from docs/baselines/deterministic.tsv — \
-             if intended, regenerate with scripts/capture_baselines.sh",
-            exp.variant
-        );
-        assert_eq!(
-            sim_ns, exp.sim_tti_ns,
-            "{}: simulated TTI drifted from the committed baseline",
-            exp.variant
-        );
-        assert_eq!(
-            rows, exp.result_rows,
-            "{}: result rows drifted from the committed baseline",
-            exp.variant
-        );
-    }
+    let fresh = Runs::new(committed.args.clone()).tsv(|workload| workload == "YAGO");
+    let drift = committed.diff(&fresh);
+    assert!(
+        drift.is_empty(),
+        "YAGO totals drifted from docs/baselines/deterministic.tsv — if intended, \
+         regenerate with scripts/capture_baselines.sh:\n{}",
+        drift.join("\n")
+    );
 }

@@ -24,7 +24,7 @@
 #![allow(dead_code)]
 
 use kgdual_bench::serve_load::serial_replay;
-use kgdual_bench::{build_batches, build_dataset, build_workload, BenchArgs, WorkloadKind};
+use kgdual_bench::{build_batches, build_dataset, build_workload, BenchArgs, Order, WorkloadKind};
 use kgdual_core::batch::{RouteCounts, TuningSchedule};
 use kgdual_core::{
     persist, process_shared_explain, DualStore, NoopTuner, PhysicalTuner, QueryOutcome,
@@ -308,7 +308,7 @@ pub fn workload() -> &'static (Dataset, Vec<Vec<Query>>) {
             ..BenchArgs::default()
         };
         let workload = build_workload(WorkloadKind::Yago, &args);
-        let batches = build_batches(&workload, &args.order, args.seed);
+        let batches = build_batches(&workload, Order::Ordered, args.seed);
         (build_dataset(WorkloadKind::Yago, &args), batches)
     })
 }

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Capture the committed benchmark baselines under docs/baselines/.
+# Capture the committed benchmark baselines under docs/ and docs/baselines/.
 #
-# Runs every fig*/table* regenerator binary and both criterion benches at
-# the pinned scale/seed and saves their stdout, plus the deterministic
-# TSV that the regression check (scripts/check_baselines.sh and
-# crates/bench/tests/baseline_regression.rs) compares against.
+# Runs the paper report (kgdual-paper) at the pinned scale/seed, which
+# writes docs/paper_report.md and the deterministic TSV that the
+# regression check (kgdual-paper check and
+# crates/bench/tests/baseline_regression.rs) compares against, then the
+# serving, observability and EXPLAIN benches and both criterion benches.
 #
 # Wall-clock columns in the captured outputs are machine-dependent and
 # informational only; the regression check compares only the
@@ -16,36 +17,24 @@ SCALE="${SCALE:-0.002}"
 SEED="${SEED:-42}"
 REPS="${REPS:-2}"
 # The observability overhead gate needs a meatier workload than the
-# figure captures for its wall clocks to mean anything, so it gets its
+# paper report for its wall clocks to mean anything, so it gets its
 # own scale knob.
 OBS_SCALE="${OBS_SCALE:-0.01}"
 OBS_REPS="${OBS_REPS:-3}"
 OUT=docs/baselines
 mkdir -p "$OUT"
 
-ARGS=(--scale "$SCALE" --seed "$SEED" --reps "$REPS")
-BINS=(
-  table1_store_comparison
-  fig3_fig4_batches
-  fig5_totals
-  table5_param_tuning
-  fig6_cold_start
-  table6_resource_slowdown
-  fig7_resource_consumption
-  fig8_tuner_comparison
-)
-
 cargo build --release --bins -p kgdual-bench
 
-for bin in "${BINS[@]}"; do
-  echo "== $bin =="
-  extra=()
-  # fig6 also captures the design-persistence restart comparison (cold vs
-  # warm-restart vs oracle), which asserts restart equivalence in-binary.
-  [ "$bin" = fig6_cold_start ] && extra=(--restart true)
-  cargo run --release -q -p kgdual-bench --bin "$bin" -- "${ARGS[@]}" "${extra[@]}" \
-    > "$OUT/$bin.txt"
-done
+echo "== kgdual-paper (paper_report.md, deterministic.tsv) =="
+# --obs-out turns recording on for the report run and dumps the merged
+# metrics snapshot (counters, gauges, latency histograms) next to the
+# TSV, so the longitudinal trajectory carries a runtime profile of the
+# exact run that produced the committed numbers. The profile holds only
+# wall-clock readings and task counts — the regression check ignores it.
+cargo run --release -q -p kgdual-bench --bin kgdual-paper -- \
+  --scale "$SCALE" --seed "$SEED" --reps "$REPS" \
+  --obs-out "$OUT/obs_profile.json"
 
 echo "== bench_obs (BENCH_obs.json) =="
 # The observability overhead gate: the YAGO workload with recording off
@@ -80,16 +69,6 @@ echo "== kgdual-explain (explain_profile.json) =="
 cargo run --release -q -p kgdual-bench --bin kgdual-explain -- \
   --scale "$SCALE" --seed "$SEED" --threads 4 --shards 4 \
   > "$OUT/explain_profile.json" 2>/dev/null
-
-echo "== capture_baselines (deterministic TSV) =="
-# --obs-out turns recording on for the capture and dumps the merged
-# metrics snapshot (counters, gauges, latency histograms) next to the
-# TSV, so the longitudinal trajectory carries a runtime profile of the
-# exact run that produced the committed numbers. The profile holds only
-# wall-clock readings and task counts — the regression check ignores it.
-cargo run --release -q -p kgdual-bench --bin capture_baselines -- "${ARGS[@]}" \
-  --obs-out "$OUT/obs_profile.json" \
-  > "$OUT/deterministic.tsv"
 
 echo "== criterion benches =="
 cargo bench 2>/dev/null | grep '^bench ' > "$OUT/criterion.txt"

@@ -1,16 +1,15 @@
 #!/usr/bin/env bash
-# Flag regressions against the committed deterministic baseline.
+# Flag regressions against the committed deterministic baselines.
 #
-# Re-runs the capture_baselines binary at the parameters pinned in the
-# committed TSV's header and compares the output. Work units, simulated
-# TTI, and result rows are exact operator counts, so any drift is a real
-# behaviour change: either an intended improvement (re-run
-# scripts/capture_baselines.sh and commit the new numbers with the PR
-# that earns them) or a regression to investigate.
+# Work units, simulated TTI, result rows and plan fields are exact
+# operator counts, so any drift is a real behaviour change: either an
+# intended improvement (re-run scripts/capture_baselines.sh and commit
+# the new numbers with the PR that earns them) or a regression to
+# investigate.
 #
 # Drift is reported as a *named* diff — which file, which row, which
-# column, old -> new — so a CI failure reads as "deterministic.tsv: row
-# yago/rdb_gdb_dotil: sim_tti_ns 123 -> 456", not a bare unified diff.
+# column, old -> new — so a CI failure reads as "deterministic.tsv:
+# YAGO/RDB-GDB: sim_tti_ns 123 -> 456", not a bare unified diff.
 #
 # CHECK_ONLY selects a comma-separated subset of the sections
 # ({deterministic,serve,explain}); unset runs everything.
@@ -83,27 +82,11 @@ compare_rows() {
   ' "$2" "$3"
 }
 
+# The paper report: `kgdual-paper check` reads scale, seed and reps from
+# the committed TSV's header, re-runs every experiment in memory (so
+# their in-run assertions fire too) and names each drifted cell.
 if want deterministic; then
-  BASE=docs/baselines/deterministic.tsv
-  [ -f "$BASE" ] || { echo "missing $BASE — run scripts/capture_baselines.sh first"; exit 1; }
-
-  header=$(head -1 "$BASE")
-  scale=$(sed -E 's/.*scale=([0-9.]+).*/\1/' <<<"$header")
-  seed=$(sed -E 's/.*seed=([0-9]+).*/\1/' <<<"$header")
-  reps=$(sed -E 's/.*reps=([0-9]+).*/\1/' <<<"$header")
-
-  fresh=$(mktmp)
-  cargo run --release -q -p kgdual-bench --bin capture_baselines -- \
-    --scale "$scale" --seed "$seed" --reps "$reps" > "$fresh"
-
-  if compare_rows "$BASE" "$BASE" "$fresh"; then
-    echo "OK: deterministic baselines unchanged"
-  else
-    echo
-    echo "BASELINE DRIFT: deterministic totals differ from $BASE (named rows above)."
-    echo "If intended, regenerate with scripts/capture_baselines.sh and commit."
-    exit 1
-  fi
+  cargo run --release -q -p kgdual-bench --bin kgdual-paper -- check
 fi
 
 # The serving benchmark: re-run bench_serve at the parameters pinned in
