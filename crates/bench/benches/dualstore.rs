@@ -1,6 +1,7 @@
 //! Criterion benches for the dual-store layer: routing overhead, the
-//! identifier, DOTIL tuning steps, and the DESIGN.md ablations (D1 scan
-//! forcing, D5 reward amortisation via config, D6 Case-2 guard).
+//! identifier, DOTIL tuning steps, and two of the ablations the README's
+//! "Simulated cost and ablations" section describes (D1 scan forcing, D6
+//! Case-2 guard).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use kgdual_core::{identify, DualStore, PhysicalTuner};

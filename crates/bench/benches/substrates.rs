@@ -1,5 +1,5 @@
 //! Criterion microbenches for the substrates: parser, dictionary, the
-//! relational join executor, and the graph matcher. These complement the
+//! relational join executor, the graph matcher, and partition migration. These complement the
 //! per-figure harness binaries with statistically solid microscopic
 //! numbers (regression tracking for the hot paths).
 
@@ -160,12 +160,34 @@ fn bench_bound_lookup(c: &mut Criterion) {
     g.finish();
 }
 
+/// Migration as DOTIL pays it: every partition of a mirrored 4 000-person
+/// store evicted from the graph store and migrated back from `T_R`.
+fn bench_migrate(c: &mut Criterion) {
+    let (mut dual, _) = mirrored_dual(4_000);
+    let preds: Vec<_> = dual.rel().preds().collect();
+    let mut g = c.benchmark_group("migrate");
+    g.sample_size(10);
+    g.bench_function("evict-and-migrate-all/4000", |b| {
+        b.iter(|| {
+            for &p in &preds {
+                dual.evict_partition(p);
+            }
+            for &p in &preds {
+                dual.migrate_partition(p).unwrap();
+            }
+            dual.graph().used()
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_parser,
     bench_dictionary,
     bench_executors,
     bench_hash_join,
-    bench_bound_lookup
+    bench_bound_lookup,
+    bench_migrate
 );
 criterion_main!(benches);

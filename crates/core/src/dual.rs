@@ -39,6 +39,12 @@ pub struct DualDesign {
 /// The dual store: a complete relational store, a budgeted graph-store
 /// accelerator, and a shared dictionary.
 ///
+/// Built from a [`Dataset`], it keeps the dataset's `Arc`-shared dictionary
+/// and its relational tables adopt the dataset's shared pair runs, so a
+/// store built from `ds.clone()` adds no copy of either; writes copy the
+/// dictionary or a touched partition once, on first write, if the dataset
+/// still holds it.
+///
 /// The online phase only ever *reads* this structure (see
 /// [`crate::processor`]): the §3.3 temporary table space for migrated
 /// intermediates is caller-owned ([`kgdual_relstore::TempSpace`], one per
@@ -48,7 +54,7 @@ pub struct DualDesign {
 /// exclusive-reconfigure split of `kgdual-exec` sound by construction.
 #[derive(Debug)]
 pub struct DualStore<B: GraphBackend = AdjacencyBackend> {
-    dict: Dictionary,
+    dict: Arc<Dictionary>,
     rel: RelStore,
     graph: B,
     governor: Arc<ResourceGovernor>,
@@ -164,8 +170,8 @@ impl<B: GraphBackend> DualStore<B> {
         self.data_version
     }
 
-    /// Whether the Case-2 blowup guard is active (DESIGN.md D6; on by
-    /// default).
+    /// Whether the Case-2 blowup guard is active (ablation D6 in the
+    /// README's "Simulated cost and ablations"; on by default).
     pub fn case2_guard(&self) -> bool {
         self.case2_guard
     }
@@ -261,8 +267,9 @@ impl<B: GraphBackend> DualStore<B> {
         if table.is_empty() {
             return Err(CoreError::UnknownPartition(pred));
         }
-        let pairs = table.scan().to_vec();
-        self.graph.load_partition(pred, &pairs)?;
+        // T_R's two sorted indexes are the CSR's two runs: no copy, no sort.
+        self.graph
+            .load_sorted(pred, &table.s_index(), &table.o_index())?;
         Ok(())
     }
 
@@ -272,21 +279,21 @@ impl<B: GraphBackend> DualStore<B> {
     }
 
     /// Insert a statement given as terms; the relational store always takes
-    /// it, and a graph-resident partition is kept in sync.
+    /// it, and a graph-resident partition is kept in sync. Only a term the
+    /// dictionary has not seen writes to (and so may copy) the dictionary.
     pub fn insert_terms(&mut self, s: &Term, p: &str, o: &Term) -> Result<Triple, CoreError> {
-        let s = self
-            .dict
-            .encode_node(s)
-            .map_err(|_| CoreError::UnknownPartition(PredId(0)))?;
-        let p = self
-            .dict
-            .encode_pred(p)
-            .map_err(|_| CoreError::UnknownPartition(PredId(0)))?;
-        let o = self
-            .dict
-            .encode_node(o)
-            .map_err(|_| CoreError::UnknownPartition(PredId(0)))?;
-        let t = Triple::new(s, p, o);
+        let d = &self.dict;
+        let known = (d.node_id(s), d.pred_id(p), d.node_id(o));
+        let t = if let (Some(s), Some(p), Some(o)) = known {
+            Triple::new(s, p, o)
+        } else {
+            let dict = self.dict_mut();
+            let full = |_| CoreError::UnknownPartition(PredId(0));
+            let s = dict.encode_node(s).map_err(full)?;
+            let p = dict.encode_pred(p).map_err(full)?;
+            let o = dict.encode_node(o).map_err(full)?;
+            Triple::new(s, p, o)
+        };
         self.insert(t)?;
         Ok(t)
     }
@@ -317,9 +324,10 @@ impl<B: GraphBackend> DualStore<B> {
         removed
     }
 
-    /// Mutable dictionary access (loading additional data).
+    /// Mutable dictionary access (loading additional data); copies the
+    /// dictionary first if the dataset it came from still shares it.
     pub fn dict_mut(&mut self) -> &mut Dictionary {
-        &mut self.dict
+        Arc::make_mut(&mut self.dict)
     }
 
     /// Serialize the current physical design (`T_G` residency, budget
@@ -389,6 +397,69 @@ mod tests {
         assert_eq!(d.total_triples, 15);
         assert_eq!(d.budget, 100);
         assert!(d.graph_partitions.is_empty());
+    }
+
+    /// The rows `pred`'s relational table holds, as a slice of its base run.
+    fn rows_of(dual: &DualStore, pred: PredId) -> &[(kgdual_model::NodeId, kgdual_model::NodeId)] {
+        dual.rel().table(pred).unwrap().scan()
+    }
+
+    #[test]
+    fn a_store_shares_the_datasets_dictionary_and_pairs() {
+        let ds = dataset();
+        let copy = ds.clone();
+        assert!(std::ptr::eq(ds.dict(), copy.dict()));
+        for (a, b) in ds.partitions().iter().zip(copy.partitions().iter()) {
+            assert!(Arc::ptr_eq(a.shared_pairs(), b.shared_pairs()));
+        }
+        let dual = DualStore::from_dataset(copy, 100);
+        assert!(std::ptr::eq(dual.dict(), ds.dict()), "dictionary copied");
+        for part in ds.partitions().iter() {
+            assert!(
+                std::ptr::eq(rows_of(&dual, part.pred()), part.pairs()),
+                "partition {} copied",
+                part.pred()
+            );
+        }
+    }
+
+    #[test]
+    fn writes_copy_only_what_they_touch_and_leave_the_dataset_alone() {
+        let ds = dataset();
+        let before = kgdual_model::encode_snapshot(&ds);
+        let mut dual = DualStore::from_dataset(ds.clone(), 100);
+        let born = ds.dict().pred_id("y:wasBornIn").unwrap();
+        let advisor = ds.dict().pred_id("y:hasAcademicAdvisor").unwrap();
+        let part = |p| ds.partitions().get(p).unwrap().pairs();
+
+        // Known terms: the partition is copied, the dictionary is not.
+        let t = dual
+            .insert_terms(&Term::iri("y:p9"), "y:wasBornIn", &Term::iri("y:c0"))
+            .unwrap();
+        assert!(std::ptr::eq(dual.dict(), ds.dict()));
+        assert!(!std::ptr::eq(rows_of(&dual, born), part(born)));
+        assert!(std::ptr::eq(rows_of(&dual, advisor), part(advisor)));
+        assert_eq!(rows_of(&dual, born).len(), 11);
+
+        // A new term copies the dictionary, once.
+        dual.insert_terms(&Term::iri("y:new"), "y:wasBornIn", &Term::iri("y:c0"))
+            .unwrap();
+        assert!(!std::ptr::eq(dual.dict(), ds.dict()));
+        assert!(dual.dict().node_id(&Term::iri("y:new")).is_some());
+        assert!(ds.dict().node_id(&Term::iri("y:new")).is_none());
+
+        // A delete of an absent row copies nothing; a present one copies
+        // the partition it touches.
+        let absent = Triple::new(t.s, advisor, t.o);
+        assert_eq!(dual.delete(absent), 0);
+        assert!(std::ptr::eq(rows_of(&dual, advisor), part(advisor)));
+        let (s, o) = part(advisor)[0];
+        assert_eq!(dual.delete(Triple::new(s, advisor, o)), 1);
+        assert!(!std::ptr::eq(rows_of(&dual, advisor), part(advisor)));
+        assert_eq!(rows_of(&dual, advisor), &part(advisor)[1..]);
+
+        assert_eq!(kgdual_model::encode_snapshot(&ds), before, "dataset moved");
+        assert_eq!(ds.len(), 15);
     }
 
     #[test]

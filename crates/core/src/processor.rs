@@ -325,10 +325,10 @@ fn process_shared_inner<B: GraphBackend>(
 
     // Case 2: the graph store covers the complex subquery. Guard against
     // intermediate-result blowup first (an extension over the paper's
-    // purely rule-based router, DESIGN.md D6): running the subquery in
-    // isolation forfeits selective constants in the remainder, so when the
-    // subquery's estimated cardinality dwarfs the full query's, the
-    // relational plan is the better one.
+    // purely rule-based router, ablation D6 in the README): running the
+    // subquery in isolation forfeits selective constants in the remainder,
+    // so when the subquery's estimated cardinality dwarfs the full query's,
+    // the relational plan is the better one.
     let case2_safe = || {
         if !dual.case2_guard() {
             return true;
@@ -342,9 +342,9 @@ fn process_shared_inner<B: GraphBackend>(
     if dual.graph().covers(&qc_preds) && case2_safe() {
         let mut gctx = ExecContext::with_governor(dual.governor());
         let intermediate = dual.graph().execute(&qc_eq, &mut gctx)?;
-        // Migrate into the temporary relational table space (§3.3).
+        // Migrate into the temporary relational table space (§3.3); the
+        // remainder reads the staged table in place.
         let handle = temp.store(intermediate);
-        let seed = temp.get(handle).expect("just staged").clone();
         let remainder = eq.subquery(&qc.remainder_indexes(query), eq.projection.clone());
         let remainder = EncodedQuery {
             distinct: eq.distinct,
@@ -352,7 +352,8 @@ fn process_shared_inner<B: GraphBackend>(
             ..remainder
         };
         let mut rctx = ExecContext::with_governor(dual.governor());
-        let results = dual.rel().execute_with_seed(&remainder, &seed, &mut rctx);
+        let seed = temp.get(handle).expect("just staged");
+        let results = dual.rel().execute_with_seed(&remainder, seed, &mut rctx);
         // Discard temporaries regardless of success.
         temp.discard(handle);
         let run = RoutedRun {

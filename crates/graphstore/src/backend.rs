@@ -75,12 +75,31 @@ pub trait GraphBackend: Send + Sync + std::fmt::Debug {
     fn import_stats(&self) -> ImportStats;
 
     /// Bulk-load a whole partition (the tuner's `migrate` operation),
-    /// enforcing the budget.
+    /// enforcing the budget, from the same edge multiset in two orders:
+    /// `by_s` as `(s, o)` pairs and `by_o` as `(o, s)` pairs, each sorted
+    /// ascending — the relational store's two permutation indexes. Each
+    /// graph direction is built in one linear pass over its run.
+    fn load_sorted(
+        &mut self,
+        pred: PredId,
+        by_s: &[(NodeId, NodeId)],
+        by_o: &[(NodeId, NodeId)],
+    ) -> Result<(), GraphStoreError>;
+
+    /// Bulk-load a whole partition from `(s, o)` pairs in any order: sorts
+    /// one copy per direction and hands them to
+    /// [`load_sorted`](Self::load_sorted).
     fn load_partition(
         &mut self,
         pred: PredId,
         pairs: &[(NodeId, NodeId)],
-    ) -> Result<(), GraphStoreError>;
+    ) -> Result<(), GraphStoreError> {
+        let mut by_s = pairs.to_vec();
+        by_s.sort_unstable();
+        let mut by_o: Vec<(NodeId, NodeId)> = pairs.iter().map(|&(s, o)| (o, s)).collect();
+        by_o.sort_unstable();
+        self.load_sorted(pred, &by_s, &by_o)
+    }
 
     /// Evict a partition (the tuner's `evict` operation); returns its size.
     fn evict_partition(&mut self, pred: PredId) -> usize;

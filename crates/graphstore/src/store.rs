@@ -8,9 +8,11 @@
 //! distinct keys plus a slice, `O(log keys + matches)` however large the
 //! rest of the graph is — the property the paper leans on ("the time
 //! complexity of graph traversal \[is\] positively related to the
-//! traversal range but irrelevant to the entire graph size"). A partition
-//! load builds both directions with one sort and one linear pass; a
-//! single-edge write splices into them in place.
+//! traversal range but irrelevant to the entire graph size"). A
+//! single-edge write splices into them in place. A partition load builds
+//! each direction in one linear pass over a sorted run: migration hands in
+//! the relational store's two sorted indexes, so nothing is copied or
+//! re-sorted on the way.
 
 use crate::backend::GraphBackend;
 use crate::matcher;
@@ -140,11 +142,18 @@ impl Default for Csr {
 }
 
 impl Csr {
-    /// Build from `(row, neighbour)` pairs: one sort, one linear pass.
-    fn build(mut pairs: Vec<(NodeId, NodeId)>) -> Self {
-        pairs.sort_unstable();
-        let mut csr = Csr::default();
-        for (k, v) in pairs {
+    /// Build from `(row, neighbour)` pairs already in ascending order:
+    /// one linear pass, no copy of the input and no sort.
+    fn from_sorted(sorted: &[(NodeId, NodeId)]) -> Self {
+        debug_assert!(
+            sorted.windows(2).all(|w| w[0] <= w[1]),
+            "input must be sorted"
+        );
+        let mut csr = Csr {
+            nbrs: Vec::with_capacity(sorted.len()),
+            ..Csr::default()
+        };
+        for &(k, v) in sorted {
             if csr.keys.last() != Some(&k) {
                 csr.keys.push(k);
                 csr.offsets.push(csr.nbrs.len());
@@ -224,10 +233,13 @@ struct CsrPartition {
 }
 
 impl CsrPartition {
-    fn build(pairs: &[(NodeId, NodeId)]) -> Self {
+    /// Both directions from the partition's `(s, o)`- and `(o, s)`-sorted
+    /// runs.
+    fn from_sorted(by_s: &[(NodeId, NodeId)], by_o: &[(NodeId, NodeId)]) -> Self {
+        debug_assert_eq!(by_s.len(), by_o.len(), "one edge multiset, two orders");
         CsrPartition {
-            fwd: Csr::build(pairs.to_vec()),
-            rev: Csr::build(pairs.iter().map(|&(s, o)| (o, s)).collect()),
+            fwd: Csr::from_sorted(by_s),
+            rev: Csr::from_sorted(by_o),
         }
     }
 
@@ -323,27 +335,30 @@ impl GraphBackend for GraphStore {
         self.import_stats
     }
 
-    fn load_partition(
+    fn load_sorted(
         &mut self,
         pred: PredId,
-        pairs: &[(NodeId, NodeId)],
+        by_s: &[(NodeId, NodeId)],
+        by_o: &[(NodeId, NodeId)],
     ) -> Result<(), GraphStoreError> {
         if self.is_loaded(pred) {
             return Err(GraphStoreError::AlreadyLoaded(pred));
         }
-        if pairs.len() > self.available() {
+        let edges = by_s.len();
+        if edges > self.available() {
             return Err(GraphStoreError::BudgetExceeded {
                 pred,
-                needed: pairs.len(),
+                needed: edges,
                 available: self.available(),
             });
         }
-        self.parts.insert(pred, CsrPartition::build(pairs));
+        self.parts
+            .insert(pred, CsrPartition::from_sorted(by_s, by_o));
         let pos = self.preds.partition_point(|&p| p < pred);
         self.preds.insert(pos, pred);
-        self.edges += pairs.len();
-        self.import_stats.triples_imported += pairs.len() as u64;
-        self.import_stats.work_units += pairs.len() as u64 * BULK_IMPORT_COST_PER_TRIPLE;
+        self.edges += edges;
+        self.import_stats.triples_imported += edges as u64;
+        self.import_stats.work_units += edges as u64 * BULK_IMPORT_COST_PER_TRIPLE;
         Ok(())
     }
 
@@ -1028,6 +1043,64 @@ mod tests {
             store.partition_len(p(0)),
             1,
             "a refused load changes nothing"
+        );
+    }
+
+    /// Migration's path (T_R's two sorted indexes into `load_sorted`)
+    /// builds the same CSR partition, stats and bill as `load_partition`
+    /// over the same pairs in any order.
+    #[test]
+    fn load_sorted_from_relational_runs_equals_load_partition() {
+        use kgdual_relstore::PredTable;
+
+        // Partition 0: duplicate edges, self-loops (one duplicated), a hub
+        // subject with repeated neighbours and a hub object. Partition 1
+        // is empty: both directions have no rows.
+        let mut edges = vec![
+            (n(1), n(1)),
+            (n(2), n(3)),
+            (n(2), n(3)),
+            (n(3), n(2)),
+            (n(4), n(4)),
+            (n(4), n(4)),
+        ];
+        edges.extend((0..50).map(|i| (n(7), n(100 + i % 17))));
+        edges.extend((0..20).map(|i| (n(200 + i), n(7))));
+        let partitions = [edges, Vec::new()];
+
+        let mut from_runs = GraphStore::with_budget(1_000);
+        let mut from_pairs = GraphStore::with_budget(1_000);
+        for (pred, rows) in (0..).map(p).zip(&partitions) {
+            let table = PredTable::from_pairs(rows.clone());
+            from_runs
+                .load_sorted(pred, &table.s_index(), &table.o_index())
+                .unwrap();
+            let mut shuffled = rows.clone();
+            for j in (1..shuffled.len()).rev() {
+                shuffled.swap(j, (j * 7_919 + 13) % (j + 1));
+            }
+            from_pairs.load_partition(pred, &shuffled).unwrap();
+        }
+        for pred in [p(0), p(1)] {
+            let views = [
+                (from_runs.forward(pred), from_pairs.forward(pred)),
+                (from_runs.reverse(pred), from_pairs.reverse(pred)),
+            ];
+            for (a, b) in views {
+                assert_eq!((a.keys, a.offsets, a.nbrs), (b.keys, b.offsets, b.nbrs));
+            }
+            assert_eq!(
+                from_runs.partition_stats(pred),
+                from_pairs.partition_stats(pred)
+            );
+        }
+        assert_eq!(from_runs.fwd_row(n(7), p(0)).len(), 50);
+        assert_eq!(from_runs.rev_row(n(7), p(0)).len(), 20);
+        assert!(from_runs.forward(p(1)).keys.is_empty());
+        assert_eq!(from_runs.import_stats(), from_pairs.import_stats());
+        assert_eq!(
+            from_runs.resident_partitions(),
+            from_pairs.resident_partitions()
         );
     }
 

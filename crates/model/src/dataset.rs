@@ -3,10 +3,11 @@
 use crate::dict::Dictionary;
 use crate::error::ModelError;
 use crate::ids::{NodeId, PredId};
-use crate::partition::PartitionSet;
+use crate::partition::{PairLists, PartitionSet};
 use crate::term::Term;
 use crate::triple::Triple;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Summary statistics matching the paper's Table 3 columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -21,11 +22,17 @@ pub struct DatasetStats {
 
 /// A complete, dictionary-encoded knowledge graph.
 ///
-/// This is the *logical* graph; the relational and graph stores each hold
-/// their own physical layout of (subsets of) these partitions.
+/// This is the *logical* graph. Its dictionary and every partition's pair
+/// run sit behind `Arc`s, so a clone is a handful of reference-count bumps
+/// and a dual store built from one shares them: the store keeps the
+/// dictionary, and the relational store adopts each run as a table's base
+/// rows. Writes copy on write (`Arc::make_mut`): the first write to a
+/// shared dictionary or partition copies that one structure, and no holder
+/// sees another's writes. The sorted indexes and the graph store's CSR
+/// partitions are each store's own.
 #[derive(Default, Debug, Clone, Serialize, Deserialize)]
 pub struct Dataset {
-    dict: Dictionary,
+    dict: Arc<Dictionary>,
     partitions: PartitionSet,
 }
 
@@ -33,6 +40,14 @@ impl Dataset {
     /// Create an empty dataset.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Share an owned dictionary and owned pair lists, once.
+    pub(crate) fn from_owned(dict: Dictionary, pairs: PairLists) -> Self {
+        Dataset {
+            dict: Arc::new(dict),
+            partitions: pairs.into_set(),
+        }
     }
 
     /// The term dictionary.
@@ -47,9 +62,10 @@ impl Dataset {
 
     /// Encode and insert one `(s, p, o)` statement given as terms.
     pub fn insert_terms(&mut self, s: &Term, p: &str, o: &Term) -> Result<Triple, ModelError> {
-        let s = self.dict.encode_node(s)?;
-        let p = self.dict.encode_pred(p)?;
-        let o = self.dict.encode_node(o)?;
+        let dict = Arc::make_mut(&mut self.dict);
+        let s = dict.encode_node(s)?;
+        let p = dict.encode_pred(p)?;
+        let o = dict.encode_node(o)?;
         let t = Triple::new(s, p, o);
         self.partitions.insert(t);
         Ok(t)
@@ -91,14 +107,8 @@ impl Dataset {
     }
 
     /// Split into parts for handing the dictionary and triples to stores.
-    pub fn into_parts(self) -> (Dictionary, PartitionSet) {
+    pub fn into_parts(self) -> (Arc<Dictionary>, PartitionSet) {
         (self.dict, self.partitions)
-    }
-
-    /// Mutable dictionary access for snapshot decoding (ids must be
-    /// rebuilt positionally before triples are inserted).
-    pub(crate) fn dict_mut_for_snapshot(&mut self) -> &mut Dictionary {
-        &mut self.dict
     }
 }
 
@@ -108,10 +118,12 @@ impl Dataset {
 /// The builder enforces RDF **set semantics**: a statement added twice is
 /// stored once. (Generators sample with replacement; without this, the
 /// bag-semantics stores would legitimately report different duplicate
-/// multiplicities depending on plan shape.)
+/// multiplicities depending on plan shape.) It accumulates into an owned
+/// dictionary and owned pair lists, and [`build`](Self::build) shares them.
 #[derive(Default, Debug)]
 pub struct DatasetBuilder {
-    ds: Dataset,
+    dict: Dictionary,
+    pairs: PairLists,
     seen: crate::fx::FxHashSet<Triple>,
 }
 
@@ -123,16 +135,14 @@ impl DatasetBuilder {
 
     /// Intern a node term ahead of time (useful for entity pools).
     pub fn node(&mut self, term: &Term) -> NodeId {
-        self.ds
-            .dict
+        self.dict
             .encode_node(term)
             .expect("u32 id space exhausted while building dataset")
     }
 
     /// Intern a predicate ahead of time.
     pub fn pred(&mut self, iri: &str) -> PredId {
-        self.ds
-            .dict
+        self.dict
             .encode_pred(iri)
             .expect("u32 id space exhausted while building dataset")
     }
@@ -143,7 +153,7 @@ impl DatasetBuilder {
         if !self.seen.insert(t) {
             return false;
         }
-        self.ds.insert(t);
+        self.pairs.push(t);
         true
     }
 
@@ -158,17 +168,17 @@ impl DatasetBuilder {
 
     /// Current triple count.
     pub fn len(&self) -> usize {
-        self.ds.len()
+        self.pairs.len()
     }
 
     /// True if nothing has been added yet.
     pub fn is_empty(&self) -> bool {
-        self.ds.is_empty()
+        self.len() == 0
     }
 
     /// Finish building.
     pub fn build(self) -> Dataset {
-        self.ds
+        Dataset::from_owned(self.dict, self.pairs)
     }
 }
 

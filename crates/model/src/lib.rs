@@ -10,7 +10,8 @@
 //! * [`Triple`] — a dictionary-encoded edge `(s, p, o)`.
 //! * [`TriplePartition`] / [`PartitionSet`] — the unit of physical design in
 //!   the paper: the set of triples sharing one predicate (§3.2).
-//! * [`Dataset`] — an encoded knowledge graph: dictionary + partitions.
+//! * [`Dataset`] — an encoded knowledge graph: dictionary + partitions,
+//!   both behind `Arc`s, so the stores built from it share one copy.
 //! * [`fx`] — a fast, non-cryptographic hasher used for the id-keyed hash
 //!   maps on every hot path (the default SipHash is needlessly slow for
 //!   dense integer keys).
@@ -42,7 +43,7 @@ pub use dict::Dictionary;
 pub use error::ModelError;
 pub use fx::{FxHashMap, FxHashSet};
 pub use ids::{NodeId, PredId};
-pub use partition::{PartitionSet, TriplePartition};
+pub use partition::{PartitionSet, SharedPairs, TriplePartition};
 pub use snapshot::{decode as decode_snapshot, encode as encode_snapshot, SnapshotError};
 pub use term::Term;
 pub use triple::Triple;

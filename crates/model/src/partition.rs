@@ -8,20 +8,35 @@
 use crate::ids::{NodeId, PredId};
 use crate::triple::Triple;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+
+/// One predicate's pair run, shared by every holder of the partition.
+pub type SharedPairs = Arc<Vec<(NodeId, NodeId)>>;
 
 /// All `(subject, object)` pairs of one predicate.
+///
+/// The pairs sit behind an [`Arc`]: cloning a partition (and with it a
+/// [`Dataset`](crate::Dataset)) shares them, and the relational store
+/// adopts the same run as its base rows. A write copies the run first
+/// when anyone else still holds it (`Arc::make_mut`), so a holder never
+/// sees another's writes.
 #[derive(Default, Debug, Clone, Serialize, Deserialize)]
 pub struct TriplePartition {
     pred: PredId,
-    pairs: Vec<(NodeId, NodeId)>,
+    pairs: SharedPairs,
 }
 
 impl TriplePartition {
     /// Create an empty partition for `pred`.
     pub fn new(pred: PredId) -> Self {
+        Self::from_pairs(pred, Vec::new())
+    }
+
+    /// Wrap an owned pair run as `pred`'s partition.
+    pub(crate) fn from_pairs(pred: PredId, pairs: Vec<(NodeId, NodeId)>) -> Self {
         TriplePartition {
             pred,
-            pairs: Vec::new(),
+            pairs: Arc::new(pairs),
         }
     }
 
@@ -31,17 +46,22 @@ impl TriplePartition {
         self.pred
     }
 
-    /// Append one `(s, o)` pair.
+    /// Append one `(s, o)` pair (copying a shared run first).
     #[inline]
     pub fn push(&mut self, s: NodeId, o: NodeId) {
-        self.pairs.push((s, o));
+        Arc::make_mut(&mut self.pairs).push((s, o));
     }
 
     /// Remove every occurrence of `(s, o)`; returns how many were removed.
+    /// An absent pair copies nothing.
     pub fn remove(&mut self, s: NodeId, o: NodeId) -> usize {
-        let before = self.pairs.len();
-        self.pairs.retain(|&(ps, po)| !(ps == s && po == o));
-        before - self.pairs.len()
+        if !self.pairs.contains(&(s, o)) {
+            return 0;
+        }
+        let pairs = Arc::make_mut(&mut self.pairs);
+        let before = pairs.len();
+        pairs.retain(|&(ps, po)| !(ps == s && po == o));
+        before - pairs.len()
     }
 
     /// Number of triples in this partition — the "size" used against `B_G`.
@@ -62,10 +82,55 @@ impl TriplePartition {
         &self.pairs
     }
 
+    /// The shared pair run itself, for a store to adopt without copying.
+    #[inline]
+    pub fn shared_pairs(&self) -> &SharedPairs {
+        &self.pairs
+    }
+
     /// Iterate the partition as full triples.
     pub fn triples(&self) -> impl Iterator<Item = Triple> + '_ {
         let p = self.pred;
         self.pairs.iter().map(move |&(s, o)| Triple::new(s, p, o))
+    }
+}
+
+/// Owned per-predicate pair lists, grown densely by predicate id: what a
+/// bulk builder appends to before [`into_set`](Self::into_set) shares
+/// each list once, so no generated triple pays an `Arc` check.
+#[derive(Default, Debug)]
+pub(crate) struct PairLists {
+    lists: Vec<Vec<(NodeId, NodeId)>>,
+    total: usize,
+}
+
+impl PairLists {
+    /// Append a triple to its predicate's list.
+    pub(crate) fn push(&mut self, t: Triple) {
+        let idx = t.p.index();
+        // A push loop, not `resize_with`: measured on a 1.6 M-triple YAGO
+        // build, `resize_with` here made generation ≈ 0.15–0.2 s slower.
+        while self.lists.len() <= idx {
+            self.lists.push(Vec::new());
+        }
+        self.lists[idx].push((t.s, t.o));
+        self.total += 1;
+    }
+
+    /// Triples appended so far.
+    pub(crate) fn len(&self) -> usize {
+        self.total
+    }
+
+    /// Share every list as its predicate's partition.
+    pub(crate) fn into_set(self) -> PartitionSet {
+        PartitionSet {
+            parts: (0u32..)
+                .zip(self.lists)
+                .map(|(p, pairs)| TriplePartition::from_pairs(PredId(p), pairs))
+                .collect(),
+            total: self.total,
+        }
     }
 }
 

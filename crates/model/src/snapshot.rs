@@ -9,6 +9,8 @@
 //! experiments.
 
 use crate::dataset::Dataset;
+use crate::dict::Dictionary;
+use crate::partition::PairLists;
 use crate::term::Term;
 use crate::triple::Triple;
 use crate::{NodeId, PredId};
@@ -115,7 +117,6 @@ pub fn decode(data: &[u8]) -> Result<Dataset, SnapshotError> {
         return Err(SnapshotError::BadMagic);
     }
 
-    let mut ds = Dataset::new();
     if buf.remaining() < 4 {
         return Err(SnapshotError::Truncated);
     }
@@ -153,22 +154,21 @@ pub fn decode(data: &[u8]) -> Result<Dataset, SnapshotError> {
     }
 
     // Rebuild the dictionary with identical positional ids.
-    {
-        let dict = ds.dict_mut_for_snapshot();
-        for term in &node_terms {
-            dict.encode_node(term)
-                .map_err(|_| SnapshotError::Truncated)?;
-        }
-        for iri in &pred_iris {
-            dict.encode_pred(iri)
-                .map_err(|_| SnapshotError::Truncated)?;
-        }
+    let mut dict = Dictionary::new();
+    for term in &node_terms {
+        dict.encode_node(term)
+            .map_err(|_| SnapshotError::Truncated)?;
+    }
+    for iri in &pred_iris {
+        dict.encode_pred(iri)
+            .map_err(|_| SnapshotError::Truncated)?;
     }
 
     if buf.remaining() < 8 {
         return Err(SnapshotError::Truncated);
     }
     let triples = buf.get_u64_le();
+    let mut pairs = PairLists::default();
     for _ in 0..triples {
         if buf.remaining() < 12 {
             return Err(SnapshotError::Truncated);
@@ -179,9 +179,9 @@ pub fn decode(data: &[u8]) -> Result<Dataset, SnapshotError> {
         if s.0 >= nodes || o.0 >= nodes || p.0 >= preds {
             return Err(SnapshotError::DanglingId);
         }
-        ds.insert(Triple::new(s, p, o));
+        pairs.push(Triple::new(s, p, o));
     }
-    Ok(ds)
+    Ok(Dataset::from_owned(dict, pairs))
 }
 
 #[cfg(test)]

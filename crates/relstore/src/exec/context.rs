@@ -41,7 +41,7 @@ impl CancelToken {
 /// calibration target: at equal data size MySQL answers the complex query
 /// 18–25× slower than Neo4j, while our operator-count ratio for the same
 /// query is ≈2.2×. Charging relational work ~8× more per unit reproduces
-/// the published gap; DESIGN.md documents this substitution. The absolute
+/// the published gap (README, "Simulated cost and ablations"). The absolute
 /// scale (nanoseconds) is arbitrary — only the ratio carries meaning.
 pub const REL_NANOS_PER_WORK_UNIT: f64 = 50.0;
 /// Calibrated simulated latency per graph-store work unit (see

@@ -36,7 +36,8 @@ pub struct PlannerConfig {
     /// Index-nested-loop join is chosen over hash join only when the
     /// accumulated binding count is below `ratio · table_rows`.
     pub inl_probe_ratio: f64,
-    /// Ablation switch (DESIGN.md D1): force full scans everywhere.
+    /// Ablation switch D1 (README, "Simulated cost and ablations"): force
+    /// full scans everywhere.
     pub force_scans: bool,
 }
 

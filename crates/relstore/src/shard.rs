@@ -25,7 +25,7 @@
 use crate::exec::{Bindings, ExecStats};
 use crate::router::ShardRouter;
 use crate::table::{PredTable, TableStats};
-use kgdual_model::{NodeId, PredId};
+use kgdual_model::{NodeId, PredId, SharedPairs};
 
 /// One shard: the partitions the router assigned here, sorted by
 /// predicate so in-shard enumeration is canonical by construction.
@@ -162,10 +162,11 @@ impl ShardedRelStore {
         self.total_rows += 1;
     }
 
-    /// Bulk-append rows to `pred`'s partition.
-    pub fn insert_batch(&mut self, pred: PredId, pairs: &[(NodeId, NodeId)]) {
+    /// Bulk-append a shared run of rows to `pred`'s partition (an empty
+    /// partition adopts the run, see [`PredTable::insert_shared`]).
+    pub fn insert_batch(&mut self, pred: PredId, pairs: &SharedPairs) {
         let shard = &mut self.shards[self.router.assign(pred)];
-        shard.table_mut(pred).insert_batch(pairs);
+        shard.table_mut(pred).insert_shared(pairs);
         shard.rows += pairs.len();
         self.total_rows += pairs.len();
     }

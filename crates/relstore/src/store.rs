@@ -124,15 +124,18 @@ impl RelStore {
     }
 
     /// Bulk-load every partition of `parts` (appends to existing tables).
+    /// An empty table adopts the partition's shared pair run as its base
+    /// rows, so the store and the dataset hold one copy until either
+    /// writes to it.
     pub fn load_partition_set(&mut self, parts: &PartitionSet) {
         for part in parts.iter() {
-            self.sharded.insert_batch(part.pred(), part.pairs());
+            self.sharded.insert_batch(part.pred(), part.shared_pairs());
         }
     }
 
-    /// Bulk-load one partition's pairs.
+    /// Bulk-load one partition's pairs (copied in).
     pub fn load_partition(&mut self, pred: PredId, pairs: &[(NodeId, NodeId)]) {
-        self.sharded.insert_batch(pred, pairs);
+        self.sharded.insert_batch(pred, &Arc::new(pairs.to_vec()));
     }
 
     /// Insert a single triple: an append, plus a sorted splice into each

@@ -1,6 +1,6 @@
 //! Per-predicate two-column tables (vertical partitioning).
 
-use kgdual_model::{sorted, NodeId};
+use kgdual_model::{sorted, NodeId, SharedPairs};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::ops::{Deref, Range};
@@ -44,6 +44,10 @@ type SortedIndex = RwLock<Option<Arc<Vec<(NodeId, NodeId)>>>>;
 ///
 /// The base storage is an append-ordered pair vector (cheap inserts — the
 /// paper's relational store must be "convenient in updating knowledge").
+/// It sits behind an `Arc`: a table loaded empty from a dataset partition
+/// adopts the partition's own run ([`insert_shared`](Self::insert_shared)),
+/// and the first write copies it once if the dataset still holds it
+/// (`Arc::make_mut`).
 /// Two sorted permutation indexes (`by subject`, `by object`) and the stats
 /// are built lazily behind locks on first use, like a real RDBMS's
 /// secondary indexes, and from then on **single-row writes keep them
@@ -60,7 +64,7 @@ type SortedIndex = RwLock<Option<Arc<Vec<(NodeId, NodeId)>>>>;
 /// by the next lookup or [`warm`](Self::warm).
 #[derive(Debug, Default)]
 pub struct PredTable {
-    pairs: Vec<(NodeId, NodeId)>,
+    pairs: SharedPairs,
     by_s: SortedIndex,
     /// Stored as `(object, subject)` so binary search keys on `.0`.
     by_o: SortedIndex,
@@ -76,7 +80,7 @@ impl PredTable {
     /// Build directly from pairs (bulk load).
     pub fn from_pairs(pairs: Vec<(NodeId, NodeId)>) -> Self {
         PredTable {
-            pairs,
+            pairs: Arc::new(pairs),
             ..Self::default()
         }
     }
@@ -104,7 +108,7 @@ impl PredTable {
     /// Append a row. Built indexes take it at its sorted position and the
     /// statistics follow; unbuilt ones stay unbuilt.
     pub fn insert(&mut self, s: NodeId, o: NodeId) {
-        self.pairs.push((s, o));
+        Arc::make_mut(&mut self.pairs).push((s, o));
         let new_s = built(&mut self.by_s).map(|idx| sorted::splice_in(idx, (s, o)));
         let new_o = built(&mut self.by_o).map(|idx| sorted::splice_in(idx, (o, s)));
         // Statistics survive only while both indexes vouch for them.
@@ -122,7 +126,22 @@ impl PredTable {
     /// Append many rows; drops indexes and stats once (the next lookup or
     /// [`warm`](Self::warm) rebuilds them with one sort each).
     pub fn insert_batch(&mut self, rows: &[(NodeId, NodeId)]) {
-        self.pairs.extend_from_slice(rows);
+        Arc::make_mut(&mut self.pairs).extend_from_slice(rows);
+        self.drop_indexes();
+    }
+
+    /// Append a shared run of rows, like [`insert_batch`](Self::insert_batch).
+    /// An empty table adopts the run itself as its base rows, with no copy.
+    pub fn insert_shared(&mut self, rows: &SharedPairs) {
+        if self.pairs.is_empty() {
+            self.pairs = Arc::clone(rows);
+            self.drop_indexes();
+        } else {
+            self.insert_batch(rows);
+        }
+    }
+
+    fn drop_indexes(&mut self) {
         *self.by_s.get_mut() = None;
         *self.by_o.get_mut() = None;
         *self.stats.get_mut() = None;
@@ -132,18 +151,27 @@ impl PredTable {
     /// surviving rows keep their order. A built subject index is asked
     /// first, so deleting an absent row is two binary searches and no
     /// scan; a present row costs one pass over the base rows plus the
-    /// splice in each built index.
+    /// splice in each built index. Only a present row copies shared base
+    /// rows.
     pub fn delete(&mut self, s: NodeId, o: NodeId) -> usize {
         let gone_s = built(&mut self.by_s).map(|idx| sorted::splice_out(idx, (s, o)));
         if matches!(gone_s, Some((0, _))) {
             return 0;
         }
-        let before = self.pairs.len();
-        self.pairs.retain(|&(ps, po)| !(ps == s && po == o));
-        let removed = before - self.pairs.len();
-        if removed == 0 {
+        let Some(first) = self.pairs.iter().position(|&row| row == (s, o)) else {
             return 0;
+        };
+        // Close the gaps from the first hit on, keeping the survivors' order.
+        let pairs = Arc::make_mut(&mut self.pairs);
+        let mut kept = first;
+        for i in first + 1..pairs.len() {
+            if pairs[i] != (s, o) {
+                pairs[kept] = pairs[i];
+                kept += 1;
+            }
         }
+        let removed = pairs.len() - kept;
+        pairs.truncate(kept);
         let gone_o = built(&mut self.by_o).map(|idx| sorted::splice_out(idx, (o, s)));
         let stats = self.stats.get_mut();
         *stats = match (*stats, gone_s, gone_o) {
@@ -166,7 +194,7 @@ impl PredTable {
         if let Some(idx) = w.as_ref() {
             return Arc::clone(idx);
         }
-        let mut sorted = self.pairs.clone();
+        let mut sorted = self.pairs.to_vec();
         sorted.sort_unstable();
         let arc = Arc::new(sorted);
         *w = Some(Arc::clone(&arc));
@@ -415,6 +443,30 @@ mod tests {
         t.insert_batch(&[(n(1), n(1)), (n(2), n(2))]);
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
+    }
+
+    #[test]
+    fn an_empty_table_adopts_a_shared_run_and_copies_it_on_write() {
+        let run: SharedPairs = Arc::new(vec![(n(5), n(1)), (n(1), n(2))]);
+        let mut t = PredTable::new();
+        t.insert_shared(&run);
+        assert!(
+            std::ptr::eq(t.scan(), run.as_slice()),
+            "adopted, not copied"
+        );
+        assert_eq!(t.delete(n(9), n(9)), 0);
+        assert!(
+            std::ptr::eq(t.scan(), run.as_slice()),
+            "a miss copies nothing"
+        );
+        t.insert(n(7), n(7));
+        assert_eq!(*run, [(n(5), n(1)), (n(1), n(2))], "the run is untouched");
+        assert_eq!(t.scan(), [(n(5), n(1)), (n(1), n(2)), (n(7), n(7))]);
+        // A non-empty table appends a copy of the run.
+        t.insert_shared(&run);
+        assert_eq!(t.len(), 5);
+        assert_eq!(t.delete(n(5), n(1)), 2);
+        assert_eq!(t.scan(), [(n(1), n(2)), (n(7), n(7)), (n(1), n(2))]);
     }
 
     #[test]

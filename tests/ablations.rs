@@ -1,5 +1,6 @@
-//! Integration-level checks for the DESIGN.md ablation knobs: each switch
-//! must change costs in the predicted direction without changing results.
+//! Integration-level checks for the ablation knobs the README's "Simulated
+//! cost and ablations" section describes: each switch must change costs
+//! in the predicted direction without changing results.
 
 use kgdual::prelude::*;
 use kgdual::relstore::PlannerConfig;
