@@ -26,14 +26,11 @@ pub struct BenchArgs {
     /// construction — the flag changes physical layout and intra-query
     /// parallelism only.
     pub shards: usize,
-    /// Serving port for `serve_store` / `bench_serve`: `--port N` (the
-    /// `KGDUAL_PORT` env var sets the default, same one-path precedence
-    /// as `KGDUAL_THREADS`). 0 (the default) asks the OS for a free
-    /// port, which the server reports on startup.
+    /// Serving port for `serve_store`: `--port N` (the `KGDUAL_PORT` env
+    /// var sets the default, same one-path precedence as
+    /// `KGDUAL_THREADS`). 0 (the default) asks the OS for a free port,
+    /// which the server reports on startup.
     pub port: u16,
-    /// Concurrent load-generator clients: `--clients N` (env default
-    /// `KGDUAL_CLIENTS`, minimum 1).
-    pub clients: usize,
     /// `--obs-out <path>`: enable kgdual-obs recording for the run and
     /// write the final metrics snapshot (JSON form) to `path` on exit
     /// (see [`crate::obs::write_obs_profile`]). `None` leaves recording
@@ -52,7 +49,6 @@ impl Default for BenchArgs {
             threads: 1,
             shards: 1,
             port: 0,
-            clients: 8,
             obs_out: None,
             extra: Vec::new(),
         }
@@ -72,7 +68,6 @@ impl BenchArgs {
         base.shards = count("KGDUAL_SHARDS").unwrap_or(base.shards);
         base.threads = count("KGDUAL_THREADS").unwrap_or(base.threads);
         base.port = env("KGDUAL_PORT").unwrap_or(base.port);
-        base.clients = count("KGDUAL_CLIENTS").unwrap_or(base.clients);
         Self::parse_into(base, std::env::args().skip(1)).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2)
@@ -101,7 +96,6 @@ impl BenchArgs {
                 "threads" => out.threads = value_of::<usize>(key, &value)?.max(1),
                 "shards" => out.shards = value_of::<usize>(key, &value)?.max(1),
                 "port" => out.port = value_of(key, &value)?,
-                "clients" => out.clients = value_of::<usize>(key, &value)?.max(1),
                 "obs-out" => out.obs_out = Some(value),
                 _ => out.extra.push((key.to_owned(), value)),
             }
@@ -242,33 +236,26 @@ mod tests {
     }
 
     #[test]
-    fn port_and_clients_flags_parse_with_sane_bounds() {
-        let a = parse("");
-        assert_eq!((a.port, a.clients), (0, 8));
-        let a = parse("--port 7878 --clients 32");
-        assert_eq!((a.port, a.clients), (7878, 32));
-        // Port 0 is legal (OS-assigned); clients clamps to at least 1.
-        let a = parse("--port 0 --clients 0");
-        assert_eq!((a.port, a.clients), (0, 1));
+    fn port_flag_parses_with_sane_bounds() {
+        assert_eq!(parse("").port, 0);
+        assert_eq!(parse("--port 7878").port, 7878);
+        // Port 0 is legal (OS-assigned).
+        assert_eq!(parse("--port 0").port, 0);
     }
 
     #[test]
-    fn env_seeded_port_and_clients_yield_to_explicit_flags() {
+    fn env_seeded_port_yields_to_explicit_flag() {
         // Same one-path precedence as KGDUAL_THREADS: `parse()` seeds
-        // the base from KGDUAL_PORT/KGDUAL_CLIENTS, then flags win.
+        // the base from KGDUAL_PORT, then the flag wins.
         let base = BenchArgs {
             port: 9100,
-            clients: 16,
             ..Default::default()
         };
         let kept = BenchArgs::parse_into(base.clone(), std::iter::empty()).unwrap();
-        assert_eq!((kept.port, kept.clients), (9100, 16));
-        let overridden = BenchArgs::parse_into(
-            base,
-            ["--port", "7000", "--clients", "2"].map(str::to_owned),
-        )
-        .unwrap();
-        assert_eq!((overridden.port, overridden.clients), (7000, 2));
+        assert_eq!(kept.port, 9100);
+        let overridden =
+            BenchArgs::parse_into(base, ["--port", "7000"].map(str::to_owned)).unwrap();
+        assert_eq!(overridden.port, 7000);
     }
 
     #[test]

@@ -1,139 +1,75 @@
-//! **kgdual-explain** — render EXPLAIN / EXPLAIN ANALYZE profiles for
-//! the YAGO workload pool against a DOTIL-tuned store.
+//! **kgdual-explain** — EXPLAIN ANALYZE profiles of the YAGO query pool
+//! against a DOTIL-tuned store.
 //!
 //! ```text
-//! kgdual-explain --scale 0.002 --seed 42 --threads 4 --shards 4
+//! kgdual-explain [--scale F] [--seed N] [--threads N] [--shards N] [--obs-out PATH]
+//! kgdual-explain check
 //! ```
 //!
-//! Builds the seeded store, runs the workload once with tuning epochs so
-//! residency (and therefore routing) settles, then explains every
-//! distinct pool query: the indented operator tree with estimates,
-//! actuals, and q-errors goes to stderr, and a JSON document with the
-//! full plan + profile per query goes to stdout (captured to
-//! `docs/baselines/explain_profile.json`).
-//!
-//! The `plan_digest` field is an FNV-1a hash over every query's
-//! *deterministic* plan and profile JSON (route, operator sequence,
-//! estimates, actual rows, work units) — byte-identical across shards ×
-//! threads, so the baseline drift check pins the planner's decisions
-//! without pinning machine-dependent timings.
+//! Run from the repository root. A plain run writes
+//! `docs/baselines/explain_profile.json` (see `kgdual_bench::explain`)
+//! and prints every query's operator tree — estimates, actuals and
+//! q-errors — to stderr. `check` reads scale, seed, threads and shards
+//! from the committed file's `meta`, re-runs the profile in memory and
+//! prints each query whose text, route or plan drifted, and the old and
+//! new `plan_digest`; it exits non-zero on any drift and writes nothing.
 
-use kgdual_bench::{build_batches, build_dataset, build_workload, BenchArgs, Order};
-use kgdual_bench::{experiments::WorkloadKind, serve_load::query_pool};
-use kgdual_core::{process_shared_explain, DualStore, PhysicalTuner};
-use kgdual_dotil::{Dotil, DotilConfig};
-use kgdual_exec::{BatchExecutor, SchedShardDispatch, SharedStore};
-use kgdual_relstore::TempSpace;
-use std::sync::Arc;
+use kgdual_bench::{explain, BenchArgs};
+use kgdual_serve::json;
+use std::process::ExitCode;
 
-/// FNV-1a over a byte string (stable, dependency-free fingerprint).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+const PROFILE: &str = "docs/baselines/explain_profile.json";
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let result = match argv.first().map(String::as_str) {
+        Some("check") if argv.len() == 1 => check(),
+        Some("check") => Err(format!(
+            "check takes no flags: it reads them from {PROFILE}"
+        )),
+        _ => write(BenchArgs::parse()),
+    };
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::from(2)
+    })
 }
 
-/// Escape a query string for embedding in the JSON report.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+fn write(args: BenchArgs) -> Result<ExitCode, String> {
+    kgdual_bench::init_obs(&args);
+    let profile = explain::profile(&args);
+    eprint!("{}", profile.trees);
+    std::fs::write(PROFILE, profile.json).map_err(|e| format!("writing {PROFILE}: {e}"))?;
+    println!("wrote {PROFILE}, {}", args.describe());
+    kgdual_bench::write_obs_profile(&args);
+    Ok(ExitCode::SUCCESS)
 }
 
-fn run(args: &BenchArgs) {
-    let dataset = build_dataset(WorkloadKind::Yago, args);
-    let workload = build_workload(WorkloadKind::Yago, args);
-    let batches = build_batches(&workload, Order::Ordered, args.seed);
-    let budget = dataset.len() / 4;
-    eprintln!(
-        "kgdual-explain: yago store, {} triples, {}",
-        dataset.len(),
-        args.describe()
-    );
-
-    // Settle residency first: one tuned workload pass, so the explained
-    // routes reflect the store DOTIL actually builds, not the cold one.
-    let store = SharedStore::new(DualStore::from_dataset_sharded(
-        dataset,
-        budget,
-        args.shards,
-    ));
-    let mut tuner = Dotil::with_config(DotilConfig::default());
-    let executor = BatchExecutor::new(args.threads);
-    let sched = Arc::clone(executor.scheduler());
-    if args.threads > 1 {
-        store.install_shard_dispatch(Arc::new(SchedShardDispatch::new(Arc::clone(&sched))));
-        store.read().warm_rel_indexes();
+fn check() -> Result<ExitCode, String> {
+    let text = std::fs::read_to_string(PROFILE).map_err(|e| format!("reading {PROFILE}: {e}"))?;
+    let committed = json::parse(&text).map_err(|e| format!("{PROFILE}: {e}"))?;
+    let args = explain::args_of(&committed).map_err(|e| format!("{PROFILE}: {e}"))?;
+    let fresh = json::parse(&explain::profile(&args).json).expect("a profile is valid JSON");
+    let drift = explain::diff(&committed, &fresh);
+    if drift.is_empty() {
+        let n = committed
+            .get("queries")
+            .and_then(json::Json::as_arr)
+            .map_or(0, <[_]>::len);
+        println!("OK: {PROFILE} unchanged ({n} queries)");
+        return Ok(ExitCode::SUCCESS);
     }
-    for batch in &batches {
-        let report = executor.execute_batch(&store, batch);
-        assert_eq!(report.errors, 0, "healthy tuning pass");
-        store.reconfigure(|dual| tuner.tune_with(dual, batch, Some(&sched)));
+    for line in &drift {
+        println!("  {PROFILE}: {line}");
     }
-
-    let pool = query_pool(args);
-    let guard = store.read();
-    let dual = &*guard;
-    let mut temp = TempSpace::new();
-    let mut rows = Vec::with_capacity(pool.len());
-    let mut digest_input = String::new();
-    for (i, text) in pool.iter().enumerate() {
-        let query = kgdual_sparql::parse(text).expect("pool query parses");
-        let out = process_shared_explain(dual, &mut temp, &query, true).expect("pool query runs");
-        let plan = out.plan.as_ref().expect("explain run produces a plan");
-        let profile = out
-            .profile
-            .as_ref()
-            .expect("explain run produces a profile");
-        eprintln!("-- query #{i}: {text}");
-        eprint!("{}", plan.render_text(Some(profile)));
-        digest_input.push_str(&plan.deterministic_json());
-        digest_input.push_str(&profile.deterministic_json());
-        rows.push(format!(
-            "    {{\"idx\": {i}, \"query\": {}, \"route\": \"{}\", \"plan\": {}, \"profile\": {}}}",
-            escape(text),
-            out.route.name(),
-            plan.to_json(),
-            profile.to_json(),
-        ));
-    }
-    drop(guard);
-
-    println!("{{");
-    println!("  \"meta\": {{");
     println!(
-        "    \"workload\": \"YAGO\", \"scale\": {}, \"seed\": {}, \"threads\": {}, \"shards\": {}",
+        "\nEXPLAIN DRIFT: {} difference(s) from {PROFILE}.",
+        drift.len()
+    );
+    println!(
+        "If intended, regenerate with `kgdual-explain --scale {} --seed {} --threads {} \
+         --shards {}` and commit.",
         args.scale, args.seed, args.threads, args.shards
     );
-    println!("  }},");
-    println!(
-        "  \"plan_digest\": \"{:016x}\",",
-        fnv1a(digest_input.as_bytes())
-    );
-    println!("  \"queries\": [");
-    println!("{}", rows.join(",\n"));
-    println!("  ]");
-    println!("}}");
-    kgdual_bench::write_obs_profile(args);
-}
-
-fn main() {
-    let args = BenchArgs::parse();
-    kgdual_bench::init_obs(&args);
-    run(&args);
+    Ok(ExitCode::FAILURE)
 }

@@ -64,6 +64,10 @@ fn check() -> Result<ExitCode, String> {
         "\nBASELINE DRIFT: {} cell(s) differ from {TSV}.",
         drift.len()
     );
-    println!("If intended, regenerate with scripts/capture_baselines.sh and commit.");
+    let args = &committed.args;
+    println!(
+        "If intended, regenerate with `kgdual-paper --scale {} --seed {} --reps {}` and commit.",
+        args.scale, args.seed, args.reps
+    );
     Ok(ExitCode::FAILURE)
 }

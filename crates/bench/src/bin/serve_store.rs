@@ -2,26 +2,25 @@
 //! YAGO store until asked to stop.
 //!
 //! ```text
-//! serve_store --scale 0.002 --seed 42 --port 0 --threads 4 --clients 8
+//! serve_store --scale 0.002 --seed 42 --port 0 --threads 4 --shards 4
 //! ```
 //!
 //! Prints `listening on <addr>` once ready (port 0 resolves to an
-//! OS-assigned port — scripts grep this line), then serves until either
+//! OS-assigned port, which this line reports), then serves until either
 //! SIGTERM/SIGINT arrives or a client POSTs `/shutdown`. Both paths
 //! drain gracefully: new queries get typed 503s, admitted queries
 //! finish and their responses are written, then the process prints the
-//! final serving counters and `drained` and exits 0 — the CI smoke
-//! script asserts exactly this sequence.
+//! final serving counters and `drained` and exits 0 — the serving smoke
+//! test in `crates/bench/tests` asserts exactly this sequence.
 //!
-//! The admission queue capacity defaults to `2 × clients` and can be
-//! pinned with `--queue-cap N` (the overload smoke sets it below the
-//! sender count to force rejections).
+//! Admission follows `ServeConfig::default()`, the policy kgbench's
+//! serving workloads measure.
 
 use kgdual_bench::serve_load::query_pool;
 use kgdual_bench::{build_dataset, BenchArgs, WorkloadKind};
 use kgdual_core::DualStore;
 use kgdual_exec::{SchedShardDispatch, Scheduler, SharedStore};
-use kgdual_serve::{AdmissionConfig, ServeConfig, Server};
+use kgdual_serve::{ServeConfig, Server};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -73,20 +72,15 @@ fn run(args: &BenchArgs) {
         store.install_shard_dispatch(Arc::new(SchedShardDispatch::new(Arc::clone(&sched))));
         store.read().warm_rel_indexes();
     }
-    // Log the query pool size so operators know what the workload-mix
-    // clients will send (the pool is derived, not served).
+    // Log the size of the query pool that replays against this store
+    // (the pool is derived, not served).
     eprintln!(
         "serve_store: workload pool has {} distinct queries",
         query_pool(args).len()
     );
 
-    let queue_cap = args
-        .get("queue-cap")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(args.clients * 2);
     let config = ServeConfig {
         addr: format!("127.0.0.1:{}", args.port),
-        admission: AdmissionConfig::new(queue_cap, args.clients),
         // `--trace-out spans.jsonl` flushes the trace ring buffers there
         // during the graceful drain, so the final requests' span trees
         // survive process exit.

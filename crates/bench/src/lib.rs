@@ -1,15 +1,15 @@
 //! # kgdual-bench
 //!
 //! The benchmark harness: the paper's evaluation (§6) as one report,
-//! the serving and observability benches, EXPLAIN profiles, and
-//! criterion microbenches for the substrates.
+//! EXPLAIN profiles, a served store, and criterion microbenches for the
+//! substrates. Wall-clock serving and tracing costs are measured by
+//! kgbench (`benchmark/`), not here.
 //!
 //! | Binary | Produces |
 //! |---|---|
 //! | `kgdual-paper` | `docs/paper_report.md` (Table 1, Figures 3–8, Tables 5–6) and `docs/baselines/deterministic.tsv`; `kgdual-paper check` drift-checks the TSV |
-//! | `kgdual-explain` | EXPLAIN ANALYZE profiles of the YAGO query pool |
-//! | `bench_obs` | the observability overhead gate |
-//! | `serve_store` / `bench_serve` | a served store and its load generator |
+//! | `kgdual-explain` | `docs/baselines/explain_profile.json`, EXPLAIN ANALYZE profiles of the YAGO query pool; `kgdual-explain check` drift-checks it |
+//! | `serve_store` | a served YAGO store, until SIGTERM or `POST /shutdown` |
 //!
 //! The experiments are declared once, in [`report::EXPERIMENTS`]; each
 //! distinct run is memoised by its cell key, so every figure and the TSV
@@ -26,6 +26,7 @@
 
 pub mod args;
 pub mod experiments;
+pub mod explain;
 pub mod obs;
 pub mod report;
 pub mod serve_load;

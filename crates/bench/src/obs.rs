@@ -59,11 +59,11 @@ mod tests {
         assert!(kgdual_obs::enabled());
         kgdual_obs::global()
             .metrics()
-            .histogram("bench_obs_module_test_ns")
+            .histogram("bench_module_test_ns")
             .record(7);
         assert!(write_obs_profile(&args));
         let written = std::fs::read_to_string(&path).unwrap();
-        assert!(written.contains("\"bench_obs_module_test_ns\""));
+        assert!(written.contains("\"bench_module_test_ns\""));
         std::fs::remove_file(&path).ok();
         kgdual_obs::global().set_enabled(kgdual_obs::env_enabled());
     }

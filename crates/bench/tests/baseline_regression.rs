@@ -30,7 +30,10 @@ fn yago_totals_match_committed_baseline() {
     assert!(
         drift.is_empty(),
         "YAGO totals drifted from docs/baselines/deterministic.tsv — if intended, \
-         regenerate with scripts/capture_baselines.sh:\n{}",
+         regenerate with `kgdual-paper --scale {} --seed {} --reps {}`:\n{}",
+        committed.args.scale,
+        committed.args.seed,
+        committed.args.reps,
         drift.join("\n")
     );
 }

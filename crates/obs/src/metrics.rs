@@ -6,9 +6,9 @@
 //! struct — and recorded from any thread without locks or allocation.
 //! Every record call first checks the process-wide enable flag
 //! ([`crate::enabled`]); when observability is off the call is a single
-//! relaxed load and an untaken branch (the no-op recorder path), which is
-//! what keeps instrumented hot loops within the `bench_obs` overhead
-//! budget even before the flag is ever flipped on.
+//! relaxed load and an untaken branch (the no-op recorder path), so
+//! instrumented hot loops cost next to nothing in kgbench's runs, which
+//! leave the flag off.
 //!
 //! Contention model: counters and gauges stripe their cells across
 //! [`STRIPES`] cache-line-padded atomics, with each thread pinned to one

@@ -1,7 +1,7 @@
 //! A blocking client for the serve wire protocol.
 //!
-//! Used by the load generator (`bench_serve`), the equivalence suite,
-//! and the smoke script — one keep-alive connection, synchronous
+//! Used by the equivalence suite's wire cells, the serving smoke test
+//! and the server tests — one keep-alive connection, synchronous
 //! request/response. The digest helpers mirror the batch executor's
 //! encoding exactly so wire results can be fingerprinted against the
 //! batch path byte for byte.

@@ -5,8 +5,9 @@
 //! [`OnceLock`] so the hot path pays one pointer load after first use.
 //! All recording sites honour the global `KGDUAL_OBS` kill switch —
 //! with observability off these calls reduce to a relaxed flag check,
-//! which is what keeps `bench_obs`'s <3 % overhead assertion valid with
-//! the serve instruments registered.
+//! so kgbench, which serves with recording off, carries their cost in
+//! every serving metric it reports (its `obs.trace_overhead_pct` covers
+//! its own layer spans, not these).
 //!
 //! These metrics are *observational only*. Admission decisions and the
 //! serve fingerprint read the deterministic [`crate::server::ServeStats`]
@@ -41,8 +42,8 @@ pub struct ServeObs {
 
 /// The serve instrument handles, registering them on first call.
 ///
-/// `bench_obs` calls this at startup so its overhead measurement runs
-/// with the serve metric family present in the registry.
+/// `GET /metrics` calls this before snapshotting, so a scrape that races
+/// the first query still sees the serve metric family (at zero).
 pub fn serve_obs() -> &'static ServeObs {
     static OBS: OnceLock<ServeObs> = OnceLock::new();
     OBS.get_or_init(|| {

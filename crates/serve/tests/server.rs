@@ -11,7 +11,7 @@ use kgdual_serve::{AdmissionConfig, ServeClient, ServeConfig, Server};
 use kgdual_workloads::YagoGen;
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex};
 use std::time::Duration;
 
 const SEED: u64 = 42;
@@ -244,6 +244,74 @@ fn zero_capacity_queue_rejects_every_query_on_the_wire() {
     let stats = handle.shutdown();
     assert_eq!(stats.accepted, 0);
     assert_eq!(stats.rejected_queue_full, 3);
+}
+
+#[test]
+fn overload_sheds_the_excess_as_typed_queue_full_and_bounds_the_queue() {
+    const CAP: usize = 4;
+    const EXCESS: usize = 3;
+    const WAIT: Duration = Duration::from_secs(30);
+    let store = small_store();
+    let (handle, _sched) = start(
+        Arc::clone(&store),
+        1,
+        AdmissionConfig::new(CAP, CAP + EXCESS),
+    );
+    let text = queries()[0].clone();
+    let addr = handle.local_addr();
+    let (held, release) = (Barrier::new(2), Barrier::new(2));
+
+    let (refused, served) = std::thread::scope(|ts| {
+        // Hold the store's write lock, so every admitted query parks on
+        // the read guard with its admission ticket held.
+        ts.spawn(|| {
+            store.reconfigure(|_| {
+                held.wait();
+                release.wait();
+            })
+        });
+        held.wait();
+        let (tx, replies) = mpsc::channel();
+        for i in 0..CAP + EXCESS {
+            let (tx, text) = (tx.clone(), &text);
+            // One client id per sender, so each holds at most one slot
+            // and only the queue cap can refuse.
+            ts.spawn(move || {
+                let mut client = ServeClient::connect(addr, &format!("c{i}")).unwrap();
+                tx.send(client.query(text, None)).unwrap();
+            });
+        }
+        // While the lock is held nothing admitted can answer, so the
+        // first replies are the refusals. Release before asserting, so a
+        // failure cannot leave the lock held and the scope hung.
+        let refused: Vec<_> = (0..EXCESS).map(|_| replies.recv_timeout(WAIT)).collect();
+        release.wait();
+        let served: Vec<_> = (0..CAP).map(|_| replies.recv_timeout(WAIT)).collect();
+        (refused, served)
+    });
+
+    for reply in refused {
+        let reply = reply.expect("a reply in time").expect("no transport error");
+        assert_eq!(reply.http_status, 429);
+        assert_eq!(reply.reason.as_deref(), Some("queue_full"));
+    }
+    for reply in served {
+        let reply = reply.expect("a reply in time").expect("no transport error");
+        assert!(
+            reply.is_ok(),
+            "admitted query answered {}",
+            reply.http_status
+        );
+    }
+    assert_eq!(
+        handle.max_pending(),
+        CAP,
+        "the queue filled to its cap, no further"
+    );
+    let stats = handle.shutdown();
+    assert_eq!((stats.accepted, stats.completed), (CAP as u64, CAP as u64));
+    assert_eq!(stats.rejected_queue_full, EXCESS as u64);
+    assert_eq!(stats.rejected_fair_share, 0);
 }
 
 #[test]
