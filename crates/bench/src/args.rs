@@ -14,9 +14,9 @@ pub struct BenchArgs {
     pub reps: usize,
     /// Worker threads for the concurrent batch executor (`kgdual-exec`):
     /// `--threads N` (the `KGDUAL_THREADS` env var sets the default,
-    /// exactly like `KGDUAL_SHARDS` below). 1 (the
-    /// default) means serial; >1 runs the pooled executor and serving
-    /// binaries on that many workers. Every harness
+    /// exactly like `KGDUAL_SHARDS` below). 1 (the default) runs queries
+    /// one at a time; >1 runs the paper report's batches, the EXPLAIN
+    /// profile and the served store on that many workers. Every harness
     /// binary resolves its worker count through this one field — the
     /// scheduler pool size is never hard-coded at a call site.
     pub threads: usize,

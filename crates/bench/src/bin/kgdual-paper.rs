@@ -1,13 +1,15 @@
 //! **kgdual-paper** — the paper's §6 experiments as one report.
 //!
 //! ```text
-//! kgdual-paper [--scale F] [--seed N] [--reps N] [--shards N] [--obs-out PATH]
+//! kgdual-paper [--scale F] [--seed N] [--reps N] [--shards N] [--threads N] [--obs-out PATH]
 //! kgdual-paper check
 //! ```
 //!
 //! Run from the repository root. A plain run renders every experiment
 //! declared in `kgdual_bench::report::EXPERIMENTS` and writes
 //! `docs/paper_report.md` and `docs/baselines/deterministic.tsv`.
+//! `--threads N` (default 1) sizes the one worker pool every batch runs
+//! on; it moves wall-clock columns only, never a TSV cell.
 //! `check` reads scale, seed and reps from the committed TSV's header,
 //! re-runs the report in memory (so every in-run assertion fires), and
 //! prints each drifted, missing or extra cell by name; it exits non-zero

@@ -1,16 +1,16 @@
 //! The two kinds of run the report's grid cells make: one store variant
-//! over one batched workload, and the Fig 6 restart comparison.
-//! [`crate::report`] memoises them.
+//! over one batched workload, and the Fig 6 restart comparison. Every run
+//! drives [`ParallelRunner`] on one shared pool; [`crate::report`]
+//! memoises them.
 
 use kgdual_core::batch::TuningSchedule;
-use kgdual_core::{
-    BatchReport, DualStore, PhysicalTuner, StoreVariant, TuningOutcome, WorkloadRunner,
+use kgdual_core::{DualStore, NoopTuner, PhysicalTuner};
+use kgdual_dotil::{Dotil, DotilConfig, FrequencyTuner, IdealTuner, OneOffTuner, ViewTuner};
+use kgdual_exec::{
+    BatchExecutor, ExecMode, ParallelBatchReport, ParallelRunner, Scheduler, SharedStore,
 };
-use kgdual_dotil::{Dotil, DotilConfig, FrequencyTuner, IdealTuner, OneOffTuner};
-use kgdual_graphstore::GraphBackend;
 use kgdual_model::Dataset;
 use kgdual_sparql::Query;
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Workload selector.
@@ -85,59 +85,45 @@ impl VariantKind {
             _ => TuningSchedule::AfterEachBatch,
         }
     }
-}
 
-/// A [`Dotil`] shared between the variant (which owns the tuner box) and
-/// the harness (which wants to read Q-matrices afterwards).
-#[derive(Clone)]
-pub struct SharedDotil(pub Arc<Mutex<Dotil>>);
-
-impl SharedDotil {
-    /// Wrap a configured DOTIL instance.
-    pub fn new(cfg: DotilConfig) -> Self {
-        SharedDotil(Arc::new(Mutex::new(Dotil::with_config(cfg))))
-    }
-
-    /// Cell-wise Q-matrix sum (Table 5's training-effect metric).
-    pub fn q_matrix_sum(&self) -> [f64; 4] {
-        self.0.lock().q_matrix_sum()
-    }
-}
-
-impl<B: GraphBackend> PhysicalTuner<B> for SharedDotil {
-    fn name(&self) -> &str {
-        "dotil"
-    }
-
-    fn tune(&mut self, dual: &mut DualStore<B>, batch: &[Query]) -> TuningOutcome {
-        self.0.lock().tune(dual, batch)
-    }
-
-    fn export_state(&self) -> Option<Vec<u8>> {
-        Some(self.0.lock().export_state_bytes())
-    }
-
-    fn import_state(&mut self, state: &[u8]) -> Result<(), kgdual_model::DesignError> {
-        self.0.lock().import_state_bytes(state)
-    }
-}
-
-/// Build a fresh store variant over (a clone of) `dataset` with Table 4's
-/// default graph/view budget `r_BG` (a quarter of the triples), the
-/// relational store sharded `shards` ways.
-pub fn build_variant(kind: VariantKind, dataset: &Dataset, shards: usize) -> StoreVariant {
-    let budget = (dataset.len() as f64 * 0.25) as usize;
-    let dual = DualStore::from_dataset_sharded(dataset.clone(), budget, shards);
-    match kind {
-        VariantKind::RdbOnly => StoreVariant::rdb_only(dual),
-        VariantKind::RdbViews => StoreVariant::rdb_views(dual),
-        VariantKind::RdbGdbDotil => {
-            StoreVariant::rdb_gdb(dual, Box::new(Dotil::with_config(DotilConfig::default())))
+    /// The processor entry point its online phase runs.
+    pub fn mode(self) -> ExecMode {
+        match self {
+            VariantKind::RdbOnly => ExecMode::RelationalOnly,
+            VariantKind::RdbViews => ExecMode::ViewAssisted,
+            _ => ExecMode::Routed,
         }
-        VariantKind::RdbGdbOneOff => StoreVariant::rdb_gdb(dual, Box::new(OneOffTuner::new())),
-        VariantKind::RdbGdbLru => StoreVariant::rdb_gdb(dual, Box::new(FrequencyTuner::new())),
-        VariantKind::RdbGdbIdeal => StoreVariant::rdb_gdb(dual, Box::new(IdealTuner::new())),
     }
+
+    /// A fresh tuner for its offline phases.
+    pub fn tuner(self) -> Box<dyn PhysicalTuner> {
+        match self {
+            VariantKind::RdbOnly => Box::new(NoopTuner),
+            VariantKind::RdbViews => Box::new(ViewTuner::new()),
+            VariantKind::RdbGdbDotil => Box::new(Dotil::with_config(DotilConfig::default())),
+            VariantKind::RdbGdbOneOff => Box::new(OneOffTuner::new()),
+            VariantKind::RdbGdbLru => Box::new(FrequencyTuner::new()),
+            VariantKind::RdbGdbIdeal => Box::new(IdealTuner::new()),
+        }
+    }
+
+    /// Its runner: its schedule and mode, on `pool`.
+    pub fn runner(self, pool: &Arc<Scheduler>) -> ParallelRunner {
+        let executor = BatchExecutor::with_scheduler(Arc::clone(pool)).with_mode(self.mode());
+        ParallelRunner::new(self.schedule(), executor)
+    }
+}
+
+/// A fresh store over (a clone of) `dataset` with Table 4's default
+/// graph/view budget `r_BG` (a quarter of the triples), the relational
+/// store sharded `shards` ways.
+pub fn build_store(dataset: &Dataset, shards: usize) -> SharedStore {
+    let budget = (dataset.len() as f64 * 0.25) as usize;
+    SharedStore::new(DualStore::from_dataset_sharded(
+        dataset.clone(),
+        budget,
+        shards,
+    ))
 }
 
 /// One variant's run: the final repetition's reports (deterministic)
@@ -147,7 +133,7 @@ pub struct VariantResult {
     /// Variant name.
     pub variant: &'static str,
     /// Per-batch reports of the final repetition.
-    pub reports: Vec<BatchReport>,
+    pub reports: Vec<ParallelBatchReport>,
     /// Mean total wall TTI (seconds) of the kept repetitions.
     pub wall_tti_secs: f64,
 }
@@ -164,38 +150,40 @@ impl VariantResult {
     }
 }
 
-/// Run `variant` over `batches` `reps` times on one persistent store,
-/// keeping the mean wall TTI of all but the first repetition (the paper
-/// warms stores up with one run and averages the rest). Returns the
+/// Run `runner` over `batches` `reps` times on one persistent store and
+/// tuner, keeping the mean wall TTI of all but the first repetition (the
+/// paper warms stores up with one run and averages the rest). Returns the
 /// final repetition's reports and that mean.
 pub fn run_reps(
-    variant: &mut StoreVariant,
-    schedule: TuningSchedule,
+    runner: &ParallelRunner,
+    store: &SharedStore,
+    tuner: &mut dyn PhysicalTuner,
     batches: &[Vec<Query>],
     reps: usize,
-) -> (Vec<BatchReport>, f64) {
-    let runner = WorkloadRunner::new(schedule);
+) -> (Vec<ParallelBatchReport>, f64) {
     let (mut reports, mut wall) = (Vec::new(), Vec::new());
     for rep in 0..reps {
-        reports = runner.run(variant, batches).expect("workload run failed");
+        reports = runner.run(store, tuner, batches);
         if rep > 0 || reps == 1 {
-            wall.push(WorkloadRunner::total_tti(&reports).as_secs_f64());
+            wall.push(ParallelRunner::total_wall(&reports).as_secs_f64());
         }
     }
     (reports, wall.iter().sum::<f64>() / wall.len() as f64)
 }
 
-/// Run one store variant, freshly built over `dataset`, through
-/// [`run_reps`] with its own tuning schedule.
+/// Run one store variant, on a fresh store over `dataset`, through
+/// [`run_reps`] with its own mode, tuner and schedule on `pool`.
 pub fn run_variant(
     vk: VariantKind,
     dataset: &Dataset,
     batches: &[Vec<Query>],
     reps: usize,
     shards: usize,
+    pool: &Arc<Scheduler>,
 ) -> VariantResult {
-    let mut variant = build_variant(vk, dataset, shards);
-    let (reports, wall_tti_secs) = run_reps(&mut variant, vk.schedule(), batches, reps);
+    let store = build_store(dataset, shards);
+    let runner = vk.runner(pool);
+    let (reports, wall_tti_secs) = run_reps(&runner, &store, vk.tuner().as_mut(), batches, reps);
     VariantResult {
         variant: vk.name(),
         reports,
@@ -209,7 +197,7 @@ pub struct RestartColumn {
     /// Column name (`cold`, `warm-restart`, `oracle`).
     pub name: &'static str,
     /// Per-batch reports of the measured run.
-    pub reports: Vec<BatchReport>,
+    pub reports: Vec<ParallelBatchReport>,
     /// Total deterministic work units.
     pub total_work: u64,
     /// Total simulated TTI (seconds), the deterministic comparison metric.
@@ -221,13 +209,15 @@ pub struct RestartColumn {
     pub first_batch_graph_share: f64,
 }
 
-fn restart_column(name: &'static str, reports: Vec<BatchReport>) -> RestartColumn {
+fn restart_column(name: &'static str, reports: Vec<ParallelBatchReport>) -> RestartColumn {
     RestartColumn {
         name,
-        total_work: WorkloadRunner::total_work(&reports),
-        sim_tti_secs: WorkloadRunner::total_sim_tti(&reports).as_secs_f64(),
+        total_work: ParallelRunner::total_work(&reports),
+        sim_tti_secs: ParallelRunner::total_sim_tti(&reports).as_secs_f64(),
         result_rows: reports.iter().map(|r| r.result_rows).sum(),
-        first_batch_graph_share: reports.first().map_or(0.0, BatchReport::graph_work_share),
+        first_batch_graph_share: reports
+            .first()
+            .map_or(0.0, ParallelBatchReport::graph_work_share),
         reports,
     }
 }
@@ -255,34 +245,30 @@ pub fn run_restart_comparison(
     dataset: &Dataset,
     batches: &[Vec<Query>],
     shards: usize,
+    pool: &Arc<Scheduler>,
 ) -> Vec<RestartColumn> {
-    let runner = WorkloadRunner::new(TuningSchedule::AfterEachBatch);
+    let dotil = VariantKind::RdbGdbDotil;
+    let runner = dotil.runner(pool);
 
     // Cold start: one pass from nothing, learning as it goes.
-    let mut cold = build_variant(VariantKind::RdbGdbDotil, dataset, shards);
-    let cold_reports = runner.run(&mut cold, batches).expect("cold run failed");
+    let (cold, mut cold_tuner) = (build_store(dataset, shards), dotil.tuner());
+    let cold_reports = runner.run(&cold, cold_tuner.as_mut(), batches);
 
     // Persist the learned design + DOTIL state, then restart: a fresh
     // store over the same dataset, a fresh tuner, state rehydrated.
-    let snapshot = kgdual_core::persist::save_checkpoint(cold.dual(), cold.tuner(), 0);
-    let mut warm = build_variant(VariantKind::RdbGdbDotil, dataset, shards);
-    {
-        let (dual, tuner) = warm.dual_and_tuner_mut();
-        let tuner = tuner.map(|t| t as &mut dyn PhysicalTuner);
-        kgdual_core::persist::restore_checkpoint(dual, tuner, &snapshot)
-            .expect("restart restore must succeed on the same dataset");
-    }
-    let warm_reports = runner.run(&mut warm, batches).expect("warm run failed");
+    let snapshot = cold.checkpoint(Some(cold_tuner.as_ref()));
+    let (warm, mut warm_tuner) = (build_store(dataset, shards), dotil.tuner());
+    warm.restore(Some(warm_tuner.as_mut()), &snapshot)
+        .expect("restart restore must succeed on the same dataset");
+    let warm_reports = runner.run(&warm, warm_tuner.as_mut(), batches);
 
     // Restart-equivalence gate: the uninterrupted process's second pass
     // must be indistinguishable from the restarted one.
-    let resumed_reports = runner
-        .run(&mut cold, batches)
-        .expect("uninterrupted second pass failed");
+    let resumed_reports = runner.run(&cold, cold_tuner.as_mut(), batches);
     for (w, u) in warm_reports.iter().zip(&resumed_reports) {
         assert_eq!(
-            (w.total_work, w.sim_tti, w.result_rows, w.routes),
-            (u.total_work, u.sim_tti, u.result_rows, u.routes),
+            (w.total_work(), w.sim_tti, w.result_rows, w.routes),
+            (u.total_work(), u.sim_tti, u.result_rows, u.routes),
             "batch {}: a restored store must be deterministically \
              indistinguishable from one that never restarted",
             w.batch_index
@@ -290,10 +276,11 @@ pub fn run_restart_comparison(
     }
 
     // Oracle: the ideal mode, for the floor column.
-    let mut oracle = build_variant(VariantKind::RdbGdbIdeal, dataset, shards);
-    let oracle_reports = WorkloadRunner::new(VariantKind::RdbGdbIdeal.schedule())
-        .run(&mut oracle, batches)
-        .expect("oracle run failed");
+    let ideal = VariantKind::RdbGdbIdeal;
+    let oracle = build_store(dataset, shards);
+    let oracle_reports = ideal
+        .runner(pool)
+        .run(&oracle, ideal.tuner().as_mut(), batches);
 
     let columns = vec![
         restart_column("cold", cold_reports),
@@ -330,14 +317,15 @@ mod tests {
         let dataset = build_dataset(WorkloadKind::Yago, &args);
         let workload = build_workload(WorkloadKind::Yago, &args);
         let batches = build_batches(&workload, Order::Ordered, args.seed);
+        let pool = Arc::new(Scheduler::new(1));
         let results: Vec<VariantResult> = [VariantKind::RdbOnly, VariantKind::RdbGdbDotil]
             .into_iter()
-            .map(|vk| run_variant(vk, &dataset, &batches, 2, 1))
+            .map(|vk| run_variant(vk, &dataset, &batches, 2, 1, &pool))
             .collect();
         for r in &results {
             assert_eq!(r.reports.len(), 5, "five batches");
             assert!(r.wall_tti_secs > 0.0);
-            assert!(WorkloadRunner::total_work(&r.reports) > 0);
+            assert!(ParallelRunner::total_work(&r.reports) > 0);
             assert_eq!(r.reports.iter().map(|b| b.errors).sum::<usize>(), 0);
         }
         // Same result rows regardless of variant.
@@ -346,11 +334,5 @@ mod tests {
             .map(|r| r.reports.iter().map(|b| b.result_rows).sum::<u64>())
             .collect();
         assert_eq!(rows[0], rows[1], "variants must agree on results");
-    }
-
-    #[test]
-    fn shared_dotil_exposes_q_matrices() {
-        let shared = SharedDotil::new(DotilConfig::default());
-        assert_eq!(shared.q_matrix_sum(), [0.0; 4]);
     }
 }

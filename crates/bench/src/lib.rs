@@ -21,6 +21,8 @@
 //! `--shards <n>` (env default `KGDUAL_SHARDS`) shards the relational
 //! store by predicate, which is invisible in the deterministic metrics by
 //! construction — it changes wall clock and intra-query parallelism only.
+//! `--threads <n>` (env default `KGDUAL_THREADS`) sizes the worker pool
+//! the batches run on, which likewise moves wall clock only.
 //! All common flags are parsed once, in [`args::BenchArgs`]; binaries
 //! print their configuration through [`args::BenchArgs::describe`].
 
@@ -35,8 +37,7 @@ pub mod table;
 
 pub use args::BenchArgs;
 pub use experiments::{
-    run_restart_comparison, run_variant, RestartColumn, SharedDotil, VariantKind, VariantResult,
-    WorkloadKind,
+    run_restart_comparison, run_variant, RestartColumn, VariantKind, VariantResult, WorkloadKind,
 };
 pub use obs::{init_obs, write_obs_profile};
 pub use setup::{build_batches, build_dataset, build_workload, Order};

@@ -4,13 +4,13 @@
 //! renders markdown and asserts its own invariants in-run.
 
 use super::{Panel, Runs};
-use crate::experiments::{run_reps, SharedDotil, WorkloadKind};
+use crate::experiments::{run_reps, VariantKind, WorkloadKind};
 use crate::setup::{build_workload, Order};
 use crate::table::{pct, secs, TablePrinter};
-use kgdual_core::batch::TuningSchedule;
 use kgdual_core::processor::process;
-use kgdual_core::{DualStore, Route, StoreVariant, WorkloadRunner};
-use kgdual_dotil::DotilConfig;
+use kgdual_core::{DualStore, Route};
+use kgdual_dotil::{Dotil, DotilConfig};
+use kgdual_exec::{ParallelRunner, SharedStore};
 use kgdual_graphstore::GraphBackend;
 use kgdual_model::Dataset;
 use kgdual_relstore::exec::context::{GRAPH_NANOS_PER_WORK_UNIT, REL_NANOS_PER_WORK_UNIT};
@@ -150,6 +150,7 @@ pub(super) fn table5(runs: &mut Runs) -> String {
     let args = runs.args.clone();
     let queries = Order::Random.queries(&build_workload(WorkloadKind::Yago, &args), args.seed);
     let batches = Workload::batches(&queries[..queries.len() / 2], 5);
+    let runner = VariantKind::RdbGdbDotil.runner(&runs.pool);
     let (dataset, _) = runs.inputs(YAGO);
 
     let mut table = TablePrinter::new(vec![
@@ -174,22 +175,18 @@ pub(super) fn table5(runs: &mut Runs) -> String {
                 _ => cfg.lambda = value,
             }
             let budget = (dataset.len() as f64 * r_bg) as usize;
-            let shared = SharedDotil::new(cfg);
-            let mut variant = StoreVariant::rdb_gdb(
-                DualStore::from_dataset_sharded(dataset.clone(), budget, args.shards),
-                Box::new(shared.clone()),
-            );
-            let (reports, wall) = run_reps(
-                &mut variant,
-                TuningSchedule::AfterEachBatch,
-                &batches,
-                args.reps,
-            );
-            let q = shared.q_matrix_sum();
+            let store = SharedStore::new(DualStore::from_dataset_sharded(
+                dataset.clone(),
+                budget,
+                args.shards,
+            ));
+            let mut dotil = Dotil::with_config(cfg);
+            let (reports, wall) = run_reps(&runner, &store, &mut dotil, &batches, args.reps);
+            let q = dotil.q_matrix_sum();
             table.row(vec![
                 name.to_owned(),
                 format!("{value}"),
-                secs(WorkloadRunner::total_sim_tti(&reports)),
+                secs(ParallelRunner::total_sim_tti(&reports)),
                 format!("{wall:.4}"),
                 format!("[{:.1}, {:.4}, {:.4}, {:.1}]", q[0], q[1], q[2], q[3]),
             ]);

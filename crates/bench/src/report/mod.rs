@@ -21,9 +21,11 @@ use crate::experiments::{
 };
 use crate::setup::{build_batches, build_dataset, build_workload, Order};
 use crate::table::{pct, TablePrinter};
+use kgdual_exec::Scheduler;
 use kgdual_model::Dataset;
 use kgdual_sparql::Query;
 use std::collections::HashMap;
+use std::sync::Arc;
 use tsv::Tsv;
 
 use Order::{Ordered, Random};
@@ -263,10 +265,11 @@ pub const TSV_ROWS: &[TsvRows] = &[
 ];
 
 /// The memo of one report run: datasets per workload, batches per
-/// panel, and each distinct cell's result, each computed once.
-#[derive(Default)]
+/// panel, and each distinct cell's result, each computed once. Every run
+/// shares one worker pool of `--threads` workers.
 pub struct Runs {
     args: BenchArgs,
+    pool: Arc<Scheduler>,
     datasets: HashMap<WorkloadKind, Dataset>,
     batches: HashMap<Panel, Vec<Vec<Query>>>,
     variants: HashMap<Cell, VariantResult>,
@@ -277,8 +280,12 @@ impl Runs {
     /// An empty memo for runs at `args`.
     pub fn new(args: BenchArgs) -> Self {
         Runs {
+            pool: Arc::new(Scheduler::new(args.threads)),
             args,
-            ..Default::default()
+            datasets: HashMap::new(),
+            batches: HashMap::new(),
+            variants: HashMap::new(),
+            restarts: HashMap::new(),
         }
     }
 
@@ -304,9 +311,9 @@ impl Runs {
                 Reps::Harness => self.args.reps,
                 Reps::Once => 1,
             };
-            let shards = self.args.shards;
+            let (shards, pool) = (self.args.shards, Arc::clone(&self.pool));
             let (dataset, batches) = self.inputs(panel);
-            let result = run_variant(variant, dataset, batches, reps, shards);
+            let result = run_variant(variant, dataset, batches, reps, shards, &pool);
             self.variants.insert(cell, result);
         }
         &self.variants[&cell]
@@ -315,9 +322,9 @@ impl Runs {
     /// The restart comparison on `panel`, run on first use.
     pub fn restart(&mut self, panel: Panel) -> &[RestartColumn] {
         if !self.restarts.contains_key(&panel) {
-            let shards = self.args.shards;
+            let (shards, pool) = (self.args.shards, Arc::clone(&self.pool));
             let (dataset, batches) = self.inputs(panel);
-            let columns = run_restart_comparison(dataset, batches, shards);
+            let columns = run_restart_comparison(dataset, batches, shards, &pool);
             self.restarts.insert(panel, columns);
         }
         &self.restarts[&panel]
@@ -459,8 +466,8 @@ fn render_shares<'a>(panels: impl Iterator<Item = (Panel, &'a VariantResult)>) -
             table.row(vec![
                 (r.batch_index + 1).to_string(),
                 format!("{:.1}%", r.graph_work_share() * 100.0),
-                r.graph_work.to_string(),
-                r.total_work.to_string(),
+                r.graph_stats.work_units().to_string(),
+                r.total_work().to_string(),
                 r.routes.graph.to_string(),
                 r.routes.dual.to_string(),
                 r.routes.relational.to_string(),

@@ -7,7 +7,7 @@
 //! re-runs at exactly the captured scale, seed and reps.
 
 use crate::args::BenchArgs;
-use kgdual_core::{BatchReport, WorkloadRunner};
+use kgdual_exec::{ParallelBatchReport, ParallelRunner};
 use std::collections::HashSet;
 
 const TITLE: &str = "# kgdual deterministic baseline:";
@@ -41,13 +41,13 @@ impl Tsv {
     }
 
     /// Append the totals of one run's batch reports.
-    pub fn push(&mut self, workload: &str, variant: &str, reports: &[BatchReport]) {
+    pub fn push(&mut self, workload: &str, variant: &str, reports: &[ParallelBatchReport]) {
         let sim_ns: u128 = reports.iter().map(|b| b.sim_tti.as_nanos()).sum();
         let rows: u64 = reports.iter().map(|b| b.result_rows).sum();
         self.rows.push(vec![
             workload.to_owned(),
             variant.to_owned(),
-            WorkloadRunner::total_work(reports).to_string(),
+            ParallelRunner::total_work(reports).to_string(),
             sim_ns.to_string(),
             rows.to_string(),
         ]);

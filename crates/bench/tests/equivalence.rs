@@ -21,14 +21,37 @@ use kgdual_serve::{ServeConfig, Server};
 use proptest::prelude::*;
 use std::sync::Arc;
 
+/// The RDB-only baseline on one worker: its queries run one at a time.
 #[test]
 fn relational_only_serial() {
-    check(&RELATIONAL_ONLY_SERIAL);
+    check(&RELATIONAL_ONLY_ONE_WORKER);
 }
 
 #[test]
 fn relational_only_pooled() {
     check(&RELATIONAL_ONLY_POOLED);
+}
+
+#[test]
+fn view_assisted_pooled() {
+    check(&VIEW_ASSISTED_POOLED);
+}
+
+/// The three store variants answer every batch alike: the result digests
+/// of the policies' reference cells are equal batch for batch.
+#[test]
+fn policies_agree_on_results_digests() {
+    let routed = &reference(Policy::Routed).digests;
+    assert_eq!(routed.len(), workload().1.len(), "one digest per batch");
+    for &policy in POLICIES {
+        let digests = &reference(policy).digests;
+        for (batch, (got, want)) in digests.iter().zip(routed).enumerate() {
+            assert!(
+                got == want,
+                "{policy:?} differs from Routed on batch {batch}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -66,19 +89,20 @@ fn recording_on_relational_only() {
     check(&RECORDING_ON_RELATIONAL_ONLY);
 }
 
-/// Every value of every axis appears in some cell, both policies run
-/// serially and pooled, and the wire meets sharding and a restart.
+/// Every value of every axis appears in some cell, every policy runs on
+/// one worker and on several, sharded, and the wire meets sharding and a
+/// restart.
 #[test]
 fn grid_covers_every_axis_value() {
     let cells: Vec<Cell> = GRID.iter().flat_map(Block::cells).collect();
     let covered = |pred: &dyn Fn(&Cell) -> bool| cells.iter().any(pred);
     for &policy in POLICIES {
-        for runner in [Runner::Serial, Runner::Parallel(1), Runner::Parallel(8)] {
-            assert!(covered(&|c| c.policy == policy && c.runner == runner));
-        }
+        let sharded = |c: &Cell| c.policy == policy && c.shards > 1;
+        assert!(covered(&|c| sharded(c) && c.workers == 1), "{policy:?}");
+        assert!(covered(&|c| sharded(c) && c.workers > 1), "{policy:?}");
     }
-    for &runner in RUNNERS {
-        assert!(covered(&|c| c.runner == runner), "{runner:?}");
+    for &workers in WORKERS {
+        assert!(covered(&|c| c.workers == workers), "{workers} workers");
     }
     for &shards in SHARDS {
         assert!(covered(&|c| c.shards == shards), "{shards} shards");
@@ -115,7 +139,7 @@ fn mismatch_names_the_field_and_the_axis() {
     assert!(message.contains("`work`"), "{message}");
     assert!(message.contains("shards 1 → 8"), "{message}");
     assert!(
-        !message.contains("runner "),
+        !message.contains("workers "),
         "only differing axes: {message}"
     );
 }

@@ -5,10 +5,12 @@
 //! as a determinism contract. For the seeded YAGO workload (scale 0.002,
 //! five batches, tuning after each), every deterministic output is a
 //! function of the data, the queries and the route policy alone. It must
-//! not depend on which runner drives the batches or on how many workers
-//! it has. Neither may the relational shard count, whether recording is
-//! on, whether the queries arrive in process or over the wire, or whether
-//! the process restarted from a checkpoint half way through.
+//! not depend on how many workers the runner has. Neither may the
+//! relational shard count, whether recording is on, whether the queries
+//! arrive in process or over the wire, or whether the process restarted
+//! from a checkpoint half way through. Across policies, the answers
+//! themselves must agree: each batch's result digest is the same under
+//! every policy.
 //!
 //! [`fingerprint`] runs the workload for one [`Cell`] of the grid. Every
 //! cell is compared with its policy's reference cell. A mismatch names
@@ -27,10 +29,9 @@ use kgdual_bench::serve_load::serial_replay;
 use kgdual_bench::{build_batches, build_dataset, build_workload, BenchArgs, Order, WorkloadKind};
 use kgdual_core::batch::{RouteCounts, TuningSchedule};
 use kgdual_core::{
-    persist, process_shared_explain, DualStore, NoopTuner, PhysicalTuner, QueryOutcome,
-    RestoreReport, Route, StoreVariant, TuningOutcome, WorkloadRunner,
+    process_shared_explain, DualStore, NoopTuner, PhysicalTuner, QueryOutcome, Route, TuningOutcome,
 };
-use kgdual_dotil::Dotil;
+use kgdual_dotil::{Dotil, ViewTuner};
 use kgdual_exec::{
     BatchExecutor, ExecMode, ParallelRunner, SchedShardDispatch, Scheduler, SharedStore, TaskClass,
 };
@@ -45,24 +46,19 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 // ---------------------------------------------------------------------------
 // The axis grid.
 
-/// How queries reach a store: routed under DOTIL, or the RDB-only
-/// baseline. The two policies answer alike but charge differently, so
-/// each has its own reference cell.
+/// How queries reach a store: one of the paper's three store variants.
+/// The policies answer alike but charge differently, so each has its own
+/// reference cell.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Policy {
-    /// The dual store's routed path, tuned by DOTIL after each batch.
+    /// The dual store's routed path (`RDB-GDB`), tuned by DOTIL after
+    /// each batch.
     Routed,
-    /// The relational store alone, never tuned.
+    /// The relational store alone (`RDB-only`), never tuned.
     RelationalOnly,
-}
-
-/// What drives the batches.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Runner {
-    /// `WorkloadRunner` over a `StoreVariant`, one query at a time.
-    Serial,
-    /// `ParallelRunner` over a `SharedStore` with this many workers.
-    Parallel(usize),
+    /// The relational store with materialized views (`RDB-views`), the
+    /// view catalog rebuilt after each batch.
+    ViewAssisted,
 }
 
 /// How a batch's queries reach the store. Tuning between batches is the
@@ -83,14 +79,9 @@ pub enum Restart {
     After(usize),
 }
 
-pub const POLICIES: &[Policy] = &[Policy::Routed, Policy::RelationalOnly];
-pub const RUNNERS: &[Runner] = &[
-    Runner::Serial,
-    Runner::Parallel(1),
-    Runner::Parallel(2),
-    Runner::Parallel(4),
-    Runner::Parallel(8),
-];
+pub const POLICIES: &[Policy] = &[Policy::Routed, Policy::RelationalOnly, Policy::ViewAssisted];
+/// `ParallelRunner` worker counts.
+pub const WORKERS: &[usize] = &[1, 2, 4, 8];
 pub const SHARDS: &[usize] = &[1, 2, 4, 8];
 /// The mid-run checkpoint: after two of the five batches.
 pub const MID: Restart = Restart::After(2);
@@ -106,7 +97,7 @@ pub const EVERY_BOUNDARY: &[Restart] = &[
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Cell {
     pub policy: Policy,
-    pub runner: Runner,
+    pub workers: usize,
     pub shards: usize,
     pub obs: bool,
     pub transport: Transport,
@@ -118,7 +109,7 @@ impl Cell {
     pub fn reference(policy: Policy) -> Cell {
         Cell {
             policy,
-            runner: Runner::Parallel(1),
+            workers: 1,
             shards: 1,
             obs: false,
             transport: Transport::InProcess,
@@ -126,18 +117,19 @@ impl Cell {
         }
     }
 
-    /// The server always routes and runs on a pool, so the wire carries
-    /// only routed, pooled cells.
+    /// The server always routes, so the wire carries only routed cells.
+    /// A checkpoint holds the graph design, not the view catalog, so only
+    /// a cell without views restarts.
     fn is_valid(&self) -> bool {
-        self.transport == Transport::InProcess
-            || (self.policy == Policy::Routed && self.runner != Runner::Serial)
+        (self.transport == Transport::InProcess || self.policy == Policy::Routed)
+            && (self.restart == Restart::No || self.policy != Policy::ViewAssisted)
     }
 
     /// Every axis of the cell, named, with its value.
     fn axes(&self) -> [(&'static str, String); 6] {
         [
             ("policy", format!("{:?}", self.policy)),
-            ("runner", format!("{:?}", self.runner)),
+            ("workers", self.workers.to_string()),
             ("shards", self.shards.to_string()),
             ("obs", self.obs.to_string()),
             ("transport", format!("{:?}", self.transport)),
@@ -170,7 +162,7 @@ impl fmt::Display for Cell {
 /// A block of the grid: every valid combination of the listed values.
 pub struct Block {
     pub policy: &'static [Policy],
-    pub runner: &'static [Runner],
+    pub workers: &'static [usize],
     pub shards: &'static [usize],
     pub obs: &'static [bool],
     pub transport: &'static [Transport],
@@ -182,7 +174,7 @@ impl Block {
     /// override the axes they sweep.
     pub const ROUTED: Block = Block {
         policy: &[Policy::Routed],
-        runner: &[Runner::Parallel(1)],
+        workers: &[1],
         shards: &[1],
         obs: &[false],
         transport: &[Transport::InProcess],
@@ -190,6 +182,10 @@ impl Block {
     };
     pub const RELATIONAL_ONLY: Block = Block {
         policy: &[Policy::RelationalOnly],
+        ..Block::ROUTED
+    };
+    pub const VIEW_ASSISTED: Block = Block {
+        policy: &[Policy::ViewAssisted],
         ..Block::ROUTED
     };
     pub const RECORDING: Block = Block {
@@ -209,7 +205,7 @@ impl Block {
                     .collect();
             )*};
         }
-        sweep!(policy, runner, shards, obs, transport, restart);
+        sweep!(policy, workers, shards, obs, transport, restart);
         cells.retain(Cell::is_valid);
         cells
     }
@@ -224,11 +220,10 @@ impl Block {
 #[derive(Clone, Default)]
 pub struct Fingerprint {
     /// Each batch's digest of sorted result rows, as the path computes it
-    /// (`results_digest` in process, `DigestBuilder` on the wire). `None`
-    /// on the serial runner, whose `BatchReport` carries no results.
-    pub digests: Option<Vec<Vec<u8>>>,
+    /// (`results_digest` in process, `DigestBuilder` on the wire).
+    pub digests: Vec<Vec<u8>>,
     /// Each batch's rows in emission order: `LIMIT` keeps a prefix of it.
-    pub order: Option<Vec<Vec<u8>>>,
+    pub order: Vec<Vec<u8>>,
     pub rows: Vec<u64>,
     pub work: Vec<u64>,
     pub sim_tti_ns: Vec<u128>,
@@ -238,17 +233,16 @@ pub struct Fingerprint {
     /// Graph-resident partitions `(pred, triples)` after each tuning epoch.
     pub residency: Vec<Vec<(u32, usize)>>,
     /// `Dotil::export_state_bytes()` at the end: Q-matrices, staleness
-    /// ages and RNG position (empty for the untuned policy).
+    /// ages and RNG position (empty for the baselines).
     pub tuner_state: Vec<u8>,
     /// `OfflineTuning` tasks the pool ran: the cost pairs DOTIL measured.
-    /// `None` on the serial runner, which hands DOTIL no pool, and after a
-    /// restart: a restore clears DOTIL's cost-pair memo by design, so the
-    /// restored run measures again.
+    /// `None` after a restart: a restore clears DOTIL's cost-pair memo by
+    /// design, so the restored run measures again.
     pub tuning_tasks: Option<u64>,
     /// `PlanDesc` | `QueryProfile` deterministic JSON for every pool query
-    /// on the final design. Routed policy only: the baseline's design
-    /// stays cold, so its plans are relational ones, which the routed
-    /// cells plan too.
+    /// on the final design. Routed policy only: the baselines' graph
+    /// stores stay cold, so their plans are relational ones, which the
+    /// routed cells plan too.
     pub plans: Vec<String>,
 }
 
@@ -271,8 +265,9 @@ impl Fingerprint {
                 }
             )*};
         }
-        compare_observed!(digests, order);
         compare!(
+            digests,
+            order,
             rows,
             work,
             sim_tti_ns,
@@ -354,42 +349,30 @@ impl Drop for ObsAxis {
 }
 
 /// One process lifetime of a cell: a store over the dataset, a fresh
-/// tuner, and whatever drives the batches.
-enum Life {
-    Serial(Box<StoreVariant>),
-    Shared {
-        store: Arc<SharedStore>,
-        tuner: Box<dyn PhysicalTuner + Send>,
-        runner: ParallelRunner,
-        server: Option<ServeHandle>,
-    },
+/// tuner, the runner, and the server when the cell is served.
+struct Life {
+    store: Arc<SharedStore>,
+    tuner: Box<dyn PhysicalTuner + Send>,
+    runner: ParallelRunner,
+    server: Option<ServeHandle>,
 }
 
 impl Life {
     fn start(cell: &Cell) -> Life {
-        let dual = fresh_dual(cell.shards);
-        let routed = cell.policy == Policy::Routed;
-        let Runner::Parallel(threads) = cell.runner else {
-            return Life::Serial(Box::new(if routed {
-                StoreVariant::rdb_gdb(dual, Box::new(Dotil::new()))
-            } else {
-                StoreVariant::rdb_only(dual)
-            }));
+        let (mode, tuner): (_, Box<dyn PhysicalTuner + Send>) = match cell.policy {
+            Policy::Routed => (ExecMode::Routed, Box::new(Dotil::new())),
+            Policy::RelationalOnly => (ExecMode::RelationalOnly, Box::new(NoopTuner)),
+            Policy::ViewAssisted => (ExecMode::ViewAssisted, Box::new(ViewTuner::new())),
         };
-        let (mode, tuner): (_, Box<dyn PhysicalTuner + Send>) = if routed {
-            (ExecMode::Routed, Box::new(Dotil::new()))
-        } else {
-            (ExecMode::RelationalOnly, Box::new(NoopTuner))
-        };
-        let executor = BatchExecutor::new(threads)
+        let executor = BatchExecutor::new(cell.workers)
             .with_mode(mode)
             .with_outcomes(true);
         let runner = ParallelRunner::new(TuningSchedule::AfterEachBatch, executor);
-        let store = Arc::new(SharedStore::new(dual));
+        let store = Arc::new(SharedStore::new(fresh_dual(cell.shards)));
         let server = (cell.transport == Transport::Wire).then(|| {
             // What `ParallelRunner::run` sets up for an in-process batch.
             let sched = runner.executor.scheduler();
-            if threads > 1 {
+            if cell.workers > 1 {
                 store.install_shard_dispatch(Arc::new(SchedShardDispatch::new(Arc::clone(sched))));
                 store.read().warm_rel_indexes();
             }
@@ -400,7 +383,7 @@ impl Life {
             )
             .expect("bind equivalence server")
         });
-        Life::Shared {
+        Life {
             store,
             tuner,
             runner,
@@ -412,44 +395,23 @@ impl Life {
     /// appending to `fp`.
     fn run_batch(&mut self, one: &[Vec<Query>], fp: &mut Fingerprint) {
         let batch = &one[0];
-        match self {
-            Life::Serial(variant) => {
-                let reports = WorkloadRunner::default()
-                    .run(variant, one)
-                    .expect("serial run");
-                let report = &reports[0];
-                assert_eq!(report.errors, 0, "healthy run");
-                fp.rows.push(report.result_rows);
-                fp.work.push(report.total_work);
-                fp.sim_tti_ns.push(report.sim_tti.as_nanos());
-                fp.routes.push(report.routes);
-                fp.tuning.push(report.tuning);
-            }
-            Life::Shared {
-                store,
-                tuner,
-                runner,
-                server: None,
-            } => {
-                let report = runner.run(store, tuner.as_mut(), one).remove(0);
+        match &self.server {
+            None => {
+                let report = self
+                    .runner
+                    .run(&self.store, self.tuner.as_mut(), one)
+                    .remove(0);
                 assert_eq!(report.errors, 0, "healthy run");
                 let order = emission_order(report.outcomes.iter().flatten());
                 fp.work.push(report.total_work());
-                fp.digests
-                    .get_or_insert_with(Vec::new)
-                    .push(report.results_digest);
-                fp.order.get_or_insert_with(Vec::new).push(order);
+                fp.digests.push(report.results_digest);
+                fp.order.push(order);
                 fp.rows.push(report.result_rows);
                 fp.sim_tti_ns.push(report.sim_tti.as_nanos());
                 fp.routes.push(report.routes);
                 fp.tuning.push(report.tuning);
             }
-            Life::Shared {
-                store,
-                tuner,
-                runner,
-                server: Some(server),
-            } => {
+            Some(server) => {
                 let texts: Vec<String> = batch.iter().map(ToString::to_string).collect();
                 let (digest, replies) =
                     serial_replay(server.local_addr(), &texts).expect("serial wire replay");
@@ -458,7 +420,7 @@ impl Life {
                     assert!(reply.is_ok(), "query must serve: {:?}", reply.reason);
                     routes.record(route_named(&reply.route));
                 }
-                fp.digests.get_or_insert_with(Vec::new).push(digest);
+                fp.digests.push(digest);
                 let mut order = Vec::new();
                 for reply in &replies {
                     push_rows(
@@ -467,75 +429,49 @@ impl Life {
                         reply.rows.iter().flatten().copied(),
                     );
                 }
-                fp.order.get_or_insert_with(Vec::new).push(order);
+                fp.order.push(order);
                 fp.rows
                     .push(replies.iter().map(|r| r.rows.len() as u64).sum());
                 fp.work.push(replies.iter().map(|r| r.work_units).sum());
                 fp.sim_tti_ns
                     .push(replies.iter().map(|r| u128::from(r.sim_latency_ns)).sum());
                 fp.routes.push(routes);
-                let sched = runner.executor.scheduler();
-                fp.tuning
-                    .push(store.reconfigure(|dual| tuner.tune_with(dual, batch, Some(sched))));
+                let (tuner, sched) = (&mut self.tuner, self.runner.executor.scheduler());
+                fp.tuning.push(
+                    self.store
+                        .reconfigure(|dual| tuner.tune_with(dual, batch, Some(sched))),
+                );
             }
         }
-        fp.residency.push(self.with_dual(|dual| {
-            dual.design()
+        fp.residency.push(
+            self.store
+                .read()
+                .design()
                 .graph_partitions
                 .iter()
                 .map(|&(p, triples)| (p.0, triples))
-                .collect()
-        }));
+                .collect(),
+        );
     }
 
-    fn with_dual<R>(&self, f: impl FnOnce(&DualStore) -> R) -> R {
-        match self {
-            Life::Serial(variant) => f(variant.dual()),
-            Life::Shared { store, .. } => f(&store.read()),
-        }
-    }
-
-    fn tuner_state(&self) -> Vec<u8> {
-        let tuner = match self {
-            Life::Serial(variant) => variant.tuner(),
-            Life::Shared { tuner, .. } => Some(&**tuner as &dyn PhysicalTuner),
-        };
-        tuner.and_then(|t| t.export_state()).unwrap_or_default()
-    }
-
-    fn sched(&self) -> Option<&Arc<Scheduler>> {
-        match self {
-            Life::Serial(_) => None,
-            Life::Shared { runner, .. } => Some(runner.executor.scheduler()),
-        }
+    fn sched(&self) -> &Arc<Scheduler> {
+        self.runner.executor.scheduler()
     }
 
     /// Checkpoint, drop this life, and restore into a fresh one.
     fn restart(self, cell: &Cell) -> Life {
-        let snapshot = match &self {
-            Life::Serial(variant) => persist::save_checkpoint(variant.dual(), variant.tuner(), 0),
-            Life::Shared { store, tuner, .. } => store.checkpoint(Some(&**tuner)),
-        };
+        let snapshot = self.store.checkpoint(Some(&*self.tuner));
         drop(self);
         let mut life = Life::start(cell);
-        let report: RestoreReport = match &mut life {
-            Life::Serial(variant) => {
-                let (dual, tuner) = variant.dual_and_tuner_mut();
-                persist::restore_checkpoint(
-                    dual,
-                    tuner.map(|t| t as &mut dyn PhysicalTuner),
-                    &snapshot,
-                )
-            }
-            Life::Shared { store, tuner, .. } => {
-                let report = store.restore(Some(tuner.as_mut()), &snapshot);
-                if let Ok(r) = &report {
-                    assert_eq!(r.epoch, store.epoch(), "{cell}: restore resumes the epoch");
-                }
-                report
-            }
-        }
-        .expect("a checkpoint restores onto the same dataset");
+        let report = life
+            .store
+            .restore(Some(life.tuner.as_mut()), &snapshot)
+            .expect("a checkpoint restores onto the same dataset");
+        assert_eq!(
+            report.epoch,
+            life.store.epoch(),
+            "{cell}: restore resumes the epoch"
+        );
         assert_eq!(
             report.tuner_restored,
             cell.policy == Policy::Routed,
@@ -547,11 +483,7 @@ impl Life {
 
 impl Drop for Life {
     fn drop(&mut self) {
-        if let Life::Shared {
-            server: Some(server),
-            ..
-        } = self
-        {
+        if let Some(server) = &self.server {
             server.shutdown();
         }
     }
@@ -599,7 +531,8 @@ fn fingerprint(cell: &Cell) -> Fingerprint {
         }
         life.run_batch(std::slice::from_ref(batch), &mut fp);
     }
-    if let (Some(sched), Runner::Parallel(threads @ 2..)) = (life.sched(), cell.runner) {
+    let sched = life.sched();
+    if cell.workers > 1 {
         // The pool really carried the run.
         let executed = sched.stats().executed;
         if cell.transport == Transport::InProcess {
@@ -617,21 +550,22 @@ fn fingerprint(cell: &Cell) -> Fingerprint {
             let scans = executed.get(TaskClass::ShardScan);
             assert!(scans > 0, "{cell}: union scans fan out as ShardScan tasks");
         }
-        assert_eq!(sched.threads(), threads);
+        assert_eq!(sched.threads(), cell.workers);
     }
-    fp.tuner_state = life.tuner_state();
-    if let (Some(sched), Restart::No) = (life.sched(), cell.restart) {
+    fp.tuner_state = life.tuner.export_state().unwrap_or_default();
+    if cell.restart == Restart::No {
         fp.tuning_tasks = Some(sched.stats().executed.get(TaskClass::OfflineTuning));
     }
     if cell.policy == Policy::Routed {
-        fp.plans = life.with_dual(|dual| {
+        fp.plans = {
+            let dual = life.store.read();
             let mut temp = TempSpace::new();
             batches
                 .iter()
                 .flatten()
                 .map(|query| {
                     let out =
-                        process_shared_explain(dual, &mut temp, query, true).expect("query runs");
+                        process_shared_explain(&dual, &mut temp, query, true).expect("query runs");
                     let plan = out.plan.expect("an explain run attaches a plan");
                     let profile = out.profile.expect("an explain run attaches a profile");
                     format!(
@@ -641,14 +575,15 @@ fn fingerprint(cell: &Cell) -> Fingerprint {
                     )
                 })
                 .collect()
-        });
+        };
     }
     fp
 }
 
 /// The reference fingerprint of `policy`, computed once per process.
-fn reference(policy: Policy) -> &'static Fingerprint {
-    static REFERENCES: [OnceLock<Fingerprint>; 2] = [OnceLock::new(), OnceLock::new()];
+pub fn reference(policy: Policy) -> &'static Fingerprint {
+    static REFERENCES: [OnceLock<Fingerprint>; 3] =
+        [OnceLock::new(), OnceLock::new(), OnceLock::new()];
     REFERENCES[policy as usize].get_or_init(|| {
         let fp = fingerprint(&Cell::reference(policy));
         assert!(fp.work.iter().sum::<u64>() > 0, "healthy run");
@@ -663,6 +598,12 @@ fn reference(policy: Policy) -> &'static Fingerprint {
                     .iter()
                     .any(|p| p.contains("\"route\":\"graph\"") || p.contains("\"route\":\"dual\"")),
                 "the pool must exercise the graph planner too"
+            );
+        }
+        if policy == Policy::ViewAssisted {
+            assert!(
+                fp.routes.iter().any(|r| r.view_assisted > 0),
+                "some query must be answered from a view"
             );
         }
         fp
@@ -701,108 +642,104 @@ pub fn check(block: &Block) {
 // The grid's blocks. Together they hold every configuration the
 // determinism contract has been held to.
 
-/// The serial runner on the monolithic layout.
-pub const SERIAL_MONOLITHIC: Block = Block {
-    runner: &[Runner::Serial],
-    ..Block::ROUTED
-};
-/// The serial runner on every sharded layout.
-pub const SERIAL_SHARDED: Block = Block {
-    runner: &[Runner::Serial],
-    shards: &[2, 4, 8],
-    ..Block::ROUTED
-};
 /// One worker on every sharded layout.
 pub const ONE_WORKER_SHARDED: Block = Block {
     shards: &[2, 4, 8],
     ..Block::ROUTED
 };
+/// Two workers on two and eight shards.
+pub const TWO_WORKERS_SHARDED: Block = Block {
+    workers: &[2],
+    shards: &[2, 8],
+    ..Block::ROUTED
+};
 /// Four workers, monolithic and on four shards.
 pub const FOUR_WORKERS_ONE_AND_FOUR_SHARDS: Block = Block {
-    runner: &[Runner::Parallel(4)],
+    workers: &[4],
     shards: &[1, 4],
     ..Block::ROUTED
 };
 /// Four workers on two and eight shards.
 pub const FOUR_WORKERS_TWO_AND_EIGHT_SHARDS: Block = Block {
-    runner: &[Runner::Parallel(4)],
+    workers: &[4],
     shards: &[2, 8],
     ..Block::ROUTED
 };
 /// Two and eight workers, monolithic.
 pub const TWO_AND_EIGHT_WORKERS_MONOLITHIC: Block = Block {
-    runner: &[Runner::Parallel(2), Runner::Parallel(8)],
+    workers: &[2, 8],
     ..Block::ROUTED
 };
 /// Two and eight workers on four shards.
 pub const TWO_AND_EIGHT_WORKERS_SHARDED: Block = Block {
-    runner: &[Runner::Parallel(2), Runner::Parallel(8)],
+    workers: &[2, 8],
     shards: &[4],
     ..Block::ROUTED
 };
-/// The RDB-only baseline through the serial runner.
-pub const RELATIONAL_ONLY_SERIAL: Block = Block {
-    runner: &[Runner::Serial],
-    shards: &[1, 2, 8],
+/// The RDB-only baseline on one worker, sharded.
+pub const RELATIONAL_ONLY_ONE_WORKER: Block = Block {
+    shards: &[2, 8],
     ..Block::RELATIONAL_ONLY
 };
 /// The RDB-only baseline on one and eight workers.
 pub const RELATIONAL_ONLY_POOLED: Block = Block {
-    runner: &[Runner::Parallel(1), Runner::Parallel(8)],
+    workers: &[1, 8],
     shards: &[1, 4],
     ..Block::RELATIONAL_ONLY
 };
+/// The RDB-views baseline on one and four workers, monolithic and on
+/// four shards.
+pub const VIEW_ASSISTED_POOLED: Block = Block {
+    workers: &[1, 4],
+    shards: &[1, 4],
+    ..Block::VIEW_ASSISTED
+};
 /// The server is a pure transport: served batches match in-process ones.
 pub const WIRE_TRANSPORT: Block = Block {
-    runner: &[
-        Runner::Parallel(1),
-        Runner::Parallel(4),
-        Runner::Parallel(8),
-    ],
+    workers: &[1, 4, 8],
     shards: &[1, 4],
     transport: &[Transport::Wire],
     ..Block::ROUTED
 };
-/// A mid-run restart on the serial runner.
-pub const MID_RUN_RESTART_SERIAL: Block = Block {
-    runner: &[Runner::Serial],
+/// A mid-run restart on one worker.
+pub const MID_RUN_RESTART_ONE_WORKER: Block = Block {
     restart: &[MID],
     ..Block::ROUTED
 };
-/// A mid-run restart on one and four workers.
-pub const MID_RUN_RESTART_POOLED: Block = Block {
-    runner: &[Runner::Parallel(1), Runner::Parallel(4)],
+/// A mid-run restart on four workers.
+pub const MID_RUN_RESTART_FOUR_WORKERS: Block = Block {
+    workers: &[4],
     restart: &[MID],
     ..Block::ROUTED
 };
 /// A mid-run restart on a sharded layout.
 pub const MID_RUN_RESTART_SHARDED: Block = Block {
-    runner: &[Runner::Parallel(2)],
+    workers: &[2],
     shards: &[4],
     restart: &[MID],
     ..Block::ROUTED
 };
 /// A restart at any batch boundary is invisible.
 pub const RESTART_AT_EVERY_BATCH_BOUNDARY: Block = Block {
-    runner: &[Runner::Parallel(4)],
+    workers: &[4],
     shards: &[4],
     restart: EVERY_BOUNDARY,
     ..Block::ROUTED
 };
-/// Recording is observational only: serial and pooled.
+/// Recording is observational only.
 pub const RECORDING_ON: Block = Block {
-    runner: &[Runner::Serial, Runner::Parallel(4), Runner::Parallel(8)],
+    workers: &[1, 4, 8],
     ..Block::RECORDING
 };
 /// Recording across a restart.
 pub const RECORDING_ON_ACROSS_A_RESTART: Block = Block {
-    runner: &[Runner::Parallel(4)],
+    workers: &[4],
     restart: &[MID],
     ..Block::RECORDING
 };
 /// Recording, served, and served across a restart.
 pub const RECORDING_ON_SERVED_AND_RESTARTED: Block = Block {
-    runner: &[Runner::Parallel(8)],
+    workers: &[8],
     transport: &[Transport::Wire],
     restart: &[Restart::No, MID],
     ..Block::RECORDING
@@ -810,24 +747,24 @@ pub const RECORDING_ON_SERVED_AND_RESTARTED: Block = Block {
 /// Recording on the baseline.
 pub const RECORDING_ON_RELATIONAL_ONLY: Block = Block {
     policy: &[Policy::RelationalOnly],
-    runner: &[Runner::Parallel(8)],
+    workers: &[8],
     ..Block::RECORDING
 };
 
 /// Every block of the grid.
 pub const GRID: &[Block] = &[
-    SERIAL_MONOLITHIC,
-    SERIAL_SHARDED,
     ONE_WORKER_SHARDED,
+    TWO_WORKERS_SHARDED,
     FOUR_WORKERS_ONE_AND_FOUR_SHARDS,
     FOUR_WORKERS_TWO_AND_EIGHT_SHARDS,
     TWO_AND_EIGHT_WORKERS_MONOLITHIC,
     TWO_AND_EIGHT_WORKERS_SHARDED,
-    RELATIONAL_ONLY_SERIAL,
+    RELATIONAL_ONLY_ONE_WORKER,
     RELATIONAL_ONLY_POOLED,
+    VIEW_ASSISTED_POOLED,
     WIRE_TRANSPORT,
-    MID_RUN_RESTART_SERIAL,
-    MID_RUN_RESTART_POOLED,
+    MID_RUN_RESTART_ONE_WORKER,
+    MID_RUN_RESTART_FOUR_WORKERS,
     MID_RUN_RESTART_SHARDED,
     RESTART_AT_EVERY_BATCH_BOUNDARY,
     RECORDING_ON,

@@ -7,12 +7,13 @@ mod grid;
 
 use grid::*;
 
+/// One worker: the queries run one at a time.
 #[test]
 fn serial_roundtrip_is_lossless_on_adjacency() {
-    check(&MID_RUN_RESTART_SERIAL);
+    check(&MID_RUN_RESTART_ONE_WORKER);
 }
 
 #[test]
 fn concurrent_roundtrip_is_lossless_on_adjacency() {
-    check(&MID_RUN_RESTART_POOLED);
+    check(&MID_RUN_RESTART_FOUR_WORKERS);
 }

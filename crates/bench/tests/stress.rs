@@ -1,18 +1,10 @@
-//! Worker-count invariance: full workload batches on the serial runner
-//! and on 2 and 8 workers are indistinguishable from the 1-worker
-//! reference in everything but wall clock. The cells are blocks of the
-//! equivalence grid in [`grid`].
+//! Worker-count invariance: full workload batches on 2 and 8 workers are
+//! indistinguishable from the 1-worker reference in everything but wall
+//! clock. The cells are blocks of the equivalence grid in [`grid`].
 
 mod grid;
 
 use grid::*;
-
-/// The serial `WorkloadRunner` and the pooled runner share one
-/// reference fingerprint.
-#[test]
-fn parallel_run_matches_serial_workload_runner() {
-    check(&SERIAL_MONOLITHIC);
-}
 
 /// Digests, rows, work and simulated TTI at 2 and 8 workers equal the
 /// 1-worker run.

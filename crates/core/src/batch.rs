@@ -1,18 +1,17 @@
-//! Batch-oriented workload execution with TTI measurement.
+//! The vocabulary of batch-oriented workload execution.
 //!
 //! The paper's evaluation processes workloads in batches (one batch = 1/5
 //! of a workload) and measures **TTI** — "the total elapsed time from a
 //! batch of workload submission to completion" — with physical design
-//! tuning happening offline between batches (§4.2, §6.1).
+//! tuning happening offline between batches (§4.2, §6.1). The runner that
+//! does so is `kgdual_exec::ParallelRunner`; this module holds what it and
+//! the tuners share: when tuning happens ([`TuningSchedule::drive`]), and
+//! how a batch's queries were routed.
 
-use crate::error::CoreError;
 use crate::processor::Route;
 use crate::tuner::TuningOutcome;
-use crate::variant::StoreVariant;
-use kgdual_graphstore::GraphBackend;
 use kgdual_sparql::Query;
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
 
 /// How tuning phases interleave with batches; this is what distinguishes
 /// the paper's tuner *modes* (§6.4).
@@ -28,6 +27,41 @@ pub enum TuningSchedule {
     OnceUpfrontWithAll,
     /// Never tune.
     Never,
+}
+
+impl TuningSchedule {
+    /// Interleave the online and offline phases of a batched workload.
+    /// `online(state, i, batch)` runs batch `i`; `offline(state, queries)`
+    /// tunes against `queries`. Returns one `(report, tuning)` pair per
+    /// batch, where `tuning` is the outcome of the offline phase that ran
+    /// right after that batch (the default for schedules that do not tune
+    /// after batches).
+    pub fn drive<S: ?Sized, R>(
+        self,
+        state: &mut S,
+        batches: &[Vec<Query>],
+        mut offline: impl FnMut(&mut S, &[Query]) -> TuningOutcome,
+        mut online: impl FnMut(&mut S, usize, &[Query]) -> R,
+    ) -> Vec<(R, TuningOutcome)> {
+        if self == TuningSchedule::OnceUpfrontWithAll {
+            let all: Vec<Query> = batches.iter().flatten().cloned().collect();
+            offline(state, &all);
+        }
+        let mut out = Vec::with_capacity(batches.len());
+        for (i, batch) in batches.iter().enumerate() {
+            if self == TuningSchedule::BeforeEachBatchWithUpcoming {
+                offline(state, batch);
+            }
+            let report = online(state, i, batch);
+            let tuning = if self == TuningSchedule::AfterEachBatch {
+                offline(state, batch)
+            } else {
+                TuningOutcome::default()
+            };
+            out.push((report, tuning));
+        }
+        out
+    }
 }
 
 /// Per-route query counts in one batch.
@@ -46,8 +80,7 @@ pub struct RouteCounts {
 }
 
 impl RouteCounts {
-    /// Count one query's route (used by both the serial runner here and
-    /// the parallel executor in `kgdual-exec`).
+    /// Count one query's route.
     pub fn record(&mut self, route: Route) {
         match route {
             Route::Relational => self.relational += 1,
@@ -59,137 +92,14 @@ impl RouteCounts {
     }
 }
 
-/// Measurements for one batch.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct BatchReport {
-    /// Batch index (0-based).
-    pub batch_index: usize,
-    /// Queries processed.
-    pub queries: usize,
-    /// Wall-clock time-to-insight for the batch's online phase.
-    pub tti: Duration,
-    /// Calibrated simulated TTI (deterministic; the harness's primary
-    /// metric — see `QueryOutcome::simulated_latency`).
-    pub sim_tti: Duration,
-    /// Deterministic work units spent online (both stores).
-    pub total_work: u64,
-    /// Work units spent in the relational store.
-    pub rel_work: u64,
-    /// Work units spent in the graph store.
-    pub graph_work: u64,
-    /// Result rows produced.
-    pub result_rows: u64,
-    /// Routing breakdown.
-    pub routes: RouteCounts,
-    /// Outcome of the offline tuning phase attached to this batch.
-    pub tuning: TuningOutcome,
-    /// Queries that failed (should stay 0 in healthy runs).
-    pub errors: usize,
-}
-
-impl BatchReport {
-    /// Fraction of online work done by the graph store (Figure 6's
-    /// "cost proportion of graph store").
-    pub fn graph_work_share(&self) -> f64 {
-        if self.total_work == 0 {
-            0.0
-        } else {
-            self.graph_work as f64 / self.total_work as f64
-        }
-    }
-}
-
-/// Runs workloads batch by batch against a store variant.
-#[derive(Copy, Clone, Debug)]
-pub struct WorkloadRunner {
-    /// When tuning happens relative to batches.
-    pub schedule: TuningSchedule,
-}
-
-impl Default for WorkloadRunner {
-    fn default() -> Self {
-        WorkloadRunner {
-            schedule: TuningSchedule::AfterEachBatch,
-        }
-    }
-}
-
-impl WorkloadRunner {
-    /// A runner with the given schedule.
-    pub fn new(schedule: TuningSchedule) -> Self {
-        WorkloadRunner { schedule }
-    }
-
-    /// Run all batches, returning one report per batch. Works on any
-    /// graph-store substrate.
-    pub fn run<B: GraphBackend>(
-        &self,
-        variant: &mut StoreVariant<B>,
-        batches: &[Vec<Query>],
-    ) -> Result<Vec<BatchReport>, CoreError> {
-        let mut reports = Vec::with_capacity(batches.len());
-
-        if self.schedule == TuningSchedule::OnceUpfrontWithAll {
-            let all: Vec<Query> = batches.iter().flatten().cloned().collect();
-            variant.offline_phase(&all);
-        }
-
-        for (i, batch) in batches.iter().enumerate() {
-            if self.schedule == TuningSchedule::BeforeEachBatchWithUpcoming {
-                variant.offline_phase(batch);
-            }
-
-            let mut report = BatchReport {
-                batch_index: i,
-                queries: batch.len(),
-                ..Default::default()
-            };
-            let t0 = Instant::now();
-            for query in batch {
-                match variant.process(query) {
-                    Ok(out) => {
-                        report.rel_work += out.rel_stats.work_units();
-                        report.graph_work += out.graph_stats.work_units();
-                        report.result_rows += out.results.len() as u64;
-                        report.sim_tti += out.simulated_latency();
-                        report.routes.record(out.route);
-                    }
-                    Err(_) => report.errors += 1,
-                }
-            }
-            report.tti = t0.elapsed();
-            report.total_work = report.rel_work + report.graph_work;
-
-            if self.schedule == TuningSchedule::AfterEachBatch {
-                report.tuning = variant.offline_phase(batch);
-            }
-            reports.push(report);
-        }
-        Ok(reports)
-    }
-
-    /// Total TTI across reports (Figure 5's per-workload totals).
-    pub fn total_tti(reports: &[BatchReport]) -> Duration {
-        reports.iter().map(|r| r.tti).sum()
-    }
-
-    /// Total simulated TTI across reports.
-    pub fn total_sim_tti(reports: &[BatchReport]) -> Duration {
-        reports.iter().map(|r| r.sim_tti).sum()
-    }
-
-    /// Total online work units across reports.
-    pub fn total_work(reports: &[BatchReport]) -> u64 {
-        reports.iter().map(|r| r.total_work).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dual::DualStore;
+    use crate::error::CoreError;
+    use crate::processor::{process, process_relational, QueryOutcome};
     use crate::tuner::{NoopTuner, PhysicalTuner};
-    use crate::variant::StoreVariant;
+    use kgdual_graphstore::GraphBackend;
     use kgdual_model::{DatasetBuilder, Term};
     use kgdual_sparql::parse;
 
@@ -219,18 +129,75 @@ mod tests {
         vec![vec![complex.clone(), simple.clone()], vec![complex, simple]]
     }
 
+    /// What one batch's online phase measured.
+    #[derive(Default)]
+    struct Online {
+        queries: usize,
+        errors: usize,
+        rel_work: u64,
+        graph_work: u64,
+        routes: RouteCounts,
+    }
+
+    impl Online {
+        fn graph_work_share(&self) -> f64 {
+            match self.rel_work + self.graph_work {
+                0 => 0.0,
+                total => self.graph_work as f64 / total as f64,
+            }
+        }
+    }
+
+    type Processor = fn(&DualStore, &Query) -> Result<QueryOutcome, CoreError>;
+
+    /// Drive the two test batches through `schedule`, running each batch's
+    /// queries one by one with `processor` and tuning with `tuner`.
+    fn run(
+        schedule: TuningSchedule,
+        threshold: usize,
+        tuner: &mut dyn PhysicalTuner,
+        processor: Processor,
+    ) -> Vec<(Online, TuningOutcome)> {
+        let mut dual = DualStore::from_dataset(dataset(), threshold);
+        schedule.drive(
+            &mut dual,
+            &batches(),
+            |dual, queries| tuner.tune(dual, queries),
+            |dual, _, batch| {
+                let mut online = Online {
+                    queries: batch.len(),
+                    ..Default::default()
+                };
+                for query in batch {
+                    match processor(dual, query) {
+                        Ok(out) => {
+                            online.rel_work += out.rel_stats.work_units();
+                            online.graph_work += out.graph_stats.work_units();
+                            online.routes.record(out.route);
+                        }
+                        Err(_) => online.errors += 1,
+                    }
+                }
+                online
+            },
+        )
+    }
+
     #[test]
     fn runner_produces_one_report_per_batch() {
-        let mut v = StoreVariant::rdb_only(DualStore::from_dataset(dataset(), 10));
-        let reports = WorkloadRunner::default().run(&mut v, &batches()).unwrap();
+        let reports = run(
+            TuningSchedule::AfterEachBatch,
+            10,
+            &mut NoopTuner,
+            process_relational,
+        );
         assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].queries, 2);
-        assert_eq!(reports[0].errors, 0);
-        assert!(reports[0].total_work > 0);
-        assert_eq!(reports[0].routes.relational, 2);
-        assert_eq!(reports[0].graph_work, 0);
-        assert!(WorkloadRunner::total_work(&reports) > 0);
-        let _ = WorkloadRunner::total_tti(&reports);
+        let (first, _) = &reports[0];
+        assert_eq!(first.queries, 2);
+        assert_eq!(first.errors, 0);
+        assert!(first.rel_work + first.graph_work > 0);
+        assert_eq!(first.routes.relational, 2);
+        assert_eq!(first.graph_work, 0);
     }
 
     /// A tuner that migrates every partition it sees in the batch.
@@ -256,61 +223,58 @@ mod tests {
 
     #[test]
     fn after_batch_schedule_shifts_routes_to_graph() {
-        let mut v = StoreVariant::rdb_gdb(
-            DualStore::from_dataset(dataset(), 1000),
-            Box::new(GreedyAll),
+        let reports = run(
+            TuningSchedule::AfterEachBatch,
+            1000,
+            &mut GreedyAll,
+            process,
         );
-        let reports = WorkloadRunner::default().run(&mut v, &batches()).unwrap();
-        // Batch 0 runs cold (relational), tuner migrates, batch 1 hits graph.
-        assert_eq!(reports[0].routes.graph, 0);
-        assert!(reports[0].tuning.migrated > 0);
-        assert!(reports[1].routes.graph > 0);
-        assert!(reports[1].graph_work_share() > 0.0);
+        // Batch 0 runs cold (relational), the tuner migrates, batch 1 hits
+        // the graph.
+        assert_eq!(reports[0].0.routes.graph, 0);
+        assert!(reports[0].1.migrated > 0);
+        assert!(reports[1].0.routes.graph > 0);
+        assert!(reports[1].0.graph_work_share() > 0.0);
     }
 
     #[test]
     fn ideal_schedule_tunes_before_first_batch() {
-        let mut v = StoreVariant::rdb_gdb(
-            DualStore::from_dataset(dataset(), 1000),
-            Box::new(GreedyAll),
+        let reports = run(
+            TuningSchedule::BeforeEachBatchWithUpcoming,
+            1000,
+            &mut GreedyAll,
+            process,
         );
-        let runner = WorkloadRunner::new(TuningSchedule::BeforeEachBatchWithUpcoming);
-        let reports = runner.run(&mut v, &batches()).unwrap();
-        assert!(reports[0].routes.graph > 0, "already tuned for batch 0");
+        assert!(reports[0].0.routes.graph > 0, "already tuned for batch 0");
     }
 
     #[test]
     fn one_off_schedule_tunes_once_upfront() {
-        let mut v = StoreVariant::rdb_gdb(
-            DualStore::from_dataset(dataset(), 1000),
-            Box::new(GreedyAll),
+        let reports = run(
+            TuningSchedule::OnceUpfrontWithAll,
+            1000,
+            &mut GreedyAll,
+            process,
         );
-        let runner = WorkloadRunner::new(TuningSchedule::OnceUpfrontWithAll);
-        let reports = runner.run(&mut v, &batches()).unwrap();
-        assert!(reports[0].routes.graph > 0);
-        // No per-batch tuning recorded.
-        assert_eq!(reports[0].tuning.migrated, 0);
+        assert!(reports[0].0.routes.graph > 0);
+        assert_eq!(reports[0].1.migrated, 0, "no per-batch tuning recorded");
     }
 
     #[test]
     fn never_schedule_stays_relational() {
-        let mut v = StoreVariant::rdb_gdb(
-            DualStore::from_dataset(dataset(), 1000),
-            Box::new(GreedyAll),
-        );
-        let runner = WorkloadRunner::new(TuningSchedule::Never);
-        let reports = runner.run(&mut v, &batches()).unwrap();
-        assert_eq!(reports[1].routes.graph, 0);
+        let reports = run(TuningSchedule::Never, 1000, &mut GreedyAll, process);
+        assert_eq!(reports[1].0.routes.graph, 0);
     }
 
     #[test]
     fn noop_tuner_keeps_everything_relational() {
-        let mut v = StoreVariant::rdb_gdb(
-            DualStore::from_dataset(dataset(), 1000),
-            Box::new(NoopTuner),
+        let reports = run(
+            TuningSchedule::AfterEachBatch,
+            1000,
+            &mut NoopTuner,
+            process,
         );
-        let reports = WorkloadRunner::default().run(&mut v, &batches()).unwrap();
-        assert_eq!(reports[1].routes.graph, 0);
-        assert_eq!(reports[1].graph_work_share(), 0.0);
+        assert_eq!(reports[1].0.routes.graph, 0);
+        assert_eq!(reports[1].0.graph_work_share(), 0.0);
     }
 }

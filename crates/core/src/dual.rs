@@ -10,7 +10,10 @@ use crate::error::CoreError;
 use kgdual_graphstore::store::BULK_IMPORT_COST_PER_TRIPLE;
 use kgdual_graphstore::{AdjacencyBackend, GraphBackend};
 use kgdual_model::{Dataset, Dictionary, PredId, Term, Triple};
-use kgdual_relstore::{PlannerConfig, RelStore, ResourceGovernor, ShardDispatch, ShardRouter};
+use kgdual_relstore::{
+    PlannerConfig, RebuildReport, RelStore, ResourceGovernor, ShardDispatch, ShardRouter,
+    ViewCatalog,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -39,6 +42,12 @@ pub struct DualDesign {
 /// The dual store: a complete relational store, a budgeted graph-store
 /// accelerator, and a shared dictionary.
 ///
+/// It also holds the `RDB-views` baseline's materialized-view catalog,
+/// sized to the same budget `B_G` for the paper's fair comparison. The
+/// catalog stays empty until a tuner rebuilds it
+/// ([`rebuild_views`](Self::rebuild_views)), and only
+/// [`crate::processor::process_with_views`] reads it.
+///
 /// Built from a [`Dataset`], it keeps the dataset's `Arc`-shared dictionary
 /// and its relational tables adopt the dataset's shared pair runs, so a
 /// store built from `ds.clone()` adds no copy of either; writes copy the
@@ -57,6 +66,7 @@ pub struct DualStore<B: GraphBackend = AdjacencyBackend> {
     dict: Arc<Dictionary>,
     rel: RelStore,
     graph: B,
+    views: ViewCatalog,
     governor: Arc<ResourceGovernor>,
     case2_guard: bool,
     data_version: u64,
@@ -152,6 +162,7 @@ impl<B: GraphBackend> DualStore<B> {
             dict,
             rel,
             graph: B::with_budget(budget),
+            views: ViewCatalog::new(budget),
             governor: Arc::new(governor),
             case2_guard: true,
             data_version: next_data_version(),
@@ -194,6 +205,23 @@ impl<B: GraphBackend> DualStore<B> {
     /// The graph store backend.
     pub fn graph(&self) -> &B {
         &self.graph
+    }
+
+    /// The materialized-view catalog of the `RDB-views` baseline.
+    pub fn views(&self) -> &ViewCatalog {
+        &self.views
+    }
+
+    /// Mutable catalog access, for a view advisor to record the complex
+    /// subqueries it observed.
+    pub fn views_mut(&mut self) -> &mut ViewCatalog {
+        &mut self.views
+    }
+
+    /// Re-materialize the catalog's most frequent observed fragments over
+    /// `T_R` (the baseline's offline phase; see [`ViewCatalog::rebuild`]).
+    pub fn rebuild_views(&mut self) -> RebuildReport {
+        self.views.rebuild(&self.rel, &self.dict)
     }
 
     /// Eagerly build `T_R`'s secondary indexes and statistics, one warm

@@ -15,14 +15,16 @@
 //!   partition migration/eviction, and update propagation.
 //!
 //! The *dual-store tuner* (§4) lives in the `kgdual-dotil` crate and plugs
-//! in through the [`tuner::PhysicalTuner`] trait; [`batch`] runs workloads
-//! batch by batch, measuring time-to-insight (TTI) and invoking the tuner
-//! in the offline phase between batches, exactly as §4.2 prescribes.
-//! [`variant`] packages the paper's three store variants (`RDB-only`,
-//! `RDB-views`, `RDB-GDB`) behind one interface for the evaluation
-//! harness. [`persist`] checkpoints the learned design (and the tuner's
-//! trained state) so a restarted store resumes where it left off instead
-//! of re-paying the Fig 6 cold start.
+//! in through the [`tuner::PhysicalTuner`] trait; [`batch`] names when it
+//! runs relative to the batches (`kgdual-exec`'s runner drives them,
+//! measuring time-to-insight and tuning in the offline phase between
+//! batches, exactly as §4.2 prescribes). The paper's three store variants
+//! are three entry points of [`processor`] over one [`DualStore`]:
+//! `RDB-only` ([`process_relational`]), `RDB-views`
+//! ([`process_with_views`]) and `RDB-GDB` ([`process`]). [`persist`]
+//! checkpoints the learned design (and the tuner's trained state) so a
+//! restarted store resumes where it left off instead of re-paying the
+//! Fig 6 cold start.
 
 pub mod batch;
 pub mod dual;
@@ -32,9 +34,7 @@ pub mod persist;
 pub mod processor;
 pub mod results;
 pub mod tuner;
-pub mod variant;
 
-pub use batch::{BatchReport, WorkloadRunner};
 pub use dual::{DualDesign, DualStore};
 pub use error::CoreError;
 pub use identifier::{identify, ComplexSubquery};
@@ -50,7 +50,6 @@ pub use tuner::{NoopTuner, PhysicalTuner, TuningOutcome};
 // [`PhysicalTuner::tune_with`]); re-exported so downstream crates name
 // one coherent scheduling vocabulary through `kgdual_core`.
 pub use kgdual_sched::{Scheduler, TaskClass};
-pub use variant::StoreVariant;
 
 // The batch-kernel crate both executors run on, re-exported so embedders
 // can name the `EXPLAIN` types a `QueryOutcome` carries

@@ -32,7 +32,7 @@ use crate::dual::DualStore;
 use crate::error::CoreError;
 use crate::identifier::{identify, ComplexSubquery};
 use kgdual_graphstore::GraphBackend;
-use kgdual_relstore::{Bindings, ExecContext, ExecStats, TempSpace, ViewCatalog};
+use kgdual_relstore::{Bindings, ExecContext, ExecStats, TempSpace};
 use kgdual_sparql::{compile, Compiled, EncodedQuery, PredSlot, Query, Var, VarId};
 use std::time::{Duration, Instant};
 
@@ -399,11 +399,11 @@ pub fn process_relational<B: GraphBackend>(
 }
 
 /// Process `query` with view-assisted rewriting (the `RDB-views`
-/// baseline): if the complex subquery matches a materialized view, answer
-/// it from the view and join the remainder relationally.
+/// baseline): if the complex subquery matches a view in the store's
+/// catalog ([`DualStore::views`]), answer it from the view and join the
+/// remainder relationally.
 pub fn process_with_views<B: GraphBackend>(
     dual: &DualStore<B>,
-    views: &ViewCatalog,
     query: &Query,
 ) -> Result<QueryOutcome, CoreError> {
     let t0 = Instant::now();
@@ -417,7 +417,7 @@ pub fn process_with_views<B: GraphBackend>(
     if let Some(qc) = &qc {
         let mut vctx = ExecContext::with_governor(dual.governor());
         if let Some((covered, view_vars, rows)) =
-            views.answer(&qc.patterns, dual.dict(), &mut vctx)?
+            dual.views().answer(&qc.patterns, dual.dict(), &mut vctx)?
         {
             // Rebadge view columns into this query's variable ids.
             let ids: Option<Vec<VarId>> = view_vars
@@ -625,13 +625,12 @@ mod tests {
 
     #[test]
     fn views_route_answers_complex_subquery() {
-        let d = dual();
-        let mut views = ViewCatalog::new(100_000);
+        let mut d = dual();
         let q = parse(FULL_QUERY).unwrap();
         let qc = identify(&q).unwrap();
-        views.observe(&qc.patterns);
-        views.rebuild(d.rel(), d.dict());
-        let out = process_with_views(&d, &views, &q).unwrap();
+        d.views_mut().observe(&qc.patterns);
+        d.rebuild_views();
+        let out = process_with_views(&d, &q).unwrap();
         assert_eq!(out.route, Route::ViewAssisted);
         assert_eq!(out.results.len(), 1);
         let albert = d.dict().node_id(&Term::iri("y:Albert")).unwrap();
@@ -641,9 +640,8 @@ mod tests {
     #[test]
     fn views_route_falls_back_without_matching_view() {
         let d = dual();
-        let views = ViewCatalog::new(100_000);
         let q = parse(FULL_QUERY).unwrap();
-        let out = process_with_views(&d, &views, &q).unwrap();
+        let out = process_with_views(&d, &q).unwrap();
         assert_eq!(out.route, Route::Relational);
         assert_eq!(out.results.len(), 1);
     }

@@ -1,7 +1,9 @@
 //! The paper's baseline tuning modes (§6.4): one-off, LRU/frequency, and
 //! ideal. All three share a greedy residency planner; they differ only in
 //! *what* they rank and *when* the runner invokes them (see
-//! [`kgdual_core::batch::TuningSchedule`]).
+//! [`kgdual_core::batch::TuningSchedule`]). [`ViewTuner`] is the
+//! `RDB-views` baseline's advisor (§6.2): it tunes the store's
+//! materialized-view catalog instead of the graph store.
 
 use kgdual_core::{identify, DualStore, PhysicalTuner, TuningOutcome};
 use kgdual_graphstore::GraphBackend;
@@ -198,9 +200,51 @@ impl<B: GraphBackend> PhysicalTuner<B> for IdealTuner {
     }
 }
 
+/// **`RDB-views` advisor**: after each batch, materialize the most
+/// frequent join fragments of the complex subqueries seen so far, within
+/// the graph store's budget (see [`kgdual_relstore::ViewCatalog`]).
+/// Frequencies accumulate in the store's catalog over the whole history;
+/// the graph store is never touched. Answering from the views never reads
+/// the frequencies, so observing a batch in its offline phase builds the
+/// same catalog as observing each query as it runs.
+#[derive(Default, Debug)]
+pub struct ViewTuner;
+
+impl ViewTuner {
+    /// A fresh view advisor.
+    pub fn new() -> Self {
+        Self
+    }
+}
+
+impl<B: GraphBackend> PhysicalTuner<B> for ViewTuner {
+    fn name(&self) -> &str {
+        "views"
+    }
+
+    /// Reports views built as `migrated` and their storage units as
+    /// `triples_in` and `offline_work`.
+    fn tune(&mut self, dual: &mut DualStore<B>, batch: &[Query]) -> TuningOutcome {
+        for query in batch {
+            if let Some(qc) = identify(query) {
+                dual.views_mut().observe(&qc.patterns);
+            }
+        }
+        let report = dual.rebuild_views();
+        TuningOutcome {
+            migrated: report.built,
+            evicted: 0,
+            triples_in: report.units_used as u64,
+            triples_out: 0,
+            offline_work: report.units_used as u64,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kgdual_core::{process_with_views, Route};
     use kgdual_model::{DatasetBuilder, Term};
     use kgdual_sparql::parse;
 
@@ -315,10 +359,25 @@ mod tests {
     }
 
     #[test]
+    fn view_tuner_routes_the_next_batch_view_assisted() {
+        let mut d = dual(10_000);
+        let q = advisor_query();
+        let cold = process_with_views(&d, &q).unwrap();
+        assert_eq!(cold.route, Route::Relational, "no views before tuning");
+        let out = ViewTuner::new().tune(&mut d, std::slice::from_ref(&q));
+        assert_eq!(out.migrated, 3, "three pair fragments built");
+        assert_eq!(d.graph().used(), 0, "the graph store stays cold");
+        let warm = process_with_views(&d, &q).unwrap();
+        assert_eq!(warm.route, Route::ViewAssisted);
+        assert_eq!(cold.results, warm.results);
+    }
+
+    #[test]
     fn empty_batches_are_noops() {
         let mut d = dual(100);
         assert_eq!(FrequencyTuner::new().tune(&mut d, &[]).migrated, 0);
         assert_eq!(IdealTuner::new().tune(&mut d, &[]).migrated, 0);
         assert_eq!(OneOffTuner::new().tune(&mut d, &[]).migrated, 0);
+        assert_eq!(ViewTuner::new().tune(&mut d, &[]).migrated, 0);
     }
 }

@@ -21,7 +21,8 @@
 //!
 //! [`dotil::Dotil`] implements Algorithm 1 behind the
 //! [`kgdual_core::PhysicalTuner`] trait; [`baselines`] provides the
-//! *one-off*, *LRU/frequency*, and *ideal* tuning modes.
+//! *one-off*, *LRU/frequency*, and *ideal* tuning modes, and the
+//! `RDB-views` baseline's view advisor.
 
 pub mod baselines;
 pub mod config;
@@ -29,7 +30,7 @@ pub mod counterfactual;
 pub mod dotil;
 pub mod qmatrix;
 
-pub use baselines::{FrequencyTuner, IdealTuner, OneOffTuner};
+pub use baselines::{FrequencyTuner, IdealTuner, OneOffTuner, ViewTuner};
 pub use config::DotilConfig;
 pub use dotil::Dotil;
 pub use qmatrix::QMatrix;

@@ -1,14 +1,21 @@
-//! The parallel workload runner: online batches between tuning epochs.
+//! The workload runner: online batches between tuning epochs.
 //!
-//! Mirrors `kgdual_core::batch::WorkloadRunner`, but the online phase of
-//! each batch fans out over the [`BatchExecutor`]'s worker pool while the
-//! offline phase runs inside [`SharedStore::reconfigure`] — the epoch
-//! barrier that keeps the paper's online/offline separation intact under
-//! concurrency. The tuner sees exactly the same store state and batch
-//! content as it would in a serial run (online execution is read-only, so
-//! nothing a worker does can perturb the design DOTIL trains against),
-//! which is why Q-matrix updates and migration decisions are identical at
-//! every thread count.
+//! The paper's protocol (§4.2, §6.1): run a batch, measure its TTI, tune
+//! offline, run the next. The online phase of each batch fans out over
+//! the [`BatchExecutor`]'s worker pool while the offline phase runs inside
+//! [`SharedStore::reconfigure`] — the epoch barrier that keeps the
+//! online/offline separation intact under concurrency. The tuner sees
+//! exactly the same store state and batch content at every worker count
+//! (online execution is read-only, so nothing a worker does can perturb
+//! the design DOTIL trains against), which is why Q-matrix updates and
+//! migration decisions are identical at every thread count.
+//!
+//! All three of the paper's store variants run here, as one
+//! ([`ExecMode`](crate::ExecMode), tuner, [`TuningSchedule`]) triple
+//! each: `RDB-only` is `RelationalOnly` with no tuning, `RDB-views` is
+//! `ViewAssisted` with the view advisor rebuilding the store's catalog
+//! after each batch, and `RDB-GDB` is `Routed` with DOTIL or a baseline
+//! tuner.
 //!
 //! The runner is also where the *one* worker pool gets shared across
 //! subsystems: per-shard union scans dispatch onto the executor's
@@ -29,8 +36,7 @@ use std::time::Duration;
 /// Runs workloads batch by batch with concurrent online phases and
 /// exclusive tuning epochs.
 pub struct ParallelRunner {
-    /// When tuning happens relative to batches (same semantics as the
-    /// serial runner).
+    /// When tuning happens relative to batches.
     pub schedule: TuningSchedule,
     /// The executor driving each batch's online phase.
     pub executor: BatchExecutor,
@@ -51,7 +57,6 @@ impl ParallelRunner {
         tuner: &mut dyn PhysicalTuner<B>,
         batches: &[Vec<Query>],
     ) -> Vec<ParallelBatchReport> {
-        let mut reports = Vec::with_capacity(batches.len());
         let sched = self.executor.scheduler();
 
         // Multi-thread executors also parallelize *inside* a query: a
@@ -74,25 +79,25 @@ impl ParallelRunner {
         // offline work (DOTIL counterfactual waves) borrows them as
         // OfflineTuning-class tasks. Deterministically identical to the
         // serial tune() at every worker count (see PhysicalTuner docs).
-        if self.schedule == TuningSchedule::OnceUpfrontWithAll {
-            let all: Vec<Query> = batches.iter().flatten().cloned().collect();
-            store.reconfigure(|dual| tuner.tune_with(dual, &all, Some(sched)));
-        }
-
-        for (i, batch) in batches.iter().enumerate() {
-            if self.schedule == TuningSchedule::BeforeEachBatchWithUpcoming {
-                store.reconfigure(|dual| tuner.tune_with(dual, batch, Some(sched)));
-            }
-
-            let mut report = self.executor.execute_batch(store, batch);
-            report.batch_index = i;
-
-            if self.schedule == TuningSchedule::AfterEachBatch {
-                report.tuning = store.reconfigure(|dual| tuner.tune_with(dual, batch, Some(sched)));
-            }
-            reports.push(report);
-        }
-        reports
+        self.schedule
+            .drive(
+                tuner,
+                batches,
+                |tuner, queries| {
+                    store.reconfigure(|dual| tuner.tune_with(dual, queries, Some(sched)))
+                },
+                |_, i, batch| {
+                    let mut report = self.executor.execute_batch(store, batch);
+                    report.batch_index = i;
+                    report
+                },
+            )
+            .into_iter()
+            .map(|(mut report, tuning)| {
+                report.tuning = tuning;
+                report
+            })
+            .collect()
     }
 
     /// Total parallel wall-clock TTI across reports.
@@ -210,39 +215,13 @@ mod tests {
         let store = store();
         let runner = ParallelRunner::new(TuningSchedule::Never, BatchExecutor::new(2));
         let reports = runner.run(&store, &mut NoopTuner, &batches());
+        assert_eq!(reports.len(), 2, "one report per batch");
+        assert_eq!(reports[0].queries, 2);
+        assert_eq!(reports[0].errors, 0);
+        assert!(reports[0].total_work() > 0);
+        assert_eq!(reports[0].routes.relational, 2);
         assert_eq!(reports[1].routes.graph, 0);
+        assert_eq!(reports[1].graph_work_share(), 0.0);
         assert_eq!(reports[1].epoch, 0, "no tuning, no epochs");
-    }
-
-    #[test]
-    fn serial_runner_and_parallel_runner_agree() {
-        // The serial WorkloadRunner over a StoreVariant and the parallel
-        // runner over a SharedStore must report identical deterministic
-        // totals for the same workload.
-        use kgdual_core::batch::WorkloadRunner;
-        use kgdual_core::StoreVariant;
-
-        let mut variant = StoreVariant::rdb_gdb(
-            {
-                let store = store();
-                store.into_inner()
-            },
-            Box::new(GreedyAll),
-        );
-        let serial = WorkloadRunner::default()
-            .run(&mut variant, &batches())
-            .unwrap();
-
-        let store = store();
-        let runner = ParallelRunner::new(TuningSchedule::AfterEachBatch, BatchExecutor::new(4));
-        let parallel = runner.run(&store, &mut GreedyAll, &batches());
-
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.total_work, p.total_work());
-            assert_eq!(s.sim_tti, p.sim_tti);
-            assert_eq!(s.result_rows, p.result_rows);
-            assert_eq!(s.routes, p.routes);
-            assert_eq!(s.tuning.migrated, p.tuning.migrated);
-        }
     }
 }

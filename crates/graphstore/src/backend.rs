@@ -17,7 +17,7 @@
 //! digests, DOTIL's tuning trail) are functions of the *logical* store
 //! content, not of memory layout: the matcher charges work from reported
 //! sizes only, and enumeration follows the canonical order the
-//! [`Topology`](crate::Topology) contract fixes (ascending ids), so even
+//! [enumeration-order](crate::topology) contract fixes (ascending ids), so even
 //! LIMIT-truncated queries pick the same rows whatever the layout.
 //! Import effort is billed at
 //! [`BULK_IMPORT_COST_PER_TRIPLE`](crate::store::BULK_IMPORT_COST_PER_TRIPLE)
@@ -64,7 +64,7 @@ pub trait GraphBackend: Send + Sync + std::fmt::Debug {
     }
 
     /// Resident partitions and their sizes, ascending by predicate id
-    /// (canonical order, like every [`Topology`](crate::Topology)
+    /// (canonical order, like every [`CsrView`](crate::CsrView)
     /// enumeration — callers compare designs byte for byte).
     fn resident_partitions(&self) -> Vec<(PredId, usize)>;
 

@@ -26,8 +26,8 @@
 //! [`GraphStore`] (alias [`AdjacencyBackend`]) implements
 //! [`backend::GraphBackend`], the contract the rest of the system uses
 //! (budget accounting, partition load/evict, edge insert/delete, pattern
-//! execution), and [`topology::Topology`], the sorted-rows/statistics
-//! view the matcher traverses. The matcher derives every work charge from
+//! execution), and exposes the sorted-rows/statistics view the matcher
+//! traverses ([`topology`]). The matcher derives every work charge from
 //! reported sizes, so work units — and with them DOTIL's learned designs
 //! and every deterministic harness metric — depend on the logical store
 //! content only.
@@ -39,4 +39,4 @@ pub mod topology;
 
 pub use backend::GraphBackend;
 pub use store::{AdjacencyBackend, GraphExecError, GraphStore, GraphStoreError, ImportStats};
-pub use topology::{CsrView, PartitionStats, Topology};
+pub use topology::{CsrView, PartitionStats};

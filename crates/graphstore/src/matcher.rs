@@ -1,4 +1,4 @@
-//! Frontier BGP matcher over any [`Topology`].
+//! Frontier BGP matcher over the [`GraphStore`]'s sorted rows.
 //!
 //! Where the relational executor materializes whole intermediate relations
 //! (scan → hash join), this matcher seeds with the most selective pattern
@@ -15,14 +15,14 @@
 //! row — Leapfrog Triejoin's step (Veldhuizen, ICDT 2014) — while a lone
 //! candidate is looked up in its own row.
 //!
-//! Charges follow [`Topology`]'s cost-parity contract, summed per morsel:
+//! Charges follow the [cost-parity contract](crate::topology), summed per morsel:
 //! `len + 1` probes per row lookup, one probe per closing candidate, one
 //! scanned row per seed edge, one join per result row — what a
 //! binding-at-a-time traversal charges. Under LIMIT each morsel below the
 //! seed is one input row, so the limit is reached in depth-first order.
 
-use crate::store::GraphExecError;
-use crate::topology::{CsrView, Topology};
+use crate::store::{GraphExecError, GraphStore};
+use crate::topology::CsrView;
 use kgdual_model::{NodeId, PredId};
 use kgdual_relstore::{Bindings, ExecContext, ExecError};
 use kgdual_sparql::{EncPattern, EncodedQuery, PredSlot, Slot, VarId};
@@ -31,9 +31,9 @@ use kgdual_vec::{
     plan, BATCH,
 };
 
-/// Execute a compiled BGP against a graph topology.
-pub fn execute<T: Topology>(
-    index: &T,
+/// Execute a compiled BGP against the graph store.
+pub fn execute(
+    index: &GraphStore,
     q: &EncodedQuery,
     ctx: &mut ExecContext,
 ) -> Result<Bindings, GraphExecError> {
@@ -68,7 +68,7 @@ pub fn execute<T: Topology>(
 /// object is bound, all candidate edges when neither is. Hub predicates (a
 /// prize with hundreds of winners) are thereby deferred until both
 /// endpoints are pinned and they degrade to cheap existence probes.
-fn order_patterns<T: Topology>(index: &T, q: &EncodedQuery) -> Vec<(usize, f64)> {
+fn order_patterns(index: &GraphStore, q: &EncodedQuery) -> Vec<(usize, f64)> {
     let mut remaining: Vec<usize> = (0..q.patterns.len()).collect();
     let mut order = Vec::with_capacity(remaining.len());
     let mut bound: Vec<VarId> = Vec::new();
@@ -96,7 +96,7 @@ fn order_patterns<T: Topology>(index: &T, q: &EncodedQuery) -> Vec<(usize, f64)>
 /// Expected extension fan-out of `pat` given the already-bound variables —
 /// the ordering heuristic's pricing function, shared with EXPLAIN so the
 /// plan's printed estimates are exactly the values the order was chosen by.
-fn bound_estimate<T: Topology>(index: &T, pat: &EncPattern, bound: &[VarId]) -> f64 {
+fn bound_estimate(index: &GraphStore, pat: &EncPattern, bound: &[VarId]) -> f64 {
     let s_bound =
         matches!(pat.s, Slot::Const(_)) || pat.s.as_var().is_some_and(|v| bound.contains(&v));
     let o_bound =
@@ -227,9 +227,9 @@ impl<'a> Step<'a> {
 
     /// Expand the next morsel of `input` into `out`, charging what it read:
     /// input rows until `out` holds [`BATCH`] rows, or just one.
-    fn expand<T: Topology>(
+    fn expand(
         &mut self,
-        index: &'a T,
+        index: &'a GraphStore,
         input: &[NodeId],
         cur: &mut Cursor,
         out: &mut Vec<NodeId>,
@@ -287,9 +287,9 @@ impl<'a> Step<'a> {
     /// `len + 1` probes; a closing edge with a bound predicate variable
     /// charges 1, and with an unbound one the subject's rows are read
     /// first, so it pays their lengths too.
-    fn lookups<T: Topology>(
+    fn lookups(
         &mut self,
-        index: &'a T,
+        index: &'a GraphStore,
         input: &[NodeId],
         cur: &mut Cursor,
         out: &mut Vec<NodeId>,
@@ -344,9 +344,9 @@ impl<'a> Step<'a> {
     /// Scan the next chunk of at most [`BATCH`] seed edges — ascending
     /// `(s, o)` in the constant or bound predicate's partition, or in every
     /// resident one in turn — charged before it is read.
-    fn seed<T: Topology>(
+    fn seed(
         &self,
-        index: &'a T,
+        index: &'a GraphStore,
         input: &[NodeId],
         cur: &mut Cursor,
         out: &mut Vec<NodeId>,
@@ -386,8 +386,8 @@ impl<'a> Step<'a> {
 }
 
 /// One query's traversal state.
-struct Frontier<'a, T> {
-    index: &'a T,
+struct Frontier<'a> {
+    index: &'a GraphStore,
     steps: Vec<Step<'a>>,
     /// Cells per row: one per query variable, then one per constant
     /// endpoint.
@@ -404,8 +404,13 @@ struct Frontier<'a, T> {
     stop_at: usize,
 }
 
-impl<'a, T: Topology> Frontier<'a, T> {
-    fn new(index: &'a T, q: &'a EncodedQuery, order: &[(usize, f64)], stop_at: usize) -> Self {
+impl<'a> Frontier<'a> {
+    fn new(
+        index: &'a GraphStore,
+        q: &'a EncodedQuery,
+        order: &[(usize, f64)],
+        stop_at: usize,
+    ) -> Self {
         // The root row: variable columns first, then the constants.
         let mut root = vec![NodeId(0); q.vars.len()];
         let mut steps = Vec::with_capacity(order.len());

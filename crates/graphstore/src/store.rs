@@ -16,7 +16,7 @@
 
 use crate::backend::GraphBackend;
 use crate::matcher;
-use crate::topology::{CsrView, PartitionStats, Topology};
+use crate::topology::{CsrView, PartitionStats};
 use kgdual_model::fx::FxHashMap;
 use kgdual_model::{NodeId, PredId, Triple};
 use kgdual_relstore::{Bindings, ExecContext, ExecError};
@@ -254,14 +254,16 @@ impl CsrPartition {
 
 /// The native graph store: holds a budget-constrained subset of the
 /// knowledge graph's triple partitions (`T_G` in the paper) and answers
-/// complex subqueries over them by traversal. Its whole interface is its
-/// [`GraphBackend`] and [`Topology`] implementations.
+/// complex subqueries over them by traversal. Its interface is its
+/// [`GraphBackend`] implementation plus the sorted-rows view the matcher
+/// traverses ([`forward`](Self::forward), [`reverse`](Self::reverse) and
+/// the statistics beside them).
 #[derive(Debug, Default)]
 pub struct GraphStore {
     budget: usize,
     parts: FxHashMap<PredId, CsrPartition>,
     /// Resident predicates in ascending order, maintained on load/evict:
-    /// [`Topology::preds`] hands it out, so it is never re-sorted per
+    /// [`GraphStore::preds`] hands it out, so it is never re-sorted per
     /// lookup.
     preds: Vec<PredId>,
     edges: usize,
@@ -272,28 +274,34 @@ pub struct GraphStore {
 /// for the paper's Neo4j deployment.
 pub type AdjacencyBackend = GraphStore;
 
-impl Topology for GraphStore {
-    fn edge_count(&self) -> usize {
+impl GraphStore {
+    /// Total edges currently stored.
+    pub fn edge_count(&self) -> usize {
         self.edges
     }
 
-    fn partition_stats(&self, pred: PredId) -> PartitionStats {
+    /// Cardinality statistics of one predicate's partition (zero if not
+    /// loaded).
+    pub fn partition_stats(&self, pred: PredId) -> PartitionStats {
         self.parts
             .get(&pred)
             .map_or_else(PartitionStats::default, CsrPartition::stats)
     }
 
-    fn preds(&self) -> &[PredId] {
+    /// Loaded predicates, in ascending id order.
+    pub fn preds(&self) -> &[PredId] {
         &self.preds
     }
 
-    fn forward(&self, pred: PredId) -> CsrView<'_> {
+    /// `pred`'s edges keyed by subject (empty if not loaded).
+    pub fn forward(&self, pred: PredId) -> CsrView<'_> {
         self.parts
             .get(&pred)
             .map_or_else(CsrView::default, |cp| cp.fwd.view())
     }
 
-    fn reverse(&self, pred: PredId) -> CsrView<'_> {
+    /// `pred`'s edges keyed by object (empty if not loaded).
+    pub fn reverse(&self, pred: PredId) -> CsrView<'_> {
         self.parts
             .get(&pred)
             .map_or_else(CsrView::default, |cp| cp.rev.view())

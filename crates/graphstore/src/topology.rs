@@ -1,22 +1,33 @@
 //! The matcher's view of a graph store.
 //!
 //! The frontier matcher ([`crate::matcher`]) needs exactly four things
-//! from a substrate: each partition's rows in both directions as sorted
-//! slices, the resident predicates, cardinality statistics for its
-//! degree-aware pattern ordering, and the total edge count. [`Topology`]
-//! captures that contract; [`crate::GraphStore`]'s compressed sparse rows
-//! implement it.
+//! from [`crate::GraphStore`]: each partition's rows in both directions as
+//! sorted slices ([`CsrView`]), the resident predicates, cardinality
+//! statistics for its degree-aware pattern ordering ([`PartitionStats`]),
+//! and the total edge count.
 //!
 //! # Cost-parity contract
 //!
 //! The matcher charges work units from the *sizes* of the slices the
-//! topology hands out (row lengths, partition lengths), never from how it
+//! store hands out (row lengths, partition lengths), never from how it
 //! searched or merged them. Any layout holding the same edge multiset
 //! therefore produces **identical work units** for the same query, so a
 //! change of memory layout or of execution strategy never moves DOTIL's
 //! learned designs or a work-unit figure.
+//!
+//! # Enumeration-order contract
+//!
+//! Enumeration order is *canonical*, not layout-defined:
+//! [`GraphStore::preds`](crate::GraphStore::preds) ascends by predicate
+//! id, and every [`CsrView`] ascends by key and, within a row, by
+//! neighbour. LIMIT queries exit mid-enumeration, so two layouts
+//! enumerating in different orders would return different (individually
+//! correct) result subsets and charge different work — canonical order is
+//! what keeps *every* deterministic metric layout-invariant, truncated
+//! queries included. It is also what lets the matcher close a cycle by
+//! merging two sorted runs.
 
-use kgdual_model::{NodeId, PredId};
+use kgdual_model::NodeId;
 
 /// Per-partition cardinalities, kept current on every mutation. The
 /// matcher's degree-aware pattern ordering depends on these.
@@ -91,38 +102,6 @@ impl<'a> CsrView<'a> {
             .binary_search(&key)
             .map_or(&[], |i| self.row_at(i))
     }
-}
-
-/// What the frontier matcher reads from a graph substrate.
-///
-/// # Enumeration-order contract
-///
-/// Enumeration order is *canonical*, not substrate-defined: [`preds`]
-/// ascends by predicate id, and every [`CsrView`] ascends by key and,
-/// within a row, by neighbour. LIMIT queries exit mid-enumeration, so two
-/// layouts enumerating in different orders would return different
-/// (individually correct) result subsets and charge different work —
-/// canonical order is what keeps *every* deterministic metric
-/// layout-invariant, truncated queries included. It is also what lets the
-/// matcher close a cycle by merging two sorted runs.
-///
-/// [`preds`]: Topology::preds
-pub trait Topology {
-    /// Total edges currently stored.
-    fn edge_count(&self) -> usize;
-
-    /// Cardinality statistics of one predicate's partition (zero if not
-    /// loaded).
-    fn partition_stats(&self, pred: PredId) -> PartitionStats;
-
-    /// Loaded predicates, in ascending id order.
-    fn preds(&self) -> &[PredId];
-
-    /// `pred`'s edges keyed by subject (empty if not loaded).
-    fn forward(&self, pred: PredId) -> CsrView<'_>;
-
-    /// `pred`'s edges keyed by object (empty if not loaded).
-    fn reverse(&self, pred: PredId) -> CsrView<'_>;
 }
 
 #[cfg(test)]

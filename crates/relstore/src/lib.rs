@@ -50,4 +50,4 @@ pub use shard::{RelShard, SerialDispatch, ShardDispatch, ShardScanPart, ShardedR
 pub use store::RelStore;
 pub use table::{IndexRange, PredTable, TableStats};
 pub use temp::TempSpace;
-pub use views::{MatView, ViewCatalog};
+pub use views::{MatView, RebuildReport, ViewCatalog};

@@ -4,8 +4,8 @@
 //! index-vs-scan access path, index-nested-loop vs hash join, hash-join
 //! build side — prices patterns with the formulas below, fed **only**
 //! from the per-partition statistics the stores already report
-//! (`TableStats` on the relational side, `PartitionStats` via
-//! `Topology` on the graph side; both carry rows + distinct subject and
+//! (`TableStats` on the relational side, the graph store's
+//! `PartitionStats` on the graph side; both carry rows + distinct subject and
 //! object counts, which [`Card`] abstracts).
 //!
 //! These are the exact formulas the relational planner and the graph

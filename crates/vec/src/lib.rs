@@ -16,7 +16,7 @@
 //! * [`cost`] — the cost model: bound-pattern cardinalities, the
 //!   index-vs-scan access-path rule, the index-nested-loop threshold and
 //!   the hash-join build-side choice, fed **only** from the statistics
-//!   [`Topology`]/`TableStats` already report. The store planners
+//!   `PartitionStats`/`TableStats` already report. The store planners
 //!   delegate here, so the relational and graph substrates price
 //!   patterns with one shared formula set.
 //! * [`plan`] — the `EXPLAIN` plan and profile types both planners fill.
@@ -37,8 +37,6 @@
 //! ([`batches_emitted`]) — one atomic add per 4096-row batch — so tests
 //! and `kgbench` can see the batch kernels ran; the distributional view
 //! (per-operator batch-size histograms) is obs-gated in [`obs`].
-//!
-//! [`Topology`]: https://docs.rs/kgdual-graphstore
 
 pub mod batch;
 pub mod cost;

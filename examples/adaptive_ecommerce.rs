@@ -7,7 +7,6 @@
 //! cargo run --release --example adaptive_ecommerce
 //! ```
 
-use kgdual::core::batch::TuningSchedule;
 use kgdual::prelude::*;
 
 fn main() {
@@ -21,10 +20,8 @@ fn main() {
 
     // Budget: the paper's default r_BG = 25%.
     let budget = dataset.len() / 4;
-    let mut variant = StoreVariant::rdb_gdb(
-        DualStore::from_dataset(dataset, budget),
-        Box::new(Dotil::new()),
-    );
+    let store = SharedStore::new(DualStore::from_dataset(dataset, budget));
+    let mut tuner = Dotil::new();
 
     // A drifting workload: batches shift from the triangle motif (friends
     // liking the same product) to the purchase-review loop.
@@ -44,8 +41,8 @@ fn main() {
         batch_of(&loop_t, 4, &mut rng),
     ];
 
-    let runner = WorkloadRunner::new(TuningSchedule::AfterEachBatch);
-    let reports = runner.run(&mut variant, &batches).expect("workload runs");
+    let runner = ParallelRunner::new(TuningSchedule::AfterEachBatch, BatchExecutor::new(1));
+    let reports = runner.run(&store, &mut tuner, &batches);
 
     println!("\nbatch  motif     sim-TTI(ms)  graph-share  routes(graph/dual/rel)  tuned(in/out)");
     for (i, r) in reports.iter().enumerate() {
@@ -64,7 +61,8 @@ fn main() {
         );
     }
 
-    let design = variant.dual().design();
+    let dual = store.read();
+    let design = dual.design();
     println!(
         "\nfinal design: {}/{} triples in the graph store across {} partitions",
         design.used,
@@ -72,6 +70,6 @@ fn main() {
         design.graph_partitions.len()
     );
     for (pred, size) in design.graph_partitions {
-        println!("  - {} ({size})", variant.dual().dict().pred(pred).unwrap());
+        println!("  - {} ({size})", dual.dict().pred(pred).unwrap());
     }
 }

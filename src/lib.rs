@@ -52,7 +52,7 @@
 //! | [`core`] | identifier, query processor, dual-store manager |
 //! | [`dotil`] | the Q-learning tuner and baseline tuners |
 //! | [`workloads`] | synthetic YAGO/WatDiv/Bio2RDF-like generators |
-//! | [`exec`] | concurrent batch executor over a shared-read store |
+//! | [`exec`] | the batch runner: a concurrent executor over a shared-read store, tuning epochs between batches |
 
 pub use kgdual_core as core;
 pub use kgdual_dotil as dotil;
@@ -67,15 +67,18 @@ pub use kgdual_core::{identifier, processor, results};
 
 /// The most commonly used types in one import.
 pub mod prelude {
+    pub use kgdual_core::batch::TuningSchedule;
     pub use kgdual_core::{
-        identify, BatchReport, ComplexSubquery, DualDesign, DualStore, NoopTuner, PhysicalTuner,
-        QueryOutcome, ResultSet, Route, StoreVariant, TuningOutcome, WorkloadRunner,
+        identify, ComplexSubquery, DualDesign, DualStore, NoopTuner, PhysicalTuner, QueryOutcome,
+        ResultSet, Route, TuningOutcome,
     };
-    pub use kgdual_dotil::{Dotil, DotilConfig, FrequencyTuner, IdealTuner, OneOffTuner};
-    pub use kgdual_exec::{BatchExecutor, ParallelRunner, SharedStore};
-    pub use kgdual_graphstore::{
-        AdjacencyBackend, GraphBackend, GraphStore, PartitionStats, Topology,
+    pub use kgdual_dotil::{
+        Dotil, DotilConfig, FrequencyTuner, IdealTuner, OneOffTuner, ViewTuner,
     };
+    pub use kgdual_exec::{
+        BatchExecutor, ExecMode, ParallelBatchReport, ParallelRunner, SharedStore,
+    };
+    pub use kgdual_graphstore::{AdjacencyBackend, GraphBackend, GraphStore, PartitionStats};
     pub use kgdual_model::{Dataset, DatasetBuilder, Dictionary, NodeId, PredId, Term, Triple};
     pub use kgdual_relstore::{Bindings, ExecContext, RelStore, ViewCatalog};
     pub use kgdual_sparql::{compile, parse, Compiled, EncodedQuery, Query, Var};

@@ -1,7 +1,6 @@
 //! Cross-crate integration: every store variant, every generator, one
 //! pipeline — results must agree regardless of physical design.
 
-use kgdual::core::batch::TuningSchedule;
 use kgdual::prelude::*;
 
 /// All three store variants produce identical result rows for every query
@@ -50,32 +49,57 @@ fn variants_agree_on_all_generator_workloads() {
         ),
     ];
 
+    let mut view_routes = 0;
     for (dataset, queries) in cases {
         let budget = dataset.len() / 4;
-        let mut only = StoreVariant::rdb_only(DualStore::from_dataset(dataset.clone(), budget));
-        let mut views = StoreVariant::rdb_views(DualStore::from_dataset(dataset.clone(), budget));
-        let mut gdb = StoreVariant::rdb_gdb(
-            DualStore::from_dataset(dataset, budget),
-            Box::new(Dotil::new()),
-        );
+        let batches = Workload::batches(&queries, 5);
+        let variants: [(ExecMode, Box<dyn PhysicalTuner>); 3] = [
+            (ExecMode::RelationalOnly, Box::new(NoopTuner)),
+            (ExecMode::ViewAssisted, Box::new(ViewTuner::new())),
+            (ExecMode::Routed, Box::new(Dotil::new())),
+        ];
+        // Each variant tunes after every batch, so later batches run on
+        // built views and migrated partitions.
+        let runs: Vec<Vec<ParallelBatchReport>> = variants
+            .into_iter()
+            .map(|(mode, mut tuner)| {
+                let store = SharedStore::new(DualStore::from_dataset(dataset.clone(), budget));
+                let executor = BatchExecutor::new(2).with_mode(mode).with_outcomes(true);
+                ParallelRunner::new(TuningSchedule::AfterEachBatch, executor).run(
+                    &store,
+                    tuner.as_mut(),
+                    &batches,
+                )
+            })
+            .collect();
 
-        for (qi, q) in queries.iter().enumerate() {
-            let mut rows: Vec<Vec<String>> = Vec::new();
-            for variant in [&mut only, &mut views, &mut gdb] {
-                let out = variant.process(q).expect("query runs");
-                let mut sorted = out.results.clone();
-                sorted.sort_rows();
-                rows.push(sorted.rows().map(|r| format!("{r:?}")).collect());
-            }
-            assert_eq!(rows[0], rows[1], "views diverged on query {qi}: {q}");
-            assert_eq!(rows[0], rows[2], "gdb diverged on query {qi}: {q}");
-            // Exercise the offline machinery mid-stream.
-            if qi % 7 == 3 {
-                views.offline_phase(std::slice::from_ref(q));
-                gdb.offline_phase(std::slice::from_ref(q));
+        for (b, batch) in batches.iter().enumerate() {
+            for (qi, q) in batch.iter().enumerate() {
+                let rows: Vec<Vec<String>> = runs
+                    .iter()
+                    .map(|reports| {
+                        let out = reports[b].outcomes[qi].as_ref().expect("query runs");
+                        let mut sorted = out.results.clone();
+                        sorted.sort_rows();
+                        sorted.rows().map(|r| format!("{r:?}")).collect()
+                    })
+                    .collect();
+                assert_eq!(
+                    rows[0], rows[1],
+                    "views diverged on batch {b} query {qi}: {q}"
+                );
+                assert_eq!(
+                    rows[0], rows[2],
+                    "gdb diverged on batch {b} query {qi}: {q}"
+                );
             }
         }
+        view_routes += runs[1]
+            .iter()
+            .map(|r| r.routes.view_assisted)
+            .sum::<usize>();
     }
+    assert!(view_routes > 0, "some query must be answered from a view");
 }
 
 /// Tuning never changes answers, only routes and costs.
@@ -127,14 +151,12 @@ fn batch_pipeline_ramps_up_graph_share() {
     let workload = gen.workload();
     let batches = Workload::batches(&workload.ordered(), 5);
 
-    let mut variant = StoreVariant::rdb_gdb(
-        DualStore::from_dataset(dataset, budget),
-        Box::new(Dotil::new()),
-    );
-    let runner = WorkloadRunner::new(TuningSchedule::AfterEachBatch);
+    let store = SharedStore::new(DualStore::from_dataset(dataset, budget));
+    let mut tuner = Dotil::new();
+    let runner = ParallelRunner::new(TuningSchedule::AfterEachBatch, BatchExecutor::new(1));
     // Two passes: the first warms, the second must use the graph store.
-    let _ = runner.run(&mut variant, &batches).unwrap();
-    let reports = runner.run(&mut variant, &batches).unwrap();
+    let _ = runner.run(&store, &mut tuner, &batches);
+    let reports = runner.run(&store, &mut tuner, &batches);
 
     assert!(reports.iter().all(|r| r.errors == 0));
     let graph_used: usize = reports.iter().map(|r| r.routes.graph + r.routes.dual).sum();
@@ -142,8 +164,9 @@ fn batch_pipeline_ramps_up_graph_share() {
         graph_used > 0,
         "warm runs must route complex queries to the graph store"
     );
-    assert!(variant.dual().graph().used() > 0);
-    assert!(variant.dual().graph().used() <= variant.dual().graph().budget());
+    let dual = store.read();
+    assert!(dual.graph().used() > 0);
+    assert!(dual.graph().used() <= dual.graph().budget());
 }
 
 /// Updates propagate across both stores through the whole stack.

@@ -2,7 +2,6 @@
 //! units (exact operator counts) rather than wall-clock so CI noise cannot
 //! flip them.
 
-use kgdual::core::batch::TuningSchedule;
 use kgdual::prelude::*;
 
 const ADVISOR: &str =
@@ -92,12 +91,11 @@ fn dotil_beats_no_tuning_on_repeated_workload() {
     let batches = Workload::batches(&workload.ordered(), 5);
     let budget = gen.generate().len() / 4;
 
-    let run = |tuner: Box<dyn PhysicalTuner + Send>, schedule: TuningSchedule| -> u64 {
-        let mut variant =
-            StoreVariant::rdb_gdb(DualStore::from_dataset(gen.generate(), budget), tuner);
-        let runner = WorkloadRunner::new(schedule);
-        let _ = runner.run(&mut variant, &batches).unwrap(); // warm-up pass
-        let reports = runner.run(&mut variant, &batches).unwrap();
+    let run = |mut tuner: Box<dyn PhysicalTuner>, schedule: TuningSchedule| -> u64 {
+        let store = SharedStore::new(DualStore::from_dataset(gen.generate(), budget));
+        let runner = ParallelRunner::new(schedule, BatchExecutor::new(1));
+        let _ = runner.run(&store, tuner.as_mut(), &batches); // warm-up pass
+        let reports = runner.run(&store, tuner.as_mut(), &batches);
         reports.iter().map(|r| r.sim_tti.as_nanos() as u64).sum()
     };
 
@@ -127,12 +125,11 @@ fn tuner_ordering_matches_figure8() {
     let batches = Workload::batches(&workload.ordered(), 5);
     let budget = gen.generate().len() / 4;
 
-    let run = |tuner: Box<dyn PhysicalTuner + Send>, schedule: TuningSchedule| -> u64 {
-        let mut variant =
-            StoreVariant::rdb_gdb(DualStore::from_dataset(gen.generate(), budget), tuner);
-        let runner = WorkloadRunner::new(schedule);
-        let _ = runner.run(&mut variant, &batches).unwrap();
-        let reports = runner.run(&mut variant, &batches).unwrap();
+    let run = |mut tuner: Box<dyn PhysicalTuner>, schedule: TuningSchedule| -> u64 {
+        let store = SharedStore::new(DualStore::from_dataset(gen.generate(), budget));
+        let runner = ParallelRunner::new(schedule, BatchExecutor::new(1));
+        let _ = runner.run(&store, tuner.as_mut(), &batches);
+        let reports = runner.run(&store, tuner.as_mut(), &batches);
         reports.iter().map(|r| r.sim_tti.as_nanos() as u64).sum()
     };
 

@@ -65,8 +65,8 @@ fn recount(rows: &[(NodeId, NodeId)]) -> (usize, usize, usize) {
 /// A graph substrate's view of `pred` must equal what the surviving
 /// `rows` imply: statistics, both directions' sorted rows, and per-node
 /// neighbours.
-fn check_topology<T: kgdual::graphstore::Topology>(
-    topo: &T,
+fn check_topology(
+    topo: &GraphStore,
     pred: PredId,
     rows: &[(NodeId, NodeId)],
     nodes: u32,
