@@ -13,19 +13,13 @@ pub struct BenchArgs {
     /// dropped from the average, mirroring the paper's run-6-keep-5 setup.
     pub reps: usize,
     /// Worker threads for the concurrent batch executor (`kgdual-exec`):
-    /// `--threads N` (the `KGDUAL_THREADS` env var sets the default,
-    /// exactly like `KGDUAL_SHARDS` below). 1 (the default) runs queries
+    /// `--threads N` (the `KGDUAL_THREADS` env var sets the default).
+    /// 1 (the default) runs queries
     /// one at a time; >1 runs the paper report's batches, the EXPLAIN
     /// profile and the served store on that many workers. Every harness
     /// binary resolves its worker count through this one field — the
     /// scheduler pool size is never hard-coded at a call site.
     pub threads: usize,
-    /// Relational shards: `--shards N` (default 1, the monolithic
-    /// layout; the `KGDUAL_SHARDS` env var sets the default).
-    /// Deterministic metrics are shard-invariant by
-    /// construction — the flag changes physical layout and intra-query
-    /// parallelism only.
-    pub shards: usize,
     /// Serving port for `serve_store`: `--port N` (the `KGDUAL_PORT` env
     /// var sets the default, same one-path precedence as
     /// `KGDUAL_THREADS`). 0 (the default) asks the OS for a free port,
@@ -36,8 +30,9 @@ pub struct BenchArgs {
     /// (see [`crate::obs::write_obs_profile`]). `None` leaves recording
     /// at whatever `KGDUAL_OBS` selected.
     pub obs_out: Option<String>,
-    /// Remaining free-form flags (`--key value`).
-    pub extra: Vec<(String, String)>,
+    /// `--trace-out <path>`: where `serve_store` flushes the trace ring
+    /// buffers during its graceful drain.
+    pub trace_out: Option<String>,
 }
 
 impl Default for BenchArgs {
@@ -47,26 +42,25 @@ impl Default for BenchArgs {
             seed: 42,
             reps: 2,
             threads: 1,
-            shards: 1,
             port: 0,
             obs_out: None,
-            extra: Vec::new(),
+            trace_out: None,
         }
     }
 }
 
 impl BenchArgs {
-    /// Parse `--key value` pairs from `std::env::args`. The shard and
-    /// worker-thread counts default from `KGDUAL_SHARDS` /
-    /// `KGDUAL_THREADS` (so a script can select them without touching
-    /// every invocation); explicit `--shards` / `--threads` flags win. A
-    /// malformed flag value exits with status 2, naming the flag.
+    /// Parse `--key value` pairs from `std::env::args`. The worker-thread
+    /// count defaults from `KGDUAL_THREADS` (so a script can select it
+    /// without touching every invocation); an explicit `--threads` flag
+    /// wins. An unknown flag, a positional argument or a malformed value
+    /// exits with status 2, naming it.
     pub fn parse() -> Self {
         let mut base = Self::default();
-        // Counts need at least 1; port 0 means "any free port".
-        let count = |var| env(var).filter(|&n| n >= 1);
-        base.shards = count("KGDUAL_SHARDS").unwrap_or(base.shards);
-        base.threads = count("KGDUAL_THREADS").unwrap_or(base.threads);
+        // Thread counts need at least 1; port 0 means "any free port".
+        base.threads = env("KGDUAL_THREADS")
+            .filter(|&n| n >= 1)
+            .unwrap_or(base.threads);
         base.port = env("KGDUAL_PORT").unwrap_or(base.port);
         Self::parse_into(base, std::env::args().skip(1)).unwrap_or_else(|e| {
             eprintln!("error: {e}");
@@ -83,8 +77,7 @@ impl BenchArgs {
         let mut it = args.into_iter();
         while let Some(flag) = it.next() {
             let Some(key) = flag.strip_prefix("--") else {
-                eprintln!("ignoring positional argument `{flag}`");
-                continue;
+                return Err(format!("unexpected argument `{flag}`"));
             };
             let value = it
                 .next()
@@ -94,33 +87,19 @@ impl BenchArgs {
                 "seed" => out.seed = value_of(key, &value)?,
                 "reps" => out.reps = value_of::<usize>(key, &value)?.max(1),
                 "threads" => out.threads = value_of::<usize>(key, &value)?.max(1),
-                "shards" => out.shards = value_of::<usize>(key, &value)?.max(1),
                 "port" => out.port = value_of(key, &value)?,
                 "obs-out" => out.obs_out = Some(value),
-                _ => out.extra.push((key.to_owned(), value)),
+                "trace-out" => out.trace_out = Some(value),
+                _ => return Err(format!("unknown flag --{key}")),
             }
         }
         Ok(out)
     }
 
-    /// Look up a free-form flag.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.extra
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// A free-form flag read as a boolean (`--restart true`).
-    pub fn get_bool(&self, key: &str) -> bool {
-        self.get(key) == Some("true")
-    }
-
     /// The standard one-line run description every harness binary prints
-    /// in its header: scale, shard count, and (when parallel) the
-    /// worker-thread count.
+    /// in its header: scale and (when parallel) the worker-thread count.
     pub fn describe(&self) -> String {
-        let mut out = format!("scale {}, {} shard(s)", self.scale, self.shards);
+        let mut out = format!("scale {}", self.scale);
         if self.threads > 1 {
             out.push_str(&format!(", {} threads", self.threads));
         }
@@ -181,8 +160,8 @@ mod tests {
         assert!(e.contains("--reps"), "{e}");
         let e = err("--port 70000").unwrap_err();
         assert!(e.contains("--port"), "{e}");
-        let e = err("--shards").unwrap_err();
-        assert!(e.contains("--shards") && e.contains("missing"), "{e}");
+        let e = err("--threads").unwrap_err();
+        assert!(e.contains("--threads") && e.contains("missing"), "{e}");
     }
 
     #[test]
@@ -198,27 +177,32 @@ mod tests {
     }
 
     #[test]
-    fn free_form_flags_and_lookup() {
-        let a = parse("--workload yago --foo bar --restart true --quick false");
-        assert_eq!(a.get("workload"), Some("yago"));
-        assert_eq!(a.get("foo"), Some("bar"));
-        assert_eq!(a.get("missing"), None);
-        assert!(a.get_bool("restart"));
-        assert!(!a.get_bool("quick"));
-        assert!(!a.get_bool("missing"));
+    fn parses_trace_out() {
+        assert_eq!(parse("").trace_out, None);
+        let a = parse("--trace-out /tmp/spans.jsonl");
+        assert_eq!(a.trace_out.as_deref(), Some("/tmp/spans.jsonl"));
     }
 
     #[test]
-    fn shards_flag_parses_with_minimum_one() {
-        assert_eq!(parse("").shards, 1);
-        assert_eq!(parse("--shards 8").shards, 8);
-        assert_eq!(parse("--shards 0").shards, 1);
+    fn unknown_flags_are_errors_naming_the_flag() {
+        let err = |s: &str| BenchArgs::parse_from(s.split_whitespace().map(str::to_owned));
+        for (args, flag) in [
+            ("--shards 4", "--shards"),
+            ("--seed 7 --thread 4", "--thread"),
+            ("--restart true", "--restart"),
+        ] {
+            let e = err(args).unwrap_err();
+            assert!(e.contains("unknown") && e.contains(flag), "{args}: {e}");
+        }
+        // A mistyped subcommand (`check`) must not fall through to a run.
+        let e = err("chek --scale 0.002").unwrap_err();
+        assert!(e.contains("`chek`"), "{e}");
     }
 
     #[test]
     fn describe_names_the_run_configuration() {
-        let d = parse("--scale 0.002 --shards 4").describe();
-        assert_eq!(d, "scale 0.002, 4 shard(s)");
+        let d = parse("--scale 0.002").describe();
+        assert_eq!(d, "scale 0.002");
         let d = parse("--threads 8").describe();
         assert!(d.ends_with("8 threads"), "{d}");
     }
@@ -260,19 +244,17 @@ mod tests {
 
     #[test]
     fn env_count_defaults_yield_to_explicit_flags() {
-        // `parse()` seeds the base from KGDUAL_SHARDS/KGDUAL_THREADS and
-        // then applies flags on top; an env-seeded base must survive when
-        // the flag is absent and lose when it is given.
+        // `parse()` seeds the base from KGDUAL_THREADS and then applies
+        // flags on top; an env-seeded base must survive when the flag is
+        // absent and lose when it is given.
         let base = BenchArgs {
             threads: 8,
-            shards: 4,
             ..Default::default()
         };
         let kept = BenchArgs::parse_into(base.clone(), std::iter::empty()).unwrap();
-        assert_eq!((kept.threads, kept.shards), (8, 4));
+        assert_eq!(kept.threads, 8);
         let overridden =
-            BenchArgs::parse_into(base, ["--threads", "2", "--shards", "1"].map(str::to_owned))
-                .unwrap();
-        assert_eq!((overridden.threads, overridden.shards), (2, 1));
+            BenchArgs::parse_into(base, ["--threads", "2"].map(str::to_owned)).unwrap();
+        assert_eq!(overridden.threads, 2);
     }
 }

@@ -2,15 +2,15 @@
 //! against a DOTIL-tuned store.
 //!
 //! ```text
-//! kgdual-explain [--scale F] [--seed N] [--threads N] [--shards N] [--obs-out PATH]
+//! kgdual-explain [--scale F] [--seed N] [--threads N] [--obs-out PATH]
 //! kgdual-explain check
 //! ```
 //!
 //! Run from the repository root. A plain run writes
 //! `docs/baselines/explain_profile.json` (see `kgdual_bench::explain`)
 //! and prints every query's operator tree — estimates, actuals and
-//! q-errors — to stderr. `check` reads scale, seed, threads and shards
-//! from the committed file's `meta`, re-runs the profile in memory and
+//! q-errors — to stderr. `check` reads scale, seed and threads from the
+//! committed file's `meta`, re-runs the profile in memory and
 //! prints each query whose text, route or plan drifted, and the old and
 //! new `plan_digest`; it exits non-zero on any drift and writes nothing.
 
@@ -67,9 +67,9 @@ fn check() -> Result<ExitCode, String> {
         drift.len()
     );
     println!(
-        "If intended, regenerate with `kgdual-explain --scale {} --seed {} --threads {} \
-         --shards {}` and commit.",
-        args.scale, args.seed, args.threads, args.shards
+        "If intended, regenerate with `kgdual-explain --scale {} --seed {} --threads {}` \
+         and commit.",
+        args.scale, args.seed, args.threads
     );
     Ok(ExitCode::FAILURE)
 }

@@ -1,7 +1,7 @@
 //! **kgdual-paper** — the paper's §6 experiments as one report.
 //!
 //! ```text
-//! kgdual-paper [--scale F] [--seed N] [--reps N] [--shards N] [--threads N] [--obs-out PATH]
+//! kgdual-paper [--scale F] [--seed N] [--reps N] [--threads N] [--obs-out PATH]
 //! kgdual-paper check
 //! ```
 //!

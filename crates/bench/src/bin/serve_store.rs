@@ -2,8 +2,11 @@
 //! YAGO store until asked to stop.
 //!
 //! ```text
-//! serve_store --scale 0.002 --seed 42 --port 0 --threads 4 --shards 4
+//! serve_store [--scale F] [--seed N] [--port N] [--threads N] [--obs-out PATH] [--trace-out PATH]
 //! ```
+//!
+//! e.g. `serve_store --scale 0.002 --seed 42 --port 0 --threads 4`. An
+//! unknown flag or a malformed value exits with status 2.
 //!
 //! Prints `listening on <addr>` once ready (port 0 resolves to an
 //! OS-assigned port, which this line reports), then serves until either
@@ -62,11 +65,7 @@ fn run(args: &BenchArgs) {
         dataset.len(),
         args.describe()
     );
-    let store = Arc::new(SharedStore::new(DualStore::from_dataset_sharded(
-        dataset,
-        budget,
-        args.shards,
-    )));
+    let store = Arc::new(SharedStore::new(DualStore::from_dataset(dataset, budget)));
     let sched = Arc::new(Scheduler::new(args.threads));
     if args.threads > 1 {
         store.install_shard_dispatch(Arc::new(SchedShardDispatch::new(Arc::clone(&sched))));
@@ -84,7 +83,7 @@ fn run(args: &BenchArgs) {
         // `--trace-out spans.jsonl` flushes the trace ring buffers there
         // during the graceful drain, so the final requests' span trees
         // survive process exit.
-        trace_out: args.get("trace-out").map(std::path::PathBuf::from),
+        trace_out: args.trace_out.as_ref().map(std::path::PathBuf::from),
         ..ServeConfig::default()
     };
     let handle = Server::start(store, sched, config).expect("bind serve address");

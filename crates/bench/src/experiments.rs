@@ -115,15 +115,10 @@ impl VariantKind {
 }
 
 /// A fresh store over (a clone of) `dataset` with Table 4's default
-/// graph/view budget `r_BG` (a quarter of the triples), the relational
-/// store sharded `shards` ways.
-pub fn build_store(dataset: &Dataset, shards: usize) -> SharedStore {
+/// graph/view budget `r_BG` (a quarter of the triples).
+pub fn build_store(dataset: &Dataset) -> SharedStore {
     let budget = (dataset.len() as f64 * 0.25) as usize;
-    SharedStore::new(DualStore::from_dataset_sharded(
-        dataset.clone(),
-        budget,
-        shards,
-    ))
+    SharedStore::new(DualStore::from_dataset(dataset.clone(), budget))
 }
 
 /// One variant's run: the final repetition's reports (deterministic)
@@ -178,10 +173,9 @@ pub fn run_variant(
     dataset: &Dataset,
     batches: &[Vec<Query>],
     reps: usize,
-    shards: usize,
     pool: &Arc<Scheduler>,
 ) -> VariantResult {
-    let store = build_store(dataset, shards);
+    let store = build_store(dataset);
     let runner = vk.runner(pool);
     let (reports, wall_tti_secs) = run_reps(&runner, &store, vk.tuner().as_mut(), batches, reps);
     VariantResult {
@@ -244,20 +238,19 @@ fn restart_column(name: &'static str, reports: Vec<ParallelBatchReport>) -> Rest
 pub fn run_restart_comparison(
     dataset: &Dataset,
     batches: &[Vec<Query>],
-    shards: usize,
     pool: &Arc<Scheduler>,
 ) -> Vec<RestartColumn> {
     let dotil = VariantKind::RdbGdbDotil;
     let runner = dotil.runner(pool);
 
     // Cold start: one pass from nothing, learning as it goes.
-    let (cold, mut cold_tuner) = (build_store(dataset, shards), dotil.tuner());
+    let (cold, mut cold_tuner) = (build_store(dataset), dotil.tuner());
     let cold_reports = runner.run(&cold, cold_tuner.as_mut(), batches);
 
     // Persist the learned design + DOTIL state, then restart: a fresh
     // store over the same dataset, a fresh tuner, state rehydrated.
     let snapshot = cold.checkpoint(Some(cold_tuner.as_ref()));
-    let (warm, mut warm_tuner) = (build_store(dataset, shards), dotil.tuner());
+    let (warm, mut warm_tuner) = (build_store(dataset), dotil.tuner());
     warm.restore(Some(warm_tuner.as_mut()), &snapshot)
         .expect("restart restore must succeed on the same dataset");
     let warm_reports = runner.run(&warm, warm_tuner.as_mut(), batches);
@@ -277,7 +270,7 @@ pub fn run_restart_comparison(
 
     // Oracle: the ideal mode, for the floor column.
     let ideal = VariantKind::RdbGdbIdeal;
-    let oracle = build_store(dataset, shards);
+    let oracle = build_store(dataset);
     let oracle_reports = ideal
         .runner(pool)
         .run(&oracle, ideal.tuner().as_mut(), batches);
@@ -320,7 +313,7 @@ mod tests {
         let pool = Arc::new(Scheduler::new(1));
         let results: Vec<VariantResult> = [VariantKind::RdbOnly, VariantKind::RdbGdbDotil]
             .into_iter()
-            .map(|vk| run_variant(vk, &dataset, &batches, 2, 1, &pool))
+            .map(|vk| run_variant(vk, &dataset, &batches, 2, &pool))
             .collect();
         for r in &results {
             assert_eq!(r.reports.len(), 5, "five batches");

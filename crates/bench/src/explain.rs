@@ -6,12 +6,12 @@
 //! tuning epoch after each batch so residency (and therefore routing)
 //! settles, then explains every distinct pool query. The document pins
 //! its run parameters in `meta`, so a check re-runs at exactly the
-//! captured scale, seed, threads and shards.
+//! captured scale, seed and threads.
 //!
 //! The `plan_digest` field is an FNV-1a hash over every query's
 //! *deterministic* plan and profile JSON (route, operator sequence,
-//! estimates, actual rows, work units) — byte-identical across shards ×
-//! threads. [`diff`] compares the digest and, per query, the text, the
+//! estimates, actual rows, work units) — byte-identical across thread
+//! counts. [`diff`] compares the digest and, per query, the text, the
 //! route and the plan object; wall clocks and batch counts in the
 //! profiles are machine-dependent and never compared.
 
@@ -45,7 +45,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Profile the YAGO query pool at `args` (scale, seed, threads, shards).
+/// Profile the YAGO query pool at `args` (scale, seed, threads).
 pub fn profile(args: &BenchArgs) -> Profile {
     let dataset = build_dataset(WorkloadKind::Yago, args);
     let workload = build_workload(WorkloadKind::Yago, args);
@@ -54,11 +54,7 @@ pub fn profile(args: &BenchArgs) -> Profile {
 
     // Settle residency first: one tuned workload pass, so the explained
     // routes reflect the store DOTIL actually builds, not the cold one.
-    let store = SharedStore::new(DualStore::from_dataset_sharded(
-        dataset,
-        budget,
-        args.shards,
-    ));
+    let store = SharedStore::new(DualStore::from_dataset(dataset, budget));
     let mut tuner = Dotil::with_config(DotilConfig::default());
     let executor = BatchExecutor::new(args.threads);
     let sched = Arc::clone(executor.scheduler());
@@ -93,18 +89,17 @@ pub fn profile(args: &BenchArgs) -> Profile {
             "    {{\"idx\": {i}, \"query\": {}, \"route\": \"{}\", \"plan\": {}, \"profile\": {}}}",
             escape(text),
             out.route.name(),
-            plan.to_json(),
+            plan.deterministic_json(),
             profile.to_json(),
         ));
     }
     let json = format!(
         "{{\n  \"meta\": {{\n    \"workload\": \"YAGO\", \"scale\": {}, \"seed\": {}, \
-         \"threads\": {}, \"shards\": {}\n  }},\n  \"plan_digest\": \"{:016x}\",\n  \
+         \"threads\": {}\n  }},\n  \"plan_digest\": \"{:016x}\",\n  \
          \"queries\": [\n{}\n  ]\n}}\n",
         args.scale,
         args.seed,
         args.threads,
-        args.shards,
         fnv1a(digest_input.as_bytes()),
         rows.join(",\n"),
     );
@@ -117,7 +112,7 @@ pub fn profile(args: &BenchArgs) -> Profile {
 pub fn args_of(doc: &Json) -> Result<BenchArgs, String> {
     let meta = doc.get("meta").ok_or("no `meta` object")?;
     let mut flags = Vec::new();
-    for key in ["scale", "seed", "threads", "shards"] {
+    for key in ["scale", "seed", "threads"] {
         let value = meta
             .get(key)
             .ok_or_else(|| format!("meta does not pin {key}"))?;
@@ -193,26 +188,23 @@ mod tests {
     use kgdual_serve::json::parse;
 
     const COMMITTED: &str = r#"{
-  "meta": {"workload": "YAGO", "scale": 0.002, "seed": 42, "threads": 4, "shards": 4},
+  "meta": {"workload": "YAGO", "scale": 0.002, "seed": 42, "threads": 4},
   "plan_digest": "17ed9a2ae9ae26da",
   "queries": [
-    {"idx": 0, "query": "SELECT ?p WHERE { ?p y:a ?c . }", "route": "graph", "plan": {"route":"graph","shards":4,"steps":[{"op":"graph_seed","pattern":0,"est_rows":12}]}, "profile": {"total_wall_ns":361998}},
-    {"idx": 1, "query": "SELECT ?p WHERE { ?p y:b ?c . ?c y:a ?d . }", "route": "relational", "plan": {"route":"relational","shards":4,"steps":[{"op":"scan","pattern":0,"est_rows":7},{"op":"hash_join","pattern":1,"est_rows":3}]}, "profile": {"total_wall_ns":62630}}
+    {"idx": 0, "query": "SELECT ?p WHERE { ?p y:a ?c . }", "route": "graph", "plan": {"route":"graph","steps":[{"op":"graph_seed","pattern":0,"est_rows":12}]}, "profile": {"total_wall_ns":361998}},
+    {"idx": 1, "query": "SELECT ?p WHERE { ?p y:b ?c . ?c y:a ?d . }", "route": "relational", "plan": {"route":"relational","steps":[{"op":"scan","pattern":0,"est_rows":7},{"op":"hash_join","pattern":1,"est_rows":3}]}, "profile": {"total_wall_ns":62630}}
   ]
 }"#;
 
     #[test]
     fn meta_pins_the_run_parameters() {
         let args = args_of(&parse(COMMITTED).unwrap()).unwrap();
-        assert_eq!(
-            (args.scale, args.seed, args.threads, args.shards),
-            (0.002, 42, 4, 4)
-        );
+        assert_eq!((args.scale, args.seed, args.threads), (0.002, 42, 4));
         let e = args_of(&parse(&COMMITTED.replace("\"seed\": 42", "\"seed\": \"x\"")).unwrap())
             .unwrap_err();
         assert!(e.contains("--seed"), "{e}");
-        let e = args_of(&parse(&COMMITTED.replace(", \"shards\": 4}", "}")).unwrap()).unwrap_err();
-        assert!(e.contains("shards"), "{e}");
+        let e = args_of(&parse(&COMMITTED.replace(", \"threads\": 4}", "}")).unwrap()).unwrap_err();
+        assert!(e.contains("threads"), "{e}");
     }
 
     #[test]

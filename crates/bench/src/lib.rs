@@ -18,13 +18,11 @@
 //! Every binary accepts `--scale <fraction-of-paper-size>`, `--seed <u64>`
 //! and `--reps <n>`; a malformed value is an error naming the flag.
 //! Paper-scale runs are possible but the defaults are sized for seconds.
-//! `--shards <n>` (env default `KGDUAL_SHARDS`) shards the relational
-//! store by predicate, which is invisible in the deterministic metrics by
-//! construction — it changes wall clock and intra-query parallelism only.
 //! `--threads <n>` (env default `KGDUAL_THREADS`) sizes the worker pool
-//! the batches run on, which likewise moves wall clock only.
-//! All common flags are parsed once, in [`args::BenchArgs`]; binaries
-//! print their configuration through [`args::BenchArgs::describe`].
+//! the batches run on, which moves wall clock only.
+//! All common flags are parsed once, in [`args::BenchArgs`], which
+//! rejects an unknown flag; binaries print their configuration through
+//! [`args::BenchArgs::describe`].
 
 pub mod args;
 pub mod experiments;

@@ -30,10 +30,10 @@ const SPOUSE_QUERY: &str =
     "SELECT ?p WHERE { ?p y:wasBornIn ?c . ?p y:isMarriedTo ?m . ?m y:wasBornIn ?c }";
 
 /// A dual store holding every partition in both stores (Table 1 loads
-/// the *entire* graph into each), with `shards` relational shards.
-fn mirrored(dataset: Dataset, shards: usize) -> DualStore {
+/// the *entire* graph into each).
+fn mirrored(dataset: Dataset) -> DualStore {
     let budget = dataset.len();
-    let mut dual = DualStore::from_dataset_sharded(dataset, budget, shards);
+    let mut dual = DualStore::from_dataset(dataset, budget);
     let preds: Vec<_> = dual.rel().preds().collect();
     for p in preds {
         dual.migrate_partition(p)
@@ -59,18 +59,14 @@ fn best_of(reps: usize, exec: &dyn Fn(&mut ExecContext) -> usize) -> (Duration, 
 
 /// **Table 1.** Latency of the advisor query on the relational and the
 /// graph store, varying the data size (paper: 500k → 5M triples in 10
-/// steps, scaled here by `--scale`). The relational side runs on both
-/// layouts — monolithic and predicate-sharded (`--shards` when > 1,
-/// else 4) — whose rows and work units must be equal: sharding is
-/// invisible in every deterministic metric.
+/// steps, scaled here by `--scale`). Both engines must return the same
+/// rows.
 pub(super) fn table1(runs: &mut Runs) -> String {
     let args = &runs.args;
-    let shards = if args.shards > 1 { args.shards } else { 4 };
     let query = parse(ADVISOR_QUERY).expect("the advisor query parses");
     let mut table = TablePrinter::new(vec![
         "#triples",
         "wall rel (s)",
-        "wall rel-shard (s)",
         "wall graph (s)",
         "wall rel/graph",
         "sim-rel (s)",
@@ -82,8 +78,7 @@ pub(super) fn table1(runs: &mut Runs) -> String {
         let target = ((step * 500_000) as f64 * args.scale) as usize;
         let dataset = YagoGen::with_target_triples(target, args.seed).generate();
         let triples = dataset.len();
-        let dual = mirrored(dataset.clone(), 1);
-        let sharded = mirrored(dataset, shards);
+        let dual = mirrored(dataset);
         let Ok(Compiled::Query(eq)) = compile(&query, dual.dict()) else {
             panic!("the advisor query must compile at {triples} triples");
         };
@@ -91,18 +86,10 @@ pub(super) fn table1(runs: &mut Runs) -> String {
         let (rel_t, rel_rows, rel_work) = best_of(args.reps, &|ctx| {
             dual.rel().execute(&eq, ctx).expect("query runs").len()
         });
-        let (shard_t, shard_rows, shard_work) = best_of(args.reps, &|ctx| {
-            sharded.rel().execute(&eq, ctx).expect("query runs").len()
-        });
         let (graph_t, graph_rows, graph_work) = best_of(args.reps, &|ctx| {
             dual.graph().execute(&eq, ctx).expect("query runs").len()
         });
         assert_eq!(rel_rows, graph_rows, "engines must agree");
-        assert_eq!(rel_rows, shard_rows, "shard layouts must agree on rows");
-        assert_eq!(
-            rel_work, shard_work,
-            "shard layouts must charge identical relational work"
-        );
 
         // Calibrated simulated latencies: wall clock on two embedded
         // engines compresses the disk/IPC gap Table 1 measured.
@@ -115,7 +102,6 @@ pub(super) fn table1(runs: &mut Runs) -> String {
         table.row(vec![
             triples.to_string(),
             secs(rel_t),
-            secs(shard_t),
             secs(graph_t),
             ratio(rel_t, graph_t, 1e-9),
             secs(sim_rel),
@@ -125,8 +111,7 @@ pub(super) fn table1(runs: &mut Runs) -> String {
         ]);
     }
     format!(
-        "Paper: MySQL vs Neo4j, 500k..5M triples; here scaled by {}, the \
-         relational side monolithic and predicate-sharded {shards} ways.\n\n{}",
+        "Paper: MySQL vs Neo4j, 500k..5M triples; here scaled by {}.\n\n{}",
         args.scale,
         table.render()
     )
@@ -175,11 +160,7 @@ pub(super) fn table5(runs: &mut Runs) -> String {
                 _ => cfg.lambda = value,
             }
             let budget = (dataset.len() as f64 * r_bg) as usize;
-            let store = SharedStore::new(DualStore::from_dataset_sharded(
-                dataset.clone(),
-                budget,
-                args.shards,
-            ));
+            let store = SharedStore::new(DualStore::from_dataset(dataset.clone(), budget));
             let mut dotil = Dotil::with_config(cfg);
             let (reports, wall) = run_reps(&runner, &store, &mut dotil, &batches, args.reps);
             let q = dotil.q_matrix_sum();
@@ -199,10 +180,9 @@ pub(super) fn table5(runs: &mut Runs) -> String {
 /// three partitions both resource experiments traverse resident, and the
 /// two queries they run.
 fn governed_store(runs: &mut Runs) -> (DualStore, [Query; 2]) {
-    let shards = runs.args.shards;
     let dataset = runs.inputs(YAGO).0.clone();
     let budget = dataset.len();
-    let mut dual = DualStore::from_dataset_sharded(dataset, budget, shards);
+    let mut dual = DualStore::from_dataset(dataset, budget);
     for pred in ["y:wasBornIn", "y:hasAcademicAdvisor", "y:isMarriedTo"] {
         let p = dual.dict().pred_id(pred).expect("predicate exists");
         dual.migrate_partition(p).expect("partitions fit");

@@ -311,9 +311,9 @@ impl Runs {
                 Reps::Harness => self.args.reps,
                 Reps::Once => 1,
             };
-            let (shards, pool) = (self.args.shards, Arc::clone(&self.pool));
+            let pool = Arc::clone(&self.pool);
             let (dataset, batches) = self.inputs(panel);
-            let result = run_variant(variant, dataset, batches, reps, shards, &pool);
+            let result = run_variant(variant, dataset, batches, reps, &pool);
             self.variants.insert(cell, result);
         }
         &self.variants[&cell]
@@ -322,9 +322,9 @@ impl Runs {
     /// The restart comparison on `panel`, run on first use.
     pub fn restart(&mut self, panel: Panel) -> &[RestartColumn] {
         if !self.restarts.contains_key(&panel) {
-            let (shards, pool) = (self.args.shards, Arc::clone(&self.pool));
+            let pool = Arc::clone(&self.pool);
             let (dataset, batches) = self.inputs(panel);
-            let columns = run_restart_comparison(dataset, batches, shards, &pool);
+            let columns = run_restart_comparison(dataset, batches, &pool);
             self.restarts.insert(panel, columns);
         }
         &self.restarts[&panel]

@@ -3,9 +3,9 @@
 //! The grid, the fingerprint and the runner of one cell live in
 //! [`grid`]; this file checks most of the grid's blocks, one `#[test]`
 //! each, and shows that the grid covers every axis value. The checks
-//! that are not grid checks follow at the end as plain tests: dispatch
-//! accounting, checkpoint misuse, concurrent checkpoints, wire EXPLAIN
-//! and the shard router.
+//! that are not grid checks follow at the end as plain tests: pooled
+//! hash-join probes, checkpoint misuse, concurrent checkpoints and wire
+//! EXPLAIN.
 
 mod grid;
 
@@ -14,18 +14,13 @@ use kgdual_bench::{build_dataset, BenchArgs, WorkloadKind};
 use kgdual_core::batch::TuningSchedule;
 use kgdual_core::{process_shared_explain, DualStore};
 use kgdual_dotil::Dotil;
-use kgdual_exec::{BatchExecutor, ParallelRunner, SchedShardDispatch, Scheduler, SharedStore};
-use kgdual_model::{DesignError, PredId};
-use kgdual_relstore::{ShardRouter, TempSpace};
+use kgdual_exec::{
+    BatchExecutor, ParallelRunner, SchedShardDispatch, Scheduler, SharedStore, TaskClass,
+};
+use kgdual_model::DesignError;
+use kgdual_relstore::TempSpace;
 use kgdual_serve::{ServeConfig, Server};
-use proptest::prelude::*;
 use std::sync::Arc;
-
-/// The RDB-only baseline on one worker: its queries run one at a time.
-#[test]
-fn relational_only_serial() {
-    check(&RELATIONAL_ONLY_ONE_WORKER);
-}
 
 #[test]
 fn relational_only_pooled() {
@@ -60,8 +55,8 @@ fn wire_transport() {
 }
 
 #[test]
-fn mid_run_restart_sharded() {
-    check(&MID_RUN_RESTART_SHARDED);
+fn mid_run_restart_two_workers() {
+    check(&MID_RUN_RESTART_TWO_WORKERS);
 }
 
 #[test]
@@ -90,29 +85,26 @@ fn recording_on_relational_only() {
 }
 
 /// Every value of every axis appears in some cell, every policy runs on
-/// one worker and on several, sharded, and the wire meets sharding and a
-/// restart.
+/// several workers (its reference cell runs on one), and the wire meets
+/// recording and a restart.
 #[test]
 fn grid_covers_every_axis_value() {
     let cells: Vec<Cell> = GRID.iter().flat_map(Block::cells).collect();
     let covered = |pred: &dyn Fn(&Cell) -> bool| cells.iter().any(pred);
     for &policy in POLICIES {
-        let sharded = |c: &Cell| c.policy == policy && c.shards > 1;
-        assert!(covered(&|c| sharded(c) && c.workers == 1), "{policy:?}");
-        assert!(covered(&|c| sharded(c) && c.workers > 1), "{policy:?}");
+        assert!(
+            covered(&|c| c.policy == policy && c.workers > 1),
+            "{policy:?}"
+        );
     }
     for &workers in WORKERS {
         assert!(covered(&|c| c.workers == workers), "{workers} workers");
-    }
-    for &shards in SHARDS {
-        assert!(covered(&|c| c.shards == shards), "{shards} shards");
     }
     for restart in EVERY_BOUNDARY {
         assert!(covered(&|c| c.restart == *restart), "{restart:?}");
     }
     assert!(covered(&|c| c.obs && c.transport == Transport::Wire));
     assert!(covered(&|c| c.obs && c.restart != Restart::No));
-    assert!(covered(&|c| c.transport == Transport::Wire && c.shards > 1));
     assert!(covered(
         &|c| c.transport == Transport::Wire && c.restart != Restart::No
     ));
@@ -132,14 +124,14 @@ fn mismatch_names_the_field_and_the_axis() {
     let field = reference.first_difference(&got).expect("work differs");
     let reference_cell = Cell::reference(Policy::Routed);
     let cell = Cell {
-        shards: 8,
+        workers: 8,
         ..reference_cell
     };
     let message = mismatch(&reference_cell, &cell, field);
     assert!(message.contains("`work`"), "{message}");
-    assert!(message.contains("shards 1 → 8"), "{message}");
+    assert!(message.contains("workers 1 → 8"), "{message}");
     assert!(
-        !message.contains("workers "),
+        !message.contains("policy "),
         "only differing axes: {message}"
     );
 }
@@ -147,62 +139,71 @@ fn mismatch_names_the_field_and_the_axis() {
 // ---------------------------------------------------------------------------
 // Plain tests.
 
-/// Multi-thread multi-shard runs really dispatch per-shard scans through
-/// the pool, and still match the monolithic store byte for byte.
-/// Variable-predicate queries are the union scans that fan out; a LIMIT
-/// case pins the canonical-order merge.
+/// A pooled `ParallelRunner` fans long hash-join probes out as
+/// `ShardScan` tasks on its own pool and still matches the one-worker run
+/// byte for byte. The grid's workload never probes that long, so this
+/// store holds 20 000 `y:r0` rows probing a hash table over 2 500 `y:r1`
+/// rows; a LIMIT case pins the merge order.
 #[test]
-fn parallel_shard_scans_dispatch_through_exec_and_match() {
+fn parallel_join_probes_dispatch_through_exec_and_match() {
+    use kgdual_model::{DatasetBuilder, Term};
     use kgdual_sparql::parse;
 
-    let queries = vec![
-        parse("SELECT ?s ?o WHERE { ?s ?anypred ?o } LIMIT 50").unwrap(),
-        parse("SELECT ?s ?p2 WHERE { ?s ?p2 ?o }").unwrap(),
-    ];
-    let exec = BatchExecutor::new(4);
+    let mut b = DatasetBuilder::new();
+    for i in 0..20_000 {
+        b.add_terms(
+            &Term::iri(format!("y:s{i}")),
+            "y:r0",
+            &Term::iri(format!("y:m{}", i % 1_000)),
+        );
+    }
+    for j in 0..2_500 {
+        b.add_terms(
+            &Term::iri(format!("y:m{}", j % 1_000)),
+            "y:r1",
+            &Term::iri(format!("y:o{j}")),
+        );
+    }
+    let dataset = b.build();
+    let batches = vec![vec![
+        parse("SELECT ?s ?o WHERE { ?s y:r0 ?m . ?m y:r1 ?o }").unwrap(),
+        parse("SELECT ?s ?o WHERE { ?s y:r0 ?m . ?m y:r1 ?o } LIMIT 50").unwrap(),
+    ]];
+    let run = |workers: usize| {
+        let store = SharedStore::new(DualStore::from_dataset(dataset.clone(), 100));
+        let runner = ParallelRunner::new(TuningSchedule::Never, BatchExecutor::new(workers));
+        let reports = runner.run(&store, &mut Dotil::new(), &batches);
+        let probe_jobs = runner
+            .executor
+            .scheduler()
+            .stats()
+            .executed
+            .get(TaskClass::ShardScan);
+        (reports, probe_jobs)
+    };
 
-    let mono = SharedStore::new(fresh_dual(1));
-    let reference = exec.execute_batch(&mono, &queries);
-    assert_eq!(reference.errors, 0);
-
-    let sharded = SharedStore::new(fresh_dual(8));
-    let pool = Arc::new(SchedShardDispatch::new(Arc::clone(exec.scheduler())));
-    sharded.install_shard_dispatch(pool.clone());
-    let got = exec.execute_batch(&sharded, &queries);
-    assert_eq!(got.errors, 0);
-    assert_eq!(reference.results_digest, got.results_digest);
-    assert_eq!(reference.total_work(), got.total_work());
-    assert_eq!(reference.sim_tti, got.sim_tti);
-    assert_eq!(reference.result_rows, got.result_rows);
+    let (reference, serial_jobs) = run(1);
+    let (pooled, pooled_jobs) = run(4);
+    assert_eq!(serial_jobs, 0, "one worker keeps the inline probe");
     assert!(
-        pool.dispatches() >= queries.len() as u64,
-        "union scans must fan out through the pooled dispatcher"
+        pooled_jobs >= 2 * batches[0].len() as u64,
+        "long probes must fan out through the pool (saw {pooled_jobs} jobs)"
     );
-    assert_eq!(pool.jobs_run(), pool.dispatches() * 8, "one job per shard");
-}
-
-/// A checkpoint is bound to its shard layout: restoring it onto another
-/// layout is refused and mutates nothing.
-#[test]
-fn restore_across_shard_layouts_is_refused() {
-    let store = SharedStore::new(fresh_dual(4));
-    let mut tuner = Dotil::new();
-    let runner = ParallelRunner::new(TuningSchedule::AfterEachBatch, BatchExecutor::new(2));
-    let head = runner.run(&store, &mut tuner, &workload().1[..2]);
-    assert_eq!(head.iter().map(|r| r.errors).sum::<usize>(), 0);
-    let snapshot = store.checkpoint(Some(&tuner));
-
-    let wrong = SharedStore::new(fresh_dual(2));
-    let before = wrong.read().design();
-    assert!(wrong.restore(None, &snapshot).is_err());
-    assert_eq!(wrong.read().design(), before);
+    for (want, got) in reference.iter().zip(&pooled) {
+        assert_eq!(want.errors, 0);
+        assert_eq!(got.errors, 0);
+        assert_eq!(want.results_digest, got.results_digest);
+        assert_eq!(want.total_work(), got.total_work());
+        assert_eq!(want.sim_tti, got.sim_tti);
+        assert_eq!(want.result_rows, got.result_rows);
+    }
 }
 
 /// A snapshot is dataset-bound: restoring onto a different dataset fails
 /// typed and moves nothing.
 #[test]
 fn restoring_onto_a_different_dataset_is_a_typed_mismatch() {
-    let store = SharedStore::new(fresh_dual(1));
+    let store = SharedStore::new(fresh_dual());
     let snapshot = store.checkpoint(None);
 
     let args = BenchArgs {
@@ -227,7 +228,7 @@ fn restoring_onto_a_different_dataset_is_a_typed_mismatch() {
 fn checkpoints_quiesce_and_stay_restorable_under_concurrency() {
     const THREADS: usize = 4;
     let all = &workload().1;
-    let store = SharedStore::new(fresh_dual(1));
+    let store = SharedStore::new(fresh_dual());
     let mut tuner = Dotil::new();
     let runner = ParallelRunner::new(TuningSchedule::AfterEachBatch, BatchExecutor::new(THREADS));
     runner.run(&store, &mut tuner, &all[..2]);
@@ -252,7 +253,7 @@ fn checkpoints_quiesce_and_stay_restorable_under_concurrency() {
     });
 
     for snapshot in snapshots {
-        SharedStore::new(fresh_dual(1))
+        SharedStore::new(fresh_dual())
             .restore(None, &snapshot)
             .expect("every concurrently captured snapshot must restore");
     }
@@ -272,7 +273,7 @@ fn served_explain_analyze_matches_in_process_plan() {
         .flatten()
         .map(|q| q.to_string())
         .collect();
-    let store = Arc::new(SharedStore::new(fresh_dual(4)));
+    let store = Arc::new(SharedStore::new(fresh_dual()));
     let sched = Arc::new(Scheduler::new(4));
     store.install_shard_dispatch(Arc::new(SchedShardDispatch::new(Arc::clone(&sched))));
     store.read().warm_rel_indexes();
@@ -348,52 +349,4 @@ fn served_explain_analyze_matches_in_process_plan() {
     }
     drop(guard);
     server.shutdown();
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Router assignment is total (< shard count), stable (pure function
-    /// of config), and the monolithic router maps everything to shard 0.
-    #[test]
-    fn router_assignment_is_total_and_stable(
-        shards in 1usize..32,
-        preds in prop::collection::vec(0u32..10_000, 1..64),
-    ) {
-        let router = ShardRouter::new(shards);
-        let twin = ShardRouter::new(shards);
-        for &p in &preds {
-            let a = router.assign(PredId(p));
-            prop_assert!(a < shards, "assignment must land in 0..{shards}");
-            prop_assert_eq!(a, router.assign(PredId(p)), "stable across calls");
-            prop_assert_eq!(a, twin.assign(PredId(p)), "stable across instances");
-            prop_assert_eq!(ShardRouter::new(1).assign(PredId(p)), 0);
-        }
-    }
-
-    /// Overrides always win; everything else keeps the hash assignment.
-    #[test]
-    fn router_respects_overrides(
-        shards in 2usize..16,
-        pins in prop::collection::vec((0u32..500, 0usize..16), 0..8),
-        probes in prop::collection::vec(0u32..500, 1..32),
-    ) {
-        // Deduplicate pins by predicate and clamp targets into range so
-        // the config is valid; the router itself rejects invalid ones.
-        let mut seen = Vec::new();
-        let pins: Vec<(PredId, usize)> = pins
-            .into_iter()
-            .filter(|&(p, _)| seen.iter().all(|&q| q != p) && { seen.push(p); true })
-            .map(|(p, s)| (PredId(p), s % shards))
-            .collect();
-        let router = ShardRouter::with_overrides(shards, pins.clone()).unwrap();
-        let plain = ShardRouter::new(shards);
-        for &p in &probes {
-            let pred = PredId(p);
-            match pins.iter().find(|&&(q, _)| q == pred) {
-                Some(&(_, shard)) => prop_assert_eq!(router.assign(pred), shard),
-                None => prop_assert_eq!(router.assign(pred), plain.assign(pred)),
-            }
-        }
-    }
 }

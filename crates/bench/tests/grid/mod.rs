@@ -5,12 +5,11 @@
 //! as a determinism contract. For the seeded YAGO workload (scale 0.002,
 //! five batches, tuning after each), every deterministic output is a
 //! function of the data, the queries and the route policy alone. It must
-//! not depend on how many workers the runner has. Neither may the
-//! relational shard count, whether recording is on, whether the queries
-//! arrive in process or over the wire, or whether the process restarted
-//! from a checkpoint half way through. Across policies, the answers
-//! themselves must agree: each batch's result digest is the same under
-//! every policy.
+//! not depend on how many workers the runner has, whether recording is
+//! on, whether the queries arrive in process or over the wire, or whether
+//! the process restarted from a checkpoint half way through. Across
+//! policies, the answers themselves must agree: each batch's result
+//! digest is the same under every policy.
 //!
 //! [`fingerprint`] runs the workload for one [`Cell`] of the grid. Every
 //! cell is compared with its policy's reference cell. A mismatch names
@@ -19,8 +18,7 @@
 //! written out below ([`GRID`]); nothing outside this module adds axis
 //! values. Each block is one `#[test]`: most in `equivalence.rs`, the
 //! rest in the test files whose configurations they took over
-//! (`stress.rs`, `shard_equivalence.rs`, `sched_equivalence.rs`,
-//! `explain_equivalence.rs`, `persistence_roundtrip.rs`).
+//! (`stress.rs`, `explain_equivalence.rs`, `persistence_roundtrip.rs`).
 
 // Every test binary that includes this module runs only its own blocks.
 #![allow(dead_code)]
@@ -82,7 +80,6 @@ pub enum Restart {
 pub const POLICIES: &[Policy] = &[Policy::Routed, Policy::RelationalOnly, Policy::ViewAssisted];
 /// `ParallelRunner` worker counts.
 pub const WORKERS: &[usize] = &[1, 2, 4, 8];
-pub const SHARDS: &[usize] = &[1, 2, 4, 8];
 /// The mid-run checkpoint: after two of the five batches.
 pub const MID: Restart = Restart::After(2);
 /// Every batch boundary of the five-batch workload.
@@ -98,7 +95,6 @@ pub const EVERY_BOUNDARY: &[Restart] = &[
 pub struct Cell {
     pub policy: Policy,
     pub workers: usize,
-    pub shards: usize,
     pub obs: bool,
     pub transport: Transport,
     pub restart: Restart,
@@ -110,7 +106,6 @@ impl Cell {
         Cell {
             policy,
             workers: 1,
-            shards: 1,
             obs: false,
             transport: Transport::InProcess,
             restart: Restart::No,
@@ -126,11 +121,10 @@ impl Cell {
     }
 
     /// Every axis of the cell, named, with its value.
-    fn axes(&self) -> [(&'static str, String); 6] {
+    fn axes(&self) -> [(&'static str, String); 5] {
         [
             ("policy", format!("{:?}", self.policy)),
             ("workers", self.workers.to_string()),
-            ("shards", self.shards.to_string()),
             ("obs", self.obs.to_string()),
             ("transport", format!("{:?}", self.transport)),
             ("restart", format!("{:?}", self.restart)),
@@ -163,7 +157,6 @@ impl fmt::Display for Cell {
 pub struct Block {
     pub policy: &'static [Policy],
     pub workers: &'static [usize],
-    pub shards: &'static [usize],
     pub obs: &'static [bool],
     pub transport: &'static [Transport],
     pub restart: &'static [Restart],
@@ -175,7 +168,6 @@ impl Block {
     pub const ROUTED: Block = Block {
         policy: &[Policy::Routed],
         workers: &[1],
-        shards: &[1],
         obs: &[false],
         transport: &[Transport::InProcess],
         restart: &[Restart::No],
@@ -189,7 +181,6 @@ impl Block {
         ..Block::ROUTED
     };
     pub const RECORDING: Block = Block {
-        shards: &[4],
         obs: &[true],
         ..Block::ROUTED
     };
@@ -205,7 +196,7 @@ impl Block {
                     .collect();
             )*};
         }
-        sweep!(policy, workers, shards, obs, transport, restart);
+        sweep!(policy, workers, obs, transport, restart);
         cells.retain(Cell::is_valid);
         cells
     }
@@ -308,9 +299,9 @@ pub fn workload() -> &'static (Dataset, Vec<Vec<Query>>) {
     })
 }
 
-pub fn fresh_dual(shards: usize) -> DualStore {
+pub fn fresh_dual() -> DualStore {
     let dataset = &workload().0;
-    DualStore::from_dataset_sharded(dataset.clone(), dataset.len() / 4, shards)
+    DualStore::from_dataset(dataset.clone(), dataset.len() / 4)
 }
 
 /// Recording is process-wide, so cells with it on never overlap cells
@@ -368,7 +359,7 @@ impl Life {
             .with_mode(mode)
             .with_outcomes(true);
         let runner = ParallelRunner::new(TuningSchedule::AfterEachBatch, executor);
-        let store = Arc::new(SharedStore::new(fresh_dual(cell.shards)));
+        let store = Arc::new(SharedStore::new(fresh_dual()));
         let server = (cell.transport == Transport::Wire).then(|| {
             // What `ParallelRunner::run` sets up for an in-process batch.
             let sched = runner.executor.scheduler();
@@ -546,10 +537,6 @@ fn fingerprint(cell: &Cell) -> Fingerprint {
                 "{cell}: covered waves run as OfflineTuning tasks"
             );
         }
-        if cell.shards > 1 {
-            let scans = executed.get(TaskClass::ShardScan);
-            assert!(scans > 0, "{cell}: union scans fan out as ShardScan tasks");
-        }
         assert_eq!(sched.threads(), cell.workers);
     }
     fp.tuner_state = life.tuner.export_state().unwrap_or_default();
@@ -642,67 +629,40 @@ pub fn check(block: &Block) {
 // The grid's blocks. Together they hold every configuration the
 // determinism contract has been held to.
 
-/// One worker on every sharded layout.
-pub const ONE_WORKER_SHARDED: Block = Block {
-    shards: &[2, 4, 8],
-    ..Block::ROUTED
-};
-/// Two workers on two and eight shards.
-pub const TWO_WORKERS_SHARDED: Block = Block {
-    workers: &[2],
-    shards: &[2, 8],
-    ..Block::ROUTED
-};
-/// Four workers, monolithic and on four shards.
-pub const FOUR_WORKERS_ONE_AND_FOUR_SHARDS: Block = Block {
-    workers: &[4],
-    shards: &[1, 4],
-    ..Block::ROUTED
-};
-/// Four workers on two and eight shards.
-pub const FOUR_WORKERS_TWO_AND_EIGHT_SHARDS: Block = Block {
-    workers: &[4],
-    shards: &[2, 8],
-    ..Block::ROUTED
-};
-/// Two and eight workers, monolithic.
-pub const TWO_AND_EIGHT_WORKERS_MONOLITHIC: Block = Block {
+/// Two and eight workers.
+pub const TWO_AND_EIGHT_WORKERS: Block = Block {
     workers: &[2, 8],
     ..Block::ROUTED
 };
-/// Two and eight workers on four shards.
-pub const TWO_AND_EIGHT_WORKERS_SHARDED: Block = Block {
-    workers: &[2, 8],
-    shards: &[4],
+/// Four workers.
+pub const FOUR_WORKERS: Block = Block {
+    workers: &[4],
     ..Block::ROUTED
 };
-/// The RDB-only baseline on one worker, sharded.
-pub const RELATIONAL_ONLY_ONE_WORKER: Block = Block {
-    shards: &[2, 8],
-    ..Block::RELATIONAL_ONLY
-};
-/// The RDB-only baseline on one and eight workers.
+/// The RDB-only baseline on eight workers.
 pub const RELATIONAL_ONLY_POOLED: Block = Block {
-    workers: &[1, 8],
-    shards: &[1, 4],
+    workers: &[8],
     ..Block::RELATIONAL_ONLY
 };
-/// The RDB-views baseline on one and four workers, monolithic and on
-/// four shards.
+/// The RDB-views baseline on four workers.
 pub const VIEW_ASSISTED_POOLED: Block = Block {
-    workers: &[1, 4],
-    shards: &[1, 4],
+    workers: &[4],
     ..Block::VIEW_ASSISTED
 };
 /// The server is a pure transport: served batches match in-process ones.
 pub const WIRE_TRANSPORT: Block = Block {
     workers: &[1, 4, 8],
-    shards: &[1, 4],
     transport: &[Transport::Wire],
     ..Block::ROUTED
 };
 /// A mid-run restart on one worker.
 pub const MID_RUN_RESTART_ONE_WORKER: Block = Block {
+    restart: &[MID],
+    ..Block::ROUTED
+};
+/// A mid-run restart on two workers.
+pub const MID_RUN_RESTART_TWO_WORKERS: Block = Block {
+    workers: &[2],
     restart: &[MID],
     ..Block::ROUTED
 };
@@ -712,17 +672,9 @@ pub const MID_RUN_RESTART_FOUR_WORKERS: Block = Block {
     restart: &[MID],
     ..Block::ROUTED
 };
-/// A mid-run restart on a sharded layout.
-pub const MID_RUN_RESTART_SHARDED: Block = Block {
-    workers: &[2],
-    shards: &[4],
-    restart: &[MID],
-    ..Block::ROUTED
-};
 /// A restart at any batch boundary is invisible.
 pub const RESTART_AT_EVERY_BATCH_BOUNDARY: Block = Block {
     workers: &[4],
-    shards: &[4],
     restart: EVERY_BOUNDARY,
     ..Block::ROUTED
 };
@@ -753,19 +705,14 @@ pub const RECORDING_ON_RELATIONAL_ONLY: Block = Block {
 
 /// Every block of the grid.
 pub const GRID: &[Block] = &[
-    ONE_WORKER_SHARDED,
-    TWO_WORKERS_SHARDED,
-    FOUR_WORKERS_ONE_AND_FOUR_SHARDS,
-    FOUR_WORKERS_TWO_AND_EIGHT_SHARDS,
-    TWO_AND_EIGHT_WORKERS_MONOLITHIC,
-    TWO_AND_EIGHT_WORKERS_SHARDED,
-    RELATIONAL_ONLY_ONE_WORKER,
+    TWO_AND_EIGHT_WORKERS,
+    FOUR_WORKERS,
     RELATIONAL_ONLY_POOLED,
     VIEW_ASSISTED_POOLED,
     WIRE_TRANSPORT,
     MID_RUN_RESTART_ONE_WORKER,
+    MID_RUN_RESTART_TWO_WORKERS,
     MID_RUN_RESTART_FOUR_WORKERS,
-    MID_RUN_RESTART_SHARDED,
     RESTART_AT_EVERY_BATCH_BOUNDARY,
     RECORDING_ON,
     RECORDING_ON_ACROSS_A_RESTART,

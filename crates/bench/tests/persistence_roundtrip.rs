@@ -13,6 +13,7 @@ fn serial_roundtrip_is_lossless_on_adjacency() {
     check(&MID_RUN_RESTART_ONE_WORKER);
 }
 
+/// Four workers.
 #[test]
 fn concurrent_roundtrip_is_lossless_on_adjacency() {
     check(&MID_RUN_RESTART_FOUR_WORKERS);

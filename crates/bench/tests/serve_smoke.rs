@@ -4,7 +4,8 @@
 //! and in digest form — while `/health` and `/metrics` answer, and
 //! SIGTERM must drain gracefully: exit 0, the final `served:` counters,
 //! then `drained`. A second leg runs the child with `KGDUAL_OBS=on` and
-//! requires the live serving metrics to have moved.
+//! requires the live serving metrics to have moved. An unknown flag
+//! must stop the binary before it builds anything, with status 2.
 #![cfg(unix)]
 
 use kgdual_bench::serve_load::{query_pool, serial_replay};
@@ -18,7 +19,7 @@ use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::Arc;
 
 /// The store both sides build.
-const FLAGS: &str = "--scale 0.002 --seed 42 --threads 4 --shards 4";
+const FLAGS: &str = "--scale 0.002 --seed 42 --threads 4";
 
 /// The `serve_store` child; killed on drop so a failing assertion never
 /// leaves it running.
@@ -103,11 +104,7 @@ fn scrape(addr: SocketAddr) -> String {
 fn local_outcomes(args: &BenchArgs, queries: &[String]) -> Vec<Option<QueryOutcome>> {
     let dataset = build_dataset(WorkloadKind::Yago, args);
     let budget = dataset.len() / 4;
-    let store = SharedStore::new(DualStore::from_dataset_sharded(
-        dataset,
-        budget,
-        args.shards,
-    ));
+    let store = SharedStore::new(DualStore::from_dataset(dataset, budget));
     let sched = Arc::new(Scheduler::new(args.threads));
     store.install_shard_dispatch(Arc::new(SchedShardDispatch::new(Arc::clone(&sched))));
     store.read().warm_rel_indexes();
@@ -183,4 +180,16 @@ fn serve_store_replays_like_the_batch_path_and_drains_on_sigterm() {
 #[test]
 fn serve_store_with_recording_on_reports_live_serving_metrics() {
     smoke(true);
+}
+
+#[test]
+fn serve_store_rejects_an_unknown_flag_with_status_2() {
+    let out = Command::new(env!("CARGO_BIN_EXE_serve_store"))
+        .args(["--shards", "4"])
+        .output()
+        .expect("run serve_store");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown flag --shards"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing may start");
 }

@@ -1,13 +1,13 @@
 //! Cross-task request tracing: one `POST /query` must leave one rooted
 //! span tree.
 //!
-//! A seeded served run (4 worker threads, 4 shards) replays the
-//! workload pool plus variable-predicate
-//! queries that fan out across shards. Afterwards the drained trace
-//! must show, for every request, a single root `request` span whose
-//! descendants cover admission and the `query`-class execution on the
-//! connection thread — and, for the fan-out queries, `shard_scan`-class
-//! tasks as well. No span may reference a parent that is not in the
+//! A seeded served run (4 worker threads) replays the workload pool plus
+//! two joins whose hash-join probe — a variable-predicate union scan over
+//! the whole store — fans out. Afterwards the drained trace must show,
+//! for every request, a single root `request` span whose descendants
+//! cover admission and the `query`-class execution on the connection
+//! thread — and, for the fan-out queries, `shard_scan`-class tasks as
+//! well. No span may reference a parent that is not in the
 //! trace: the explicit cross-task parent ids the scheduler carries
 //! (captured at submission, installed on the executing worker) are what
 //! keep the tree connected across threads.
@@ -42,19 +42,19 @@ fn served_request_spans_form_one_rooted_tree_across_task_classes() {
 
     let args = BenchArgs {
         scale: 0.002,
-        shards: 4,
         ..BenchArgs::default()
     };
     let mut queries = query_pool(&args);
-    // Variable-predicate queries force multi-shard union scans, so their
+    // Each joins one partition's rows with every triple of the store, a
+    // probe side large enough to split into parallel jobs, so their
     // request trees must also contain `shard_scan`-class task spans.
-    queries.push("SELECT ?s ?o WHERE { ?s ?p ?o } LIMIT 50".to_owned());
-    queries.push("SELECT ?s WHERE { ?s ?p y:City0 }".to_owned());
+    queries.push("SELECT ?s ?c WHERE { ?s ?p ?x . ?x y:isLocatedIn ?c } LIMIT 50".to_owned());
+    queries.push("SELECT ?s ?k WHERE { ?s ?p ?o . ?o y:hasCapital ?k } LIMIT 50".to_owned());
 
     let dataset = build_dataset(WorkloadKind::Yago, &args);
     let budget = dataset.len() / 4;
     let store = Arc::new(SharedStore::new(
-        DualStore::<AdjacencyBackend>::from_dataset_sharded_in(dataset, budget, 4),
+        DualStore::<AdjacencyBackend>::from_dataset_in(dataset, budget),
     ));
     let sched = Arc::new(Scheduler::new(4));
     store.install_shard_dispatch(Arc::new(SchedShardDispatch::new(Arc::clone(&sched))));

@@ -6,16 +6,9 @@ mod grid;
 
 use grid::*;
 
-/// Digests, rows, work and simulated TTI at 2 and 8 workers equal the
-/// 1-worker run.
+/// Digests, rows, work, simulated TTI, the residency trail and DOTIL's
+/// state at 2 and 8 workers equal the 1-worker run.
 #[test]
 fn routed_batches_identical_across_1_2_8_threads() {
-    check(&TWO_AND_EIGHT_WORKERS_MONOLITHIC);
-}
-
-/// The residency trail and DOTIL's state, fingerprint fields of every
-/// cell, do not depend on the worker count, sharded or not.
-#[test]
-fn tuning_decisions_are_thread_count_invariant() {
-    check(&TWO_AND_EIGHT_WORKERS_SHARDED);
+    check(&TWO_AND_EIGHT_WORKERS);
 }

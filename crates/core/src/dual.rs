@@ -11,8 +11,7 @@ use kgdual_graphstore::store::BULK_IMPORT_COST_PER_TRIPLE;
 use kgdual_graphstore::{AdjacencyBackend, GraphBackend};
 use kgdual_model::{Dataset, Dictionary, PredId, Term, Triple};
 use kgdual_relstore::{
-    PlannerConfig, RebuildReport, RelStore, ResourceGovernor, ShardDispatch, ShardRouter,
-    ViewCatalog,
+    PlannerConfig, RebuildReport, RelStore, ResourceGovernor, ShardDispatch, ViewCatalog,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,9 +33,6 @@ pub struct DualDesign {
     pub used: usize,
     /// Total triples in the relational store (`T_R` is always complete).
     pub total_triples: usize,
-    /// Per-shard row counts of the relational store, in shard order; sums
-    /// to `total_triples` (`[total_triples]` for the monolithic layout).
-    pub rel_shard_rows: Vec<usize>,
 }
 
 /// The dual store: a complete relational store, a budgeted graph-store
@@ -88,12 +84,6 @@ impl DualStore<AdjacencyBackend> {
         Self::from_dataset_ratio_in(ds, ratio)
     }
 
-    /// Build with the relational store sharded `shards` ways (`--shards N`
-    /// in the harness; the default stable-hash router).
-    pub fn from_dataset_sharded(ds: Dataset, budget: usize, shards: usize) -> Self {
-        Self::from_dataset_sharded_in(ds, budget, shards)
-    }
-
     /// Fully parameterized constructor.
     pub fn from_dataset_with(
         ds: Dataset,
@@ -123,19 +113,6 @@ impl<B: GraphBackend> DualStore<B> {
         Self::from_dataset_in(ds, budget)
     }
 
-    /// Constructor with a relational store sharded `shards` ways by the
-    /// default stable-hash router (`shards == 1` is the monolithic
-    /// layout; every deterministic metric is identical either way).
-    pub fn from_dataset_sharded_in(ds: Dataset, budget: usize, shards: usize) -> Self {
-        Self::from_dataset_with_router_in(
-            ds,
-            budget,
-            PlannerConfig::default(),
-            ResourceGovernor::unlimited(),
-            ShardRouter::new(shards),
-        )
-    }
-
     /// Fully parameterized constructor on the chosen backend.
     pub fn from_dataset_with_in(
         ds: Dataset,
@@ -143,20 +120,8 @@ impl<B: GraphBackend> DualStore<B> {
         planner: PlannerConfig,
         governor: ResourceGovernor,
     ) -> Self {
-        Self::from_dataset_with_router_in(ds, budget, planner, governor, ShardRouter::new(1))
-    }
-
-    /// Fully parameterized constructor including the relational shard
-    /// router (hot-predicate overrides and all).
-    pub fn from_dataset_with_router_in(
-        ds: Dataset,
-        budget: usize,
-        planner: PlannerConfig,
-        governor: ResourceGovernor,
-        router: ShardRouter,
-    ) -> Self {
         let (dict, parts) = ds.into_parts();
-        let mut rel = RelStore::with_config_and_router(planner, router);
+        let mut rel = RelStore::with_config(planner);
         rel.load_partition_set(&parts);
         DualStore {
             dict,
@@ -224,8 +189,7 @@ impl<B: GraphBackend> DualStore<B> {
         self.views.rebuild(&self.rel, &self.dict)
     }
 
-    /// Eagerly build `T_R`'s secondary indexes and statistics, one warm
-    /// job per shard through the installed dispatch (see
+    /// Eagerly build `T_R`'s secondary indexes and statistics (see
     /// [`RelStore::warm_indexes`]). A cache fill only: every query result
     /// and work-unit charge is identical with or without warming.
     pub fn warm_rel_indexes(&self) -> usize {
@@ -258,14 +222,12 @@ impl<B: GraphBackend> DualStore<B> {
             budget: self.graph.budget(),
             used: self.graph.used(),
             total_triples: self.rel.total_triples(),
-            rel_shard_rows: self.rel.shard_rows(),
         }
     }
 
-    /// Install the executor the relational store fans independent
-    /// per-shard scans out with (`kgdual-exec` installs its pooled
-    /// dispatcher through this; see
-    /// [`RelStore::set_shard_dispatch`]).
+    /// Install the executor the relational store fans hash-join probe
+    /// ranges out with (`kgdual-exec` installs its pooled dispatcher
+    /// through this; see [`RelStore::set_shard_dispatch`]).
     pub fn set_shard_dispatch(&mut self, dispatch: Arc<dyn ShardDispatch>) {
         self.rel.set_shard_dispatch(dispatch);
     }
@@ -275,14 +237,6 @@ impl<B: GraphBackend> DualStore<B> {
     /// hook for pricing `offline_work`.
     pub fn bulk_import_units(&self, triples: u64) -> u64 {
         triples * BULK_IMPORT_COST_PER_TRIPLE
-    }
-
-    /// The relational shard that serves a migration's export read of
-    /// `pred` (the partition's owning shard). Shard-aware tuners can use
-    /// this to spread migration reads across shards; the export itself is
-    /// not billed — work accounting stays shard-invariant by design.
-    pub fn export_shard(&self, pred: PredId) -> usize {
-        self.rel.shard_of(pred)
     }
 
     /// Migrate one partition from the relational store into the graph

@@ -68,11 +68,8 @@ pub const SECTION_DESIGN: u8 = 1;
 pub const SECTION_TUNER: u8 = 2;
 /// Section tag: executor reconfiguration epoch.
 pub const SECTION_EPOCH: u8 = 3;
-/// Section tag: relational shard layout (shard count, router overrides,
-/// per-shard row counts). Snapshots predating the sharding subsystem lack
-/// it; restore treats a missing section as the monolithic single-shard
-/// layout.
-pub const SECTION_SHARDS: u8 = 4;
+// Tag 4 is retired: it held a relational shard layout. Restore skips it
+// like any unknown tag, so snapshots that carry it still apply.
 
 /// What [`restore_checkpoint`] applied.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -147,25 +144,6 @@ pub fn save_checkpoint<B: GraphBackend>(
     let mut e = FieldWriter::new();
     e.put_u64(epoch);
     w.add_section(SECTION_EPOCH, e.into_bytes());
-
-    // The relational shard layout: shard count, the router's override
-    // map, and each shard's row count. The row counts are derivable from
-    // the router and T_R, which is exactly why they are persisted — a
-    // restore recomputes them and any disagreement (a changed hash
-    // function, a different override set smuggled in under the same
-    // count) surfaces as a typed error before anything is mutated.
-    let mut s = FieldWriter::new();
-    let router = dual.rel().router();
-    s.put_u32(router.shard_count() as u32);
-    let overrides: Vec<(u32, u32)> = router
-        .overrides()
-        .iter()
-        .map(|&(pred, shard)| (pred.0, shard))
-        .collect();
-    s.put_u32_pairs(&overrides);
-    let shard_rows: Vec<u64> = dual.rel().shard_rows().iter().map(|&r| r as u64).collect();
-    s.put_u64_list(&shard_rows);
-    w.add_section(SECTION_SHARDS, s.into_bytes());
 
     let out = w.encode();
     persist_obs().checkpoint_bytes.add(out.len() as u64);
@@ -268,67 +246,6 @@ fn plan_restore<B: GraphBackend>(
         return Err(DesignError::Corrupt(format!(
             "resident set of {needed} triples exceeds the declared budget {budget}"
         )));
-    }
-
-    // Shard layout: the snapshot must have been taken under THIS store's
-    // router configuration. Anything else — a different shard count, a
-    // different override policy, per-shard row counts that disagree with
-    // what this store's router derives from T_R — is a typed error
-    // before mutation: replaying a design recorded under another layout
-    // would silently re-route partitions.
-    match reader.section(SECTION_SHARDS) {
-        Some(payload) => {
-            let mut s = FieldReader::new(payload);
-            let shard_count = s.get_u32()? as usize;
-            let overrides = s.get_u32_pairs()?;
-            let shard_rows = s.get_u64_list()?;
-            if s.remaining() != 0 {
-                return Err(DesignError::Corrupt(
-                    "shard section has trailing bytes".into(),
-                ));
-            }
-            if shard_rows.len() != shard_count {
-                return Err(DesignError::Corrupt(format!(
-                    "shard section declares {shard_count} shards but carries {} row counts",
-                    shard_rows.len()
-                )));
-            }
-            let router = dual.rel().router();
-            if shard_count != router.shard_count() {
-                return Err(DesignError::Mismatch(format!(
-                    "snapshot was taken with {shard_count} relational shard(s) \
-                     but this store has {}",
-                    router.shard_count()
-                )));
-            }
-            let have_overrides: Vec<(u32, u32)> = router
-                .overrides()
-                .iter()
-                .map(|&(pred, shard)| (pred.0, shard))
-                .collect();
-            if overrides != have_overrides {
-                return Err(DesignError::Mismatch(
-                    "snapshot was taken under a different shard-router override map".into(),
-                ));
-            }
-            let have_rows: Vec<u64> = dual.rel().shard_rows().iter().map(|&r| r as u64).collect();
-            if shard_rows != have_rows {
-                return Err(DesignError::Mismatch(format!(
-                    "per-shard row counts disagree (snapshot {shard_rows:?}, store {have_rows:?})"
-                )));
-            }
-        }
-        // Pre-sharding snapshot: only meaningful for the monolithic
-        // layout it was taken under.
-        None => {
-            if dual.rel().shard_count() != 1 {
-                return Err(DesignError::Mismatch(format!(
-                    "snapshot has no shard layout (monolithic) but this store \
-                     has {} relational shards",
-                    dual.rel().shard_count()
-                )));
-            }
-        }
     }
 
     let tuner_state = match (reader.section(SECTION_TUNER), tuner_name) {
@@ -569,6 +486,13 @@ mod tests {
     /// Hand-build a snapshot whose design section is `resident`, with
     /// everything else valid for `dual` — the crafted-input cases below.
     fn forged_snapshot(dual: &DualStore, resident: &[(u32, u64)], count: u32) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.add_section(SECTION_DESIGN, forged_design(dual, resident, count));
+        w.encode().to_vec()
+    }
+
+    /// The design section of [`forged_snapshot`].
+    fn forged_design(dual: &DualStore, resident: &[(u32, u64)], count: u32) -> Bytes {
         let mut design = FieldWriter::new();
         design.put_u64(dual.dict().node_count() as u64);
         design.put_u64(dual.dict().pred_count() as u64);
@@ -581,9 +505,7 @@ mod tests {
             design.put_u32(pred);
             design.put_u64(size);
         }
-        let mut w = SnapshotWriter::new();
-        w.add_section(SECTION_DESIGN, design.into_bytes());
-        w.encode().to_vec()
+        design.into_bytes()
     }
 
     #[test]
@@ -620,100 +542,27 @@ mod tests {
         assert_eq!(&a[..], &b[..], "same design, same bytes");
     }
 
-    fn sharded_learned_store(shards: usize) -> DualStore {
-        let mut dual = DualStore::from_dataset_sharded(dataset(), 100, shards);
+    #[test]
+    fn legacy_shard_section_is_skipped_on_restore() {
+        // Tag 4 once held the relational shard layout: shard count, the
+        // router's override pairs and per-shard row counts. A snapshot
+        // that still carries it restores as if it did not.
+        let mut dual = DualStore::from_dataset(dataset(), 100);
         let born = dual.dict().pred_id("y:bornIn").unwrap();
-        dual.migrate_partition(born).unwrap();
-        dual
-    }
+        let size = dual.rel().partition_len(born) as u64;
+        let mut shards = FieldWriter::new();
+        shards.put_u32(1);
+        shards.put_u32(0);
+        shards.put_u32(1);
+        shards.put_u64(dual.rel().total_triples() as u64);
+        let mut w = SnapshotWriter::new();
+        w.add_section(SECTION_DESIGN, forged_design(&dual, &[(born.0, size)], 1));
+        w.add_section(4, shards.into_bytes());
 
-    #[test]
-    fn shard_layout_roundtrips() {
-        for shards in [1, 2, 8] {
-            let dual = sharded_learned_store(shards);
-            let bytes = dual.save_design();
-            let mut fresh = DualStore::from_dataset_sharded(dataset(), 100, shards);
-            let report = fresh.restore_design(&bytes).unwrap();
-            assert_eq!(report.partitions_loaded, 1);
-            assert_eq!(fresh.design(), dual.design());
-            assert_eq!(
-                fresh.design().rel_shard_rows.iter().sum::<usize>(),
-                fresh.rel().total_triples()
-            );
-        }
-    }
-
-    #[test]
-    fn wrong_shard_count_is_a_typed_mismatch_without_mutation() {
-        let bytes = sharded_learned_store(4).save_design();
-        for target_shards in [1, 2, 8] {
-            let mut other = DualStore::from_dataset_sharded(dataset(), 100, target_shards);
-            let before = other.design();
-            let err = other.restore_design(&bytes).unwrap_err();
-            assert!(
-                matches!(err, DesignError::Mismatch(_)),
-                "restoring a 4-shard snapshot onto {target_shards} shard(s) \
-                 must be a Mismatch, got {err:?}"
-            );
-            assert_eq!(other.design(), before, "no half-mutation");
-        }
-    }
-
-    #[test]
-    fn different_override_map_is_a_typed_mismatch() {
-        use kgdual_relstore::{PlannerConfig, ResourceGovernor, ShardRouter};
-        let bytes = sharded_learned_store(4).save_design();
-        let born = sharded_learned_store(4).dict().pred_id("y:bornIn").unwrap();
-        let router = ShardRouter::with_overrides(4, [(born, 0)]).unwrap();
-        let mut pinned: DualStore = DualStore::from_dataset_with_router_in(
-            dataset(),
-            100,
-            PlannerConfig::default(),
-            ResourceGovernor::unlimited(),
-            router,
-        );
-        assert!(matches!(
-            pinned.restore_design(&bytes),
-            Err(DesignError::Mismatch(_))
-        ));
-        assert_eq!(pinned.graph().used(), 0);
-    }
-
-    #[test]
-    fn missing_shard_section_only_restores_onto_monolithic() {
-        // A hand-built snapshot without the shard section (the
-        // pre-sharding format): fine for a 1-shard store, typed Mismatch
-        // for a sharded one.
-        let mut mono = DualStore::from_dataset(dataset(), 100);
-        let forged = forged_snapshot(&mono, &[], 0);
-        assert!(mono.restore_design(&forged).is_ok());
-
-        let mut sharded = DualStore::from_dataset_sharded(dataset(), 100, 4);
-        let forged = forged_snapshot(&sharded, &[], 0);
-        let before = sharded.design();
-        assert!(matches!(
-            sharded.restore_design(&forged),
-            Err(DesignError::Mismatch(_))
-        ));
-        assert_eq!(sharded.design(), before);
-    }
-
-    #[test]
-    fn sharded_truncations_all_error_without_mutation() {
-        let dual = sharded_learned_store(4);
-        let bytes = dual.save_design();
-        let mut target = DualStore::from_dataset_sharded(dataset(), 100, 4);
-        let advisor = target.dict().pred_id("y:advisor").unwrap();
-        target.migrate_partition(advisor).unwrap();
-        let before = target.design();
-        for cut in 0..bytes.len() {
-            assert!(
-                target.restore_design(&bytes[..cut]).is_err(),
-                "prefix of {cut} bytes must fail"
-            );
-            assert_eq!(target.design(), before, "no half-mutation at cut {cut}");
-        }
-        target.restore_design(&bytes).unwrap();
-        assert_eq!(target.design(), dual.design());
+        let report = dual.restore_design(&w.encode()).unwrap();
+        assert_eq!(report.partitions_loaded, 1);
+        let mut expected = DualStore::from_dataset(dataset(), 100);
+        expected.migrate_partition(born).unwrap();
+        assert_eq!(dual.design(), expected.design());
     }
 }

@@ -278,7 +278,6 @@ pub fn process_shared_explain<B: GraphBackend>(
         });
         out.plan = Some(kgdual_vec::PlanDesc {
             route: out.route.name(),
-            shards: dual.rel().shard_count(),
             steps: cap.steps,
         });
     }

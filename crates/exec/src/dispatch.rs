@@ -1,20 +1,17 @@
-//! Scheduled execution of independent per-shard relational scans —
-//! intra-query parallelism for the sharded relational store.
+//! Scheduled execution of independent relational jobs — intra-query
+//! parallelism for the relational store.
 //!
-//! The sharded `RelStore` (see `kgdual_relstore::shard`) splits a
-//! variable-predicate union scan into one independent job per shard and
-//! hands the batch to whatever [`ShardDispatch`] is installed.
-//! [`SchedShardDispatch`] is the concurrent implementation: a thin
-//! adapter that submits each shard job as a
+//! `RelStore` splits a large hash-join probe into contiguous row ranges,
+//! one independent job each, and hands them to whatever
+//! [`ShardDispatch`] is installed. [`SchedShardDispatch`] is the
+//! concurrent implementation: a thin adapter that submits each job as a
 //! [`TaskClass::ShardScan`] task on the unified work-stealing pool
 //! ([`kgdual_sched::Scheduler`]) — the *same* pool the
 //! [`crate::BatchExecutor`]'s query tasks run on. A query that fans out
-//! helps execute its own shard jobs while idle query workers steal the
-//! rest, so total live threads never exceed the pool size (the PR 5
-//! per-dispatch scoped spawns could transiently reach
-//! `executor threads × shard threads`). Shard scans outrank queued
-//! queries in the class-priority policy: finishing in-flight queries
-//! beats starting new ones.
+//! helps execute its own jobs while idle query workers steal the rest,
+//! so total live threads never exceed the pool size. `ShardScan` tasks
+//! outrank queued queries in the class-priority policy: finishing
+//! in-flight queries beats starting new ones.
 //!
 //! Results are re-indexed by job before returning, so the caller's
 //! canonical-order merge (and with it every deterministic metric) is
@@ -29,7 +26,7 @@ use kgdual_sched::{Scheduler, TaskClass};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A [`ShardDispatch`] adapter submitting shard jobs to the unified
+/// A [`ShardDispatch`] adapter submitting jobs to the unified
 /// work-stealing scheduler. The dispatch count makes fan-out observable
 /// for tests and diagnostics; per-job accounting lives in the
 /// scheduler's own [`kgdual_sched::SchedStats`] — the single source of
@@ -41,7 +38,7 @@ pub struct SchedShardDispatch {
 }
 
 impl SchedShardDispatch {
-    /// An adapter fanning shard jobs onto `sched`'s workers. With a
+    /// An adapter fanning jobs onto `sched`'s workers. With a
     /// single-worker pool (or a single job) jobs run inline on the
     /// caller — identical results, no scheduling overhead.
     pub fn new(sched: Arc<Scheduler>) -> Self {
@@ -52,7 +49,7 @@ impl SchedShardDispatch {
     }
 
     /// A convenience constructor owning a private pool of `threads`
-    /// workers — for using a sharded store without a [`crate::BatchExecutor`]
+    /// workers — for using a store without a [`crate::BatchExecutor`]
     /// (whose pool [`crate::ParallelRunner`] would otherwise share).
     pub fn with_threads(threads: usize) -> Self {
         Self::new(Arc::new(Scheduler::new(threads)))
@@ -63,21 +60,20 @@ impl SchedShardDispatch {
         &self.sched
     }
 
-    /// Maximum concurrent shard jobs (the pool's worker count).
+    /// Maximum concurrent jobs (the pool's worker count).
     pub fn threads(&self) -> usize {
         self.sched.threads()
     }
 
-    /// How many multi-shard scans have been dispatched through this
-    /// adapter.
+    /// How many job batches have been dispatched through this adapter.
     pub fn dispatches(&self) -> u64 {
         self.dispatches.load(Ordering::Relaxed)
     }
 
-    /// Total shard jobs executed on this adapter's pool, read from the
+    /// Total jobs executed on this adapter's pool, read from the
     /// scheduler's per-class counters ([`TaskClass::ShardScan`] submitted
     /// == executed once a dispatch returns, inline or pooled). On a
-    /// shared pool this counts every shard scan the pool ran, whichever
+    /// shared pool this counts every `ShardScan` task the pool ran, whichever
     /// adapter dispatched it.
     pub fn jobs_run(&self) -> u64 {
         self.sched.stats().executed.get(TaskClass::ShardScan)

@@ -9,8 +9,8 @@
 //! mutable between workers. The scheduler's injector hands queries out
 //! in submission order; a worker stuck on a heavy query simply stops
 //! claiming while the others absorb the remainder, and a query that
-//! fans per-shard scans out (see [`crate::SchedShardDispatch`]) borrows
-//! the same idle workers one level down.
+//! fans a large hash-join probe out (see [`crate::SchedShardDispatch`])
+//! borrows the same idle workers one level down.
 //!
 //! Determinism: each query's execution depends only on the (frozen)
 //! store and the query itself, so per-query results, work units, and
@@ -453,35 +453,42 @@ mod tests {
     }
 
     #[test]
-    fn sharded_store_with_sched_dispatch_matches_monolithic() {
+    fn store_with_sched_dispatch_matches_undispatched() {
         use crate::dispatch::SchedShardDispatch;
 
+        // 20 000 `y:r0` rows probe a hash table over 2 500 `y:r1` rows:
+        // a probe long enough to split into two jobs.
         let mut b = DatasetBuilder::new();
-        for i in 0..40 {
+        for i in 0..20_000 {
             b.add_terms(
-                &Term::iri(format!("y:p{i}")),
-                &format!("y:pred{}", i % 7),
-                &Term::iri(format!("y:c{}", i % 5)),
+                &Term::iri(format!("y:s{i}")),
+                "y:r0",
+                &Term::iri(format!("y:m{}", i % 1_000)),
+            );
+        }
+        for j in 0..2_500 {
+            b.add_terms(
+                &Term::iri(format!("y:m{}", j % 1_000)),
+                "y:r1",
+                &Term::iri(format!("y:o{j}")),
             );
         }
         let dataset = b.build();
-        let mono = SharedStore::new(DualStore::from_dataset(dataset.clone(), 100));
-        let sharded = SharedStore::new(DualStore::from_dataset_sharded(dataset, 100, 4));
+        let plain = SharedStore::new(DualStore::from_dataset(dataset.clone(), 100));
+        let dispatched = SharedStore::new(DualStore::from_dataset(dataset, 100));
         let exec = BatchExecutor::new(4);
-        // The dispatcher shares the executor's pool: shard scans run on
+        // The dispatcher shares the executor's pool: probe jobs run on
         // the same four workers the queries do.
         let pool = Arc::new(SchedShardDispatch::new(Arc::clone(exec.scheduler())));
-        sharded.install_shard_dispatch(pool.clone());
+        dispatched.install_shard_dispatch(pool.clone());
 
-        // Variable-predicate queries are the multi-shard union scans the
-        // dispatcher fans out; a LIMIT case pins the merged row order.
+        // A LIMIT case pins the merged row order.
         let queries = vec![
-            parse("SELECT ?s WHERE { ?s ?p y:c0 }").unwrap(),
-            parse("SELECT ?s ?o WHERE { ?s ?p ?o }").unwrap(),
-            parse("SELECT ?s ?o WHERE { ?s ?p ?o } LIMIT 7").unwrap(),
+            parse("SELECT ?s ?o WHERE { ?s y:r0 ?m . ?m y:r1 ?o }").unwrap(),
+            parse("SELECT ?s ?o WHERE { ?s y:r0 ?m . ?m y:r1 ?o } LIMIT 7").unwrap(),
         ];
-        let a = exec.execute_batch(&mono, &queries);
-        let b = exec.execute_batch(&sharded, &queries);
+        let a = exec.execute_batch(&plain, &queries);
+        let b = exec.execute_batch(&dispatched, &queries);
         assert_eq!(a.errors, 0);
         assert_eq!(b.errors, 0);
         assert_eq!(a.results_digest, b.results_digest);
@@ -490,11 +497,11 @@ mod tests {
         assert_eq!(a.result_rows, b.result_rows);
         assert!(
             pool.dispatches() >= queries.len() as u64,
-            "every union scan must have gone through the scheduled dispatcher \
+            "every long probe must have gone through the scheduled dispatcher \
              (saw {} dispatches)",
             pool.dispatches()
         );
-        assert!(pool.jobs_run() >= 4 * pool.dispatches());
+        assert!(pool.jobs_run() >= 2 * pool.dispatches());
     }
 
     #[test]

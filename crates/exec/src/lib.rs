@@ -10,16 +10,14 @@
 //! concurrency model in disguise:
 //!
 //! * **One worker pool for everything.** All concurrent work — query
-//!   tasks, per-shard union scans, DOTIL's offline counterfactual
+//!   tasks, hash-join probe ranges, DOTIL's offline counterfactual
 //!   measurements, checkpoint I/O — runs on a single work-stealing
 //!   [`kgdual_sched::Scheduler`] with typed, priority-ordered task
 //!   classes. [`BatchExecutor`] submits `Query` tasks,
 //!   [`SchedShardDispatch`] submits `ShardScan` tasks onto the *same*
 //!   pool (idle query workers absorb them), and
 //!   [`ParallelRunner`] hands the pool to the tuner inside each epoch
-//!   barrier. Total live threads are bounded by the pool size — the
-//!   pre-scheduler per-dispatch spawns could transiently reach
-//!   `executor threads × shard threads`.
+//!   barrier. Total live threads are bounded by the pool size.
 //! * **Shared-read online phase** — the physical design `D = ⟨T_R, T_G⟩`
 //!   is immutable while a batch runs, so any number of worker threads can
 //!   execute queries against one `&DualStore` simultaneously. Each query

@@ -18,7 +18,7 @@
 //! tuner.
 //!
 //! The runner is also where the *one* worker pool gets shared across
-//! subsystems: per-shard union scans dispatch onto the executor's
+//! subsystems: hash-join probe ranges dispatch onto the executor's
 //! scheduler (no second pool, no oversubscription), and the tuner is
 //! handed the same scheduler inside the epoch barrier so independent
 //! offline work fans out over the query workers idling there.
@@ -59,18 +59,17 @@ impl ParallelRunner {
     ) -> Vec<ParallelBatchReport> {
         let sched = self.executor.scheduler();
 
-        // Multi-thread executors also parallelize *inside* a query: a
-        // sharded relational store fans its per-shard union scans onto
-        // the executor's own pool — shard scans and queries share the
-        // same workers, so total live threads never exceed the pool.
-        // Purely behavioral (no epoch bump) and metric-invariant —
-        // single-shard stores and 1-thread runs keep the inline path.
+        // Multi-thread executors also parallelize *inside* a query: the
+        // relational store fans large hash-join probes onto the
+        // executor's own pool — probe jobs and queries share the same
+        // workers, so total live threads never exceed the pool. Purely
+        // behavioral (no epoch bump) and metric-invariant — 1-thread
+        // runs keep the inline path.
         if self.executor.threads() > 1 {
             store.install_shard_dispatch(Arc::new(SchedShardDispatch::new(Arc::clone(sched))));
-            // Front-load the per-shard secondary-index builds over the
-            // same pool (one ShardScan job per shard) instead of paying
-            // the sorts lazily inside the first batch's queries. A pure
-            // cache fill: results and work units are warm-invariant.
+            // Front-load the secondary-index builds instead of paying the
+            // sorts lazily inside the first batch's queries. A pure cache
+            // fill: results and work units are warm-invariant.
             store.read().warm_rel_indexes();
         }
 

@@ -84,15 +84,15 @@ impl<B: GraphBackend> SharedStore<B> {
         guard
     }
 
-    /// Install the executor the sharded relational store fans independent
-    /// per-shard scans out with (see [`crate::SchedShardDispatch`]).
+    /// Install the executor the relational store fans hash-join probe
+    /// ranges out with (see [`crate::SchedShardDispatch`]).
     ///
     /// Takes the write lock so the swap cannot interleave with an
     /// in-flight batch, but does **not** advance the epoch: the
     /// dispatcher changes how scans are scheduled, never what they
     /// compute, so the physical design readers observe is unchanged.
     /// [`crate::ParallelRunner`] calls this automatically for multi-thread
-    /// executors; it is a no-op in effect on single-shard stores.
+    /// executors.
     pub fn install_shard_dispatch(&self, dispatch: Arc<dyn ShardDispatch>) {
         self.store.write().set_shard_dispatch(dispatch);
     }

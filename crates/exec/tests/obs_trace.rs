@@ -1,5 +1,5 @@
 //! End-to-end observability coverage: a seeded parallel run (queries,
-//! sharded union scans, DOTIL tuning epochs, a scheduled checkpoint)
+//! a dispatched hash-join probe, DOTIL tuning epochs, a scheduled checkpoint)
 //! must leave a JSON-lines trace whose `task` spans cover all four
 //! [`kgdual_sched::TaskClass`]es, with real parent linkage, and must
 //! populate the serving-layer per-query latency histogram.
@@ -19,10 +19,12 @@ fn obs_lock() -> MutexGuard<'static, ()> {
 }
 
 /// Graph with two disjoint complex motifs (so DOTIL sees two shapes and
-/// measures them as one covered wave) plus enough spread for 4-shard
-/// union scans. Both motifs start graph-resident, so the first tuning
-/// pass is that wave, measured on an empty cost-pair memo.
-fn dual(shards: usize) -> DualStore {
+/// measures them as one covered wave) plus a relational join whose probe
+/// side (20 000 `y:big` rows against 2 500 `y:tag` rows) is large enough
+/// to fan out as `ShardScan` jobs. Both motifs start graph-resident, so
+/// the first tuning pass is that wave, measured on an empty cost-pair
+/// memo.
+fn dual() -> DualStore {
     let mut b = DatasetBuilder::new();
     for i in 0..120 {
         b.add_terms(
@@ -59,7 +61,21 @@ fn dual(shards: usize) -> DualStore {
             &Term::iri(format!("y:c{}", i % 10)),
         );
     }
-    let mut d = DualStore::from_dataset_sharded(b.build(), 100_000, shards);
+    for i in 0..20_000 {
+        b.add_terms(
+            &Term::iri(format!("y:x{i}")),
+            "y:big",
+            &Term::iri(format!("y:h{}", i % 1_000)),
+        );
+    }
+    for j in 0..2_500 {
+        b.add_terms(
+            &Term::iri(format!("y:h{}", j % 1_000)),
+            "y:tag",
+            &Term::iri(format!("y:t{j}")),
+        );
+    }
+    let mut d = DualStore::from_dataset(b.build(), 100_000);
     for pred in [
         "y:bornIn",
         "y:advisor",
@@ -80,18 +96,19 @@ fn seeded_run_traces_all_four_task_classes() {
     obs.trace().drain(); // discard spans from earlier tests
     obs.set_enabled(true);
 
-    let store = SharedStore::new(dual(4));
+    let store = SharedStore::new(dual());
     let exec = BatchExecutor::new(4);
     let sched = Arc::clone(exec.scheduler());
     store.install_shard_dispatch(Arc::new(SchedShardDispatch::new(Arc::clone(&sched))));
 
-    // Two distinct complex shapes (a wave of 2) plus variable-predicate
-    // queries (multi-shard union scans).
+    // Two distinct complex shapes (a wave of 2), variable-predicate
+    // union scans and the relational join whose probe fans out.
     let batch = vec![
         parse("SELECT ?p WHERE { ?p y:bornIn ?c . ?p y:advisor ?a . ?a y:bornIn ?c }").unwrap(),
         parse("SELECT ?w WHERE { ?w y:worksAt ?u . ?u y:locatedIn ?c . ?w y:livesIn ?c }").unwrap(),
         parse("SELECT ?s ?o WHERE { ?s ?p ?o } LIMIT 50").unwrap(),
         parse("SELECT ?s WHERE { ?s ?p y:c0 }").unwrap(),
+        parse("SELECT ?x ?z WHERE { ?x y:big ?y . ?y y:tag ?z }").unwrap(),
     ];
     // The first pass measures the wave as OfflineTuning tasks; the second
     // takes both cost pairs from the memo.
@@ -129,7 +146,7 @@ fn seeded_run_traces_all_four_task_classes() {
         );
     }
     // Named spans from every instrumented layer.
-    for name in ["task", "batch", "query", "shard_scan", "tune", "checkpoint"] {
+    for name in ["task", "batch", "query", "hash_join", "tune", "checkpoint"] {
         let needle = format!("\"name\":\"{name}\"");
         assert!(
             lines.iter().any(|l| l.contains(&needle)),
@@ -148,7 +165,7 @@ fn seeded_run_traces_all_four_task_classes() {
     // The serving-layer latency histogram saw every query of both passes.
     let snap = obs.metrics().snapshot();
     let h = snap.histogram("exec_query_wall_ns").unwrap();
-    assert!(h.count >= 8, "8 query executions, saw {}", h.count);
+    assert!(h.count >= 10, "10 query executions, saw {}", h.count);
 
     obs.set_enabled(kgdual_obs::env_enabled());
 }

@@ -1,10 +1,7 @@
-//! Regression test for the PR 5 oversubscription bug: a multi-thread
-//! `BatchExecutor` combined with the pooled shard dispatch used to spawn
-//! `executor threads × shard count` scoped threads at every union-scan
-//! dispatch. On the unified scheduler, queries, shard scans, tuning
-//! measurements, and index warm-ups all run on the executor's one fixed
-//! worker pool, so the process-wide live-thread count is pinned for the
-//! whole workload.
+//! A multi-thread `BatchExecutor` must not oversubscribe: queries,
+//! hash-join probe jobs, tuning measurements, and index warm-ups all run
+//! on the executor's one fixed worker pool, so the process-wide
+//! live-thread count is pinned for the whole workload.
 //!
 //! Thread accounting reads `/proc/self/status`, so the test is
 //! Linux-gated; everywhere else it compiles to nothing.
@@ -34,14 +31,13 @@ fn worker_pool_bounds_total_live_threads() {
 
     let baseline = live_threads();
 
-    // The heaviest concurrent configuration: multi-thread executor over a
-    // many-shard store with DOTIL tuning epochs. The runner installs the
-    // shard dispatch on the executor's own pool and warms the per-shard
-    // indexes through it; tuning waves borrow the same workers.
+    // The heaviest concurrent configuration: multi-thread executor with
+    // DOTIL tuning epochs. The runner installs the probe dispatch on the
+    // executor's own pool; tuning waves borrow the same workers.
     let dataset = YagoGen::with_target_triples(4_000, 42).generate();
     let budget = dataset.len() / 4;
-    let store = SharedStore::new(DualStore::<AdjacencyBackend>::from_dataset_sharded_in(
-        dataset, budget, 8,
+    let store = SharedStore::new(DualStore::<AdjacencyBackend>::from_dataset_in(
+        dataset, budget,
     ));
     let workload = YagoGen::with_target_triples(4_000, 42).workload();
     let batches = Workload::batches(&workload.ordered(), 5);
@@ -73,8 +69,6 @@ fn worker_pool_bounds_total_live_threads() {
     assert!(
         peak <= bound,
         "live threads must stay pinned at the pool size: peak {peak} > \
-         baseline {baseline} + pool {POOL} + observer 1 \
-         (the threads × shards oversubscription would reach ~{})",
-        baseline + POOL * 8 + 1
+         baseline {baseline} + pool {POOL} + observer 1"
     );
 }

@@ -128,24 +128,6 @@ impl FieldWriter {
         self.buf.put_slice(b);
     }
 
-    /// Append a count-prefixed list of `(u32, u32)` pairs (e.g. a shard
-    /// router's predicate → shard overrides, in canonical order).
-    pub fn put_u32_pairs(&mut self, pairs: &[(u32, u32)]) {
-        self.buf.put_u32_le(pairs.len() as u32);
-        for &(a, b) in pairs {
-            self.buf.put_u32_le(a);
-            self.buf.put_u32_le(b);
-        }
-    }
-
-    /// Append a count-prefixed list of `u64`s (e.g. per-shard row counts).
-    pub fn put_u64_list(&mut self, vals: &[u64]) {
-        self.buf.put_u32_le(vals.len() as u32);
-        for &v in vals {
-            self.buf.put_u64_le(v);
-        }
-    }
-
     /// Finish the payload.
     pub fn into_bytes(self) -> Bytes {
         self.buf.freeze()
@@ -215,38 +197,6 @@ impl FieldReader {
         let len = self.get_u64()? as usize;
         self.need(len)?;
         Ok(self.buf.copy_to_bytes(len).to_vec())
-    }
-
-    /// Read a count-prefixed `(u32, u32)` pair list. The declared count
-    /// is bounded against the bytes actually present before any
-    /// allocation, so a corrupt count is a typed [`DesignError::Truncated`],
-    /// never a huge preallocation.
-    pub fn get_u32_pairs(&mut self) -> Result<Vec<(u32, u32)>, DesignError> {
-        let n = self.get_u32()? as usize;
-        if n > self.buf.remaining() / 8 {
-            return Err(DesignError::Truncated);
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let a = self.get_u32()?;
-            let b = self.get_u32()?;
-            out.push((a, b));
-        }
-        Ok(out)
-    }
-
-    /// Read a count-prefixed `u64` list, with the same count-vs-payload
-    /// bound as [`Self::get_u32_pairs`].
-    pub fn get_u64_list(&mut self) -> Result<Vec<u64>, DesignError> {
-        let n = self.get_u32()? as usize;
-        if n > self.buf.remaining() / 8 {
-            return Err(DesignError::Truncated);
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.get_u64()?);
-        }
-        Ok(out)
     }
 
     /// Bytes left unread (0 when a payload was fully consumed).
@@ -450,41 +400,6 @@ mod tests {
             SnapshotReader::decode(&raw).unwrap_err(),
             DesignError::Corrupt(_)
         ));
-    }
-
-    #[test]
-    fn list_fields_roundtrip_and_reject_every_truncation() {
-        // The shard-layout section shape: a pair list (router overrides)
-        // followed by a u64 list (per-shard rows).
-        let mut w = FieldWriter::new();
-        w.put_u32_pairs(&[(3, 0), (9, 2)]);
-        w.put_u64_list(&[10, 0, 7, 4]);
-        let payload = w.into_bytes();
-
-        let mut r = FieldReader::new(&payload);
-        assert_eq!(r.get_u32_pairs().unwrap(), vec![(3, 0), (9, 2)]);
-        assert_eq!(r.get_u64_list().unwrap(), vec![10, 0, 7, 4]);
-        assert_eq!(r.remaining(), 0);
-
-        for cut in 0..payload.len() {
-            let mut r = FieldReader::new(&payload[..cut]);
-            let pairs = r.get_u32_pairs();
-            let ok = pairs.is_ok() && r.get_u64_list().is_ok() && r.remaining() == 0;
-            assert!(!ok, "a {cut}-byte prefix must fail typed, not decode");
-        }
-    }
-
-    #[test]
-    fn list_counts_are_bounded_before_allocation() {
-        // A forged count larger than the payload must be a typed
-        // truncation error, never an attempted huge preallocation.
-        let mut w = FieldWriter::new();
-        w.put_u32(u32::MAX);
-        let payload = w.into_bytes();
-        let mut r = FieldReader::new(&payload);
-        assert_eq!(r.get_u32_pairs().unwrap_err(), DesignError::Truncated);
-        let mut r = FieldReader::new(&payload);
-        assert_eq!(r.get_u64_list().unwrap_err(), DesignError::Truncated);
     }
 
     #[test]

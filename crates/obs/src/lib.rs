@@ -11,7 +11,7 @@
 //! counters (`ExecStats`, `SchedStats`, work units) are end-of-run
 //! aggregates by design. This crate adds the *wall-clock* and
 //! *distributional* view: per-query latency histograms, per-task-class
-//! timings, per-shard scan latencies, tuning-phase durations — the
+//! timings, tuning-phase durations — the
 //! operational surface a serving front-end exposes.
 //!
 //! ## The determinism contract

@@ -11,7 +11,7 @@
 //! live on the same thread records that span as its parent. The unified
 //! scheduler opens a `task` span around every task it executes and tags
 //! the thread with the task's class ([`set_task_class`]), so every span
-//! opened inside a task — query execution, shard scans, tuning
+//! opened inside a task — query execution, probe jobs, tuning
 //! measurements, checkpoint serialization — carries both its position in
 //! the span tree and the `kgdual_sched::TaskClass`-style class name it
 //! ran under (the annotation is a plain string so this crate stays
@@ -353,7 +353,7 @@ pub fn span(name: &'static str) -> SpanGuard {
 ///
 /// ```
 /// kgdual_obs::global().set_enabled(true);
-/// let _outer = kgdual_obs::span!("query", qid = 7u64, shard = 2u64);
+/// let _outer = kgdual_obs::span!("query", qid = 7u64, batch = 2u64);
 /// let inner = kgdual_obs::span!("scan");
 /// drop(inner);
 /// ```

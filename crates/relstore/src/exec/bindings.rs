@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// This is the currency of the whole system: pattern matches, join inputs
 /// and outputs, graph-store results migrated into the relational temp space,
 /// and materialized view payloads are all `Bindings`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Bindings {
     vars: Vec<VarId>,
     data: Vec<NodeId>,

@@ -6,19 +6,16 @@
 //! Layout follows the paper's partitioning model: one two-column
 //! `(subject, object)` table per predicate (vertical partitioning), which
 //! makes the *triple partition* the natural unit both of storage and of the
-//! tuner's physical design — and the predicate the natural sharding key:
-//! [`RelStore`] is a facade over `N` independent shard stores
-//! ([`shard`]), with a stable-hash [`router`] assigning whole partitions
-//! to shards. The shard count is invisible in every deterministic metric
-//! (multi-shard enumerations always merge in canonical ascending-predicate
-//! order); what it buys is independent per-shard scans that `kgdual-exec`
-//! fans out across its worker pool.
+//! tuner's physical design. [`RelStore`] keeps its tables in one vector,
+//! ascending by predicate.
 //!
 //! The executor reproduces the relational behaviour the paper's argument
 //! rests on: multi-pattern (complex) queries are answered by full partition
 //! scans feeding hash joins, so latency grows with the size of the scanned
 //! partitions; low-selectivity bound patterns use sorted permutation
-//! indexes, mirroring a real RDBMS optimizer's index-vs-scan cliff.
+//! indexes, mirroring a real RDBMS optimizer's index-vs-scan cliff. A large
+//! hash-join probe splits into independent row ranges that `kgdual-exec`
+//! can fan out across its worker pool through a [`ShardDispatch`].
 //!
 //! This crate also hosts the execution primitives shared with the graph
 //! store ([`exec`]): columnar bindings, execution statistics, cooperative
@@ -31,9 +28,7 @@
 //! subqueries, with exact-match rewriting.
 
 pub mod exec;
-mod obs;
 pub mod planner;
-pub mod router;
 pub mod shard;
 pub mod store;
 pub mod table;
@@ -45,8 +40,7 @@ pub use exec::{
     ResourceKind,
 };
 pub use planner::PlannerConfig;
-pub use router::{RouterError, ShardRouter};
-pub use shard::{RelShard, SerialDispatch, ShardDispatch, ShardScanPart, ShardedRelStore};
+pub use shard::{SerialDispatch, ShardDispatch, ShardScanPart};
 pub use store::RelStore;
 pub use table::{IndexRange, PredTable, TableStats};
 pub use temp::TempSpace;

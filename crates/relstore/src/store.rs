@@ -1,39 +1,34 @@
-//! The relational store facade: predicate-sharded vertically-partitioned
-//! storage plus a BGP executor (greedy join order, hash joins, optional
-//! index nested loops).
+//! The relational store facade: vertically-partitioned storage plus a
+//! BGP executor (greedy join order, hash joins, optional index nested
+//! loops).
 
 use crate::exec::{Bindings, ExecContext, ExecError, ExecStats};
 use crate::planner::{self, PlannerConfig};
-use crate::router::ShardRouter;
-use crate::shard::{ShardDispatch, ShardScanPart, ShardedRelStore};
+use crate::shard::{ShardDispatch, ShardScanPart};
 use crate::table::{key_range, PredTable, TableStats};
-use kgdual_model::{NodeId, PartitionSet, PredId, Triple};
+use kgdual_model::{NodeId, PartitionSet, PredId, SharedPairs, Triple};
 use kgdual_sparql::{EncPattern, EncodedQuery, PredSlot, Slot, VarId};
 use kgdual_vec::{cost, plan, EmitSrc, BATCH};
 use std::sync::Arc;
 
-/// The relational store: one [`PredTable`] per predicate, spread across
-/// `N` predicate-keyed shards (see [`crate::shard`]; the default is the
-/// monolithic single-shard layout).
+/// The relational store: one [`PredTable`] per predicate, ascending by
+/// predicate id.
 ///
 /// Stores the *entire* knowledge graph in the dual-store design and is the
 /// only store that accepts updates directly (the paper keeps `T_R` complete
-/// regardless of what is mirrored into the graph store). The shard layout
-/// is a physical-organization choice only: every query, update, statistic,
-/// and work-unit charge is byte-identical at every shard count — sharding
-/// changes *where* a partition lives and what can run concurrently, never
-/// what is computed.
+/// regardless of what is mirrored into the graph store).
 #[derive(Debug, Default)]
 pub struct RelStore {
-    sharded: ShardedRelStore,
+    tables: Vec<(PredId, PredTable)>,
+    rows: usize,
     cfg: PlannerConfig,
-    /// Optional parallel executor for independent per-shard scans
-    /// (installed by `kgdual-exec`; `None` runs them inline).
+    /// Optional parallel executor for hash-join probe ranges (installed
+    /// by `kgdual-exec`; `None` probes inline).
     dispatch: Option<Arc<dyn ShardDispatch>>,
 }
 
 impl RelStore {
-    /// An empty single-shard store with default planner settings.
+    /// An empty store with default planner settings.
     pub fn new() -> Self {
         Self::default()
     }
@@ -46,81 +41,57 @@ impl RelStore {
         }
     }
 
-    /// An empty store sharded `n` ways by the default stable-hash router.
-    pub fn with_shards(n: usize) -> Self {
-        Self::with_config_and_router(PlannerConfig::default(), ShardRouter::new(n))
-    }
-
-    /// Fully parameterized constructor: planner settings plus an explicit
-    /// shard router (hot-predicate overrides included).
-    pub fn with_config_and_router(cfg: PlannerConfig, router: ShardRouter) -> Self {
-        RelStore {
-            sharded: ShardedRelStore::new(router),
-            cfg,
-            dispatch: None,
-        }
-    }
-
     /// The planner configuration in use.
     pub fn config(&self) -> &PlannerConfig {
         &self.cfg
     }
 
-    /// The shard router in use.
-    pub fn router(&self) -> &ShardRouter {
-        self.sharded.router()
-    }
-
-    /// Number of shards (1 = the monolithic layout).
-    pub fn shard_count(&self) -> usize {
-        self.sharded.shard_count()
-    }
-
-    /// The shard owning `pred`'s partition.
-    pub fn shard_of(&self, pred: PredId) -> usize {
-        self.sharded.shard_of(pred)
-    }
-
-    /// Per-shard row counts; sums to [`Self::total_triples`].
-    pub fn shard_rows(&self) -> Vec<usize> {
-        self.sharded.shard_rows()
-    }
-
-    /// Install (or replace) the executor for independent per-shard scans.
-    /// `kgdual-exec` installs its pooled dispatcher here so
-    /// variable-predicate union scans fan out across its worker threads;
-    /// without one they run inline in canonical order. Either way the
-    /// result rows, their order, and every work-unit charge are identical
-    /// — the dispatcher changes wall clock only.
+    /// Install (or replace) the executor for hash-join probe ranges.
+    /// `kgdual-exec` installs its pooled dispatcher here so large probes
+    /// fan out across its worker threads; without one they run inline.
+    /// Either way the result rows, their order, and every work-unit
+    /// charge are identical — the dispatcher changes wall clock only.
     pub fn set_shard_dispatch(&mut self, dispatch: Arc<dyn ShardDispatch>) {
         self.dispatch = Some(dispatch);
     }
 
-    /// Build every partition's secondary indexes and statistics now
-    /// instead of lazily on first lookup, fanning one warm job per shard
-    /// through the installed [`ShardDispatch`] (inline when none is
-    /// installed or the store is monolithic). Purely a cache fill —
-    /// results, row order, and charged work are untouched; a warmed store
-    /// just pays no sort cost on its first post-(re)load lookups. Returns
-    /// how many tables had indexes to build.
+    /// Build every non-empty partition's secondary indexes and statistics
+    /// now instead of lazily on first lookup (see [`PredTable::warm`]).
+    /// Purely a cache fill — results, row order, and charged work are
+    /// untouched; a warmed store just pays no sort cost on its first
+    /// post-(re)load lookups. Returns how many tables had indexes to
+    /// build.
     pub fn warm_indexes(&self) -> usize {
-        use std::sync::atomic::{AtomicUsize, Ordering};
+        self.tables
+            .iter()
+            .filter(|(_, t)| !t.is_empty() && t.warm())
+            .count()
+    }
 
-        let shards = self.sharded.shard_count();
-        match &self.dispatch {
-            Some(dispatch) if shards > 1 => {
-                let warmed = AtomicUsize::new(0);
-                let job = |i: usize| {
-                    warmed.fetch_add(self.sharded.shard(i).warm_indexes(), Ordering::Relaxed);
-                    ShardScanPart::default()
-                };
-                let _ = dispatch.run_jobs(shards, &job);
-                warmed.into_inner()
+    /// The table for `pred`, created empty on first touch.
+    fn table_mut(&mut self, pred: PredId) -> &mut PredTable {
+        match self.tables.binary_search_by_key(&pred, |&(p, _)| p) {
+            Ok(i) => &mut self.tables[i].1,
+            Err(i) => {
+                self.tables.insert(i, (pred, PredTable::new()));
+                &mut self.tables[i].1
             }
-            _ => (0..shards)
-                .map(|i| self.sharded.shard(i).warm_indexes())
-                .sum(),
         }
+    }
+
+    /// Non-empty partitions, ascending by predicate.
+    fn nonempty_tables(&self) -> impl Iterator<Item = (PredId, &PredTable)> + '_ {
+        self.tables
+            .iter()
+            .filter(|(_, t)| !t.is_empty())
+            .map(|(p, t)| (*p, t))
+    }
+
+    /// Bulk-append a shared run of rows to `pred`'s partition (an empty
+    /// partition adopts the run, see [`PredTable::insert_shared`]).
+    fn insert_batch(&mut self, pred: PredId, pairs: &SharedPairs) {
+        self.table_mut(pred).insert_shared(pairs);
+        self.rows += pairs.len();
     }
 
     /// Bulk-load every partition of `parts` (appends to existing tables).
@@ -129,13 +100,13 @@ impl RelStore {
     /// writes to it.
     pub fn load_partition_set(&mut self, parts: &PartitionSet) {
         for part in parts.iter() {
-            self.sharded.insert_batch(part.pred(), part.shared_pairs());
+            self.insert_batch(part.pred(), part.shared_pairs());
         }
     }
 
     /// Bulk-load one partition's pairs (copied in).
     pub fn load_partition(&mut self, pred: PredId, pairs: &[(NodeId, NodeId)]) {
-        self.sharded.insert_batch(pred, &Arc::new(pairs.to_vec()));
+        self.insert_batch(pred, &Arc::new(pairs.to_vec()));
     }
 
     /// Insert a single triple: an append, plus a sorted splice into each
@@ -143,38 +114,48 @@ impl RelStore {
     /// — cheap updates are the relational store's headline strength in
     /// the paper.
     pub fn insert(&mut self, t: Triple) {
-        self.sharded.insert(t.p, t.s, t.o);
+        self.table_mut(t.p).insert(t.s, t.o);
+        self.rows += 1;
     }
 
     /// Delete every copy of a triple; returns how many rows were removed.
     pub fn delete(&mut self, t: Triple) -> usize {
-        self.sharded.delete(t.p, t.s, t.o)
+        let Ok(i) = self.tables.binary_search_by_key(&t.p, |&(p, _)| p) else {
+            return 0;
+        };
+        let removed = self.tables[i].1.delete(t.s, t.o);
+        self.rows -= removed;
+        removed
     }
 
-    /// The table for `pred`, if it exists (routed to its owning shard).
+    /// The table for `pred`, if it has ever been stored. An emptied
+    /// partition keeps its entry for reuse.
+    #[inline]
     pub fn table(&self, pred: PredId) -> Option<&PredTable> {
-        self.sharded.table(pred)
+        self.tables
+            .binary_search_by_key(&pred, |&(p, _)| p)
+            .ok()
+            .map(|i| &self.tables[i].1)
     }
 
     /// Rows in one partition (0 if absent).
     pub fn partition_len(&self, pred: PredId) -> usize {
-        self.sharded.partition_len(pred)
+        self.table(pred).map_or(0, PredTable::len)
     }
 
     /// Total rows across all partitions.
     pub fn total_triples(&self) -> usize {
-        self.sharded.total_triples()
+        self.rows
     }
 
-    /// Predicates with at least one row, ascending (canonical order
-    /// across shards).
+    /// Predicates with at least one row, ascending.
     pub fn preds(&self) -> impl Iterator<Item = PredId> + '_ {
-        self.sharded.preds_sorted().into_iter()
+        self.nonempty_tables().map(|(p, _)| p)
     }
 
     /// Statistics for a partition.
     pub fn stats(&self, pred: PredId) -> Option<TableStats> {
-        self.sharded.stats(pred)
+        self.table(pred).map(PredTable::stats)
     }
 
     /// Execute a compiled query.
@@ -216,7 +197,7 @@ impl RelStore {
         // describe each physical operator with the same bound-estimate
         // arithmetic the greedy order just used, and record its actuals
         // (output rows, work-unit delta) as it executes. Estimates and
-        // per-operator work are deterministic across shards × threads;
+        // per-operator work are deterministic across threads;
         // batch counts and wall time are observational.
         let capturing = plan::capturing();
         let mut bound: Vec<VarId> = seed_vars.clone();
@@ -429,126 +410,28 @@ impl RelStore {
                 }
             }
             PredSlot::Var(_) => {
-                // Union over every partition, in canonical (ascending
-                // predicate) order across shards — the order a monolithic
-                // store scans its table vector in, so LIMIT-truncated
-                // results are shard-invariant.
-                if let Some(dispatch) = self.union_dispatch(ctx) {
-                    self.union_scan_parallel(&dispatch, pat, &schema, self_loop, ctx, &mut out)?;
-                } else {
-                    for (p, table) in self.sharded.tables_canonical() {
-                        ctx.stats.tables_touched += 1;
-                        scan_partition(table.scan(), pat, self_loop, p, ctx, &mut out)?;
-                    }
+                // Union over every partition, ascending by predicate.
+                for (p, table) in self.nonempty_tables() {
+                    ctx.stats.tables_touched += 1;
+                    scan_partition(table.scan(), pat, self_loop, p, ctx, &mut out)?;
                 }
             }
         }
         Ok(out)
     }
 
-    /// The dispatcher to fan a union scan out with, when installed and
-    /// safe: more than one shard and no work limit. The parallel merge
-    /// sums the jobs' stats without polling, so a work-limited context
-    /// (DOTIL's λ cutoff) fanned out could finish at or above its limit
-    /// and still report "not truncated"; it keeps the serial path, which
-    /// polls after every charge. Unlimited contexts observe only the
-    /// final sums, which the merge reproduces exactly.
-    fn union_dispatch(&self, ctx: &ExecContext) -> Option<Arc<dyn ShardDispatch>> {
-        if self.sharded.shard_count() > 1 && ctx.work_limit.is_none() {
-            self.dispatch.clone()
-        } else {
-            None
-        }
-    }
-
     /// The dispatcher for parallel hash-join probes: the probe splits its
-    /// input into ranges and rides them as `ShardScan`-class jobs. Same
-    /// safety rule as [`Self::union_dispatch`]: the merge sums job stats
-    /// without polling, so work-limited (DOTIL λ-cutoff) contexts keep
-    /// the serial probe.
+    /// input into ranges and rides them as `ShardScan`-class jobs. The
+    /// merge sums job stats without polling, so a work-limited context
+    /// (DOTIL's λ cutoff) fanned out could finish at or above its limit
+    /// and still report "not truncated"; it keeps the serial probe, which
+    /// polls after every charge.
     fn join_dispatch(&self, ctx: &ExecContext) -> Option<Arc<dyn ShardDispatch>> {
         if ctx.work_limit.is_none() {
             self.dispatch.clone()
         } else {
             None
         }
-    }
-
-    /// Fan the variable-predicate union scan out across shards: each job
-    /// scans one shard's partitions (ascending predicate) into private
-    /// row blocks with a private stats counter, sharing the caller's
-    /// governor and cancel token. The merge re-sorts the blocks into
-    /// global canonical predicate order and sums the stats, reproducing
-    /// the serial scan's rows, row order, and work-unit charges exactly —
-    /// only wall clock changes with the dispatcher's parallelism.
-    fn union_scan_parallel(
-        &self,
-        dispatch: &Arc<dyn ShardDispatch>,
-        pat: &EncPattern,
-        schema: &[VarId],
-        self_loop: bool,
-        ctx: &mut ExecContext,
-        out: &mut Bindings,
-    ) -> Result<(), ExecError> {
-        let shard_count = self.sharded.shard_count();
-        crate::obs::rel_obs().dispatches.inc();
-        crate::obs::rel_obs().fanout.add(shard_count as u64);
-        let job = |i: usize| -> ShardScanPart {
-            let wall = kgdual_obs::timer();
-            let _span = kgdual_obs::span!("shard_scan", shard = i);
-            let mut local = ExecContext {
-                cancel: ctx.cancel.clone(),
-                governor: Arc::clone(&ctx.governor),
-                stats: ExecStats::default(),
-                work_limit: None,
-            };
-            let mut part = ShardScanPart::default();
-            for (p, table) in self.sharded.shard(i).tables() {
-                if table.is_empty() {
-                    continue;
-                }
-                local.stats.tables_touched += 1;
-                let mut block = Bindings::new(schema.to_vec());
-                match scan_partition(table.scan(), pat, self_loop, p, &mut local, &mut block) {
-                    Ok(()) => part.per_pred.push((p, block)),
-                    Err(ExecError::Cancelled { .. }) => {
-                        // The partial work stays visible through the
-                        // stats merged below.
-                        part.cancelled = true;
-                        break;
-                    }
-                }
-            }
-            part.stats = local.stats;
-            crate::obs::rel_obs()
-                .rows_scanned
-                .add(part.stats.rows_scanned);
-            if let Some(ns) = wall.elapsed_ns() {
-                crate::obs::rel_obs().shard_scan_wall.record(ns);
-            }
-            part
-        };
-        let parts = dispatch.run_jobs(shard_count, &job);
-
-        // Merge: sum per-shard stats (order-independent adds) and splice
-        // the row blocks back into canonical predicate order.
-        let mut cancelled = false;
-        let mut blocks: Vec<(PredId, Bindings)> = Vec::new();
-        for part in parts {
-            ctx.stats.merge(&part.stats);
-            cancelled |= part.cancelled;
-            blocks.extend(part.per_pred);
-        }
-        if cancelled {
-            return Err(ExecError::Cancelled {
-                partial_work: ctx.stats.work_units(),
-            });
-        }
-        blocks.sort_by_key(|&(p, _)| p);
-        for (_, block) in &blocks {
-            out.append(block);
-        }
-        Ok(())
     }
 
     /// Index-nested-loop extension of `acc` by one bound pattern.
@@ -1002,23 +885,23 @@ pub(crate) fn hash_join_dispatch(
                     stats: ExecStats::default(),
                     work_limit: None,
                 };
-                let mut part = ShardScanPart::default();
-                let mut block = Bindings::new(schema.clone());
+                let mut part = ShardScanPart {
+                    rows: Bindings::new(schema.clone()),
+                    ..ShardScanPart::default()
+                };
                 for bstart in (start..end).step_by(BATCH) {
                     let bend = (bstart + BATCH).min(end);
                     if local.charge_probe((bend - bstart) as u64).is_err() {
                         part.cancelled = true;
                         break;
                     }
-                    let joined = joiner.probe_range(bstart, bend, &mut block);
+                    let joined = joiner.probe_range(bstart, bend, &mut part.rows);
                     kgdual_vec::note_join_batch(joined as usize);
                     if local.charge_join(joined).is_err() {
                         part.cancelled = true;
                         break;
                     }
                 }
-                // The job index keys the merge order (not a predicate).
-                part.per_pred.push((PredId(j as u32), block));
                 part.stats = local.stats;
                 part
             };
@@ -1027,9 +910,7 @@ pub(crate) fn hash_join_dispatch(
             for part in parts {
                 ctx.stats.merge(&part.stats);
                 cancelled |= part.cancelled;
-                for (_, block) in &part.per_pred {
-                    out.append(block);
-                }
+                out.append(&part.rows);
             }
             if cancelled {
                 return Err(ExecError::Cancelled {
@@ -1333,103 +1214,72 @@ mod tests {
         assert_eq!(store.delete(Triple::new(s, p, o)), 0);
     }
 
-    /// Copy a store's data into a fresh store with `n` shards.
-    fn resharded(store: &RelStore, n: usize) -> RelStore {
-        let mut out = RelStore::with_shards(n);
+    fn t(s: u32, p: u32, o: u32) -> Triple {
+        Triple::new(NodeId(s), PredId(p), NodeId(o))
+    }
+
+    /// One row `(p, p, p + 1)` per predicate, loaded in the order given.
+    fn one_row_each(preds: &[u32]) -> RelStore {
+        let mut store = RelStore::new();
+        for &p in preds {
+            store.load_partition(PredId(p), &[(NodeId(p), NodeId(p + 1))]);
+        }
+        store
+    }
+
+    #[test]
+    fn preds_enumerate_ascending_whatever_the_load_order() {
+        let store = one_row_each(&[5, 0, 3, 1]);
+        let preds: Vec<u32> = store.preds().map(|p| p.0).collect();
+        assert_eq!(preds, vec![0, 1, 3, 5]);
+        let scanned: Vec<u32> = store.nonempty_tables().map(|(p, _)| p.0).collect();
+        assert_eq!(scanned, preds, "the union scan's order");
+    }
+
+    #[test]
+    fn delete_updates_row_accounting() {
+        let mut store = one_row_each(&[2, 4]);
+        store.insert(t(7, 4, 8));
+        assert_eq!(store.total_triples(), 3);
+        assert_eq!(store.delete(t(7, 4, 8)), 1);
+        assert_eq!(store.total_triples(), 2);
+        assert_eq!(store.partition_len(PredId(4)), 1);
+        // Deleting from a predicate the store has never held is a no-op.
+        assert_eq!(store.delete(t(0, 99, 1)), 0);
+        assert_eq!(store.total_triples(), 2);
+    }
+
+    #[test]
+    fn emptied_partitions_drop_out_of_enumeration() {
+        let mut store = one_row_each(&[0, 1]);
+        assert_eq!(store.delete(t(0, 0, 1)), 1);
+        assert!(!store.preds().any(|p| p == PredId(0)));
+        assert!(store.table(PredId(0)).is_some(), "entry survives for reuse");
+        assert_eq!(store.partition_len(PredId(0)), 0);
+    }
+
+    /// Copy a store's data into a fresh store with [`SerialDispatch`]
+    /// installed.
+    ///
+    /// [`SerialDispatch`]: crate::shard::SerialDispatch
+    fn dispatched_copy(store: &RelStore) -> RelStore {
+        let mut out = RelStore::new();
         for p in store.preds() {
             out.load_partition(p, store.table(p).unwrap().scan());
         }
+        out.set_shard_dispatch(Arc::new(crate::shard::SerialDispatch));
         out
     }
 
     #[test]
-    fn shard_count_is_invisible_in_results_and_work() {
-        let (store, dict) = academic_store();
-        let queries = [
-            "SELECT ?p WHERE { ?p y:wasBornIn ?c }",
-            "SELECT ?p WHERE { ?p y:wasBornIn y:Ulm }",
-            "SELECT ?p WHERE { ?p y:wasBornIn ?city . ?p y:hasAcademicAdvisor ?a . ?a y:wasBornIn ?city }",
-            "SELECT ?s WHERE { ?s ?pred y:Ulm }",
-            "SELECT ?s ?o WHERE { ?s ?pred ?o } LIMIT 5",
-            "SELECT DISTINCT ?c WHERE { ?p y:wasBornIn ?c }",
-        ];
-        for n in [2, 4, 8] {
-            let sharded = resharded(&store, n);
-            assert_eq!(sharded.shard_count(), n);
-            assert_eq!(sharded.total_triples(), store.total_triples());
-            assert_eq!(
-                sharded.shard_rows().iter().sum::<usize>(),
-                store.total_triples(),
-                "per-shard accounting must sum to the monolithic total"
-            );
-            for src in queries {
-                let q = parse(src).unwrap();
-                let Compiled::Query(eq) = compile(&q, &dict).unwrap() else {
-                    panic!()
-                };
-                let mut c1 = ExecContext::new();
-                let r1 = store.execute(&eq, &mut c1).unwrap();
-                let mut cn = ExecContext::new();
-                let rn = sharded.execute(&eq, &mut cn).unwrap();
-                assert_eq!(r1, rn, "rows and row order must match on {src}");
-                assert_eq!(c1.stats, cn.stats, "work charges must match on {src}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_union_dispatch_matches_serial_scan() {
-        use crate::shard::SerialDispatch;
-        let (store, dict) = academic_store();
-        let mut sharded = resharded(&store, 4);
-        sharded.set_shard_dispatch(std::sync::Arc::new(SerialDispatch));
-        for src in [
-            "SELECT ?s WHERE { ?s ?pred y:Ulm }",
-            "SELECT ?s ?o WHERE { ?s ?pred ?o } LIMIT 3",
-            "SELECT ?s ?p2 ?o WHERE { ?s ?p2 ?o }",
-        ] {
-            let q = parse(src).unwrap();
-            let Compiled::Query(eq) = compile(&q, &dict).unwrap() else {
-                panic!()
-            };
-            let mut c1 = ExecContext::new();
-            let r1 = store.execute(&eq, &mut c1).unwrap();
-            let mut cn = ExecContext::new();
-            let rn = sharded.execute(&eq, &mut cn).unwrap();
-            assert_eq!(r1, rn, "dispatched union must match serial on {src}");
-            assert_eq!(c1.stats, cn.stats, "dispatched work must match on {src}");
-        }
-    }
-
-    #[test]
-    fn parallel_union_dispatch_observes_cancellation() {
-        use crate::shard::SerialDispatch;
-        let (store, dict) = academic_store();
-        let mut sharded = resharded(&store, 4);
-        sharded.set_shard_dispatch(std::sync::Arc::new(SerialDispatch));
-        let q = parse("SELECT ?s WHERE { ?s ?pred ?o }").unwrap();
-        let Compiled::Query(eq) = compile(&q, &dict).unwrap() else {
-            panic!()
-        };
-        let mut ctx = ExecContext::new();
-        ctx.cancel.cancel();
-        assert!(matches!(
-            sharded.execute(&eq, &mut ctx),
-            Err(ExecError::Cancelled { .. })
-        ));
-    }
-
-    #[test]
     fn warm_indexes_is_a_pure_cache_fill() {
-        use crate::shard::SerialDispatch;
         let (store, dict) = academic_store();
-        let mut sharded = resharded(&store, 4);
-        sharded.set_shard_dispatch(std::sync::Arc::new(SerialDispatch));
+        let mut warmed_store = dispatched_copy(&store);
 
-        // Dispatch-fanned warm builds every cold table exactly once.
-        let warmed = sharded.warm_indexes();
+        // A warm builds every cold table exactly once.
+        let warmed = warmed_store.warm_indexes();
         assert!(warmed > 0, "fresh tables must be cold");
-        assert_eq!(sharded.warm_indexes(), 0, "second warm finds no work");
+        assert_eq!(warmed_store.warm_indexes(), 0, "second warm finds no work");
 
         // Identical results and work charges to a never-warmed store.
         let q = parse(
@@ -1442,35 +1292,34 @@ mod tests {
         let mut cold_ctx = ExecContext::new();
         let cold = store.execute(&eq, &mut cold_ctx).unwrap();
         let mut warm_ctx = ExecContext::new();
-        let warm = sharded.execute(&eq, &mut warm_ctx).unwrap();
+        let warm = warmed_store.execute(&eq, &mut warm_ctx).unwrap();
         assert_eq!(cold, warm);
         assert_eq!(cold_ctx.stats, warm_ctx.stats);
 
         // Single-row writes keep a warm table warm: its indexes and
         // statistics are spliced in place, not dropped.
-        let mut sharded = sharded;
-        let pred = sharded.preds().next().unwrap();
+        let pred = warmed_store.preds().next().unwrap();
         let t = Triple {
             s: NodeId(9000),
             p: pred,
             o: NodeId(9001),
         };
-        sharded.insert(t);
+        warmed_store.insert(t);
         assert_eq!(
-            sharded.warm_indexes(),
+            warmed_store.warm_indexes(),
             0,
             "an insert leaves nothing to re-warm"
         );
-        assert_eq!(sharded.delete(t), 1);
+        assert_eq!(warmed_store.delete(t), 1);
         assert_eq!(
-            sharded.warm_indexes(),
+            warmed_store.warm_indexes(),
             0,
             "a delete leaves nothing to re-warm"
         );
         // Only a bulk append re-cools, and only the table it touched.
-        sharded.load_partition(pred, &[(t.s, t.o)]);
+        warmed_store.load_partition(pred, &[(t.s, t.o)]);
         assert_eq!(
-            sharded.warm_indexes(),
+            warmed_store.warm_indexes(),
             1,
             "only the bulk-loaded table re-warms"
         );
@@ -1479,28 +1328,134 @@ mod tests {
     #[test]
     fn work_limited_contexts_keep_the_serial_union_path() {
         // DOTIL's λ cutoff depends on sequentially accumulated work, so a
-        // work-limited context must not take the parallel shard path:
-        // its partial_work at the cutoff must equal the monolithic one.
-        use crate::shard::SerialDispatch;
+        // work-limited context must not take a dispatched path: its
+        // partial_work at the cutoff must equal the dispatcher-free one.
         let (store, dict) = academic_store();
-        let mut sharded = resharded(&store, 4);
-        sharded.set_shard_dispatch(std::sync::Arc::new(SerialDispatch));
+        let dispatched = dispatched_copy(&store);
         let q = parse("SELECT ?s WHERE { ?s ?pred ?o }").unwrap();
         let Compiled::Query(eq) = compile(&q, &dict).unwrap() else {
             panic!()
         };
         let limit = 10;
-        let mut mono_ctx = ExecContext::with_work_limit(limit);
-        let Err(ExecError::Cancelled { partial_work: a }) = store.execute(&eq, &mut mono_ctx)
+        let mut plain_ctx = ExecContext::with_work_limit(limit);
+        let Err(ExecError::Cancelled { partial_work: a }) = store.execute(&eq, &mut plain_ctx)
         else {
             panic!("limit of {limit} must cancel")
         };
-        let mut shard_ctx = ExecContext::with_work_limit(limit);
-        let Err(ExecError::Cancelled { partial_work: b }) = sharded.execute(&eq, &mut shard_ctx)
+        let mut dispatched_ctx = ExecContext::with_work_limit(limit);
+        let Err(ExecError::Cancelled { partial_work: b }) =
+            dispatched.execute(&eq, &mut dispatched_ctx)
         else {
             panic!("limit of {limit} must cancel")
         };
-        assert_eq!(a, b, "λ-cutoff accounting must be shard-invariant");
+        assert_eq!(
+            a, b,
+            "λ-cutoff accounting must not depend on the dispatcher"
+        );
+    }
+
+    /// Runs jobs inline and counts them; with `cancel_after` set, cancels
+    /// that token once the first job has returned.
+    #[derive(Debug, Default)]
+    struct CountingDispatch {
+        jobs: std::sync::atomic::AtomicUsize,
+        cancel_after: Option<crate::CancelToken>,
+    }
+
+    impl ShardDispatch for CountingDispatch {
+        fn run_jobs(
+            &self,
+            jobs: usize,
+            job: &(dyn Fn(usize) -> ShardScanPart + Sync),
+        ) -> Vec<ShardScanPart> {
+            (0..jobs)
+                .map(|i| {
+                    self.jobs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    let part = job(i);
+                    if let Some(token) = &self.cancel_after {
+                        token.cancel();
+                    }
+                    part
+                })
+                .collect()
+        }
+    }
+
+    const PROBE_ROWS: u32 = 20_000;
+
+    /// `?x y:p0 ?y . ?y y:p1 ?z`: 2 500 `y:p1` rows are too many for an
+    /// index nested loop over 20 000 `y:p0` rows, so the join hashes
+    /// `y:p1` and probes with all of `y:p0`: five batches, two jobs.
+    fn probe_heavy_join() -> (RelStore, kgdual_sparql::EncodedQuery) {
+        let mut store = RelStore::new();
+        assert!(PROBE_ROWS as usize > 4 * BATCH);
+        for i in 0..PROBE_ROWS {
+            store.insert(t(i, 0, 100_000 + i % 1_000));
+        }
+        for j in 0..2_500 {
+            store.insert(t(100_000 + j % 1_000, 1, j));
+        }
+        let mut dict = Dictionary::new();
+        for p in ["y:p0", "y:p1"] {
+            dict.encode_pred(p).unwrap();
+        }
+        let q = parse("SELECT ?x ?z WHERE { ?x y:p0 ?y . ?y y:p1 ?z }").unwrap();
+        let Compiled::Query(eq) = compile(&q, &dict).unwrap() else {
+            panic!()
+        };
+        (store, eq)
+    }
+
+    #[test]
+    fn dispatched_hash_join_probe_matches_serial_probe() {
+        let (store, eq) = probe_heavy_join();
+        let mut serial_ctx = ExecContext::new();
+        let serial = store.execute(&eq, &mut serial_ctx).unwrap();
+        assert!(serial.len() > PROBE_ROWS as usize);
+
+        let mut dispatched = dispatched_copy(&store);
+        let mut ctx = ExecContext::new();
+        assert_eq!(dispatched.execute(&eq, &mut ctx).unwrap(), serial);
+        assert_eq!(ctx.stats, serial_ctx.stats);
+
+        // The probe really fanned out, and only an unlimited context does.
+        let counting = Arc::new(CountingDispatch::default());
+        dispatched.set_shard_dispatch(counting.clone());
+        let mut ctx = ExecContext::new();
+        assert_eq!(dispatched.execute(&eq, &mut ctx).unwrap(), serial);
+        assert_eq!(ctx.stats, serial_ctx.stats);
+        assert_eq!(counting.jobs.load(std::sync::atomic::Ordering::Relaxed), 2);
+        let limit = serial_ctx.stats.work_units() / 2;
+        let mut limited = ExecContext::with_work_limit(limit);
+        let mut serial_limited = ExecContext::with_work_limit(limit);
+        let want = store.execute(&eq, &mut serial_limited).map(|b| b.len());
+        assert!(matches!(want, Err(ExecError::Cancelled { .. })));
+        assert_eq!(dispatched.execute(&eq, &mut limited).map(|b| b.len()), want);
+        assert_eq!(limited.stats, serial_limited.stats);
+        assert_eq!(counting.jobs.load(std::sync::atomic::Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn dispatched_hash_join_probe_observes_cancellation() {
+        let (store, eq) = probe_heavy_join();
+        let mut serial_ctx = ExecContext::new();
+        store.execute(&eq, &mut serial_ctx).unwrap();
+
+        // Cancelled after the first probe job: the error carries the scans,
+        // the build, the first job's whole probe and the second job's
+        // first charge.
+        let mut dispatched = dispatched_copy(&store);
+        let mut ctx = ExecContext::new();
+        dispatched.set_shard_dispatch(Arc::new(CountingDispatch {
+            cancel_after: Some(ctx.cancel.clone()),
+            ..CountingDispatch::default()
+        }));
+        let Err(ExecError::Cancelled { partial_work }) = dispatched.execute(&eq, &mut ctx) else {
+            panic!("a cancel between probe jobs must cancel the query");
+        };
+        assert_eq!(partial_work, ctx.stats.work_units());
+        assert!(ctx.stats.index_probes > 4 * BATCH as u64);
+        assert!(partial_work < serial_ctx.stats.work_units());
     }
 
     #[test]

@@ -1,27 +1,23 @@
 //! # kgdual-sched
 //!
 //! One work-stealing task substrate for everything concurrent in kgdual:
-//! online query execution, intra-query per-shard scans, DOTIL's offline
-//! counterfactual measurements, and checkpoint I/O all run on the same
-//! fixed pool of worker threads. Before this crate the runtime had three
-//! disjoint thread-pool idioms (the batch executor's claim queue, the
-//! shard dispatcher's per-dispatch scoped spawns, and fully serial
-//! tuning), which oversubscribed cores multiplicatively — up to
-//! `executor threads × shard threads` live workers. A [`Scheduler`] owns
-//! exactly `threads` resident workers, full stop; every layer of the
-//! stack borrows them.
+//! online query execution, intra-query hash-join probe jobs, DOTIL's
+//! offline counterfactual measurements, and checkpoint I/O all run on the
+//! same fixed pool of worker threads. A [`Scheduler`] owns exactly
+//! `threads` resident workers, full stop; every layer of the stack
+//! borrows them, so nested fan-out never oversubscribes cores.
 //!
 //! ## Model
 //!
 //! * **Fixed worker pool.** [`Scheduler::new(n)`](Scheduler::new) spawns
 //!   `n` resident worker threads that live until the scheduler drops.
 //! * **Per-worker deques + stealing.** A task spawned *from* a worker
-//!   (e.g. a query fanning out its per-shard scans) lands on that
+//!   (e.g. a query fanning out its hash-join probe) lands on that
 //!   worker's own deque and is popped LIFO for locality; idle workers
 //!   steal the oldest entry from a victim's deque. Tasks submitted from
 //!   outside the pool land on a class-segregated global injector.
 //! * **Typed task classes, priority-ordered.** The injector is drained in
-//!   [`TaskClass`] priority order: shard scans (completing in-flight
+//!   [`TaskClass`] priority order: `ShardScan` jobs (completing in-flight
 //!   queries) first, then fresh queries, then checkpoint I/O, then
 //!   offline tuning. The policy is non-preemptive — a running tuning
 //!   task finishes — but a pending query always overtakes pending
@@ -31,9 +27,9 @@
 //!   without `'static` gymnastics: the scope blocks until every task it
 //!   spawned has completed, so the borrows cannot outlive their owners.
 //!   When the scope's caller *is itself a worker* (a query opening a
-//!   nested shard-scan scope), it does not block idle — it executes
+//!   nested probe-job scope), it does not block idle — it executes
 //!   pending tasks while it waits ("helping"), which is what lets idle
-//!   query workers absorb shard scans and bounds total live threads to
+//!   query workers absorb probe jobs and bounds total live threads to
 //!   the pool size regardless of nesting depth.
 //!
 //! ## Determinism
@@ -139,8 +135,9 @@ fn obs() -> &'static SchedObs {
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(usize)]
 pub enum TaskClass {
-    /// A per-shard piece of an in-flight query's union scan. Highest
-    /// priority: finishing started queries beats starting new ones.
+    /// A piece of an in-flight query: one range of a hash-join probe.
+    /// Highest priority: finishing started queries beats starting new
+    /// ones.
     ShardScan = 0,
     /// One online query of a batch.
     Query = 1,
@@ -316,7 +313,7 @@ impl Inner {
         let class = task.class;
         obs().queue_depth[class as usize].dec();
         // Tag the thread with the task class so spans opened inside the
-        // task body (query, shard scan, tuning…) carry it; restore the
+        // task body (query, probe job, tuning…) carry it; restore the
         // previous tag afterwards because workers nest via helping.
         let prev_class = kgdual_obs::set_task_class(Some(class.name()));
         // Borrow the submitter's span context: the `task` span below
@@ -359,7 +356,7 @@ impl Inner {
     /// Block until every task of `scope` has completed. Worker threads
     /// help (execute pending tasks) instead of idling, which is both the
     /// deadlock-freedom argument for nested scopes and the "idle query
-    /// workers absorb shard scans" behaviour.
+    /// workers absorb probe jobs" behaviour.
     fn wait_scope(&self, scope: &ScopeState) {
         match worker_index_of(self.id) {
             Some(idx) => loop {
@@ -527,7 +524,7 @@ impl Scheduler {
     }
 
     /// Run `n` indexed jobs under `class` and return their results **in
-    /// index order** — the deterministic fan-out shape shard scans and
+    /// index order** — the deterministic fan-out shape probe jobs and
     /// DOTIL measurement waves use. Jobs run inline when the pool has a
     /// single worker or there is only one job (no scheduling overhead,
     /// identical results). Inline jobs still count in the per-class

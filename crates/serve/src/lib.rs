@@ -8,7 +8,8 @@
 //! that accepts a continuous stream of queries from many concurrent
 //! clients and executes each one on its connection's thread under a
 //! shared read guard, with no whole-batch barrier on the serving path;
-//! shard fan-out still runs on the shared work-stealing scheduler.
+//! hash-join probe fan-out still runs on the shared work-stealing
+//! scheduler.
 //!
 //! The crate is organised as:
 //!
@@ -45,7 +46,7 @@
 //! seeded serial replay through a socket returns byte-identical rows,
 //! row order, work units, and simulated latency to the batch path. The
 //! wire cells of `kgdual-bench`'s equivalence suite pin this across
-//! shards × threads, with tuning between batches and across a restart.
+//! thread counts, with tuning between batches and across a restart.
 
 pub mod admission;
 pub mod client;

@@ -4,7 +4,7 @@
 //! `/query` request on the thread that owns its connection — there is no
 //! whole-batch barrier anywhere on this path, which is the point of the
 //! subsystem: queries from many concurrent clients interleave freely
-//! under one shared read guard, and a query's shard fan-out still runs
+//! under one shared read guard, and a query's probe fan-out still runs
 //! on the work-stealing pool the batch executor uses.
 //!
 //! A connection carries one request at a time, so handing its query to
@@ -180,7 +180,7 @@ impl Server {
     ///
     /// Spawns one accept thread plus one (detached) handler thread per
     /// connection; a query executes on its connection's thread, and
-    /// `sched` runs its shard fan-out and `/checkpoint`.
+    /// `sched` runs its probe fan-out and `/checkpoint`.
     pub fn start<B>(
         store: Arc<SharedStore<B>>,
         sched: Arc<Scheduler>,
@@ -881,7 +881,7 @@ fn outcome_json(out: &QueryOutcome, epoch: u64, explain: Option<Explain>) -> Str
     );
     if explain.is_some() {
         if let Some(plan) = &out.plan {
-            let _ = write!(body, ",\"plan\":{}", plan.to_json());
+            let _ = write!(body, ",\"plan\":{}", plan.deterministic_json());
         }
         if explain == Some(Explain::Analyze) {
             if let Some(profile) = &out.profile {

@@ -8,8 +8,8 @@
 //! `kgdual-relstore` and `kgdual-graphstore` can share them:
 //!
 //! * [`batch`] — the batch kernel: a tight gather loop that turns a chunk
-//!   of `(subject, object)` pairs (the relational shards' sorted-by-pred
-//!   vectors) into contiguous binding cells in one pass, with selection
+//!   of `(subject, object)` pairs (a relational partition's pair run)
+//!   into contiguous binding cells in one pass, with selection
 //!   (constant filters, self-loop equality) applied inside the loop, and
 //!   [`BATCH`], the chunk size both stores charge and poll at (the graph
 //!   matcher's morsels included).
@@ -27,11 +27,12 @@
 //! charge work from reported sizes (scan charges per 4096-row chunk,
 //! probe/hash/join charges summed per batch) and emit rows in a fixed
 //! order, so digests, row order under LIMIT, work units, simulated TTI,
-//! routes, and DOTIL trails are identical across shards × threads. Every charge polls the work limit, and work only grows, so a
-//! λ-cutoff run (DOTIL's counterfactual, `ExecContext::work_limit`) is
-//! cut off if and only if the work it charges while executing reaches
-//! the limit (the result-row charge lands after the last poll); where
-//! inside a batch it stops is never read.
+//! routes, and DOTIL trails are identical across thread counts. Every
+//! charge polls the work limit, and work only grows, so a λ-cutoff run
+//! (DOTIL's counterfactual, `ExecContext::work_limit`) is cut off if and
+//! only if the work it charges while executing reaches the limit (the
+//! result-row charge lands after the last poll); where inside a batch it
+//! stops is never read.
 //!
 //! Batched paths additionally bump an always-on relaxed counter
 //! ([`batches_emitted`]) — one atomic add per 4096-row batch — so tests

@@ -15,9 +15,8 @@ pub struct VecObs {
     pub scan_batches: kgdual_obs::Counter,
     /// Vectorized join batches processed.
     pub join_batches: kgdual_obs::Counter,
-    /// Hash-join probes fanned out to the shard dispatcher (the PR 2
-    /// intra-query-parallelism follow-up: probe ranges ride ShardScan
-    /// tasks on the unified scheduler).
+    /// Hash-join probes fanned out to the installed dispatcher (probe
+    /// ranges ride `ShardScan` tasks on the unified scheduler).
     pub probe_dispatches: kgdual_obs::Counter,
     /// Estimate-vs-actual q-error of scan-family operators (rounded to
     /// the nearest integer ratio; fed per profiled query by

@@ -15,19 +15,18 @@
 //! ## Determinism
 //!
 //! [`PlanDesc::deterministic_json`] covers the fields the equivalence
-//! suites pin byte-identical across shards × threads: the
-//! route, the operator sequence, per-operator estimates, and (on the
-//! profile side, [`QueryProfile::deterministic_json`]) actual row counts
-//! and work units. Shard fan-out varies by configuration and
-//! wall-ns/batch counts by machine, so the full
-//! [`PlanDesc::to_json`]/[`QueryProfile::to_json`] forms carry them but
-//! the deterministic forms exclude them.
+//! suites pin byte-identical across threads: the route, the operator
+//! sequence, per-operator estimates, and (on the profile side,
+//! [`QueryProfile::deterministic_json`]) actual row counts and work
+//! units. Wall-ns/batch counts vary by machine, so the full
+//! [`QueryProfile::to_json`] form carries them but the deterministic
+//! form excludes them.
 //!
 //! ## The collector
 //!
 //! Capture is a thread-local session ([`begin_capture`]/[`end_capture`])
 //! owned by the processor: both stores' operators run on the query's
-//! task thread (parallel shard scans and probe jobs return their rows to
+//! task thread (parallel probe jobs return their rows to
 //! that coordinator, which records the totals), so no locking is needed
 //! and concurrent queries cannot interleave captures. With no capture
 //! active every hook is one thread-local flag test.
@@ -96,15 +95,13 @@ pub struct OpProfile {
 pub struct PlanDesc {
     /// Which store(s) the router chose (`route_name` spelling).
     pub route: &'static str,
-    /// Relational shard fan-out (configuration, not deterministic).
-    pub shards: usize,
     /// Operators in execution order.
     pub steps: Vec<PlanStep>,
 }
 
 impl PlanDesc {
-    /// The deterministic fields only — byte-identical across shards ×
-    /// threads by the equivalence contract.
+    /// The plan as JSON. Every field is deterministic — byte-identical
+    /// across threads by the equivalence contract.
     pub fn deterministic_json(&self) -> String {
         let mut out = format!("{{\"route\":\"{}\",\"steps\":[", self.route);
         for (i, s) in self.steps.iter().enumerate() {
@@ -123,26 +120,10 @@ impl PlanDesc {
         out
     }
 
-    /// The full JSON form (adds the configuration fields).
-    pub fn to_json(&self) -> String {
-        let det = self.deterministic_json();
-        // Splice the config field after "route" so consumers see one
-        // flat object: {"route":..,"shards":..,"steps":[..]}.
-        let steps_at = det
-            .find(",\"steps\"")
-            .expect("deterministic form has steps");
-        format!(
-            "{},\"shards\":{}{}",
-            &det[..steps_at],
-            self.shards,
-            &det[steps_at..]
-        )
-    }
-
     /// Indented text rendering (the `kgdual-explain` output). With a
     /// profile, each line carries estimate vs actual and timing.
     pub fn render_text(&self, profile: Option<&QueryProfile>) -> String {
-        let mut out = format!("route={} shards={}\n", self.route, self.shards);
+        let mut out = format!("route={}\n", self.route);
         for (i, s) in self.steps.iter().enumerate() {
             out.push_str(&"  ".repeat(i + 1));
             out.push_str(&format!(
@@ -342,7 +323,6 @@ mod tests {
     fn sample_plan() -> PlanDesc {
         PlanDesc {
             route: "graph",
-            shards: 4,
             steps: vec![
                 PlanStep {
                     op: "graph_seed",
@@ -370,12 +350,6 @@ mod tests {
              {\"op\":\"graph_seed\",\"kind\":\"scan\",\"pattern\":1,\"est_rows\":120},\
              {\"op\":\"graph_extend\",\"kind\":\"join\",\"pattern\":0,\"est_rows\":1.5}]}"
         );
-        assert!(!det.contains("shards"), "fan-out is configuration");
-        // The full form carries it, with the deterministic fields
-        // verbatim.
-        let full = plan.to_json();
-        assert!(full.contains("\"route\":\"graph\",\"shards\":4,\"steps\""));
-        assert!(full.contains("\"est_rows\":120"));
     }
 
     #[test]
@@ -443,7 +417,7 @@ mod tests {
     fn render_text_indents_the_pipeline() {
         let plan = sample_plan();
         let text = plan.render_text(None);
-        assert!(text.starts_with("route=graph shards=4\n"));
+        assert!(text.starts_with("route=graph\n"));
         assert!(text.contains("  -> graph_seed pattern#1 est=120\n"));
         assert!(text.contains("    -> graph_extend pattern#0 est=1.5\n"));
         let prof = QueryProfile {

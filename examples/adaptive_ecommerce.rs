@@ -1,7 +1,12 @@
 //! Workload drift on an e-commerce graph: a WatDiv-like store serves
-//! complex social/purchase queries whose hot motif changes over time.
-//! DOTIL re-tunes the physical design between batches; the route mix and
-//! per-batch cost show the dual store following the drift.
+//! complex social/purchase queries whose hot motif changes after two
+//! batches, and DOTIL re-tunes the physical design after every batch.
+//! The example prints each batch's simulated TTI, graph-work share, route
+//! mix and tuning moves, then the graph-resident partitions at the end.
+//! Today that output shows DOTIL adopting the first motif (batch 2 runs
+//! on the graph store) but not following the drift: the later motif's
+//! batches stay relational and nothing is migrated for them (ROADMAP
+//! item 16).
 //!
 //! ```sh
 //! cargo run --release --example adaptive_ecommerce
