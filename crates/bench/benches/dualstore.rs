@@ -101,7 +101,6 @@ fn bench_ablation_force_scans(c: &mut Criterion) {
             force_scans: true,
             ..PlannerConfig::default()
         },
-        kgdual_relstore::ResourceGovernor::unlimited(),
     );
     let q = parse("SELECT ?p WHERE { ?p y:wasBornIn y:City0 }").unwrap();
     let Compiled::Query(eq) = compile(&q, normal.dict()).unwrap() else {

@@ -6,7 +6,7 @@
 use super::{Panel, Runs};
 use crate::experiments::{run_reps, VariantKind, WorkloadKind};
 use crate::setup::{build_workload, Order};
-use crate::table::{pct, secs, TablePrinter};
+use crate::table::{micros, pct, secs, TablePrinter};
 use kgdual_core::processor::process;
 use kgdual_core::{DualStore, Route};
 use kgdual_dotil::{Dotil, DotilConfig};
@@ -14,10 +14,9 @@ use kgdual_exec::{ParallelRunner, SharedStore};
 use kgdual_graphstore::GraphBackend;
 use kgdual_model::Dataset;
 use kgdual_relstore::exec::context::{GRAPH_NANOS_PER_WORK_UNIT, REL_NANOS_PER_WORK_UNIT};
-use kgdual_relstore::{ExecContext, GovernorSample, ResourceGovernor};
+use kgdual_relstore::{ExecContext, ExecStats};
 use kgdual_sparql::{compile, parse, Compiled, Query};
 use kgdual_workloads::{Workload, YagoGen};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// The ordered YAGO panel, whose dataset Tables 5 and 6 and Figure 7 use.
@@ -66,11 +65,11 @@ pub(super) fn table1(runs: &mut Runs) -> String {
     let query = parse(ADVISOR_QUERY).expect("the advisor query parses");
     let mut table = TablePrinter::new(vec![
         "#triples",
-        "wall rel (s)",
-        "wall graph (s)",
+        "wall rel (µs)",
+        "wall graph (µs)",
         "wall rel/graph",
-        "sim-rel (s)",
-        "sim-graph (s)",
+        "sim-rel (µs)",
+        "sim-graph (µs)",
         "sim-ratio",
         "rows",
     ]);
@@ -101,11 +100,11 @@ pub(super) fn table1(runs: &mut Runs) -> String {
         };
         table.row(vec![
             triples.to_string(),
-            secs(rel_t),
-            secs(graph_t),
+            micros(rel_t),
+            micros(graph_t),
             ratio(rel_t, graph_t, 1e-9),
-            secs(sim_rel),
-            secs(sim_graph),
+            micros(sim_rel),
+            micros(sim_graph),
             ratio(sim_rel, sim_graph, 1e-12),
             rel_rows.to_string(),
         ]);
@@ -179,7 +178,7 @@ pub(super) fn table5(runs: &mut Runs) -> String {
 /// A YAGO dual store whose graph budget holds every triple, with the
 /// three partitions both resource experiments traverse resident, and the
 /// two queries they run.
-fn governed_store(runs: &mut Runs) -> (DualStore, [Query; 2]) {
+fn resource_store(runs: &mut Runs) -> (DualStore, [Query; 2]) {
     let dataset = runs.inputs(YAGO).0.clone();
     let budget = dataset.len();
     let mut dual = DualStore::from_dataset(dataset, budget);
@@ -191,100 +190,154 @@ fn governed_store(runs: &mut Runs) -> (DualStore, [Query; 2]) {
     (dual, queries)
 }
 
-/// **Table 6.** Slowdown of the graph store with 40%/20% spare IO and
-/// 40%/20% spare CPU, relative to an unthrottled run of the same
-/// complex-query batch. Every query must take the graph route.
-pub(super) fn table6(runs: &mut Runs) -> String {
-    let reps = runs.args.reps.max(2);
-    let (mut dual, queries) = governed_store(runs);
-    let run_batch = |dual: &DualStore| -> Duration {
-        let mut best = Duration::MAX;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            for q in &queries {
-                let out = process(dual, q).expect("query runs");
-                assert!(
-                    matches!(out.route, Route::Graph),
-                    "{q} must run on the graph store"
-                );
-            }
-            best = best.min(t0.elapsed());
-        }
-        best
+/// Each query's graph-store work and result rows, run once in order.
+/// Every query must take the graph route.
+fn graph_runs(dual: &DualStore, queries: &[Query]) -> Vec<(ExecStats, u64)> {
+    let run = |q: &Query| {
+        let out = process(dual, q).expect("query runs");
+        assert!(
+            matches!(out.route, Route::Graph),
+            "{q} must run on the graph store"
+        );
+        (out.graph_stats, out.results.len() as u64)
     };
+    queries.iter().map(run).collect()
+}
 
-    dual.set_governor(ResourceGovernor::unlimited());
-    let baseline = run_batch(&dual);
-    let mut table = TablePrinter::new(vec!["spare resource", "wall batch (s)", "wall slowdown"]);
-    for (label, io, cpu) in [
-        ("IO 40%", 0.4, 1.0),
-        ("IO 20%", 0.2, 1.0),
-        ("CPU 40%", 1.0, 0.4),
-        ("CPU 20%", 1.0, 0.2),
-    ] {
-        dual.set_governor(ResourceGovernor::with_spare(io, cpu));
-        let t = run_batch(&dual);
+/// Table 6's settings: the TSV variant, then the spare fraction of IO
+/// and of CPU.
+const SPARE: [(&str, f64, f64); 5] = [
+    ("unthrottled", 1.0, 1.0),
+    ("IO-40%", 0.4, 1.0),
+    ("IO-20%", 0.2, 1.0),
+    ("CPU-40%", 1.0, 0.4),
+    ("CPU-20%", 1.0, 0.2),
+];
+
+/// Work units `stats` takes when IO and CPU have spare fractions `io`
+/// and `cpu`. A resource with spare fraction `f` serves its units at `f`
+/// of its bandwidth, so each costs `1/f`: work `W` with `W_k` units on
+/// throttled resource `k` takes `W + W_k · (1/f − 1)`.
+fn throttled_units(stats: &ExecStats, io: f64, cpu: f64) -> f64 {
+    stats.io_units() as f64 / io + stats.cpu_units() as f64 / cpu
+}
+
+/// The slowdown [`throttled_units`] implies: `W_k / W · (1/f − 1)` for
+/// one throttled resource `k`.
+fn slowdown(stats: &ExecStats, io: f64, cpu: f64) -> f64 {
+    throttled_units(stats, io, cpu) / stats.work_units() as f64 - 1.0
+}
+
+/// Simulated graph-store time of `units` work units.
+fn graph_sim(units: f64) -> Duration {
+    Duration::from_nanos((units * GRAPH_NANOS_PER_WORK_UNIT) as u64)
+}
+
+/// Table 6's batch, both queries once: their summed graph-store work and
+/// result rows.
+fn table6_batch(runs: &mut Runs) -> (ExecStats, u64) {
+    let (dual, queries) = resource_store(runs);
+    let mut work = ExecStats::default();
+    let mut rows = 0;
+    for (stats, n) in graph_runs(&dual, &queries) {
+        work.merge(&stats);
+        rows += n;
+    }
+    (work, rows)
+}
+
+/// Table 6's rows of `deterministic.tsv`, one per setting: variant,
+/// total work, throttled simulated time and result rows.
+pub(super) fn table6_tsv(runs: &mut Runs) -> Vec<(&'static str, u64, Duration, u64)> {
+    let (work, rows) = table6_batch(runs);
+    SPARE
+        .iter()
+        .map(|&(variant, io, cpu)| {
+            let sim = graph_sim(throttled_units(&work, io, cpu));
+            (variant, work.work_units(), sim, rows)
+        })
+        .collect()
+}
+
+/// **Table 6.** Slowdown of the graph store with 40%/20% spare IO and
+/// 40%/20% spare CPU, relative to the unthrottled run of the same
+/// complex-query batch, priced from the batch's IO and CPU units.
+pub(super) fn table6(runs: &mut Runs) -> String {
+    let (work, _) = table6_batch(runs);
+    let mut table = TablePrinter::new(vec!["spare resource", "sim batch (µs)", "slowdown"]);
+    for (label, io, cpu) in SPARE {
         table.row(vec![
             label.to_owned(),
-            secs(t),
-            pct((t.as_secs_f64() - baseline.as_secs_f64()) / baseline.as_secs_f64()),
+            micros(graph_sim(throttled_units(&work, io, cpu))),
+            pct(slowdown(&work, io, cpu)),
         ]);
     }
     format!(
-        "Unthrottled baseline: {} s wall.\n\n{}",
-        secs(baseline),
+        "The advisor and spouse queries, once each on the graph store: {} work \
+         units, {} IO (2 per scanned row) and {} CPU (probes, hashed, joined and \
+         output rows), at {GRAPH_NANOS_PER_WORK_UNIT} ns per unit. A resource \
+         with spare fraction f serves its units at f of its bandwidth, so a \
+         batch of W units, W_k of them on the throttled resource k, takes \
+         W + W_k·(1/f − 1) units: a slowdown of W_k/W·(1/f − 1).\n\n{}",
+        work.work_units(),
+        work.io_units(),
+        work.cpu_units(),
         table.render()
     )
 }
 
-/// **Figure 7.** IO/CPU units the graph store consumes over time while
-/// it processes a query stream with 40% spare IO, sampled from the
-/// shared resource governor every 20 ms on a background thread.
+/// **Figure 7.** Cumulative IO/CPU units the graph store has consumed
+/// after each query of a stream of `max(reps, 5)` passes over both
+/// queries, on a work-unit clock at 40% spare IO: each query advances it
+/// by its [`throttled_units`].
 pub(super) fn fig7(runs: &mut Runs) -> String {
-    let reps = runs.args.reps.max(5);
-    let (mut dual, queries) = governed_store(runs);
-    dual.set_governor(ResourceGovernor::with_spare(0.4, 1.0));
-    let governor = dual.governor();
-
-    let stop = AtomicBool::new(false);
-    let samples: Vec<GovernorSample> = std::thread::scope(|scope| {
-        let sampler = scope.spawn(|| {
-            let mut out = Vec::new();
-            while !stop.load(Ordering::Relaxed) {
-                out.push(governor.sample());
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            out.push(governor.sample());
-            out
-        });
-        for _ in 0..reps {
-            for q in &queries {
-                process(&dual, q).expect("query runs");
-            }
+    let passes = runs.args.reps.max(5);
+    let (dual, queries) = resource_store(runs);
+    let mut table = TablePrinter::new(vec!["queries run", "sim t (µs)", "IO units", "CPU units"]);
+    let (mut clock, mut total, mut n) = (0.0, ExecStats::default(), 0);
+    for _ in 0..passes {
+        for (stats, _) in graph_runs(&dual, &queries) {
+            clock += throttled_units(&stats, 0.4, 1.0);
+            total.merge(&stats);
+            n += 1;
+            table.row(vec![
+                n.to_string(),
+                micros(graph_sim(clock)),
+                total.io_units().to_string(),
+                total.cpu_units().to_string(),
+            ]);
         }
-        stop.store(true, Ordering::Relaxed);
-        sampler.join().expect("sampler thread")
-    });
-
-    let mut table = TablePrinter::new(vec![
-        "wall t (s)",
-        "IO units/interval",
-        "CPU units/interval",
-    ]);
-    for pair in samples.windows(2) {
-        let (p, s) = (pair[0], pair[1]);
-        table.row(vec![
-            format!("{:.3}", s.at_secs),
-            (s.io_units - p.io_units).to_string(),
-            (s.cpu_units - p.cpu_units).to_string(),
-        ]);
     }
-    let (first, last) = (samples[0], samples[samples.len() - 1]);
     format!(
-        "{}\nTotal: {} IO units, {} CPU units over {:.3} s wall.\n",
+        "{}\nTotal: {} IO units, {} CPU units over {} µs simulated.\n",
         table.render(),
-        last.io_units - first.io_units,
-        last.cpu_units - first.cpu_units,
-        last.at_secs - first.at_secs
+        total.io_units(),
+        total.cpu_units(),
+        micros(graph_sim(clock))
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn slowdown_prices_the_throttled_resource() {
+        let mixed = ExecStats {
+            rows_scanned: 10,
+            index_probes: 4,
+            rows_joined: 7,
+            ..Default::default()
+        };
+        assert_eq!(slowdown(&mixed, 1.0, 1.0), 0.0, "f = 1 is unthrottled");
+        let io_only = ExecStats {
+            rows_scanned: 100,
+            ..Default::default()
+        };
+        assert!((slowdown(&io_only, 0.4, 1.0) - 1.5).abs() < 1e-12, "+150%");
+        assert_eq!(slowdown(&io_only, 1.0, 0.2), 0.0, "no CPU work to slow");
+        // Only the throttled share slows: 20 of 39 units are IO.
+        let s = slowdown(&mixed, 0.2, 1.0);
+        assert!((s - 20.0 / 39.0 * 4.0).abs() < 1e-12, "{s}");
+    }
 }

@@ -213,13 +213,13 @@ pub const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         artifact: "Table 6",
-        caption: "graph-store slowdown with limited spare resources",
+        caption: "graph-store slowdown with limited spare resources, priced from work units",
         body: Body::Bespoke(bespoke::table6),
     },
     Experiment {
         artifact: "Figure 7",
-        caption: "IO/CPU consumed by the graph store over time (40% spare IO; sampled \
-                  on wall-clock intervals, so every number varies run to run)",
+        caption: "IO/CPU consumed by the graph store over a query stream (40% spare IO, \
+                  on a work-unit clock)",
         body: Body::Bespoke(bespoke::fig7),
     },
     Experiment {
@@ -243,11 +243,14 @@ pub enum TsvRows {
     /// The restart comparison's columns; the workload column is the
     /// panel's label suffixed `-restart`.
     Restart(Panel),
+    /// Table 6's spare-resource settings; the workload column is
+    /// `Table6`.
+    Table6,
 }
 
 /// The rows of `deterministic.tsv`, in file order: every store variant
-/// on the seven workloads, the Figure 6 restart columns, then Figure 8's
-/// baseline tuners and the WatDiv random panel.
+/// on the seven workloads, the Figure 6 restart columns, Figure 8's
+/// baseline tuners and the WatDiv random panel, then Table 6.
 pub const TSV_ROWS: &[TsvRows] = &[
     TsvRows::Grid(Panel(Yago, Ordered), STORES),
     TsvRows::Grid(Panel(WatDivL, Ordered), STORES),
@@ -262,6 +265,7 @@ pub const TSV_ROWS: &[TsvRows] = &[
     TsvRows::Grid(Panel(WatDivAll, Random), STORES),
     TsvRows::Grid(Panel(WatDivAll, Random), BASELINE_TUNERS),
     TsvRows::Grid(Panel(Bio2Rdf, Ordered), BASELINE_TUNERS),
+    TsvRows::Table6,
 ];
 
 /// The memo of one report run: datasets per workload, batches per
@@ -337,6 +341,7 @@ impl Runs {
             let label = match rows {
                 TsvRows::Grid(panel, _) => panel.label(),
                 TsvRows::Restart(panel) => format!("{}-restart", panel.label()),
+                TsvRows::Table6 => "Table6".to_owned(),
             };
             if !keep(&label) {
                 continue;
@@ -351,6 +356,11 @@ impl Runs {
                 TsvRows::Restart(panel) => {
                     for c in self.restart(panel) {
                         tsv.push(&label, c.name, &c.reports);
+                    }
+                }
+                TsvRows::Table6 => {
+                    for (variant, work, sim, rows) in bespoke::table6_tsv(self) {
+                        tsv.push_row(&label, variant, work, sim, rows);
                     }
                 }
             }

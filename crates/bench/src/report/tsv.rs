@@ -9,6 +9,7 @@
 use crate::args::BenchArgs;
 use kgdual_exec::{ParallelBatchReport, ParallelRunner};
 use std::collections::HashSet;
+use std::time::Duration;
 
 const TITLE: &str = "# kgdual deterministic baseline:";
 const COLUMNS: [&str; 5] = [
@@ -42,14 +43,27 @@ impl Tsv {
 
     /// Append the totals of one run's batch reports.
     pub fn push(&mut self, workload: &str, variant: &str, reports: &[ParallelBatchReport]) {
-        let sim_ns: u128 = reports.iter().map(|b| b.sim_tti.as_nanos()).sum();
-        let rows: u64 = reports.iter().map(|b| b.result_rows).sum();
+        let work = ParallelRunner::total_work(reports);
+        let sim_tti = ParallelRunner::total_sim_tti(reports);
+        let rows = reports.iter().map(|b| b.result_rows).sum();
+        self.push_row(workload, variant, work, sim_tti, rows);
+    }
+
+    /// Append one row.
+    pub fn push_row(
+        &mut self,
+        workload: &str,
+        variant: &str,
+        total_work: u64,
+        sim_tti: Duration,
+        result_rows: u64,
+    ) {
         self.rows.push(vec![
             workload.to_owned(),
             variant.to_owned(),
-            ParallelRunner::total_work(reports).to_string(),
-            sim_ns.to_string(),
-            rows.to_string(),
+            total_work.to_string(),
+            sim_tti.as_nanos().to_string(),
+            result_rows.to_string(),
         ]);
     }
 

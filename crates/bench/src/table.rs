@@ -59,6 +59,12 @@ pub fn secs(d: std::time::Duration) -> String {
     format!("{:.4}", d.as_secs_f64())
 }
 
+/// Format a duration in microseconds, for latencies too small to read
+/// in seconds.
+pub fn micros(d: std::time::Duration) -> String {
+    format!("{:.1}", d.as_secs_f64() * 1e6)
+}
+
 /// Format a ratio as a percentage with sign.
 pub fn pct(x: f64) -> String {
     format!("{:+.2}%", x * 100.0)
@@ -96,6 +102,8 @@ mod tests {
     #[test]
     fn format_helpers() {
         assert_eq!(secs(Duration::from_millis(1234)), "1.2340");
+        assert_eq!(micros(Duration::from_nanos(12_345)), "12.3");
+        assert_eq!(micros(Duration::from_millis(2)), "2000.0");
         assert_eq!(pct(0.4372), "+43.72%");
         assert_eq!(pct(-0.05), "-5.00%");
     }

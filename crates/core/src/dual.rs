@@ -63,7 +63,6 @@ pub struct DualStore<B: GraphBackend = AdjacencyBackend> {
     rel: RelStore,
     graph: B,
     views: ViewCatalog,
-    governor: Arc<ResourceGovernor>,
     case2_guard: bool,
     data_version: u64,
 }
@@ -85,13 +84,8 @@ impl DualStore<AdjacencyBackend> {
     }
 
     /// Fully parameterized constructor.
-    pub fn from_dataset_with(
-        ds: Dataset,
-        budget: usize,
-        planner: PlannerConfig,
-        governor: ResourceGovernor,
-    ) -> Self {
-        Self::from_dataset_with_in(ds, budget, planner, governor)
+    pub fn from_dataset_with(ds: Dataset, budget: usize, planner: PlannerConfig) -> Self {
+        Self::from_dataset_with_in(ds, budget, planner)
     }
 }
 
@@ -99,12 +93,7 @@ impl<B: GraphBackend> DualStore<B> {
     /// Build from a dataset with graph budget `B_G` given in triples, on
     /// the chosen backend: `DualStore::<B>::from_dataset_in(..)`.
     pub fn from_dataset_in(ds: Dataset, budget: usize) -> Self {
-        Self::from_dataset_with_in(
-            ds,
-            budget,
-            PlannerConfig::default(),
-            ResourceGovernor::unlimited(),
-        )
+        Self::from_dataset_with_in(ds, budget, PlannerConfig::default())
     }
 
     /// Ratio-budget constructor on the chosen backend (`r_{B_G}`, Table 4).
@@ -114,12 +103,7 @@ impl<B: GraphBackend> DualStore<B> {
     }
 
     /// Fully parameterized constructor on the chosen backend.
-    pub fn from_dataset_with_in(
-        ds: Dataset,
-        budget: usize,
-        planner: PlannerConfig,
-        governor: ResourceGovernor,
-    ) -> Self {
+    pub fn from_dataset_with_in(ds: Dataset, budget: usize, planner: PlannerConfig) -> Self {
         let (dict, parts) = ds.into_parts();
         let mut rel = RelStore::with_config(planner);
         rel.load_partition_set(&parts);
@@ -128,7 +112,6 @@ impl<B: GraphBackend> DualStore<B> {
             rel,
             graph: B::with_budget(budget),
             views: ViewCatalog::new(budget),
-            governor: Arc::new(governor),
             case2_guard: true,
             data_version: next_data_version(),
         }
@@ -138,7 +121,7 @@ impl<B: GraphBackend> DualStore<B> {
     /// counter at construction and redrawn after every successful
     /// [`insert`](Self::insert) and every [`delete`](Self::delete) that
     /// removed a row, so two stores never share a version. Migration,
-    /// eviction, design restore, governor and index warm-up change
+    /// eviction, design restore and index warm-up change
     /// residency or caches, not triples, and keep it. Anything that is a
     /// pure function of the triples (DOTIL's counterfactual cost pairs)
     /// stays valid for as long as this value does.
@@ -203,14 +186,11 @@ impl<B: GraphBackend> DualStore<B> {
         &mut self.graph
     }
 
-    /// The shared resource governor.
+    /// An inert [`ResourceGovernor`]. It exists only because the
+    /// `kgbench` benchmark links it; ROADMAP item 14's benchmark change
+    /// deletes it.
     pub fn governor(&self) -> Arc<ResourceGovernor> {
-        Arc::clone(&self.governor)
-    }
-
-    /// Replace the governor (used by the resource-limit experiments).
-    pub fn set_governor(&mut self, governor: ResourceGovernor) {
-        self.governor = Arc::new(governor);
+        Arc::new(ResourceGovernor)
     }
 
     /// Current physical design. Partitions come back ascending by
@@ -577,9 +557,8 @@ mod tests {
         dual.restore_design(&snapshot).unwrap();
         assert!(dual.graph().is_loaded(born));
         assert_eq!(dual.data_version(), v0, "restore_design");
-        dual.set_governor(ResourceGovernor::unlimited());
         dual.warm_rel_indexes();
-        assert_eq!(dual.data_version(), v0, "governor and index warm-up");
+        assert_eq!(dual.data_version(), v0, "index warm-up");
 
         // Writes that change the triples draw a fresh version.
         let t = dual

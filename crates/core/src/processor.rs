@@ -215,7 +215,7 @@ fn relational_run<B: GraphBackend>(
     eq: &EncodedQuery,
     had_complex_subquery: bool,
 ) -> Result<RoutedRun, CoreError> {
-    let mut ctx = ExecContext::with_governor(dual.governor());
+    let mut ctx = ExecContext::new();
     let results = dual.rel().execute(eq, &mut ctx)?;
     Ok(RoutedRun {
         route: Route::Relational,
@@ -310,7 +310,7 @@ fn process_shared_inner<B: GraphBackend>(
     // Case 1: the graph store covers the whole query (variable predicates
     // can never be covered — the graph holds only a share of the data).
     if !eq.has_var_pred() && dual.graph().covers(&all_preds) {
-        let mut ctx = ExecContext::with_governor(dual.governor());
+        let mut ctx = ExecContext::new();
         let results = dual.graph().execute(&eq, &mut ctx)?;
         let run = RoutedRun {
             route: Route::Graph,
@@ -339,7 +339,7 @@ fn process_shared_inner<B: GraphBackend>(
         qc_rows <= 4.0 * full_rows.max(256.0)
     };
     if dual.graph().covers(&qc_preds) && case2_safe() {
-        let mut gctx = ExecContext::with_governor(dual.governor());
+        let mut gctx = ExecContext::new();
         let intermediate = dual.graph().execute(&qc_eq, &mut gctx)?;
         // Migrate into the temporary relational table space (§3.3); the
         // remainder reads the staged table in place.
@@ -350,7 +350,7 @@ fn process_shared_inner<B: GraphBackend>(
             limit: eq.limit,
             ..remainder
         };
-        let mut rctx = ExecContext::with_governor(dual.governor());
+        let mut rctx = ExecContext::new();
         let seed = temp.get(handle).expect("just staged");
         let results = dual.rel().execute_with_seed(&remainder, seed, &mut rctx);
         // Discard temporaries regardless of success.
@@ -414,7 +414,7 @@ pub fn process_with_views<B: GraphBackend>(
     let pv = pred_vars(&eq);
 
     if let Some(qc) = &qc {
-        let mut vctx = ExecContext::with_governor(dual.governor());
+        let mut vctx = ExecContext::new();
         if let Some((covered, view_vars, rows)) =
             dual.views().answer(&qc.patterns, dual.dict(), &mut vctx)?
         {
@@ -439,7 +439,7 @@ pub fn process_with_views<B: GraphBackend>(
                     limit: eq.limit,
                     ..remainder
                 };
-                let mut rctx = ExecContext::with_governor(dual.governor());
+                let mut rctx = ExecContext::new();
                 let results = dual.rel().execute_with_seed(&remainder, &seed, &mut rctx)?;
                 vctx.stats.merge(&rctx.stats);
                 let run = RoutedRun {

@@ -12,10 +12,8 @@
 //! counterfactual thread materializes one level up, where the tuner fans
 //! independent per-shape measurements out as
 //! `kgdual_sched::TaskClass::OfflineTuning` tasks on the unified worker
-//! pool (see `Dotil::tune_with`). The wall-clock overlap and governor
-//! contention the paper studies in §6.3.3 are real there — both runs
-//! charge the dual store's shared governor exactly like the online query
-//! path — while the measured work units stay scheduling-invariant.
+//! pool (see `Dotil::tune_with`). Each run charges its own context, so
+//! the measured work units stay scheduling-invariant.
 //!
 //! A [`CostPair`] depends only on the subquery's encoded patterns, λ and
 //! the triples of the partitions it reads: complex subqueries have
@@ -53,16 +51,14 @@ impl CostPair {
 /// with the `λ · c1` cutoff (cost `c2`).
 ///
 /// Read-only and deterministic: safe to run for many shapes concurrently
-/// (the tuner schedules exactly that). Both runs share the dual store's
-/// governor, so configured IO/CPU limits throttle them exactly like the
-/// online query path.
+/// (the tuner schedules exactly that).
 pub fn measure<B: GraphBackend>(
     dual: &DualStore<B>,
     qc: &EncodedQuery,
     lambda: f64,
 ) -> Result<CostPair, kgdual_core::CoreError> {
     // c1: graph cost (Algorithm 2, line 1).
-    let mut gctx = ExecContext::with_governor(dual.governor());
+    let mut gctx = ExecContext::new();
     dual.graph().execute(qc, &mut gctx)?;
     let c1 = gctx.stats.work_units();
 
@@ -71,8 +67,7 @@ pub fn measure<B: GraphBackend>(
     let limit = ((c1 as f64 * lambda) as u64).max(1_000);
 
     // c2: relational cost, monitored against the cutoff (lines 2–6).
-    let mut ctx = ExecContext::with_governor(dual.governor());
-    ctx.work_limit = Some(limit);
+    let mut ctx = ExecContext::with_work_limit(limit);
     let (c2, truncated) = match dual.rel().execute(qc, &mut ctx) {
         Ok(_) => (ctx.stats.work_units(), false),
         Err(ExecError::Cancelled { .. }) => (limit, true),

@@ -1,6 +1,5 @@
 //! Execution context: statistics, cooperative cancellation, and errors.
 
-use super::governor::{ResourceGovernor, ResourceKind};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -75,11 +74,22 @@ impl ExecStats {
     /// an IO-ish unit while probe/hash/join rows are CPU-ish units; the
     /// absolute scale is arbitrary but consistent across both stores.
     pub fn work_units(&self) -> u64 {
-        self.rows_scanned * 2
+        self.io_units()
             + self.index_probes * 3
             + self.rows_hashed * 2
             + self.rows_joined
             + self.rows_output
+    }
+
+    /// The IO share of [`work_units`](Self::work_units): scanned rows.
+    pub fn io_units(&self) -> u64 {
+        self.rows_scanned * 2
+    }
+
+    /// The CPU share of [`work_units`](Self::work_units): probes, hashed,
+    /// joined and output rows.
+    pub fn cpu_units(&self) -> u64 {
+        self.work_units() - self.io_units()
     }
 
     /// Simulated latency of this work at `nanos_per_unit` (use the
@@ -122,13 +132,18 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Everything an executor needs besides the query: cancellation, resource
-/// throttling, and a place to accumulate statistics.
+/// Inert: it exists only because the `kgbench` benchmark links
+/// [`ExecContext::with_governor`]; ROADMAP item 14's benchmark change
+/// deletes it.
+#[derive(Debug, Default)]
+pub struct ResourceGovernor;
+
+/// Everything an executor needs besides the query: cancellation, a work
+/// limit, and a place to accumulate statistics.
+#[derive(Default)]
 pub struct ExecContext {
     /// Cancellation flag (checked between row chunks).
     pub cancel: CancelToken,
-    /// Resource governor; the default is unthrottled.
-    pub governor: Arc<ResourceGovernor>,
     /// Accumulated statistics.
     pub stats: ExecStats,
     /// Self-cancel once `stats.work_units()` exceeds this bound. This is the
@@ -137,30 +152,16 @@ pub struct ExecContext {
     pub work_limit: Option<u64>,
 }
 
-impl Default for ExecContext {
-    fn default() -> Self {
-        ExecContext {
-            cancel: CancelToken::new(),
-            governor: Arc::new(ResourceGovernor::unlimited()),
-            stats: ExecStats::default(),
-            work_limit: None,
-        }
-    }
-}
-
 impl ExecContext {
-    /// Unthrottled context with a fresh token.
+    /// Context with a fresh token and no work limit.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Context sharing an existing governor (how both stores of one dual
-    /// store observe the same resource limits).
-    pub fn with_governor(governor: Arc<ResourceGovernor>) -> Self {
-        ExecContext {
-            governor,
-            ..Self::default()
-        }
+    /// [`ExecContext::new`]. It exists only because the `kgbench`
+    /// benchmark links it; ROADMAP item 14's benchmark change deletes it.
+    pub fn with_governor(_governor: Arc<ResourceGovernor>) -> Self {
+        Self::new()
     }
 
     /// Context with an externally controlled cancel token.
@@ -175,7 +176,6 @@ impl ExecContext {
     #[inline]
     pub fn charge_scan(&mut self, n: u64) -> Result<(), ExecError> {
         self.stats.rows_scanned += n;
-        self.governor.charge(ResourceKind::Io, n);
         self.poll()
     }
 
@@ -183,7 +183,6 @@ impl ExecContext {
     #[inline]
     pub fn charge_probe(&mut self, n: u64) -> Result<(), ExecError> {
         self.stats.index_probes += n;
-        self.governor.charge(ResourceKind::Cpu, n);
         self.poll()
     }
 
@@ -191,7 +190,6 @@ impl ExecContext {
     #[inline]
     pub fn charge_hash(&mut self, n: u64) -> Result<(), ExecError> {
         self.stats.rows_hashed += n;
-        self.governor.charge(ResourceKind::Cpu, n);
         self.poll()
     }
 
@@ -199,7 +197,6 @@ impl ExecContext {
     #[inline]
     pub fn charge_join(&mut self, n: u64) -> Result<(), ExecError> {
         self.stats.rows_joined += n;
-        self.governor.charge(ResourceKind::Cpu, n);
         self.poll()
     }
 
@@ -253,6 +250,8 @@ mod tests {
             tables_touched: 1,
         };
         assert_eq!(s.work_units(), 20 + 3 + 4 + 3 + 4);
+        assert_eq!((s.io_units(), s.cpu_units()), (20, 3 + 4 + 3 + 4));
+        assert_eq!(s.io_units() + s.cpu_units(), s.work_units());
     }
 
     #[test]

@@ -2,8 +2,6 @@
 
 pub mod bindings;
 pub mod context;
-pub mod governor;
 
 pub use bindings::Bindings;
-pub use context::{CancelToken, ExecContext, ExecError, ExecStats};
-pub use governor::{GovernorSample, ResourceGovernor, ResourceKind};
+pub use context::{CancelToken, ExecContext, ExecError, ExecStats, ResourceGovernor};

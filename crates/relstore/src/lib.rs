@@ -18,10 +18,9 @@
 //! can fan out across its worker pool through a [`ShardDispatch`].
 //!
 //! This crate also hosts the execution primitives shared with the graph
-//! store ([`exec`]): columnar bindings, execution statistics, cooperative
-//! cancellation (used by DOTIL's counterfactual thread), and the
-//! [`exec::ResourceGovernor`] that emulates constrained spare IO/CPU for
-//! the paper's Table 6 / Figure 7 experiments.
+//! store ([`exec`]): columnar bindings, execution statistics (whose IO
+//! and CPU shares the paper's Table 6 / Figure 7 experiments price), and
+//! cooperative cancellation (used by DOTIL's counterfactual thread).
 //!
 //! Finally, [`views`] implements the `RDB-views` baseline: a
 //! frequency-based materialized-view advisor over generalized complex
@@ -35,10 +34,7 @@ pub mod table;
 pub mod temp;
 pub mod views;
 
-pub use exec::{
-    Bindings, CancelToken, ExecContext, ExecError, ExecStats, GovernorSample, ResourceGovernor,
-    ResourceKind,
-};
+pub use exec::{Bindings, CancelToken, ExecContext, ExecError, ExecStats, ResourceGovernor};
 pub use planner::PlannerConfig;
 pub use shard::{SerialDispatch, ShardDispatch, ShardScanPart};
 pub use store::RelStore;

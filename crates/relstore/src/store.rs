@@ -879,12 +879,7 @@ pub(crate) fn hash_join_dispatch(
                 let _span = kgdual_obs::span!("hash_join", probe_job = j);
                 let start = j * PROBE_JOB_ROWS;
                 let end = (start + PROBE_JOB_ROWS).min(probe.len());
-                let mut local = ExecContext {
-                    cancel: ctx.cancel.clone(),
-                    governor: Arc::clone(&ctx.governor),
-                    stats: ExecStats::default(),
-                    work_limit: None,
-                };
+                let mut local = ExecContext::with_cancel(ctx.cancel.clone());
                 let mut part = ShardScanPart {
                     rows: Bindings::new(schema.clone()),
                     ..ShardScanPart::default()

@@ -4,7 +4,6 @@
 
 use kgdual::prelude::*;
 use kgdual::relstore::PlannerConfig;
-use kgdual::relstore::ResourceGovernor;
 
 /// D1: forcing scans must make a selective bound lookup strictly more
 /// expensive while returning identical rows.
@@ -23,7 +22,6 @@ fn d1_force_scans_costs_more_same_rows() {
             force_scans: true,
             ..PlannerConfig::default()
         },
-        ResourceGovernor::unlimited(),
     );
     let q = parse("SELECT ?p WHERE { ?p y:wasBornIn y:City0 }").unwrap();
     let Compiled::Query(eq) = compile(&q, normal.dict()).unwrap() else {

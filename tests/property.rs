@@ -406,14 +406,13 @@ proptest! {
             1..4
         ),
     ) {
-        use kgdual::relstore::{PlannerConfig, ResourceGovernor};
+        use kgdual::relstore::PlannerConfig;
         let dataset = dataset_from(&triples);
         let normal = DualStore::from_dataset(dataset.clone(), 0);
         let forced = DualStore::from_dataset_with(
             dataset,
             0,
             PlannerConfig { force_scans: true, ..PlannerConfig::default() },
-            ResourceGovernor::unlimited(),
         );
         let src = render_query(&patterns);
         let query = parse(&src).unwrap();
