@@ -226,7 +226,9 @@ pub struct Fingerprint {
     /// `Dotil::export_state_bytes()` at the end: Q-matrices, staleness
     /// ages and RNG position (empty for the baselines).
     pub tuner_state: Vec<u8>,
-    /// `OfflineTuning` tasks the pool ran: the cost pairs DOTIL measured.
+    /// `OfflineTuning` tasks the pool ran: two per cost pair DOTIL
+    /// measured (its graph run and its relational run), in covered waves
+    /// and in the serial branch alike.
     /// `None` after a restart: a restore clears DOTIL's cost-pair memo by
     /// design, so the restored run measures again.
     pub tuning_tasks: Option<u64>,
@@ -531,10 +533,10 @@ fn fingerprint(cell: &Cell) -> Fingerprint {
             assert!(queries > 0, "{cell}: queries run as pool tasks");
         }
         if cell.policy == Policy::Routed && cell.restart == Restart::No {
-            let waves = executed.get(TaskClass::OfflineTuning);
+            let runs = executed.get(TaskClass::OfflineTuning);
             assert!(
-                waves > 0,
-                "{cell}: covered waves run as OfflineTuning tasks"
+                runs > 0,
+                "{cell}: counterfactual runs are OfflineTuning tasks"
             );
         }
         assert_eq!(sched.threads(), cell.workers);

@@ -53,8 +53,8 @@ pub trait PhysicalTuner<B: GraphBackend = AdjacencyBackend> {
     /// ([`kgdual_sched::Scheduler`]). The concurrent runner calls this
     /// inside the epoch barrier (the store's write lock), handing the
     /// tuner the query workers — idle for exactly that window — so
-    /// independent offline work (DOTIL's per-shape counterfactual
-    /// measurements, index warm-up) can fan out as
+    /// independent offline work (DOTIL's counterfactual graph and
+    /// relational runs, index warm-up) can fan out as
     /// [`kgdual_sched::TaskClass::OfflineTuning`] tasks.
     ///
     /// **Determinism contract:** `tune_with(dual, batch, sched)` must

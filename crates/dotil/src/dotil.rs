@@ -8,7 +8,7 @@ use kgdual_graphstore::GraphBackend;
 use kgdual_model::design::{FieldReader, FieldWriter};
 use kgdual_model::fx::FxHashMap;
 use kgdual_model::{DesignError, PredId};
-use kgdual_sched::{Scheduler, TaskClass};
+use kgdual_sched::Scheduler;
 use kgdual_sparql::{compile, Compiled, EncPattern, EncodedQuery, Query, Selection, TriplePattern};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,11 +21,17 @@ const DOTIL_STATE_VERSION: u8 = 1;
 /// kgdual-obs handles for the tuner, registered once per process.
 /// Observational only — the deterministic signals stay in
 /// [`TuningOutcome`] and the exported decision trails.
-struct DotilObs {
+pub(crate) struct DotilObs {
     /// Wall time of one whole tuning pass.
     tune_wall: kgdual_obs::Histogram,
     /// Wall time of one covered-wave measurement phase.
     wave_measure_wall: kgdual_obs::Histogram,
+    /// Wall time of measuring one set of memo misses: a covered wave's or
+    /// a serial-branch shape's.
+    measure_wall: kgdual_obs::Histogram,
+    /// Relational counterfactual runs that finished before their graph
+    /// side published the λ · c1 cutoff.
+    pub(crate) rel_before_limit: kgdual_obs::Counter,
     /// Q-matrix cell updates applied.
     q_updates: kgdual_obs::Counter,
     /// Cost pairs served from the memo without running Algorithm 2.
@@ -38,13 +44,15 @@ struct DotilObs {
     migrations: kgdual_obs::Counter,
 }
 
-fn dotil_obs() -> &'static DotilObs {
+pub(crate) fn dotil_obs() -> &'static DotilObs {
     static OBS: std::sync::OnceLock<DotilObs> = std::sync::OnceLock::new();
     OBS.get_or_init(|| {
         let m = kgdual_obs::global().metrics();
         DotilObs {
             tune_wall: m.histogram("dotil_tune_wall_ns"),
             wave_measure_wall: m.histogram("dotil_wave_measure_wall_ns"),
+            measure_wall: m.histogram("dotil_measure_wall_ns"),
+            rel_before_limit: m.counter("dotil_rel_finished_before_limit"),
             q_updates: m.counter("dotil_q_updates"),
             cost_memo_hits: m.counter("dotil_cost_memo_hits"),
             cost_memo_misses: m.counter("dotil_cost_memo_misses"),
@@ -310,10 +318,10 @@ impl Dotil {
 
     /// Algorithm 2's cost pair for each of `qcs`, in order (`None` where
     /// the measurement failed). Pairs come from the memo where it has
-    /// them; the misses are measured — as [`TaskClass::OfflineTuning`]
-    /// tasks on `sched` when one is handed in, inline otherwise — and
-    /// remembered. `tune_with` has already checked the memo against the
-    /// store's data version.
+    /// them; the misses are measured — each as two `OfflineTuning` tasks
+    /// on `sched`, its graph side and its relational side, when one is
+    /// handed in, inline otherwise — and remembered. `tune_with` has
+    /// already checked the memo against the store's data version.
     fn cost_pairs<B: GraphBackend>(
         &mut self,
         dual: &DualStore<B>,
@@ -325,19 +333,20 @@ impl Dotil {
             .map(|qc| self.memo.get(qc.patterns.as_slice()).copied())
             .collect();
         let misses: Vec<usize> = (0..qcs.len()).filter(|&k| pairs[k].is_none()).collect();
-        let lambda = self.cfg.lambda;
-        let measure = |m: usize| counterfactual::measure(dual, qcs[misses[m]], lambda).ok();
-        let measured: Vec<Option<CostPair>> = match sched {
-            Some(s) => s.run_indexed(TaskClass::OfflineTuning, misses.len(), measure),
-            None => (0..misses.len()).map(measure).collect(),
-        };
-        for (&k, pair) in misses.iter().zip(measured) {
-            if let Some(pair) = pair {
-                self.memo.insert(qcs[k].patterns.clone(), pair);
-            }
-            pairs[k] = pair;
-        }
         let o = dotil_obs();
+        if !misses.is_empty() {
+            let measure_wall = kgdual_obs::timer();
+            let missed: Vec<&EncodedQuery> = misses.iter().map(|&k| qcs[k]).collect();
+            let measured = counterfactual::measure_all(dual, &missed, self.cfg.lambda, sched);
+            o.measure_wall.record_timer(measure_wall);
+            for (&k, pair) in misses.iter().zip(measured) {
+                let pair = pair.ok();
+                if let Some(pair) = pair {
+                    self.memo.insert(qcs[k].patterns.clone(), pair);
+                }
+                pairs[k] = pair;
+            }
+        }
         o.cost_memo_hits.add((qcs.len() - misses.len()) as u64);
         o.cost_memo_misses.add(misses.len() as u64);
         pairs
@@ -356,8 +365,9 @@ impl Dotil {
         proportions: &[(PredId, f64)],
         groups: &[RoleGroup<'_>],
         outcome: &mut TuningOutcome,
+        sched: Option<&Scheduler>,
     ) {
-        let [Some(pair)] = self.cost_pairs(dual, &[qc], None)[..] else {
+        let [Some(pair)] = self.cost_pairs(dual, &[qc], sched)[..] else {
             return;
         };
         self.apply_pair(pair, proportions, groups, outcome);
@@ -423,8 +433,10 @@ impl<B: GraphBackend> PhysicalTuner<B> for Dotil {
         self.tune_with(dual, batch, None)
     }
 
-    /// Algorithm 1 with the counterfactual measurements of *covered* shapes
-    /// fanned out as [`TaskClass::OfflineTuning`] tasks on `sched`.
+    /// Algorithm 1 with its counterfactual measurements run as
+    /// [`OfflineTuning`](kgdual_sched::TaskClass::OfflineTuning) tasks on
+    /// `sched`: two per measured pair, its graph side and its relational
+    /// side (see [`counterfactual`]), whichever branch measures it.
     ///
     /// Covered shapes (lines 5–7) never mutate the design, so a maximal run
     /// of consecutive covered shapes forms a **wave**: each member's
@@ -437,7 +449,7 @@ impl<B: GraphBackend> PhysicalTuner<B> for Dotil {
     /// state, decisions, outcome, and exported trails are therefore
     /// byte-identical to the serial [`tune`](PhysicalTuner::tune) at every
     /// worker count — only the offline phase's wall clock changes. Only
-    /// the wave members the cost-pair memo misses become tasks.
+    /// the pairs the cost-pair memo misses become tasks.
     fn tune_with(
         &mut self,
         dual: &mut DualStore<B>,
@@ -515,13 +527,13 @@ impl<B: GraphBackend> PhysicalTuner<B> for Dotil {
             // Measure the wave's memo misses — in parallel as
             // OfflineTuning tasks when a multi-worker pool is handed in,
             // inline otherwise — then replay the Q-updates in shape order.
-            // measure() is read-only and deterministic in work units, so
-            // both paths fold exactly the same rewards in exactly the same
-            // order. Misses always route through the scheduler when one is
-            // handed in (run_indexed falls back to inline execution for
-            // single workers or single-element waves): the per-class task
-            // accounting in `SchedStats` then attributes every covered
-            // measurement identically at every thread count.
+            // A measurement is read-only and deterministic in work units,
+            // so both paths fold exactly the same rewards in exactly the
+            // same order. Misses always route through the scheduler when
+            // one is handed in (run_indexed falls back to inline execution
+            // for a single worker): the per-class task accounting in
+            // `SchedStats` then attributes every measurement identically
+            // at every thread count.
             let measure_wall = kgdual_obs::timer();
             let qcs: Vec<&EncodedQuery> = wave.iter().map(|w| &w.0).collect();
             let pairs = self.cost_pairs(dual, &qcs, sched);
@@ -677,6 +689,7 @@ impl<B: GraphBackend> PhysicalTuner<B> for Dotil {
                 &proportions,
                 &[(&transfer_roles, 1), (&keep_roles, count - 1)],
                 &mut outcome,
+                sched,
             );
         }
 
@@ -714,6 +727,7 @@ impl<B: GraphBackend> PhysicalTuner<B> for Dotil {
 mod tests {
     use super::*;
     use kgdual_model::{DatasetBuilder, Term};
+    use kgdual_sched::TaskClass;
     use kgdual_sparql::parse;
 
     /// Graph with a hot advisor-city motif plus an unrelated bulky
@@ -1012,8 +1026,6 @@ mod tests {
 
     #[test]
     fn scheduled_tuning_is_decision_identical_to_serial() {
-        use kgdual_sched::{Scheduler, TaskClass};
-
         // Two distinct covered shapes per pass make a measurable wave.
         // Their partitions are resident from the start, so the first pass
         // is a wave measured on an empty memo; later passes replay it from

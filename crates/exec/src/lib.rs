@@ -10,8 +10,9 @@
 //! concurrency model in disguise:
 //!
 //! * **One worker pool for everything.** All concurrent work — query
-//!   tasks, hash-join probe ranges, DOTIL's offline counterfactual
-//!   measurements, checkpoint I/O — runs on a single work-stealing
+//!   tasks, hash-join probe ranges, DOTIL's offline counterfactual runs
+//!   (a graph run and a relational run per cost pair), checkpoint I/O —
+//!   runs on a single work-stealing
 //!   [`kgdual_sched::Scheduler`] with typed, priority-ordered task
 //!   classes. [`BatchExecutor`] submits `Query` tasks,
 //!   [`SchedShardDispatch`] submits `ShardScan` tasks onto the *same*
@@ -30,10 +31,11 @@
 //!   by construction waits for every in-flight query. Each
 //!   reconfiguration advances the store's **epoch**. The query workers
 //!   are idle for exactly that window, so the runner passes the
-//!   scheduler into [`PhysicalTuner::tune_with`] and DOTIL fans its
-//!   independent per-shape measurements over them as `OfflineTuning`
-//!   tasks — without changing a single decision (see the determinism
-//!   contract on `tune_with`).
+//!   scheduler into [`PhysicalTuner::tune_with`] and DOTIL runs each
+//!   cost pair's graph and relational sides over them as two
+//!   `OfflineTuning` tasks, a whole wave of covered shapes at once —
+//!   without changing a single decision (see the determinism contract on
+//!   `tune_with`).
 //! * **Post-batch aggregation** — per-query [`ExecStats`] merge into
 //!   batch totals that are *exactly* the serial sums, so DOTIL's
 //!   Q-matrix updates (and every deterministic metric of the harness)

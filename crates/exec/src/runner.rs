@@ -74,10 +74,11 @@ impl ParallelRunner {
         }
 
         // Tuning epochs get the same pool: the query workers are idle
-        // for exactly the write-lock window, so the tuner's independent
-        // offline work (DOTIL counterfactual waves) borrows them as
-        // OfflineTuning-class tasks. Deterministically identical to the
-        // serial tune() at every worker count (see PhysicalTuner docs).
+        // for exactly the write-lock window, so the tuner's offline work
+        // (DOTIL's counterfactual runs, two per cost pair) borrows them
+        // as OfflineTuning-class tasks. Deterministically identical to
+        // the serial tune() at every worker count (see PhysicalTuner
+        // docs).
         self.schedule
             .drive(
                 tuner,

@@ -1,7 +1,7 @@
 //! Execution context: statistics, cooperative cancellation, and errors.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Cooperative cancellation flag.
@@ -146,10 +146,15 @@ pub struct ExecContext {
     pub cancel: CancelToken,
     /// Accumulated statistics.
     pub stats: ExecStats,
-    /// Self-cancel once `stats.work_units()` exceeds this bound. This is the
-    /// deterministic form of DOTIL's λ cutoff (Algorithm 2 stops the
-    /// counterfactual relational run once its cost reaches `λ · c1`).
-    pub work_limit: Option<u64>,
+    /// Self-cancel at the first poll where `stats.work_units()` reaches
+    /// the value behind this bound. This is the deterministic form of
+    /// DOTIL's λ cutoff (Algorithm 2 stops the counterfactual relational
+    /// run once its cost reaches `λ · c1`). The value is shared so that it
+    /// can be published while the run is under way: the counterfactual
+    /// starts its relational side at `u64::MAX`, which nothing reaches,
+    /// and its graph side stores `λ · c1` once it knows `c1`. Any `Some`,
+    /// published or not, counts as a limit.
+    pub work_limit: Option<Arc<AtomicU64>>,
 }
 
 impl ExecContext {
@@ -200,8 +205,14 @@ impl ExecContext {
         self.poll()
     }
 
-    /// Context that self-cancels after `limit` work units.
+    /// Context that self-cancels once it has charged `limit` work units.
     pub fn with_work_limit(limit: u64) -> Self {
+        Self::with_shared_work_limit(Arc::new(AtomicU64::new(limit)))
+    }
+
+    /// Context that self-cancels once it has charged whatever `limit`
+    /// holds at the time of each poll.
+    pub fn with_shared_work_limit(limit: Arc<AtomicU64>) -> Self {
         ExecContext {
             work_limit: Some(limit),
             ..Self::default()
@@ -216,9 +227,9 @@ impl ExecContext {
                 partial_work: self.stats.work_units(),
             });
         }
-        if let Some(limit) = self.work_limit {
+        if let Some(limit) = &self.work_limit {
             let done = self.stats.work_units();
-            if done >= limit {
+            if done >= limit.load(Ordering::Relaxed) {
                 return Err(ExecError::Cancelled { partial_work: done });
             }
         }
@@ -298,7 +309,19 @@ mod tests {
     fn work_limit_self_cancels() {
         let mut ctx = ExecContext::with_work_limit(100);
         ctx.charge_scan(10).unwrap(); // 20 units — fine
-        assert!(ctx.charge_scan(100).is_err(), "220 units exceeds the limit");
+        assert!(ctx.charge_scan(100).is_err(), "220 units reach the limit");
+    }
+
+    #[test]
+    fn a_shared_work_limit_applies_from_the_next_poll() {
+        let limit = Arc::new(AtomicU64::new(u64::MAX));
+        let mut ctx = ExecContext::with_shared_work_limit(Arc::clone(&limit));
+        ctx.charge_scan(100).unwrap(); // 200 units, nothing published yet
+        limit.store(150, Ordering::Relaxed);
+        match ctx.poll() {
+            Err(ExecError::Cancelled { partial_work }) => assert_eq!(partial_work, 200),
+            other => panic!("expected cancellation, got {other:?}"),
+        }
     }
 
     #[test]

@@ -425,7 +425,8 @@ impl RelStore {
     /// merge sums job stats without polling, so a work-limited context
     /// (DOTIL's λ cutoff) fanned out could finish at or above its limit
     /// and still report "not truncated"; it keeps the serial probe, which
-    /// polls after every charge.
+    /// polls after every charge. A limit not yet published counts: it may
+    /// be published while the probe runs.
     fn join_dispatch(&self, ctx: &ExecContext) -> Option<Arc<dyn ShardDispatch>> {
         if ctx.work_limit.is_none() {
             self.dispatch.clone()

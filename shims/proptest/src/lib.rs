@@ -12,6 +12,9 @@
 //! * **Deterministic seeding** — each `(test name, case index)` pair maps
 //!   to a fixed RNG seed, so failures reproduce across runs without a
 //!   persistence file.
+//! * **`PROPTEST_CASES` wins** — when set, it overrides every test's
+//!   case count, `with_cases` included. A larger count runs the default
+//!   cases first, then new ones.
 
 pub mod test_runner {
     //! Config, error type, and the deterministic per-case RNG.
@@ -28,6 +31,17 @@ pub mod test_runner {
     impl Config {
         pub fn with_cases(cases: u32) -> Self {
             Config { cases }
+        }
+
+        /// The cases a test runs: `PROPTEST_CASES` when it is set, which
+        /// overrides the configured count, else [`Config::cases`].
+        pub fn effective_cases(&self) -> u32 {
+            match std::env::var("PROPTEST_CASES") {
+                Ok(v) => v.trim().parse().unwrap_or_else(|_| {
+                    panic!("PROPTEST_CASES must be an unsigned integer, got {v:?}")
+                }),
+                Err(_) => self.cases,
+            }
         }
     }
 
@@ -358,7 +372,8 @@ pub mod prelude {
 }
 
 /// Stand-in for `proptest::proptest!`: runs each embedded test function
-/// over `config.cases` deterministic random cases.
+/// over `config.cases` deterministic random cases, or over
+/// `PROPTEST_CASES` of them when that variable is set.
 #[macro_export]
 macro_rules! proptest {
     ( #![proptest_config($config:expr)] $($rest:tt)* ) => {
@@ -383,7 +398,8 @@ macro_rules! __proptest_impl {
             $(#[$meta])*
             fn $name() {
                 let config: $crate::test_runner::Config = $config;
-                for case in 0..config.cases {
+                let cases = config.effective_cases();
+                for case in 0..cases {
                     let mut proptest_rng =
                         $crate::test_runner::TestRng::for_case(stringify!($name), case);
                     $(
@@ -402,7 +418,7 @@ macro_rules! __proptest_impl {
                             "proptest {} failed at case {}/{}: {}",
                             stringify!($name),
                             case,
-                            config.cases,
+                            cases,
                             e
                         );
                     }
@@ -485,6 +501,18 @@ mod tests {
         assert_eq!(a.next_u64(), b.next_u64());
         let mut c = TestRng::for_case("t", 4);
         assert_ne!(a.next_u64(), c.next_u64());
+    }
+
+    #[test]
+    fn proptest_cases_overrides_the_configured_count() {
+        let before = std::env::var_os("PROPTEST_CASES");
+        std::env::set_var("PROPTEST_CASES", "7");
+        let cases = ProptestConfig::with_cases(32).effective_cases();
+        match before {
+            Some(v) => std::env::set_var("PROPTEST_CASES", v),
+            None => std::env::remove_var("PROPTEST_CASES"),
+        }
+        assert_eq!(cases, 7);
     }
 
     #[test]

@@ -158,11 +158,11 @@ fn d4_lambda_monotone_and_deterministic() {
         panic!()
     };
     use kgdual::dotil::counterfactual::measure;
-    let tight = measure(&dual, &eq, 0.05).unwrap();
-    let loose = measure(&dual, &eq, 100.0).unwrap();
+    let tight = measure(&dual, &eq, 0.05, None).unwrap();
+    let loose = measure(&dual, &eq, 100.0, None).unwrap();
     assert_eq!(tight.c1, loose.c1, "graph cost is λ-independent");
     assert!(tight.c2 <= loose.c2, "larger λ admits more relational work");
     assert!(!loose.truncated, "λ=100 must not truncate here");
     // Determinism.
-    assert_eq!(measure(&dual, &eq, 0.05).unwrap(), tight);
+    assert_eq!(measure(&dual, &eq, 0.05, None).unwrap(), tight);
 }

@@ -2,6 +2,8 @@
 //! implementations of BGP semantics, so random graphs + random queries
 //! make an effective cross-check oracle.
 
+use kgdual::core::Scheduler;
+use kgdual::dotil::counterfactual::{measure, settle};
 use kgdual::prelude::*;
 use proptest::prelude::*;
 
@@ -99,6 +101,9 @@ fn check_topology(
 /// the unlimited run (`rows`, `unlimited`) unless cut off — which it must
 /// be exactly when the charged work (all but the result-row charge)
 /// reaches the limit, stopping between the limit and the charged work.
+/// `counterfactual::settle` must read the unlimited run as the `(c2,
+/// truncated)` the capped run gives: a relational side that finished
+/// before its limit was published yields the same cost pair.
 fn check_work_limit(
     src: &str,
     rows: &Bindings,
@@ -115,7 +120,7 @@ fn check_work_limit(
             continue;
         }
         let mut ctx = ExecContext::with_work_limit(limit);
-        match run(&mut ctx) {
+        let capped = match run(&mut ctx) {
             Err(partial_work) => {
                 prop_assert!(
                     charged >= limit,
@@ -132,13 +137,22 @@ fn check_work_limit(
                     charged,
                     src
                 );
+                (limit, true)
             }
             Ok(got) => {
                 prop_assert!(charged < limit, "ran past {} on {}", limit, src);
                 prop_assert_eq!(&got, rows, "query: {}", src);
                 prop_assert_eq!(ctx.stats.work_units(), w, "query: {}", src);
+                (w, false)
             }
-        }
+        };
+        prop_assert_eq!(
+            settle(limit, Ok(unlimited.stats)),
+            capped,
+            "limit {} on {}",
+            limit,
+            src
+        );
     }
     Ok(())
 }
@@ -478,6 +492,50 @@ proptest! {
         let mut unlimited = ExecContext::new();
         let rows = graph(&mut unlimited).unwrap();
         check_work_limit(&src, &rows, &unlimited, graph)?;
+    }
+
+    /// `counterfactual::measure` on a 2- and a 4-worker pool, where a
+    /// pair's relational side may run before, during or after the graph
+    /// side that publishes its λ · c1 cutoff, gives exactly the pair the
+    /// inline measurement gives, which runs the graph side first. The
+    /// graphs are dense enough for the relational side to charge past the
+    /// 1 000-unit floor on about one case in five, where λ = 0.01
+    /// truncates; λ = 1e9 never does.
+    #[test]
+    fn scheduled_measure_matches_inline(
+        triples in prop::collection::vec((0u8..24, 0u8..3, 0u8..24), 100..500),
+        patterns in prop::collection::vec(
+            (0u8..8, any::<bool>(), 0u8..3, 0u8..8, any::<bool>(), 0u8..1),
+            2..4
+        ),
+    ) {
+        static POOLS: std::sync::OnceLock<[Scheduler; 2]> = std::sync::OnceLock::new();
+        let pools = POOLS.get_or_init(|| [Scheduler::new(2), Scheduler::new(4)]);
+        let dataset = dataset_from(&triples);
+        let total = dataset.len();
+        let mut dual = DualStore::from_dataset(dataset, total);
+        let preds: Vec<_> = dual.rel().preds().collect();
+        for p in preds {
+            dual.migrate_partition(p).unwrap();
+        }
+        let src = render_query(&patterns);
+        let Compiled::Query(eq) = compile(&parse(&src).unwrap(), dual.dict()).unwrap() else {
+            return Ok(());
+        };
+        for lambda in [0.01, 0.5, 4.5, 1e9] {
+            let inline = measure(&dual, &eq, lambda, None);
+            for pool in pools {
+                let pooled = measure(&dual, &eq, lambda, Some(pool));
+                prop_assert_eq!(
+                    &pooled,
+                    &inline,
+                    "λ = {} on {} workers: {}",
+                    lambda,
+                    pool.threads(),
+                    src
+                );
+            }
+        }
     }
 
     /// Graph-side write maintenance agrees with the relational store: a
