@@ -22,7 +22,7 @@
 use kgdual_bench::serve_load::query_pool;
 use kgdual_bench::{build_dataset, BenchArgs, WorkloadKind};
 use kgdual_core::DualStore;
-use kgdual_exec::{SchedShardDispatch, Scheduler, SharedStore};
+use kgdual_exec::{Scheduler, SharedStore};
 use kgdual_serve::{ServeConfig, Server};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -66,9 +66,7 @@ fn run(args: &BenchArgs) {
         args.describe()
     );
     let store = Arc::new(SharedStore::new(DualStore::from_dataset(dataset, budget)));
-    let sched = Arc::new(Scheduler::new(args.threads));
     if args.threads > 1 {
-        store.install_shard_dispatch(Arc::new(SchedShardDispatch::new(Arc::clone(&sched))));
         store.read().warm_rel_indexes();
     }
     // Log the size of the query pool that replays against this store
@@ -86,6 +84,9 @@ fn run(args: &BenchArgs) {
         trace_out: args.trace_out.as_ref().map(std::path::PathBuf::from),
         ..ServeConfig::default()
     };
+    // Queries run on their connection threads; `Server::start` still
+    // takes a pool it does not use.
+    let sched = Arc::new(Scheduler::new(1));
     let handle = Server::start(store, sched, config).expect("bind serve address");
     println!("listening on {}", handle.local_addr());
 

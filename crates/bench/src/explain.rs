@@ -21,7 +21,7 @@ use crate::serve_load::query_pool;
 use crate::setup::{build_batches, build_dataset, build_workload, Order};
 use kgdual_core::{process_shared_explain, DualStore, PhysicalTuner};
 use kgdual_dotil::{Dotil, DotilConfig};
-use kgdual_exec::{BatchExecutor, SchedShardDispatch, SharedStore};
+use kgdual_exec::{BatchExecutor, SharedStore};
 use kgdual_relstore::TempSpace;
 use kgdual_serve::json::{escape, Json};
 use std::sync::Arc;
@@ -59,7 +59,6 @@ pub fn profile(args: &BenchArgs) -> Profile {
     let executor = BatchExecutor::new(args.threads);
     let sched = Arc::clone(executor.scheduler());
     if args.threads > 1 {
-        store.install_shard_dispatch(Arc::new(SchedShardDispatch::new(Arc::clone(&sched))));
         store.read().warm_rel_indexes();
     }
     for batch in &batches {

@@ -3,9 +3,8 @@
 //! The grid, the fingerprint and the runner of one cell live in
 //! [`grid`]; this file checks most of the grid's blocks, one `#[test]`
 //! each, and shows that the grid covers every axis value. The checks
-//! that are not grid checks follow at the end as plain tests: pooled
-//! hash-join probes, checkpoint misuse, concurrent checkpoints and wire
-//! EXPLAIN.
+//! that are not grid checks follow at the end as plain tests: checkpoint
+//! misuse, concurrent checkpoints and wire EXPLAIN.
 
 mod grid;
 
@@ -14,9 +13,7 @@ use kgdual_bench::{build_dataset, BenchArgs, WorkloadKind};
 use kgdual_core::batch::TuningSchedule;
 use kgdual_core::{process_shared_explain, DualStore};
 use kgdual_dotil::Dotil;
-use kgdual_exec::{
-    BatchExecutor, ParallelRunner, SchedShardDispatch, Scheduler, SharedStore, TaskClass,
-};
+use kgdual_exec::{BatchExecutor, ParallelRunner, Scheduler, SharedStore};
 use kgdual_model::DesignError;
 use kgdual_relstore::TempSpace;
 use kgdual_serve::{ServeConfig, Server};
@@ -139,66 +136,6 @@ fn mismatch_names_the_field_and_the_axis() {
 // ---------------------------------------------------------------------------
 // Plain tests.
 
-/// A pooled `ParallelRunner` fans long hash-join probes out as
-/// `ShardScan` tasks on its own pool and still matches the one-worker run
-/// byte for byte. The grid's workload never probes that long, so this
-/// store holds 20 000 `y:r0` rows probing a hash table over 2 500 `y:r1`
-/// rows; a LIMIT case pins the merge order.
-#[test]
-fn parallel_join_probes_dispatch_through_exec_and_match() {
-    use kgdual_model::{DatasetBuilder, Term};
-    use kgdual_sparql::parse;
-
-    let mut b = DatasetBuilder::new();
-    for i in 0..20_000 {
-        b.add_terms(
-            &Term::iri(format!("y:s{i}")),
-            "y:r0",
-            &Term::iri(format!("y:m{}", i % 1_000)),
-        );
-    }
-    for j in 0..2_500 {
-        b.add_terms(
-            &Term::iri(format!("y:m{}", j % 1_000)),
-            "y:r1",
-            &Term::iri(format!("y:o{j}")),
-        );
-    }
-    let dataset = b.build();
-    let batches = vec![vec![
-        parse("SELECT ?s ?o WHERE { ?s y:r0 ?m . ?m y:r1 ?o }").unwrap(),
-        parse("SELECT ?s ?o WHERE { ?s y:r0 ?m . ?m y:r1 ?o } LIMIT 50").unwrap(),
-    ]];
-    let run = |workers: usize| {
-        let store = SharedStore::new(DualStore::from_dataset(dataset.clone(), 100));
-        let runner = ParallelRunner::new(TuningSchedule::Never, BatchExecutor::new(workers));
-        let reports = runner.run(&store, &mut Dotil::new(), &batches);
-        let probe_jobs = runner
-            .executor
-            .scheduler()
-            .stats()
-            .executed
-            .get(TaskClass::ShardScan);
-        (reports, probe_jobs)
-    };
-
-    let (reference, serial_jobs) = run(1);
-    let (pooled, pooled_jobs) = run(4);
-    assert_eq!(serial_jobs, 0, "one worker keeps the inline probe");
-    assert!(
-        pooled_jobs >= 2 * batches[0].len() as u64,
-        "long probes must fan out through the pool (saw {pooled_jobs} jobs)"
-    );
-    for (want, got) in reference.iter().zip(&pooled) {
-        assert_eq!(want.errors, 0);
-        assert_eq!(got.errors, 0);
-        assert_eq!(want.results_digest, got.results_digest);
-        assert_eq!(want.total_work(), got.total_work());
-        assert_eq!(want.sim_tti, got.sim_tti);
-        assert_eq!(want.result_rows, got.result_rows);
-    }
-}
-
 /// A snapshot is dataset-bound: restoring onto a different dataset fails
 /// typed and moves nothing.
 #[test]
@@ -223,9 +160,9 @@ fn restoring_onto_a_different_dataset_is_a_typed_mismatch() {
 }
 
 /// A checkpoint taken while readers are in flight waits for them (the
-/// quiesce contract) and still captures a restorable design.
+/// write lock drains every batch) and still captures a restorable design.
 #[test]
-fn checkpoints_quiesce_and_stay_restorable_under_concurrency() {
+fn checkpoints_drain_readers_and_stay_restorable_under_concurrency() {
     const THREADS: usize = 4;
     let all = &workload().1;
     let store = SharedStore::new(fresh_dual());
@@ -275,7 +212,6 @@ fn served_explain_analyze_matches_in_process_plan() {
         .collect();
     let store = Arc::new(SharedStore::new(fresh_dual()));
     let sched = Arc::new(Scheduler::new(4));
-    store.install_shard_dispatch(Arc::new(SchedShardDispatch::new(Arc::clone(&sched))));
     store.read().warm_rel_indexes();
 
     let server = Server::start(

@@ -30,9 +30,7 @@ use kgdual_core::{
     process_shared_explain, DualStore, NoopTuner, PhysicalTuner, QueryOutcome, Route, TuningOutcome,
 };
 use kgdual_dotil::{Dotil, ViewTuner};
-use kgdual_exec::{
-    BatchExecutor, ExecMode, ParallelRunner, SchedShardDispatch, Scheduler, SharedStore, TaskClass,
-};
+use kgdual_exec::{BatchExecutor, ExecMode, ParallelRunner, Scheduler, SharedStore, TaskClass};
 use kgdual_model::Dataset;
 use kgdual_relstore::TempSpace;
 use kgdual_serve::{ServeConfig, ServeHandle, Server};
@@ -366,7 +364,6 @@ impl Life {
             // What `ParallelRunner::run` sets up for an in-process batch.
             let sched = runner.executor.scheduler();
             if cell.workers > 1 {
-                store.install_shard_dispatch(Arc::new(SchedShardDispatch::new(Arc::clone(sched))));
                 store.read().warm_rel_indexes();
             }
             Server::start(

@@ -11,7 +11,7 @@
 use kgdual_bench::serve_load::{query_pool, serial_replay};
 use kgdual_bench::{build_dataset, BenchArgs, WorkloadKind};
 use kgdual_core::{DualStore, QueryOutcome};
-use kgdual_exec::{results_digest, BatchExecutor, SchedShardDispatch, Scheduler, SharedStore};
+use kgdual_exec::{results_digest, BatchExecutor, Scheduler, SharedStore};
 use kgdual_serve::{route_name, ServeClient};
 use std::io::{BufRead, BufReader, Read};
 use std::net::SocketAddr;
@@ -106,7 +106,6 @@ fn local_outcomes(args: &BenchArgs, queries: &[String]) -> Vec<Option<QueryOutco
     let budget = dataset.len() / 4;
     let store = SharedStore::new(DualStore::from_dataset(dataset, budget));
     let sched = Arc::new(Scheduler::new(args.threads));
-    store.install_shard_dispatch(Arc::new(SchedShardDispatch::new(Arc::clone(&sched))));
     store.read().warm_rel_indexes();
     let parsed: Vec<_> = queries
         .iter()

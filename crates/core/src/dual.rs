@@ -10,9 +10,7 @@ use crate::error::CoreError;
 use kgdual_graphstore::store::BULK_IMPORT_COST_PER_TRIPLE;
 use kgdual_graphstore::{AdjacencyBackend, GraphBackend};
 use kgdual_model::{Dataset, Dictionary, PredId, Term, Triple};
-use kgdual_relstore::{
-    PlannerConfig, RebuildReport, RelStore, ResourceGovernor, ShardDispatch, ViewCatalog,
-};
+use kgdual_relstore::{PlannerConfig, RebuildReport, RelStore, ResourceGovernor, ViewCatalog};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -203,13 +201,6 @@ impl<B: GraphBackend> DualStore<B> {
             used: self.graph.used(),
             total_triples: self.rel.total_triples(),
         }
-    }
-
-    /// Install the executor the relational store fans hash-join probe
-    /// ranges out with (`kgdual-exec` installs its pooled dispatcher
-    /// through this; see [`RelStore::set_shard_dispatch`]).
-    pub fn set_shard_dispatch(&mut self, dispatch: Arc<dyn ShardDispatch>) {
-        self.rel.set_shard_dispatch(dispatch);
     }
 
     /// Work units a migration bills to bulk-import `triples` triples

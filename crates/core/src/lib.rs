@@ -46,7 +46,7 @@ pub use processor::{QueryOutcome, Route};
 pub use results::ResultSet;
 pub use tuner::{NoopTuner, PhysicalTuner, TuningOutcome};
 
-// The unified work-stealing pool tuners may fan offline work onto (see
+// The worker pool tuners may fan offline work onto (see
 // [`PhysicalTuner::tune_with`]); re-exported so downstream crates name
 // one coherent scheduling vocabulary through `kgdual_core`.
 pub use kgdual_sched::{Scheduler, TaskClass};

@@ -49,12 +49,12 @@ pub trait PhysicalTuner<B: GraphBackend = AdjacencyBackend> {
     /// queries are inside `batch`) and adjust `T_G`.
     fn tune(&mut self, dual: &mut DualStore<B>, batch: &[Query]) -> TuningOutcome;
 
-    /// Offline phase with access to the unified work-stealing pool
+    /// Offline phase with access to the worker pool
     /// ([`kgdual_sched::Scheduler`]). The concurrent runner calls this
     /// inside the epoch barrier (the store's write lock), handing the
     /// tuner the query workers — idle for exactly that window — so
     /// independent offline work (DOTIL's counterfactual graph and
-    /// relational runs, index warm-up) can fan out as
+    /// relational runs) can run on them as
     /// [`kgdual_sched::TaskClass::OfflineTuning`] tasks.
     ///
     /// **Determinism contract:** `tune_with(dual, batch, sched)` must

@@ -1,16 +1,14 @@
 //! The concurrent batch executor.
 //!
 //! One batch of queries is submitted as [`TaskClass::Query`] tasks on
-//! the unified work-stealing scheduler ([`kgdual_sched::Scheduler`]) —
-//! the executor owns no threads of its own. All tasks execute against a
-//! single shared read guard on the [`SharedStore`] — the store is
-//! immutable for the whole batch — and each task checks a private
-//! [`TempSpace`] out of a per-batch pool, so no online state is shared
-//! mutable between workers. The scheduler's injector hands queries out
-//! in submission order; a worker stuck on a heavy query simply stops
-//! claiming while the others absorb the remainder, and a query that
-//! fans a large hash-join probe out (see [`crate::SchedShardDispatch`])
-//! borrows the same idle workers one level down.
+//! the shared worker pool ([`kgdual_sched::Scheduler`]) — the executor
+//! owns no threads of its own. All tasks execute against a single shared
+//! read guard on the [`SharedStore`] — the store is immutable for the
+//! whole batch — and each task checks a private [`TempSpace`] out of a
+//! per-batch pool, so no online state is shared mutable between workers.
+//! The pool's queue hands queries out in submission order; a worker stuck
+//! on a heavy query simply stops claiming while the others absorb the
+//! remainder.
 //!
 //! Determinism: each query's execution depends only on the (frozen)
 //! store and the query itself, so per-query results, work units, and
@@ -113,7 +111,7 @@ impl ParallelBatchReport {
 }
 
 /// A concurrent batch executor submitting query tasks to a shared
-/// work-stealing pool. Cloning shares the pool.
+/// worker pool. Cloning shares the pool.
 #[derive(Clone, Debug)]
 pub struct BatchExecutor {
     threads: usize,
@@ -170,7 +168,7 @@ impl BatchExecutor {
         self.mode
     }
 
-    /// The work-stealing pool this executor submits to.
+    /// The worker pool this executor submits to.
     pub fn scheduler(&self) -> &Arc<Scheduler> {
         &self.sched
     }
@@ -450,58 +448,6 @@ mod tests {
             .map(|o| o.as_ref().unwrap().results.len() as u64)
             .sum();
         assert_eq!(rows, report.result_rows);
-    }
-
-    #[test]
-    fn store_with_sched_dispatch_matches_undispatched() {
-        use crate::dispatch::SchedShardDispatch;
-
-        // 20 000 `y:r0` rows probe a hash table over 2 500 `y:r1` rows:
-        // a probe long enough to split into two jobs.
-        let mut b = DatasetBuilder::new();
-        for i in 0..20_000 {
-            b.add_terms(
-                &Term::iri(format!("y:s{i}")),
-                "y:r0",
-                &Term::iri(format!("y:m{}", i % 1_000)),
-            );
-        }
-        for j in 0..2_500 {
-            b.add_terms(
-                &Term::iri(format!("y:m{}", j % 1_000)),
-                "y:r1",
-                &Term::iri(format!("y:o{j}")),
-            );
-        }
-        let dataset = b.build();
-        let plain = SharedStore::new(DualStore::from_dataset(dataset.clone(), 100));
-        let dispatched = SharedStore::new(DualStore::from_dataset(dataset, 100));
-        let exec = BatchExecutor::new(4);
-        // The dispatcher shares the executor's pool: probe jobs run on
-        // the same four workers the queries do.
-        let pool = Arc::new(SchedShardDispatch::new(Arc::clone(exec.scheduler())));
-        dispatched.install_shard_dispatch(pool.clone());
-
-        // A LIMIT case pins the merged row order.
-        let queries = vec![
-            parse("SELECT ?s ?o WHERE { ?s y:r0 ?m . ?m y:r1 ?o }").unwrap(),
-            parse("SELECT ?s ?o WHERE { ?s y:r0 ?m . ?m y:r1 ?o } LIMIT 7").unwrap(),
-        ];
-        let a = exec.execute_batch(&plain, &queries);
-        let b = exec.execute_batch(&dispatched, &queries);
-        assert_eq!(a.errors, 0);
-        assert_eq!(b.errors, 0);
-        assert_eq!(a.results_digest, b.results_digest);
-        assert_eq!(a.total_work(), b.total_work());
-        assert_eq!(a.sim_tti, b.sim_tti);
-        assert_eq!(a.result_rows, b.result_rows);
-        assert!(
-            pool.dispatches() >= queries.len() as u64,
-            "every long probe must have gone through the scheduled dispatcher \
-             (saw {} dispatches)",
-            pool.dispatches()
-        );
-        assert!(pool.jobs_run() >= 2 * pool.dispatches());
     }
 
     #[test]

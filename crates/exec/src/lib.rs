@@ -10,15 +10,13 @@
 //! concurrency model in disguise:
 //!
 //! * **One worker pool for everything.** All concurrent work — query
-//!   tasks, hash-join probe ranges, DOTIL's offline counterfactual runs
-//!   (a graph run and a relational run per cost pair), checkpoint I/O —
-//!   runs on a single work-stealing
-//!   [`kgdual_sched::Scheduler`] with typed, priority-ordered task
-//!   classes. [`BatchExecutor`] submits `Query` tasks,
-//!   [`SchedShardDispatch`] submits `ShardScan` tasks onto the *same*
-//!   pool (idle query workers absorb them), and
-//!   [`ParallelRunner`] hands the pool to the tuner inside each epoch
-//!   barrier. Total live threads are bounded by the pool size.
+//!   tasks and DOTIL's offline counterfactual runs (a graph run and a
+//!   relational run per cost pair) — runs on a single FIFO
+//!   [`kgdual_sched::Scheduler`]. [`BatchExecutor`] submits `Query`
+//!   tasks, and [`ParallelRunner`] hands the same pool to the tuner
+//!   inside each epoch barrier, where it submits `OfflineTuning` tasks.
+//!   Each query runs on one worker, as one MySQL query runs on one
+//!   thread. Total live threads are bounded by the pool size.
 //! * **Shared-read online phase** — the physical design `D = ⟨T_R, T_G⟩`
 //!   is immutable while a batch runs, so any number of worker threads can
 //!   execute queries against one `&DualStore` simultaneously. Each query
@@ -67,18 +65,16 @@
 //! assert_eq!(reports.len(), 1);
 //! ```
 
-pub mod dispatch;
 pub mod executor;
 mod obs;
 pub mod runner;
 pub mod shared;
 
-pub use dispatch::SchedShardDispatch;
 pub use executor::{results_digest, BatchExecutor, ExecMode, ParallelBatchReport};
 pub use runner::ParallelRunner;
-pub use shared::SharedStore;
+pub use shared::{SchedShardDispatch, SharedStore};
 
 // The scheduling vocabulary is part of this crate's API surface
-// (executors share pools, dispatchers take them, stats assert on task
-// classes), so re-export it alongside the executors.
+// (executors share pools, stats assert on task classes), so re-export it
+// alongside the executors.
 pub use kgdual_sched::{SchedStats, Scheduler, TaskClass};

@@ -15,7 +15,8 @@ pub(crate) struct ExecObs {
     /// (reconfigure/checkpoint/restore draining in-flight batches) and
     /// the batch's read acquire waiting out a writer.
     pub epoch_wait: kgdual_obs::Histogram,
-    /// Wall time of the checkpoint capture, quiesce included.
+    /// Wall time of the checkpoint capture, the wait for in-flight
+    /// batches included.
     pub checkpoint_wall: kgdual_obs::Histogram,
 }
 

@@ -17,20 +17,17 @@
 //! after each batch, and `RDB-GDB` is `Routed` with DOTIL or a baseline
 //! tuner.
 //!
-//! The runner is also where the *one* worker pool gets shared across
-//! subsystems: hash-join probe ranges dispatch onto the executor's
-//! scheduler (no second pool, no oversubscription), and the tuner is
-//! handed the same scheduler inside the epoch barrier so independent
-//! offline work fans out over the query workers idling there.
+//! The runner is also where the *one* worker pool gets shared: the tuner
+//! is handed the executor's scheduler inside the epoch barrier, so
+//! independent offline work runs on the query workers idling there (no
+//! second pool, no oversubscription).
 
-use crate::dispatch::SchedShardDispatch;
 use crate::executor::{BatchExecutor, ParallelBatchReport};
 use crate::shared::SharedStore;
 use kgdual_core::batch::TuningSchedule;
 use kgdual_core::PhysicalTuner;
 use kgdual_graphstore::GraphBackend;
 use kgdual_sparql::Query;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Runs workloads batch by batch with concurrent online phases and
@@ -59,17 +56,11 @@ impl ParallelRunner {
     ) -> Vec<ParallelBatchReport> {
         let sched = self.executor.scheduler();
 
-        // Multi-thread executors also parallelize *inside* a query: the
-        // relational store fans large hash-join probes onto the
-        // executor's own pool — probe jobs and queries share the same
-        // workers, so total live threads never exceed the pool. Purely
-        // behavioral (no epoch bump) and metric-invariant — 1-thread
-        // runs keep the inline path.
+        // Multi-thread executors front-load the secondary-index builds
+        // instead of paying the sorts lazily inside the first batch's
+        // queries. A pure cache fill: results and work units are
+        // warm-invariant.
         if self.executor.threads() > 1 {
-            store.install_shard_dispatch(Arc::new(SchedShardDispatch::new(Arc::clone(sched))));
-            // Front-load the secondary-index builds instead of paying the
-            // sorts lazily inside the first batch's queries. A pure cache
-            // fill: results and work units are warm-invariant.
             store.read().warm_rel_indexes();
         }
 

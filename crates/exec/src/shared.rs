@@ -14,7 +14,7 @@ use bytes::Bytes;
 use kgdual_core::{persist, DualStore, PhysicalTuner, RestoreReport};
 use kgdual_graphstore::{AdjacencyBackend, GraphBackend};
 use kgdual_model::DesignError;
-use kgdual_relstore::ShardDispatch;
+use kgdual_sched::Scheduler;
 use parking_lot::{RwLock, RwLockReadGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -84,20 +84,13 @@ impl<B: GraphBackend> SharedStore<B> {
         guard
     }
 
-    /// Install the executor the relational store fans hash-join probe
-    /// ranges out with (see [`crate::SchedShardDispatch`]).
+    /// Does nothing.
     ///
-    /// Takes the write lock so the swap cannot interleave with an
-    /// in-flight batch, but does **not** advance the epoch: the
-    /// dispatcher changes how scans are scheduled, never what they
-    /// compute, so the physical design readers observe is unchanged.
-    /// [`crate::ParallelRunner`] calls this automatically for multi-thread
-    /// executors.
-    pub fn install_shard_dispatch(&self, dispatch: Arc<dyn ShardDispatch>) {
-        self.store.write().set_shard_dispatch(dispatch);
-    }
+    /// Inert: kgbench links it (`benchmark/src/sut.rs:419`); ROADMAP
+    /// 14(c)'s benchmark change deletes it.
+    pub fn install_shard_dispatch(&self, _dispatch: Arc<SchedShardDispatch>) {}
 
-    /// Quiesce the store and capture a design checkpoint.
+    /// Capture a design checkpoint once in-flight batches have drained.
     ///
     /// Takes the **write** lock — the same barrier as
     /// [`reconfigure`](SharedStore::reconfigure) — so the checkpoint waits
@@ -105,9 +98,10 @@ impl<B: GraphBackend> SharedStore<B> {
     /// observe a half-executed online phase. Unlike `reconfigure` it does
     /// not advance the epoch: a checkpoint changes no design. The current
     /// epoch is recorded in the snapshot so a restarted store resumes the
-    /// same tuning-trail position. Intended between batches (where the
-    /// write lock is free); calling it mid-batch simply blocks until the
-    /// batch drains.
+    /// same tuning-trail position. Serialisation runs on the caller's
+    /// thread, under the lock. Intended between batches (where the write
+    /// lock is free); calling it mid-batch simply blocks until the batch
+    /// drains.
     pub fn checkpoint(&self, tuner: Option<&dyn PhysicalTuner<B>>) -> Bytes {
         let wall = kgdual_obs::timer();
         let guard = self.write_timed();
@@ -116,41 +110,6 @@ impl<B: GraphBackend> SharedStore<B> {
             crate::obs::exec_obs().checkpoint_wall.record(ns);
         }
         snap
-    }
-
-    /// [`checkpoint`](SharedStore::checkpoint), with the serialization
-    /// running as a [`kgdual_sched::TaskClass::CheckpointIo`] task on the
-    /// unified worker pool.
-    ///
-    /// The quiesce is two-layered: the write acquire drains every
-    /// in-flight batch (the PR 4 hook — queries hold read guards for
-    /// their whole batch), and [`kgdual_sched::Scheduler::quiesce`] then
-    /// drains any
-    /// stray pool traffic, so the I/O task serializes a fully settled
-    /// store. Byte-identical to the inline path; the class exists so the
-    /// pool's accounting (and its priority policy — checkpoint I/O
-    /// outranks tuning, yields to online work) covers checkpointing too.
-    pub fn checkpoint_on(
-        &self,
-        sched: &kgdual_sched::Scheduler,
-        tuner: Option<&(dyn PhysicalTuner<B> + Sync)>,
-    ) -> Bytes {
-        let wall = kgdual_obs::timer();
-        let guard = self.write_timed();
-        sched.quiesce();
-        let epoch = self.epoch();
-        let mut snapshot = None;
-        sched.scope(|s| {
-            let (guard, slot) = (&*guard, &mut snapshot);
-            s.spawn(kgdual_sched::TaskClass::CheckpointIo, move || {
-                let tuner = tuner.map(|t| t as &dyn PhysicalTuner<B>);
-                *slot = Some(persist::save_checkpoint(guard, tuner, epoch));
-            });
-        });
-        if let Some(ns) = wall.elapsed_ns() {
-            crate::obs::exec_obs().checkpoint_wall.record(ns);
-        }
-        snapshot.expect("the checkpoint task must have run to completion")
     }
 
     /// Restore a checkpoint produced by [`checkpoint`](SharedStore::checkpoint)
@@ -171,6 +130,23 @@ impl<B: GraphBackend> SharedStore<B> {
         let report = persist::restore_checkpoint(&mut guard, tuner, snapshot)?;
         self.epoch.store(report.epoch, Ordering::Release);
         Ok(report)
+    }
+}
+
+/// A field-less stand-in for the deleted hash-join probe fan-out.
+///
+/// Inert: kgbench links it (`benchmark/src/sut.rs:419`); ROADMAP 14(c)'s
+/// benchmark change deletes it.
+#[derive(Debug, Default)]
+pub struct SchedShardDispatch;
+
+impl SchedShardDispatch {
+    /// Ignores `sched`.
+    ///
+    /// Inert: kgbench links it (`benchmark/src/sut.rs:419`); ROADMAP
+    /// 14(c)'s benchmark change deletes it.
+    pub fn new(_sched: Arc<Scheduler>) -> Self {
+        SchedShardDispatch
     }
 }
 
@@ -236,35 +212,22 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_checkpoint_matches_inline_and_drains_readers() {
-        use kgdual_sched::{Scheduler, TaskClass};
-
+    fn checkpoint_waits_for_readers() {
         let s = store();
         s.reconfigure(|dual| {
             let p = dual.dict().pred_id("y:bornIn").unwrap();
             dual.migrate_partition(p).unwrap();
         });
-        let sched = Scheduler::new(2);
+        let idle = s.checkpoint(None);
 
-        // Byte-identical to the inline path — the CheckpointIo class
-        // changes where the serialization runs, never what it writes.
-        let inline = s.checkpoint(None);
-        let scheduled = s.checkpoint_on(&sched, None);
-        assert_eq!(inline, scheduled);
-        assert_eq!(
-            sched.stats().executed.get(TaskClass::CheckpointIo),
-            1,
-            "serialization must run as a CheckpointIo-class task"
-        );
-
-        // Quiesce semantics: a live read guard (an in-flight batch)
-        // blocks the checkpoint at the write acquire until it drops.
+        // A live read guard (an in-flight batch) blocks the checkpoint at
+        // the write acquire until it drops.
         let entered = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|scope| {
             let guard = s.read();
-            let (sref, schedref, entered) = (&s, &sched, &entered);
+            let (sref, entered) = (&s, &entered);
             let writer = scope.spawn(move || {
-                let snap = sref.checkpoint_on(schedref, None);
+                let snap = sref.checkpoint(None);
                 entered.store(true, Ordering::SeqCst);
                 snap
             });
@@ -275,7 +238,7 @@ mod tests {
             );
             drop(guard);
             let snap = writer.join().unwrap();
-            assert_eq!(snap, inline);
+            assert_eq!(snap, idle);
         });
     }
 

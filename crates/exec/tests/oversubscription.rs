@@ -1,7 +1,7 @@
-//! A multi-thread `BatchExecutor` must not oversubscribe: queries,
-//! hash-join probe jobs, tuning measurements, and index warm-ups all run
-//! on the executor's one fixed worker pool, so the process-wide
-//! live-thread count is pinned for the whole workload.
+//! A multi-thread `BatchExecutor` must not oversubscribe: queries and
+//! DOTIL's counterfactual runs all run on the executor's one fixed
+//! worker pool, and the thread that submits them runs none itself, so
+//! the process-wide live-thread count is pinned for the whole workload.
 //!
 //! Thread accounting reads `/proc/self/status`, so the test is
 //! Linux-gated; everywhere else it compiles to nothing.
@@ -32,8 +32,8 @@ fn worker_pool_bounds_total_live_threads() {
     let baseline = live_threads();
 
     // The heaviest concurrent configuration: multi-thread executor with
-    // DOTIL tuning epochs. The runner installs the probe dispatch on the
-    // executor's own pool; tuning waves borrow the same workers.
+    // DOTIL tuning epochs, whose measurement waves borrow the same
+    // workers.
     let dataset = YagoGen::with_target_triples(4_000, 42).generate();
     let budget = dataset.len() / 4;
     let store = SharedStore::new(DualStore::<AdjacencyBackend>::from_dataset_in(

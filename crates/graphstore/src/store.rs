@@ -687,8 +687,7 @@ mod tests {
         let Compiled::Query(eq) = compile(&q, &dict).unwrap() else {
             panic!()
         };
-        let mut ctx = ExecContext::new();
-        ctx.cancel.cancel();
+        let mut ctx = ExecContext::with_work_limit(0);
         assert!(matches!(
             store.execute(&eq, &mut ctx),
             Err(GraphExecError::Cancelled { .. })

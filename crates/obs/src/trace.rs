@@ -8,11 +8,11 @@
 //! the guard is inert: no clock read, no thread-local traffic, no record.
 //!
 //! Parent linkage is thread-scoped: a span opened while another span is
-//! live on the same thread records that span as its parent. The unified
+//! live on the same thread records that span as its parent. The
 //! scheduler opens a `task` span around every task it executes and tags
 //! the thread with the task's class ([`set_task_class`]), so every span
-//! opened inside a task — query execution, probe jobs, tuning
-//! measurements, checkpoint serialization — carries both its position in
+//! opened inside a task — query execution, tuning measurements —
+//! carries both its position in
 //! the span tree and the `kgdual_sched::TaskClass`-style class name it
 //! ran under (the annotation is a plain string so this crate stays
 //! dependency-free).
@@ -46,7 +46,7 @@ pub struct SpanRecord {
     pub id: u64,
     /// Enclosing span's id on the same thread, 0 for roots.
     pub parent: u64,
-    /// Span name (e.g. `"query"`, `"shard_scan"`, `"task"`).
+    /// Span name (e.g. `"query"`, `"hash_join"`, `"task"`).
     pub name: &'static str,
     /// Scheduler task-class name the span ran under, when inside a task.
     pub class: Option<&'static str>,
@@ -247,7 +247,7 @@ thread_local! {
 
 /// Tag this thread with the scheduler task class it is currently
 /// executing (the scheduler calls this around every task). Returns the
-/// previous tag so nested/helping execution can restore it.
+/// previous tag so nested (inline) execution can restore it.
 pub fn set_task_class(class: Option<&'static str>) -> Option<&'static str> {
     TASK_CLASS.with(|c| c.replace(class))
 }
@@ -374,7 +374,7 @@ mod tests {
     use super::*;
 
     /// Tests that drain the global recorder serialize on this lock so a
-    /// concurrent drain cannot steal another test's spans.
+    /// concurrent drain cannot take another test's spans.
     fn on() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         crate::global().set_enabled(true);

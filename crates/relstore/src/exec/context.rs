@@ -1,36 +1,8 @@
-//! Execution context: statistics, cooperative cancellation, and errors.
+//! Execution context: statistics, the work limit, and errors.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Cooperative cancellation flag.
-///
-/// DOTIL's counterfactual scenario (§4.2.2, Algorithm 2) runs the complex
-/// subquery on the relational store in a parallel thread and stops it once
-/// its cost reaches `λ · c1`. Executors poll the token between row chunks.
-#[derive(Clone, Default, Debug)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Request cancellation; executors observe it at the next poll point.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// Has cancellation been requested?
-    #[inline]
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
-}
 
 /// Calibrated simulated latency per relational work unit, in nanoseconds.
 ///
@@ -112,8 +84,9 @@ impl ExecStats {
 /// Errors surfaced by query execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
-    /// The [`CancelToken`] fired. Carries the work done up to that point so
-    /// the counterfactual runner can report a partial cost.
+    /// The run reached its [`ExecContext::work_limit`]. Carries the work
+    /// done up to that point so the counterfactual runner can report a
+    /// partial cost.
     Cancelled {
         /// Work units accumulated before the cancellation was observed.
         partial_work: u64,
@@ -138,12 +111,10 @@ impl std::error::Error for ExecError {}
 #[derive(Debug, Default)]
 pub struct ResourceGovernor;
 
-/// Everything an executor needs besides the query: cancellation, a work
-/// limit, and a place to accumulate statistics.
+/// Everything an executor needs besides the query: a work limit and a
+/// place to accumulate statistics.
 #[derive(Default)]
 pub struct ExecContext {
-    /// Cancellation flag (checked between row chunks).
-    pub cancel: CancelToken,
     /// Accumulated statistics.
     pub stats: ExecStats,
     /// Self-cancel at the first poll where `stats.work_units()` reaches
@@ -152,13 +123,12 @@ pub struct ExecContext {
     /// run once its cost reaches `λ · c1`). The value is shared so that it
     /// can be published while the run is under way: the counterfactual
     /// starts its relational side at `u64::MAX`, which nothing reaches,
-    /// and its graph side stores `λ · c1` once it knows `c1`. Any `Some`,
-    /// published or not, counts as a limit.
+    /// and its graph side stores `λ · c1` once it knows `c1`.
     pub work_limit: Option<Arc<AtomicU64>>,
 }
 
 impl ExecContext {
-    /// Context with a fresh token and no work limit.
+    /// Context with no work limit.
     pub fn new() -> Self {
         Self::default()
     }
@@ -169,15 +139,7 @@ impl ExecContext {
         Self::new()
     }
 
-    /// Context with an externally controlled cancel token.
-    pub fn with_cancel(cancel: CancelToken) -> Self {
-        ExecContext {
-            cancel,
-            ..Self::default()
-        }
-    }
-
-    /// Charge `n` scanned rows (IO-ish work) and poll for cancellation.
+    /// Charge `n` scanned rows (IO-ish work) and poll the work limit.
     #[inline]
     pub fn charge_scan(&mut self, n: u64) -> Result<(), ExecError> {
         self.stats.rows_scanned += n;
@@ -219,14 +181,9 @@ impl ExecContext {
         }
     }
 
-    /// Check the cancel flag and the work limit.
+    /// Check the work limit.
     #[inline]
     pub fn poll(&self) -> Result<(), ExecError> {
-        if self.cancel.is_cancelled() {
-            return Err(ExecError::Cancelled {
-                partial_work: self.stats.work_units(),
-            });
-        }
         if let Some(limit) = &self.work_limit {
             let done = self.stats.work_units();
             if done >= limit.load(Ordering::Relaxed) {
@@ -240,15 +197,6 @@ impl ExecContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cancel_token_roundtrip() {
-        let t = CancelToken::new();
-        assert!(!t.is_cancelled());
-        let t2 = t.clone();
-        t2.cancel();
-        assert!(t.is_cancelled(), "clones share the flag");
-    }
 
     #[test]
     fn stats_work_units_weighting() {
@@ -296,11 +244,9 @@ mod tests {
 
     #[test]
     fn cancelled_context_errors_with_partial_work() {
-        let mut ctx = ExecContext::new();
-        ctx.charge_scan(10).unwrap();
-        ctx.cancel.cancel();
-        match ctx.charge_scan(1) {
-            Err(ExecError::Cancelled { partial_work }) => assert!(partial_work >= 20),
+        let mut ctx = ExecContext::with_work_limit(0);
+        match ctx.charge_scan(10) {
+            Err(ExecError::Cancelled { partial_work }) => assert_eq!(partial_work, 20),
             other => panic!("expected cancellation, got {other:?}"),
         }
     }

@@ -4,4 +4,4 @@ pub mod bindings;
 pub mod context;
 
 pub use bindings::Bindings;
-pub use context::{CancelToken, ExecContext, ExecError, ExecStats, ResourceGovernor};
+pub use context::{ExecContext, ExecError, ExecStats, ResourceGovernor};

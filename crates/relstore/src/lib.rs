@@ -13,14 +13,13 @@
 //! rests on: multi-pattern (complex) queries are answered by full partition
 //! scans feeding hash joins, so latency grows with the size of the scanned
 //! partitions; low-selectivity bound patterns use sorted permutation
-//! indexes, mirroring a real RDBMS optimizer's index-vs-scan cliff. A large
-//! hash-join probe splits into independent row ranges that `kgdual-exec`
-//! can fan out across its worker pool through a [`ShardDispatch`].
+//! indexes, mirroring a real RDBMS optimizer's index-vs-scan cliff. A
+//! query runs on its caller's thread, as a MySQL query runs on one thread.
 //!
 //! This crate also hosts the execution primitives shared with the graph
 //! store ([`exec`]): columnar bindings, execution statistics (whose IO
 //! and CPU shares the paper's Table 6 / Figure 7 experiments price), and
-//! cooperative cancellation (used by DOTIL's counterfactual thread).
+//! the work limit that stops DOTIL's counterfactual runs at `λ · c1`.
 //!
 //! Finally, [`views`] implements the `RDB-views` baseline: a
 //! frequency-based materialized-view advisor over generalized complex
@@ -28,15 +27,13 @@
 
 pub mod exec;
 pub mod planner;
-pub mod shard;
 pub mod store;
 pub mod table;
 pub mod temp;
 pub mod views;
 
-pub use exec::{Bindings, CancelToken, ExecContext, ExecError, ExecStats, ResourceGovernor};
+pub use exec::{Bindings, ExecContext, ExecError, ExecStats, ResourceGovernor};
 pub use planner::PlannerConfig;
-pub use shard::{SerialDispatch, ShardDispatch, ShardScanPart};
 pub use store::RelStore;
 pub use table::{IndexRange, PredTable, TableStats};
 pub use temp::TempSpace;

@@ -4,7 +4,6 @@
 
 use crate::exec::{Bindings, ExecContext, ExecError, ExecStats};
 use crate::planner::{self, PlannerConfig};
-use crate::shard::{ShardDispatch, ShardScanPart};
 use crate::table::{key_range, PredTable, TableStats};
 use kgdual_model::{NodeId, PartitionSet, PredId, SharedPairs, Triple};
 use kgdual_sparql::{EncPattern, EncodedQuery, PredSlot, Slot, VarId};
@@ -22,9 +21,6 @@ pub struct RelStore {
     tables: Vec<(PredId, PredTable)>,
     rows: usize,
     cfg: PlannerConfig,
-    /// Optional parallel executor for hash-join probe ranges (installed
-    /// by `kgdual-exec`; `None` probes inline).
-    dispatch: Option<Arc<dyn ShardDispatch>>,
 }
 
 impl RelStore {
@@ -44,15 +40,6 @@ impl RelStore {
     /// The planner configuration in use.
     pub fn config(&self) -> &PlannerConfig {
         &self.cfg
-    }
-
-    /// Install (or replace) the executor for hash-join probe ranges.
-    /// `kgdual-exec` installs its pooled dispatcher here so large probes
-    /// fan out across its worker threads; without one they run inline.
-    /// Either way the result rows, their order, and every work-unit
-    /// charge are identical — the dispatcher changes wall clock only.
-    pub fn set_shard_dispatch(&mut self, dispatch: Arc<dyn ShardDispatch>) {
-        self.dispatch = Some(dispatch);
     }
 
     /// Build every non-empty partition's secondary indexes and statistics
@@ -261,7 +248,7 @@ impl RelStore {
                         self.inl_extend(a, pat, ctx)?
                     } else {
                         let delta = self.materialize_pattern(pat, ctx)?;
-                        hash_join_dispatch(a, &delta, ctx, self.join_dispatch(ctx).as_ref())?
+                        hash_join(a, &delta, ctx)?
                     }
                 }
             };
@@ -418,21 +405,6 @@ impl RelStore {
             }
         }
         Ok(out)
-    }
-
-    /// The dispatcher for parallel hash-join probes: the probe splits its
-    /// input into ranges and rides them as `ShardScan`-class jobs. The
-    /// merge sums job stats without polling, so a work-limited context
-    /// (DOTIL's λ cutoff) fanned out could finish at or above its limit
-    /// and still report "not truncated"; it keeps the serial probe, which
-    /// polls after every charge. A limit not yet published counts: it may
-    /// be published while the probe runs.
-    fn join_dispatch(&self, ctx: &ExecContext) -> Option<Arc<dyn ShardDispatch>> {
-        if ctx.work_limit.is_none() {
-            self.dispatch.clone()
-        } else {
-            None
-        }
     }
 
     /// Index-nested-loop extension of `acc` by one bound pattern.
@@ -735,76 +707,14 @@ impl BuildTable {
     }
 }
 
-/// A built hash table and the probe side it joins, with the column maps
-/// both need.
-struct HashProbe<'a> {
-    build: &'a Bindings,
-    probe: &'a Bindings,
-    table: &'a BuildTable,
-    build_key_cols: &'a [usize],
-    probe_key_cols: &'a [usize],
-    right_new_cols: &'a [usize],
-    build_left: bool,
-}
-
-impl HashProbe<'_> {
-    /// Probe rows `[start, end)` of `probe` against the built hash table,
-    /// appending output rows to `out` and returning the number joined.
-    /// Shared by the serial probe loop and the dispatcher-parallel probe
-    /// jobs; does not charge (callers own the charge discipline).
-    fn probe_range(&self, start: usize, end: usize, out: &mut Bindings) -> u64 {
-        let HashProbe {
-            build,
-            probe,
-            table,
-            build_key_cols,
-            probe_key_cols,
-            right_new_cols,
-            build_left,
-        } = *self;
-        let mut row_buf: Vec<NodeId> = Vec::with_capacity(out.width());
-        let mut joined = 0u64;
-        for pi in start..end {
-            let prow = probe.row(pi);
-            for &bi in table.bucket(prow, probe_key_cols) {
-                let brow = build.row(bi as usize);
-                // Exact key equality: a bucket holds every key hashed to it.
-                if !build_key_cols
-                    .iter()
-                    .zip(probe_key_cols)
-                    .all(|(&bc, &pc)| brow[bc] == prow[pc])
-                {
-                    continue;
-                }
-                let (lrow, rrow) = if build_left {
-                    (brow, prow)
-                } else {
-                    (prow, brow)
-                };
-                joined += 1;
-                row_buf.clear();
-                row_buf.extend_from_slice(lrow);
-                for &c in right_new_cols {
-                    row_buf.push(rrow[c]);
-                }
-                out.push_row(&row_buf);
-            }
-        }
-        joined
-    }
-}
-
 /// Hash join of two binding tables on their shared variables (cartesian
-/// product when they share none), with an optional dispatcher that
-/// splits large probe inputs into contiguous ranges and runs them as
-/// `ShardScan`-class jobs on the unified scheduler, merging the output
-/// blocks back in range order — identical rows, row order, and charge
-/// totals to the serial probe, wall clock only changes.
-pub(crate) fn hash_join_dispatch(
+/// product when they share none): build on the smaller side, then probe
+/// a batch at a time, charging the batch's probes up front and its output
+/// rows after.
+pub(crate) fn hash_join(
     left: &Bindings,
     right: &Bindings,
     ctx: &mut ExecContext,
-    dispatch: Option<&Arc<dyn ShardDispatch>>,
 ) -> Result<Bindings, ExecError> {
     let _span = kgdual_obs::span!("hash_join");
     let shared: Vec<VarId> = left
@@ -826,11 +736,11 @@ pub(crate) fn hash_join_dispatch(
             i
         })
         .collect();
-    let mut out = Bindings::new(schema.clone());
+    let mut out = Bindings::new(schema);
+    let mut row_buf = Vec::with_capacity(out.width());
 
     if shared.is_empty() {
         // Cartesian product.
-        let mut row_buf = Vec::with_capacity(left.width() + right_new_cols.len());
         for lrow in left.rows() {
             for rrow in right.rows() {
                 ctx.charge_join(1)?;
@@ -858,71 +768,36 @@ pub(crate) fn hash_join_dispatch(
 
     let table = BuildTable::build(build, &build_key_cols, ctx)?;
 
-    let joiner = HashProbe {
-        build,
-        probe,
-        table: &table,
-        build_key_cols: &build_key_cols,
-        probe_key_cols: &probe_key_cols,
-        right_new_cols: &right_new_cols,
-        build_left,
-    };
-
-    // Probe ranges big enough to be worth a task each; the range split is
-    // a pure function of the probe length, so the fan-out (and the merge
-    // order) is deterministic.
-    const PROBE_JOB_ROWS: usize = 4 * BATCH;
-    let par_jobs = probe.len().div_ceil(PROBE_JOB_ROWS);
-    if par_jobs > 1 {
-        if let Some(dispatch) = dispatch {
-            kgdual_vec::vec_obs().probe_dispatches.inc();
-            let job = |j: usize| -> ShardScanPart {
-                let _span = kgdual_obs::span!("hash_join", probe_job = j);
-                let start = j * PROBE_JOB_ROWS;
-                let end = (start + PROBE_JOB_ROWS).min(probe.len());
-                let mut local = ExecContext::with_cancel(ctx.cancel.clone());
-                let mut part = ShardScanPart {
-                    rows: Bindings::new(schema.clone()),
-                    ..ShardScanPart::default()
-                };
-                for bstart in (start..end).step_by(BATCH) {
-                    let bend = (bstart + BATCH).min(end);
-                    if local.charge_probe((bend - bstart) as u64).is_err() {
-                        part.cancelled = true;
-                        break;
-                    }
-                    let joined = joiner.probe_range(bstart, bend, &mut part.rows);
-                    kgdual_vec::note_join_batch(joined as usize);
-                    if local.charge_join(joined).is_err() {
-                        part.cancelled = true;
-                        break;
-                    }
-                }
-                part.stats = local.stats;
-                part
-            };
-            let parts = dispatch.run_jobs(par_jobs, &job);
-            let mut cancelled = false;
-            for part in parts {
-                ctx.stats.merge(&part.stats);
-                cancelled |= part.cancelled;
-                out.append(&part.rows);
-            }
-            if cancelled {
-                return Err(ExecError::Cancelled {
-                    partial_work: ctx.stats.work_units(),
-                });
-            }
-            return Ok(out);
-        }
-    }
-
-    // Serial probe: per batch, one probe charge up front and one join
-    // charge for the batch's outputs.
     for start in (0..probe.len()).step_by(BATCH) {
         let end = (start + BATCH).min(probe.len());
         ctx.charge_probe((end - start) as u64)?;
-        let joined = joiner.probe_range(start, end, &mut out);
+        let mut joined = 0u64;
+        for pi in start..end {
+            let prow = probe.row(pi);
+            for &bi in table.bucket(prow, &probe_key_cols) {
+                let brow = build.row(bi as usize);
+                // Exact key equality: a bucket holds every key hashed to it.
+                if !build_key_cols
+                    .iter()
+                    .zip(&probe_key_cols)
+                    .all(|(&bc, &pc)| brow[bc] == prow[pc])
+                {
+                    continue;
+                }
+                let (lrow, rrow) = if build_left {
+                    (brow, prow)
+                } else {
+                    (prow, brow)
+                };
+                joined += 1;
+                row_buf.clear();
+                row_buf.extend_from_slice(lrow);
+                for &c in &right_new_cols {
+                    row_buf.push(rrow[c]);
+                }
+                out.push_row(&row_buf);
+            }
+        }
         kgdual_vec::note_join_batch(joined as usize);
         ctx.charge_join(joined)?;
     }
@@ -1150,8 +1025,7 @@ mod tests {
         let Compiled::Query(eq) = compile(&q, &dict).unwrap() else {
             panic!()
         };
-        let mut ctx = ExecContext::new();
-        ctx.cancel.cancel();
+        let mut ctx = ExecContext::with_work_limit(0);
         assert!(matches!(
             store.execute(&eq, &mut ctx),
             Err(ExecError::Cancelled { .. })
@@ -1254,23 +1128,13 @@ mod tests {
         assert_eq!(store.partition_len(PredId(0)), 0);
     }
 
-    /// Copy a store's data into a fresh store with [`SerialDispatch`]
-    /// installed.
-    ///
-    /// [`SerialDispatch`]: crate::shard::SerialDispatch
-    fn dispatched_copy(store: &RelStore) -> RelStore {
-        let mut out = RelStore::new();
-        for p in store.preds() {
-            out.load_partition(p, store.table(p).unwrap().scan());
-        }
-        out.set_shard_dispatch(Arc::new(crate::shard::SerialDispatch));
-        out
-    }
-
     #[test]
     fn warm_indexes_is_a_pure_cache_fill() {
         let (store, dict) = academic_store();
-        let mut warmed_store = dispatched_copy(&store);
+        let mut warmed_store = RelStore::new();
+        for p in store.preds() {
+            warmed_store.load_partition(p, store.table(p).unwrap().scan());
+        }
 
         // A warm builds every cold table exactly once.
         let warmed = warmed_store.warm_indexes();
@@ -1322,139 +1186,6 @@ mod tests {
     }
 
     #[test]
-    fn work_limited_contexts_keep_the_serial_union_path() {
-        // DOTIL's λ cutoff depends on sequentially accumulated work, so a
-        // work-limited context must not take a dispatched path: its
-        // partial_work at the cutoff must equal the dispatcher-free one.
-        let (store, dict) = academic_store();
-        let dispatched = dispatched_copy(&store);
-        let q = parse("SELECT ?s WHERE { ?s ?pred ?o }").unwrap();
-        let Compiled::Query(eq) = compile(&q, &dict).unwrap() else {
-            panic!()
-        };
-        let limit = 10;
-        let mut plain_ctx = ExecContext::with_work_limit(limit);
-        let Err(ExecError::Cancelled { partial_work: a }) = store.execute(&eq, &mut plain_ctx)
-        else {
-            panic!("limit of {limit} must cancel")
-        };
-        let mut dispatched_ctx = ExecContext::with_work_limit(limit);
-        let Err(ExecError::Cancelled { partial_work: b }) =
-            dispatched.execute(&eq, &mut dispatched_ctx)
-        else {
-            panic!("limit of {limit} must cancel")
-        };
-        assert_eq!(
-            a, b,
-            "λ-cutoff accounting must not depend on the dispatcher"
-        );
-    }
-
-    /// Runs jobs inline and counts them; with `cancel_after` set, cancels
-    /// that token once the first job has returned.
-    #[derive(Debug, Default)]
-    struct CountingDispatch {
-        jobs: std::sync::atomic::AtomicUsize,
-        cancel_after: Option<crate::CancelToken>,
-    }
-
-    impl ShardDispatch for CountingDispatch {
-        fn run_jobs(
-            &self,
-            jobs: usize,
-            job: &(dyn Fn(usize) -> ShardScanPart + Sync),
-        ) -> Vec<ShardScanPart> {
-            (0..jobs)
-                .map(|i| {
-                    self.jobs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let part = job(i);
-                    if let Some(token) = &self.cancel_after {
-                        token.cancel();
-                    }
-                    part
-                })
-                .collect()
-        }
-    }
-
-    const PROBE_ROWS: u32 = 20_000;
-
-    /// `?x y:p0 ?y . ?y y:p1 ?z`: 2 500 `y:p1` rows are too many for an
-    /// index nested loop over 20 000 `y:p0` rows, so the join hashes
-    /// `y:p1` and probes with all of `y:p0`: five batches, two jobs.
-    fn probe_heavy_join() -> (RelStore, kgdual_sparql::EncodedQuery) {
-        let mut store = RelStore::new();
-        assert!(PROBE_ROWS as usize > 4 * BATCH);
-        for i in 0..PROBE_ROWS {
-            store.insert(t(i, 0, 100_000 + i % 1_000));
-        }
-        for j in 0..2_500 {
-            store.insert(t(100_000 + j % 1_000, 1, j));
-        }
-        let mut dict = Dictionary::new();
-        for p in ["y:p0", "y:p1"] {
-            dict.encode_pred(p).unwrap();
-        }
-        let q = parse("SELECT ?x ?z WHERE { ?x y:p0 ?y . ?y y:p1 ?z }").unwrap();
-        let Compiled::Query(eq) = compile(&q, &dict).unwrap() else {
-            panic!()
-        };
-        (store, eq)
-    }
-
-    #[test]
-    fn dispatched_hash_join_probe_matches_serial_probe() {
-        let (store, eq) = probe_heavy_join();
-        let mut serial_ctx = ExecContext::new();
-        let serial = store.execute(&eq, &mut serial_ctx).unwrap();
-        assert!(serial.len() > PROBE_ROWS as usize);
-
-        let mut dispatched = dispatched_copy(&store);
-        let mut ctx = ExecContext::new();
-        assert_eq!(dispatched.execute(&eq, &mut ctx).unwrap(), serial);
-        assert_eq!(ctx.stats, serial_ctx.stats);
-
-        // The probe really fanned out, and only an unlimited context does.
-        let counting = Arc::new(CountingDispatch::default());
-        dispatched.set_shard_dispatch(counting.clone());
-        let mut ctx = ExecContext::new();
-        assert_eq!(dispatched.execute(&eq, &mut ctx).unwrap(), serial);
-        assert_eq!(ctx.stats, serial_ctx.stats);
-        assert_eq!(counting.jobs.load(std::sync::atomic::Ordering::Relaxed), 2);
-        let limit = serial_ctx.stats.work_units() / 2;
-        let mut limited = ExecContext::with_work_limit(limit);
-        let mut serial_limited = ExecContext::with_work_limit(limit);
-        let want = store.execute(&eq, &mut serial_limited).map(|b| b.len());
-        assert!(matches!(want, Err(ExecError::Cancelled { .. })));
-        assert_eq!(dispatched.execute(&eq, &mut limited).map(|b| b.len()), want);
-        assert_eq!(limited.stats, serial_limited.stats);
-        assert_eq!(counting.jobs.load(std::sync::atomic::Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn dispatched_hash_join_probe_observes_cancellation() {
-        let (store, eq) = probe_heavy_join();
-        let mut serial_ctx = ExecContext::new();
-        store.execute(&eq, &mut serial_ctx).unwrap();
-
-        // Cancelled after the first probe job: the error carries the scans,
-        // the build, the first job's whole probe and the second job's
-        // first charge.
-        let mut dispatched = dispatched_copy(&store);
-        let mut ctx = ExecContext::new();
-        dispatched.set_shard_dispatch(Arc::new(CountingDispatch {
-            cancel_after: Some(ctx.cancel.clone()),
-            ..CountingDispatch::default()
-        }));
-        let Err(ExecError::Cancelled { partial_work }) = dispatched.execute(&eq, &mut ctx) else {
-            panic!("a cancel between probe jobs must cancel the query");
-        };
-        assert_eq!(partial_work, ctx.stats.work_units());
-        assert!(ctx.stats.index_probes > 4 * BATCH as u64);
-        assert!(partial_work < serial_ctx.stats.work_units());
-    }
-
-    #[test]
     fn work_limited_scans_take_the_batched_path() {
         // There is one executor: a λ-cutoff run gathers through the same
         // batch kernels as every other run.
@@ -1480,7 +1211,7 @@ mod tests {
         let mut r = Bindings::new(vec![1]);
         r.push_row(&[NodeId(7)]);
         let mut ctx = ExecContext::new();
-        let j = hash_join_dispatch(&l, &r, &mut ctx, None).unwrap();
+        let j = hash_join(&l, &r, &mut ctx).unwrap();
         assert_eq!(j.len(), 2);
         assert_eq!(j.vars(), &[0, 1]);
         assert_eq!(j.row(0), &[NodeId(1), NodeId(7)]);
@@ -1495,7 +1226,7 @@ mod tests {
         r.push_row(&[NodeId(1), NodeId(2), NodeId(9)]);
         r.push_row(&[NodeId(1), NodeId(9), NodeId(8)]);
         let mut ctx = ExecContext::new();
-        let j = hash_join_dispatch(&l, &r, &mut ctx, None).unwrap();
+        let j = hash_join(&l, &r, &mut ctx).unwrap();
         assert_eq!(j.len(), 1);
         assert_eq!(j.row(0), &[NodeId(1), NodeId(2), NodeId(9)]);
     }
@@ -1566,26 +1297,14 @@ mod tests {
         (out, stats)
     }
 
-    /// Join `left` with `right` serially and through a dispatcher, and
-    /// check both against the nested-loop reference: same rows, same row
-    /// order, same charges.
+    /// Join `left` with `right` and check the result against the
+    /// nested-loop reference: same rows, same row order, same charges.
     fn assert_matches_reference(left: &Bindings, right: &Bindings, case: &str) {
         let (want, want_stats) = nested_loop_reference(left, right);
-        let dispatch: Arc<dyn ShardDispatch> = Arc::new(crate::shard::SerialDispatch);
-        for dispatch in [None, Some(&dispatch)] {
-            let mut ctx = ExecContext::new();
-            let got = hash_join_dispatch(left, right, &mut ctx, dispatch).unwrap();
-            let path = if dispatch.is_some() {
-                "dispatched"
-            } else {
-                "serial"
-            };
-            assert_eq!(got, want, "{case}, {path} probe: rows or row order differ");
-            assert_eq!(
-                ctx.stats, want_stats,
-                "{case}, {path} probe: charges differ"
-            );
-        }
+        let mut ctx = ExecContext::new();
+        let got = hash_join(left, right, &mut ctx).unwrap();
+        assert_eq!(got, want, "{case}: rows or row order differ");
+        assert_eq!(ctx.stats, want_stats, "{case}: charges differ");
     }
 
     #[test]
@@ -1620,10 +1339,10 @@ mod tests {
                 .any(|&i| build.row(i as usize)[1] != build.row(ids[0] as usize)[1])
         });
         assert!(shared, "the case must put two distinct keys in one bucket");
-        // More probe rows than one dispatched probe job takes.
+        // A probe side of several batches, the last one partial.
         let build = keyed_rows(vec![0, 1], 500, 3_000, 7);
         let probe = keyed_rows(vec![1, 2], 4 * BATCH + 100, 3_000, 8);
-        assert_matches_reference(&build, &probe, "dispatched probe jobs");
+        assert_matches_reference(&build, &probe, "multi-batch probe");
     }
 
     #[test]
@@ -1632,7 +1351,7 @@ mod tests {
         let probe = keyed_rows(vec![1, 2], 4 * BATCH, 1 << 20, 10);
         let cancelled_at = |limit: u64| {
             let mut ctx = ExecContext::with_work_limit(limit);
-            match hash_join_dispatch(&build, &probe, &mut ctx, None) {
+            match hash_join(&build, &probe, &mut ctx) {
                 Err(ExecError::Cancelled { partial_work }) => (partial_work, ctx.stats),
                 Ok(_) => panic!("a limit of {limit} inside the build must cancel"),
             }

@@ -183,7 +183,8 @@ impl ServeClient {
         Ok((r.status, r.body_str()?.to_owned()))
     }
 
-    /// `POST /checkpoint` — live snapshot through the quiesce hook.
+    /// `POST /checkpoint` — live snapshot taken under the store's write
+    /// lock.
     pub fn checkpoint(&mut self) -> Result<(u16, String), ClientError> {
         let r = self.roundtrip("POST", "/checkpoint", None)?;
         Ok((r.status, r.body_str()?.to_owned()))

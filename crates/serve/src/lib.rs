@@ -7,9 +7,7 @@
 //! (no crates.io access in this environment — see `shims/README.md`)
 //! that accepts a continuous stream of queries from many concurrent
 //! clients and executes each one on its connection's thread under a
-//! shared read guard, with no whole-batch barrier on the serving path;
-//! hash-join probe fan-out still runs on the shared work-stealing
-//! scheduler.
+//! shared read guard, with no whole-batch barrier on the serving path.
 //!
 //! The crate is organised as:
 //!
@@ -30,7 +28,7 @@
 //! | `/query` | POST | execute one SPARQL query (JSON in, rows + stats out) |
 //! | `/health` | GET | liveness: status, epoch, pending depth, drain flag |
 //! | `/metrics` | GET | `kgdual-obs` snapshot (Prometheus; `?format=json` for JSON) plus serve latency percentiles |
-//! | `/checkpoint` | POST | live design checkpoint through the quiesce hook |
+//! | `/checkpoint` | POST | live design checkpoint under the store's write lock |
 //! | `/shutdown` | POST | request a graceful drain-and-exit |
 //!
 //! ## Overload semantics

@@ -4,8 +4,7 @@
 //! `/query` request on the thread that owns its connection — there is no
 //! whole-batch barrier anywhere on this path, which is the point of the
 //! subsystem: queries from many concurrent clients interleave freely
-//! under one shared read guard, and a query's probe fan-out still runs
-//! on the work-stealing pool the batch executor uses.
+//! under one shared read guard.
 //!
 //! A connection carries one request at a time, so handing its query to
 //! a pool worker and waiting for it would buy no concurrency, only a
@@ -176,14 +175,17 @@ pub struct ServeHandle {
 pub struct Server;
 
 impl Server {
-    /// Bind `config.addr` and start serving `store` on `sched`.
+    /// Bind `config.addr` and start serving `store`.
     ///
     /// Spawns one accept thread plus one (detached) handler thread per
     /// connection; a query executes on its connection's thread, and
-    /// `sched` runs its probe fan-out and `/checkpoint`.
+    /// `/checkpoint` serialises on its connection's thread too.
+    ///
+    /// `_sched` is inert: kgbench links it (`benchmark/src/sut.rs:459`);
+    /// ROADMAP 14(c)'s benchmark change deletes it.
     pub fn start<B>(
         store: Arc<SharedStore<B>>,
-        sched: Arc<Scheduler>,
+        _sched: Arc<Scheduler>,
         config: ServeConfig,
     ) -> std::io::Result<ServeHandle>
     where
@@ -208,7 +210,7 @@ impl Server {
         let accept_thread = std::thread::Builder::new()
             .name("serve-accept".into())
             .spawn(move || {
-                accept_loop(listener, accept_inner, store, sched, config);
+                accept_loop(listener, accept_inner, store, config);
             })?;
 
         Ok(ServeHandle {
@@ -345,7 +347,6 @@ fn accept_loop<B>(
     listener: TcpListener,
     inner: Arc<Inner>,
     store: Arc<SharedStore<B>>,
-    sched: Arc<Scheduler>,
     config: ServeConfig,
 ) where
     B: GraphBackend + Send + Sync + 'static,
@@ -388,7 +389,6 @@ fn accept_loop<B>(
         let served = Served {
             inner: Arc::clone(&inner),
             store: Arc::clone(&store),
-            sched: Arc::clone(&sched),
             config: config.clone(),
         };
         let spawned = std::thread::Builder::new()
@@ -409,7 +409,6 @@ fn accept_loop<B>(
 struct Served<B: GraphBackend> {
     inner: Arc<Inner>,
     store: Arc<SharedStore<B>>,
-    sched: Arc<Scheduler>,
     config: ServeConfig,
 }
 
@@ -463,7 +462,6 @@ where
     let Served {
         inner,
         store,
-        sched,
         config,
     } = served;
     match (request.method.as_str(), request.path.as_str()) {
@@ -527,11 +525,10 @@ where
                 );
                 return false;
             }
-            // Rides PR 4's quiesce hook: takes the store's write lock
-            // (waiting out in-flight queries), runs serialization as a
-            // CheckpointIo-class task, then service resumes — a live
-            // snapshot without stopping the server.
-            let snapshot = store.checkpoint_on(sched, None);
+            // Takes the store's write lock (waiting out in-flight
+            // queries) and serialises on this thread, then service
+            // resumes — a live snapshot without stopping the server.
+            let snapshot = store.checkpoint(None);
             let body = format!(
                 "{{\"status\":\"ok\",\"bytes\":{},\"epoch\":{}}}",
                 snapshot.len(),
@@ -628,10 +625,9 @@ where
 {
     let wall = kgdual_obs::timer();
     // The request's root span: everything this request causes — the
-    // admission decision, the query-class execution on this thread, and
-    // its ShardScan fan-out (linked across the spawn via the scheduler's
-    // parent capture) — hangs off this span id, so a drained trace
-    // reconstructs one rooted tree per request.
+    // admission decision and the query-class execution on this thread —
+    // hangs off this span id, so a drained trace reconstructs one rooted
+    // tree per request.
     let _req_span = kgdual_obs::span!("request");
     let parsed = request
         .body_str()
@@ -780,7 +776,7 @@ where
             None
         } else {
             // Tag the thread as the scheduler tags a Query task, so the
-            // spans below and the fan-out they parent look the same.
+            // spans below look the same as a pooled query's.
             let prev_class = kgdual_obs::set_task_class(Some(TaskClass::Query.name()));
             let result = {
                 let _task = kgdual_obs::span!("task", class = TaskClass::Query as usize);

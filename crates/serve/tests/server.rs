@@ -105,7 +105,8 @@ fn served_queries_match_direct_execution_and_ops_endpoints_answer() {
     assert_eq!(code, 200);
     assert!(json.trim_start().starts_with('{'), "json metrics: {json}");
 
-    // Live checkpoint through the quiesce hook, service continues after.
+    // Live checkpoint under the store's write lock, service continues
+    // after.
     let (code, ckpt) = client.checkpoint().unwrap();
     assert_eq!(code, 200, "checkpoint: {ckpt}");
     assert!(ckpt.contains("\"status\":\"ok\""));

@@ -15,9 +15,6 @@ pub struct VecObs {
     pub scan_batches: kgdual_obs::Counter,
     /// Vectorized join batches processed.
     pub join_batches: kgdual_obs::Counter,
-    /// Hash-join probes fanned out to the installed dispatcher (probe
-    /// ranges ride `ShardScan` tasks on the unified scheduler).
-    pub probe_dispatches: kgdual_obs::Counter,
     /// Estimate-vs-actual q-error of scan-family operators (rounded to
     /// the nearest integer ratio; fed per profiled query by
     /// [`crate::plan::record_q_errors`]).
@@ -36,7 +33,6 @@ pub fn vec_obs() -> &'static VecObs {
             join_batch_rows: m.histogram("vec_join_batch_rows"),
             scan_batches: m.counter("vec_scan_batches"),
             join_batches: m.counter("vec_join_batches"),
-            probe_dispatches: m.counter("vec_probe_dispatches"),
             plan_qerror_scan: m.histogram("plan_qerror_scan"),
             plan_qerror_join: m.histogram("plan_qerror_join"),
         }

@@ -26,9 +26,8 @@
 //!
 //! Capture is a thread-local session ([`begin_capture`]/[`end_capture`])
 //! owned by the processor: both stores' operators run on the query's
-//! task thread (parallel probe jobs return their rows to
-//! that coordinator, which records the totals), so no locking is needed
-//! and concurrent queries cannot interleave captures. With no capture
+//! task thread, so no locking is needed and concurrent queries cannot
+//! interleave captures. With no capture
 //! active every hook is one thread-local flag test.
 
 use std::cell::{Cell, RefCell};

@@ -446,10 +446,9 @@ proptest! {
     /// if the work it charges while executing reaches `L`, and otherwise
     /// return the unlimited run's rows and work exactly. The result-row
     /// charge lands after the last poll, so that threshold is the total
-    /// work `W` minus `rows_output`. Checked on the relational store
-    /// without and with a dispatcher installed, which a limited run must
-    /// not fan its hash-join probes out on, and on the graph store with
-    /// every partition resident, which charges a morsel at a time.
+    /// work `W` minus `rows_output`. Checked on the relational store, and
+    /// on the graph store with every partition resident, which charges a
+    /// morsel at a time.
     #[test]
     fn work_limit_cuts_off_iff_charged_work_reaches_it(
         triples in prop::collection::vec((0u8..12, 0u8..4, 0u8..12), 1..60),
@@ -459,7 +458,7 @@ proptest! {
         ),
     ) {
         use kgdual::graphstore::GraphExecError;
-        use kgdual::relstore::{ExecError, SerialDispatch};
+        use kgdual::relstore::ExecError;
         let dataset = dataset_from(&triples);
         let total = dataset.len();
         let mut dual = DualStore::from_dataset(dataset, total);
@@ -467,13 +466,10 @@ proptest! {
         let Compiled::Query(eq) = compile(&parse(&src).unwrap(), dual.dict()).unwrap() else {
             return Ok(());
         };
-        let mut dispatched = RelStore::new();
         let preds: Vec<_> = dual.rel().preds().collect();
-        for &p in &preds {
-            dispatched.load_partition(p, dual.rel().table(p).unwrap().scan());
+        for p in preds {
             dual.migrate_partition(p).unwrap();
         }
-        dispatched.set_shard_dispatch(std::sync::Arc::new(SerialDispatch));
 
         let eq = &eq;
         let rel = |store: &RelStore, ctx: &mut ExecContext| match store.execute(eq, ctx) {
@@ -488,7 +484,6 @@ proptest! {
         let mut unlimited = ExecContext::new();
         let rows = rel(dual.rel(), &mut unlimited).unwrap();
         check_work_limit(&src, &rows, &unlimited, |ctx| rel(dual.rel(), ctx))?;
-        check_work_limit(&src, &rows, &unlimited, |ctx| rel(&dispatched, ctx))?;
         let mut unlimited = ExecContext::new();
         let rows = graph(&mut unlimited).unwrap();
         check_work_limit(&src, &rows, &unlimited, graph)?;
