@@ -66,9 +66,6 @@ fn run(args: &BenchArgs) {
         args.describe()
     );
     let store = Arc::new(SharedStore::new(DualStore::from_dataset(dataset, budget)));
-    if args.threads > 1 {
-        store.read().warm_rel_indexes();
-    }
     // Log the size of the query pool that replays against this store
     // (the pool is derived, not served).
     eprintln!(

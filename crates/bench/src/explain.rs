@@ -58,9 +58,6 @@ pub fn profile(args: &BenchArgs) -> Profile {
     let mut tuner = Dotil::with_config(DotilConfig::default());
     let executor = BatchExecutor::new(args.threads);
     let sched = Arc::clone(executor.scheduler());
-    if args.threads > 1 {
-        store.read().warm_rel_indexes();
-    }
     for batch in &batches {
         let report = executor.execute_batch(&store, batch);
         assert_eq!(report.errors, 0, "healthy tuning pass");

@@ -212,7 +212,6 @@ fn served_explain_analyze_matches_in_process_plan() {
         .collect();
     let store = Arc::new(SharedStore::new(fresh_dual()));
     let sched = Arc::new(Scheduler::new(4));
-    store.read().warm_rel_indexes();
 
     let server = Server::start(
         Arc::clone(&store),

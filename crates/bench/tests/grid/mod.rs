@@ -361,11 +361,7 @@ impl Life {
         let runner = ParallelRunner::new(TuningSchedule::AfterEachBatch, executor);
         let store = Arc::new(SharedStore::new(fresh_dual()));
         let server = (cell.transport == Transport::Wire).then(|| {
-            // What `ParallelRunner::run` sets up for an in-process batch.
             let sched = runner.executor.scheduler();
-            if cell.workers > 1 {
-                store.read().warm_rel_indexes();
-            }
             Server::start(
                 Arc::clone(&store),
                 Arc::clone(sched),

@@ -106,7 +106,6 @@ fn local_outcomes(args: &BenchArgs, queries: &[String]) -> Vec<Option<QueryOutco
     let budget = dataset.len() / 4;
     let store = SharedStore::new(DualStore::from_dataset(dataset, budget));
     let sched = Arc::new(Scheduler::new(args.threads));
-    store.read().warm_rel_indexes();
     let parsed: Vec<_> = queries
         .iter()
         .map(|q| kgdual_sparql::parse(q).expect("pool query parses"))

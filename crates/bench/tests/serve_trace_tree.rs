@@ -47,7 +47,6 @@ fn served_request_spans_form_one_rooted_tree_across_task_classes() {
         DualStore::<AdjacencyBackend>::from_dataset_in(dataset, budget),
     ));
     let sched = Arc::new(Scheduler::new(4));
-    store.read().warm_rel_indexes();
 
     let server = Server::start(
         Arc::clone(&store),

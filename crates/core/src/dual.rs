@@ -67,43 +67,29 @@ pub struct DualStore<B: GraphBackend = AdjacencyBackend> {
 
 /// Default-backend constructors. These live on the concrete type so that
 /// `DualStore::from_dataset(ds, 100)` keeps inferring
-/// `B = AdjacencyBackend` at every call site; the generic `*_in`
-/// equivalents below serve generic code.
+/// `B = AdjacencyBackend` at every call site; generic code calls
+/// [`from_dataset_in`](DualStore::from_dataset_in).
 impl DualStore<AdjacencyBackend> {
     /// Build from a dataset with graph budget `B_G` given in triples.
     pub fn from_dataset(ds: Dataset, budget: usize) -> Self {
         Self::from_dataset_in(ds, budget)
     }
 
-    /// Build with an explicit budget as a *ratio* of the dataset size
-    /// (`r_{B_G}` in the paper's Table 4; default there is 25%).
-    pub fn from_dataset_ratio(ds: Dataset, ratio: f64) -> Self {
-        Self::from_dataset_ratio_in(ds, ratio)
-    }
-
-    /// Fully parameterized constructor.
+    /// Build with explicit planner settings (ablations).
     pub fn from_dataset_with(ds: Dataset, budget: usize, planner: PlannerConfig) -> Self {
-        Self::from_dataset_with_in(ds, budget, planner)
+        let mut dual = Self::from_dataset_in(ds, budget);
+        dual.rel.set_config(planner);
+        dual
     }
 }
 
 impl<B: GraphBackend> DualStore<B> {
     /// Build from a dataset with graph budget `B_G` given in triples, on
-    /// the chosen backend: `DualStore::<B>::from_dataset_in(..)`.
+    /// the chosen backend: `DualStore::<B>::from_dataset_in(..)`. `T_R`
+    /// takes every partition, sorting its indexes as it loads.
     pub fn from_dataset_in(ds: Dataset, budget: usize) -> Self {
-        Self::from_dataset_with_in(ds, budget, PlannerConfig::default())
-    }
-
-    /// Ratio-budget constructor on the chosen backend (`r_{B_G}`, Table 4).
-    pub fn from_dataset_ratio_in(ds: Dataset, ratio: f64) -> Self {
-        let budget = (ds.len() as f64 * ratio).floor() as usize;
-        Self::from_dataset_in(ds, budget)
-    }
-
-    /// Fully parameterized constructor on the chosen backend.
-    pub fn from_dataset_with_in(ds: Dataset, budget: usize, planner: PlannerConfig) -> Self {
         let (dict, parts) = ds.into_parts();
-        let mut rel = RelStore::with_config(planner);
+        let mut rel = RelStore::new();
         rel.load_partition_set(&parts);
         DualStore {
             dict,
@@ -119,10 +105,11 @@ impl<B: GraphBackend> DualStore<B> {
     /// counter at construction and redrawn after every successful
     /// [`insert`](Self::insert) and every [`delete`](Self::delete) that
     /// removed a row, so two stores never share a version. Migration,
-    /// eviction, design restore and index warm-up change
-    /// residency or caches, not triples, and keep it. Anything that is a
-    /// pure function of the triples (DOTIL's counterfactual cost pairs)
-    /// stays valid for as long as this value does.
+    /// eviction and design restore change residency, not triples, and
+    /// keep it; `T_R`'s indexes are built with its tables and are not a
+    /// state of their own. Anything that is a pure function of the
+    /// triples (DOTIL's counterfactual cost pairs) stays valid for as
+    /// long as this value does.
     pub fn data_version(&self) -> u64 {
         self.data_version
     }
@@ -170,11 +157,12 @@ impl<B: GraphBackend> DualStore<B> {
         self.views.rebuild(&self.rel, &self.dict)
     }
 
-    /// Eagerly build `T_R`'s secondary indexes and statistics (see
-    /// [`RelStore::warm_indexes`]). A cache fill only: every query result
-    /// and work-unit charge is identical with or without warming.
+    /// Does nothing and returns 0: `T_R` builds its indexes and
+    /// statistics as it loads, so there is nothing left to warm. It exists
+    /// only because the `kgbench` benchmark calls it; ROADMAP item 14's
+    /// benchmark change deletes it.
     pub fn warm_rel_indexes(&self) -> usize {
-        self.rel.warm_indexes()
+        0
     }
 
     /// Mutable backend access for design restore (crate-internal: going
@@ -222,7 +210,7 @@ impl<B: GraphBackend> DualStore<B> {
         }
         // T_R's two sorted indexes are the CSR's two runs: no copy, no sort.
         self.graph
-            .load_sorted(pred, &table.s_index(), &table.o_index())?;
+            .load_sorted(pred, table.s_index(), table.o_index())?;
         Ok(())
     }
 
@@ -417,8 +405,11 @@ mod tests {
 
     #[test]
     fn ratio_budget() {
-        let dual = DualStore::from_dataset_ratio(dataset(), 0.25);
-        assert_eq!(dual.graph().budget(), 3); // floor(15 * 0.25)
+        // `r_{B_G}` (Table 4) as a budget in triples: floor(15 * 0.25).
+        let ds = dataset();
+        let budget = (ds.len() as f64 * 0.25).floor() as usize;
+        let dual = DualStore::from_dataset(ds, budget);
+        assert_eq!(dual.graph().budget(), 3);
     }
 
     #[test]
@@ -548,8 +539,6 @@ mod tests {
         dual.restore_design(&snapshot).unwrap();
         assert!(dual.graph().is_loaded(born));
         assert_eq!(dual.data_version(), v0, "restore_design");
-        dual.warm_rel_indexes();
-        assert_eq!(dual.data_version(), v0, "index warm-up");
 
         // Writes that change the triples draw a fresh version.
         let t = dual

@@ -74,12 +74,6 @@ pub trait PhysicalTuner<B: GraphBackend = AdjacencyBackend> {
         self.tune(dual, batch)
     }
 
-    /// Optional warm-up with historical queries (the paper warms DOTIL up
-    /// to soften the Q-learning cold start). Default: one tuning pass.
-    fn warm_up(&mut self, dual: &mut DualStore<B>, history: &[Query]) -> TuningOutcome {
-        self.tune(dual, history)
-    }
-
     /// Serialize the tuner's learned state (Q-matrices, counters, …) for a
     /// design checkpoint ([`crate::persist`]). `None` — the default —
     /// means the tuner is stateless and a checkpoint records only the
@@ -132,8 +126,5 @@ mod tests {
         assert_eq!(out, TuningOutcome::default());
         assert_eq!(dual.graph().used(), 0);
         assert_eq!(PhysicalTuner::<AdjacencyBackend>::name(&t), "noop");
-        // Default warm_up delegates to tune.
-        let out = t.warm_up(&mut dual, &[]);
-        assert_eq!(out.migrated, 0);
     }
 }

@@ -72,12 +72,6 @@ pub struct ParallelBatchReport {
     pub routes: RouteCounts,
     /// Queries that failed (stays 0 in healthy runs).
     pub errors: usize,
-    /// Largest per-temp-space peak of §3.3 staging, in storage units.
-    /// Temp spaces are pooled per batch and reused across queries; the
-    /// peak is a high-water mark, so with one worker this equals the
-    /// serial peak, and with N workers the *sum* of per-space peaks
-    /// bounds the transient footprint.
-    pub temp_peak_units: usize,
     /// Outcome of the offline tuning phase attached to this batch by the
     /// runner (zero when the executor is used directly).
     pub tuning: TuningOutcome,
@@ -163,11 +157,6 @@ impl BatchExecutor {
         self.threads
     }
 
-    /// Configured execution mode.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
     /// The worker pool this executor submits to.
     pub fn scheduler(&self) -> &Arc<Scheduler> {
         &self.sched
@@ -214,8 +203,7 @@ impl BatchExecutor {
 
         // One slot per query keeps submission order independent of
         // completion order; pooled temp spaces are reused across the
-        // queries a worker drains (their peaks are high-water marks, so
-        // pooling preserves the exact per-batch peak).
+        // queries a worker drains.
         let slots: Vec<Mutex<Option<QueryOutcome>>> =
             queries.iter().map(|_| Mutex::new(None)).collect();
         let errors = AtomicUsize::new(0);
@@ -264,12 +252,6 @@ impl BatchExecutor {
             report.sim_tti += out.simulated_latency();
             report.routes.record(out.route);
         }
-        report.temp_peak_units = temps
-            .into_inner()
-            .iter()
-            .map(TempSpace::peak_units)
-            .max()
-            .unwrap_or(0);
         report.results_digest = results_digest(&report.outcomes);
         if !self.keep_outcomes {
             report.outcomes = Vec::new();

@@ -56,14 +56,6 @@ impl ParallelRunner {
     ) -> Vec<ParallelBatchReport> {
         let sched = self.executor.scheduler();
 
-        // Multi-thread executors front-load the secondary-index builds
-        // instead of paying the sorts lazily inside the first batch's
-        // queries. A pure cache fill: results and work units are
-        // warm-invariant.
-        if self.executor.threads() > 1 {
-            store.read().warm_rel_indexes();
-        }
-
         // Tuning epochs get the same pool: the query workers are idle
         // for exactly the write-lock window, so the tuner's offline work
         // (DOTIL's counterfactual runs, two per cost pair) borrows them
@@ -174,6 +166,7 @@ mod tests {
         assert!(reports[0].tuning.migrated > 0);
         assert_eq!(reports[1].epoch, 1);
         assert!(reports[1].routes.graph > 0);
+        assert!(reports[1].graph_work_share() > 0.0);
         assert!(ParallelRunner::total_work(&reports) > 0);
         let _ = ParallelRunner::total_wall(&reports);
         let _ = ParallelRunner::total_sim_tti(&reports);
@@ -214,5 +207,19 @@ mod tests {
         assert_eq!(reports[1].routes.graph, 0);
         assert_eq!(reports[1].graph_work_share(), 0.0);
         assert_eq!(reports[1].epoch, 0, "no tuning, no epochs");
+    }
+
+    #[test]
+    fn noop_tuner_keeps_everything_relational() {
+        let store = store();
+        let runner = ParallelRunner::new(TuningSchedule::AfterEachBatch, BatchExecutor::new(2));
+        let reports = runner.run(&store, &mut NoopTuner, &batches());
+        assert_eq!(reports[0].tuning, TuningOutcome::default());
+        assert_eq!(reports[1].routes.graph, 0);
+        assert_eq!(reports[1].graph_work_share(), 0.0);
+        assert_eq!(
+            reports[1].epoch, 1,
+            "a tuning epoch ran and changed nothing"
+        );
     }
 }

@@ -1080,7 +1080,7 @@ mod tests {
         for (pred, rows) in (0..).map(p).zip(&partitions) {
             let table = PredTable::from_pairs(rows.clone());
             from_runs
-                .load_sorted(pred, &table.s_index(), &table.o_index())
+                .load_sorted(pred, table.s_index(), table.o_index())
                 .unwrap();
             let mut shuffled = rows.clone();
             for j in (1..shuffled.len()).rev() {

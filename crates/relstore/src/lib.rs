@@ -35,6 +35,6 @@ pub mod views;
 pub use exec::{Bindings, ExecContext, ExecError, ExecStats, ResourceGovernor};
 pub use planner::PlannerConfig;
 pub use store::RelStore;
-pub use table::{IndexRange, PredTable, TableStats};
+pub use table::{PredTable, TableStats};
 pub use temp::TempSpace;
 pub use views::{MatView, RebuildReport, ViewCatalog};

@@ -4,7 +4,7 @@
 
 use crate::exec::{Bindings, ExecContext, ExecError, ExecStats};
 use crate::planner::{self, PlannerConfig};
-use crate::table::{key_range, PredTable, TableStats};
+use crate::table::{PredTable, TableStats};
 use kgdual_model::{NodeId, PartitionSet, PredId, SharedPairs, Triple};
 use kgdual_sparql::{EncPattern, EncodedQuery, PredSlot, Slot, VarId};
 use kgdual_vec::{cost, plan, EmitSrc, BATCH};
@@ -15,7 +15,9 @@ use std::sync::Arc;
 ///
 /// Stores the *entire* knowledge graph in the dual-store design and is the
 /// only store that accepts updates directly (the paper keeps `T_R` complete
-/// regardless of what is mirrored into the graph store).
+/// regardless of what is mirrored into the graph store). Each table sorts
+/// its two indexes and counts its statistics when it is loaded, and writes
+/// splice them (see [`PredTable`]), so a loaded store needs no warm-up.
 #[derive(Debug, Default)]
 pub struct RelStore {
     tables: Vec<(PredId, PredTable)>,
@@ -29,30 +31,16 @@ impl RelStore {
         Self::default()
     }
 
-    /// An empty store with explicit planner settings (ablations).
-    pub fn with_config(cfg: PlannerConfig) -> Self {
-        RelStore {
-            cfg,
-            ..Self::default()
-        }
+    /// Swap the planner settings (ablations). They steer only how later
+    /// queries are planned: the tables, their indexes and their
+    /// statistics do not depend on them.
+    pub fn set_config(&mut self, cfg: PlannerConfig) {
+        self.cfg = cfg;
     }
 
     /// The planner configuration in use.
     pub fn config(&self) -> &PlannerConfig {
         &self.cfg
-    }
-
-    /// Build every non-empty partition's secondary indexes and statistics
-    /// now instead of lazily on first lookup (see [`PredTable::warm`]).
-    /// Purely a cache fill — results, row order, and charged work are
-    /// untouched; a warmed store just pays no sort cost on its first
-    /// post-(re)load lookups. Returns how many tables had indexes to
-    /// build.
-    pub fn warm_indexes(&self) -> usize {
-        self.tables
-            .iter()
-            .filter(|(_, t)| !t.is_empty() && t.warm())
-            .count()
     }
 
     /// The table for `pred`, created empty on first touch.
@@ -97,7 +85,7 @@ impl RelStore {
     }
 
     /// Insert a single triple: an append, plus a sorted splice into each
-    /// index the partition has already built (see [`PredTable::insert`])
+    /// of the partition's two indexes (see [`PredTable::insert`])
     /// — cheap updates are the relational store's headline strength in
     /// the paper.
     pub fn insert(&mut self, t: Triple) {
@@ -458,8 +446,6 @@ impl RelStore {
         }
         let mut out = Bindings::with_capacity(schema, acc.len());
 
-        let s_index = table.s_index();
-        let o_index = table.o_index();
         let mut row_buf: Vec<NodeId> = Vec::with_capacity(acc.width() + new_vars);
 
         // Charged per 4096-row batch: one probe per input row up front,
@@ -481,13 +467,13 @@ impl RelStore {
                     Src::New => None,
                 };
                 let matches: &[(NodeId, NodeId)] = match (s_val, o_val) {
-                    (Some(s), _) => &s_index[key_range(&s_index, s)],
-                    (None, Some(o)) => &o_index[key_range(&o_index, o)],
+                    (Some(s), _) => table.lookup_s(s),
+                    (None, Some(o)) => table.lookup_o(o),
                     (None, None) => unreachable!("INL requires a bound endpoint"),
                 };
                 probed += matches.len() as u64;
                 for &(k, v) in matches {
-                    // `s_index` yields (s, o); `o_index` yields (o, s).
+                    // `lookup_s` yields (s, o); `lookup_o` yields (o, s).
                     let (ms, mo) = if s_val.is_some() { (k, v) } else { (v, k) };
                     if let Some(s) = s_val {
                         if ms != s {
@@ -1051,14 +1037,15 @@ mod tests {
     #[test]
     fn force_scans_config_disables_indexes() {
         let (store, dict) = academic_store();
-        let mut forced = RelStore::with_config(PlannerConfig {
-            force_scans: true,
-            ..PlannerConfig::default()
-        });
+        let mut forced = RelStore::new();
         // Copy data over.
         for p in store.preds() {
             forced.load_partition(p, store.table(p).unwrap().scan());
         }
+        forced.set_config(PlannerConfig {
+            force_scans: true,
+            ..PlannerConfig::default()
+        });
         let q = parse("SELECT ?p WHERE { ?p y:wasBornIn y:Ulm }").unwrap();
         let Compiled::Query(eq) = compile(&q, &dict).unwrap() else {
             panic!()
@@ -1126,63 +1113,6 @@ mod tests {
         assert!(!store.preds().any(|p| p == PredId(0)));
         assert!(store.table(PredId(0)).is_some(), "entry survives for reuse");
         assert_eq!(store.partition_len(PredId(0)), 0);
-    }
-
-    #[test]
-    fn warm_indexes_is_a_pure_cache_fill() {
-        let (store, dict) = academic_store();
-        let mut warmed_store = RelStore::new();
-        for p in store.preds() {
-            warmed_store.load_partition(p, store.table(p).unwrap().scan());
-        }
-
-        // A warm builds every cold table exactly once.
-        let warmed = warmed_store.warm_indexes();
-        assert!(warmed > 0, "fresh tables must be cold");
-        assert_eq!(warmed_store.warm_indexes(), 0, "second warm finds no work");
-
-        // Identical results and work charges to a never-warmed store.
-        let q = parse(
-            "SELECT ?p WHERE { ?p y:wasBornIn ?city . ?p y:hasAcademicAdvisor ?a . ?a y:wasBornIn ?city }",
-        )
-        .unwrap();
-        let Compiled::Query(eq) = compile(&q, &dict).unwrap() else {
-            panic!()
-        };
-        let mut cold_ctx = ExecContext::new();
-        let cold = store.execute(&eq, &mut cold_ctx).unwrap();
-        let mut warm_ctx = ExecContext::new();
-        let warm = warmed_store.execute(&eq, &mut warm_ctx).unwrap();
-        assert_eq!(cold, warm);
-        assert_eq!(cold_ctx.stats, warm_ctx.stats);
-
-        // Single-row writes keep a warm table warm: its indexes and
-        // statistics are spliced in place, not dropped.
-        let pred = warmed_store.preds().next().unwrap();
-        let t = Triple {
-            s: NodeId(9000),
-            p: pred,
-            o: NodeId(9001),
-        };
-        warmed_store.insert(t);
-        assert_eq!(
-            warmed_store.warm_indexes(),
-            0,
-            "an insert leaves nothing to re-warm"
-        );
-        assert_eq!(warmed_store.delete(t), 1);
-        assert_eq!(
-            warmed_store.warm_indexes(),
-            0,
-            "a delete leaves nothing to re-warm"
-        );
-        // Only a bulk append re-cools, and only the table it touched.
-        warmed_store.load_partition(pred, &[(t.s, t.o)]);
-        assert_eq!(
-            warmed_store.warm_indexes(),
-            1,
-            "only the bulk-loaded table re-warms"
-        );
     }
 
     #[test]
