@@ -200,7 +200,10 @@ impl<B: GraphBackend> DualStore<B> {
 
     /// Migrate one partition from the relational store into the graph
     /// store (the tuner's `migrate(T_set, relStore, graphStore)`; the
-    /// relational copy is kept, per §4.2.1).
+    /// relational copy is kept, per §4.2.1). The graph store adopts the
+    /// table's sorted runs by cloning their `Arc`: no edge array is
+    /// allocated, and the first single-edge write to the partition copies
+    /// it once, so each store then holds its own.
     pub fn migrate_partition(&mut self, pred: PredId) -> Result<(), CoreError> {
         let Some(table) = self.rel.table(pred) else {
             return Err(CoreError::UnknownPartition(pred));
@@ -208,13 +211,12 @@ impl<B: GraphBackend> DualStore<B> {
         if table.is_empty() {
             return Err(CoreError::UnknownPartition(pred));
         }
-        // T_R's two sorted indexes are the CSR's two runs: no copy, no sort.
-        self.graph
-            .load_sorted(pred, table.s_index(), table.o_index())?;
+        self.graph.load_runs(pred, Arc::clone(table.runs()))?;
         Ok(())
     }
 
-    /// Evict one partition from the graph store; returns its size.
+    /// Evict one partition from the graph store; returns its size. The
+    /// graph store drops its reference to the runs; `T_R` keeps its own.
     pub fn evict_partition(&mut self, pred: PredId) -> usize {
         self.graph.evict_partition(pred)
     }
@@ -286,8 +288,8 @@ impl<B: GraphBackend> DualStore<B> {
     /// truncation, and future versions all return a typed
     /// [`DesignError`](kgdual_model::DesignError) without mutating
     /// anything — then residency is replayed partition by partition
-    /// through the backend, which rebuilds its index and bills the
-    /// bulk-import price.
+    /// through [`Self::migrate_partition`], which shares `T_R`'s runs
+    /// again and bills the bulk-import price.
     pub fn restore_design(
         &mut self,
         snapshot: &[u8],

@@ -19,7 +19,7 @@
 //! Restore **replays** residency through the live backend rather than
 //! deserializing backend memory: each persisted partition is re-migrated
 //! from `T_R` via [`DualStore::migrate_partition`], so the graph store
-//! rebuilds its rows and bills the bulk-import price
+//! takes `T_R`'s sorted runs again and bills the bulk-import price
 //! ([`BULK_IMPORT_COST_PER_TRIPLE`](kgdual_graphstore::store::BULK_IMPORT_COST_PER_TRIPLE))
 //! into its import stats — restart cost stays visible.
 //!
@@ -284,8 +284,8 @@ fn plan_restore<B: GraphBackend>(
 /// validation error — truncation, corruption, a future version, the
 /// wrong dataset or budget, a foreign tuner — is returned before the
 /// store or tuner is touched. On success the graph side is reset and the
-/// persisted residency set is replayed through the backend (fresh index
-/// build + import billing).
+/// persisted residency set is replayed through the backend (`T_R`'s runs
+/// shared again + import billing).
 ///
 /// Atomicity note: validation proves every replayed migration fits, but
 /// [`DualStore::migrate_partition`] still returns a `Result`. Should it

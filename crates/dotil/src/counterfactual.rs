@@ -25,8 +25,9 @@
 //!
 //! A [`CostPair`] depends only on the subquery's encoded patterns, λ and
 //! the triples of the partitions it reads: complex subqueries have
-//! constant predicates, `T_R` is always complete and `T_G` holds copies,
-//! so residency never enters it. `Dotil` memoises pairs per shape for one
+//! constant predicates, `T_R` is always complete and a resident
+//! partition holds the same edges as its table, so residency never
+//! enters it. `Dotil` memoises pairs per shape for one
 //! `DualStore::data_version` and measures only its misses — a shape that
 //! recurs between writes runs Algorithm 2 once.
 

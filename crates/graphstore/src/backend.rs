@@ -17,7 +17,7 @@
 //! digests, DOTIL's tuning trail) are functions of the *logical* store
 //! content, not of memory layout: the matcher charges work from reported
 //! sizes only, and enumeration follows the canonical order the
-//! [enumeration-order](crate::topology) contract fixes (ascending ids), so even
+//! [enumeration-order](kgdual_relstore::runs) contract fixes (ascending ids), so even
 //! LIMIT-truncated queries pick the same rows whatever the layout.
 //! Import effort is billed at
 //! [`BULK_IMPORT_COST_PER_TRIPLE`](crate::store::BULK_IMPORT_COST_PER_TRIPLE)
@@ -27,8 +27,9 @@
 
 use crate::store::{GraphExecError, GraphStoreError, ImportStats};
 use kgdual_model::{NodeId, PredId, Triple};
-use kgdual_relstore::{Bindings, ExecContext};
+use kgdual_relstore::{Bindings, ExecContext, SortedRuns};
 use kgdual_sparql::EncodedQuery;
+use std::sync::Arc;
 
 /// A budget-constrained native graph substrate, holding a subset of the
 /// knowledge graph's triple partitions (`T_G` in the paper) and answering
@@ -64,7 +65,7 @@ pub trait GraphBackend: Send + Sync + std::fmt::Debug {
     }
 
     /// Resident partitions and their sizes, ascending by predicate id
-    /// (canonical order, like every [`CsrView`](crate::CsrView)
+    /// (canonical order, like every [`CsrView`](kgdual_relstore::CsrView)
     /// enumeration — callers compare designs byte for byte).
     fn resident_partitions(&self) -> Vec<(PredId, usize)>;
 
@@ -75,30 +76,19 @@ pub trait GraphBackend: Send + Sync + std::fmt::Debug {
     fn import_stats(&self) -> ImportStats;
 
     /// Bulk-load a whole partition (the tuner's `migrate` operation),
-    /// enforcing the budget, from the same edge multiset in two orders:
-    /// `by_s` as `(s, o)` pairs and `by_o` as `(o, s)` pairs, each sorted
-    /// ascending — the relational store's two permutation indexes. Each
-    /// graph direction is built in one linear pass over its run.
-    fn load_sorted(
-        &mut self,
-        pred: PredId,
-        by_s: &[(NodeId, NodeId)],
-        by_o: &[(NodeId, NodeId)],
-    ) -> Result<(), GraphStoreError>;
+    /// enforcing the budget: the store holds `runs` itself. Migration
+    /// hands in the relational table's own `Arc`, so no edge is copied;
+    /// the first single-edge write to either store's copy un-shares it.
+    fn load_runs(&mut self, pred: PredId, runs: Arc<SortedRuns>) -> Result<(), GraphStoreError>;
 
-    /// Bulk-load a whole partition from `(s, o)` pairs in any order: sorts
-    /// one copy per direction and hands them to
-    /// [`load_sorted`](Self::load_sorted).
+    /// Bulk-load a whole partition from `(s, o)` pairs in any order: builds
+    /// its runs and hands them to [`load_runs`](Self::load_runs).
     fn load_partition(
         &mut self,
         pred: PredId,
         pairs: &[(NodeId, NodeId)],
     ) -> Result<(), GraphStoreError> {
-        let mut by_s = pairs.to_vec();
-        by_s.sort_unstable();
-        let mut by_o: Vec<(NodeId, NodeId)> = pairs.iter().map(|&(s, o)| (o, s)).collect();
-        by_o.sort_unstable();
-        self.load_sorted(pred, &by_s, &by_o)
+        self.load_runs(pred, Arc::new(SortedRuns::from_pairs(pairs)))
     }
 
     /// Evict a partition (the tuner's `evict` operation); returns its size.

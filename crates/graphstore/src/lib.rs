@@ -7,9 +7,10 @@
 //! reproduced here:
 //!
 //! 1. **Adjacency lookups cost the traversal range** ([`store`]): every
-//!    resident partition is held as forward and reverse compressed sparse
-//!    rows, so a node's neighbours under one predicate are a binary
-//!    search plus a slice, and traversal cost is proportional to the
+//!    resident partition is the relational table's own forward and
+//!    reverse compressed sparse rows ([`kgdual_relstore::SortedRuns`],
+//!    shared behind an `Arc`), so a node's neighbours under one predicate
+//!    are a binary search plus a slice, and traversal cost is proportional to the
 //!    traversal range (candidate edges × degrees), not to the total graph
 //!    size. Complex queries are answered by a frontier matcher
 //!    ([`matcher`]) that extends bindings a bounded morsel at a time
@@ -27,16 +28,15 @@
 //! [`backend::GraphBackend`], the contract the rest of the system uses
 //! (budget accounting, partition load/evict, edge insert/delete, pattern
 //! execution), and exposes the sorted-rows/statistics view the matcher
-//! traverses ([`topology`]). The matcher derives every work charge from
-//! reported sizes, so work units — and with them DOTIL's learned designs
+//! traverses ([`kgdual_relstore::CsrView`], whose module states the
+//! cost-parity and enumeration-order contracts). The matcher derives
+//! every work charge from reported sizes, so work units — and with them DOTIL's learned designs
 //! and every deterministic harness metric — depend on the logical store
 //! content only.
 
 pub mod backend;
 pub mod matcher;
 pub mod store;
-pub mod topology;
 
 pub use backend::GraphBackend;
 pub use store::{AdjacencyBackend, GraphExecError, GraphStore, GraphStoreError, ImportStats};
-pub use topology::{CsrView, PartitionStats};

@@ -15,21 +15,17 @@
 //! row — Leapfrog Triejoin's step (Veldhuizen, ICDT 2014) — while a lone
 //! candidate is looked up in its own row.
 //!
-//! Charges follow the [cost-parity contract](crate::topology), summed per morsel:
+//! Charges follow the [cost-parity contract](kgdual_relstore::runs), summed per morsel:
 //! `len + 1` probes per row lookup, one probe per closing candidate, one
 //! scanned row per seed edge, one join per result row — what a
 //! binding-at-a-time traversal charges. Under LIMIT each morsel below the
 //! seed is one input row, so the limit is reached in depth-first order.
 
 use crate::store::{GraphExecError, GraphStore};
-use crate::topology::CsrView;
 use kgdual_model::{NodeId, PredId};
-use kgdual_relstore::{Bindings, ExecContext, ExecError};
+use kgdual_relstore::{Bindings, CsrView, ExecContext, ExecError};
 use kgdual_sparql::{EncPattern, EncodedQuery, PredSlot, Slot, VarId};
-use kgdual_vec::{
-    cost::{self, Card},
-    plan, BATCH,
-};
+use kgdual_vec::{cost, plan, BATCH};
 
 /// Execute a compiled BGP against the graph store.
 pub fn execute(
@@ -105,13 +101,7 @@ fn bound_estimate(index: &GraphStore, pat: &EncPattern, bound: &[VarId]) -> f64 
         PredSlot::Const(p) => {
             // The relational planner prices its tables with the same
             // formulas, so the two planners agree value for value.
-            let st = index.partition_stats(p);
-            let card = Card {
-                rows: st.edges,
-                distinct_s: st.distinct_s,
-                distinct_o: st.distinct_o,
-            };
-            cost::bound_cardinality(card, s_bound, o_bound)
+            cost::bound_cardinality(index.partition_stats(p), s_bound, o_bound)
         }
         PredSlot::Var(_) => cost::var_pred_cardinality(index.edge_count(), s_bound || o_bound),
     }
@@ -148,9 +138,10 @@ enum Put {
 /// gallops forward from it, so ascending keys cost the distance between
 /// them; a descending key is searched from the start.
 fn find<'a>(rows: CsrView<'a>, at: &mut usize, key: NodeId) -> &'a [NodeId] {
-    let descends = *at > 0 && rows.keys[*at - 1] >= key;
-    *at = gallop(rows.keys, if descends { 0 } else { *at }, key);
-    match rows.keys.get(*at) == Some(&key) {
+    let keys = rows.keys();
+    let descends = *at > 0 && keys[*at - 1] >= key;
+    *at = gallop(keys, if descends { 0 } else { *at }, key);
+    match keys.get(*at) == Some(&key) {
         true => rows.row_at(*at),
         false => &[],
     }
@@ -371,12 +362,13 @@ impl<'a> Step<'a> {
             }
             let (start, end) = (cur.edge, fwd.len().min(cur.edge + BATCH));
             charge(ctx.charge_scan((end - start) as u64))?;
-            let mut key = fwd.offsets.partition_point(|&off| off <= start) - 1;
-            for (e, &o) in (start..end).zip(&fwd.nbrs[start..end]) {
-                while fwd.offsets[key + 1] <= e {
+            let (keys, offsets) = (fwd.keys(), fwd.offsets());
+            let mut key = offsets.partition_point(|&off| off as usize <= start) - 1;
+            for (e, &o) in (start..end).zip(&fwd.nbrs()[start..end]) {
+                while offsets[key + 1] as usize <= e {
                     key += 1;
                 }
-                push_edge(&self.put, out, parent, [fwd.keys[key], NodeId(id.0), o]);
+                push_edge(&self.put, out, parent, [keys[key], NodeId(id.0), o]);
             }
             cur.edge = end;
             return Ok(());

@@ -4,24 +4,25 @@
 //! Every resident partition is held as two **compressed sparse rows** — a
 //! forward CSR keyed by subject and a reverse CSR keyed by object, each a
 //! sorted key array, an offset array and one packed, sorted neighbour
-//! array. A neighbour lookup is a binary search over the partition's
-//! distinct keys plus a slice, `O(log keys + matches)` however large the
-//! rest of the graph is — the property the paper leans on ("the time
-//! complexity of graph traversal \[is\] positively related to the
-//! traversal range but irrelevant to the entire graph size"). A
-//! single-edge write splices into them in place. A partition load builds
-//! each direction in one linear pass over a sorted run: migration hands in
-//! the relational store's two sorted indexes, so nothing is copied or
-//! re-sorted on the way.
+//! array ([`SortedRuns`]). A neighbour lookup is a binary search over the
+//! partition's distinct keys plus a slice, `O(log keys + matches)` however
+//! large the rest of the graph is — the property the paper leans on ("the
+//! time complexity of graph traversal \[is\] positively related to the
+//! traversal range but irrelevant to the entire graph size"). The runs sit
+//! behind an `Arc`: migration hands in the relational table's own runs, so
+//! a resident partition is the same memory as `T_R`'s indexes until a
+//! single-edge write to either store un-shares it (`Arc::make_mut`), and
+//! eviction drops one reference.
 
 use crate::backend::GraphBackend;
 use crate::matcher;
-use crate::topology::{CsrView, PartitionStats};
 use kgdual_model::fx::FxHashMap;
-use kgdual_model::{NodeId, PredId, Triple};
-use kgdual_relstore::{Bindings, ExecContext, ExecError};
+use kgdual_model::{PredId, Triple};
+use kgdual_relstore::{Bindings, CsrView, ExecContext, ExecError, SortedRuns};
 use kgdual_sparql::EncodedQuery;
+use kgdual_vec::cost::Card;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Work-unit cost to import one triple during a bulk partition load.
 /// Deliberately high relative to a relational append (cost 1): Neo4j-style
@@ -120,138 +121,6 @@ impl std::fmt::Display for GraphExecError {
 
 impl std::error::Error for GraphExecError {}
 
-/// One compressed-sparse-rows direction: `keys` are the sorted distinct
-/// row nodes, `offsets[i]..offsets[i+1]` delimits row `i`'s slice of the
-/// packed (sorted) neighbour array. Duplicate edges are kept adjacent
-/// (bag semantics, like the relational store).
-#[derive(Debug, Clone)]
-struct Csr {
-    keys: Vec<NodeId>,
-    offsets: Vec<usize>,
-    nbrs: Vec<NodeId>,
-}
-
-impl Default for Csr {
-    fn default() -> Self {
-        Csr {
-            keys: Vec::new(),
-            offsets: vec![0],
-            nbrs: Vec::new(),
-        }
-    }
-}
-
-impl Csr {
-    /// Build from `(row, neighbour)` pairs already in ascending order:
-    /// one linear pass, no copy of the input and no sort.
-    fn from_sorted(sorted: &[(NodeId, NodeId)]) -> Self {
-        debug_assert!(
-            sorted.windows(2).all(|w| w[0] <= w[1]),
-            "input must be sorted"
-        );
-        let mut csr = Csr {
-            nbrs: Vec::with_capacity(sorted.len()),
-            ..Csr::default()
-        };
-        for &(k, v) in sorted {
-            if csr.keys.last() != Some(&k) {
-                csr.keys.push(k);
-                csr.offsets.push(csr.nbrs.len());
-            }
-            csr.nbrs.push(v);
-            // The open row's end offset tracks the packed length.
-            *csr.offsets.last_mut().expect("offsets nonempty") += 1;
-        }
-        debug_assert_eq!(csr.offsets.len(), csr.keys.len() + 1);
-        csr
-    }
-
-    /// Packed edge count.
-    fn len(&self) -> usize {
-        self.nbrs.len()
-    }
-
-    fn view(&self) -> CsrView<'_> {
-        CsrView {
-            keys: &self.keys,
-            offsets: &self.offsets,
-            nbrs: &self.nbrs,
-        }
-    }
-
-    /// Splice one neighbour into `k`'s row, keeping every array sorted:
-    /// a `memmove` behind the position plus one increment per later row.
-    fn insert(&mut self, k: NodeId, v: NodeId) {
-        let i = match self.keys.binary_search(&k) {
-            Ok(i) => i,
-            Err(i) => {
-                self.keys.insert(i, k);
-                self.offsets.insert(i + 1, self.offsets[i]);
-                i
-            }
-        };
-        let row_start = self.offsets[i];
-        let pos = row_start + self.nbrs[row_start..self.offsets[i + 1]].partition_point(|&n| n < v);
-        self.nbrs.insert(pos, v);
-        for off in &mut self.offsets[i + 1..] {
-            *off += 1;
-        }
-    }
-
-    /// Remove every copy of `v` from `k`'s row; returns how many were
-    /// removed. An emptied row drops its key, so distinct counts stay
-    /// exact without a recount.
-    fn remove_all(&mut self, k: NodeId, v: NodeId) -> usize {
-        let Ok(i) = self.keys.binary_search(&k) else {
-            return 0;
-        };
-        let (start, end) = (self.offsets[i], self.offsets[i + 1]);
-        let lo = start + self.nbrs[start..end].partition_point(|&n| n < v);
-        let hi = start + self.nbrs[start..end].partition_point(|&n| n <= v);
-        let removed = hi - lo;
-        if removed == 0 {
-            return 0;
-        }
-        self.nbrs.drain(lo..hi);
-        for off in &mut self.offsets[i + 1..] {
-            *off -= removed;
-        }
-        if self.offsets[i] == self.offsets[i + 1] {
-            self.keys.remove(i);
-            self.offsets.remove(i + 1);
-        }
-        removed
-    }
-}
-
-/// One resident partition: forward (subject-keyed) and reverse
-/// (object-keyed) CSR over the same edge multiset.
-#[derive(Debug, Clone)]
-struct CsrPartition {
-    fwd: Csr,
-    rev: Csr,
-}
-
-impl CsrPartition {
-    /// Both directions from the partition's `(s, o)`- and `(o, s)`-sorted
-    /// runs.
-    fn from_sorted(by_s: &[(NodeId, NodeId)], by_o: &[(NodeId, NodeId)]) -> Self {
-        debug_assert_eq!(by_s.len(), by_o.len(), "one edge multiset, two orders");
-        CsrPartition {
-            fwd: Csr::from_sorted(by_s),
-            rev: Csr::from_sorted(by_o),
-        }
-    }
-
-    fn stats(&self) -> PartitionStats {
-        PartitionStats {
-            edges: self.fwd.len(),
-            distinct_s: self.fwd.keys.len(),
-            distinct_o: self.rev.keys.len(),
-        }
-    }
-}
-
 /// The native graph store: holds a budget-constrained subset of the
 /// knowledge graph's triple partitions (`T_G` in the paper) and answers
 /// complex subqueries over them by traversal. Its interface is its
@@ -261,7 +130,7 @@ impl CsrPartition {
 #[derive(Debug, Default)]
 pub struct GraphStore {
     budget: usize,
-    parts: FxHashMap<PredId, CsrPartition>,
+    parts: FxHashMap<PredId, Arc<SortedRuns>>,
     /// Resident predicates in ascending order, maintained on load/evict:
     /// [`GraphStore::preds`] hands it out, so it is never re-sorted per
     /// lookup.
@@ -282,10 +151,10 @@ impl GraphStore {
 
     /// Cardinality statistics of one predicate's partition (zero if not
     /// loaded).
-    pub fn partition_stats(&self, pred: PredId) -> PartitionStats {
+    pub fn partition_stats(&self, pred: PredId) -> Card {
         self.parts
             .get(&pred)
-            .map_or_else(PartitionStats::default, CsrPartition::stats)
+            .map_or_else(Card::default, |r| r.stats())
     }
 
     /// Loaded predicates, in ascending id order.
@@ -297,14 +166,14 @@ impl GraphStore {
     pub fn forward(&self, pred: PredId) -> CsrView<'_> {
         self.parts
             .get(&pred)
-            .map_or_else(CsrView::default, |cp| cp.fwd.view())
+            .map_or_else(CsrView::default, |r| r.fwd())
     }
 
     /// `pred`'s edges keyed by object (empty if not loaded).
     pub fn reverse(&self, pred: PredId) -> CsrView<'_> {
         self.parts
             .get(&pred)
-            .map_or_else(CsrView::default, |cp| cp.rev.view())
+            .map_or_else(CsrView::default, |r| r.rev())
     }
 }
 
@@ -336,23 +205,18 @@ impl GraphBackend for GraphStore {
     }
 
     fn partition_len(&self, pred: PredId) -> usize {
-        self.parts.get(&pred).map_or(0, |cp| cp.fwd.len())
+        self.parts.get(&pred).map_or(0, |r| r.len())
     }
 
     fn import_stats(&self) -> ImportStats {
         self.import_stats
     }
 
-    fn load_sorted(
-        &mut self,
-        pred: PredId,
-        by_s: &[(NodeId, NodeId)],
-        by_o: &[(NodeId, NodeId)],
-    ) -> Result<(), GraphStoreError> {
+    fn load_runs(&mut self, pred: PredId, runs: Arc<SortedRuns>) -> Result<(), GraphStoreError> {
         if self.is_loaded(pred) {
             return Err(GraphStoreError::AlreadyLoaded(pred));
         }
-        let edges = by_s.len();
+        let edges = runs.len();
         if edges > self.available() {
             return Err(GraphStoreError::BudgetExceeded {
                 pred,
@@ -360,8 +224,7 @@ impl GraphBackend for GraphStore {
                 available: self.available(),
             });
         }
-        self.parts
-            .insert(pred, CsrPartition::from_sorted(by_s, by_o));
+        self.parts.insert(pred, runs);
         let pos = self.preds.partition_point(|&p| p < pred);
         self.preds.insert(pos, pred);
         self.edges += edges;
@@ -371,13 +234,13 @@ impl GraphBackend for GraphStore {
     }
 
     fn evict_partition(&mut self, pred: PredId) -> usize {
-        let Some(cp) = self.parts.remove(&pred) else {
+        let Some(runs) = self.parts.remove(&pred) else {
             return 0;
         };
         if let Ok(pos) = self.preds.binary_search(&pred) {
             self.preds.remove(pos);
         }
-        let removed = cp.fwd.len();
+        let removed = runs.len();
         self.edges -= removed;
         self.import_stats.triples_evicted += removed as u64;
         removed
@@ -394,9 +257,7 @@ impl GraphBackend for GraphStore {
                 available: 0,
             });
         }
-        let cp = self.parts.get_mut(&t.p).expect("resident");
-        cp.fwd.insert(t.s, t.o);
-        cp.rev.insert(t.o, t.s);
+        SortedRuns::insert(self.parts.get_mut(&t.p).expect("resident"), t.s, t.o);
         self.edges += 1;
         self.import_stats.single_updates += 1;
         self.import_stats.work_units += SINGLE_UPDATE_COST;
@@ -404,15 +265,13 @@ impl GraphBackend for GraphStore {
     }
 
     fn delete_edge(&mut self, t: Triple) -> usize {
-        let Some(cp) = self.parts.get_mut(&t.p) else {
+        let Some(runs) = self.parts.get_mut(&t.p) else {
             return 0;
         };
-        let removed = cp.fwd.remove_all(t.s, t.o);
+        let removed = SortedRuns::remove_all(runs, t.s, t.o);
         if removed == 0 {
             return 0;
         }
-        let rev_removed = cp.rev.remove_all(t.o, t.s);
-        debug_assert_eq!(removed, rev_removed, "fwd/rev must stay mirrored");
         self.edges -= removed;
         self.import_stats.single_updates += 1;
         self.import_stats.work_units += SINGLE_UPDATE_COST;
@@ -432,7 +291,7 @@ impl GraphBackend for GraphStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kgdual_model::{Dictionary, Term};
+    use kgdual_model::{Dictionary, NodeId, Term};
     use kgdual_sparql::{compile, parse, Compiled};
 
     fn n(i: u32) -> NodeId {
@@ -455,8 +314,8 @@ mod tests {
         /// The partition's edges in seed order: forward rows in key order.
         fn seed_edges(&self, pred: PredId) -> Vec<(NodeId, NodeId)> {
             let fwd = self.forward(pred);
-            (0..fwd.keys.len())
-                .flat_map(|i| fwd.row_at(i).iter().map(move |&o| (fwd.keys[i], o)))
+            (0..fwd.keys().len())
+                .flat_map(|i| fwd.row_at(i).iter().map(move |&o| (fwd.keys()[i], o)))
                 .collect()
         }
     }
@@ -784,8 +643,8 @@ mod tests {
         assert_eq!(store.resident_partitions(), vec![(p(0), 3), (p(1), 1)]);
         assert_eq!(
             store.partition_stats(p(0)),
-            PartitionStats {
-                edges: 3,
+            Card {
+                rows: 3,
                 distinct_s: 2,
                 distinct_o: 2
             }
@@ -867,8 +726,8 @@ mod tests {
         store.insert_edge(edge(2, 5)).unwrap(); // both nodes known, but not under p(0)
         assert_eq!(
             store.partition_stats(p(0)),
-            PartitionStats {
-                edges: 6,
+            Card {
+                rows: 6,
                 distinct_s: 4,
                 distinct_o: 4
             }
@@ -880,7 +739,7 @@ mod tests {
         assert_eq!(store.delete_edge(edge(2, 5)), 1);
         store.insert_edge(edge(1, 2)).unwrap();
         assert_eq!(store.partition_stats(p(0)), base);
-        assert_eq!(store.partition_stats(p(1)).edges, 1, "p(1) untouched");
+        assert_eq!(store.partition_stats(p(1)).rows, 1, "p(1) untouched");
         assert_eq!(
             store.seed_edges(p(0)),
             [(n(1), n(2)), (n(1), n(3)), (n(4), n(2))]
@@ -899,7 +758,7 @@ mod tests {
         assert_eq!(store.delete_edge(Triple::new(n(1), p(0), n(2))), 3);
         assert_eq!(store.used(), 0);
         assert!(store.is_loaded(p(0)), "partition stays resident when empty");
-        assert_eq!(store.partition_stats(p(0)), PartitionStats::default());
+        assert_eq!(store.partition_stats(p(0)), Card::default());
     }
 
     #[test]
@@ -989,7 +848,7 @@ mod tests {
         assert!(store.seed_edges(p(0)).is_empty());
         assert!(outs(&store, 1, p(0)).is_empty());
         assert!(ins(&store, 2, p(0)).is_empty());
-        assert_eq!(store.partition_stats(p(0)), PartitionStats::default());
+        assert_eq!(store.partition_stats(p(0)), Card::default());
         assert_eq!(store.preds(), [p(1)]);
         // p(1) untouched.
         assert_eq!(outs(&store, 2, p(1)), vec![5]);
@@ -1002,19 +861,19 @@ mod tests {
         let st = store.partition_stats(p(0));
         assert_eq!(
             st,
-            PartitionStats {
-                edges: 3,
+            Card {
+                rows: 3,
                 distinct_s: 2,
                 distinct_o: 2
             }
         );
-        assert!((st.out_degree() - 1.5).abs() < 1e-9);
-        assert!((st.in_degree() - 1.5).abs() < 1e-9);
+        assert!((st.per_subject() - 1.5).abs() < 1e-9);
+        assert!((st.per_object() - 1.5).abs() < 1e-9);
         store.insert_edge(Triple::new(n(1), p(0), n(9))).unwrap();
         assert_eq!(store.partition_stats(p(0)).distinct_o, 3);
         store.evict_partition(p(0));
-        assert_eq!(store.partition_stats(p(0)), PartitionStats::default());
-        assert_eq!(PartitionStats::default().out_degree(), 0.0);
+        assert_eq!(store.partition_stats(p(0)), Card::default());
+        assert_eq!(Card::default().per_subject(), 0.0);
     }
 
     #[test]
@@ -1053,11 +912,11 @@ mod tests {
         );
     }
 
-    /// Migration's path (T_R's two sorted indexes into `load_sorted`)
-    /// builds the same CSR partition, stats and bill as `load_partition`
-    /// over the same pairs in any order.
+    /// Migration's path (T_R's own runs into `load_runs`) holds the
+    /// table's memory, not a copy, and equals `load_partition` over the
+    /// same pairs in any order: same rows, stats and bill.
     #[test]
-    fn load_sorted_from_relational_runs_equals_load_partition() {
+    fn migrated_runs_equal_load_partition() {
         use kgdual_relstore::PredTable;
 
         // Partition 0: duplicate edges, self-loops (one duplicated), a hub
@@ -1077,33 +936,41 @@ mod tests {
 
         let mut from_runs = GraphStore::with_budget(1_000);
         let mut from_pairs = GraphStore::with_budget(1_000);
+        let mut tables = Vec::new();
         for (pred, rows) in (0..).map(p).zip(&partitions) {
             let table = PredTable::from_pairs(rows.clone());
-            from_runs
-                .load_sorted(pred, table.s_index(), table.o_index())
-                .unwrap();
+            from_runs.load_runs(pred, Arc::clone(table.runs())).unwrap();
+            tables.push(table);
             let mut shuffled = rows.clone();
             for j in (1..shuffled.len()).rev() {
                 shuffled.swap(j, (j * 7_919 + 13) % (j + 1));
             }
             from_pairs.load_partition(pred, &shuffled).unwrap();
         }
-        for pred in [p(0), p(1)] {
+        for (pred, table) in [p(0), p(1)].into_iter().zip(&tables) {
             let views = [
                 (from_runs.forward(pred), from_pairs.forward(pred)),
                 (from_runs.reverse(pred), from_pairs.reverse(pred)),
             ];
             for (a, b) in views {
-                assert_eq!((a.keys, a.offsets, a.nbrs), (b.keys, b.offsets, b.nbrs));
+                assert_eq!(
+                    (a.keys(), a.offsets(), a.nbrs()),
+                    (b.keys(), b.offsets(), b.nbrs())
+                );
             }
+            assert!(std::ptr::eq(
+                from_runs.forward(pred).nbrs(),
+                table.runs().fwd().nbrs()
+            ));
             assert_eq!(
                 from_runs.partition_stats(pred),
                 from_pairs.partition_stats(pred)
             );
+            assert_eq!(from_runs.partition_stats(pred), table.stats());
         }
         assert_eq!(from_runs.fwd_row(n(7), p(0)).len(), 50);
         assert_eq!(from_runs.rev_row(n(7), p(0)).len(), 20);
-        assert!(from_runs.forward(p(1)).keys.is_empty());
+        assert!(from_runs.forward(p(1)).keys().is_empty());
         assert_eq!(from_runs.import_stats(), from_pairs.import_stats());
         assert_eq!(
             from_runs.resident_partitions(),

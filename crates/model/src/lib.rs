@@ -18,9 +18,6 @@
 //! * [`design`] — the versioned section container that design snapshots
 //!   (persisted physical designs + tuner state, see `kgdual-core`) are
 //!   encoded in, sibling to the dataset [`snapshot`] format.
-//! * [`sorted`] — search-and-splice maintenance of sorted pair vectors: the
-//!   one rule both stores' single-row writes keep their indexes and
-//!   statistics valid by.
 //!
 //! The crate is deliberately free of any query or storage logic; it is the
 //! shared vocabulary of the workspace.
@@ -33,7 +30,6 @@ pub mod fx;
 pub mod ids;
 pub mod partition;
 pub mod snapshot;
-pub mod sorted;
 pub mod term;
 pub mod triple;
 

@@ -16,6 +16,10 @@
 //! indexes, mirroring a real RDBMS optimizer's index-vs-scan cliff. A
 //! query runs on its caller's thread, as a MySQL query runs on one thread.
 //!
+//! Each table's two sorted indexes are [`SortedRuns`] ([`runs`]): CSR
+//! runs behind an `Arc` that a graph-resident partition shares, so the
+//! graph store holds no edge arrays of its own.
+//!
 //! This crate also hosts the execution primitives shared with the graph
 //! store ([`exec`]): columnar bindings, execution statistics (whose IO
 //! and CPU shares the paper's Table 6 / Figure 7 experiments price), and
@@ -27,6 +31,7 @@
 
 pub mod exec;
 pub mod planner;
+pub mod runs;
 pub mod store;
 pub mod table;
 pub mod temp;
@@ -34,7 +39,8 @@ pub mod views;
 
 pub use exec::{Bindings, ExecContext, ExecError, ExecStats, ResourceGovernor};
 pub use planner::PlannerConfig;
+pub use runs::{CsrView, SortedRuns};
 pub use store::RelStore;
-pub use table::{PredTable, TableStats};
+pub use table::PredTable;
 pub use temp::TempSpace;
 pub use views::{MatView, RebuildReport, ViewCatalog};

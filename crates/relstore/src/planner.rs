@@ -12,20 +12,10 @@
 //!    patterns therefore always scan, which is exactly why their cost grows
 //!    with data size while the graph store's traversal does not.
 
-use crate::table::TableStats;
 use kgdual_model::PredId;
 use kgdual_sparql::{EncPattern, EncodedQuery, PredSlot, Slot, VarId};
 use kgdual_vec::cost::{self, Card};
 use serde::{Deserialize, Serialize};
-
-/// The shared cost model's view of a table's statistics.
-fn card_of(st: &TableStats) -> Card {
-    Card {
-        rows: st.rows,
-        distinct_s: st.distinct_s,
-        distinct_o: st.distinct_o,
-    }
-}
 
 /// Tunables for planning and access-path selection.
 #[derive(Copy, Clone, Debug, Serialize, Deserialize)]
@@ -55,7 +45,7 @@ impl Default for PlannerConfig {
 /// cost model's [`cost::base_cardinality`] over the table's statistics).
 pub fn base_estimate(
     pat: &EncPattern,
-    stats_of: &mut dyn FnMut(PredId) -> Option<TableStats>,
+    stats_of: &mut dyn FnMut(PredId) -> Option<Card>,
     total_rows: usize,
 ) -> f64 {
     let s_const = matches!(pat.s, Slot::Const(_));
@@ -63,7 +53,7 @@ pub fn base_estimate(
     match pat.p {
         PredSlot::Const(p) => {
             let Some(st) = stats_of(p) else { return 0.0 };
-            cost::base_cardinality(card_of(&st), s_const, o_const)
+            cost::base_cardinality(st, s_const, o_const)
         }
         // Variable predicate: every partition is a candidate.
         PredSlot::Var(_) => cost::var_pred_cardinality(total_rows, s_const || o_const),
@@ -75,7 +65,7 @@ pub fn base_estimate(
 pub fn bound_estimate(
     pat: &EncPattern,
     bound: &[VarId],
-    stats_of: &mut dyn FnMut(PredId) -> Option<TableStats>,
+    stats_of: &mut dyn FnMut(PredId) -> Option<Card>,
     total_rows: usize,
 ) -> f64 {
     let s_bound =
@@ -85,7 +75,7 @@ pub fn bound_estimate(
     match pat.p {
         PredSlot::Const(p) => {
             let Some(st) = stats_of(p) else { return 0.0 };
-            cost::bound_cardinality(card_of(&st), s_bound, o_bound)
+            cost::bound_cardinality(st, s_bound, o_bound)
         }
         PredSlot::Var(_) => cost::var_pred_cardinality(total_rows, s_bound || o_bound),
     }
@@ -101,7 +91,7 @@ pub fn bound_estimate(
 pub fn order_patterns(
     q: &EncodedQuery,
     seed_vars: &[VarId],
-    stats_of: &mut dyn FnMut(PredId) -> Option<TableStats>,
+    stats_of: &mut dyn FnMut(PredId) -> Option<Card>,
     total_rows: usize,
 ) -> Vec<usize> {
     let n = q.patterns.len();
@@ -150,7 +140,7 @@ pub fn order_patterns(
 /// way down) but adequate for the query processor's Case-2 blowup guard.
 pub fn estimate_result_rows(
     q: &EncodedQuery,
-    stats_of: &mut dyn FnMut(PredId) -> Option<TableStats>,
+    stats_of: &mut dyn FnMut(PredId) -> Option<Card>,
     total_rows: usize,
 ) -> f64 {
     let order = order_patterns(q, &[], stats_of, total_rows);
@@ -174,8 +164,8 @@ mod tests {
     use super::*;
     use kgdual_model::NodeId;
 
-    fn stats(rows: usize, ds: usize, dobj: usize) -> TableStats {
-        TableStats {
+    fn stats(rows: usize, ds: usize, dobj: usize) -> Card {
+        Card {
             rows,
             distinct_s: ds,
             distinct_o: dobj,

@@ -4,10 +4,10 @@
 
 use crate::exec::{Bindings, ExecContext, ExecError, ExecStats};
 use crate::planner::{self, PlannerConfig};
-use crate::table::{PredTable, TableStats};
+use crate::table::PredTable;
 use kgdual_model::{NodeId, PartitionSet, PredId, SharedPairs, Triple};
 use kgdual_sparql::{EncPattern, EncodedQuery, PredSlot, Slot, VarId};
-use kgdual_vec::{cost, plan, EmitSrc, BATCH};
+use kgdual_vec::{cost, cost::Card, plan, EmitSrc, BATCH};
 use std::sync::Arc;
 
 /// The relational store: one [`PredTable`] per predicate, ascending by
@@ -129,7 +129,7 @@ impl RelStore {
     }
 
     /// Statistics for a partition.
-    pub fn stats(&self, pred: PredId) -> Option<TableStats> {
+    pub fn stats(&self, pred: PredId) -> Option<Card> {
         self.table(pred).map(PredTable::stats)
     }
 
@@ -275,9 +275,9 @@ impl RelStore {
         let Some(table) = self.table(p) else {
             return Ok(false);
         };
-        let rows = table.lookup_s(s);
-        ctx.charge_probe(rows.len() as u64 + 1)?;
-        Ok(rows.iter().any(|&(_, ro)| ro == o))
+        let objects = table.lookup_s(s);
+        ctx.charge_probe(objects.len() as u64 + 1)?;
+        Ok(objects.binary_search(&o).is_ok())
     }
 
     /// The access-path operator label [`Self::materialize_pattern`] will
@@ -294,10 +294,10 @@ impl RelStore {
                 let threshold = self.cfg.index_selectivity_threshold;
                 let use_s_index = !self.cfg.force_scans
                     && matches!(pat.s, Slot::Const(_))
-                    && cost::use_secondary_index(st.rows_per_subject(), st.rows, threshold);
+                    && cost::use_secondary_index(st.per_subject(), st.rows, threshold);
                 let use_o_index = !self.cfg.force_scans
                     && matches!(pat.o, Slot::Const(_))
-                    && cost::use_secondary_index(st.rows_per_object(), st.rows, threshold);
+                    && cost::use_secondary_index(st.per_object(), st.rows, threshold);
                 if use_s_index || use_o_index {
                     "index_scan"
                 } else {
@@ -361,21 +361,21 @@ impl RelStore {
                 let threshold = self.cfg.index_selectivity_threshold;
                 let use_s_index = !self.cfg.force_scans
                     && matches!(pat.s, Slot::Const(_))
-                    && cost::use_secondary_index(st.rows_per_subject(), st.rows, threshold);
+                    && cost::use_secondary_index(st.per_subject(), st.rows, threshold);
                 let use_o_index = !self.cfg.force_scans
                     && matches!(pat.o, Slot::Const(_))
-                    && cost::use_secondary_index(st.rows_per_object(), st.rows, threshold);
+                    && cost::use_secondary_index(st.per_object(), st.rows, threshold);
 
-                if let (Slot::Const(cs), true) = (pat.s, use_s_index) {
-                    let rows = table.lookup_s(cs);
-                    ctx.charge_probe(rows.len() as u64 + 1)?;
-                    for &(s, o) in rows.iter() {
+                if let (Slot::Const(s), true) = (pat.s, use_s_index) {
+                    let objects = table.lookup_s(s);
+                    ctx.charge_probe(objects.len() as u64 + 1)?;
+                    for &o in objects {
                         emit(s, p, o, &mut out);
                     }
-                } else if let (Slot::Const(co), true) = (pat.o, use_o_index) {
-                    let rows = table.lookup_o(co);
-                    ctx.charge_probe(rows.len() as u64 + 1)?;
-                    for &(o, s) in rows.iter() {
+                } else if let (Slot::Const(o), true) = (pat.o, use_o_index) {
+                    let subjects = table.lookup_o(o);
+                    ctx.charge_probe(subjects.len() as u64 + 1)?;
+                    for &s in subjects {
                         emit(s, p, o, &mut out);
                     }
                 } else {
@@ -466,25 +466,20 @@ impl RelStore {
                     Src::AccCol(c) => Some(row[c]),
                     Src::New => None,
                 };
-                let matches: &[(NodeId, NodeId)] = match (s_val, o_val) {
+                let matches = match (s_val, o_val) {
                     (Some(s), _) => table.lookup_s(s),
                     (None, Some(o)) => table.lookup_o(o),
                     (None, None) => unreachable!("INL requires a bound endpoint"),
                 };
                 probed += matches.len() as u64;
-                for &(k, v) in matches {
-                    // `lookup_s` yields (s, o); `lookup_o` yields (o, s).
-                    let (ms, mo) = if s_val.is_some() { (k, v) } else { (v, k) };
-                    if let Some(s) = s_val {
-                        if ms != s {
-                            continue;
-                        }
-                    }
-                    if let Some(o) = o_val {
-                        if mo != o {
-                            continue;
-                        }
-                    }
+                for &n in matches {
+                    // `lookup_s` yields objects; `lookup_o` yields subjects.
+                    let (ms, mo) = match (s_val, o_val) {
+                        (Some(_), Some(o)) if n != o => continue,
+                        (Some(s), _) => (s, n),
+                        (None, Some(o)) => (n, o),
+                        (None, None) => unreachable!("INL requires a bound endpoint"),
+                    };
                     row_buf.clear();
                     row_buf.extend_from_slice(row);
                     if matches!((pat.s, s_src), (Slot::Var(_), Src::New)) {

@@ -1,40 +1,9 @@
 //! Per-predicate two-column tables (vertical partitioning).
 
-use kgdual_model::{sorted, NodeId, SharedPairs};
-use serde::{Deserialize, Serialize};
-use std::ops::Range;
+use crate::runs::SortedRuns;
+use kgdual_model::{NodeId, SharedPairs};
+use kgdual_vec::cost::Card;
 use std::sync::Arc;
-
-/// Cardinality statistics for one partition table, used by the planner.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TableStats {
-    /// Row count.
-    pub rows: usize,
-    /// Distinct subjects.
-    pub distinct_s: usize,
-    /// Distinct objects.
-    pub distinct_o: usize,
-}
-
-impl TableStats {
-    /// Estimated rows matching a bound subject.
-    pub fn rows_per_subject(&self) -> f64 {
-        if self.distinct_s == 0 {
-            0.0
-        } else {
-            self.rows as f64 / self.distinct_s as f64
-        }
-    }
-
-    /// Estimated rows matching a bound object.
-    pub fn rows_per_object(&self) -> f64 {
-        if self.distinct_o == 0 {
-            0.0
-        } else {
-            self.rows as f64 / self.distinct_o as f64
-        }
-    }
-}
 
 /// One predicate's `(subject, object)` table.
 ///
@@ -45,27 +14,22 @@ impl TableStats {
 /// and the first write copies it once if the dataset still holds it
 /// (`Arc::make_mut`).
 ///
-/// Like a real RDBMS's secondary indexes, the two sorted permutation
-/// indexes (`by subject`, `by object`) and the statistics exist as long as
-/// the table does. Every bulk load ([`from_pairs`](Self::from_pairs),
-/// [`insert_batch`](Self::insert_batch),
-/// [`insert_shared`](Self::insert_shared)) sorts both indexes and counts
-/// the statistics. Single-row writes keep them valid:
-/// [`insert`](Self::insert) and [`delete`](Self::delete) binary-search each
-/// index and splice the row in or out ([`kgdual_model::sorted`]), and move
-/// `distinct_s` / `distinct_o` only when that splice took the key's row
-/// count across 0 ↔ 1 — the same rule the graph store's adjacency index
-/// writes by. A single-row write pays one `memmove` per index behind the
-/// splice position (bounded in the [`sorted`] module docs); a bulk append
-/// re-sorts both indexes of its table. Nothing is built on first use, so
-/// there is no warm-up and a lookup borrows a slice of the index.
+/// Like a real RDBMS's secondary indexes, the by-subject and by-object
+/// indexes exist as long as the table does: they are the table's
+/// [`SortedRuns`], behind an `Arc` that a graph-resident copy of the
+/// partition shares ([`runs`](Self::runs)). Every bulk load
+/// ([`from_pairs`](Self::from_pairs), [`insert_batch`](Self::insert_batch),
+/// [`insert_shared`](Self::insert_shared)) sorts both runs; a bulk append
+/// re-sorts them. Single-row writes keep them valid: [`insert`](Self::insert)
+/// and [`delete`](Self::delete) splice the row in or out of each run
+/// ([`SortedRuns::insert`], [`SortedRuns::remove_all`]), copying the runs
+/// first if the graph store still shares them. The statistics are read off
+/// the runs. Nothing is built on first use, so there is no warm-up and a
+/// lookup borrows a row of a run.
 #[derive(Debug, Default)]
 pub struct PredTable {
     pairs: SharedPairs,
-    by_s: Vec<(NodeId, NodeId)>,
-    /// Stored as `(object, subject)` so binary search keys on `.0`.
-    by_o: Vec<(NodeId, NodeId)>,
-    stats: TableStats,
+    runs: Arc<SortedRuns>,
 }
 
 impl PredTable {
@@ -74,8 +38,7 @@ impl PredTable {
         Self::default()
     }
 
-    /// Build directly from pairs (bulk load), indexes and statistics
-    /// included.
+    /// Build directly from pairs (bulk load), indexes included.
     pub fn from_pairs(pairs: Vec<(NodeId, NodeId)>) -> Self {
         let mut table = Self::default();
         table.insert_shared(&Arc::new(pairs));
@@ -102,22 +65,16 @@ impl PredTable {
         &self.pairs
     }
 
-    /// Append a row. Both indexes take it at its sorted position and the
-    /// statistics follow.
+    /// Append a row. Both runs take it at its sorted position.
     pub fn insert(&mut self, s: NodeId, o: NodeId) {
         Arc::make_mut(&mut self.pairs).push((s, o));
-        let new_s = sorted::splice_in(&mut self.by_s, (s, o));
-        let new_o = sorted::splice_in(&mut self.by_o, (o, s));
-        self.stats.rows += 1;
-        self.stats.distinct_s += usize::from(new_s);
-        self.stats.distinct_o += usize::from(new_o);
+        SortedRuns::insert(&mut self.runs, s, o);
     }
 
-    /// Append many rows, then re-sort both indexes and recount the
-    /// statistics once.
+    /// Append many rows, then re-sort both runs once.
     pub fn insert_batch(&mut self, rows: &[(NodeId, NodeId)]) {
         Arc::make_mut(&mut self.pairs).extend_from_slice(rows);
-        self.reindex();
+        self.runs = Arc::new(SortedRuns::from_pairs(&self.pairs));
     }
 
     /// Append a shared run of rows, like [`insert_batch`](Self::insert_batch).
@@ -125,90 +82,54 @@ impl PredTable {
     pub fn insert_shared(&mut self, rows: &SharedPairs) {
         if self.pairs.is_empty() {
             self.pairs = Arc::clone(rows);
-            self.reindex();
+            self.runs = Arc::new(SortedRuns::from_pairs(rows));
         } else {
             self.insert_batch(rows);
         }
     }
 
-    /// Sort both indexes from the base rows and count the statistics,
-    /// reusing the indexes' allocations.
-    fn reindex(&mut self) {
-        self.by_s.clear();
-        self.by_s.extend_from_slice(&self.pairs);
-        self.by_s.sort_unstable();
-        self.by_o.clear();
-        self.by_o.extend(self.pairs.iter().map(|&(s, o)| (o, s)));
-        self.by_o.sort_unstable();
-        self.stats = TableStats {
-            rows: self.pairs.len(),
-            distinct_s: distinct_keys(&self.by_s),
-            distinct_o: distinct_keys(&self.by_o),
-        };
-    }
-
     /// Delete every `(s, o)` row; returns the number removed. The
-    /// surviving rows keep their order. The subject index is asked first,
-    /// so deleting an absent row is two binary searches and no scan; a
-    /// present row costs one pass over the base rows plus the splice in
-    /// each index. Only a present row copies shared base rows.
+    /// surviving rows keep their order. The subject run is asked first,
+    /// so deleting an absent row is two binary searches, no scan and no
+    /// copy; a present row costs one pass over the base rows plus the
+    /// splice in each run.
     pub fn delete(&mut self, s: NodeId, o: NodeId) -> usize {
-        let (removed, gone_s) = sorted::splice_out(&mut self.by_s, (s, o));
-        if removed == 0 {
-            return 0;
+        let removed = SortedRuns::remove_all(&mut self.runs, s, o);
+        if removed > 0 {
+            Arc::make_mut(&mut self.pairs).retain(|&row| row != (s, o));
         }
-        let (_, gone_o) = sorted::splice_out(&mut self.by_o, (o, s));
-        Arc::make_mut(&mut self.pairs).retain(|&row| row != (s, o));
-        self.stats.rows -= removed;
-        self.stats.distinct_s -= usize::from(gone_s);
-        self.stats.distinct_o -= usize::from(gone_o);
         removed
     }
 
-    /// The subject-sorted permutation index.
+    /// Both sorted runs, as the graph store adopts them on migration.
     #[inline]
-    pub fn s_index(&self) -> &[(NodeId, NodeId)] {
-        &self.by_s
-    }
-
-    /// The object-sorted permutation index (`(o, s)` pairs).
-    #[inline]
-    pub fn o_index(&self) -> &[(NodeId, NodeId)] {
-        &self.by_o
+    pub fn runs(&self) -> &Arc<SortedRuns> {
+        &self.runs
     }
 
     /// Row count and distinct subjects and objects.
     #[inline]
-    pub fn stats(&self) -> TableStats {
-        self.stats
+    pub fn stats(&self) -> Card {
+        self.runs.stats()
     }
 
-    /// Rows with subject `s`, via the subject index (range binary search).
-    pub fn lookup_s(&self, s: NodeId) -> &[(NodeId, NodeId)] {
-        &self.by_s[key_range(&self.by_s, s)]
+    /// The objects of subject `s`, ascending (a row of the subject run).
+    #[inline]
+    pub fn lookup_s(&self, s: NodeId) -> &[NodeId] {
+        self.runs.fwd().row(s)
     }
 
-    /// Rows with object `o`, returned as `(o, s)` pairs via the object index.
-    pub fn lookup_o(&self, o: NodeId) -> &[(NodeId, NodeId)] {
-        &self.by_o[key_range(&self.by_o, o)]
+    /// The subjects of object `o`, ascending (a row of the object run).
+    #[inline]
+    pub fn lookup_o(&self, o: NodeId) -> &[NodeId] {
+        self.runs.rev().row(o)
     }
-}
-
-/// Distinct keys (`.0`) of a key-sorted pair vector.
-fn distinct_keys(sorted: &[(NodeId, NodeId)]) -> usize {
-    usize::from(!sorted.is_empty()) + sorted.windows(2).filter(|w| w[0].0 != w[1].0).count()
-}
-
-/// Index range of a key-sorted pair vector whose `.0` equals `key`.
-fn key_range(sorted: &[(NodeId, NodeId)], key: NodeId) -> Range<usize> {
-    let lo = sorted.partition_point(|&(k, _)| k < key);
-    let hi = sorted.partition_point(|&(k, _)| k <= key);
-    lo..hi
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runs::CsrView;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -218,7 +139,14 @@ mod tests {
         PredTable::from_pairs(vec![(n(5), n(1)), (n(1), n(2)), (n(5), n(3)), (n(2), n(2))])
     }
 
-    /// The indexes and statistics equal a from-scratch sort and count.
+    /// `view`'s rows in key order, as `(key, neighbour)` pairs.
+    fn edges(view: CsrView<'_>) -> Vec<(NodeId, NodeId)> {
+        (0..view.keys().len())
+            .flat_map(|i| view.row_at(i).iter().map(move |&v| (view.keys()[i], v)))
+            .collect()
+    }
+
+    /// The runs and statistics equal a from-scratch sort and count.
     fn assert_indexed(t: &PredTable) {
         let rows = t.scan();
         let mut by_s = rows.to_vec();
@@ -231,11 +159,11 @@ mod tests {
                 .collect::<std::collections::BTreeSet<_>>()
                 .len()
         };
-        assert_eq!(t.s_index(), by_s);
-        assert_eq!(t.o_index(), by_o);
+        assert_eq!(edges(t.runs().fwd()), by_s);
+        assert_eq!(edges(t.runs().rev()), by_o);
         assert_eq!(
             t.stats(),
-            TableStats {
+            Card {
                 rows: rows.len(),
                 distinct_s: distinct(|r| r.0),
                 distinct_o: distinct(|r| r.1),
@@ -253,38 +181,34 @@ mod tests {
     #[test]
     fn lookup_by_subject() {
         let t = table();
-        assert_eq!(t.lookup_s(n(5)), [(n(5), n(1)), (n(5), n(3))]);
+        assert_eq!(t.lookup_s(n(5)), [n(1), n(3)]);
         assert!(t.lookup_s(n(99)).is_empty());
     }
 
     #[test]
     fn lookup_by_object_returns_o_s() {
         let t = table();
-        assert_eq!(t.lookup_o(n(2)), [(n(2), n(1)), (n(2), n(2))]);
+        assert_eq!(t.lookup_o(n(2)), [n(1), n(2)]);
     }
 
     #[test]
     fn stats_count_distincts() {
-        let t = table();
-        let st = t.stats();
         assert_eq!(
-            st,
-            TableStats {
+            table().stats(),
+            Card {
                 rows: 4,
                 distinct_s: 3,
                 distinct_o: 3
             }
         );
-        assert!((st.rows_per_subject() - 4.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn stats_empty_table() {
-        let t = PredTable::new();
-        let st = t.stats();
-        assert_eq!(st.rows, 0);
-        assert_eq!(st.rows_per_subject(), 0.0);
-        assert_eq!(st.rows_per_object(), 0.0);
+        let st = PredTable::new().stats();
+        assert_eq!(st, Card::default());
+        assert_eq!(st.per_subject(), 0.0);
+        assert_eq!(st.per_object(), 0.0);
     }
 
     #[test]
@@ -292,7 +216,7 @@ mod tests {
         let mut t = table();
         t.insert(n(7), n(7));
         assert_eq!(t.stats().rows, 5);
-        assert_eq!(t.lookup_s(n(7)), [(n(7), n(7))]);
+        assert_eq!(t.lookup_s(n(7)), [n(7)]);
         assert_indexed(&t);
         let removed = t.delete(n(7), n(7));
         assert_eq!(removed, 1);
@@ -334,12 +258,12 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
         assert_indexed(&t);
-        // Every bulk load sorts and counts, onto a non-empty table too.
+        // Every bulk load sorts, onto a non-empty table too.
         t.insert_batch(&[(n(0), n(9)), (n(1), n(1))]);
         assert_indexed(&t);
         t.insert_shared(&Arc::new(vec![(n(1), n(9))]));
         assert_indexed(&t);
-        assert_eq!(t.lookup_o(n(9)), [(n(9), n(0)), (n(9), n(1))]);
+        assert_eq!(t.lookup_o(n(9)), [n(0), n(1)]);
         assert_indexed(&table());
     }
 

@@ -2,9 +2,10 @@
 //! storage into contiguous binding cells.
 //!
 //! The relational [`PredTable`] keeps a predicate's edges as an
-//! insertion-ordered pair vector plus sorted permutation indexes. The
+//! insertion-ordered pair vector, which its full scans read, plus two
+//! sorted CSR runs (keys, offsets, neighbours) for its index paths. The
 //! kernel here applies selection + projection over a whole 4096-row chunk
-//! of those runs in one tight loop, appending finished rows to a flat cell
+//! of the pair vector in one tight loop, appending finished rows to a flat cell
 //! buffer instead of calling a per-row emit closure (binding checks,
 //! per-row pushes).
 //!

@@ -3,19 +3,13 @@
 //! Every planning decision in the stack — greedy join order, the
 //! index-vs-scan access path, index-nested-loop vs hash join, hash-join
 //! build side — prices patterns with the formulas below, fed **only**
-//! from the per-partition statistics the stores already report
-//! (`TableStats` on the relational side, the graph store's
-//! `PartitionStats` on the graph side; both carry rows + distinct subject and
-//! object counts, which [`Card`] abstracts).
-//!
-//! These are the exact formulas the relational planner and the graph
-//! matcher used before vectorization — hoisted here, not changed — so
-//! plans, join orders, and therefore every deterministic metric are
-//! identical whether batched operators are on or off, and identical to
-//! the pre-vectorization baselines.
+//! from the per-partition statistics both stores report as a [`Card`]:
+//! rows and distinct subject and object counts, read off the partition's
+//! sorted runs. The relational planner and the graph matcher share these
+//! formulas, so the two price a pattern value for value.
 
-/// Cardinality statistics of one predicate partition: the common shape
-/// of the relational `TableStats` and the graph `PartitionStats`.
+/// Cardinality statistics of one predicate partition, as both stores
+/// report them.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct Card {
     /// Total rows (edges) in the partition.
@@ -27,8 +21,7 @@ pub struct Card {
 }
 
 impl Card {
-    /// Average rows per subject (`0.0` for an empty partition — matches
-    /// both stores' stats accessors).
+    /// Average rows per subject (`0.0` for an empty partition).
     pub fn per_subject(&self) -> f64 {
         if self.distinct_s == 0 {
             0.0
@@ -165,6 +158,16 @@ mod tests {
         assert_eq!(c.per_subject(), 0.0);
         assert_eq!(c.per_object(), 0.0);
         assert_eq!(bound_cardinality(c, true, false), 0.0);
+    }
+
+    #[test]
+    fn degrees_handle_empty_partitions() {
+        assert_eq!(Card::default().per_subject(), 0.0);
+        assert_eq!(Card::default().per_object(), 0.0);
+        let c = card(6, 2, 3);
+        assert!((c.per_subject() - 3.0).abs() < 1e-12);
+        assert!((c.per_object() - 2.0).abs() < 1e-12);
+        assert!((card(4, 3, 3).per_subject() - 4.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

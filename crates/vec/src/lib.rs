@@ -15,8 +15,8 @@
 //!   matcher's morsels included).
 //! * [`cost`] — the cost model: bound-pattern cardinalities, the
 //!   index-vs-scan access-path rule, the index-nested-loop threshold and
-//!   the hash-join build-side choice, fed **only** from the statistics
-//!   `PartitionStats`/`TableStats` already report. The store planners
+//!   the hash-join build-side choice, fed **only** from the [`cost::Card`]
+//!   statistics both stores read off their sorted runs. The store planners
 //!   delegate here, so the relational and graph substrates price
 //!   patterns with one shared formula set.
 //! * [`plan`] — the `EXPLAIN` plan and profile types both planners fill.

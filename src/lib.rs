@@ -78,7 +78,7 @@ pub mod prelude {
     pub use kgdual_exec::{
         BatchExecutor, ExecMode, ParallelBatchReport, ParallelRunner, SharedStore,
     };
-    pub use kgdual_graphstore::{AdjacencyBackend, GraphBackend, GraphStore, PartitionStats};
+    pub use kgdual_graphstore::{AdjacencyBackend, GraphBackend, GraphStore};
     pub use kgdual_model::{Dataset, DatasetBuilder, Dictionary, NodeId, PredId, Term, Triple};
     pub use kgdual_relstore::{Bindings, ExecContext, RelStore, ViewCatalog};
     pub use kgdual_sparql::{compile, parse, Compiled, EncodedQuery, Query, Var};

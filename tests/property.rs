@@ -5,6 +5,7 @@
 use kgdual::core::Scheduler;
 use kgdual::dotil::counterfactual::{measure, settle};
 use kgdual::prelude::*;
+use kgdual::relstore::{CsrView, PredTable};
 use proptest::prelude::*;
 
 /// Build a dataset from raw id triples over small id spaces.
@@ -64,22 +65,22 @@ fn recount(rows: &[(NodeId, NodeId)]) -> (usize, usize, usize) {
     (rows.len(), subjects.len(), objects.len())
 }
 
-/// A graph substrate's view of `pred` must equal what the surviving
-/// `rows` imply: statistics, both directions' sorted rows, and per-node
-/// neighbours.
-fn check_topology(
-    topo: &GraphStore,
-    pred: PredId,
+/// Sorted runs — a table's or a graph partition's — must equal what the
+/// surviving `rows` imply: statistics, both directions' sorted rows, and
+/// per-node neighbours.
+fn check_runs(
+    fwd: CsrView<'_>,
+    rev: CsrView<'_>,
+    stats: (usize, usize, usize),
     rows: &[(NodeId, NodeId)],
     nodes: u32,
 ) -> Result<(), TestCaseError> {
-    let st = topo.partition_stats(pred);
-    prop_assert_eq!((st.edges, st.distinct_s, st.distinct_o), recount(rows));
+    prop_assert_eq!(stats, recount(rows));
     let mut sorted = rows.to_vec();
     sorted.sort_unstable();
     let mut by_o: Vec<_> = rows.iter().map(|&(s, o)| (o, s)).collect();
     by_o.sort_unstable();
-    for (view, want) in [(topo.forward(pred), &sorted), (topo.reverse(pred), &by_o)] {
+    for (view, want) in [(fwd, &sorted), (rev, &by_o)] {
         let keys = view.keys();
         prop_assert!(keys.windows(2).all(|k| k[0] < k[1]), "keys ascend");
         let pairs: Vec<_> = (0..keys.len())
@@ -89,11 +90,35 @@ fn check_topology(
     }
     for n in (0..nodes).map(NodeId) {
         let out: Vec<NodeId> = sorted.iter().filter(|e| e.0 == n).map(|e| e.1).collect();
-        prop_assert_eq!(topo.forward(pred).row(n), out.as_slice());
+        prop_assert_eq!(fwd.row(n), out.as_slice());
         let inc: Vec<NodeId> = by_o.iter().filter(|e| e.0 == n).map(|e| e.1).collect();
-        prop_assert_eq!(topo.reverse(pred).row(n), inc.as_slice());
+        prop_assert_eq!(rev.row(n), inc.as_slice());
     }
     Ok(())
+}
+
+/// A graph substrate's view of `pred` must equal what the surviving
+/// `rows` imply ([`check_runs`]).
+fn check_topology(
+    topo: &GraphStore,
+    pred: PredId,
+    rows: &[(NodeId, NodeId)],
+    nodes: u32,
+) -> Result<(), TestCaseError> {
+    let st = topo.partition_stats(pred);
+    let stats = (st.rows, st.distinct_s, st.distinct_o);
+    check_runs(topo.forward(pred), topo.reverse(pred), stats, rows, nodes)
+}
+
+/// A table's runs must equal what its surviving `rows` imply.
+fn check_table(
+    table: &PredTable,
+    rows: &[(NodeId, NodeId)],
+    nodes: u32,
+) -> Result<(), TestCaseError> {
+    let st = table.stats();
+    let stats = (st.rows, st.distinct_s, st.distinct_o);
+    check_runs(table.runs().fwd(), table.runs().rev(), stats, rows, nodes)
 }
 
 /// One executor under `work_limit`s around the work it charges: `run`
@@ -625,19 +650,24 @@ proptest! {
     }
 
     /// Incremental == from-scratch in both stores. A single-row write
-    /// splices each sorted structure in place and moves a distinct count
-    /// only on a key's 0 ↔ 1 crossing, and a bulk append re-sorts its
+    /// splices each sorted run in place, and a bulk append re-sorts its
     /// table; after every step of a random interleaving (duplicates,
     /// self-loops, deletes of absent rows, deletes that empty a partition,
     /// bulk appends, two predicates sharing every node) the relational
-    /// tables' indexes and statistics and the graph store must equal a
+    /// tables' runs and statistics and the graph store must equal a
     /// brute-force recount of the surviving rows, and so each other.
+    ///
+    /// The same steps drive a `DualStore`, interleaved with migrations and
+    /// evictions. A resident partition shares `T_R`'s runs: until its
+    /// first write after migration it is the same memory (pointer-equal
+    /// keys), after it each store holds its own copy; either way both
+    /// stores equal the recount, and the design's `used` is the sum of the
+    /// resident partitions' lengths.
     #[test]
     fn incremental_writes_equal_a_recount_on_every_substrate(
         initial in prop::collection::vec((0u32..2, 0u32..5, 0u32..5), 0..6),
-        steps in prop::collection::vec((0u8..10, 0u32..2, 0u32..5, 0u32..5), 1..48),
+        steps in prop::collection::vec((0u8..12, 0u32..2, 0u32..5, 0u32..5), 1..48),
     ) {
-        use kgdual::relstore::PredTable;
         const NODES: u32 = 5;
 
         let mut model: [Vec<(NodeId, NodeId)>; 2] = Default::default();
@@ -650,6 +680,25 @@ proptest! {
             tables[p].insert_batch(&model[p]);
             graph.load_partition(PredId(p as u32), &model[p]).unwrap();
         }
+
+        // The dual store interns node `i` and predicate `i` as id `i`, and
+        // its dataset drops the initial duplicates.
+        let mut b = DatasetBuilder::new();
+        for i in 0..NODES {
+            prop_assert_eq!(b.node(&Term::iri(format!("n:{i}"))), NodeId(i));
+        }
+        for i in 0..2 {
+            prop_assert_eq!(b.pred(&format!("p:{i}")), PredId(i));
+        }
+        let mut dual_model: [Vec<(NodeId, NodeId)>; 2] = Default::default();
+        for &(p, s, o) in &initial {
+            if b.add(NodeId(s), PredId(p), NodeId(o)) {
+                dual_model[p as usize].push((NodeId(s), NodeId(o)));
+            }
+        }
+        let mut dual = DualStore::from_dataset(b.build(), initial.len() + steps.len());
+        // Per predicate: has a write changed it since it was migrated?
+        let mut written = [false; 2];
 
         for &(kind, p, s, o) in &steps {
             let (pi, pred) = (p as usize, PredId(p));
@@ -666,37 +715,74 @@ proptest! {
                 }
                 2..=6 => {
                     if kind == 2 {
-                        // Bulk append: re-sorts the table's indexes.
+                        // Bulk append: re-sorts the table's runs.
                         tables[pi].insert_batch(&[row]);
                     } else {
                         tables[pi].insert(row.0, row.1);
                     }
                     prop_assert!(graph.insert_edge(t).unwrap());
                     model[pi].push(row);
+                    dual.insert(t).unwrap();
+                    dual_model[pi].push(row);
+                    written[pi] = true;
                 }
-                _ => {
+                7..=9 => {
                     let copies = model[pi].iter().filter(|&&r| r == row).count();
                     prop_assert_eq!(tables[pi].delete(row.0, row.1), copies);
                     prop_assert_eq!(graph.delete_edge(t), copies);
                     model[pi].retain(|&r| r != row);
+                    let copies = dual_model[pi].iter().filter(|&&r| r == row).count();
+                    prop_assert_eq!(dual.delete(t), copies);
+                    dual_model[pi].retain(|&r| r != row);
+                    written[pi] |= copies > 0;
+                }
+                10 => {
+                    let fresh = !dual.graph().is_loaded(pred) && !dual_model[pi].is_empty();
+                    prop_assert_eq!(dual.migrate_partition(pred).is_ok(), fresh);
+                    if fresh {
+                        written[pi] = false;
+                    }
+                }
+                _ => {
+                    let resident = dual.graph().is_loaded(pred);
+                    let len = if resident { dual_model[pi].len() } else { 0 };
+                    prop_assert_eq!(dual.evict_partition(pred), len);
                 }
             }
 
             for q in 0..2 {
                 let (rows, table) = (&model[q], &tables[q]);
                 prop_assert_eq!(table.scan(), rows.as_slice(), "scan() is insertion order minus deletes");
-                let mut by_s = rows.clone();
-                by_s.sort_unstable();
-                prop_assert_eq!(table.s_index(), by_s.as_slice());
-                let mut by_o: Vec<_> = rows.iter().map(|&(s, o)| (o, s)).collect();
-                by_o.sort_unstable();
-                prop_assert_eq!(table.o_index(), by_o.as_slice());
-                let st = table.stats();
-                prop_assert_eq!((st.rows, st.distinct_s, st.distinct_o), recount(rows));
+                check_table(table, rows, NODES)?;
                 check_topology(&graph, PredId(q as u32), rows, NODES)?;
+
+                let (pred, rows) = (PredId(q as u32), &dual_model[q]);
+                let Some(table) = dual.rel().table(pred) else {
+                    prop_assert!(rows.is_empty() && !dual.graph().is_loaded(pred));
+                    continue;
+                };
+                prop_assert_eq!(table.scan(), rows.as_slice());
+                check_table(table, rows, NODES)?;
+                if dual.graph().is_loaded(pred) {
+                    check_topology(dual.graph(), pred, rows, NODES)?;
+                    let shared = std::ptr::eq(
+                        dual.graph().forward(pred).keys(),
+                        table.runs().fwd().keys(),
+                    );
+                    prop_assert_eq!(shared, !written[q], "shared until the first write");
+                }
             }
             prop_assert_eq!(graph.used(), model[0].len() + model[1].len());
             prop_assert_eq!(graph.edge_count(), graph.used());
+            let design = dual.design();
+            let resident: usize = design.graph_partitions.iter().map(|&(_, len)| len).sum();
+            prop_assert_eq!(design.used, resident);
+            let mirrored: usize = design
+                .graph_partitions
+                .iter()
+                .map(|&(p, _)| dual_model[p.0 as usize].len())
+                .sum();
+            prop_assert_eq!(design.used, mirrored);
         }
     }
 
