@@ -1,12 +1,13 @@
 //! Criterion microbenches for the substrates: parser, dictionary, the
-//! relational join executor, the graph matcher, and partition migration. These complement the
+//! relational join executor, the graph matcher, partition migration and
+//! a write to a resident partition. These complement the
 //! per-figure harness binaries with statistically solid microscopic
 //! numbers (regression tracking for the hot paths).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use kgdual_core::DualStore;
 use kgdual_graphstore::GraphBackend;
-use kgdual_model::{Dictionary, NodeId, Term};
+use kgdual_model::{Dictionary, NodeId, Term, Triple};
 use kgdual_relstore::{ExecContext, RelStore};
 use kgdual_sparql::{compile, parse, Compiled, EncodedQuery};
 use kgdual_workloads::YagoGen;
@@ -24,8 +25,10 @@ fn mirrored_dual(persons: usize) -> (DualStore, EncodedQuery) {
         ..Default::default()
     }
     .generate();
+    // One triple of headroom, so that a resident partition can take a
+    // write.
     let total = dataset.len();
-    let mut dual = DualStore::from_dataset(dataset, total);
+    let mut dual = DualStore::from_dataset(dataset, total + 1);
     let preds: Vec<_> = dual.rel().preds().collect();
     for p in preds {
         dual.migrate_partition(p).unwrap();
@@ -181,6 +184,27 @@ fn bench_migrate(c: &mut Criterion) {
     g.finish();
 }
 
+/// A write as `DualStore` pays it: one triple inserted into the resident
+/// `wasBornIn` partition of a mirrored 4 000-person store, in the middle
+/// of its runs, and deleted again.
+fn bench_write(c: &mut Criterion) {
+    let (mut dual, _) = mirrored_dual(4_000);
+    let born = dual.dict().pred_id("y:wasBornIn").unwrap();
+    let rows = dual.rel().table(born).unwrap().scan();
+    let (s, o) = rows[rows.len() / 2];
+    // A city born in a person: absent, so the delete removes just it.
+    let t = Triple::new(o, born, s);
+    assert_eq!(dual.delete(t), 0);
+    let mut g = c.benchmark_group("write");
+    g.bench_function("insert-delete-resident/4000", |b| {
+        b.iter(|| {
+            dual.insert(black_box(t)).unwrap();
+            dual.delete(black_box(t))
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_parser,
@@ -188,6 +212,7 @@ criterion_group!(
     bench_executors,
     bench_hash_join,
     bench_bound_lookup,
-    bench_migrate
+    bench_migrate,
+    bench_write
 );
 criterion_main!(benches);

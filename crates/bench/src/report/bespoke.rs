@@ -11,7 +11,6 @@ use kgdual_core::processor::process;
 use kgdual_core::{DualStore, Route};
 use kgdual_dotil::{Dotil, DotilConfig};
 use kgdual_exec::{ParallelRunner, SharedStore};
-use kgdual_graphstore::GraphBackend;
 use kgdual_model::Dataset;
 use kgdual_relstore::exec::context::{GRAPH_NANOS_PER_WORK_UNIT, REL_NANOS_PER_WORK_UNIT};
 use kgdual_relstore::{ExecContext, ExecStats};

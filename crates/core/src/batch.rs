@@ -96,108 +96,50 @@ impl RouteCounts {
 mod tests {
     use super::*;
     use crate::dual::DualStore;
-    use crate::error::CoreError;
-    use crate::processor::{process, process_relational, QueryOutcome};
+    use crate::processor::process;
     use crate::tuner::{NoopTuner, PhysicalTuner};
     use kgdual_graphstore::GraphBackend;
     use kgdual_model::{DatasetBuilder, Term};
     use kgdual_sparql::parse;
 
-    fn dataset() -> kgdual_model::Dataset {
+    /// Drive two batches through `schedule`, running each batch's queries
+    /// one by one with `process` and tuning with `tuner`. A batch reports
+    /// its routes and its graph-side work units.
+    fn run(
+        schedule: TuningSchedule,
+        tuner: &mut dyn PhysicalTuner,
+    ) -> Vec<(RouteCounts, u64, TuningOutcome)> {
         let mut b = DatasetBuilder::new();
         for i in 0..20 {
-            b.add_terms(
-                &Term::iri(format!("y:p{i}")),
-                "y:bornIn",
-                &Term::iri(format!("y:c{}", i % 4)),
-            );
+            let p = Term::iri(format!("y:p{i}"));
+            b.add_terms(&p, "y:bornIn", &Term::iri(format!("y:c{}", i % 4)));
             if i < 10 {
-                b.add_terms(
-                    &Term::iri(format!("y:p{i}")),
-                    "y:advisor",
-                    &Term::iri(format!("y:p{}", i + 10)),
-                );
+                b.add_terms(&p, "y:advisor", &Term::iri(format!("y:p{}", i + 10)));
             }
         }
-        b.build()
-    }
-
-    fn batches() -> Vec<Vec<Query>> {
         let complex =
             parse("SELECT ?p WHERE { ?p y:bornIn ?c . ?p y:advisor ?a . ?a y:bornIn ?c }").unwrap();
         let simple = parse("SELECT ?p WHERE { ?p y:bornIn ?c }").unwrap();
-        vec![vec![complex.clone(), simple.clone()], vec![complex, simple]]
-    }
-
-    /// What one batch's online phase measured.
-    #[derive(Default)]
-    struct Online {
-        queries: usize,
-        errors: usize,
-        rel_work: u64,
-        graph_work: u64,
-        routes: RouteCounts,
-    }
-
-    impl Online {
-        fn graph_work_share(&self) -> f64 {
-            match self.rel_work + self.graph_work {
-                0 => 0.0,
-                total => self.graph_work as f64 / total as f64,
-            }
-        }
-    }
-
-    type Processor = fn(&DualStore, &Query) -> Result<QueryOutcome, CoreError>;
-
-    /// Drive the two test batches through `schedule`, running each batch's
-    /// queries one by one with `processor` and tuning with `tuner`.
-    fn run(
-        schedule: TuningSchedule,
-        threshold: usize,
-        tuner: &mut dyn PhysicalTuner,
-        processor: Processor,
-    ) -> Vec<(Online, TuningOutcome)> {
-        let mut dual = DualStore::from_dataset(dataset(), threshold);
-        schedule.drive(
-            &mut dual,
-            &batches(),
-            |dual, queries| tuner.tune(dual, queries),
-            |dual, _, batch| {
-                let mut online = Online {
-                    queries: batch.len(),
-                    ..Default::default()
-                };
-                for query in batch {
-                    match processor(dual, query) {
-                        Ok(out) => {
-                            online.rel_work += out.rel_stats.work_units();
-                            online.graph_work += out.graph_stats.work_units();
-                            online.routes.record(out.route);
-                        }
-                        Err(_) => online.errors += 1,
+        let batches = vec![vec![complex.clone(), simple.clone()], vec![complex, simple]];
+        let mut dual = DualStore::from_dataset(b.build(), 1000);
+        schedule
+            .drive(
+                &mut dual,
+                &batches,
+                |dual, queries| tuner.tune(dual, queries),
+                |dual, _, batch| {
+                    let (mut routes, mut graph_work) = (RouteCounts::default(), 0);
+                    for query in batch {
+                        let out = process(dual, query).expect("test queries run");
+                        graph_work += out.graph_stats.work_units();
+                        routes.record(out.route);
                     }
-                }
-                online
-            },
-        )
-    }
-
-    #[test]
-    fn runner_produces_one_report_per_batch() {
-        let reports = run(
-            TuningSchedule::AfterEachBatch,
-            10,
-            &mut NoopTuner,
-            process_relational,
-        );
-        assert_eq!(reports.len(), 2);
-        let (first, _) = &reports[0];
-        assert_eq!(first.queries, 2);
-        assert_eq!(first.errors, 0);
-        assert!(first.rel_work + first.graph_work > 0);
-        assert_eq!(first.routes.relational, 2);
-        assert_eq!(first.graph_work, 0);
+                    (routes, graph_work)
+                },
+            )
+            .into_iter()
+            .map(|((routes, graph_work), tuning)| (routes, graph_work, tuning))
+            .collect()
     }
 
     /// A tuner that migrates every partition it sees in the batch.
@@ -208,12 +150,10 @@ mod tests {
         }
         fn tune(&mut self, dual: &mut DualStore, batch: &[Query]) -> TuningOutcome {
             let mut out = TuningOutcome::default();
-            for q in batch {
-                for pred in q.predicate_set() {
-                    if let Some(p) = dual.dict().pred_id(pred) {
-                        if !dual.graph().is_loaded(p) && dual.migrate_partition(p).is_ok() {
-                            out.migrated += 1;
-                        }
+            for pred in batch.iter().flat_map(|q| q.predicate_set()) {
+                if let Some(p) = dual.dict().pred_id(pred) {
+                    if !dual.graph().is_loaded(p) && dual.migrate_partition(p).is_ok() {
+                        out.migrated += 1;
                     }
                 }
             }
@@ -223,58 +163,38 @@ mod tests {
 
     #[test]
     fn after_batch_schedule_shifts_routes_to_graph() {
-        let reports = run(
-            TuningSchedule::AfterEachBatch,
-            1000,
-            &mut GreedyAll,
-            process,
-        );
+        let reports = run(TuningSchedule::AfterEachBatch, &mut GreedyAll);
         // Batch 0 runs cold (relational), the tuner migrates, batch 1 hits
         // the graph.
-        assert_eq!(reports[0].0.routes.graph, 0);
-        assert!(reports[0].1.migrated > 0);
-        assert!(reports[1].0.routes.graph > 0);
-        assert!(reports[1].0.graph_work_share() > 0.0);
+        assert_eq!(reports[0].0.graph, 0);
+        assert!(reports[0].2.migrated > 0);
+        assert!(reports[1].0.graph > 0);
+        assert!(reports[1].1 > 0, "batch 1 does graph work");
     }
 
     #[test]
     fn ideal_schedule_tunes_before_first_batch() {
-        let reports = run(
-            TuningSchedule::BeforeEachBatchWithUpcoming,
-            1000,
-            &mut GreedyAll,
-            process,
-        );
-        assert!(reports[0].0.routes.graph > 0, "already tuned for batch 0");
+        let reports = run(TuningSchedule::BeforeEachBatchWithUpcoming, &mut GreedyAll);
+        assert!(reports[0].0.graph > 0, "already tuned for batch 0");
     }
 
     #[test]
     fn one_off_schedule_tunes_once_upfront() {
-        let reports = run(
-            TuningSchedule::OnceUpfrontWithAll,
-            1000,
-            &mut GreedyAll,
-            process,
-        );
-        assert!(reports[0].0.routes.graph > 0);
-        assert_eq!(reports[0].1.migrated, 0, "no per-batch tuning recorded");
+        let reports = run(TuningSchedule::OnceUpfrontWithAll, &mut GreedyAll);
+        assert!(reports[0].0.graph > 0);
+        assert_eq!(reports[0].2.migrated, 0, "no per-batch tuning recorded");
     }
 
     #[test]
     fn never_schedule_stays_relational() {
-        let reports = run(TuningSchedule::Never, 1000, &mut GreedyAll, process);
-        assert_eq!(reports[1].0.routes.graph, 0);
+        let reports = run(TuningSchedule::Never, &mut GreedyAll);
+        assert_eq!(reports[1].0.graph, 0);
     }
 
     #[test]
     fn noop_tuner_keeps_everything_relational() {
-        let reports = run(
-            TuningSchedule::AfterEachBatch,
-            1000,
-            &mut NoopTuner,
-            process,
-        );
-        assert_eq!(reports[1].0.routes.graph, 0);
-        assert_eq!(reports[1].0.graph_work_share(), 0.0);
+        let reports = run(TuningSchedule::AfterEachBatch, &mut NoopTuner);
+        assert_eq!(reports[1].0.graph, 0);
+        assert_eq!(reports[1].1, 0, "no graph work");
     }
 }

@@ -8,9 +8,13 @@
 
 use crate::error::CoreError;
 use kgdual_graphstore::store::BULK_IMPORT_COST_PER_TRIPLE;
-use kgdual_graphstore::{AdjacencyBackend, GraphBackend};
+use kgdual_graphstore::{AdjacencyBackend, GraphBackend, GraphExecError};
 use kgdual_model::{Dataset, Dictionary, PredId, Term, Triple};
-use kgdual_relstore::{PlannerConfig, RebuildReport, RelStore, ResourceGovernor, ViewCatalog};
+use kgdual_relstore::{
+    Bindings, ExecContext, PlannerConfig, RebuildReport, RelStore, ResourceGovernor, ViewCatalog,
+};
+use kgdual_sparql::EncodedQuery;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -33,8 +37,45 @@ pub struct DualDesign {
     pub total_triples: usize,
 }
 
+/// The graph side of a [`DualStore`]: the backend `B`, which it derefs to
+/// for residency and accounting, beside the relational store whose runs
+/// a resident partition is read through.
+#[derive(Debug)]
+pub struct GraphView<'a, B> {
+    graph: &'a B,
+    rel: &'a RelStore,
+}
+
+impl<B> Clone for GraphView<'_, B> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<B> Copy for GraphView<'_, B> {}
+
+impl<B> Deref for GraphView<'_, B> {
+    type Target = B;
+
+    fn deref(&self) -> &B {
+        self.graph
+    }
+}
+
+impl<B: GraphBackend> GraphView<'_, B> {
+    /// Execute a compiled query by traversal of the resident partitions
+    /// ([`GraphBackend::execute`] over this store's `T_R`).
+    pub fn execute(
+        &self,
+        q: &EncodedQuery,
+        ctx: &mut ExecContext,
+    ) -> Result<Bindings, GraphExecError> {
+        self.graph.execute(self.rel, q, ctx)
+    }
+}
+
 /// The dual store: a complete relational store, a budgeted graph-store
-/// accelerator, and a shared dictionary.
+/// accelerator over it, and a shared dictionary.
 ///
 /// It also holds the `RDB-views` baseline's materialized-view catalog,
 /// sized to the same budget `B_G` for the paper's fair comparison. The
@@ -135,9 +176,13 @@ impl<B: GraphBackend> DualStore<B> {
         &self.rel
     }
 
-    /// The graph store backend.
-    pub fn graph(&self) -> &B {
-        &self.graph
+    /// The graph store: its residency and accounting, and traversal of
+    /// the resident partitions.
+    pub fn graph(&self) -> GraphView<'_, B> {
+        GraphView {
+            graph: &self.graph,
+            rel: &self.rel,
+        }
     }
 
     /// The materialized-view catalog of the `RDB-views` baseline.
@@ -200,30 +245,25 @@ impl<B: GraphBackend> DualStore<B> {
 
     /// Migrate one partition from the relational store into the graph
     /// store (the tuner's `migrate(T_set, relStore, graphStore)`; the
-    /// relational copy is kept, per §4.2.1). The graph store adopts the
-    /// table's sorted runs by cloning their `Arc`: no edge array is
-    /// allocated, and the first single-edge write to the partition copies
-    /// it once, so each store then holds its own.
+    /// relational copy is kept, per §4.2.1). The graph store admits the
+    /// predicate with its table's length and bills the bulk import; it
+    /// copies no edge, because traversal reads the table's runs.
     pub fn migrate_partition(&mut self, pred: PredId) -> Result<(), CoreError> {
-        let Some(table) = self.rel.table(pred) else {
-            return Err(CoreError::UnknownPartition(pred));
-        };
-        if table.is_empty() {
-            return Err(CoreError::UnknownPartition(pred));
+        match self.rel.partition_len(pred) {
+            0 => Err(CoreError::UnknownPartition(pred)),
+            len => Ok(self.graph.admit(pred, len)?),
         }
-        self.graph.load_runs(pred, Arc::clone(table.runs()))?;
-        Ok(())
     }
 
-    /// Evict one partition from the graph store; returns its size. The
-    /// graph store drops its reference to the runs; `T_R` keeps its own.
+    /// Evict one partition from the graph store; returns its size. Only
+    /// the residency set changes: `T_R` holds the triples either way.
     pub fn evict_partition(&mut self, pred: PredId) -> usize {
         self.graph.evict_partition(pred)
     }
 
-    /// Insert a statement given as terms; the relational store always takes
-    /// it, and a graph-resident partition is kept in sync. Only a term the
-    /// dictionary has not seen writes to (and so may copy) the dictionary.
+    /// Insert a statement given as terms (see [`insert`](Self::insert)).
+    /// Only a term the dictionary has not seen writes to (and so may copy)
+    /// the dictionary; a full dictionary is [`CoreError::Model`].
     pub fn insert_terms(&mut self, s: &Term, p: &str, o: &Term) -> Result<Triple, CoreError> {
         let d = &self.dict;
         let known = (d.node_id(s), d.pred_id(p), d.node_id(o));
@@ -231,37 +271,38 @@ impl<B: GraphBackend> DualStore<B> {
             Triple::new(s, p, o)
         } else {
             let dict = self.dict_mut();
-            let full = |_| CoreError::UnknownPartition(PredId(0));
-            let s = dict.encode_node(s).map_err(full)?;
-            let p = dict.encode_pred(p).map_err(full)?;
-            let o = dict.encode_node(o).map_err(full)?;
+            let s = dict.encode_node(s)?;
+            let p = dict.encode_pred(p)?;
+            let o = dict.encode_node(o)?;
             Triple::new(s, p, o)
         };
         self.insert(t)?;
         Ok(t)
     }
 
-    /// Insert an encoded triple into `T_R` (and the graph mirror if
-    /// resident).
+    /// Insert an encoded triple: one splice into `T_R`, which a resident
+    /// partition is read through.
     ///
     /// All or nothing: the graph side is asked first because it is the
     /// one that can refuse (a resident partition with no budget headroom
-    /// returns [`CoreError::Storage`]) and it refuses before mutating;
-    /// `T_R` then takes the row unconditionally. A failed insert leaves
-    /// both stores as they were, so the routes keep agreeing.
+    /// returns [`CoreError::Storage`]) and it refuses before anything
+    /// changes. Otherwise it grows a resident partition's length and bills
+    /// the write, and `T_R` takes the row. A failed insert leaves both
+    /// stores as they were, so the routes keep agreeing.
     pub fn insert(&mut self, t: Triple) -> Result<(), CoreError> {
-        self.graph.insert_edge(t)?;
+        self.graph.record_insert(t.p)?;
         self.rel.insert(t);
         self.data_version = next_data_version();
         Ok(())
     }
 
-    /// Delete every copy of a triple from both stores; returns the number
-    /// of relational rows removed.
+    /// Delete every copy of a triple: one splice out of `T_R`; a resident
+    /// partition shrinks by the rows removed and bills the write. Returns
+    /// the number of rows removed.
     pub fn delete(&mut self, t: Triple) -> usize {
         let removed = self.rel.delete(t);
-        self.graph.delete_edge(t);
         if removed > 0 {
+            self.graph.record_delete(t.p, removed);
             self.data_version = next_data_version();
         }
         removed
@@ -288,8 +329,8 @@ impl<B: GraphBackend> DualStore<B> {
     /// truncation, and future versions all return a typed
     /// [`DesignError`](kgdual_model::DesignError) without mutating
     /// anything — then residency is replayed partition by partition
-    /// through [`Self::migrate_partition`], which shares `T_R`'s runs
-    /// again and bills the bulk-import price.
+    /// through [`Self::migrate_partition`], which bills the bulk-import
+    /// price.
     pub fn restore_design(
         &mut self,
         snapshot: &[u8],
@@ -522,6 +563,20 @@ mod tests {
         assert_eq!(dual.delete(t), 1);
         assert_eq!(dual.rel().partition_len(born), 10);
         assert_eq!(dual.graph().partition_len(born), 10);
+
+        // A delete of duplicates shrinks by every copy and bills once; a
+        // delete that removes nothing bills nothing.
+        dual.insert(t).unwrap();
+        dual.insert(t).unwrap();
+        assert_eq!(dual.delete(t), 2);
+        assert_eq!(dual.delete(t), 0);
+        let stats = dual.graph().import_stats();
+        assert_eq!((stats.triples_imported, stats.single_updates), (10, 5));
+        assert_eq!(
+            stats.work_units,
+            10 * BULK_IMPORT_COST_PER_TRIPLE + 5 * kgdual_graphstore::store::SINGLE_UPDATE_COST
+        );
+        assert_eq!(dual.design().used, dual.rel().partition_len(born));
     }
 
     #[test]

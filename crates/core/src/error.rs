@@ -1,6 +1,7 @@
 //! Error type spanning the dual-store components.
 
 use kgdual_graphstore::{GraphExecError, GraphStoreError};
+use kgdual_model::ModelError;
 use kgdual_relstore::ExecError;
 use kgdual_sparql::{CompileError, ParseError};
 use std::fmt;
@@ -20,6 +21,8 @@ pub enum CoreError {
     Storage(GraphStoreError),
     /// A partition was requested that the relational store does not hold.
     UnknownPartition(kgdual_model::PredId),
+    /// The dictionary refused a term (its id space is exhausted).
+    Model(ModelError),
 }
 
 impl fmt::Display for CoreError {
@@ -33,6 +36,7 @@ impl fmt::Display for CoreError {
             CoreError::UnknownPartition(p) => {
                 write!(f, "partition {p} does not exist in the relational store")
             }
+            CoreError::Model(e) => write!(f, "dictionary: {e}"),
         }
     }
 }
@@ -69,6 +73,12 @@ impl From<GraphStoreError> for CoreError {
     }
 }
 
+impl From<ModelError> for CoreError {
+    fn from(e: ModelError) -> Self {
+        CoreError::Model(e)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,5 +91,16 @@ mod tests {
         assert!(e.to_string().contains("cancelled"));
         let e = CoreError::UnknownPartition(kgdual_model::PredId(4));
         assert!(e.to_string().contains("p4"));
+    }
+
+    /// A full dictionary is a dictionary error, not a missing partition.
+    #[test]
+    fn a_full_dictionary_reports_itself() {
+        let e: CoreError = ModelError::DictionaryFull.into();
+        assert_eq!(e, CoreError::Model(ModelError::DictionaryFull));
+        assert_eq!(
+            e.to_string(),
+            "dictionary: dictionary full: u32 id space exhausted"
+        );
     }
 }

@@ -35,7 +35,7 @@ pub mod processor;
 pub mod results;
 pub mod tuner;
 
-pub use dual::{DualDesign, DualStore};
+pub use dual::{DualDesign, DualStore, GraphView};
 pub use error::CoreError;
 pub use identifier::{identify, ComplexSubquery};
 pub use persist::{restore_checkpoint, save_checkpoint, RestoreReport};

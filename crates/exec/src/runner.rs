@@ -102,6 +102,7 @@ impl ParallelRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExecMode;
     use kgdual_core::{DualStore, NoopTuner, TuningOutcome};
     use kgdual_model::{DatasetBuilder, Term};
     use kgdual_sparql::parse;
@@ -153,6 +154,25 @@ mod tests {
         }
     }
 
+    /// The relational-only online phase never reaches the graph store,
+    /// even when a tuner migrates between batches.
+    #[test]
+    fn runner_produces_one_report_per_batch() {
+        let store = store();
+        let executor = BatchExecutor::new(2).with_mode(ExecMode::RelationalOnly);
+        let runner = ParallelRunner::new(TuningSchedule::AfterEachBatch, executor);
+        let reports = runner.run(&store, &mut GreedyAll, &batches());
+        assert_eq!(reports.len(), 2);
+        assert!(reports[0].tuning.migrated > 0);
+        for report in &reports {
+            assert_eq!(report.queries, 2);
+            assert_eq!(report.errors, 0);
+            assert!(report.total_work() > 0);
+            assert_eq!(report.routes.relational, 2);
+            assert_eq!(report.graph_stats.work_units(), 0);
+        }
+    }
+
     #[test]
     fn after_batch_schedule_shifts_routes_to_graph() {
         let store = store();
@@ -198,7 +218,8 @@ mod tests {
     fn never_schedule_stays_relational() {
         let store = store();
         let runner = ParallelRunner::new(TuningSchedule::Never, BatchExecutor::new(2));
-        let reports = runner.run(&store, &mut NoopTuner, &batches());
+        // A tuner that would migrate everything is never called.
+        let reports = runner.run(&store, &mut GreedyAll, &batches());
         assert_eq!(reports.len(), 2, "one report per batch");
         assert_eq!(reports[0].queries, 2);
         assert_eq!(reports[0].errors, 0);

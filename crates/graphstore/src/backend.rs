@@ -3,9 +3,10 @@
 //! The dual store treats its native graph side as an abstract
 //! budget-constrained accelerator: the query processor only ever asks
 //! *"do you cover these predicates?"* and *"execute this subquery"*, the
-//! tuner only ever loads and evicts whole partitions under a triple
-//! budget, and update propagation only ever mirrors single edges into
-//! resident partitions. [`GraphBackend`] captures exactly that contract;
+//! tuner only ever admits and evicts whole partitions under a triple
+//! budget, and a write to a resident partition only ever adjusts its
+//! length and bill — the triples themselves live in `T_R`, which the
+//! graph side reads. [`GraphBackend`] captures exactly that contract;
 //! `DualStore<B>`, the query processor, `PhysicalTuner`s (DOTIL and the
 //! baselines), and the concurrent executor of `kgdual-exec` are written
 //! against it. [`GraphStore`](crate::GraphStore) is its one
@@ -21,19 +22,18 @@
 //! LIMIT-truncated queries pick the same rows whatever the layout.
 //! Import effort is billed at
 //! [`BULK_IMPORT_COST_PER_TRIPLE`](crate::store::BULK_IMPORT_COST_PER_TRIPLE)
-//! per bulk-loaded triple and
+//! per admitted triple and
 //! [`SINGLE_UPDATE_COST`](crate::store::SINGLE_UPDATE_COST) per online
-//! edge write.
+//! write to a resident partition.
 
 use crate::store::{GraphExecError, GraphStoreError, ImportStats};
-use kgdual_model::{NodeId, PredId, Triple};
-use kgdual_relstore::{Bindings, ExecContext, SortedRuns};
+use kgdual_model::PredId;
+use kgdual_relstore::{Bindings, ExecContext, RelStore};
 use kgdual_sparql::EncodedQuery;
-use std::sync::Arc;
 
-/// A budget-constrained native graph substrate, holding a subset of the
-/// knowledge graph's triple partitions (`T_G` in the paper) and answering
-/// complex subqueries over them.
+/// A budget-constrained native graph substrate: the residency set of the
+/// knowledge graph's triple partitions (`T_G` in the paper, always a
+/// subset of `T_R`), answering complex subqueries over them.
 ///
 /// `Send + Sync` is part of the contract: the online phase executes
 /// queries from many worker threads over a shared `&B` (all `&mut self`
@@ -75,21 +75,11 @@ pub trait GraphBackend: Send + Sync + std::fmt::Debug {
     /// Import/update effort spent so far.
     fn import_stats(&self) -> ImportStats;
 
-    /// Bulk-load a whole partition (the tuner's `migrate` operation),
-    /// enforcing the budget: the store holds `runs` itself. Migration
-    /// hands in the relational table's own `Arc`, so no edge is copied;
-    /// the first single-edge write to either store's copy un-shares it.
-    fn load_runs(&mut self, pred: PredId, runs: Arc<SortedRuns>) -> Result<(), GraphStoreError>;
-
-    /// Bulk-load a whole partition from `(s, o)` pairs in any order: builds
-    /// its runs and hands them to [`load_runs`](Self::load_runs).
-    fn load_partition(
-        &mut self,
-        pred: PredId,
-        pairs: &[(NodeId, NodeId)],
-    ) -> Result<(), GraphStoreError> {
-        self.load_runs(pred, Arc::new(SortedRuns::from_pairs(pairs)))
-    }
+    /// Admit a whole partition of `len` triples (the tuner's `migrate`
+    /// operation), enforcing the budget and billing
+    /// [`BULK_IMPORT_COST_PER_TRIPLE`](crate::store::BULK_IMPORT_COST_PER_TRIPLE)
+    /// per triple. A refusal changes nothing.
+    fn admit(&mut self, pred: PredId, len: usize) -> Result<(), GraphStoreError>;
 
     /// Evict a partition (the tuner's `evict` operation); returns its size.
     fn evict_partition(&mut self, pred: PredId) -> usize;
@@ -106,17 +96,28 @@ pub trait GraphBackend: Send + Sync + std::fmt::Debug {
         dropped
     }
 
-    /// Online single-edge insert into a resident partition (update
-    /// propagation keeps mirrored partitions fresh). Returns `false` when
-    /// the partition is not resident (a no-op, not an error).
-    fn insert_edge(&mut self, t: Triple) -> Result<bool, GraphStoreError>;
+    /// Account one triple about to be inserted into `pred`'s partition:
+    /// a resident partition grows by one and bills
+    /// [`SINGLE_UPDATE_COST`](crate::store::SINGLE_UPDATE_COST). Returns
+    /// `false` when the partition is not resident (a no-op, not an error),
+    /// and refuses with [`GraphStoreError::BudgetExceeded`], changing
+    /// nothing, when the budget has no headroom — so the caller asks
+    /// before it writes `T_R`.
+    fn record_insert(&mut self, pred: PredId) -> Result<bool, GraphStoreError>;
 
-    /// Online single-edge delete; returns removed count (0 when the
-    /// partition is not resident).
-    fn delete_edge(&mut self, t: Triple) -> usize;
+    /// Account `removed` triples deleted from `pred`'s partition: a
+    /// resident partition shrinks by `removed` and, if that is nonzero,
+    /// bills one [`SINGLE_UPDATE_COST`](crate::store::SINGLE_UPDATE_COST).
+    fn record_delete(&mut self, pred: PredId, removed: usize);
 
-    /// Execute a compiled query by traversal. Every bound predicate must
-    /// be resident; otherwise the result would silently miss data, so
+    /// Execute a compiled query by traversal of `rel`'s runs for the
+    /// resident partitions. Every bound predicate must be resident;
+    /// otherwise the result would silently miss data, so
     /// [`GraphExecError::MissingPartition`] is returned instead.
-    fn execute(&self, q: &EncodedQuery, ctx: &mut ExecContext) -> Result<Bindings, GraphExecError>;
+    fn execute(
+        &self,
+        rel: &RelStore,
+        q: &EncodedQuery,
+        ctx: &mut ExecContext,
+    ) -> Result<Bindings, GraphExecError>;
 }

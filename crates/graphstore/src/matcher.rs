@@ -1,4 +1,5 @@
-//! Frontier BGP matcher over the [`GraphStore`]'s sorted rows.
+//! Frontier BGP matcher over the resident partitions' sorted rows, read
+//! through `T_R`'s tables.
 //!
 //! Where the relational executor materializes whole intermediate relations
 //! (scan → hash join), this matcher seeds with the most selective pattern
@@ -21,18 +22,57 @@
 //! binding-at-a-time traversal charges. Under LIMIT each morsel below the
 //! seed is one input row, so the limit is reached in depth-first order.
 
+use crate::backend::GraphBackend;
 use crate::store::{GraphExecError, GraphStore};
 use kgdual_model::{NodeId, PredId};
-use kgdual_relstore::{Bindings, CsrView, ExecContext, ExecError};
+use kgdual_relstore::{Bindings, CsrView, ExecContext, ExecError, PredTable, RelStore, SortedRuns};
 use kgdual_sparql::{EncPattern, EncodedQuery, PredSlot, Slot, VarId};
-use kgdual_vec::{cost, plan, BATCH};
+use kgdual_vec::cost::{self, Card};
+use kgdual_vec::{plan, BATCH};
 
-/// Execute a compiled BGP against the graph store.
+/// The resident partitions as traversal sees them: `rel`'s runs for a
+/// predicate in `graph`'s residency set, nothing for any other, so a
+/// partition `T_R` holds but `T_G` does not reads as empty.
+#[derive(Copy, Clone)]
+pub(crate) struct Resident<'a> {
+    graph: &'a GraphStore,
+    rel: &'a RelStore,
+}
+
+impl<'a> Resident<'a> {
+    pub(crate) fn new(graph: &'a GraphStore, rel: &'a RelStore) -> Self {
+        Resident { graph, rel }
+    }
+
+    fn runs(self, pred: PredId) -> Option<&'a SortedRuns> {
+        match self.graph.is_loaded(pred) {
+            true => self.rel.table(pred).map(PredTable::runs),
+            false => None,
+        }
+    }
+
+    /// `pred`'s edges keyed by subject and keyed by object (empty if not
+    /// resident).
+    pub(crate) fn views(self, pred: PredId) -> [CsrView<'a>; 2] {
+        self.runs(pred)
+            .map_or_else(Default::default, |r| [r.fwd(), r.rev()])
+    }
+
+    /// `pred`'s cardinality statistics (zero if not resident).
+    pub(crate) fn stats(self, pred: PredId) -> Card {
+        self.runs(pred)
+            .map_or_else(Card::default, SortedRuns::stats)
+    }
+}
+
+/// Execute a compiled BGP over `graph`'s resident partitions of `rel`.
 pub fn execute(
-    index: &GraphStore,
+    graph: &GraphStore,
+    rel: &RelStore,
     q: &EncodedQuery,
     ctx: &mut ExecContext,
 ) -> Result<Bindings, GraphExecError> {
+    let index = Resident::new(graph, rel);
     let limit = q.limit.unwrap_or(usize::MAX);
     // With DISTINCT we cannot stop at `limit` raw matches.
     let stop_at = if q.distinct { usize::MAX } else { limit };
@@ -64,7 +104,7 @@ pub fn execute(
 /// object is bound, all candidate edges when neither is. Hub predicates (a
 /// prize with hundreds of winners) are thereby deferred until both
 /// endpoints are pinned and they degrade to cheap existence probes.
-fn order_patterns(index: &GraphStore, q: &EncodedQuery) -> Vec<(usize, f64)> {
+fn order_patterns(index: Resident<'_>, q: &EncodedQuery) -> Vec<(usize, f64)> {
     let mut remaining: Vec<usize> = (0..q.patterns.len()).collect();
     let mut order = Vec::with_capacity(remaining.len());
     let mut bound: Vec<VarId> = Vec::new();
@@ -92,7 +132,7 @@ fn order_patterns(index: &GraphStore, q: &EncodedQuery) -> Vec<(usize, f64)> {
 /// Expected extension fan-out of `pat` given the already-bound variables —
 /// the ordering heuristic's pricing function, shared with EXPLAIN so the
 /// plan's printed estimates are exactly the values the order was chosen by.
-fn bound_estimate(index: &GraphStore, pat: &EncPattern, bound: &[VarId]) -> f64 {
+fn bound_estimate(index: Resident<'_>, pat: &EncPattern, bound: &[VarId]) -> f64 {
     let s_bound =
         matches!(pat.s, Slot::Const(_)) || pat.s.as_var().is_some_and(|v| bound.contains(&v));
     let o_bound =
@@ -101,9 +141,9 @@ fn bound_estimate(index: &GraphStore, pat: &EncPattern, bound: &[VarId]) -> f64 
         PredSlot::Const(p) => {
             // The relational planner prices its tables with the same
             // formulas, so the two planners agree value for value.
-            cost::bound_cardinality(index.partition_stats(p), s_bound, o_bound)
+            cost::bound_cardinality(index.stats(p), s_bound, o_bound)
         }
-        PredSlot::Var(_) => cost::var_pred_cardinality(index.edge_count(), s_bound || o_bound),
+        PredSlot::Var(_) => cost::var_pred_cardinality(index.graph.used(), s_bound || o_bound),
     }
 }
 
@@ -220,7 +260,7 @@ impl<'a> Step<'a> {
     /// input rows until `out` holds [`BATCH`] rows, or just one.
     fn expand(
         &mut self,
-        index: &'a GraphStore,
+        index: Resident<'a>,
         input: &[NodeId],
         cur: &mut Cursor,
         out: &mut Vec<NodeId>,
@@ -280,7 +320,7 @@ impl<'a> Step<'a> {
     /// first, so it pays their lengths too.
     fn lookups(
         &mut self,
-        index: &'a GraphStore,
+        index: Resident<'a>,
         input: &[NodeId],
         cur: &mut Cursor,
         out: &mut Vec<NodeId>,
@@ -300,15 +340,15 @@ impl<'a> Step<'a> {
                     one = [PredId(parent[*c].0)];
                     &one
                 }
-                Pred::Free => index.preds(),
+                Pred::Free => index.graph.preds(),
             };
             let mut read = 0;
             for &id in ids {
                 let row = match (self.pred, s, o) {
                     (Pred::Const { fwd, .. }, Some(s), _) => find(fwd, &mut self.fingers[0], s),
                     (Pred::Const { rev, .. }, None, Some(o)) => find(rev, &mut self.fingers[1], o),
-                    (_, Some(s), _) => index.forward(id).row(s),
-                    (_, None, Some(o)) => index.reverse(id).row(o),
+                    (_, Some(s), _) => index.views(id)[0].row(s),
+                    (_, None, Some(o)) => index.views(id)[1].row(o),
                     (_, None, None) => unreachable!("patterns with both endpoints free are seeds"),
                 };
                 read += row.len() as u64;
@@ -337,7 +377,7 @@ impl<'a> Step<'a> {
     /// resident one in turn — charged before it is read.
     fn seed(
         &self,
-        index: &'a GraphStore,
+        index: Resident<'a>,
         input: &[NodeId],
         cur: &mut Cursor,
         out: &mut Vec<NodeId>,
@@ -349,13 +389,13 @@ impl<'a> Step<'a> {
                 Pred::Const { .. } | Pred::Col(_) if cur.part > 0 => None,
                 Pred::Const { id, .. } => Some(id),
                 Pred::Col(c) => Some(PredId(parent[c].0)),
-                Pred::Free => index.preds().get(cur.part).copied(),
+                Pred::Free => index.graph.preds().get(cur.part).copied(),
             };
             let Some(id) = id else {
                 (cur.row, cur.part, cur.edge) = (cur.row + 1, 0, 0);
                 continue;
             };
-            let fwd = index.forward(id);
+            let [fwd, _] = index.views(id);
             if cur.edge == fwd.len() {
                 (cur.part, cur.edge) = (cur.part + 1, 0);
                 continue;
@@ -379,7 +419,7 @@ impl<'a> Step<'a> {
 
 /// One query's traversal state.
 struct Frontier<'a> {
-    index: &'a GraphStore,
+    index: Resident<'a>,
     steps: Vec<Step<'a>>,
     /// Cells per row: one per query variable, then one per constant
     /// endpoint.
@@ -398,7 +438,7 @@ struct Frontier<'a> {
 
 impl<'a> Frontier<'a> {
     fn new(
-        index: &'a GraphStore,
+        index: Resident<'a>,
         q: &'a EncodedQuery,
         order: &[(usize, f64)],
         stop_at: usize,
@@ -445,11 +485,10 @@ impl<'a> Frontier<'a> {
             };
             let (s, o) = (end(pat.s), end(pat.o));
             let pred = match pat.p {
-                PredSlot::Const(id) => Pred::Const {
-                    id,
-                    fwd: index.forward(id),
-                    rev: index.reverse(id),
-                },
+                PredSlot::Const(id) => {
+                    let [fwd, rev] = index.views(id);
+                    Pred::Const { id, fwd, rev }
+                }
                 PredSlot::Var(v) if free(v) => Pred::Free,
                 PredSlot::Var(v) => Pred::Col(v as usize),
             };
@@ -532,11 +571,17 @@ mod order_tests {
     use crate::store::GraphStore;
     use crate::GraphBackend;
     use kgdual_model::{NodeId, PredId};
-    use kgdual_relstore::ExecContext;
+    use kgdual_relstore::{ExecContext, RelStore};
     use kgdual_sparql::{EncPattern, EncodedQuery, PredSlot, Slot, Var};
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
+    }
+
+    /// Load `pairs` into `rel` and admit them into `graph`.
+    fn load(graph: &mut GraphStore, rel: &mut RelStore, pred: PredId, pairs: &[(NodeId, NodeId)]) {
+        rel.load_partition(pred, pairs);
+        graph.admit(pred, pairs.len()).unwrap();
     }
 
     /// A hub predicate (one object, many subjects) plus a sparse predicate:
@@ -544,16 +589,19 @@ mod order_tests {
     /// far less work than the hub's fan-in would imply.
     #[test]
     fn ordering_defers_hub_predicates() {
-        let mut store = GraphStore::with_budget(100_000);
+        let (mut store, mut rel) = (GraphStore::with_budget(100_000), RelStore::new());
         // Hub: 500 people all won prize n(9000).
         let prize = PredId(0);
         let winners: Vec<(NodeId, NodeId)> = (0..500).map(|i| (n(i), n(9000))).collect();
-        store.load_partition(prize, &winners).unwrap();
+        load(&mut store, &mut rel, prize, &winners);
         // Sparse: only persons 0 and 1 work at org n(8000).
         let works = PredId(1);
-        store
-            .load_partition(works, &[(n(0), n(8000)), (n(1), n(8000))])
-            .unwrap();
+        load(
+            &mut store,
+            &mut rel,
+            works,
+            &[(n(0), n(8000)), (n(1), n(8000))],
+        );
 
         // ?p works ?o . ?q works ?o . ?p prize ?w . ?q prize ?w
         let q = EncodedQuery {
@@ -585,7 +633,7 @@ mod order_tests {
             limit: None,
         };
         let mut ctx = ExecContext::new();
-        let res = store.execute(&q, &mut ctx).unwrap();
+        let res = store.execute(&rel, &q, &mut ctx).unwrap();
         assert_eq!(res.len(), 4, "2x2 colleague-prize pairs");
         // Work must track the sparse partition (2 edges x small fanout),
         // not the hub (500 winners each): a hub-first order would cost
@@ -601,10 +649,10 @@ mod order_tests {
     /// long before enumerating every seed edge.
     #[test]
     fn limit_stops_enumeration_early() {
-        let mut store = GraphStore::with_budget(100_000);
+        let (mut store, mut rel) = (GraphStore::with_budget(100_000), RelStore::new());
         let p = PredId(0);
         let edges: Vec<(NodeId, NodeId)> = (0..10_000).map(|i| (n(i), n(i + 20_000))).collect();
-        store.load_partition(p, &edges).unwrap();
+        load(&mut store, &mut rel, p, &edges);
         let q = EncodedQuery {
             vars: vec![Var::new("s"), Var::new("o")],
             patterns: vec![EncPattern {
@@ -617,7 +665,7 @@ mod order_tests {
             limit: Some(1),
         };
         let mut ctx = ExecContext::new();
-        let res = store.execute(&q, &mut ctx).unwrap();
+        let res = store.execute(&rel, &q, &mut ctx).unwrap();
         assert_eq!(res.len(), 1);
         assert!(
             ctx.stats.rows_scanned <= 4_096 + 1,

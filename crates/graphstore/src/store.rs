@@ -1,35 +1,36 @@
-//! The graph store: budgeted partition residency + traversal over
-//! per-predicate compressed sparse rows.
+//! The graph store: budgeted residency over `T_R`'s sorted runs.
 //!
-//! Every resident partition is held as two **compressed sparse rows** — a
-//! forward CSR keyed by subject and a reverse CSR keyed by object, each a
-//! sorted key array, an offset array and one packed, sorted neighbour
-//! array ([`SortedRuns`]). A neighbour lookup is a binary search over the
-//! partition's distinct keys plus a slice, `O(log keys + matches)` however
-//! large the rest of the graph is — the property the paper leans on ("the
-//! time complexity of graph traversal \[is\] positively related to the
-//! traversal range but irrelevant to the entire graph size"). The runs sit
-//! behind an `Arc`: migration hands in the relational table's own runs, so
-//! a resident partition is the same memory as `T_R`'s indexes until a
-//! single-edge write to either store un-shares it (`Arc::make_mut`), and
-//! eviction drops one reference.
+//! The paper keeps the relational copy of a migrated partition (§4.2.1
+//! of the full paper), so `T_G ⊆ T_R` always holds and a resident
+//! partition carries nothing its relational table lacks. The graph store
+//! therefore owns no edges. It is the residency set `T_G` — the resident
+//! predicates, ascending, with their lengths — plus the budget `B_G`, the
+//! triples the set holds and the import bill ([`ImportStats`]).
+//!
+//! Traversal ([`crate::matcher`]) reads a resident partition through its
+//! relational table's forward and reverse compressed sparse rows
+//! ([`kgdual_relstore::runs`]). A neighbour lookup is a binary search
+//! over the partition's distinct keys plus a slice, `O(log keys + matches)`
+//! however large the rest of the graph is — the property the paper leans
+//! on ("the time complexity of graph traversal \[is\] positively related
+//! to the traversal range but irrelevant to the entire graph size").
+//! Residency gates that access: a query naming a partition outside the
+//! set fails with [`GraphExecError::MissingPartition`], and a predicate
+//! variable ranges over the set only.
 
 use crate::backend::GraphBackend;
 use crate::matcher;
-use kgdual_model::fx::FxHashMap;
-use kgdual_model::{PredId, Triple};
-use kgdual_relstore::{Bindings, CsrView, ExecContext, ExecError, SortedRuns};
+use kgdual_model::{NodeId, PredId, Triple};
+use kgdual_relstore::{Bindings, ExecContext, ExecError, RelStore};
 use kgdual_sparql::EncodedQuery;
-use kgdual_vec::cost::Card;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Work-unit cost to import one triple during a bulk partition load.
 /// Deliberately high relative to a relational append (cost 1): Neo4j-style
 /// stores pay for node/relationship materialization and index maintenance.
 pub const BULK_IMPORT_COST_PER_TRIPLE: u64 = 8;
-/// Work-unit cost of a single online edge insert/delete (a splice into
-/// both sorted directions; worse than bulk).
+/// Work-unit cost of a single online write to a resident partition (a
+/// splice into both sorted directions; worse than bulk).
 pub const SINGLE_UPDATE_COST: u64 = 24;
 
 /// Cumulative import/update effort spent by this store (the "cumbersome
@@ -121,21 +122,20 @@ impl std::fmt::Display for GraphExecError {
 
 impl std::error::Error for GraphExecError {}
 
-/// The native graph store: holds a budget-constrained subset of the
-/// knowledge graph's triple partitions (`T_G` in the paper) and answers
-/// complex subqueries over them by traversal. Its interface is its
-/// [`GraphBackend`] implementation plus the sorted-rows view the matcher
-/// traverses ([`forward`](Self::forward), [`reverse`](Self::reverse) and
-/// the statistics beside them).
+/// The native graph store: the budget-constrained residency set `T_G` of
+/// the knowledge graph's triple partitions, answering complex subqueries
+/// over them by traversal of `T_R`'s runs. Its interface is its
+/// [`GraphBackend`] implementation.
 #[derive(Debug, Default)]
 pub struct GraphStore {
     budget: usize,
-    parts: FxHashMap<PredId, Arc<SortedRuns>>,
-    /// Resident predicates in ascending order, maintained on load/evict:
+    /// Resident predicates in ascending order, maintained on admit/evict:
     /// [`GraphStore::preds`] hands it out, so it is never re-sorted per
     /// lookup.
     preds: Vec<PredId>,
-    edges: usize,
+    /// `lens[i]` is the length of `preds[i]`'s partition.
+    lens: Vec<usize>,
+    used: usize,
     import_stats: ImportStats,
 }
 
@@ -144,36 +144,41 @@ pub struct GraphStore {
 pub type AdjacencyBackend = GraphStore;
 
 impl GraphStore {
-    /// Total edges currently stored.
-    pub fn edge_count(&self) -> usize {
-        self.edges
-    }
-
-    /// Cardinality statistics of one predicate's partition (zero if not
-    /// loaded).
-    pub fn partition_stats(&self, pred: PredId) -> Card {
-        self.parts
-            .get(&pred)
-            .map_or_else(Card::default, |r| r.stats())
-    }
-
-    /// Loaded predicates, in ascending id order.
+    /// Resident predicates, in ascending id order.
     pub fn preds(&self) -> &[PredId] {
         &self.preds
     }
 
-    /// `pred`'s edges keyed by subject (empty if not loaded).
-    pub fn forward(&self, pred: PredId) -> CsrView<'_> {
-        self.parts
-            .get(&pred)
-            .map_or_else(CsrView::default, |r| r.fwd())
+    /// Bill one online write to a resident partition.
+    fn bill_update(&mut self) {
+        self.import_stats.single_updates += 1;
+        self.import_stats.work_units += SINGLE_UPDATE_COST;
     }
 
-    /// `pred`'s edges keyed by object (empty if not loaded).
-    pub fn reverse(&self, pred: PredId) -> CsrView<'_> {
-        self.parts
-            .get(&pred)
-            .map_or_else(CsrView::default, |r| r.rev())
+    /// Admit `pred` with as many triples as `pairs` holds. Kept only
+    /// because the `kgbench` benchmark links it; the store keeps no pairs.
+    pub fn load_partition(
+        &mut self,
+        pred: PredId,
+        pairs: &[(NodeId, NodeId)],
+    ) -> Result<(), GraphStoreError> {
+        self.admit(pred, pairs.len())
+    }
+
+    /// Account one triple inserted into `t`'s partition
+    /// ([`GraphBackend::record_insert`]). Kept only because the `kgbench`
+    /// benchmark links it.
+    pub fn insert_edge(&mut self, t: Triple) -> Result<bool, GraphStoreError> {
+        self.record_insert(t.p)
+    }
+
+    /// Account one triple deleted from `t`'s partition, if it holds any
+    /// ([`GraphBackend::record_delete`]); returns 1 if it did. Kept only
+    /// because the `kgbench` benchmark links it.
+    pub fn delete_edge(&mut self, t: Triple) -> usize {
+        let one = self.partition_len(t.p).min(1);
+        self.record_delete(t.p, one);
+        one
     }
 }
 
@@ -190,109 +195,110 @@ impl GraphBackend for GraphStore {
     }
 
     fn used(&self) -> usize {
-        self.edges
+        self.used
     }
 
     fn is_loaded(&self, pred: PredId) -> bool {
-        self.parts.contains_key(&pred)
+        self.preds.binary_search(&pred).is_ok()
     }
 
     fn resident_partitions(&self) -> Vec<(PredId, usize)> {
         self.preds
             .iter()
-            .map(|&p| (p, self.partition_len(p)))
+            .copied()
+            .zip(self.lens.iter().copied())
             .collect()
     }
 
     fn partition_len(&self, pred: PredId) -> usize {
-        self.parts.get(&pred).map_or(0, |r| r.len())
+        self.preds.binary_search(&pred).map_or(0, |i| self.lens[i])
     }
 
     fn import_stats(&self) -> ImportStats {
         self.import_stats
     }
 
-    fn load_runs(&mut self, pred: PredId, runs: Arc<SortedRuns>) -> Result<(), GraphStoreError> {
-        if self.is_loaded(pred) {
+    fn admit(&mut self, pred: PredId, len: usize) -> Result<(), GraphStoreError> {
+        let Err(pos) = self.preds.binary_search(&pred) else {
             return Err(GraphStoreError::AlreadyLoaded(pred));
-        }
-        let edges = runs.len();
-        if edges > self.available() {
+        };
+        if len > self.available() {
             return Err(GraphStoreError::BudgetExceeded {
                 pred,
-                needed: edges,
+                needed: len,
                 available: self.available(),
             });
         }
-        self.parts.insert(pred, runs);
-        let pos = self.preds.partition_point(|&p| p < pred);
         self.preds.insert(pos, pred);
-        self.edges += edges;
-        self.import_stats.triples_imported += edges as u64;
-        self.import_stats.work_units += edges as u64 * BULK_IMPORT_COST_PER_TRIPLE;
+        self.lens.insert(pos, len);
+        self.used += len;
+        self.import_stats.triples_imported += len as u64;
+        self.import_stats.work_units += len as u64 * BULK_IMPORT_COST_PER_TRIPLE;
         Ok(())
     }
 
     fn evict_partition(&mut self, pred: PredId) -> usize {
-        let Some(runs) = self.parts.remove(&pred) else {
+        let Ok(pos) = self.preds.binary_search(&pred) else {
             return 0;
         };
-        if let Ok(pos) = self.preds.binary_search(&pred) {
-            self.preds.remove(pos);
-        }
-        let removed = runs.len();
-        self.edges -= removed;
+        self.preds.remove(pos);
+        let removed = self.lens.remove(pos);
+        self.used -= removed;
         self.import_stats.triples_evicted += removed as u64;
         removed
     }
 
-    fn insert_edge(&mut self, t: Triple) -> Result<bool, GraphStoreError> {
-        if !self.is_loaded(t.p) {
+    fn record_insert(&mut self, pred: PredId) -> Result<bool, GraphStoreError> {
+        let Ok(pos) = self.preds.binary_search(&pred) else {
             return Ok(false);
-        }
+        };
         if self.available() == 0 {
             return Err(GraphStoreError::BudgetExceeded {
-                pred: t.p,
+                pred,
                 needed: 1,
                 available: 0,
             });
         }
-        SortedRuns::insert(self.parts.get_mut(&t.p).expect("resident"), t.s, t.o);
-        self.edges += 1;
-        self.import_stats.single_updates += 1;
-        self.import_stats.work_units += SINGLE_UPDATE_COST;
+        self.lens[pos] += 1;
+        self.used += 1;
+        self.bill_update();
         Ok(true)
     }
 
-    fn delete_edge(&mut self, t: Triple) -> usize {
-        let Some(runs) = self.parts.get_mut(&t.p) else {
-            return 0;
+    fn record_delete(&mut self, pred: PredId, removed: usize) {
+        let Ok(pos) = self.preds.binary_search(&pred) else {
+            return;
         };
-        let removed = SortedRuns::remove_all(runs, t.s, t.o);
-        if removed == 0 {
-            return 0;
+        if removed > 0 {
+            self.lens[pos] -= removed;
+            self.used -= removed;
+            self.bill_update();
         }
-        self.edges -= removed;
-        self.import_stats.single_updates += 1;
-        self.import_stats.work_units += SINGLE_UPDATE_COST;
-        removed
     }
 
-    fn execute(&self, q: &EncodedQuery, ctx: &mut ExecContext) -> Result<Bindings, GraphExecError> {
+    fn execute(
+        &self,
+        rel: &RelStore,
+        q: &EncodedQuery,
+        ctx: &mut ExecContext,
+    ) -> Result<Bindings, GraphExecError> {
         for p in q.predicate_set() {
             if !self.is_loaded(p) {
                 return Err(GraphExecError::MissingPartition(p));
             }
         }
-        matcher::execute(self, q, ctx)
+        matcher::execute(self, rel, q, ctx)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kgdual_model::{Dictionary, NodeId, Term};
-    use kgdual_sparql::{compile, parse, Compiled};
+    use crate::matcher::Resident;
+    use kgdual_model::{Dictionary, Term};
+    use kgdual_relstore::CsrView;
+    use kgdual_sparql::{compile, parse, Compiled, EncPattern, PredSlot, Slot, Var};
+    use kgdual_vec::cost::Card;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -302,7 +308,67 @@ mod tests {
         PredId(i)
     }
 
-    impl GraphStore {
+    /// `T_R` and a residency set over it, written the way `DualStore`
+    /// writes them: the graph side is asked first, because it is the one
+    /// that can refuse, and `T_R` then takes the change.
+    struct Stores {
+        rel: RelStore,
+        graph: GraphStore,
+    }
+
+    impl Stores {
+        fn with_budget(budget: usize) -> Self {
+            Stores {
+                rel: RelStore::new(),
+                graph: GraphStore::with_budget(budget),
+            }
+        }
+
+        /// Admit `pairs` into `T_G` and load them into `T_R`.
+        fn load(
+            &mut self,
+            pred: PredId,
+            pairs: &[(NodeId, NodeId)],
+        ) -> Result<(), GraphStoreError> {
+            self.graph.admit(pred, pairs.len())?;
+            self.rel.load_partition(pred, pairs);
+            Ok(())
+        }
+
+        fn insert(&mut self, t: Triple) -> Result<bool, GraphStoreError> {
+            let resident = self.graph.record_insert(t.p)?;
+            self.rel.insert(t);
+            Ok(resident)
+        }
+
+        fn delete(&mut self, t: Triple) -> usize {
+            let removed = self.rel.delete(t);
+            self.graph.record_delete(t.p, removed);
+            removed
+        }
+
+        fn execute(
+            &self,
+            q: &EncodedQuery,
+            ctx: &mut ExecContext,
+        ) -> Result<Bindings, GraphExecError> {
+            self.graph.execute(&self.rel, q, ctx)
+        }
+
+        /// What traversal reads of `pred`: its table's runs while it is
+        /// resident, nothing otherwise.
+        fn forward(&self, pred: PredId) -> CsrView<'_> {
+            Resident::new(&self.graph, &self.rel).views(pred)[0]
+        }
+
+        fn reverse(&self, pred: PredId) -> CsrView<'_> {
+            Resident::new(&self.graph, &self.rel).views(pred)[1]
+        }
+
+        fn stats(&self, pred: PredId) -> Card {
+            Resident::new(&self.graph, &self.rel).stats(pred)
+        }
+
         fn fwd_row(&self, s: NodeId, pred: PredId) -> &[NodeId] {
             self.forward(pred).row(s)
         }
@@ -320,60 +386,32 @@ mod tests {
         }
     }
 
-    /// Same academic mini-graph as the relstore tests.
-    fn academic() -> (GraphStore, Dictionary) {
+    /// Same academic mini-graph as the relstore tests, every partition
+    /// resident.
+    fn academic() -> (Stores, Dictionary) {
         let mut dict = Dictionary::new();
-        let mut triples: Vec<Triple> = Vec::new();
-        let add = |dict: &mut Dictionary, triples: &mut Vec<Triple>, s: &str, pr: &str, o: &str| {
+        let mut store = Stores::with_budget(1000);
+        for (s, pr, o) in [
+            ("y:Einstein", "y:wasBornIn", "y:Ulm"),
+            ("y:Weber", "y:wasBornIn", "y:Ulm"),
+            ("y:Einstein", "y:hasAcademicAdvisor", "y:Weber"),
+            ("y:Feynman", "y:wasBornIn", "y:NYC"),
+            ("y:Wheeler", "y:wasBornIn", "y:Jacksonville"),
+            ("y:Feynman", "y:hasAcademicAdvisor", "y:Wheeler"),
+        ] {
             let s = dict.encode_node(&Term::iri(s)).unwrap();
             let pr = dict.encode_pred(pr).unwrap();
             let o = dict.encode_node(&Term::iri(o)).unwrap();
-            triples.push(Triple::new(s, pr, o));
-        };
-        add(
-            &mut dict,
-            &mut triples,
-            "y:Einstein",
-            "y:wasBornIn",
-            "y:Ulm",
-        );
-        add(&mut dict, &mut triples, "y:Weber", "y:wasBornIn", "y:Ulm");
-        add(
-            &mut dict,
-            &mut triples,
-            "y:Einstein",
-            "y:hasAcademicAdvisor",
-            "y:Weber",
-        );
-        add(&mut dict, &mut triples, "y:Feynman", "y:wasBornIn", "y:NYC");
-        add(
-            &mut dict,
-            &mut triples,
-            "y:Wheeler",
-            "y:wasBornIn",
-            "y:Jacksonville",
-        );
-        add(
-            &mut dict,
-            &mut triples,
-            "y:Feynman",
-            "y:hasAcademicAdvisor",
-            "y:Wheeler",
-        );
-
-        let mut store = GraphStore::with_budget(1000);
-        // Group by predicate and load as partitions.
-        let mut by_pred: FxHashMap<PredId, Vec<(NodeId, NodeId)>> = FxHashMap::default();
-        for t in &triples {
-            by_pred.entry(t.p).or_default().push((t.s, t.o));
+            store.rel.insert(Triple::new(s, pr, o));
         }
-        for (pred, pairs) in by_pred {
-            store.load_partition(pred, &pairs).unwrap();
+        for pred in store.rel.preds().collect::<Vec<_>>() {
+            let len = store.rel.partition_len(pred);
+            store.graph.admit(pred, len).unwrap();
         }
         (store, dict)
     }
 
-    fn run(store: &GraphStore, dict: &Dictionary, src: &str) -> Bindings {
+    fn run(store: &Stores, dict: &Dictionary, src: &str) -> Bindings {
         let q = parse(src).unwrap();
         let Compiled::Query(eq) = compile(&q, dict).unwrap() else {
             return Bindings::new(vec![]);
@@ -384,9 +422,9 @@ mod tests {
 
     #[test]
     fn budget_enforced_on_load() {
-        let mut store = GraphStore::with_budget(2);
+        let mut store = Stores::with_budget(2);
         let err = store
-            .load_partition(p(0), &[(n(1), n(2)), (n(3), n(4)), (n(5), n(6))])
+            .load(p(0), &[(n(1), n(2)), (n(3), n(4)), (n(5), n(6))])
             .unwrap_err();
         assert!(matches!(
             err,
@@ -396,73 +434,73 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(store.used(), 0);
-        store.load_partition(p(0), &[(n(1), n(2))]).unwrap();
-        assert_eq!(store.available(), 1);
+        assert_eq!(store.graph.used(), 0);
+        store.load(p(0), &[(n(1), n(2))]).unwrap();
+        assert_eq!(store.graph.available(), 1);
     }
 
     #[test]
     fn double_load_rejected() {
-        let mut store = GraphStore::with_budget(10);
-        store.load_partition(p(0), &[(n(1), n(2))]).unwrap();
+        let mut store = Stores::with_budget(10);
+        store.load(p(0), &[(n(1), n(2))]).unwrap();
         assert!(matches!(
-            store.load_partition(p(0), &[(n(3), n(4))]),
+            store.load(p(0), &[(n(3), n(4))]),
             Err(GraphStoreError::AlreadyLoaded(_))
         ));
     }
 
     #[test]
     fn evict_frees_budget() {
-        let mut store = GraphStore::with_budget(2);
-        store
-            .load_partition(p(0), &[(n(1), n(2)), (n(3), n(4))])
-            .unwrap();
-        assert_eq!(store.available(), 0);
-        assert_eq!(store.evict_partition(p(0)), 2);
-        assert_eq!(store.available(), 2);
-        assert!(!store.is_loaded(p(0)));
-        assert_eq!(store.import_stats().triples_evicted, 2);
+        let mut store = Stores::with_budget(2);
+        store.load(p(0), &[(n(1), n(2)), (n(3), n(4))]).unwrap();
+        assert_eq!(store.graph.available(), 0);
+        assert_eq!(store.graph.evict_partition(p(0)), 2);
+        assert_eq!(store.graph.available(), 2);
+        assert!(!store.graph.is_loaded(p(0)));
+        assert_eq!(store.graph.import_stats().triples_evicted, 2);
     }
 
     #[test]
     fn import_stats_accumulate() {
-        let mut store = GraphStore::with_budget(100);
-        store
-            .load_partition(p(0), &[(n(1), n(2)), (n(3), n(4))])
-            .unwrap();
-        let st = store.import_stats();
+        let mut store = Stores::with_budget(100);
+        store.load(p(0), &[(n(1), n(2)), (n(3), n(4))]).unwrap();
+        let st = store.graph.import_stats();
         assert_eq!(st.triples_imported, 2);
         assert_eq!(st.work_units, 2 * BULK_IMPORT_COST_PER_TRIPLE);
-        store.insert_edge(Triple::new(n(5), p(0), n(6))).unwrap();
-        assert_eq!(store.import_stats().single_updates, 1);
+        store.insert(Triple::new(n(5), p(0), n(6))).unwrap();
+        assert_eq!(store.graph.import_stats().single_updates, 1);
         assert_eq!(
-            store.import_stats().work_units,
+            store.graph.import_stats().work_units,
             2 * BULK_IMPORT_COST_PER_TRIPLE + SINGLE_UPDATE_COST
         );
     }
 
     #[test]
     fn online_updates_only_touch_resident_partitions() {
-        let mut store = GraphStore::with_budget(100);
-        store.load_partition(p(0), &[(n(1), n(2))]).unwrap();
-        // Non-resident partition: no-op, reported as false/0.
-        assert!(!store.insert_edge(Triple::new(n(1), p(9), n(2))).unwrap());
-        assert_eq!(store.delete_edge(Triple::new(n(1), p(9), n(2))), 0);
-        // Resident partition: applied.
-        assert!(store.insert_edge(Triple::new(n(7), p(0), n(8))).unwrap());
-        assert_eq!(store.partition_len(p(0)), 2);
-        assert_eq!(store.delete_edge(Triple::new(n(7), p(0), n(8))), 1);
-        assert_eq!(store.partition_len(p(0)), 1);
+        let mut store = Stores::with_budget(100);
+        store.load(p(0), &[(n(1), n(2))]).unwrap();
+        // Non-resident partition: `T_R` takes the write, `T_G` bills
+        // nothing and stays out of it.
+        assert!(!store.insert(Triple::new(n(1), p(9), n(2))).unwrap());
+        assert_eq!(store.delete(Triple::new(n(1), p(9), n(2))), 1);
+        assert!(!store.graph.is_loaded(p(9)));
+        assert_eq!(store.graph.used(), 1);
+        assert_eq!(store.graph.import_stats().single_updates, 0);
+        // Resident partition: accounted.
+        assert!(store.insert(Triple::new(n(7), p(0), n(8))).unwrap());
+        assert_eq!(store.graph.partition_len(p(0)), 2);
+        assert_eq!(store.delete(Triple::new(n(7), p(0), n(8))), 1);
+        assert_eq!(store.graph.partition_len(p(0)), 1);
     }
 
     #[test]
     fn covers_checks_residency() {
-        let mut store = GraphStore::with_budget(100);
-        store.load_partition(p(0), &[(n(1), n(2))]).unwrap();
-        store.load_partition(p(1), &[(n(1), n(2))]).unwrap();
-        assert!(store.covers(&[p(0), p(1)]));
-        assert!(!store.covers(&[p(0), p(2)]));
-        assert!(store.covers(&[]));
+        let mut store = Stores::with_budget(100);
+        store.load(p(0), &[(n(1), n(2))]).unwrap();
+        store.load(p(1), &[(n(1), n(2))]).unwrap();
+        assert!(store.graph.covers(&[p(0), p(1)]));
+        assert!(!store.graph.covers(&[p(0), p(2)]));
+        assert!(store.graph.covers(&[]));
     }
 
     #[test]
@@ -519,9 +557,15 @@ mod tests {
 
     #[test]
     fn variable_predicate_over_resident_partitions() {
-        let (store, dict) = academic();
+        let (mut store, dict) = academic();
         let res = run(&store, &dict, "SELECT ?s WHERE { ?s ?pr y:Ulm }");
         assert_eq!(res.len(), 2);
+        // `T_R` still holds an evicted partition; the variable does not
+        // range over it.
+        let born = dict.pred_id("y:wasBornIn").unwrap();
+        store.graph.evict_partition(born);
+        let res = run(&store, &dict, "SELECT ?s WHERE { ?s ?pr y:Ulm }");
+        assert_eq!(res.len(), 0);
     }
 
     #[test]
@@ -555,20 +599,14 @@ mod tests {
 
     #[test]
     fn self_loop_traversal() {
-        let mut store = GraphStore::with_budget(10);
-        store
-            .load_partition(p(0), &[(n(1), n(1)), (n(2), n(3))])
-            .unwrap();
-        let mut dict = Dictionary::new();
-        // Rebuild ids to match: n(1) = first node interned, etc.
-        let a = dict.encode_node(&Term::iri("a")).unwrap(); // n0
-        let _ = a;
+        let mut store = Stores::with_budget(10);
+        store.load(p(0), &[(n(1), n(1)), (n(2), n(3))]).unwrap();
         let q = EncodedQuery {
-            vars: vec![kgdual_sparql::Var::new("x")],
-            patterns: vec![kgdual_sparql::EncPattern {
-                s: kgdual_sparql::Slot::Var(0),
-                p: kgdual_sparql::PredSlot::Const(p(0)),
-                o: kgdual_sparql::Slot::Var(0),
+            vars: vec![Var::new("x")],
+            patterns: vec![EncPattern {
+                s: Slot::Var(0),
+                p: PredSlot::Const(p(0)),
+                o: Slot::Var(0),
             }],
             projection: vec![0],
             distinct: false,
@@ -586,24 +624,22 @@ mod tests {
         // The same bound query must do (nearly) the same work on both —
         // the index-free-adjacency property.
         let build = |extra: usize| {
-            let mut store = GraphStore::with_budget(1_000_000);
-            store
-                .load_partition(p(0), &[(n(1), n(2)), (n(3), n(4))])
-                .unwrap();
+            let mut store = Stores::with_budget(1_000_000);
+            store.load(p(0), &[(n(1), n(2)), (n(3), n(4))]).unwrap();
             if extra > 0 {
                 let big: Vec<(NodeId, NodeId)> = (0..extra as u32)
                     .map(|i| (n(1000 + i), n(2000 + i)))
                     .collect();
-                store.load_partition(p(1), &big).unwrap();
+                store.load(p(1), &big).unwrap();
             }
             store
         };
         let q = EncodedQuery {
-            vars: vec![kgdual_sparql::Var::new("o")],
-            patterns: vec![kgdual_sparql::EncPattern {
-                s: kgdual_sparql::Slot::Const(n(1)),
-                p: kgdual_sparql::PredSlot::Const(p(0)),
-                o: kgdual_sparql::Slot::Var(0),
+            vars: vec![Var::new("o")],
+            patterns: vec![EncPattern {
+                s: Slot::Const(n(1)),
+                p: PredSlot::Const(p(0)),
+                o: Slot::Var(0),
             }],
             projection: vec![0],
             distinct: false,
@@ -624,11 +660,11 @@ mod tests {
 
     #[test]
     fn build_and_row_lookup() {
-        let mut store = GraphStore::with_budget(100);
+        let mut store = Stores::with_budget(100);
         store
-            .load_partition(p(0), &[(n(1), n(3)), (n(1), n(2)), (n(4), n(2))])
+            .load(p(0), &[(n(1), n(3)), (n(1), n(2)), (n(4), n(2))])
             .unwrap();
-        store.load_partition(p(1), &[(n(2), n(5))]).unwrap();
+        store.load(p(1), &[(n(2), n(5))]).unwrap();
         assert_eq!(store.fwd_row(n(1), p(0)), &[n(2), n(3)], "rows are sorted");
         assert_eq!(store.rev_row(n(2), p(0)), &[n(1), n(4)]);
         assert!(store.fwd_row(n(9), p(0)).is_empty());
@@ -637,12 +673,14 @@ mod tests {
             store.fwd_row(n(1), p(1)).is_empty(),
             "rows are per predicate"
         );
-        assert_eq!(store.used(), 4);
-        assert_eq!(store.edge_count(), 4);
-        assert_eq!(store.preds(), [p(0), p(1)]);
-        assert_eq!(store.resident_partitions(), vec![(p(0), 3), (p(1), 1)]);
+        assert_eq!(store.graph.used(), 4);
+        assert_eq!(store.graph.preds(), [p(0), p(1)]);
         assert_eq!(
-            store.partition_stats(p(0)),
+            store.graph.resident_partitions(),
+            vec![(p(0), 3), (p(1), 1)]
+        );
+        assert_eq!(
+            store.stats(p(0)),
             Card {
                 rows: 3,
                 distinct_s: 2,
@@ -653,22 +691,22 @@ mod tests {
 
     #[test]
     fn all_edges_for_var_pred() {
-        let mut store = GraphStore::with_budget(100);
-        store.load_partition(p(3), &[(n(2), n(7))]).unwrap();
+        let mut store = Stores::with_budget(100);
+        store.load(p(3), &[(n(2), n(7))]).unwrap();
         store
-            .load_partition(p(1), &[(n(2), n(9)), (n(2), n(4)), (n(4), n(2))])
+            .load(p(1), &[(n(2), n(9)), (n(2), n(4)), (n(4), n(2))])
             .unwrap();
         // A variable-predicate pattern walks `preds()` in ascending order
         // and reads one row per partition.
-        let out_all = |store: &GraphStore, s: NodeId| -> Vec<(PredId, NodeId)> {
-            let preds = store.preds();
+        let out_all = |store: &Stores, s: NodeId| -> Vec<(PredId, NodeId)> {
+            let preds = store.graph.preds();
             preds
                 .iter()
                 .flat_map(|&pr| store.fwd_row(s, pr).iter().map(move |&o| (pr, o)))
                 .collect()
         };
         assert_eq!(
-            store.preds(),
+            store.graph.preds(),
             [p(1), p(3)],
             "ascending whatever the load order"
         );
@@ -680,130 +718,105 @@ mod tests {
         assert_eq!(store.rev_row(n(2), p(1)), [n(4)]);
         assert!(store.rev_row(n(2), p(3)).is_empty());
         assert!(out_all(&store, n(99)).is_empty());
-        store.evict_partition(p(1));
+        store.graph.evict_partition(p(1));
         assert_eq!(out_all(&store, n(2)), [(p(3), n(7))]);
     }
 
+    /// A write splices `T_R` once, and traversal of a resident partition
+    /// sees it at once, in order.
     #[test]
     fn online_splice_keeps_arrays_sorted() {
-        let mut store = GraphStore::with_budget(100);
-        store
-            .load_partition(p(0), &[(n(5), n(1)), (n(2), n(9))])
-            .unwrap();
-        store.insert_edge(Triple::new(n(2), p(0), n(3))).unwrap();
-        store.insert_edge(Triple::new(n(1), p(0), n(9))).unwrap();
-        assert_eq!(store.fwd_row(n(2), p(0)), &[n(3), n(9)]);
+        let mut store = Stores::with_budget(100);
+        store.load(p(0), &[(n(5), n(1)), (n(2), n(9))]).unwrap();
+        store.insert(Triple::new(n(2), p(0), n(3))).unwrap();
+        store.insert(Triple::new(n(1), p(0), n(9))).unwrap();
         assert_eq!(store.rev_row(n(9), p(0)), &[n(1), n(2)]);
-        assert_eq!(store.partition_len(p(0)), 4);
         assert_eq!(
             store.seed_edges(p(0)),
             [(n(1), n(9)), (n(2), n(3)), (n(2), n(9)), (n(5), n(1))]
         );
-        // Deletes update both directions and drop empty rows.
-        assert_eq!(store.delete_edge(Triple::new(n(5), p(0), n(1))), 1);
-        assert!(store.fwd_row(n(5), p(0)).is_empty());
+        assert_eq!(store.delete(Triple::new(n(5), p(0), n(1))), 1);
         assert!(store.rev_row(n(1), p(0)).is_empty());
-        assert_eq!(store.partition_stats(p(0)).distinct_s, 2);
-        assert_eq!(store.partition_stats(p(0)).distinct_o, 2);
-        assert_eq!(
-            store.delete_edge(Triple::new(n(5), p(0), n(1))),
-            0,
-            "already gone"
-        );
+        assert_eq!(store.delete(Triple::new(n(5), p(0), n(1))), 0);
+        assert_eq!(store.graph.partition_len(p(0)), 3);
     }
 
+    /// The statistics the matcher orders patterns by are the table's own,
+    /// and the resident length follows the table through every write.
     #[test]
     fn single_edge_writes_adjust_stats_without_recounting() {
-        let mut store = GraphStore::with_budget(100);
-        store
-            .load_partition(p(0), &[(n(1), n(2)), (n(1), n(3)), (n(4), n(2))])
-            .unwrap();
-        store.load_partition(p(1), &[(n(2), n(5))]).unwrap();
-        let base = store.partition_stats(p(0));
+        let mut store = sample();
         let edge = |s, o| Triple::new(n(s), p(0), n(o));
-        store.insert_edge(edge(1, 2)).unwrap(); // duplicate: no key is new
-        store.insert_edge(edge(7, 7)).unwrap(); // self-loop: new on both sides
-        store.insert_edge(edge(2, 5)).unwrap(); // both nodes known, but not under p(0)
-        assert_eq!(
-            store.partition_stats(p(0)),
-            Card {
-                rows: 6,
-                distinct_s: 4,
-                distinct_o: 4
-            }
-        );
-        assert_eq!(store.delete_edge(edge(1, 2)), 2);
-        assert_eq!(store.partition_stats(p(0)).distinct_s, 4, "1 still has 1→3");
-        assert_eq!(store.partition_stats(p(0)).distinct_o, 4, "2 still has 4→2");
-        assert_eq!(store.delete_edge(edge(7, 7)), 1);
-        assert_eq!(store.delete_edge(edge(2, 5)), 1);
-        store.insert_edge(edge(1, 2)).unwrap();
-        assert_eq!(store.partition_stats(p(0)), base);
-        assert_eq!(store.partition_stats(p(1)).rows, 1, "p(1) untouched");
-        assert_eq!(
-            store.seed_edges(p(0)),
-            [(n(1), n(2)), (n(1), n(3)), (n(4), n(2))]
-        );
+        for t in [edge(1, 2), edge(7, 7), edge(2, 5)] {
+            store.insert(t).unwrap();
+        }
+        assert_eq!(store.delete(edge(1, 2)), 2);
+        let table = store.rel.table(p(0)).unwrap();
+        assert_eq!(store.stats(p(0)), table.stats());
+        assert_eq!(store.graph.partition_len(p(0)), table.len());
+        assert_eq!(store.stats(p(1)).rows, 1, "p(1) untouched");
     }
 
     #[test]
     fn duplicate_edges_both_counted_and_removed() {
-        let mut store = GraphStore::with_budget(100);
-        store
-            .load_partition(p(0), &[(n(1), n(2)), (n(1), n(2))])
-            .unwrap();
+        let mut store = Stores::with_budget(100);
+        store.load(p(0), &[(n(1), n(2)), (n(1), n(2))]).unwrap();
         assert_eq!(store.fwd_row(n(1), p(0)), &[n(2), n(2)]);
-        store.insert_edge(Triple::new(n(1), p(0), n(2))).unwrap();
-        assert_eq!(store.used(), 3);
-        assert_eq!(store.delete_edge(Triple::new(n(1), p(0), n(2))), 3);
-        assert_eq!(store.used(), 0);
-        assert!(store.is_loaded(p(0)), "partition stays resident when empty");
-        assert_eq!(store.partition_stats(p(0)), Card::default());
+        store.insert(Triple::new(n(1), p(0), n(2))).unwrap();
+        assert_eq!(store.graph.used(), 3);
+        assert_eq!(store.delete(Triple::new(n(1), p(0), n(2))), 3);
+        assert_eq!(store.graph.used(), 0);
+        assert!(
+            store.graph.is_loaded(p(0)),
+            "partition stays resident when empty"
+        );
+        assert_eq!(store.stats(p(0)), Card::default());
     }
 
     #[test]
     fn single_update_budget_enforced() {
-        let mut store = GraphStore::with_budget(1);
-        store.load_partition(p(0), &[(n(1), n(2))]).unwrap();
+        let mut store = Stores::with_budget(1);
+        store.load(p(0), &[(n(1), n(2))]).unwrap();
         assert!(matches!(
-            store.insert_edge(Triple::new(n(3), p(0), n(4))),
+            store.insert(Triple::new(n(3), p(0), n(4))),
             Err(GraphStoreError::BudgetExceeded { .. })
         ));
         assert_eq!(
-            store.partition_len(p(0)),
+            store.graph.partition_len(p(0)),
             1,
             "a refused insert changes nothing"
         );
-        assert_eq!(store.import_stats().single_updates, 0);
+        assert_eq!(store.rel.partition_len(p(0)), 1, "nor does it reach T_R");
+        assert_eq!(store.graph.import_stats().single_updates, 0);
     }
 
     /// Two partitions: `p(0)` = {1→2, 1→3, 4→2}, `p(1)` = {2→5}.
-    fn sample() -> GraphStore {
-        let mut store = GraphStore::with_budget(100);
+    fn sample() -> Stores {
+        let mut store = Stores::with_budget(100);
         store
-            .load_partition(p(0), &[(n(1), n(2)), (n(1), n(3)), (n(4), n(2))])
+            .load(p(0), &[(n(1), n(2)), (n(1), n(3)), (n(4), n(2))])
             .unwrap();
-        store.load_partition(p(1), &[(n(2), n(5))]).unwrap();
+        store.load(p(1), &[(n(2), n(5))]).unwrap();
         store
     }
 
-    fn outs(store: &GraphStore, s: u32, pred: PredId) -> Vec<u32> {
+    fn outs(store: &Stores, s: u32, pred: PredId) -> Vec<u32> {
         store.fwd_row(n(s), pred).iter().map(|o| o.0).collect()
     }
 
-    fn ins(store: &GraphStore, o: u32, pred: PredId) -> Vec<u32> {
+    fn ins(store: &Stores, o: u32, pred: PredId) -> Vec<u32> {
         store.rev_row(n(o), pred).iter().map(|s| s.0).collect()
     }
 
     #[test]
     fn bulk_load_counts_edges() {
         let store = sample();
-        assert_eq!(store.edge_count(), 4);
+        assert_eq!(store.graph.used(), 4);
         assert_eq!(store.forward(p(0)).len(), 3);
         assert_eq!(store.seed_edges(p(0)).len(), 3);
         assert!(store.forward(p(9)).is_empty());
         assert!(store.seed_edges(p(9)).is_empty());
-        assert_eq!(store.preds(), [p(0), p(1)]);
+        assert_eq!(store.graph.preds(), [p(0), p(1)]);
     }
 
     #[test]
@@ -820,21 +833,21 @@ mod tests {
     #[test]
     fn single_edge_insert_keeps_sorted_order() {
         let mut store = sample();
-        assert!(store.insert_edge(Triple::new(n(1), p(0), n(0))).unwrap());
+        assert!(store.insert(Triple::new(n(1), p(0), n(0))).unwrap());
         assert_eq!(outs(&store, 1, p(0)), vec![0, 2, 3]);
         assert_eq!(ins(&store, 0, p(0)), vec![1]);
-        assert_eq!(store.edge_count(), 5);
+        assert_eq!(store.graph.used(), 5);
     }
 
     #[test]
     fn remove_edge_updates_both_directions() {
         let mut store = sample();
-        assert_eq!(store.delete_edge(Triple::new(n(1), p(0), n(2))), 1);
+        assert_eq!(store.delete(Triple::new(n(1), p(0), n(2))), 1);
         assert_eq!(outs(&store, 1, p(0)), vec![3]);
         assert_eq!(ins(&store, 2, p(0)), vec![4]);
-        assert_eq!(store.edge_count(), 3);
+        assert_eq!(store.graph.used(), 3);
         assert_eq!(
-            store.delete_edge(Triple::new(n(1), p(0), n(2))),
+            store.delete(Triple::new(n(1), p(0), n(2))),
             0,
             "already gone"
         );
@@ -843,22 +856,22 @@ mod tests {
     #[test]
     fn evict_partition_clears_everything() {
         let mut store = sample();
-        assert_eq!(store.evict_partition(p(0)), 3);
-        assert_eq!(store.edge_count(), 1);
+        assert_eq!(store.graph.evict_partition(p(0)), 3);
+        assert_eq!(store.graph.used(), 1);
         assert!(store.seed_edges(p(0)).is_empty());
         assert!(outs(&store, 1, p(0)).is_empty());
         assert!(ins(&store, 2, p(0)).is_empty());
-        assert_eq!(store.partition_stats(p(0)), Card::default());
-        assert_eq!(store.preds(), [p(1)]);
+        assert_eq!(store.stats(p(0)), Card::default());
+        assert_eq!(store.graph.preds(), [p(1)]);
         // p(1) untouched.
         assert_eq!(outs(&store, 2, p(1)), vec![5]);
-        assert_eq!(store.evict_partition(p(0)), 0);
+        assert_eq!(store.graph.evict_partition(p(0)), 0);
     }
 
     #[test]
     fn partition_stats_track_mutations() {
         let mut store = sample();
-        let st = store.partition_stats(p(0));
+        let st = store.stats(p(0));
         assert_eq!(
             st,
             Card {
@@ -869,131 +882,95 @@ mod tests {
         );
         assert!((st.per_subject() - 1.5).abs() < 1e-9);
         assert!((st.per_object() - 1.5).abs() < 1e-9);
-        store.insert_edge(Triple::new(n(1), p(0), n(9))).unwrap();
-        assert_eq!(store.partition_stats(p(0)).distinct_o, 3);
-        store.evict_partition(p(0));
-        assert_eq!(store.partition_stats(p(0)), Card::default());
+        store.insert(Triple::new(n(1), p(0), n(9))).unwrap();
+        assert_eq!(store.stats(p(0)).distinct_o, 3);
+        store.graph.evict_partition(p(0));
+        assert_eq!(store.stats(p(0)), Card::default());
         assert_eq!(Card::default().per_subject(), 0.0);
     }
 
     #[test]
     fn duplicate_single_edge_inserts_both_counted_and_removed() {
-        let mut store = GraphStore::with_budget(100);
-        store.load_partition(p(0), &[]).unwrap();
-        store.insert_edge(Triple::new(n(1), p(0), n(2))).unwrap();
-        store.insert_edge(Triple::new(n(1), p(0), n(2))).unwrap();
-        assert_eq!(store.edge_count(), 2);
+        let mut store = Stores::with_budget(100);
+        store.load(p(0), &[]).unwrap();
+        store.insert(Triple::new(n(1), p(0), n(2))).unwrap();
+        store.insert(Triple::new(n(1), p(0), n(2))).unwrap();
+        assert_eq!(store.graph.used(), 2);
         assert_eq!(ins(&store, 2, p(0)), vec![1, 1]);
-        assert_eq!(store.delete_edge(Triple::new(n(1), p(0), n(2))), 2);
-        assert_eq!(store.edge_count(), 0);
+        assert_eq!(store.delete(Triple::new(n(1), p(0), n(2))), 2);
+        assert_eq!(store.graph.used(), 0);
     }
 
     #[test]
     fn budget_and_double_load_enforced() {
-        let mut store = GraphStore::with_budget(2);
+        let mut store = Stores::with_budget(2);
         assert!(matches!(
-            store.load_partition(p(0), &[(n(1), n(2)), (n(3), n(4)), (n(5), n(6))]),
+            store.load(p(0), &[(n(1), n(2)), (n(3), n(4)), (n(5), n(6))]),
             Err(GraphStoreError::BudgetExceeded {
                 needed: 3,
                 available: 2,
                 ..
             })
         ));
-        store.load_partition(p(0), &[(n(1), n(2))]).unwrap();
+        store.load(p(0), &[(n(1), n(2))]).unwrap();
         assert!(matches!(
-            store.load_partition(p(0), &[(n(3), n(4))]),
+            store.load(p(0), &[(n(3), n(4))]),
             Err(GraphStoreError::AlreadyLoaded(_))
         ));
-        assert_eq!(store.available(), 1);
+        assert_eq!(store.graph.available(), 1);
         assert_eq!(
-            store.partition_len(p(0)),
+            store.graph.partition_len(p(0)),
             1,
             "a refused load changes nothing"
         );
     }
 
-    /// Migration's path (T_R's own runs into `load_runs`) holds the
-    /// table's memory, not a copy, and equals `load_partition` over the
-    /// same pairs in any order: same rows, stats and bill.
+    /// Migration's path — admitting a table's length — reads the table's
+    /// own runs, not a copy, and bills and sizes exactly as the standalone
+    /// `load_partition` over the same pairs.
     #[test]
     fn migrated_runs_equal_load_partition() {
-        use kgdual_relstore::PredTable;
-
-        // Partition 0: duplicate edges, self-loops (one duplicated), a hub
-        // subject with repeated neighbours and a hub object. Partition 1
-        // is empty: both directions have no rows.
-        let mut edges = vec![
-            (n(1), n(1)),
-            (n(2), n(3)),
-            (n(2), n(3)),
-            (n(3), n(2)),
-            (n(4), n(4)),
-            (n(4), n(4)),
-        ];
+        // Partition 0 has duplicate edges, a self-loop and a hub subject;
+        // partition 1 is empty.
+        let mut edges = vec![(n(1), n(1)), (n(2), n(3)), (n(2), n(3))];
         edges.extend((0..50).map(|i| (n(7), n(100 + i % 17))));
-        edges.extend((0..20).map(|i| (n(200 + i), n(7))));
-        let partitions = [edges, Vec::new()];
-
-        let mut from_runs = GraphStore::with_budget(1_000);
-        let mut from_pairs = GraphStore::with_budget(1_000);
-        let mut tables = Vec::new();
-        for (pred, rows) in (0..).map(p).zip(&partitions) {
-            let table = PredTable::from_pairs(rows.clone());
-            from_runs.load_runs(pred, Arc::clone(table.runs())).unwrap();
-            tables.push(table);
-            let mut shuffled = rows.clone();
-            for j in (1..shuffled.len()).rev() {
-                shuffled.swap(j, (j * 7_919 + 13) % (j + 1));
-            }
-            from_pairs.load_partition(pred, &shuffled).unwrap();
+        let mut migrated = Stores::with_budget(1_000);
+        let mut standalone = GraphStore::with_budget(1_000);
+        for (pred, rows) in [(p(0), edges), (p(1), Vec::new())] {
+            migrated.rel.load_partition(pred, &rows);
+            let len = migrated.rel.partition_len(pred);
+            migrated.graph.admit(pred, len).unwrap();
+            standalone.load_partition(pred, &rows).unwrap();
+            let table = migrated.rel.table(pred).unwrap();
+            let (fwd, rev) = (table.runs().fwd(), table.runs().rev());
+            assert!(std::ptr::eq(migrated.forward(pred).nbrs(), fwd.nbrs()));
+            assert!(std::ptr::eq(migrated.reverse(pred).nbrs(), rev.nbrs()));
+            assert_eq!(migrated.stats(pred), table.stats());
         }
-        for (pred, table) in [p(0), p(1)].into_iter().zip(&tables) {
-            let views = [
-                (from_runs.forward(pred), from_pairs.forward(pred)),
-                (from_runs.reverse(pred), from_pairs.reverse(pred)),
-            ];
-            for (a, b) in views {
-                assert_eq!(
-                    (a.keys(), a.offsets(), a.nbrs()),
-                    (b.keys(), b.offsets(), b.nbrs())
-                );
-            }
-            assert!(std::ptr::eq(
-                from_runs.forward(pred).nbrs(),
-                table.runs().fwd().nbrs()
-            ));
-            assert_eq!(
-                from_runs.partition_stats(pred),
-                from_pairs.partition_stats(pred)
-            );
-            assert_eq!(from_runs.partition_stats(pred), table.stats());
-        }
-        assert_eq!(from_runs.fwd_row(n(7), p(0)).len(), 50);
-        assert_eq!(from_runs.rev_row(n(7), p(0)).len(), 20);
-        assert!(from_runs.forward(p(1)).keys().is_empty());
-        assert_eq!(from_runs.import_stats(), from_pairs.import_stats());
+        assert_eq!(migrated.fwd_row(n(7), p(0)).len(), 50);
+        assert_eq!(migrated.graph.import_stats(), standalone.import_stats());
         assert_eq!(
-            from_runs.resident_partitions(),
-            from_pairs.resident_partitions()
+            migrated.graph.resident_partitions(),
+            standalone.resident_partitions()
         );
     }
 
     #[test]
     fn evict_twice_frees_and_bills_once() {
-        let mut store = GraphStore::with_budget(2);
-        store
-            .load_partition(p(0), &[(n(1), n(2)), (n(3), n(4))])
-            .unwrap();
-        assert_eq!(store.evict_partition(p(0)), 2);
-        assert_eq!(store.evict_partition(p(0)), 0, "already gone");
-        assert_eq!(store.available(), 2);
-        assert!(!store.is_loaded(p(0)));
-        assert_eq!(store.import_stats().triples_evicted, 2);
+        let mut store = Stores::with_budget(2);
+        store.load(p(0), &[(n(1), n(2)), (n(3), n(4))]).unwrap();
+        assert_eq!(store.graph.evict_partition(p(0)), 2);
+        assert_eq!(store.graph.evict_partition(p(0)), 0, "already gone");
+        assert_eq!(store.graph.available(), 2);
+        assert!(!store.graph.is_loaded(p(0)));
+        assert_eq!(store.graph.import_stats().triples_evicted, 2);
     }
 
     #[test]
     fn missing_partition_is_an_error_on_an_empty_store() {
-        let store = GraphStore::with_budget(10);
+        // `T_R` holds the partition, but it is not resident.
+        let mut store = Stores::with_budget(10);
+        store.rel.load_partition(p(0), &[(n(1), n(2))]);
         let mut dict = Dictionary::new();
         dict.encode_pred("y:never").unwrap();
         let q = parse("SELECT ?s WHERE { ?s y:never ?o }").unwrap();

@@ -12,7 +12,7 @@
 
 use kgdual_graphstore::{GraphBackend, GraphStore};
 use kgdual_model::{NodeId, PredId};
-use kgdual_relstore::{Bindings, ExecContext};
+use kgdual_relstore::{Bindings, ExecContext, RelStore};
 use kgdual_sparql::{EncPattern, EncodedQuery, PredSlot, Slot, Var, VarId};
 
 const WORKS_AT: u32 = 0;
@@ -39,8 +39,8 @@ impl Lcg {
 /// edge is doubled. `graduatedFrom`: one of 40 universities, every 5th
 /// edge doubled. `bornIn`: one of 50 cities (`#700000`–`#700049`).
 /// `advisor`: one or two advisors each, a few self-advised, every 11th
-/// edge doubled.
-fn store() -> GraphStore {
+/// edge doubled. All four partitions are resident.
+fn store() -> (GraphStore, RelStore) {
     let mut rng = Lcg(7);
     let people = 3_000u32;
     let mut works = Vec::new();
@@ -71,16 +71,17 @@ fn store() -> GraphStore {
             }
         }
     }
-    let mut g = GraphStore::with_budget(1_000_000);
+    let (mut g, mut rel) = (GraphStore::with_budget(1_000_000), RelStore::new());
     for (pred, edges) in [
         (WORKS_AT, &works),
         (GRADUATED, &grad),
         (BORN_IN, &born),
         (ADVISOR, &advisor),
     ] {
-        g.load_partition(PredId(pred), edges).unwrap();
+        rel.load_partition(PredId(pred), edges);
+        g.admit(PredId(pred), edges.len()).unwrap();
     }
-    g
+    (g, rel)
 }
 
 /// Compile `select` (variables, space-separated) over `patterns`
@@ -171,12 +172,12 @@ distinct LIMIT | ?u | ?p worksAt ?o . ?p graduatedFrom ?u | distinct limit 10 | 
 
 #[test]
 fn matcher_charges_and_row_order_are_pinned() {
-    let g = store();
+    let (g, rel) = store();
     for line in CASES.lines().filter(|l| !l.is_empty()) {
         let f: Vec<&str> = line.split(" | ").collect();
         let q = query(f[1], f[2], f[3]);
         let mut ctx = ExecContext::new();
-        let rows = g.execute(&q, &mut ctx).unwrap();
+        let rows = g.execute(&rel, &q, &mut ctx).unwrap();
         let st = &ctx.stats;
         let charges = format!(
             "{} {} {} {}",
@@ -194,16 +195,16 @@ fn matcher_charges_and_row_order_are_pinned() {
 }
 
 /// EXPLAIN's per-depth `actual_rows` (one plan step per ordered pattern).
-fn depth_rows(g: &GraphStore, q: &EncodedQuery) -> Vec<u64> {
+fn depth_rows((g, rel): &(GraphStore, RelStore), q: &EncodedQuery) -> Vec<u64> {
     kgdual_vec::plan::begin_capture();
-    g.execute(q, &mut ExecContext::new()).unwrap();
+    g.execute(rel, q, &mut ExecContext::new()).unwrap();
     let cap = kgdual_vec::plan::end_capture().unwrap();
     cap.ops.iter().map(|op| op.actual_rows).collect()
 }
 
 #[test]
 fn explain_depth_rows_are_pinned() {
-    let g = store();
+    let stores = store();
     let colleague = "?p worksAt ?o . ?q worksAt ?o . ?p graduatedFrom ?u . ?q graduatedFrom ?u";
     let triangle = "?p bornIn ?c . ?p advisor ?a . ?a bornIn ?c";
     let cases = [
@@ -222,6 +223,6 @@ fn explain_depth_rows_are_pinned() {
         (query("?s", "?s ?r ?o", "limit 5000"), vec![5000]),
     ];
     for (q, want) in cases {
-        assert_eq!(depth_rows(&g, &q), want);
+        assert_eq!(depth_rows(&stores, &q), want);
     }
 }

@@ -11,13 +11,11 @@
 //! the distinct subjects and objects are the key counts, so nothing is
 //! maintained beside them.
 //!
-//! The relational table ([`crate::PredTable`]) owns its runs behind an
-//! `Arc`, and a graph-resident partition is that same `Arc`: migrating a
-//! partition into `T_G` clones the pointer, and evicting it drops one.
-//! `Arc::make_mut` is the write rule: [`SortedRuns::insert`] and
-//! [`SortedRuns::remove_all`] splice one store's runs in place, and the
-//! first write to a run both stores still hold copies it once. A delete
-//! of an absent row copies nothing.
+//! The relational table ([`crate::PredTable`]) owns its runs, and the
+//! graph store owns none: a graph-resident partition is read through its
+//! table's runs, so migrating a partition into `T_G` or evicting it
+//! touches no edge. A write splices the table's runs once, in place
+//! ([`SortedRuns::insert`], [`SortedRuns::remove_all`]).
 //!
 //! # Cost-parity contract
 //!
@@ -42,7 +40,6 @@
 
 use kgdual_model::NodeId;
 use kgdual_vec::cost::Card;
-use std::sync::Arc;
 
 /// One direction of one partition as compressed sparse rows: `keys` are
 /// the distinct row nodes, ascending; `offsets[i]..offsets[i + 1]`
@@ -205,25 +202,20 @@ impl SortedRuns {
         }
     }
 
-    /// Splice the edge `(s, o)` into both directions, copying `runs` first
-    /// if another store still shares it.
-    pub fn insert(runs: &mut Arc<Self>, s: NodeId, o: NodeId) {
-        let runs = Arc::make_mut(runs);
-        runs.fwd.insert(s, o);
-        runs.rev.insert(o, s);
+    /// Splice the edge `(s, o)` into both directions.
+    pub fn insert(&mut self, s: NodeId, o: NodeId) {
+        self.fwd.insert(s, o);
+        self.rev.insert(o, s);
     }
 
     /// Remove every copy of the edge `(s, o)`; returns how many were
-    /// removed. An absent edge costs two binary searches and copies
-    /// nothing, however many stores share `runs`.
-    pub fn remove_all(runs: &mut Arc<Self>, s: NodeId, o: NodeId) -> usize {
-        if runs.fwd().row(s).binary_search(&o).is_err() {
-            return 0;
+    /// removed. An absent edge costs one search of the forward run.
+    pub fn remove_all(&mut self, s: NodeId, o: NodeId) -> usize {
+        let removed = self.fwd.remove_all(s, o);
+        if removed > 0 {
+            let mirrored = self.rev.remove_all(o, s);
+            debug_assert_eq!(removed, mirrored, "fwd/rev must stay mirrored");
         }
-        let runs = Arc::make_mut(runs);
-        let removed = runs.fwd.remove_all(s, o);
-        let mirrored = runs.rev.remove_all(o, s);
-        debug_assert_eq!(removed, mirrored, "fwd/rev must stay mirrored");
         removed
     }
 }

@@ -16,20 +16,19 @@ use std::sync::Arc;
 ///
 /// Like a real RDBMS's secondary indexes, the by-subject and by-object
 /// indexes exist as long as the table does: they are the table's
-/// [`SortedRuns`], behind an `Arc` that a graph-resident copy of the
-/// partition shares ([`runs`](Self::runs)). Every bulk load
+/// [`SortedRuns`] ([`runs`](Self::runs)), which the graph store also
+/// traverses while the partition is resident. Every bulk load
 /// ([`from_pairs`](Self::from_pairs), [`insert_batch`](Self::insert_batch),
 /// [`insert_shared`](Self::insert_shared)) sorts both runs; a bulk append
 /// re-sorts them. Single-row writes keep them valid: [`insert`](Self::insert)
 /// and [`delete`](Self::delete) splice the row in or out of each run
-/// ([`SortedRuns::insert`], [`SortedRuns::remove_all`]), copying the runs
-/// first if the graph store still shares them. The statistics are read off
-/// the runs. Nothing is built on first use, so there is no warm-up and a
+/// ([`SortedRuns::insert`], [`SortedRuns::remove_all`]). The statistics
+/// are read off the runs. Nothing is built on first use, so there is no warm-up and a
 /// lookup borrows a row of a run.
 #[derive(Debug, Default)]
 pub struct PredTable {
     pairs: SharedPairs,
-    runs: Arc<SortedRuns>,
+    runs: SortedRuns,
 }
 
 impl PredTable {
@@ -68,13 +67,13 @@ impl PredTable {
     /// Append a row. Both runs take it at its sorted position.
     pub fn insert(&mut self, s: NodeId, o: NodeId) {
         Arc::make_mut(&mut self.pairs).push((s, o));
-        SortedRuns::insert(&mut self.runs, s, o);
+        self.runs.insert(s, o);
     }
 
     /// Append many rows, then re-sort both runs once.
     pub fn insert_batch(&mut self, rows: &[(NodeId, NodeId)]) {
         Arc::make_mut(&mut self.pairs).extend_from_slice(rows);
-        self.runs = Arc::new(SortedRuns::from_pairs(&self.pairs));
+        self.runs = SortedRuns::from_pairs(&self.pairs);
     }
 
     /// Append a shared run of rows, like [`insert_batch`](Self::insert_batch).
@@ -82,7 +81,7 @@ impl PredTable {
     pub fn insert_shared(&mut self, rows: &SharedPairs) {
         if self.pairs.is_empty() {
             self.pairs = Arc::clone(rows);
-            self.runs = Arc::new(SortedRuns::from_pairs(rows));
+            self.runs = SortedRuns::from_pairs(rows);
         } else {
             self.insert_batch(rows);
         }
@@ -94,16 +93,17 @@ impl PredTable {
     /// copy; a present row costs one pass over the base rows plus the
     /// splice in each run.
     pub fn delete(&mut self, s: NodeId, o: NodeId) -> usize {
-        let removed = SortedRuns::remove_all(&mut self.runs, s, o);
+        let removed = self.runs.remove_all(s, o);
         if removed > 0 {
             Arc::make_mut(&mut self.pairs).retain(|&row| row != (s, o));
         }
         removed
     }
 
-    /// Both sorted runs, as the graph store adopts them on migration.
+    /// Both sorted runs, as the graph store traverses them while the
+    /// partition is resident.
     #[inline]
-    pub fn runs(&self) -> &Arc<SortedRuns> {
+    pub fn runs(&self) -> &SortedRuns {
         &self.runs
     }
 

@@ -50,7 +50,7 @@ fn main() {
     }
     let import = dual.graph().import_stats();
     println!(
-        "streamed 3 facts: graph mirror applied {} single-edge updates ({} work units)",
+        "streamed 3 facts: the graph store billed {} writes to resident partitions ({} work units)",
         import.single_updates, import.work_units
     );
 
