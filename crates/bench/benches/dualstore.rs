@@ -4,7 +4,7 @@
 //! Case-2 guard).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use kgdual_core::{identify, DualStore, PhysicalTuner};
+use kgdual_core::{identify, DualStore, Options, PhysicalTuner};
 use kgdual_dotil::{Dotil, DotilConfig};
 use kgdual_relstore::{ExecContext, PlannerConfig};
 use kgdual_sparql::{compile, parse, Compiled};
@@ -33,13 +33,13 @@ fn bench_routing(c: &mut Criterion) {
     let budget = dataset.len() / 4;
     let mut dual = DualStore::from_dataset(dataset, budget);
     let q = parse(ADVISOR).unwrap();
-    Dotil::new().tune(&mut dual, std::slice::from_ref(&q));
+    Dotil::new().tune_with(&mut dual, std::slice::from_ref(&q), None);
 
     let mut g = c.benchmark_group("query-processor");
     g.sample_size(30);
     g.bench_function("routed-graph-case1", |b| {
         b.iter(|| {
-            kgdual_core::processor::process(&dual, black_box(&q))
+            kgdual_core::process(&dual, black_box(&q), Options::default())
                 .unwrap()
                 .results
                 .len()
@@ -48,7 +48,7 @@ fn bench_routing(c: &mut Criterion) {
     let simple = parse("SELECT ?p ?g WHERE { ?p y:hasGivenName ?g }").unwrap();
     g.bench_function("routed-relational-simple", |b| {
         b.iter(|| {
-            kgdual_core::processor::process(&dual, black_box(&simple))
+            kgdual_core::process(&dual, black_box(&simple), Options::default())
                 .unwrap()
                 .results
                 .len()
@@ -73,7 +73,9 @@ fn bench_dotil_step(c: &mut Criterion) {
                     prob: 1.0,
                     ..Default::default()
                 });
-                tuner.tune(&mut dual, std::slice::from_ref(&q)).migrated
+                tuner
+                    .tune_with(&mut dual, std::slice::from_ref(&q), None)
+                    .migrated
             },
             criterion::BatchSize::LargeInput,
         )
@@ -159,7 +161,7 @@ fn bench_ablation_case2_guard(c: &mut Criterion) {
     g.sample_size(30);
     g.bench_function("guard-on", |b| {
         b.iter(|| {
-            kgdual_core::processor::process(&guarded, black_box(&q))
+            kgdual_core::process(&guarded, black_box(&q), Options::default())
                 .unwrap()
                 .results
                 .len()
@@ -167,7 +169,7 @@ fn bench_ablation_case2_guard(c: &mut Criterion) {
     });
     g.bench_function("guard-off", |b| {
         b.iter(|| {
-            kgdual_core::processor::process(&unguarded, black_box(&q))
+            kgdual_core::process(&unguarded, black_box(&q), Options::default())
                 .unwrap()
                 .results
                 .len()

@@ -4,11 +4,9 @@
 //! memoises them.
 
 use kgdual_core::batch::TuningSchedule;
-use kgdual_core::{DualStore, NoopTuner, PhysicalTuner};
+use kgdual_core::{DualStore, NoopTuner, PhysicalTuner, Policy};
 use kgdual_dotil::{Dotil, DotilConfig, FrequencyTuner, IdealTuner, OneOffTuner, ViewTuner};
-use kgdual_exec::{
-    BatchExecutor, ExecMode, ParallelBatchReport, ParallelRunner, Scheduler, SharedStore,
-};
+use kgdual_exec::{BatchExecutor, ParallelBatchReport, ParallelRunner, Scheduler, SharedStore};
 use kgdual_model::Dataset;
 use kgdual_sparql::Query;
 use std::sync::Arc;
@@ -86,12 +84,12 @@ impl VariantKind {
         }
     }
 
-    /// The processor entry point its online phase runs.
-    pub fn mode(self) -> ExecMode {
+    /// The store variant its online phase runs.
+    pub fn policy(self) -> Policy {
         match self {
-            VariantKind::RdbOnly => ExecMode::RelationalOnly,
-            VariantKind::RdbViews => ExecMode::ViewAssisted,
-            _ => ExecMode::Routed,
+            VariantKind::RdbOnly => Policy::RelationalOnly,
+            VariantKind::RdbViews => Policy::ViewAssisted,
+            _ => Policy::Routed,
         }
     }
 
@@ -109,7 +107,7 @@ impl VariantKind {
 
     /// Its runner: its schedule and mode, on `pool`.
     pub fn runner(self, pool: &Arc<Scheduler>) -> ParallelRunner {
-        let executor = BatchExecutor::with_scheduler(Arc::clone(pool)).with_mode(self.mode());
+        let executor = BatchExecutor::with_scheduler(Arc::clone(pool)).with_mode(self.policy());
         ParallelRunner::new(self.schedule(), executor)
     }
 }

@@ -19,10 +19,9 @@ use crate::args::BenchArgs;
 use crate::experiments::WorkloadKind;
 use crate::serve_load::query_pool;
 use crate::setup::{build_batches, build_dataset, build_workload, Order};
-use kgdual_core::{process_shared_explain, DualStore, PhysicalTuner};
+use kgdual_core::{process, DualStore, Options, PhysicalTuner};
 use kgdual_dotil::{Dotil, DotilConfig};
 use kgdual_exec::{BatchExecutor, SharedStore};
-use kgdual_relstore::TempSpace;
 use kgdual_serve::json::{escape, Json};
 use std::sync::Arc;
 
@@ -65,13 +64,16 @@ pub fn profile(args: &BenchArgs) -> Profile {
     }
 
     let guard = store.read();
-    let mut temp = TempSpace::new();
+    let explain = Options {
+        explain: true,
+        ..Options::default()
+    };
     let mut rows = Vec::new();
     let mut trees = String::new();
     let mut digest_input = String::new();
     for (i, text) in query_pool(args).iter().enumerate() {
         let query = kgdual_sparql::parse(text).expect("pool query parses");
-        let out = process_shared_explain(&guard, &mut temp, &query, true).expect("pool query runs");
+        let out = process(&guard, &query, explain).expect("pool query runs");
         let plan = out.plan.as_ref().expect("explain run produces a plan");
         let profile = out
             .profile

@@ -7,7 +7,7 @@ use super::{Panel, Runs};
 use crate::experiments::{run_reps, VariantKind, WorkloadKind};
 use crate::setup::{build_workload, Order};
 use crate::table::{micros, pct, secs, TablePrinter};
-use kgdual_core::processor::process;
+use kgdual_core::processor::{process, Options};
 use kgdual_core::{DualStore, Route};
 use kgdual_dotil::{Dotil, DotilConfig};
 use kgdual_exec::{ParallelRunner, SharedStore};
@@ -210,7 +210,7 @@ fn resource_store(runs: &mut Runs) -> (DualStore, [Query; 2]) {
 /// Every query must take the graph route.
 fn graph_runs(dual: &DualStore, queries: &[Query]) -> Vec<(ExecStats, u64)> {
     let run = |q: &Query| {
-        let out = process(dual, q).expect("query runs");
+        let out = process(dual, q, Options::default()).expect("query runs");
         assert!(
             matches!(out.route, Route::Graph),
             "{q} must run on the graph store"

@@ -11,11 +11,10 @@ mod grid;
 use grid::*;
 use kgdual_bench::{build_dataset, BenchArgs, WorkloadKind};
 use kgdual_core::batch::TuningSchedule;
-use kgdual_core::{process_shared_explain, DualStore};
+use kgdual_core::{process, DualStore, Options};
 use kgdual_dotil::Dotil;
 use kgdual_exec::{BatchExecutor, ParallelRunner, Scheduler, SharedStore};
 use kgdual_model::DesignError;
-use kgdual_relstore::TempSpace;
 use kgdual_serve::{ServeConfig, Server};
 use std::sync::Arc;
 
@@ -222,7 +221,10 @@ fn served_explain_analyze_matches_in_process_plan() {
     let mut client = ServeClient::connect(server.local_addr(), "explain-eq").expect("connect");
 
     let guard = store.read();
-    let mut temp = TempSpace::new();
+    let explain = Options {
+        explain: true,
+        ..Options::default()
+    };
     for (i, text) in queries.iter().enumerate() {
         let reply = client
             .query_explain(text, None, Some("analyze"))
@@ -235,7 +237,7 @@ fn served_explain_analyze_matches_in_process_plan() {
             .expect("analyze reply carries a profile");
 
         let query = kgdual_sparql::parse(text).expect("pool query parses");
-        let out = process_shared_explain(&guard, &mut temp, &query, true).expect("local run");
+        let out = process(&guard, &query, explain).expect("local run");
         let local_plan = out.plan.expect("local plan");
         let local_profile = out.profile.expect("local profile");
 

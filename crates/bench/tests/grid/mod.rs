@@ -27,12 +27,11 @@ use kgdual_bench::serve_load::serial_replay;
 use kgdual_bench::{build_batches, build_dataset, build_workload, BenchArgs, Order, WorkloadKind};
 use kgdual_core::batch::{RouteCounts, TuningSchedule};
 use kgdual_core::{
-    process_shared_explain, DualStore, NoopTuner, PhysicalTuner, QueryOutcome, Route, TuningOutcome,
+    process, DualStore, NoopTuner, Options, PhysicalTuner, QueryOutcome, Route, TuningOutcome,
 };
 use kgdual_dotil::{Dotil, ViewTuner};
-use kgdual_exec::{BatchExecutor, ExecMode, ParallelRunner, Scheduler, SharedStore, TaskClass};
+use kgdual_exec::{BatchExecutor, ParallelRunner, Scheduler, SharedStore, TaskClass};
 use kgdual_model::Dataset;
-use kgdual_relstore::TempSpace;
 use kgdual_serve::{ServeConfig, ServeHandle, Server};
 use kgdual_sparql::Query;
 use std::fmt;
@@ -45,17 +44,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 /// How queries reach a store: one of the paper's three store variants.
 /// The policies answer alike but charge differently, so each has its own
 /// reference cell.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Policy {
-    /// The dual store's routed path (`RDB-GDB`), tuned by DOTIL after
-    /// each batch.
-    Routed,
-    /// The relational store alone (`RDB-only`), never tuned.
-    RelationalOnly,
-    /// The relational store with materialized views (`RDB-views`), the
-    /// view catalog rebuilt after each batch.
-    ViewAssisted,
-}
+pub use kgdual_core::Policy;
 
 /// How a batch's queries reach the store. Tuning between batches is the
 /// same `SharedStore::reconfigure` call on both.
@@ -231,9 +220,8 @@ pub struct Fingerprint {
     /// design, so the restored run measures again.
     pub tuning_tasks: Option<u64>,
     /// `PlanDesc` | `QueryProfile` deterministic JSON for every pool query
-    /// on the final design. Routed policy only: the baselines' graph
-    /// stores stay cold, so their plans are relational ones, which the
-    /// routed cells plan too.
+    /// on the final design, run under the cell's policy: DOTIL's design
+    /// for the routed cells, the view catalog for the view cells.
     pub plans: Vec<String>,
 }
 
@@ -350,13 +338,13 @@ struct Life {
 
 impl Life {
     fn start(cell: &Cell) -> Life {
-        let (mode, tuner): (_, Box<dyn PhysicalTuner + Send>) = match cell.policy {
-            Policy::Routed => (ExecMode::Routed, Box::new(Dotil::new())),
-            Policy::RelationalOnly => (ExecMode::RelationalOnly, Box::new(NoopTuner)),
-            Policy::ViewAssisted => (ExecMode::ViewAssisted, Box::new(ViewTuner::new())),
+        let tuner: Box<dyn PhysicalTuner + Send> = match cell.policy {
+            Policy::Routed => Box::new(Dotil::new()),
+            Policy::RelationalOnly => Box::new(NoopTuner),
+            Policy::ViewAssisted => Box::new(ViewTuner::new()),
         };
         let executor = BatchExecutor::new(cell.workers)
-            .with_mode(mode)
+            .with_mode(cell.policy)
             .with_outcomes(true);
         let runner = ParallelRunner::new(TuningSchedule::AfterEachBatch, executor);
         let store = Arc::new(SharedStore::new(fresh_dual()));
@@ -538,27 +526,25 @@ fn fingerprint(cell: &Cell) -> Fingerprint {
     if cell.restart == Restart::No {
         fp.tuning_tasks = Some(sched.stats().executed.get(TaskClass::OfflineTuning));
     }
-    if cell.policy == Policy::Routed {
-        fp.plans = {
-            let dual = life.store.read();
-            let mut temp = TempSpace::new();
-            batches
-                .iter()
-                .flatten()
-                .map(|query| {
-                    let out =
-                        process_shared_explain(&dual, &mut temp, query, true).expect("query runs");
-                    let plan = out.plan.expect("an explain run attaches a plan");
-                    let profile = out.profile.expect("an explain run attaches a profile");
-                    format!(
-                        "{}|{}",
-                        plan.deterministic_json(),
-                        profile.deterministic_json()
-                    )
-                })
-                .collect()
-        };
-    }
+    let dual = life.store.read();
+    let explain = Options {
+        policy: cell.policy,
+        explain: true,
+    };
+    fp.plans = batches
+        .iter()
+        .flatten()
+        .map(|query| {
+            let out = process(&dual, query, explain).expect("query runs");
+            let plan = out.plan.expect("an explain run attaches a plan");
+            let profile = out.profile.expect("an explain run attaches a profile");
+            format!(
+                "{}|{}",
+                plan.deterministic_json(),
+                profile.deterministic_json()
+            )
+        })
+        .collect();
     fp
 }
 
@@ -586,6 +572,10 @@ pub fn reference(policy: Policy) -> &'static Fingerprint {
             assert!(
                 fp.routes.iter().any(|r| r.view_assisted > 0),
                 "some query must be answered from a view"
+            );
+            assert!(
+                fp.plans.iter().any(|p| p.contains("\"op\":\"view_scan\"")),
+                "a view-answered query must plan its view read"
             );
         }
         fp

@@ -96,10 +96,11 @@ impl RouteCounts {
 mod tests {
     use super::*;
     use crate::dual::DualStore;
-    use crate::processor::process;
+    use crate::processor::{process, Options};
     use crate::tuner::{NoopTuner, PhysicalTuner};
     use kgdual_graphstore::GraphBackend;
     use kgdual_model::{DatasetBuilder, Term};
+    use kgdual_sched::Scheduler;
     use kgdual_sparql::parse;
 
     /// Drive two batches through `schedule`, running each batch's queries
@@ -126,11 +127,12 @@ mod tests {
             .drive(
                 &mut dual,
                 &batches,
-                |dual, queries| tuner.tune(dual, queries),
+                |dual, queries| tuner.tune_with(dual, queries, None),
                 |dual, _, batch| {
                     let (mut routes, mut graph_work) = (RouteCounts::default(), 0);
                     for query in batch {
-                        let out = process(dual, query).expect("test queries run");
+                        let out =
+                            process(dual, query, Options::default()).expect("test queries run");
                         graph_work += out.graph_stats.work_units();
                         routes.record(out.route);
                     }
@@ -148,7 +150,12 @@ mod tests {
         fn name(&self) -> &str {
             "greedy-all"
         }
-        fn tune(&mut self, dual: &mut DualStore, batch: &[Query]) -> TuningOutcome {
+        fn tune_with(
+            &mut self,
+            dual: &mut DualStore,
+            batch: &[Query],
+            _sched: Option<&Scheduler>,
+        ) -> TuningOutcome {
             let mut out = TuningOutcome::default();
             for pred in batch.iter().flat_map(|q| q.predicate_set()) {
                 if let Some(p) = dual.dict().pred_id(pred) {

@@ -81,7 +81,7 @@ impl<B: GraphBackend> GraphView<'_, B> {
 /// sized to the same budget `B_G` for the paper's fair comparison. The
 /// catalog stays empty until a tuner rebuilds it
 /// ([`rebuild_views`](Self::rebuild_views)), and only
-/// [`crate::processor::process_with_views`] reads it.
+/// [`crate::processor::process`]'s `ViewAssisted` policy reads it.
 ///
 /// Built from a [`Dataset`], it keeps the dataset's `Arc`-shared dictionary
 /// and its relational tables adopt the dataset's shared pair runs, so a
@@ -91,11 +91,11 @@ impl<B: GraphBackend> GraphView<'_, B> {
 ///
 /// The online phase only ever *reads* this structure (see
 /// [`crate::processor`]): the §3.3 temporary table space for migrated
-/// intermediates is caller-owned ([`kgdual_relstore::TempSpace`], one per
-/// worker), so a `&DualStore` can be shared across threads for concurrent
-/// query execution. All design changes — migration, eviction, inserts,
-/// deletes — take `&mut self`, which is what makes the shared-read /
-/// exclusive-reconfigure split of `kgdual-exec` sound by construction.
+/// intermediates is a local of the query, so a `&DualStore` can be shared
+/// across threads for concurrent query execution. All design changes —
+/// migration, eviction, inserts, deletes — take `&mut self`, which is
+/// what makes the shared-read / exclusive-reconfigure split of
+/// `kgdual-exec` sound by construction.
 #[derive(Debug)]
 pub struct DualStore<B: GraphBackend = AdjacencyBackend> {
     dict: Arc<Dictionary>,
@@ -491,9 +491,8 @@ mod tests {
     /// rows than relational-route ones.
     #[test]
     fn refused_insert_changes_nothing() {
-        use crate::processor::{process_relational, process_shared};
+        use crate::processor::{process, Options, Policy};
         use kgdual_graphstore::GraphStoreError;
-        use kgdual_relstore::TempSpace;
 
         let mut dual = DualStore::from_dataset(dataset(), 15);
         let born = dual.dict().pred_id("y:wasBornIn").unwrap();
@@ -528,8 +527,12 @@ mod tests {
             "SELECT ?a ?b WHERE { ?a y:wasBornIn ?c . ?b y:wasBornIn ?c . ?a y:hasAcademicAdvisor ?b }",
         )
         .unwrap();
-        let shared = process_shared(&dual, &mut TempSpace::new(), &query).unwrap();
-        let relational = process_relational(&dual, &query).unwrap();
+        let shared = process(&dual, &query, Options::default()).unwrap();
+        let relational = Options {
+            policy: Policy::RelationalOnly,
+            explain: false,
+        };
+        let relational = process(&dual, &query, relational).unwrap();
         assert_eq!(shared.route, crate::processor::Route::Graph);
         let sorted_rows = |o: &crate::processor::QueryOutcome| {
             let mut rows: Vec<_> = o.results.rows().map(<[_]>::to_vec).collect();

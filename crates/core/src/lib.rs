@@ -19,12 +19,11 @@
 //! runs relative to the batches (`kgdual-exec`'s runner drives them,
 //! measuring time-to-insight and tuning in the offline phase between
 //! batches, exactly as §4.2 prescribes). The paper's three store variants
-//! are three entry points of [`processor`] over one [`DualStore`]:
-//! `RDB-only` ([`process_relational`]), `RDB-views`
-//! ([`process_with_views`]) and `RDB-GDB` ([`process`]). [`persist`]
-//! checkpoints the learned design (and the tuner's trained state) so a
-//! restarted store resumes where it left off instead of re-paying the
-//! Fig 6 cold start.
+//! are the three [`Policy`] values of [`process`] over one [`DualStore`]:
+//! `RDB-only` (`RelationalOnly`), `RDB-views` (`ViewAssisted`) and
+//! `RDB-GDB` (`Routed`). [`persist`] checkpoints the learned design (and
+//! the tuner's trained state) so a restarted store resumes where it left
+//! off instead of re-paying the Fig 6 cold start.
 
 pub mod batch;
 pub mod dual;
@@ -39,10 +38,9 @@ pub use dual::{DualDesign, DualStore, GraphView};
 pub use error::CoreError;
 pub use identifier::{identify, ComplexSubquery};
 pub use persist::{restore_checkpoint, save_checkpoint, RestoreReport};
-pub use processor::{
-    process, process_relational, process_shared, process_shared_explain, process_with_views,
-};
-pub use processor::{QueryOutcome, Route};
+pub use processor::{process, Options, Policy, QueryOutcome, Route};
+// Kept only because kgbench links them; ROADMAP 14(c) deletes them.
+pub use processor::{process_relational, process_shared};
 pub use results::ResultSet;
 pub use tuner::{NoopTuner, PhysicalTuner, TuningOutcome};
 

@@ -10,23 +10,22 @@
 //!   remainder in the relational store.
 //! * **Case 3** — otherwise: run everything in the relational store.
 //!
-//! The same module implements the `RDB-views` variant's routing: the
-//! complex subquery is answered from a materialized view when one matches,
-//! with the remainder joined relationally.
+//! [`process`] is the one way to run a query. Its [`Options`] choose the
+//! store variant ([`Policy`]): `RDB-GDB` routes as above, `RDB-only`
+//! runs everything relationally, and `RDB-views` answers the complex
+//! subquery from a materialized view when one matches, with the remainder
+//! joined relationally. Each policy can attach an `EXPLAIN` plan.
 //!
 //! # Concurrency model
 //!
-//! Every entry point here is **read-only on the store**: the physical
-//! design `D = ⟨T_R, T_G⟩` never changes during the online phase (§4.2
-//! separates online processing from offline tuning), and the §3.3
-//! temporary relational table space is a *caller-owned* [`TempSpace`]
-//! passed into [`process_shared`] rather than shared store state. Any
+//! [`process`] is **read-only on the store**: the physical design
+//! `D = ⟨T_R, T_G⟩` never changes during the online phase (§4.2 separates
+//! online processing from offline tuning), and the §3.3 temporary
+//! relational table space is a local of the query that runs Case 2. Any
 //! number of queries may therefore execute concurrently against one
-//! `&DualStore` — each worker brings its own `TempSpace` and
-//! [`ExecContext`] — while migration/tuning takes `&mut DualStore` and is
+//! `&DualStore`, while migration and tuning take `&mut DualStore` and are
 //! thereby excluded by the borrow checker (or, across threads, by the
-//! `kgdual-exec` crate's reconfiguration epoch). [`process`] is the
-//! single-query convenience wrapper that supplies a throwaway temp space.
+//! `kgdual-exec` crate's reconfiguration epoch).
 
 use crate::dual::DualStore;
 use crate::error::CoreError;
@@ -34,6 +33,7 @@ use crate::identifier::{identify, ComplexSubquery};
 use kgdual_graphstore::GraphBackend;
 use kgdual_relstore::{Bindings, ExecContext, ExecStats, TempSpace};
 use kgdual_sparql::{compile, Compiled, EncodedQuery, PredSlot, Query, Var, VarId};
+use kgdual_vec::plan::{self, OpKind};
 use std::time::{Duration, Instant};
 
 /// Which path a query took through the dual store.
@@ -126,46 +126,14 @@ fn pred_vars(eq: &EncodedQuery) -> Vec<Var> {
         .collect()
 }
 
-/// The route-specific pieces of one execution; [`assemble`] turns them
-/// into a [`QueryOutcome`]. All entry points build their outcomes through
-/// this one helper so the assembly logic exists exactly once.
+/// The route-specific pieces of one execution; [`process`] turns them
+/// into a [`QueryOutcome`].
 struct RoutedRun {
     route: Route,
     results: Bindings,
     rel_stats: ExecStats,
     graph_stats: ExecStats,
     had_complex_subquery: bool,
-}
-
-/// Assemble the uniform [`QueryOutcome`] from a finished routed run.
-fn assemble(query: &Query, pred_vars: Vec<Var>, t0: Instant, run: RoutedRun) -> QueryOutcome {
-    QueryOutcome {
-        results: run.results,
-        vars: query.projected_vars(),
-        pred_vars,
-        route: run.route,
-        elapsed: t0.elapsed(),
-        rel_stats: run.rel_stats,
-        graph_stats: run.graph_stats,
-        had_complex_subquery: run.had_complex_subquery,
-        plan: None,
-        profile: None,
-    }
-}
-
-fn empty_outcome(query: &Query, t0: Instant) -> QueryOutcome {
-    assemble(
-        query,
-        vec![],
-        t0,
-        RoutedRun {
-            route: Route::Empty,
-            results: Bindings::new(vec![]),
-            rel_stats: ExecStats::default(),
-            graph_stats: ExecStats::default(),
-            had_complex_subquery: false,
-        },
-    )
 }
 
 /// Build the encoded subquery for the complex part: it projects every
@@ -209,64 +177,65 @@ fn complex_subquery_encoded(
     eq.subquery(&qc.pattern_indexes, needed)
 }
 
-/// Run the whole encoded query in the relational store.
-fn relational_run<B: GraphBackend>(
-    dual: &DualStore<B>,
-    eq: &EncodedQuery,
-    had_complex_subquery: bool,
-) -> Result<RoutedRun, CoreError> {
-    let mut ctx = ExecContext::new();
-    let results = dual.rel().execute(eq, &mut ctx)?;
-    Ok(RoutedRun {
-        route: Route::Relational,
-        results,
-        rel_stats: ctx.stats,
-        graph_stats: ExecStats::default(),
-        had_complex_subquery,
-    })
+/// Which of the paper's three store variants answers a query.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub enum Policy {
+    /// `RDB-GDB`: Algorithm 3's routing over both stores.
+    #[default]
+    Routed,
+    /// `RDB-only`: the relational store alone.
+    RelationalOnly,
+    /// `RDB-views`: the complex subquery is answered from a materialized
+    /// view in the store's catalog ([`DualStore::views`]) when one
+    /// matches, and the remainder is joined relationally.
+    ViewAssisted,
 }
 
-/// Process `query` on the dual store (the `RDB-GDB` variant's online
-/// path), staging any migrated intermediate results in the caller-owned
-/// `temp` space.
+/// How [`process`] runs one query.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct Options {
+    /// The store variant that answers it.
+    pub policy: Policy,
+    /// Attach the `EXPLAIN` plan and profile to the outcome. A capture
+    /// also runs whenever observability recording is on, so `/metrics`
+    /// sees estimate-vs-actual q-errors in steady state.
+    pub explain: bool,
+}
+
+/// Run `query` on the dual store under `opts.policy`.
 ///
-/// This is the **shared-read** execution path: `dual` is only ever read,
-/// so concurrent callers may hold `&DualStore` simultaneously as long as
-/// each brings its own [`TempSpace`] (one per worker in `kgdual-exec`).
-/// The temp space is empty again on return — intermediates are "discarded
-/// at the end of query process" (§3.3) — but its peak-unit accounting
-/// persists so callers can report the footprint of migrated intermediates.
-pub fn process_shared<B: GraphBackend>(
+/// `dual` is only read, so any number of callers may run queries on one
+/// `&DualStore` at once. A capture never changes what executes: results,
+/// routes and work units are byte-identical with it on or off.
+pub fn process<B: GraphBackend>(
     dual: &DualStore<B>,
-    temp: &mut TempSpace,
     query: &Query,
+    opts: Options,
 ) -> Result<QueryOutcome, CoreError> {
-    process_shared_explain(dual, temp, query, false)
-}
-
-/// [`process_shared`] with an explicit EXPLAIN request. A plan/profile
-/// capture runs when `explain` is set **or** observability recording is
-/// on (so `/metrics` sees estimate-vs-actual q-errors in steady state);
-/// the resulting [`kgdual_vec::PlanDesc`] and [`kgdual_vec::QueryProfile`]
-/// ride on the outcome. Capture never changes what executes: results,
-/// routes, and work units are byte-identical with it on or off.
-pub fn process_shared_explain<B: GraphBackend>(
-    dual: &DualStore<B>,
-    temp: &mut TempSpace,
-    query: &Query,
-    explain: bool,
-) -> Result<QueryOutcome, CoreError> {
-    let capture = explain || kgdual_obs::enabled();
+    let t0 = Instant::now();
+    let capture = opts.explain || kgdual_obs::enabled();
     if capture {
         kgdual_vec::plan::begin_capture();
     }
-    let result = process_shared_inner(dual, temp, query);
+    let result = run(dual, query, opts.policy);
     let captured = if capture {
         kgdual_vec::plan::end_capture()
     } else {
         None
     };
-    let mut out = result?;
+    let (pred_vars, run) = result?;
+    let mut out = QueryOutcome {
+        results: run.results,
+        vars: query.projected_vars(),
+        pred_vars,
+        route: run.route,
+        elapsed: t0.elapsed(),
+        rel_stats: run.rel_stats,
+        graph_stats: run.graph_stats,
+        had_complex_subquery: run.had_complex_subquery,
+        plan: None,
+        profile: None,
+    };
     if let Some(cap) = captured {
         if kgdual_obs::enabled() {
             kgdual_vec::plan::record_q_errors(&cap.steps, &cap.ops);
@@ -284,42 +253,116 @@ pub fn process_shared_explain<B: GraphBackend>(
     Ok(out)
 }
 
-fn process_shared_inner<B: GraphBackend>(
+/// Kept only because kgbench links it (`benchmark/src/sut.rs`):
+/// [`process`] with the routed policy. ROADMAP 14(c) deletes it.
+pub fn process_shared<B: GraphBackend>(
     dual: &DualStore<B>,
-    temp: &mut TempSpace,
+    _temp: &mut TempSpace,
     query: &Query,
 ) -> Result<QueryOutcome, CoreError> {
-    let t0 = Instant::now();
+    process(dual, query, Options::default())
+}
+
+/// Kept only because kgbench links it (`benchmark/src/sut.rs`):
+/// [`process`] with the relational-only policy. ROADMAP 14(c) deletes it.
+pub fn process_relational<B: GraphBackend>(
+    dual: &DualStore<B>,
+    query: &Query,
+) -> Result<QueryOutcome, CoreError> {
+    process(
+        dual,
+        query,
+        Options {
+            policy: Policy::RelationalOnly,
+            explain: false,
+        },
+    )
+}
+
+/// The part of [`process`] a capture spans: identify, compile, then run
+/// the policy. Returns the predicate variables beside the run.
+fn run<B: GraphBackend>(
+    dual: &DualStore<B>,
+    query: &Query,
+    policy: Policy,
+) -> Result<(Vec<Var>, RoutedRun), CoreError> {
     let qc = identify(query);
     let eq = match compile(query, dual.dict())? {
         Compiled::Query(eq) => eq,
-        Compiled::EmptyResult => return Ok(empty_outcome(query, t0)),
+        Compiled::EmptyResult => {
+            let run = RoutedRun {
+                route: Route::Empty,
+                results: Bindings::new(vec![]),
+                rel_stats: ExecStats::default(),
+                graph_stats: ExecStats::default(),
+                had_complex_subquery: false,
+            };
+            return Ok((vec![], run));
+        }
     };
-    let pv = pred_vars(&eq);
+    let run = match policy {
+        Policy::Routed => routed_run(dual, query, &eq, qc)?,
+        Policy::RelationalOnly => relational_run(dual, &eq, qc.is_some())?,
+        Policy::ViewAssisted => view_run(dual, &eq, qc)?,
+    };
+    Ok((pred_vars(&eq), run))
+}
 
+/// The patterns `rest` of `eq`, with its projection, DISTINCT and LIMIT:
+/// what the relational store finishes after a seed.
+fn remainder(eq: &EncodedQuery, rest: &[usize]) -> EncodedQuery {
+    EncodedQuery {
+        distinct: eq.distinct,
+        limit: eq.limit,
+        ..eq.subquery(rest, eq.projection.clone())
+    }
+}
+
+/// Run the whole encoded query in the relational store.
+fn relational_run<B: GraphBackend>(
+    dual: &DualStore<B>,
+    eq: &EncodedQuery,
+    had_complex_subquery: bool,
+) -> Result<RoutedRun, CoreError> {
+    let mut ctx = ExecContext::new();
+    let results = dual.rel().execute(eq, &mut ctx)?;
+    Ok(RoutedRun {
+        route: Route::Relational,
+        results,
+        rel_stats: ctx.stats,
+        graph_stats: ExecStats::default(),
+        had_complex_subquery,
+    })
+}
+
+/// Algorithm 3 (the `RDB-GDB` variant).
+fn routed_run<B: GraphBackend>(
+    dual: &DualStore<B>,
+    query: &Query,
+    eq: &EncodedQuery,
+    qc: Option<ComplexSubquery>,
+) -> Result<RoutedRun, CoreError> {
     let Some(qc) = qc else {
         // No complex subquery: relational (Algorithm 3, lines 1-2).
-        let run = relational_run(dual, &eq, false)?;
-        return Ok(assemble(query, pv, t0, run));
+        return relational_run(dual, eq, false);
     };
 
     let all_preds = eq.predicate_set();
-    let qc_eq = complex_subquery_encoded(&eq, &qc, query);
+    let qc_eq = complex_subquery_encoded(eq, &qc, query);
     let qc_preds = qc_eq.predicate_set();
 
     // Case 1: the graph store covers the whole query (variable predicates
     // can never be covered — the graph holds only a share of the data).
     if !eq.has_var_pred() && dual.graph().covers(&all_preds) {
         let mut ctx = ExecContext::new();
-        let results = dual.graph().execute(&eq, &mut ctx)?;
-        let run = RoutedRun {
+        let results = dual.graph().execute(eq, &mut ctx)?;
+        return Ok(RoutedRun {
             route: Route::Graph,
             results,
             rel_stats: ExecStats::default(),
             graph_stats: ctx.stats,
             had_complex_subquery: true,
-        };
-        return Ok(assemble(query, pv, t0, run));
+        });
     }
 
     // Case 2: the graph store covers the complex subquery. Guard against
@@ -335,127 +378,93 @@ fn process_shared_inner<B: GraphBackend>(
         let mut stats_of = |p| dual.rel().stats(p);
         let total = dual.rel().total_triples();
         let qc_rows = kgdual_relstore::planner::estimate_result_rows(&qc_eq, &mut stats_of, total);
-        let full_rows = kgdual_relstore::planner::estimate_result_rows(&eq, &mut stats_of, total);
+        let full_rows = kgdual_relstore::planner::estimate_result_rows(eq, &mut stats_of, total);
         qc_rows <= 4.0 * full_rows.max(256.0)
     };
     if dual.graph().covers(&qc_preds) && case2_safe() {
         let mut gctx = ExecContext::new();
+        // The §3.3 temporary relational table space: the intermediate is
+        // a local of this query, read in place by the remainder and
+        // discarded when the query ends.
         let intermediate = dual.graph().execute(&qc_eq, &mut gctx)?;
-        // Migrate into the temporary relational table space (§3.3); the
-        // remainder reads the staged table in place.
-        let handle = temp.store(intermediate);
-        let remainder = eq.subquery(&qc.remainder_indexes(query), eq.projection.clone());
-        let remainder = EncodedQuery {
-            distinct: eq.distinct,
-            limit: eq.limit,
-            ..remainder
-        };
+        let remainder = remainder(eq, &qc.remainder_indexes(query));
         let mut rctx = ExecContext::new();
-        let seed = temp.get(handle).expect("just staged");
-        let results = dual.rel().execute_with_seed(&remainder, seed, &mut rctx);
-        // Discard temporaries regardless of success.
-        temp.discard(handle);
-        let run = RoutedRun {
+        let results = dual
+            .rel()
+            .execute_with_seed(&remainder, &intermediate, &mut rctx)?;
+        return Ok(RoutedRun {
             route: Route::Dual,
-            results: results?,
+            results,
             rel_stats: rctx.stats,
             graph_stats: gctx.stats,
             had_complex_subquery: true,
-        };
-        return Ok(assemble(query, pv, t0, run));
+        });
     }
 
     // Case 3: relational only.
-    let run = relational_run(dual, &eq, true)?;
-    Ok(assemble(query, pv, t0, run))
+    relational_run(dual, eq, true)
 }
 
-/// Process `query` on the dual store with a throwaway temp space — the
-/// single-query convenience form of [`process_shared`].
-pub fn process<B: GraphBackend>(
+/// The `RDB-views` variant: when the complex subquery matches a view in
+/// the store's catalog, answer that fragment from the view and join the
+/// remainder relationally. The view read is one plan step (`view_scan`),
+/// whose estimate and actual rows are the fragment's rows: a view is
+/// materialized, so its cardinality is known exactly.
+fn view_run<B: GraphBackend>(
     dual: &DualStore<B>,
-    query: &Query,
-) -> Result<QueryOutcome, CoreError> {
-    let mut temp = TempSpace::new();
-    process_shared(dual, &mut temp, query)
-}
-
-/// Process `query` with the relational store only (the `RDB-only`
-/// baseline).
-pub fn process_relational<B: GraphBackend>(
-    dual: &DualStore<B>,
-    query: &Query,
-) -> Result<QueryOutcome, CoreError> {
-    let t0 = Instant::now();
-    let had_complex = identify(query).is_some();
-    let eq = match compile(query, dual.dict())? {
-        Compiled::Query(eq) => eq,
-        Compiled::EmptyResult => return Ok(empty_outcome(query, t0)),
+    eq: &EncodedQuery,
+    qc: Option<ComplexSubquery>,
+) -> Result<RoutedRun, CoreError> {
+    let Some(qc) = qc else {
+        return relational_run(dual, eq, false);
     };
-    let pv = pred_vars(&eq);
-    let run = relational_run(dual, &eq, had_complex)?;
-    Ok(assemble(query, pv, t0, run))
-}
-
-/// Process `query` with view-assisted rewriting (the `RDB-views`
-/// baseline): if the complex subquery matches a view in the store's
-/// catalog ([`DualStore::views`]), answer it from the view and join the
-/// remainder relationally.
-pub fn process_with_views<B: GraphBackend>(
-    dual: &DualStore<B>,
-    query: &Query,
-) -> Result<QueryOutcome, CoreError> {
-    let t0 = Instant::now();
-    let qc = identify(query);
-    let eq = match compile(query, dual.dict())? {
-        Compiled::Query(eq) => eq,
-        Compiled::EmptyResult => return Ok(empty_outcome(query, t0)),
+    let v0 = Instant::now();
+    let mut vctx = ExecContext::new();
+    let Some((covered, view_vars, rows)) =
+        dual.views().answer(&qc.patterns, dual.dict(), &mut vctx)?
+    else {
+        return relational_run(dual, eq, true);
     };
-    let pv = pred_vars(&eq);
-
-    if let Some(qc) = &qc {
-        let mut vctx = ExecContext::new();
-        if let Some((covered, view_vars, rows)) =
-            dual.views().answer(&qc.patterns, dual.dict(), &mut vctx)?
-        {
-            // Rebadge view columns into this query's variable ids.
-            let ids: Option<Vec<VarId>> = view_vars
-                .iter()
-                .map(|v| eq.vars.iter().position(|x| x == v).map(|i| i as VarId))
-                .collect();
-            if let Some(ids) = ids {
-                let seed = rows.renamed(ids);
-                // The fragment covers two of the complex subquery's
-                // patterns; everything else still runs relationally,
-                // joined against the fragment rows.
-                let covered_q: Vec<usize> =
-                    covered.iter().map(|&k| qc.pattern_indexes[k]).collect();
-                let rest: Vec<usize> = (0..eq.patterns.len())
-                    .filter(|i| !covered_q.contains(i))
-                    .collect();
-                let remainder = eq.subquery(&rest, eq.projection.clone());
-                let remainder = EncodedQuery {
-                    distinct: eq.distinct,
-                    limit: eq.limit,
-                    ..remainder
-                };
-                let mut rctx = ExecContext::new();
-                let results = dual.rel().execute_with_seed(&remainder, &seed, &mut rctx)?;
-                vctx.stats.merge(&rctx.stats);
-                let run = RoutedRun {
-                    route: Route::ViewAssisted,
-                    results,
-                    rel_stats: vctx.stats,
-                    graph_stats: ExecStats::default(),
-                    had_complex_subquery: true,
-                };
-                return Ok(assemble(query, pv, t0, run));
-            }
-        }
-    }
-
-    let run = relational_run(dual, &eq, qc.is_some())?;
-    Ok(assemble(query, pv, t0, run))
+    // Rebadge view columns into this query's variable ids.
+    let ids: Option<Vec<VarId>> = view_vars
+        .iter()
+        .map(|v| eq.vars.iter().position(|x| x == v).map(|i| i as VarId))
+        .collect();
+    let Some(ids) = ids else {
+        return relational_run(dual, eq, true);
+    };
+    let seed = rows.renamed(ids);
+    // The fragment covers two of the complex subquery's patterns;
+    // everything else still runs relationally, joined against the
+    // fragment rows.
+    let covered_q: Vec<usize> = covered.iter().map(|&k| qc.pattern_indexes[k]).collect();
+    let fragment_rows = seed.len() as u64;
+    let step = plan::note_step(
+        "view_scan",
+        OpKind::Scan,
+        covered_q[0],
+        fragment_rows as f64,
+    );
+    plan::note_actual(
+        step,
+        fragment_rows,
+        vctx.stats.work_units(),
+        v0.elapsed().as_nanos() as u64,
+    );
+    let rest: Vec<usize> = (0..eq.patterns.len())
+        .filter(|i| !covered_q.contains(i))
+        .collect();
+    let remainder = remainder(eq, &rest);
+    let mut rctx = ExecContext::new();
+    let results = dual.rel().execute_with_seed(&remainder, &seed, &mut rctx)?;
+    vctx.stats.merge(&rctx.stats);
+    Ok(RoutedRun {
+        route: Route::ViewAssisted,
+        results,
+        rel_stats: vctx.stats,
+        graph_stats: ExecStats::default(),
+        had_complex_subquery: true,
+    })
 }
 
 #[cfg(test)]
@@ -484,6 +493,10 @@ mod tests {
         DualStore::from_dataset(b.build(), 1000)
     }
 
+    fn options(policy: Policy, explain: bool) -> Options {
+        Options { policy, explain }
+    }
+
     fn einstein(dual: &DualStore) -> kgdual_model::NodeId {
         dual.dict().node_id(&Term::iri("y:Einstein")).unwrap()
     }
@@ -492,7 +505,7 @@ mod tests {
     fn case3_cold_graph_routes_relational() {
         let d = dual();
         let q = parse(ADVISOR_QUERY).unwrap();
-        let out = process(&d, &q).unwrap();
+        let out = process(&d, &q, Options::default()).unwrap();
         assert_eq!(out.route, Route::Relational);
         assert!(out.had_complex_subquery);
         assert_eq!(out.results.len(), 1);
@@ -508,7 +521,7 @@ mod tests {
             d.migrate_partition(p).unwrap();
         }
         let q = parse(ADVISOR_QUERY).unwrap();
-        let out = process(&d, &q).unwrap();
+        let out = process(&d, &q, Options::default()).unwrap();
         assert_eq!(out.route, Route::Graph);
         assert_eq!(out.results.len(), 1);
         assert_eq!(out.results.row(0)[0], einstein(&d));
@@ -525,16 +538,13 @@ mod tests {
             d.migrate_partition(p).unwrap();
         }
         let q = parse(FULL_QUERY).unwrap();
-        let mut temp = TempSpace::new();
-        let out = process_shared(&d, &mut temp, &q).unwrap();
+        let out = process(&d, &q, Options::default()).unwrap();
         assert_eq!(out.route, Route::Dual);
         assert_eq!(out.results.len(), 1);
         let albert = d.dict().node_id(&Term::iri("y:Albert")).unwrap();
         assert_eq!(out.results.row(0)[0], albert);
         assert!(out.graph_stats.work_units() > 0, "subquery ran on graph");
         assert!(out.rel_stats.work_units() > 0, "remainder ran relationally");
-        assert!(temp.is_empty(), "temporaries discarded after the query");
-        assert!(temp.peak_units() > 0, "staging footprint was accounted");
     }
 
     #[test]
@@ -542,21 +552,21 @@ mod tests {
         // The same query must produce identical rows via all three cases.
         let q = parse(FULL_QUERY).unwrap();
         let cold = dual();
-        let r3 = process(&cold, &q).unwrap();
+        let r3 = process(&cold, &q, Options::default()).unwrap();
 
         let mut partial = dual();
         for pred in ["y:wasBornIn", "y:hasAcademicAdvisor"] {
             let p = partial.dict().pred_id(pred).unwrap();
             partial.migrate_partition(p).unwrap();
         }
-        let r2 = process(&partial, &q).unwrap();
+        let r2 = process(&partial, &q, Options::default()).unwrap();
 
         let mut full = dual();
         for pred in ["y:wasBornIn", "y:hasAcademicAdvisor", "y:hasGivenName"] {
             let p = full.dict().pred_id(pred).unwrap();
             full.migrate_partition(p).unwrap();
         }
-        let r1 = process(&full, &q).unwrap();
+        let r1 = process(&full, &q, Options::default()).unwrap();
         assert_eq!(r1.route, Route::Graph);
         assert_eq!(r2.route, Route::Dual);
         assert_eq!(r3.route, Route::Relational);
@@ -577,7 +587,7 @@ mod tests {
         let p = d.dict().pred_id("y:wasBornIn").unwrap();
         d.migrate_partition(p).unwrap();
         let q = parse("SELECT ?p WHERE { ?p y:hasGivenName ?g }").unwrap();
-        let out = process(&d, &q).unwrap();
+        let out = process(&d, &q, Options::default()).unwrap();
         assert_eq!(out.route, Route::Relational);
         assert!(!out.had_complex_subquery);
     }
@@ -586,7 +596,7 @@ mod tests {
     fn unknown_constant_is_empty_route() {
         let d = dual();
         let q = parse("SELECT ?p WHERE { ?p y:wasBornIn y:Atlantis }").unwrap();
-        let out = process(&d, &q).unwrap();
+        let out = process(&d, &q, Options::default()).unwrap();
         assert_eq!(out.route, Route::Empty);
         assert!(out.results.is_empty());
     }
@@ -594,23 +604,19 @@ mod tests {
     #[test]
     fn concurrent_shared_reads_agree_with_serial() {
         // The read-only path must be usable from multiple threads over one
-        // `&DualStore`, each with its own temp space, and agree with the
-        // serial result row for row.
+        // `&DualStore` and agree with the serial result row for row.
         let mut d = dual();
         for pred in ["y:wasBornIn", "y:hasAcademicAdvisor"] {
             let p = d.dict().pred_id(pred).unwrap();
             d.migrate_partition(p).unwrap();
         }
         let q = parse(FULL_QUERY).unwrap();
-        let serial = process(&d, &q).unwrap();
+        let serial = process(&d, &q, Options::default()).unwrap();
         let outs: Vec<QueryOutcome> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
                     let (d, q) = (&d, &q);
-                    scope.spawn(move || {
-                        let mut temp = TempSpace::new();
-                        process_shared(d, &mut temp, q).unwrap()
-                    })
+                    scope.spawn(move || process(d, q, Options::default()).unwrap())
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -629,7 +635,7 @@ mod tests {
         let qc = identify(&q).unwrap();
         d.views_mut().observe(&qc.patterns);
         d.rebuild_views();
-        let out = process_with_views(&d, &q).unwrap();
+        let out = process(&d, &q, options(Policy::ViewAssisted, false)).unwrap();
         assert_eq!(out.route, Route::ViewAssisted);
         assert_eq!(out.results.len(), 1);
         let albert = d.dict().node_id(&Term::iri("y:Albert")).unwrap();
@@ -640,8 +646,38 @@ mod tests {
     fn views_route_falls_back_without_matching_view() {
         let d = dual();
         let q = parse(FULL_QUERY).unwrap();
-        let out = process_with_views(&d, &q).unwrap();
+        let out = process(&d, &q, options(Policy::ViewAssisted, false)).unwrap();
         assert_eq!(out.route, Route::Relational);
         assert_eq!(out.results.len(), 1);
+    }
+
+    #[test]
+    fn every_policy_explains() {
+        let mut d = dual();
+        let q = parse(FULL_QUERY).unwrap();
+        let qc = identify(&q).unwrap();
+        d.views_mut().observe(&qc.patterns);
+        d.rebuild_views();
+        let (_, _, fragment) = d
+            .views()
+            .answer(&qc.patterns, d.dict(), &mut ExecContext::new())
+            .unwrap()
+            .expect("a view matches");
+
+        let out = process(&d, &q, options(Policy::ViewAssisted, true)).unwrap();
+        let plan = out.plan.expect("explain attaches a plan");
+        let profile = out.profile.expect("explain attaches a profile");
+        assert_eq!(plan.route, "view_assisted");
+        let view = plan.steps.iter().position(|s| s.op == "view_scan");
+        let view = view.expect("the view read is a plan step");
+        assert_eq!(plan.steps[view].kind, OpKind::Scan);
+        assert_eq!(profile.ops[view].actual_rows, fragment.len() as u64);
+        assert!(plan.steps.len() > 1, "the remainder notes its own steps");
+
+        let out = process(&d, &q, options(Policy::RelationalOnly, true)).unwrap();
+        let plan = out.plan.expect("explain attaches a plan");
+        assert_eq!(plan.route, "relational");
+        assert!(!plan.steps.is_empty());
+        assert!(plan.steps.iter().all(|s| !s.op.starts_with("graph_")));
     }
 }

@@ -86,7 +86,7 @@ impl fmt::Display for ResultSet {
 mod tests {
     use super::*;
     use crate::dual::DualStore;
-    use crate::processor::process;
+    use crate::processor::{process, Options};
     use kgdual_model::DatasetBuilder;
     use kgdual_sparql::parse;
 
@@ -96,7 +96,7 @@ mod tests {
         b.add_terms(&Term::iri("y:Einstein"), "y:wasBornIn", &Term::iri("y:Ulm"));
         let d = DualStore::from_dataset(b.build(), 10);
         let q = parse("SELECT ?p ?c WHERE { ?p y:wasBornIn ?c }").unwrap();
-        let out = process(&d, &q).unwrap();
+        let out = process(&d, &q, Options::default()).unwrap();
         let rs = ResultSet::decode(&out, d.dict());
         assert_eq!(rs.len(), 1);
         assert_eq!(
@@ -114,7 +114,7 @@ mod tests {
         b.add_terms(&Term::iri("y:A"), "y:knows", &Term::iri("y:B"));
         let d = DualStore::from_dataset(b.build(), 10);
         let q = parse("SELECT ?rel WHERE { y:A ?rel y:B }").unwrap();
-        let out = process(&d, &q).unwrap();
+        let out = process(&d, &q, Options::default()).unwrap();
         let rs = ResultSet::decode(&out, d.dict());
         assert_eq!(rs.rows[0][0], Term::iri("y:knows"));
     }

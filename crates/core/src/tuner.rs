@@ -47,32 +47,26 @@ pub trait PhysicalTuner<B: GraphBackend = AdjacencyBackend> {
 
     /// Offline phase: observe the most recent batch (the marked complex
     /// queries are inside `batch`) and adjust `T_G`.
-    fn tune(&mut self, dual: &mut DualStore<B>, batch: &[Query]) -> TuningOutcome;
-
-    /// Offline phase with access to the worker pool
-    /// ([`kgdual_sched::Scheduler`]). The concurrent runner calls this
+    ///
+    /// `sched` is the worker pool ([`kgdual_sched::Scheduler`]), or `None`
+    /// to run on the calling thread. The concurrent runner passes it
     /// inside the epoch barrier (the store's write lock), handing the
-    /// tuner the query workers — idle for exactly that window — so
+    /// tuner the query workers, idle for exactly that window, so
     /// independent offline work (DOTIL's counterfactual graph and
     /// relational runs) can run on them as
     /// [`kgdual_sched::TaskClass::OfflineTuning`] tasks.
     ///
-    /// **Determinism contract:** `tune_with(dual, batch, sched)` must
-    /// produce exactly the same design changes, outcome, and learned
-    /// state as `tune(dual, batch)` for every `sched` — parallelism may
-    /// change wall clock only. The default ignores the scheduler and
-    /// delegates to [`tune`](PhysicalTuner::tune), which is trivially
-    /// conforming; tuners that override it (DOTIL) restructure their
-    /// work into order-preserving waves.
+    /// **Determinism contract:** the design changes, the outcome and the
+    /// learned state are the same for `None` and for every `Some` pool.
+    /// Parallelism may change wall clock only. A tuner that ignores the
+    /// pool conforms trivially; DOTIL restructures its work into
+    /// order-preserving waves.
     fn tune_with(
         &mut self,
         dual: &mut DualStore<B>,
         batch: &[Query],
         sched: Option<&Scheduler>,
-    ) -> TuningOutcome {
-        let _ = sched;
-        self.tune(dual, batch)
-    }
+    ) -> TuningOutcome;
 
     /// Serialize the tuner's learned state (Q-matrices, counters, …) for a
     /// design checkpoint ([`crate::persist`]). `None` — the default —
@@ -105,7 +99,12 @@ impl<B: GraphBackend> PhysicalTuner<B> for NoopTuner {
         "noop"
     }
 
-    fn tune(&mut self, _dual: &mut DualStore<B>, _batch: &[Query]) -> TuningOutcome {
+    fn tune_with(
+        &mut self,
+        _dual: &mut DualStore<B>,
+        _batch: &[Query],
+        _sched: Option<&Scheduler>,
+    ) -> TuningOutcome {
         TuningOutcome::default()
     }
 }
@@ -122,7 +121,7 @@ mod tests {
         b.add_terms(&Term::iri("a"), "p", &Term::iri("b"));
         let mut dual = DualStore::from_dataset(b.build(), 10);
         let mut t = NoopTuner;
-        let out = t.tune(&mut dual, &[]);
+        let out = t.tune_with(&mut dual, &[], None);
         assert_eq!(out, TuningOutcome::default());
         assert_eq!(dual.graph().used(), 0);
         assert_eq!(PhysicalTuner::<AdjacencyBackend>::name(&t), "noop");

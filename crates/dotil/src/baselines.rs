@@ -5,7 +5,7 @@
 //! `RDB-views` baseline's advisor (§6.2): it tunes the store's
 //! materialized-view catalog instead of the graph store.
 
-use kgdual_core::{identify, DualStore, PhysicalTuner, TuningOutcome};
+use kgdual_core::{identify, DualStore, PhysicalTuner, Scheduler, TuningOutcome};
 use kgdual_graphstore::GraphBackend;
 use kgdual_model::fx::FxHashMap;
 use kgdual_model::PredId;
@@ -125,7 +125,12 @@ impl<B: GraphBackend> PhysicalTuner<B> for OneOffTuner {
         "one-off"
     }
 
-    fn tune(&mut self, dual: &mut DualStore<B>, batch: &[Query]) -> TuningOutcome {
+    fn tune_with(
+        &mut self,
+        dual: &mut DualStore<B>,
+        batch: &[Query],
+        _sched: Option<&Scheduler>,
+    ) -> TuningOutcome {
         if self.tuned {
             return TuningOutcome::default();
         }
@@ -162,7 +167,12 @@ impl<B: GraphBackend> PhysicalTuner<B> for FrequencyTuner {
         "lru"
     }
 
-    fn tune(&mut self, dual: &mut DualStore<B>, batch: &[Query]) -> TuningOutcome {
+    fn tune_with(
+        &mut self,
+        dual: &mut DualStore<B>,
+        batch: &[Query],
+        _sched: Option<&Scheduler>,
+    ) -> TuningOutcome {
         for (p, hits) in complex_partition_counts(dual, batch) {
             *self.history.entry(p).or_insert(0) += hits;
         }
@@ -193,7 +203,12 @@ impl<B: GraphBackend> PhysicalTuner<B> for IdealTuner {
         "ideal"
     }
 
-    fn tune(&mut self, dual: &mut DualStore<B>, upcoming: &[Query]) -> TuningOutcome {
+    fn tune_with(
+        &mut self,
+        dual: &mut DualStore<B>,
+        upcoming: &[Query],
+        _sched: Option<&Scheduler>,
+    ) -> TuningOutcome {
         let counts = complex_partition_counts(dual, upcoming);
         let ranked = rank_by_density(dual, &counts);
         plan_residency(dual, &ranked)
@@ -224,7 +239,12 @@ impl<B: GraphBackend> PhysicalTuner<B> for ViewTuner {
 
     /// Reports views built as `migrated` and their storage units as
     /// `triples_in` and `offline_work`.
-    fn tune(&mut self, dual: &mut DualStore<B>, batch: &[Query]) -> TuningOutcome {
+    fn tune_with(
+        &mut self,
+        dual: &mut DualStore<B>,
+        batch: &[Query],
+        _sched: Option<&Scheduler>,
+    ) -> TuningOutcome {
         for query in batch {
             if let Some(qc) = identify(query) {
                 dual.views_mut().observe(&qc.patterns);
@@ -244,7 +264,7 @@ impl<B: GraphBackend> PhysicalTuner<B> for ViewTuner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kgdual_core::{process_with_views, Route};
+    use kgdual_core::{process, Options, Policy, Route};
     use kgdual_model::{DatasetBuilder, Term};
     use kgdual_sparql::parse;
 
@@ -286,10 +306,10 @@ mod tests {
     fn one_off_tunes_once_only() {
         let mut d = dual(1000);
         let mut t = OneOffTuner::new();
-        let out1 = t.tune(&mut d, &[advisor_query()]);
+        let out1 = t.tune_with(&mut d, &[advisor_query()], None);
         assert!(out1.migrated > 0);
         let used = d.graph().used();
-        let out2 = t.tune(&mut d, &[marriage_query()]);
+        let out2 = t.tune_with(&mut d, &[marriage_query()], None);
         assert_eq!(out2.migrated, 0, "one-off must stay static");
         assert_eq!(d.graph().used(), used);
     }
@@ -305,7 +325,7 @@ mod tests {
             advisor_query(),
             marriage_query(),
         ];
-        t.tune(&mut d, &batch);
+        t.tune_with(&mut d, &batch, None);
         let advisor = d.dict().pred_id("y:advisor").unwrap();
         let married = d.dict().pred_id("y:marriedTo").unwrap();
         assert!(d.graph().is_loaded(advisor));
@@ -320,13 +340,13 @@ mod tests {
     fn frequency_tuner_adapts_across_batches() {
         let mut d = dual(150);
         let mut t = FrequencyTuner::new();
-        t.tune(&mut d, &[advisor_query()]);
+        t.tune_with(&mut d, &[advisor_query()], None);
         let advisor = d.dict().pred_id("y:advisor").unwrap();
         let married = d.dict().pred_id("y:marriedTo").unwrap();
         assert!(d.graph().is_loaded(advisor));
         // A heavy shift towards marriage queries overtakes the history.
         let shift: Vec<Query> = (0..5).map(|_| marriage_query()).collect();
-        let out = t.tune(&mut d, &shift);
+        let out = t.tune_with(&mut d, &shift, None);
         assert!(d.graph().is_loaded(married));
         assert!(out.evicted > 0 || !d.graph().is_loaded(advisor));
     }
@@ -335,13 +355,13 @@ mod tests {
     fn ideal_tuner_matches_upcoming_batch_exactly() {
         let mut d = dual(150);
         let mut t = IdealTuner::new();
-        t.tune(&mut d, &[marriage_query()]);
+        t.tune_with(&mut d, &[marriage_query()], None);
         let married = d.dict().pred_id("y:marriedTo").unwrap();
         let advisor = d.dict().pred_id("y:advisor").unwrap();
         assert!(d.graph().is_loaded(married));
         assert!(!d.graph().is_loaded(advisor));
         // Next batch shifts: the oracle reshapes residency.
-        t.tune(&mut d, &[advisor_query()]);
+        t.tune_with(&mut d, &[advisor_query()], None);
         assert!(d.graph().is_loaded(advisor));
         assert!(!d.graph().is_loaded(married), "stale partition evicted");
     }
@@ -350,7 +370,7 @@ mod tests {
     fn planner_respects_budget() {
         let mut d = dual(50); // fits only advisor or marriedTo (40), not bornIn (100)
         let mut t = IdealTuner::new();
-        let out = t.tune(&mut d, &[advisor_query()]);
+        let out = t.tune_with(&mut d, &[advisor_query()], None);
         assert!(d.graph().used() <= 50);
         // bornIn (100 triples) cannot fit; advisor (40) can.
         let advisor = d.dict().pred_id("y:advisor").unwrap();
@@ -362,12 +382,16 @@ mod tests {
     fn view_tuner_routes_the_next_batch_view_assisted() {
         let mut d = dual(10_000);
         let q = advisor_query();
-        let cold = process_with_views(&d, &q).unwrap();
+        let views = Options {
+            policy: Policy::ViewAssisted,
+            explain: false,
+        };
+        let cold = process(&d, &q, views).unwrap();
         assert_eq!(cold.route, Route::Relational, "no views before tuning");
-        let out = ViewTuner::new().tune(&mut d, std::slice::from_ref(&q));
+        let out = ViewTuner::new().tune_with(&mut d, std::slice::from_ref(&q), None);
         assert_eq!(out.migrated, 3, "three pair fragments built");
         assert_eq!(d.graph().used(), 0, "the graph store stays cold");
-        let warm = process_with_views(&d, &q).unwrap();
+        let warm = process(&d, &q, views).unwrap();
         assert_eq!(warm.route, Route::ViewAssisted);
         assert_eq!(cold.results, warm.results);
     }
@@ -375,9 +399,12 @@ mod tests {
     #[test]
     fn empty_batches_are_noops() {
         let mut d = dual(100);
-        assert_eq!(FrequencyTuner::new().tune(&mut d, &[]).migrated, 0);
-        assert_eq!(IdealTuner::new().tune(&mut d, &[]).migrated, 0);
-        assert_eq!(OneOffTuner::new().tune(&mut d, &[]).migrated, 0);
-        assert_eq!(ViewTuner::new().tune(&mut d, &[]).migrated, 0);
+        assert_eq!(
+            FrequencyTuner::new().tune_with(&mut d, &[], None).migrated,
+            0
+        );
+        assert_eq!(IdealTuner::new().tune_with(&mut d, &[], None).migrated, 0);
+        assert_eq!(OneOffTuner::new().tune_with(&mut d, &[], None).migrated, 0);
+        assert_eq!(ViewTuner::new().tune_with(&mut d, &[], None).migrated, 0);
     }
 }

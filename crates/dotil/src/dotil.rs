@@ -429,10 +429,6 @@ impl<B: GraphBackend> PhysicalTuner<B> for Dotil {
         self.import_state_bytes(state)
     }
 
-    fn tune(&mut self, dual: &mut DualStore<B>, batch: &[Query]) -> TuningOutcome {
-        self.tune_with(dual, batch, None)
-    }
-
     /// Algorithm 1 with its counterfactual measurements run as
     /// [`OfflineTuning`](kgdual_sched::TaskClass::OfflineTuning) tasks on
     /// `sched`: two per measured pair, its graph side and its relational
@@ -447,7 +443,7 @@ impl<B: GraphBackend> PhysicalTuner<B> for Dotil {
     /// mutate the design (evict/migrate) and consume exploration
     /// randomness, so they run strictly serially between waves. Learned
     /// state, decisions, outcome, and exported trails are therefore
-    /// byte-identical to the serial [`tune`](PhysicalTuner::tune) at every
+    /// byte-identical to a serial run (`sched` = `None`) at every
     /// worker count — only the offline phase's wall clock changes. Only
     /// the pairs the cost-pair memo misses become tasks.
     fn tune_with(
@@ -769,7 +765,7 @@ mod tests {
             prob: 1.0,
             ..Default::default()
         });
-        let out = tuner.tune(&mut d, &[complex_query()]);
+        let out = tuner.tune_with(&mut d, &[complex_query()], None);
         assert_eq!(out.migrated, 2, "bornIn + advisor transferred");
         assert!(d.graph().is_loaded(d.dict().pred_id("y:bornIn").unwrap()));
         assert!(d.graph().is_loaded(d.dict().pred_id("y:advisor").unwrap()));
@@ -784,7 +780,7 @@ mod tests {
             prob: 0.0,
             ..Default::default()
         });
-        let out = tuner.tune(&mut d, &[complex_query()]);
+        let out = tuner.tune_with(&mut d, &[complex_query()], None);
         assert_eq!(out.migrated, 0);
         assert_eq!(d.graph().used(), 0);
     }
@@ -797,7 +793,7 @@ mod tests {
             ..Default::default()
         });
         let batch: Vec<Query> = (0..4).map(|_| complex_query()).collect();
-        tuner.tune(&mut d, &batch);
+        tuner.tune_with(&mut d, &batch, None);
         let born = d.dict().pred_id("y:bornIn").unwrap();
         let advisor = d.dict().pred_id("y:advisor").unwrap();
         // After transfer the partitions keep earning keep-in-graph reward.
@@ -826,7 +822,7 @@ mod tests {
             prob: 1.0,
             ..Default::default()
         });
-        let out = tuner.tune(&mut d, &[complex_query()]);
+        let out = tuner.tune_with(&mut d, &[complex_query()], None);
         assert!(out.evicted >= 1, "likes must be evicted");
         assert!(!d.graph().is_loaded(likes));
         assert_eq!(out.migrated, 2);
@@ -843,7 +839,7 @@ mod tests {
             prob: 1.0,
             ..Default::default()
         });
-        let out = tuner.tune(&mut d, &[complex_query()]);
+        let out = tuner.tune_with(&mut d, &[complex_query()], None);
         assert_eq!(out.migrated, 0);
         assert_eq!(d.graph().used(), 0);
     }
@@ -856,7 +852,7 @@ mod tests {
             d.migrate_partition(p).unwrap();
         }
         let mut tuner = Dotil::new();
-        let out = tuner.tune(&mut d, &[complex_query()]);
+        let out = tuner.tune_with(&mut d, &[complex_query()], None);
         assert_eq!(out.migrated, 0);
         assert_eq!(out.evicted, 0);
         let born = d.dict().pred_id("y:bornIn").unwrap();
@@ -872,7 +868,7 @@ mod tests {
             ..Default::default()
         });
         let q = parse("SELECT ?p WHERE { ?p y:bornIn ?c }").unwrap();
-        let out = tuner.tune(&mut d, &[q]);
+        let out = tuner.tune_with(&mut d, &[q], None);
         assert_eq!(out.migrated, 0);
         assert_eq!(tuner.trainings(), 0);
     }
@@ -913,8 +909,8 @@ mod tests {
             prob: 1.0,
             ..Default::default()
         });
-        tuner.tune(&mut d, std::slice::from_ref(&query_a));
-        tuner.tune(&mut d, &[query_a]); // covered pass builds keep equity
+        tuner.tune_with(&mut d, std::slice::from_ref(&query_a), None);
+        tuner.tune_with(&mut d, &[query_a], None); // covered pass builds keep equity
         assert!(d.graph().is_loaded(d.dict().pred_id("y:bornA").unwrap()));
 
         // Workload shifts entirely to shape B. The guard holds at first
@@ -923,7 +919,7 @@ mod tests {
         let ttl = tuner.config().keep_equity_ttl as usize;
         let mut displaced_at = None;
         for pass in 0..ttl + 3 {
-            let out = tuner.tune(&mut d, std::slice::from_ref(&query_b));
+            let out = tuner.tune_with(&mut d, std::slice::from_ref(&query_b), None);
             if out.migrated > 0 {
                 displaced_at = Some(pass);
                 break;
@@ -948,7 +944,7 @@ mod tests {
             keep_equity_ttl: 3,
             ..Default::default()
         });
-        tuner.tune(&mut d, &[complex_query(), complex_query()]);
+        tuner.tune_with(&mut d, &[complex_query(), complex_query()], None);
         let state = tuner.export_state_bytes();
 
         let mut restored = Dotil::new(); // deliberately different config
@@ -971,7 +967,7 @@ mod tests {
         let batch: Vec<Query> = vec![complex_query()];
         let mut d1 = dual(1000);
         let mut original = Dotil::with_config(DotilConfig::default());
-        original.tune(&mut d1, &batch);
+        original.tune_with(&mut d1, &batch, None);
         let state = original.export_state_bytes();
         let design_at_ckpt = d1.design();
 
@@ -983,8 +979,8 @@ mod tests {
             d2.migrate_partition(*p).unwrap();
         }
         for _ in 0..4 {
-            let o1 = original.tune(&mut d1, &batch);
-            let o2 = restored.tune(&mut d2, &batch);
+            let o1 = original.tune_with(&mut d1, &batch, None);
+            let o2 = restored.tune_with(&mut d2, &batch, None);
             assert_eq!(o1, o2, "continued tuning must be identical");
             assert_eq!(d1.design(), d2.design());
         }
@@ -998,7 +994,7 @@ mod tests {
             prob: 1.0,
             ..Default::default()
         });
-        tuner.tune(&mut d, &[complex_query()]);
+        tuner.tune_with(&mut d, &[complex_query()], None);
         let state = tuner.export_state_bytes();
         let sum_before = tuner.q_matrix_sum();
 
@@ -1052,7 +1048,7 @@ mod tests {
         let mut serial = Dotil::with_config(cfg);
         let mut serial_out = Vec::new();
         for _ in 0..3 {
-            serial_out.push(serial.tune(&mut d_serial, &batch));
+            serial_out.push(serial.tune_with(&mut d_serial, &batch, None));
         }
 
         let sched = Scheduler::new(4);
@@ -1191,7 +1187,7 @@ mod tests {
         let batch = [complex_query()];
         let mut d = resident();
         let mut tuner = Dotil::new();
-        let before = tuner.tune(&mut d, &batch); // fills the memo at λ = 4.5
+        let before = tuner.tune_with(&mut d, &batch, None); // fills the memo at λ = 4.5
 
         let state = Dotil::with_config(DotilConfig {
             lambda: 0.01,
@@ -1202,8 +1198,8 @@ mod tests {
         let mut fresh = Dotil::new();
         fresh.import_state_bytes(&state).unwrap();
 
-        let after = tuner.tune(&mut d, &batch);
-        let expected = fresh.tune(&mut resident(), &batch);
+        let after = tuner.tune_with(&mut d, &batch, None);
+        let expected = fresh.tune_with(&mut resident(), &batch, None);
         assert_ne!(before, expected, "λ must move the cost pair");
         assert_eq!(after, expected);
         assert_eq!(tuner.export_state_bytes(), fresh.export_state_bytes());
@@ -1214,7 +1210,7 @@ mod tests {
         let run = || {
             let mut d = dual(1000);
             let mut t = Dotil::with_config(DotilConfig::default());
-            t.tune(&mut d, &[complex_query(), complex_query()]);
+            t.tune_with(&mut d, &[complex_query(), complex_query()], None);
             t.q_matrix_sum()
         };
         assert_eq!(run(), run());

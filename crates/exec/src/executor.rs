@@ -4,11 +4,10 @@
 //! the shared worker pool ([`kgdual_sched::Scheduler`]) — the executor
 //! owns no threads of its own. All tasks execute against a single shared
 //! read guard on the [`SharedStore`] — the store is immutable for the
-//! whole batch — and each task checks a private [`TempSpace`] out of a
-//! per-batch pool, so no online state is shared mutable between workers.
-//! The pool's queue hands queries out in submission order; a worker stuck
-//! on a heavy query simply stops claiming while the others absorb the
-//! remainder.
+//! whole batch — and each task owns everything its query writes, so no
+//! online state is shared mutable between workers. The pool's queue
+//! hands queries out in submission order; a worker stuck on a heavy
+//! query simply stops claiming while the others absorb the remainder.
 //!
 //! Determinism: each query's execution depends only on the (frozen)
 //! store and the query itself, so per-query results, work units, and
@@ -18,29 +17,15 @@
 
 use crate::shared::SharedStore;
 use kgdual_core::batch::RouteCounts;
-use kgdual_core::{processor, DualStore, QueryOutcome, TuningOutcome};
+use kgdual_core::{process, Options, Policy, QueryOutcome, TuningOutcome};
 use kgdual_graphstore::GraphBackend;
-use kgdual_relstore::{ExecStats, TempSpace};
+use kgdual_relstore::ExecStats;
 use kgdual_sched::{Scheduler, TaskClass};
 use kgdual_sparql::Query;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Which processor entry point the executor drives.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// The dual-store routed path (`RDB-GDB` online phase).
-    #[default]
-    Routed,
-    /// Relational-only execution (the `RDB-only` baseline).
-    RelationalOnly,
-    /// Relational execution seeded from the store's materialized views
-    /// (the `RDB-views` baseline). The online phase only reads the
-    /// catalog; a view tuner rebuilds it in the offline phase.
-    ViewAssisted,
-}
 
 /// Everything measured about one concurrently executed batch.
 #[derive(Clone, Debug, Default)]
@@ -109,7 +94,7 @@ impl ParallelBatchReport {
 #[derive(Clone, Debug)]
 pub struct BatchExecutor {
     threads: usize,
-    mode: ExecMode,
+    policy: Policy,
     keep_outcomes: bool,
     sched: Arc<Scheduler>,
 }
@@ -131,15 +116,16 @@ impl BatchExecutor {
     pub fn with_scheduler(sched: Arc<Scheduler>) -> Self {
         BatchExecutor {
             threads: sched.threads(),
-            mode: ExecMode::Routed,
+            policy: Policy::Routed,
             keep_outcomes: false,
             sched,
         }
     }
 
-    /// Switch the processor entry point (e.g. the `RDB-only` baseline).
-    pub fn with_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
+    /// Switch the store variant the queries run on (e.g. the `RDB-only`
+    /// baseline).
+    pub fn with_mode(mut self, policy: Policy) -> Self {
+        self.policy = policy;
         self
     }
 
@@ -160,19 +146,6 @@ impl BatchExecutor {
     /// The worker pool this executor submits to.
     pub fn scheduler(&self) -> &Arc<Scheduler> {
         &self.sched
-    }
-
-    fn run_one<B: GraphBackend>(
-        &self,
-        dual: &DualStore<B>,
-        temp: &mut TempSpace,
-        query: &Query,
-    ) -> Result<QueryOutcome, kgdual_core::CoreError> {
-        match self.mode {
-            ExecMode::Routed => processor::process_shared(dual, temp, query),
-            ExecMode::RelationalOnly => processor::process_relational(dual, query),
-            ExecMode::ViewAssisted => processor::process_with_views(dual, query),
-        }
     }
 
     /// Execute one batch concurrently under a single shared-read epoch.
@@ -202,26 +175,26 @@ impl BatchExecutor {
         let workers = self.threads.min(queries.len()).max(1);
 
         // One slot per query keeps submission order independent of
-        // completion order; pooled temp spaces are reused across the
-        // queries a worker drains.
+        // completion order.
         let slots: Vec<Mutex<Option<QueryOutcome>>> =
             queries.iter().map(|_| Mutex::new(None)).collect();
         let errors = AtomicUsize::new(0);
-        let temps: Mutex<Vec<TempSpace>> = Mutex::new(Vec::new());
+        let opts = Options {
+            policy: self.policy,
+            explain: false,
+        };
         self.sched.scope(|s| {
             for (qid, (query, slot)) in queries.iter().zip(&slots).enumerate() {
-                let (dual, errors, temps) = (&*dual, &errors, &temps);
+                let (dual, errors) = (&*dual, &errors);
                 s.spawn(TaskClass::Query, move || {
                     let wall = kgdual_obs::timer();
                     let _span = kgdual_obs::span!("query", qid = qid);
-                    let mut temp = temps.lock().pop().unwrap_or_else(TempSpace::new);
-                    match self.run_one(dual, &mut temp, query) {
+                    match process(dual, query, opts) {
                         Ok(out) => *slot.lock() = Some(out),
                         Err(_) => {
                             errors.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    temps.lock().push(temp);
                     if let Some(ns) = wall.elapsed_ns() {
                         crate::obs::exec_obs().query_wall.record(ns);
                     }
@@ -382,7 +355,7 @@ mod tests {
             }
         });
         let report = BatchExecutor::new(3)
-            .with_mode(ExecMode::RelationalOnly)
+            .with_mode(Policy::RelationalOnly)
             .execute_batch(&store, &batch());
         assert_eq!(report.graph_stats.work_units(), 0);
         assert_eq!(report.routes.graph, 0);
@@ -403,8 +376,7 @@ mod tests {
     fn executors_can_share_one_pool() {
         let sched = Arc::new(Scheduler::new(2));
         let a = BatchExecutor::with_scheduler(Arc::clone(&sched));
-        let b =
-            BatchExecutor::with_scheduler(Arc::clone(&sched)).with_mode(ExecMode::RelationalOnly);
+        let b = BatchExecutor::with_scheduler(Arc::clone(&sched)).with_mode(Policy::RelationalOnly);
         let store = shared(1000);
         let ra = a.execute_batch(&store, &batch());
         let rb = b.execute_batch(&store, &batch());

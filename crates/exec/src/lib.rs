@@ -20,9 +20,8 @@
 //! * **Shared-read online phase** — the physical design `D = ⟨T_R, T_G⟩`
 //!   is immutable while a batch runs, so any number of worker threads can
 //!   execute queries against one `&DualStore` simultaneously. Each query
-//!   task owns its execution contexts and checks a §3.3 temp space
-//!   ([`kgdual_relstore::TempSpace`]) out of a per-batch pool; nothing
-//!   online is shared mutable.
+//!   task owns its execution contexts and its §3.3 temporary table space
+//!   (a local of the query); nothing online is shared mutable.
 //! * **Exclusive reconfiguration epoch** — between batches the
 //!   [`PhysicalTuner`](kgdual_core::PhysicalTuner) migrates/evicts
 //!   partitions under a write lock ([`SharedStore::reconfigure`]), which
@@ -70,7 +69,7 @@ mod obs;
 pub mod runner;
 pub mod shared;
 
-pub use executor::{results_digest, BatchExecutor, ExecMode, ParallelBatchReport};
+pub use executor::{results_digest, BatchExecutor, ParallelBatchReport};
 pub use runner::ParallelRunner;
 pub use shared::{SchedShardDispatch, SharedStore};
 

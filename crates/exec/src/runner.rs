@@ -11,7 +11,7 @@
 //! migration decisions are identical at every thread count.
 //!
 //! All three of the paper's store variants run here, as one
-//! ([`ExecMode`](crate::ExecMode), tuner, [`TuningSchedule`]) triple
+//! ([`Policy`](kgdual_core::Policy), tuner, [`TuningSchedule`]) triple
 //! each: `RDB-only` is `RelationalOnly` with no tuning, `RDB-views` is
 //! `ViewAssisted` with the view advisor rebuilding the store's catalog
 //! after each batch, and `RDB-GDB` is `Routed` with DOTIL or a baseline
@@ -60,8 +60,8 @@ impl ParallelRunner {
         // for exactly the write-lock window, so the tuner's offline work
         // (DOTIL's counterfactual runs, two per cost pair) borrows them
         // as OfflineTuning-class tasks. Deterministically identical to
-        // the serial tune() at every worker count (see PhysicalTuner
-        // docs).
+        // a serial `tune_with(.., None)` at every worker count (see the
+        // PhysicalTuner docs).
         self.schedule
             .drive(
                 tuner,
@@ -102,8 +102,7 @@ impl ParallelRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ExecMode;
-    use kgdual_core::{DualStore, NoopTuner, TuningOutcome};
+    use kgdual_core::{DualStore, NoopTuner, Policy, Scheduler, TuningOutcome};
     use kgdual_model::{DatasetBuilder, Term};
     use kgdual_sparql::parse;
 
@@ -139,7 +138,12 @@ mod tests {
         fn name(&self) -> &str {
             "greedy-all"
         }
-        fn tune(&mut self, dual: &mut DualStore, batch: &[Query]) -> TuningOutcome {
+        fn tune_with(
+            &mut self,
+            dual: &mut DualStore,
+            batch: &[Query],
+            _sched: Option<&Scheduler>,
+        ) -> TuningOutcome {
             let mut out = TuningOutcome::default();
             for q in batch {
                 for pred in q.predicate_set() {
@@ -159,7 +163,7 @@ mod tests {
     #[test]
     fn runner_produces_one_report_per_batch() {
         let store = store();
-        let executor = BatchExecutor::new(2).with_mode(ExecMode::RelationalOnly);
+        let executor = BatchExecutor::new(2).with_mode(Policy::RelationalOnly);
         let runner = ParallelRunner::new(TuningSchedule::AfterEachBatch, executor);
         let reports = runner.run(&store, &mut GreedyAll, &batches());
         assert_eq!(reports.len(), 2);

@@ -17,8 +17,8 @@
 //! query runs on its caller's thread, as a MySQL query runs on one thread.
 //!
 //! Each table's two sorted indexes are [`SortedRuns`] ([`runs`]): CSR
-//! runs behind an `Arc` that a graph-resident partition shares, so the
-//! graph store holds no edge arrays of its own.
+//! runs that the graph store reads in place for a resident partition, so
+//! the graph store holds no edge arrays of its own.
 //!
 //! This crate also hosts the execution primitives shared with the graph
 //! store ([`exec`]): columnar bindings, execution statistics (whose IO
@@ -34,7 +34,6 @@ pub mod planner;
 pub mod runs;
 pub mod store;
 pub mod table;
-pub mod temp;
 pub mod views;
 
 pub use exec::{Bindings, ExecContext, ExecError, ExecStats, ResourceGovernor};
@@ -42,5 +41,11 @@ pub use planner::PlannerConfig;
 pub use runs::{CsrView, SortedRuns};
 pub use store::RelStore;
 pub use table::PredTable;
-pub use temp::TempSpace;
 pub use views::{MatView, RebuildReport, ViewCatalog};
+
+/// Kept only because kgbench links it (`benchmark/src/sut.rs`) and passes
+/// it to `kgdual_core::process_shared`, which ignores it. The §3.3
+/// temporary table space is a local of the query that needs it (see
+/// `kgdual_core::processor`). ROADMAP 14(c) deletes it.
+#[derive(Debug, Default)]
+pub struct TempSpace;

@@ -11,7 +11,8 @@ use kgdual_vec::{cost, cost::Card, plan, EmitSrc, BATCH};
 use std::sync::Arc;
 
 /// The relational store: one [`PredTable`] per predicate, ascending by
-/// predicate id.
+/// predicate id. The predicate ids sit in their own array beside the
+/// tables, so a lookup binary-searches 4-byte keys.
 ///
 /// Stores the *entire* knowledge graph in the dual-store design and is the
 /// only store that accepts updates directly (the paper keeps `T_R` complete
@@ -20,9 +21,38 @@ use std::sync::Arc;
 /// splice them (see [`PredTable`]), so a loaded store needs no warm-up.
 #[derive(Debug, Default)]
 pub struct RelStore {
-    tables: Vec<(PredId, PredTable)>,
+    preds: Vec<PredId>,
+    /// Index-parallel to `preds`.
+    tables: Vec<PredTable>,
     rows: usize,
     cfg: PlannerConfig,
+}
+
+/// How a pattern that opens a pipeline reads its base rows (see
+/// [`RelStore::access_path`]).
+enum AccessPath<'a> {
+    /// Probe the table's subject index for the bound subject.
+    SubjectIndex(&'a PredTable, PredId, NodeId),
+    /// Probe the table's object index for the bound object.
+    ObjectIndex(&'a PredTable, PredId, NodeId),
+    /// Scan the predicate's partition.
+    Scan(&'a PredTable, PredId),
+    /// The predicate was never stored, so nothing matches. EXPLAIN names
+    /// it a scan.
+    Absent,
+    /// Scan every partition (a variable predicate).
+    UnionScan,
+}
+
+impl AccessPath<'_> {
+    /// The EXPLAIN operator name.
+    fn op(&self) -> &'static str {
+        match self {
+            AccessPath::SubjectIndex(..) | AccessPath::ObjectIndex(..) => "index_scan",
+            AccessPath::Scan(..) | AccessPath::Absent => "scan",
+            AccessPath::UnionScan => "union_scan",
+        }
+    }
 }
 
 impl RelStore {
@@ -45,21 +75,24 @@ impl RelStore {
 
     /// The table for `pred`, created empty on first touch.
     fn table_mut(&mut self, pred: PredId) -> &mut PredTable {
-        match self.tables.binary_search_by_key(&pred, |&(p, _)| p) {
-            Ok(i) => &mut self.tables[i].1,
+        let i = match self.preds.binary_search(&pred) {
+            Ok(i) => i,
             Err(i) => {
-                self.tables.insert(i, (pred, PredTable::new()));
-                &mut self.tables[i].1
+                self.preds.insert(i, pred);
+                self.tables.insert(i, PredTable::new());
+                i
             }
-        }
+        };
+        &mut self.tables[i]
     }
 
     /// Non-empty partitions, ascending by predicate.
     fn nonempty_tables(&self) -> impl Iterator<Item = (PredId, &PredTable)> + '_ {
-        self.tables
+        self.preds
             .iter()
+            .zip(&self.tables)
             .filter(|(_, t)| !t.is_empty())
-            .map(|(p, t)| (*p, t))
+            .map(|(&p, t)| (p, t))
     }
 
     /// Bulk-append a shared run of rows to `pred`'s partition (an empty
@@ -72,8 +105,12 @@ impl RelStore {
     /// Bulk-load every partition of `parts` (appends to existing tables).
     /// An empty table adopts the partition's shared pair run as its base
     /// rows, so the store and the dataset hold one copy until either
-    /// writes to it.
+    /// writes to it. The key and table arrays are sized first, so they
+    /// are not regrown between the (large) index builds.
     pub fn load_partition_set(&mut self, parts: &PartitionSet) {
+        let n = parts.iter().count();
+        self.preds.reserve(n);
+        self.tables.reserve(n);
         for part in parts.iter() {
             self.insert_batch(part.pred(), part.shared_pairs());
         }
@@ -95,10 +132,10 @@ impl RelStore {
 
     /// Delete every copy of a triple; returns how many rows were removed.
     pub fn delete(&mut self, t: Triple) -> usize {
-        let Ok(i) = self.tables.binary_search_by_key(&t.p, |&(p, _)| p) else {
+        let Ok(i) = self.preds.binary_search(&t.p) else {
             return 0;
         };
-        let removed = self.tables[i].1.delete(t.s, t.o);
+        let removed = self.tables[i].delete(t.s, t.o);
         self.rows -= removed;
         removed
     }
@@ -107,10 +144,10 @@ impl RelStore {
     /// partition keeps its entry for reuse.
     #[inline]
     pub fn table(&self, pred: PredId) -> Option<&PredTable> {
-        self.tables
-            .binary_search_by_key(&pred, |&(p, _)| p)
+        self.preds
+            .binary_search(&pred)
             .ok()
-            .map(|i| &self.tables[i].1)
+            .map(|i| &self.tables[i])
     }
 
     /// Rows in one partition (0 if absent).
@@ -193,7 +230,7 @@ impl RelStore {
                         ("hash_join", plan::OpKind::Join)
                     }
                 } else {
-                    (self.access_path_op(pat), plan::OpKind::Scan)
+                    (self.access_path(pat).op(), plan::OpKind::Scan)
                 };
                 plan::note_step(op, kind, idx, est)
             } else {
@@ -280,31 +317,28 @@ impl RelStore {
         Ok(objects.binary_search(&o).is_ok())
     }
 
-    /// The access-path operator label [`Self::materialize_pattern`] will
-    /// choose for `pat` as a leaf — used only to name EXPLAIN plan steps;
-    /// the execution-time decision is re-made (identically) when the
-    /// pattern materializes.
-    fn access_path_op(&self, pat: &EncPattern) -> &'static str {
-        match pat.p {
-            PredSlot::Const(p) => {
-                let Some(table) = self.table(p) else {
-                    return "scan";
-                };
-                let st = table.stats();
-                let threshold = self.cfg.index_selectivity_threshold;
-                let use_s_index = !self.cfg.force_scans
-                    && matches!(pat.s, Slot::Const(_))
-                    && cost::use_secondary_index(st.per_subject(), st.rows, threshold);
-                let use_o_index = !self.cfg.force_scans
-                    && matches!(pat.o, Slot::Const(_))
-                    && cost::use_secondary_index(st.per_object(), st.rows, threshold);
-                if use_s_index || use_o_index {
-                    "index_scan"
-                } else {
-                    "scan"
-                }
+    /// How [`Self::materialize_pattern`] reads `pat`'s base rows: a
+    /// secondary-index probe when a bound endpoint is selective enough,
+    /// else a scan. EXPLAIN names its steps from the same value, so the
+    /// label cannot drift from the executed path.
+    fn access_path(&self, pat: &EncPattern) -> AccessPath<'_> {
+        let PredSlot::Const(p) = pat.p else {
+            return AccessPath::UnionScan;
+        };
+        let Some(table) = self.table(p) else {
+            return AccessPath::Absent;
+        };
+        let st = table.stats();
+        let indexed = |per_key| {
+            !self.cfg.force_scans
+                && cost::use_secondary_index(per_key, st.rows, self.cfg.index_selectivity_threshold)
+        };
+        match (pat.s, pat.o) {
+            (Slot::Const(s), _) if indexed(st.per_subject()) => {
+                AccessPath::SubjectIndex(table, p, s)
             }
-            PredSlot::Var(_) => "union_scan",
+            (_, Slot::Const(o)) if indexed(st.per_object()) => AccessPath::ObjectIndex(table, p, o),
+            _ => AccessPath::Scan(table, p),
         }
     }
 
@@ -352,39 +386,28 @@ impl RelStore {
             emit_match(pat, &schema, self_loop, s, pred, o, out);
         };
 
-        match pat.p {
-            PredSlot::Const(p) => {
-                let Some(table) = self.table(p) else {
-                    return Ok(out);
-                };
-                let st = table.stats();
-                let threshold = self.cfg.index_selectivity_threshold;
-                let use_s_index = !self.cfg.force_scans
-                    && matches!(pat.s, Slot::Const(_))
-                    && cost::use_secondary_index(st.per_subject(), st.rows, threshold);
-                let use_o_index = !self.cfg.force_scans
-                    && matches!(pat.o, Slot::Const(_))
-                    && cost::use_secondary_index(st.per_object(), st.rows, threshold);
-
-                if let (Slot::Const(s), true) = (pat.s, use_s_index) {
-                    let objects = table.lookup_s(s);
-                    ctx.charge_probe(objects.len() as u64 + 1)?;
-                    for &o in objects {
-                        emit(s, p, o, &mut out);
-                    }
-                } else if let (Slot::Const(o), true) = (pat.o, use_o_index) {
-                    let subjects = table.lookup_o(o);
-                    ctx.charge_probe(subjects.len() as u64 + 1)?;
-                    for &s in subjects {
-                        emit(s, p, o, &mut out);
-                    }
-                } else {
-                    // Full scan — the path complex queries take, and the
-                    // reason relational latency grows with data size.
-                    scan_partition(table.scan(), pat, self_loop, p, ctx, &mut out)?;
+        match self.access_path(pat) {
+            AccessPath::SubjectIndex(table, p, s) => {
+                let objects = table.lookup_s(s);
+                ctx.charge_probe(objects.len() as u64 + 1)?;
+                for &o in objects {
+                    emit(s, p, o, &mut out);
                 }
             }
-            PredSlot::Var(_) => {
+            AccessPath::ObjectIndex(table, p, o) => {
+                let subjects = table.lookup_o(o);
+                ctx.charge_probe(subjects.len() as u64 + 1)?;
+                for &s in subjects {
+                    emit(s, p, o, &mut out);
+                }
+            }
+            // Full scan — the path complex queries take, and the reason
+            // relational latency grows with data size.
+            AccessPath::Scan(table, p) => {
+                scan_partition(table.scan(), pat, self_loop, p, ctx, &mut out)?;
+            }
+            AccessPath::Absent => {}
+            AccessPath::UnionScan => {
                 // Union over every partition, ascending by predicate.
                 for (p, table) in self.nonempty_tables() {
                     ctx.stats.tables_touched += 1;

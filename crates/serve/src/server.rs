@@ -23,25 +23,25 @@
 //! 3. the SPARQL text is parsed, a read guard on the [`SharedStore`] is
 //!    taken, the deadline is checked once more, and the query runs on
 //!    the connection thread — tagged `query`-class, inside a `task`
-//!    span — with a pooled [`TempSpace`];
+//!    span — through [`process`] with the routed policy, which keeps its
+//!    §3.3 intermediates in locals, so no lock is taken for them;
 //! 4. the response (rows + stats) is written, *then* the ticket is
 //!    released — so the drain barrier in [`ServeHandle::shutdown`]
 //!    also waits for the response bytes.
 //!
 //! Determinism: request handling introduces no new nondeterminism —
 //! rows, row order, work units, simulated latency, and route come
-//! straight from [`process_shared_explain`], so a serial replay through a
-//! socket is byte-identical to the batch path (pinned by the wire cells
-//! of `kgdual-bench`'s equivalence suite).
+//! straight from [`process`], so a serial replay through a socket is
+//! byte-identical to the batch path (pinned by the wire cells of
+//! `kgdual-bench`'s equivalence suite).
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionController, RejectReason};
 use crate::json::{self, Json};
 use crate::obs::serve_obs;
 use crate::proto::{self, ProtoError, Request, Status};
-use kgdual_core::processor::{process_shared_explain, QueryOutcome, Route};
+use kgdual_core::processor::{process, Options, QueryOutcome, Route};
 use kgdual_exec::SharedStore;
 use kgdual_graphstore::GraphBackend;
-use kgdual_relstore::TempSpace;
 use kgdual_sched::{Scheduler, TaskClass};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -153,9 +153,6 @@ struct Inner {
     /// Set by `POST /shutdown`; the serving binary polls it and calls
     /// [`ServeHandle::shutdown`] from outside the handler threads.
     shutdown_requested: AtomicBool,
-    /// Pooled temp spaces, reused across requests like the batch
-    /// executor's worker pool.
-    temps: parking_lot::Mutex<Vec<TempSpace>>,
     /// Trace-flush destination for graceful shutdown (from
     /// [`ServeConfig::trace_out`]).
     trace_out: Option<std::path::PathBuf>,
@@ -202,7 +199,6 @@ impl Server {
             conns_changed: Condvar::new(),
             stopping: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
-            temps: parking_lot::Mutex::new(Vec::new()),
             trace_out: config.trace_out.clone(),
         });
 
@@ -780,10 +776,11 @@ where
             let prev_class = kgdual_obs::set_task_class(Some(TaskClass::Query.name()));
             let result = {
                 let _task = kgdual_obs::span!("task", class = TaskClass::Query as usize);
-                let mut temp = inner.temps.lock().pop().unwrap_or_default();
-                let result = process_shared_explain(&guard, &mut temp, &query, explain.is_some());
-                inner.temps.lock().push(temp);
-                result
+                let opts = Options {
+                    explain: explain.is_some(),
+                    ..Options::default()
+                };
+                process(&guard, &query, opts)
             };
             kgdual_obs::set_task_class(prev_class);
             Some(result)

@@ -2,9 +2,8 @@
 //! scheduler, small seeded YAGO store. Synchronization is entirely
 //! gate/condvar-based — no sleeps.
 
-use kgdual_core::{process_shared, DualStore};
+use kgdual_core::{process, DualStore, Options};
 use kgdual_exec::SharedStore;
-use kgdual_relstore::TempSpace;
 use kgdual_sched::Scheduler;
 use kgdual_serve::proto::{self, Response};
 use kgdual_serve::{AdmissionConfig, ServeClient, ServeConfig, Server};
@@ -57,13 +56,12 @@ fn served_queries_match_direct_execution_and_ops_endpoints_answer() {
     let (handle, _sched) = start(Arc::clone(&store), 2, AdmissionConfig::new(64, 8));
     let mut client = ServeClient::connect(handle.local_addr(), "itest").unwrap();
 
-    let mut temp = TempSpace::new();
     let mut served = 0usize;
     for text in queries() {
         let reply = client.query(&text, None).unwrap();
         assert!(reply.is_ok(), "query must serve: {text}");
         let query = kgdual_sparql::parse(&text).unwrap();
-        let direct = process_shared(&*store.read(), &mut temp, &query).unwrap();
+        let direct = process(&store.read(), &query, Options::default()).unwrap();
         let direct_rows: Vec<Vec<u32>> = direct
             .results
             .rows()
@@ -177,16 +175,11 @@ fn pipelined_requests_in_one_write_answer_in_order() {
     let mut raw = RawConn::connect(handle.local_addr());
     raw.send(wire.as_bytes());
 
-    let mut temp = TempSpace::new();
     for text in &texts[..2] {
         let r = raw.read();
         assert_eq!(r.status, 200, "{}", r.body_str().unwrap());
-        let direct = process_shared(
-            &*store.read(),
-            &mut temp,
-            &kgdual_sparql::parse(text).unwrap(),
-        )
-        .unwrap();
+        let query = kgdual_sparql::parse(text).unwrap();
+        let direct = process(&store.read(), &query, Options::default()).unwrap();
         let body = r.body_str().unwrap();
         assert!(
             body.contains(&format!("\"row_count\":{},", direct.results.len()))

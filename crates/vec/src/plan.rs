@@ -36,7 +36,8 @@ use std::cell::{Cell, RefCell};
 /// (`plan_qerror_scan` vs `plan_qerror_join`).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum OpKind {
-    /// Base-table access: full or index scan, union scan, graph seed.
+    /// Base-table access: full or index scan, union scan, graph seed,
+    /// materialized-view read.
     Scan,
     /// Binding extension: hash join, index-nested-loop, graph extend.
     Join,
@@ -61,7 +62,7 @@ impl OpKind {
 pub struct PlanStep {
     /// Physical operator name (`"scan"`, `"index_scan"`, `"union_scan"`,
     /// `"hash_join"`, `"inl_join"`, `"graph_seed"`, `"graph_extend"`,
-    /// `"ground_filter"`).
+    /// `"ground_filter"`, `"view_scan"`).
     pub op: &'static str,
     /// Operator family.
     pub kind: OpKind,

@@ -313,9 +313,11 @@ mod tests {
         let ds = g.generate();
         let dual = kgdual_core::DualStore::from_dataset(ds, 0);
         // The dual-target motif must yield results on generated data.
-        let out = kgdual_core::processor::process(&dual, &g.templates()[0].original()).unwrap();
+        let out =
+            kgdual_core::process(&dual, &g.templates()[0].original(), Default::default()).unwrap();
         assert!(!out.results.is_empty(), "dual-target drugs must exist");
-        let out2 = kgdual_core::processor::process(&dual, &g.templates()[1].original()).unwrap();
+        let out2 =
+            kgdual_core::process(&dual, &g.templates()[1].original(), Default::default()).unwrap();
         assert!(
             !out2.results.is_empty(),
             "same-chromosome disease genes must exist"

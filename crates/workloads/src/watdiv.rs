@@ -502,7 +502,7 @@ mod tests {
         ] {
             for t in g.templates(family) {
                 total += 1;
-                let out = kgdual_core::processor::process(&dual, &t.original()).unwrap();
+                let out = kgdual_core::process(&dual, &t.original(), Default::default()).unwrap();
                 if !out.results.is_empty() {
                     non_empty += 1;
                 }

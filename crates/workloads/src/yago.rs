@@ -372,7 +372,7 @@ mod tests {
             "SELECT ?p WHERE { ?p y:wasBornIn ?c . ?p y:hasAcademicAdvisor ?a . ?a y:wasBornIn ?c }",
         )
         .unwrap();
-        let out = kgdual_core::processor::process(&dual, &q).unwrap();
+        let out = kgdual_core::process(&dual, &q, Default::default()).unwrap();
         assert!(
             out.results.len() > 10,
             "same-city advisor pairs must exist, got {}",

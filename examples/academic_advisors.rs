@@ -42,7 +42,7 @@ fn main() {
 
     // Relational route (cold store).
     let t0 = Instant::now();
-    let cold = kgdual::processor::process(&dual, &query).expect("runs");
+    let cold = kgdual::processor::process(&dual, &query, Options::default()).expect("runs");
     let rel_time = t0.elapsed();
     println!(
         "\nrelational route: {:?}, {} rows, {} work units, {rel_time:?}",
@@ -63,7 +63,7 @@ fn main() {
         dual.migrate_partition(p).expect("fits budget");
     }
     let t1 = Instant::now();
-    let warm = kgdual::processor::process(&dual, &query).expect("runs");
+    let warm = kgdual::processor::process(&dual, &query, Options::default()).expect("runs");
     let graph_time = t1.elapsed();
     println!(
         "graph route     : {:?}, {} rows, {} work units, {graph_time:?}",

@@ -28,9 +28,9 @@ fn main() {
     // of a protein interaction").
     let query = parse(DUAL_TARGET).expect("parses");
     let mut tuner = Dotil::new();
-    tuner.tune(&mut dual, std::slice::from_ref(&query));
+    tuner.tune_with(&mut dual, std::slice::from_ref(&query), None);
 
-    let before = kgdual::processor::process(&dual, &query).expect("runs");
+    let before = kgdual::processor::process(&dual, &query, Options::default()).expect("runs");
     println!(
         "\nbaseline: route={:?}, {} dual-target drugs",
         before.route,
@@ -54,7 +54,7 @@ fn main() {
         import.single_updates, import.work_units
     );
 
-    let after = kgdual::processor::process(&dual, &query).expect("runs");
+    let after = kgdual::processor::process(&dual, &query, Options::default()).expect("runs");
     println!(
         "after update: route={:?}, {} dual-target drugs",
         after.route,
@@ -70,7 +70,7 @@ fn main() {
     let p = dual.dict().pred_id("bio:interactsWith").unwrap();
     let o = dual.dict().node_id(&Term::iri("bio:Protein8")).unwrap();
     dual.delete(Triple::new(s, p, o));
-    let retracted = kgdual::processor::process(&dual, &query).expect("runs");
+    let retracted = kgdual::processor::process(&dual, &query, Options::default()).expect("runs");
     println!(
         "after retraction: {} dual-target drugs (back to consistency)",
         retracted.results.len()

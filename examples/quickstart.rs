@@ -38,7 +38,7 @@ fn main() {
     )
     .expect("query parses");
 
-    let out = kgdual::processor::process(&dual, &query).expect("query runs");
+    let out = kgdual::processor::process(&dual, &query, Options::default()).expect("query runs");
     println!(
         "cold store : route={:?}, {} result(s), {} work units",
         out.route,
@@ -50,7 +50,7 @@ fn main() {
     // 4. Offline tuning: DOTIL inspects the complex subquery and migrates
     //    the wasBornIn + hasAcademicAdvisor partitions.
     let mut tuner = Dotil::new();
-    let tuned = tuner.tune(&mut dual, std::slice::from_ref(&query));
+    let tuned = tuner.tune_with(&mut dual, std::slice::from_ref(&query), None);
     println!(
         "tuning     : migrated {} partition(s), {} triples into the graph store",
         tuned.migrated, tuned.triples_in
@@ -63,7 +63,7 @@ fn main() {
     }
 
     // 5. The same query now routes to the graph store.
-    let out = kgdual::processor::process(&dual, &query).expect("query runs");
+    let out = kgdual::processor::process(&dual, &query, Options::default()).expect("query runs");
     println!(
         "warm store : route={:?}, {} result(s), {} work units",
         out.route,

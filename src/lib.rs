@@ -10,8 +10,10 @@
 //! Q-learning physical-design tuner, decides which triple partitions to
 //! mirror into the graph store as the workload drifts. The graph store
 //! ([`GraphStore`](prelude::GraphStore), alias
-//! [`AdjacencyBackend`](prelude::AdjacencyBackend)) keeps each resident
-//! partition as forward and reverse compressed sparse rows.
+//! [`AdjacencyBackend`](prelude::AdjacencyBackend)) is a residency set
+//! over the relational store's sorted runs: a resident partition is
+//! traversed in place through the forward and reverse compressed sparse
+//! rows its relational table already keeps.
 //!
 //! ```
 //! use kgdual::prelude::*;
@@ -31,14 +33,22 @@
 //!      ?p y:hasAcademicAdvisor ?a . ?a y:wasBornIn ?c }",
 //! )
 //! .unwrap();
-//! let out = kgdual::processor::process(&dual, &q).unwrap();
+//! let out = kgdual::processor::process(&dual, &q, Options::default()).unwrap();
 //! assert_eq!(out.results.len(), 1);
 //!
 //! // Let DOTIL accelerate it: tune on the observed workload, re-run.
 //! let mut tuner = Dotil::new();
-//! tuner.tune(&mut dual, &[q.clone()]);
-//! let out = kgdual::processor::process(&dual, &q).unwrap();
+//! tuner.tune_with(&mut dual, &[q.clone()], None);
+//! let out = kgdual::processor::process(&dual, &q, Options::default()).unwrap();
 //! assert_eq!(out.route, Route::Graph);
+//!
+//! // The `RDB-only` baseline answers alike, in the relational store.
+//! let rdb_only = Options {
+//!     policy: Policy::RelationalOnly,
+//!     ..Options::default()
+//! };
+//! let out = kgdual::processor::process(&dual, &q, rdb_only).unwrap();
+//! assert_eq!((out.route, out.results.len()), (Route::Relational, 1));
 //! ```
 //!
 //! The workspace crates, re-exported here:
@@ -47,9 +57,9 @@
 //! |---|---|
 //! | [`model`] | terms, dictionary encoding, triples, partitions |
 //! | [`sparql`] | SPARQL-subset parser, AST, query analysis, encoded IR |
-//! | [`relstore`] | vertically-partitioned relational store + views |
-//! | [`graphstore`] | budgeted graph store (per-predicate compressed sparse rows) + matcher |
-//! | [`core`] | identifier, query processor, dual-store manager |
+//! | [`relstore`] | vertically-partitioned relational store (per-predicate sorted runs) + views |
+//! | [`graphstore`] | budgeted graph store (a residency set over the relational runs) + matcher |
+//! | [`core`] | identifier, query processor (one entry point, three policies), dual-store manager |
 //! | [`dotil`] | the Q-learning tuner and baseline tuners |
 //! | [`workloads`] | synthetic YAGO/WatDiv/Bio2RDF-like generators |
 //! | [`exec`] | the batch runner: a concurrent executor over a shared-read store, tuning epochs between batches |
@@ -69,15 +79,13 @@ pub use kgdual_core::{identifier, processor, results};
 pub mod prelude {
     pub use kgdual_core::batch::TuningSchedule;
     pub use kgdual_core::{
-        identify, ComplexSubquery, DualDesign, DualStore, NoopTuner, PhysicalTuner, QueryOutcome,
-        ResultSet, Route, TuningOutcome,
+        identify, ComplexSubquery, DualDesign, DualStore, NoopTuner, Options, PhysicalTuner,
+        Policy, QueryOutcome, ResultSet, Route, TuningOutcome,
     };
     pub use kgdual_dotil::{
         Dotil, DotilConfig, FrequencyTuner, IdealTuner, OneOffTuner, ViewTuner,
     };
-    pub use kgdual_exec::{
-        BatchExecutor, ExecMode, ParallelBatchReport, ParallelRunner, SharedStore,
-    };
+    pub use kgdual_exec::{BatchExecutor, ParallelBatchReport, ParallelRunner, SharedStore};
     pub use kgdual_graphstore::{AdjacencyBackend, GraphBackend, GraphStore};
     pub use kgdual_model::{Dataset, DatasetBuilder, Dictionary, NodeId, PredId, Term, Triple};
     pub use kgdual_relstore::{Bindings, ExecContext, RelStore, ViewCatalog};

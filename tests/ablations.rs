@@ -5,6 +5,12 @@
 use kgdual::prelude::*;
 use kgdual::relstore::PlannerConfig;
 
+/// The `RDB-only` policy, the relational oracle.
+const RELATIONAL: Options = Options {
+    policy: Policy::RelationalOnly,
+    explain: false,
+};
+
 /// D1: forcing scans must make a selective bound lookup strictly more
 /// expensive while returning identical rows.
 #[test]
@@ -76,8 +82,8 @@ fn d6_guard_prevents_case2_blowup() {
     .unwrap();
     let guarded = build(true);
     let unguarded = build(false);
-    let g = kgdual::processor::process(&guarded, &q).unwrap();
-    let u = kgdual::processor::process(&unguarded, &q).unwrap();
+    let g = kgdual::processor::process(&guarded, &q, Options::default()).unwrap();
+    let u = kgdual::processor::process(&unguarded, &q, Options::default()).unwrap();
     let (mut a, mut b) = (g.results.clone(), u.results.clone());
     a.sort_rows();
     b.sort_rows();
@@ -127,7 +133,7 @@ fn d8_generalized_views_cover_mutations() {
         .unwrap();
     let (_, _, rows) = hit.expect("generalized views must hit the mutation");
     // Cross-check against direct execution.
-    let direct = kgdual::processor::process_relational(&dual, &mutation).unwrap();
+    let direct = kgdual::processor::process(&dual, &mutation, RELATIONAL).unwrap();
     assert_eq!(
         rows.len(),
         direct.results.len(),

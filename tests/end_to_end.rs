@@ -53,18 +53,18 @@ fn variants_agree_on_all_generator_workloads() {
     for (dataset, queries) in cases {
         let budget = dataset.len() / 4;
         let batches = Workload::batches(&queries, 5);
-        let variants: [(ExecMode, Box<dyn PhysicalTuner>); 3] = [
-            (ExecMode::RelationalOnly, Box::new(NoopTuner)),
-            (ExecMode::ViewAssisted, Box::new(ViewTuner::new())),
-            (ExecMode::Routed, Box::new(Dotil::new())),
+        let variants: [(Policy, Box<dyn PhysicalTuner>); 3] = [
+            (Policy::RelationalOnly, Box::new(NoopTuner)),
+            (Policy::ViewAssisted, Box::new(ViewTuner::new())),
+            (Policy::Routed, Box::new(Dotil::new())),
         ];
         // Each variant tunes after every batch, so later batches run on
         // built views and migrated partitions.
         let runs: Vec<Vec<ParallelBatchReport>> = variants
             .into_iter()
-            .map(|(mode, mut tuner)| {
+            .map(|(policy, mut tuner)| {
                 let store = SharedStore::new(DualStore::from_dataset(dataset.clone(), budget));
-                let executor = BatchExecutor::new(2).with_mode(mode).with_outcomes(true);
+                let executor = BatchExecutor::new(2).with_mode(policy).with_outcomes(true);
                 ParallelRunner::new(TuningSchedule::AfterEachBatch, executor).run(
                     &store,
                     tuner.as_mut(),
@@ -117,14 +117,14 @@ fn tuning_preserves_results_while_changing_routes() {
         "SELECT ?p WHERE { ?p y:wasBornIn ?c . ?p y:hasAcademicAdvisor ?a . ?a y:wasBornIn ?c }",
     )
     .unwrap();
-    let before = kgdual::processor::process(&dual, &q).unwrap();
+    let before = kgdual::processor::process(&dual, &q, Options::default()).unwrap();
     assert_eq!(before.route, Route::Relational);
 
     let mut tuner = Dotil::new();
-    let outcome = tuner.tune(&mut dual, std::slice::from_ref(&q));
+    let outcome = tuner.tune_with(&mut dual, std::slice::from_ref(&q), None);
     assert!(outcome.migrated > 0);
 
-    let after = kgdual::processor::process(&dual, &q).unwrap();
+    let after = kgdual::processor::process(&dual, &q, Options::default()).unwrap();
     assert_eq!(after.route, Route::Graph);
     let (mut a, mut b) = (before.results.clone(), after.results.clone());
     a.sort_rows();
@@ -183,9 +183,13 @@ fn updates_stay_consistent_across_stores() {
         "SELECT ?d WHERE { ?d bio:targets ?p1 . ?d bio:targets ?p2 . ?p1 bio:interactsWith ?p2 }",
     )
     .unwrap();
-    Dotil::new().tune(&mut dual, std::slice::from_ref(&q));
+    Dotil::new().tune_with(&mut dual, std::slice::from_ref(&q), None);
+    let rows = |dual: &DualStore| {
+        let out = kgdual::processor::process(dual, &q, Options::default()).unwrap();
+        out.results.len()
+    };
 
-    let baseline = kgdual::processor::process(&dual, &q).unwrap().results.len();
+    let baseline = rows(&dual);
     for (s, p, o) in [
         ("bio:DrugX", "bio:targets", "bio:ProteinA"),
         ("bio:DrugX", "bio:targets", "bio:ProteinB"),
@@ -193,7 +197,7 @@ fn updates_stay_consistent_across_stores() {
     ] {
         dual.insert_terms(&Term::iri(s), p, &Term::iri(o)).unwrap();
     }
-    let grown = kgdual::processor::process(&dual, &q).unwrap().results.len();
+    let grown = rows(&dual);
     assert!(
         grown > baseline,
         "inserted motif must appear: {grown} vs {baseline}"
@@ -203,7 +207,7 @@ fn updates_stay_consistent_across_stores() {
     let p = dual.dict().pred_id("bio:interactsWith").unwrap();
     let o = dual.dict().node_id(&Term::iri("bio:ProteinB")).unwrap();
     assert_eq!(dual.delete(Triple::new(s, p, o)), 1);
-    let shrunk = kgdual::processor::process(&dual, &q).unwrap().results.len();
+    let shrunk = rows(&dual);
     assert_eq!(shrunk, baseline, "retraction must restore the baseline");
 }
 
@@ -214,7 +218,7 @@ fn prelude_quickstart_compiles_and_runs() {
     b.add_terms(&Term::iri("ex:a"), "ex:p", &Term::iri("ex:b"));
     let dual = DualStore::from_dataset(b.build(), 10);
     let q = parse("SELECT ?x WHERE { ?x ex:p ?y }").unwrap();
-    let out = kgdual::processor::process(&dual, &q).unwrap();
+    let out = kgdual::processor::process(&dual, &q, Options::default()).unwrap();
     assert_eq!(out.results.len(), 1);
     let rs = ResultSet::decode(&out, dual.dict());
     assert_eq!(rs.rows[0][0], Term::iri("ex:a"));

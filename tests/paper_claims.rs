@@ -177,21 +177,21 @@ fn example1_and_coverage_cases() {
 
     // Case 3 (cold), Case 2 (subquery covered), Case 1 (fully covered).
     let mut dual = DualStore::from_dataset(dataset, total);
-    let cold = kgdual::processor::process(&dual, &q).unwrap();
+    let cold = kgdual::processor::process(&dual, &q, Options::default()).unwrap();
     assert_eq!(cold.route, Route::Relational);
 
     for pred in ["y:wasBornIn", "y:hasAcademicAdvisor", "y:isMarriedTo"] {
         let p = dual.dict().pred_id(pred).unwrap();
         dual.migrate_partition(p).unwrap();
     }
-    let partial = kgdual::processor::process(&dual, &q).unwrap();
+    let partial = kgdual::processor::process(&dual, &q, Options::default()).unwrap();
     assert_eq!(partial.route, Route::Dual);
 
     for pred in ["y:hasGivenName", "y:hasFamilyName"] {
         let p = dual.dict().pred_id(pred).unwrap();
         dual.migrate_partition(p).unwrap();
     }
-    let full = kgdual::processor::process(&dual, &q).unwrap();
+    let full = kgdual::processor::process(&dual, &q, Options::default()).unwrap();
     assert_eq!(full.route, Route::Graph);
 
     for pair in [(&cold, &partial), (&partial, &full)] {

@@ -8,6 +8,12 @@ use kgdual::prelude::*;
 use kgdual::relstore::{CsrView, PredTable};
 use proptest::prelude::*;
 
+/// The `RDB-only` policy, the relational oracle.
+const RELATIONAL: Options = Options {
+    policy: Policy::RelationalOnly,
+    explain: false,
+};
+
 /// Build a dataset from raw id triples over small id spaces.
 fn dataset_from(raw: &[(u8, u8, u8)]) -> Dataset {
     let mut b = DatasetBuilder::new();
@@ -22,7 +28,7 @@ fn dataset_from(raw: &[(u8, u8, u8)]) -> Dataset {
 }
 
 /// Render a random BGP: patterns pick subject/object from a tiny pool of
-/// variables and constants. A pattern whose last field is 1 gets a
+/// variables, or a constant node `n:<value>`. A pattern whose last field is 1 gets a
 /// variable predicate; every other predicate is bound. Tests that run the
 /// graph store generate 0 there (every pattern must map to a partition
 /// for graph execution).
@@ -32,12 +38,12 @@ fn render_query(patterns: &[(u8, bool, u8, u8, bool, u8)]) -> String {
         let subj = if s_is_var {
             format!("?v{}", s % 4)
         } else {
-            format!("n:{}", s % 8)
+            format!("n:{s}")
         };
         let obj = if o_is_var {
             format!("?w{}", o % 4)
         } else {
-            format!("n:{}", o % 8)
+            format!("n:{o}")
         };
         let pred = if var_pred == 1 {
             format!("?q{}", p % 2)
@@ -327,8 +333,8 @@ proptest! {
 
         let src = render_query(&patterns);
         let query = parse(&src).unwrap();
-        let baseline = kgdual::processor::process_relational(&dual, &query).unwrap();
-        let routed = kgdual::processor::process(&dual, &query).unwrap();
+        let baseline = kgdual::processor::process(&dual, &query, RELATIONAL).unwrap();
+        let routed = kgdual::processor::process(&dual, &query, Options::default()).unwrap();
         prop_assert_eq!(
             fingerprint(&baseline.results),
             fingerprint(&routed.results),
@@ -427,16 +433,26 @@ proptest! {
     }
 
     /// The forced-scan relational engine agrees with the index-enabled one
-    /// on every random BGP (access paths never change answers).
+    /// on every random BGP (access paths never change answers). Nodes are
+    /// drawn from 48 and tables reach ≈ 40 rows, so a table can have the
+    /// 20 distinct subjects or objects its index needs to beat a scan, and
+    /// constants are drawn from nodes that occur, so the index leaf runs
+    /// beside index nested loops.
     #[test]
     fn access_paths_are_equivalent(
-        triples in prop::collection::vec((0u8..12, 0u8..4, 0u8..12), 1..50),
+        triples in prop::collection::vec((0u8..48, 0u8..4, 0u8..48), 1..150),
         patterns in prop::collection::vec(
-            (0u8..8, any::<bool>(), 0u8..4, 0u8..8, any::<bool>(), 0u8..1),
+            (any::<u8>(), any::<bool>(), 0u8..4, any::<u8>(), any::<bool>(), 0u8..1),
             1..4
         ),
     ) {
         use kgdual::relstore::PlannerConfig;
+        let nodes: Vec<u8> = triples.iter().flat_map(|&(s, _, o)| [s, o]).collect();
+        let node = |k: u8| nodes[usize::from(k) % nodes.len()];
+        let patterns: Vec<_> = patterns
+            .into_iter()
+            .map(|(s, s_var, p, o, o_var, vp)| (node(s), s_var, p, node(o), o_var, vp))
+            .collect();
         let dataset = dataset_from(&triples);
         let normal = DualStore::from_dataset(dataset.clone(), 0);
         let forced = DualStore::from_dataset_with(
@@ -599,9 +615,9 @@ proptest! {
 
         let src = render_query(&patterns);
         let query = parse(&src).unwrap();
-        let full = kgdual::processor::process_relational(&dual, &query).unwrap();
+        let full = kgdual::processor::process(&dual, &query, RELATIONAL).unwrap();
         if limit == 0 {
-            let routed = kgdual::processor::process(&dual, &query).unwrap();
+            let routed = kgdual::processor::process(&dual, &query, Options::default()).unwrap();
             prop_assert_eq!(
                 fingerprint(&routed.results),
                 fingerprint(&full.results),
@@ -615,8 +631,8 @@ proptest! {
         let limited = parse(&limited_src).unwrap();
         let want = full.results.len().min(limit);
         for out in [
-            kgdual::processor::process(&dual, &limited).unwrap(),
-            kgdual::processor::process_relational(&dual, &limited).unwrap(),
+            kgdual::processor::process(&dual, &limited, Options::default()).unwrap(),
+            kgdual::processor::process(&dual, &limited, RELATIONAL).unwrap(),
         ] {
             prop_assert_eq!(
                 out.results.len(),
